@@ -16,6 +16,9 @@ Typical use::
     tables = build_cost_tables(grammar, vocab)
     engine = MaskEngine(grammar, tables, vocab)
     ids = greedy_decode(UniformModel(vocab.size), engine.new_session(budget=40))
+
+Session operations (``new_session``, ``replay``, ``compute_mask``,
+``mask_report``, ``advance``, ``is_complete``) are :class:`MaskEngine` methods.
 """
 
 from boundedgen.costs import (
@@ -37,7 +40,7 @@ from boundedgen.decoding import (
     softmax_prior,
     unconstrained_greedy,
 )
-from boundedgen.dfa import DEAD, INF, Dfa, RegexError, compile_regex, dfa_concat, dfa_run
+from boundedgen.dfa import DEAD, INF, Dfa, RegexError, compile_regex, dfa_concat
 from boundedgen.engine import (
     AcceptSequence,
     BudgetError,
@@ -45,12 +48,6 @@ from boundedgen.engine import (
     EngineError,
     EngineState,
     MaskEngine,
-    advance,
-    compute_mask,
-    enumerate_accept_sequences,
-    is_complete,
-    new_session,
-    parser_feed,
 )
 from boundedgen.evalharness import (
     BudgetPolicy,
@@ -125,7 +122,6 @@ __all__ = [
     "VerbosityBiasedModel",
     "Vocabulary",
     "VocabularyError",
-    "advance",
     "beam_search",
     "brute_force_mask",
     "brute_force_min_tokens",
@@ -134,17 +130,13 @@ __all__ = [
     "bundled_json_grammar_path",
     "cfg_membership",
     "compile_regex",
-    "compute_mask",
     "compute_nonterminal_costs",
     "compute_pair_costs",
     "compute_terminal_costs",
     "compute_token_map",
     "dfa_concat",
-    "dfa_run",
-    "enumerate_accept_sequences",
     "evaluate",
     "greedy_decode",
-    "is_complete",
     "json_equal",
     "load_cache",
     "load_grammar",
@@ -152,10 +144,8 @@ __all__ = [
     "load_vocabulary",
     "mcts_decode",
     "model_from_spec",
-    "new_session",
     "parse_grammar",
     "parse_json_value",
-    "parser_feed",
     "save_cache",
     "save_tasks",
     "save_vocabulary",

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from importlib import resources
 
 from boundedgen.costs import CacheError, build_cost_tables, load_cache, save_cache
 from boundedgen.decoding import unconstrained_greedy
@@ -40,11 +39,6 @@ EXIT_OK = 0
 EXIT_INCOMPLETE = 1
 EXIT_GRAMMAR = 2
 EXIT_IO = 3
-
-
-def bundled_json_grammar_path() -> str:
-    """Filesystem path of the packaged RFC 8259 JSON grammar."""
-    return str(resources.files("boundedgen").joinpath("data/json_rfc8259.grammar"))
 
 
 def _load_inputs(args) -> tuple[Grammar, Vocabulary]:

@@ -201,15 +201,15 @@ def compute_pair_costs(
     """
     if table is None:
         table = build_ll1_table(g)
-    pairs = sorted(adjacent_terminal_pairs(g, table))
-    automata: dict[Key, Dfa] = {}
-    costs: dict[Key, np.ndarray] = {}
-    for a, b in pairs:
-        key = (a, b)
-        dfa = dfa_concat(g.terminals[a].dfa, g.terminals[b].dfa, state_cap=state_cap)
-        automata[key] = dfa
-        costs[key] = compute_terminal_costs(dfa, vocab)
-    return automata, costs
+    automata = _pair_automata(g, table, state_cap)
+    return automata, {key: compute_terminal_costs(dfa, vocab) for key, dfa in automata.items()}
+
+
+def _pair_automata(g: Grammar, table: Ll1Table, state_cap: int) -> dict[Key, Dfa]:
+    return {
+        (a, b): dfa_concat(g.terminals[a].dfa, g.terminals[b].dfa, state_cap=state_cap)
+        for a, b in sorted(adjacent_terminal_pairs(g, table))
+    }
 
 
 def compute_nonterminal_costs(g: Grammar, terminal_costs: np.ndarray) -> np.ndarray:
@@ -258,8 +258,7 @@ def build_cost_tables(
     if table is None:
         table = build_ll1_table(g)
     automata: dict[Key, Dfa] = {(t,): g.terminals[t].dfa for t in range(g.n_terminals)}
-    pair_automata, _ = compute_pair_costs(g, vocab, table, state_cap)
-    automata.update(pair_automata)
+    automata.update(_pair_automata(g, table, state_cap))
     keys = tuple(sorted(automata.keys(), key=lambda k: (len(k), k)))
     token_map = compute_token_map(automata, vocab)
     c = {key: _costs_from_rows(automata[key], token_map[key]) for key in keys}
@@ -282,12 +281,20 @@ def build_cost_tables(
 # --- cache serialization -----------------------------------------------------
 
 
-def _pack_cost(value: int) -> int:
-    return _INF_SERIALIZED if value >= INF else int(value)
+def _pack_costs(costs: np.ndarray) -> bytes:
+    packed = costs.astype("<u8")
+    packed[costs >= INF] = _INF_SERIALIZED
+    return packed.tobytes()
 
 
-def _unpack_cost(value: int) -> int:
-    return INF if value == _INF_SERIALIZED else int(value)
+def _unpack_costs(raw: bytes) -> np.ndarray:
+    packed = np.frombuffer(raw, dtype="<u8")
+    inf = packed == _INF_SERIALIZED
+    if (packed[~inf] >= INF).any():
+        raise CacheCorruptError("stored cost out of range")
+    costs = packed.astype(np.int64)
+    costs[inf] = INF
+    return costs
 
 
 def save_cache(tables: CostTables, path) -> None:
@@ -312,11 +319,8 @@ def save_cache(tables: CostTables, path) -> None:
         )
         chunks.append(acc.astype("<i4").tobytes())
         chunks.append(aut.transitions.astype("<i4").tobytes())
-        packed = np.array([_pack_cost(v) for v in tables.c[key]], dtype="<u8")
-        chunks.append(packed.tobytes())
-    chunks.append(
-        np.array([_pack_cost(v) for v in tables.d], dtype="<u8").tobytes()
-    )
+        chunks.append(_pack_costs(tables.c[key]))
+    chunks.append(_pack_costs(tables.d))
     entries: list[tuple[int, int, int, int]] = []
     for key_idx, key in enumerate(tables.keys):
         for q in sorted(tables.token_map[key]):
@@ -390,36 +394,47 @@ def load_cache(
         if arity not in (1, 2):
             raise CacheCorruptError(f"bad key arity {arity}")
         key: Key = (a,) if arity == 1 else (a, b)
+        if key in automata:
+            raise CacheCorruptError(f"duplicate key {key}")
         acc_ids = np.frombuffer(reader.take(4 * n_acc), dtype="<i4")
         trans = np.frombuffer(reader.take(4 * n_states * 256), dtype="<i4").reshape(
             n_states, 256
         )
+        if ((acc_ids < 0) | (acc_ids >= n_states)).any():
+            raise CacheCorruptError(f"accepting state out of range for key {key}")
         accepting = np.zeros(n_states, dtype=bool)
         accepting[acc_ids] = True
         try:
             automata[key] = Dfa(trans.copy(), int(initial), accepting)
         except ValueError as exc:
             raise CacheCorruptError(f"bad automaton for key {key}: {exc}") from exc
-        raw_costs = np.frombuffer(reader.take(8 * n_states), dtype="<u8")
-        c[key] = np.array([_unpack_cost(int(v)) for v in raw_costs], dtype=np.int64)
+        c[key] = _unpack_costs(reader.take(8 * n_states))
         keys.append(key)
-    raw_d = np.frombuffer(reader.take(8 * n_nonterminals), dtype="<u8")
-    d = np.array([_unpack_cost(int(v)) for v in raw_d], dtype=np.int64)
+    d = _unpack_costs(reader.take(8 * n_nonterminals))
     (n_entries,) = reader.unpack("<Q")
     token_map: dict[Key, dict[int, TokenRow]] = {key: {} for key in keys}
     if n_entries:
         flat = np.frombuffer(reader.take(16 * n_entries), dtype="<i4").reshape(
             n_entries, 4
         )
-        for key_idx in np.unique(flat[:, 0]):
-            block = flat[flat[:, 0] == key_idx]
-            key = keys[int(key_idx)]
-            for q in np.unique(block[:, 1]):
-                rows = block[block[:, 1] == q]
-                token_map[key][int(q)] = (
-                    rows[:, 2].astype(np.int32),
-                    rows[:, 3].astype(np.int32),
-                )
+        key_ids, states, token_ids, successors = flat.T
+        if ((key_ids < 0) | (key_ids >= n_keys)).any():
+            raise CacheCorruptError("token-map entry names an unknown automaton")
+        limit = np.array([automata[key].n_states for key in keys], dtype=np.int32)[key_ids]
+        # Entries hold live transitions only: neither end is the dead state.
+        for name, values in (("state", states), ("successor", successors)):
+            if ((values <= DEAD) | (values >= limit)).any():
+                raise CacheCorruptError(f"token-map entry {name} out of range")
+        if (token_ids < 0).any():
+            raise CacheCorruptError("token-map entry has a negative token id")
+        dk, dq, dt = np.diff(key_ids), np.diff(states), np.diff(token_ids)
+        if not ((dk > 0) | (dk == 0) & ((dq > 0) | (dq == 0) & (dt > 0))).all():
+            raise CacheCorruptError("token-map entries are not in sorted order")
+        for block in np.split(flat, np.flatnonzero((dk != 0) | (dq != 0)) + 1):
+            token_map[keys[block[0, 0]]][int(block[0, 1])] = (
+                block[:, 2].astype(np.int32),
+                block[:, 3].astype(np.int32),
+            )
     if not reader.done():
         raise CacheCorruptError("trailing bytes after cache payload")
     return CostTables(

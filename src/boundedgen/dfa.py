@@ -127,13 +127,6 @@ class Dfa:
         return f"Dfa(states={self.n_states}, initial={self.initial}, accepting={sorted(self.accepting_states)})"
 
 
-def dfa_run(dfa: Dfa, state: int, data: bytes) -> int:
-    """Run ``data`` through ``dfa`` starting at ``state``."""
-    if not 0 <= state < dfa.n_states:
-        raise ValueError(f"state {state} out of range")
-    return dfa.run(state, data)
-
-
 # --- pattern parsing -------------------------------------------------------
 #
 # AST nodes: ("set", frozenset[int]) | ("seq", [nodes]) | ("alt", [nodes])

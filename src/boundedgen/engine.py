@@ -19,9 +19,11 @@ admitted purely by the completion rule and never touches the automata.
 
 Lexing is maximal munch over all terminal automata: a lexeme is committed
 when the next byte would kill every live automaton, or immediately when no
-byte can extend any of them; ties go to the earliest-declared terminal.  A
-session is complete when flushing the remainder as final lexemes leaves only
-nullable nonterminals on the stack.
+byte can extend any of them; ties go to the earliest-declared terminal.  The
+same lexer handles end of input: it commits the pending longest match and
+lexes the bytes after it again, until nothing is left.  A session is complete
+when that final lexing succeeds and leaves only nullable nonterminals on the
+stack.
 """
 
 from __future__ import annotations
@@ -147,7 +149,18 @@ class MaskEngine:
     def new_session(self, budget: int) -> EngineState:
         if budget < 1:
             raise BudgetError(f"budget must be at least 1, got {budget}")
-        state = EngineState(
+        state = self._fresh_state(budget)
+        if self.mode == MODE_FULL and not self.is_complete(state):
+            need = self._min_completion_tokens(state.stack)
+            if need + 1 > budget:
+                raise BudgetError(
+                    f"budget {budget} cannot fit any complete output "
+                    f"(minimum is {need} tokens plus end-of-sequence)"
+                )
+        return state
+
+    def _fresh_state(self, budget: int) -> EngineState:
+        return EngineState(
             engine=self,
             stack=(self._start_symbol,),
             tau=(),
@@ -157,14 +170,6 @@ class MaskEngine:
             consumed=0,
             budget=budget,
         )
-        if self.mode == MODE_FULL and not self.is_complete(state):
-            need = self._min_completion_tokens(state.stack)
-            if need + 1 > budget:
-                raise BudgetError(
-                    f"budget {budget} cannot fit any complete output "
-                    f"(minimum is {need} tokens plus end-of-sequence)"
-                )
-        return state
 
     def _min_completion_tokens(self, stack: tuple[int, ...]) -> int:
         """Fewest tokens any admissible continuation needs, per the mask's
@@ -252,11 +257,14 @@ class MaskEngine:
         lex_accept: tuple[int, int] | None,
         remainder: bytes,
         incoming: bytes,
+        final: bool = False,
     ) -> tuple[tuple[int, ...], tuple[int, ...], bytes, tuple[int, ...], tuple[int, int] | None]:
         """Feed ``incoming`` after ``remainder``; commit lexemes maximal-munch.
 
-        Returns (stack, committed terminal ids, new remainder, lexer states,
-        last-accept marker relative to the new remainder).
+        With ``final`` the input ends here: the pending longest match is
+        committed and the bytes after it are lexed again, until the remainder
+        is empty.  Returns (stack, committed terminal ids, new remainder, lexer
+        states, last-accept marker relative to the new remainder).
         """
         data = remainder + incoming
         states = list(lex_states)
@@ -286,7 +294,10 @@ class MaskEngine:
             states = list(self._lex_initial)
             accept = None
 
-        while pos < len(data):
+        while pos < len(data) or (final and start < len(data)):
+            if pos == len(data):  # input ends inside a lexeme
+                commit()
+                continue
             byte = data[pos]
             any_live = False
             for t, q in enumerate(states):
@@ -312,53 +323,72 @@ class MaskEngine:
         rel_accept = None if accept is None else (accept[0] - start, accept[1])
         return stack, tuple(committed), new_remainder, tuple(states), rel_accept
 
-    def _flush_stack(self, state: EngineState) -> tuple[int, ...] | None:
-        """Parser stack after committing the remainder as trailing lexemes."""
-        stack = state.stack
-        data = state.remainder
-        while data:
-            states = list(self._lex_initial)
-            accept: tuple[int, int] | None = None
-            for pos, byte in enumerate(data):
-                alive = False
-                for t, q in enumerate(states):
-                    if q != DEAD:
-                        q2 = int(self._lex_dfas[t].transitions[q, byte])
-                        states[t] = q2
-                        alive = alive or q2 != DEAD
-                if not alive:
-                    break
-                for t, q in enumerate(states):
-                    if q != DEAD and self._lex_dfas[t].accepting[q]:
-                        accept = (pos + 1, t)
-                        break
-            if accept is None:
-                return None
-            end, tid = accept
-            fed = self.feed(stack, tid)
-            if fed is None:
-                return None
-            stack = fed
-            data = data[end:]
-        return stack
-
     # -- completion and masking -------------------------------------------------
 
     def is_complete(self, state: EngineState) -> bool:
-        """True when the emitted bytes already form a full sentence.
+        """True when the emitted bytes already form a full sentence."""
+        return self._completes(
+            state.stack, state.lex_states, state.lex_accept, state.remainder, b""
+        )
 
-        The remainder, if any, must flush into complete lexemes, and the
-        stack left over must be drainable to nothing, i.e. hold only
-        nullable nonterminals.
-        """
-        stack = self._flush_stack(state) if state.remainder else state.stack
-        if stack is None:
+    def text_is_complete(self, data: bytes) -> bool:
+        """Would ``data`` as a whole be a grammatically complete output?"""
+        return self._completes((self._start_symbol,), self._lex_initial, None, b"", data)
+
+    def _completes(self, stack, lex_states, lex_accept, remainder, incoming) -> bool:
+        """Lex to the end of input; True if the stack left holds only nullable nonterminals."""
+        try:
+            stack = self._lex(
+                stack, lex_states, lex_accept, remainder, incoming, final=True
+            )[0]
+        except (LexError, ParseError):
             return False
         g = self.grammar
         return all(
             not g.is_terminal(sym) and g.nt_id(sym) in self.table.nullable
             for sym in stack
         )
+
+    def _score(
+        self, seq: AcceptSequence, remainder: bytes
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Tokens that keep ``seq``'s automaton alive after ``remainder``, with
+        C at each token's successor state; None when no token does."""
+        automaton = self.tables.automata.get(seq.terminals)
+        if automaton is None:
+            raise EngineError(
+                f"no precomputed automaton for terminal sequence {seq.terminals}"
+            )
+        q = automaton.run(automaton.initial, remainder)
+        if q == DEAD:
+            return None
+        row = self.tables.token_map[seq.terminals].get(q)
+        if row is None:
+            return None
+        token_ids, successors = row
+        return token_ids, self.tables.c[seq.terminals][successors]
+
+    def _admit(self, state: EngineState) -> np.ndarray:
+        """The mask rule itself, without state checks; may come out all-false."""
+        budget_check = self.mode == MODE_FULL
+        bits = np.zeros(self.vocab.size, dtype=bool)
+        spent = state.consumed + 1
+        for seq in self.accept_sequences(state.stack):
+            if seq.d_cost >= INF:
+                continue
+            if budget_check and spent + seq.d_cost >= state.budget:
+                continue
+            scored = self._score(seq, state.remainder)
+            if scored is None:
+                continue
+            token_ids, costs = scored
+            if budget_check:
+                bits[token_ids[spent + costs + seq.d_cost < state.budget]] = True
+            else:
+                bits[token_ids[costs < INF]] = True
+        if state.consumed < state.budget and self.is_complete(state):
+            bits[self.vocab.eos] = True
+        return bits
 
     def compute_mask(self, state: EngineState) -> np.ndarray:
         """Boolean vector over the vocabulary for the next step."""
@@ -368,35 +398,7 @@ class MaskEngine:
             raise BudgetExhaustedError(
                 f"consumed {state.consumed} of {state.budget} tokens"
             )
-        tables = self.tables
-        budget_check = self.mode == MODE_FULL
-        bits = np.zeros(self.vocab.size, dtype=bool)
-        spent = state.consumed + 1
-        for seq in self.accept_sequences(state.stack):
-            if seq.d_cost >= INF:
-                continue
-            if budget_check and spent + seq.d_cost >= state.budget:
-                continue
-            automaton = tables.automata.get(seq.terminals)
-            if automaton is None:
-                raise EngineError(
-                    f"no precomputed automaton for terminal sequence {seq.terminals}"
-                )
-            q = automaton.run(automaton.initial, state.remainder)
-            if q == DEAD:
-                continue
-            row = tables.token_map[seq.terminals].get(q)
-            if row is None:
-                continue
-            token_ids, successors = row
-            costs = tables.c[seq.terminals][successors]
-            if budget_check:
-                admitted = token_ids[spent + costs + seq.d_cost < state.budget]
-            else:
-                admitted = token_ids[costs < INF]
-            bits[admitted] = True
-        if self.is_complete(state):
-            bits[self.vocab.eos] = True
+        bits = self._admit(state)
         if not bits.any():
             raise DeadSessionError(
                 "mask is all-false; a session advanced only on admitted tokens "
@@ -407,69 +409,42 @@ class MaskEngine:
     def mask_report(self, state: EngineState) -> list[dict]:
         """Per-token mask explanation: the dominating sequence and cost terms.
 
-        For admitted tokens the reported sequence is the cheapest admitting
-        one; for denied tokens it is the closest miss (or None when every
-        continuation dies on the automaton).
+        ``admitted`` is the mask bit.  For admitted tokens the reported
+        sequence is the cheapest admitting one; for denied tokens it is the
+        closest miss (or None when every continuation dies on the automaton).
         """
-        rows: list[dict] = []
+        bits = self._admit(state)
         candidates: dict[int, tuple[int, AcceptSequence, int]] = {}
         spent = state.consumed + 1
         for seq in self.accept_sequences(state.stack):
-            automaton = self.tables.automata[seq.terminals]
-            q = automaton.run(automaton.initial, state.remainder)
-            if q == DEAD:
+            scored = self._score(seq, state.remainder)
+            if scored is None:
                 continue
-            row = self.tables.token_map[seq.terminals].get(q)
-            if row is None:
-                continue
-            token_ids, successors = row
-            costs = self.tables.c[seq.terminals][successors]
-            for tid, cost in zip(token_ids.tolist(), costs.tolist()):
+            for tid, cost in zip(scored[0].tolist(), scored[1].tolist()):
                 total = spent + cost + seq.d_cost
                 best = candidates.get(tid)
                 if best is None or total < best[0]:
                     candidates[tid] = (total, seq, cost)
-        complete = self.is_complete(state)
+        rows: list[dict] = []
         for tid in range(self.vocab.size):
+            row = {
+                "token": tid,
+                "admitted": bool(bits[tid]),
+                "sequence": None,
+                "consumed": state.consumed,
+                "automaton_cost": None,
+                "dangling_cost": None,
+            }
             if tid == self.vocab.eos:
-                rows.append(
-                    {
-                        "token": tid,
-                        "admitted": complete and state.consumed < state.budget,
-                        "sequence": None,
-                        "consumed": state.consumed,
-                        "automaton_cost": 0,
-                        "dangling_cost": 0,
-                    }
+                row["automaton_cost"] = row["dangling_cost"] = 0
+            elif tid in candidates:
+                _, seq, cost = candidates[tid]
+                row["sequence"] = tuple(
+                    self.grammar.terminals[t].name for t in seq.terminals
                 )
-                continue
-            found = candidates.get(tid)
-            if found is None:
-                rows.append(
-                    {
-                        "token": tid,
-                        "admitted": False,
-                        "sequence": None,
-                        "consumed": state.consumed,
-                        "automaton_cost": None,
-                        "dangling_cost": None,
-                    }
-                )
-                continue
-            total, seq, cost = found
-            admitted = total < state.budget if self.mode == MODE_FULL else cost < INF
-            rows.append(
-                {
-                    "token": tid,
-                    "admitted": bool(admitted),
-                    "sequence": tuple(
-                        self.grammar.terminals[t].name for t in seq.terminals
-                    ),
-                    "consumed": state.consumed,
-                    "automaton_cost": int(cost),
-                    "dangling_cost": int(seq.d_cost),
-                }
-            )
+                row["automaton_cost"] = int(cost)
+                row["dangling_cost"] = int(seq.d_cost)
+            rows.append(row)
         return rows
 
     # -- advancing ---------------------------------------------------------------
@@ -488,6 +463,22 @@ class MaskEngine:
             raise MaskedTokenError(
                 f"token {self.vocab.tokens[token]!r} is masked false at this step"
             )
+        return self._step(state, token)
+
+    def replay(self, token_ids, budget: int) -> EngineState:
+        """Rebuild a session from raw tokens without mask or budget checks.
+
+        Raises LexError/ParseError when the bytes do not lex or parse; used
+        for loading externally supplied prefixes and for validity checks.
+        """
+        state = self._fresh_state(budget)
+        for token in token_ids:
+            state = self._step(state, token)
+        return state
+
+    def _step(self, state: EngineState, token: int) -> EngineState:
+        """Successor state after ``token``; the only place a token's bytes
+        change a session."""
         if token == self.vocab.eos:
             return replace(state, consumed=state.consumed + 1, finished=True)
         stack, committed, remainder, lex_states, lex_accept = self._lex(
@@ -506,103 +497,3 @@ class MaskEngine:
             lex_accept=lex_accept,
             consumed=state.consumed + 1,
         )
-
-    def replay(self, token_ids, budget: int) -> EngineState:
-        """Rebuild a session from raw tokens without mask or budget checks.
-
-        Raises LexError/ParseError when the bytes do not lex or parse; used
-        for loading externally supplied prefixes and for validity checks.
-        """
-        state = EngineState(
-            engine=self,
-            stack=(self._start_symbol,),
-            tau=(),
-            remainder=b"",
-            lex_states=self._lex_initial,
-            lex_accept=None,
-            consumed=0,
-            budget=budget,
-        )
-        for token in token_ids:
-            if token == self.vocab.eos:
-                state = replace(state, consumed=state.consumed + 1, finished=True)
-                continue
-            stack, committed, remainder, lex_states, lex_accept = self._lex(
-                state.stack,
-                state.lex_states,
-                state.lex_accept,
-                state.remainder,
-                self.vocab.tokens[token],
-            )
-            state = replace(
-                state,
-                stack=stack,
-                tau=state.tau + committed,
-                remainder=remainder,
-                lex_states=lex_states,
-                lex_accept=lex_accept,
-                consumed=state.consumed + 1,
-            )
-        return state
-
-    def text_is_complete(self, data: bytes) -> bool:
-        """Would ``data`` as a whole be a grammatically complete output?"""
-        try:
-            stack, _, remainder, lex_states, lex_accept = self._lex(
-                (self._start_symbol,), self._lex_initial, None, b"", data
-            )
-        except (LexError, ParseError):
-            return False
-        probe = EngineState(
-            engine=self,
-            stack=stack,
-            tau=(),
-            remainder=remainder,
-            lex_states=lex_states,
-            lex_accept=lex_accept,
-            consumed=0,
-            budget=1,
-        )
-        return self.is_complete(probe)
-
-
-# --- module-level operation surface ------------------------------------------
-
-
-def new_session(
-    grammar: Grammar,
-    tables: CostTables,
-    vocab: Vocabulary,
-    budget: int,
-    mode: str = MODE_FULL,
-) -> EngineState:
-    """Fresh session: empty terminals and remainder, stack holds the start symbol."""
-    return MaskEngine(grammar, tables, vocab, mode).new_session(budget)
-
-
-def parser_feed(state: EngineState, terminal: int) -> tuple[int, ...]:
-    """Parser stack after consuming ``terminal``; raises ParseError on failure."""
-    result = state.engine.feed(state.stack, terminal)
-    if result is None:
-        g = state.engine.grammar
-        top = g.symbol_name(state.stack[-1]) if state.stack else "<empty>"
-        raise ParseError(
-            f"cannot accept terminal {g.terminals[terminal].name!r}; stack top is {top}"
-        )
-    return result
-
-
-def enumerate_accept_sequences(state: EngineState) -> tuple[AcceptSequence, ...]:
-    return state.engine.accept_sequences(state.stack)
-
-
-def compute_mask(state: EngineState) -> np.ndarray:
-    return state.engine.compute_mask(state)
-
-
-def advance(state: EngineState, token: int, mask: np.ndarray | None = None) -> EngineState:
-    return state.engine.advance(state, token, mask)
-
-
-def is_complete(state: EngineState) -> bool:
-    return state.engine.is_complete(state)

@@ -23,10 +23,6 @@ logger = logging.getLogger(__name__)
 _HEX = "0123456789abcdefABCDEF"
 
 
-def struct_len(token: bytes) -> bytes:
-    return len(token).to_bytes(4, "little")
-
-
 class VocabularyError(ValueError):
     """Vocabulary file or lookup problem."""
 
@@ -96,7 +92,7 @@ class Vocabulary:
             digest = hashlib.sha256()
             digest.update(str(eos).encode())
             for tok in tokens:
-                digest.update(struct_len(tok))
+                digest.update(len(tok).to_bytes(4, "little"))
                 digest.update(tok)
             source_hash = digest.hexdigest()
         self.source_hash = source_hash
@@ -155,10 +151,6 @@ class Vocabulary:
             for i, tok in enumerate(self.tokens)
             if i != self.eos and tok and all(b in ws for b in tok)
         ]
-
-
-def decode(vocab: Vocabulary, ids: Iterable[int]) -> bytes:
-    return vocab.decode(ids)
 
 
 def load_vocabulary(path) -> Vocabulary:

@@ -6,13 +6,8 @@ import json
 
 import pytest
 
-from boundedgen.cli import (
-    EXIT_GRAMMAR,
-    EXIT_IO,
-    EXIT_OK,
-    bundled_json_grammar_path,
-    main,
-)
+from boundedgen import bundled_json_grammar_path
+from boundedgen.cli import EXIT_GRAMMAR, EXIT_IO, EXIT_OK, main
 from boundedgen.evalharness import save_tasks
 from boundedgen.vocab import Vocabulary, save_vocabulary
 from tests.conftest import eval_token_strings, make_json_tasks

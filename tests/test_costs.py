@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import random
+import struct
+
 import numpy as np
 import pytest
 
 from boundedgen.costs import (
     CACHE_MAGIC,
     CacheCorruptError,
+    CacheError,
     CacheHashError,
     CacheVersionError,
     build_cost_tables,
@@ -17,7 +21,7 @@ from boundedgen.costs import (
     load_cache,
     save_cache,
 )
-from boundedgen.dfa import DEAD, INF, compile_regex, dfa_run
+from boundedgen.dfa import DEAD, INF, compile_regex
 from boundedgen.grammar import parse_grammar
 from boundedgen.oracle import brute_force_min_tokens
 from boundedgen.vocab import Vocabulary
@@ -34,7 +38,7 @@ class TestTerminalCosts:
 
     def test_json_string_close_costs_one(self, json_vocab):
         d = compile_regex('"[^"]*"')
-        q = dfa_run(d, d.initial, b'"keyword')
+        q = d.run(d.initial, b'"keyword')
         costs = compute_terminal_costs(d, json_vocab)
         assert costs[q] == 1  # one closing-quote token
 
@@ -77,7 +81,7 @@ class TestPairCosts:
         tid = {t.name: i for i, t in enumerate(json_grammar.terminals)}
         key = (tid["string"], tid["colon"])
         aut = automata[key]
-        q = dfa_run(aut, aut.initial, b'"key"')
+        q = aut.run(aut.initial, b'"key"')
         assert costs[key][q] == 1
 
     def test_pair_costs_match_oracle(self, paren_grammar, paren_vocab):
@@ -173,7 +177,7 @@ class TestTokenMap:
                     if tid == paren_vocab.eos:
                         assert tid not in present
                         continue
-                    got = dfa_run(aut, q, paren_vocab.tokens[tid]) if q != DEAD else DEAD
+                    got = aut.run(q, paren_vocab.tokens[tid]) if q != DEAD else DEAD
                     if got == DEAD:
                         assert tid not in present
                     else:
@@ -183,7 +187,7 @@ class TestTokenMap:
         tid = {t.name: i for i, t in enumerate(json_grammar.terminals)}
         string_key = (tid["string"],)
         aut = json_tables.automata[string_key]
-        in_string = dfa_run(aut, aut.initial, b'"key')
+        in_string = aut.run(aut.initial, b'"key')
         close_paren = next(
             i for i, t in enumerate(json_vocab.tokens) if t == b"]"
         )
@@ -263,3 +267,75 @@ class TestCache:
         path = tmp_path / "p.cache"
         save_cache(paren_tables, path)
         assert path.read_bytes()[:4] == CACHE_MAGIC
+
+    @staticmethod
+    def _offsets(tables, raw: bytes) -> dict[str, int]:
+        """Byte offset of one value of each field in a saved cache."""
+        key = tables.keys[0]
+        aut = tables.automata[key]
+        first_key = 4 + 4 + 32 + 32 + 8
+        acc = first_key + struct.calcsize("<BIIIII")
+        costs = acc + 4 * int(aut.accepting.sum()) + 4 * 256 * aut.n_states
+        n_entries = sum(ids.size for rows in tables.token_map.values() for ids, _ in rows.values())
+        entries = len(raw) - 16 * n_entries
+        return {
+            "accepting": acc,
+            "c": costs,
+            "d": entries - 8 - 8 * len(tables.d),
+            "key_index": entries,
+            "state": entries + 4,
+            "token": entries + 8,
+            "successor": entries + 12,
+        }
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("accepting", struct.pack("<i", 1 << 20)),
+            ("accepting", struct.pack("<i", -1)),
+            ("c", struct.pack("<Q", INF)),
+            ("c", struct.pack("<Q", 1 << 63)),
+            ("d", struct.pack("<Q", (1 << 64) - 2)),
+            ("key_index", struct.pack("<i", 1 << 20)),
+            ("key_index", struct.pack("<i", -1)),
+            ("state", struct.pack("<i", 1 << 20)),
+            ("state", struct.pack("<i", DEAD)),
+            ("token", struct.pack("<i", -1)),
+            ("successor", struct.pack("<i", 1 << 20)),
+            ("successor", struct.pack("<i", DEAD)),
+        ],
+    )
+    def test_out_of_range_field_is_corrupt(self, paren_tables, tmp_path, field, value):
+        path = tmp_path / "p.cache"
+        save_cache(paren_tables, path)
+        raw = bytearray(path.read_bytes())
+        at = self._offsets(paren_tables, raw)[field]
+        raw[at : at + len(value)] = value
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CacheCorruptError):
+            load_cache(path)
+
+    def test_unsorted_entries_are_corrupt(self, paren_tables, tmp_path):
+        path = tmp_path / "p.cache"
+        save_cache(paren_tables, path)
+        raw = bytearray(path.read_bytes())
+        at = self._offsets(paren_tables, raw)["key_index"]
+        raw[at : at + 32] = raw[at + 16 : at + 32] + raw[at : at + 16]
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CacheCorruptError):
+            load_cache(path)
+
+    def test_bit_flips_raise_only_cache_errors(self, paren_tables, tmp_path):
+        path = tmp_path / "p.cache"
+        save_cache(paren_tables, path)
+        raw = path.read_bytes()
+        rng = random.Random(2024)
+        for _ in range(3000):
+            bit = rng.randrange(8 * len(raw))
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            try:
+                load_cache(path)
+            except CacheError:
+                pass

@@ -16,7 +16,6 @@ from boundedgen.dfa import (
     StateLimitError,
     compile_regex,
     dfa_concat,
-    dfa_run,
 )
 
 
@@ -118,17 +117,17 @@ class TestCompile:
 class TestRun:
     def test_run_examples(self):
         d = compile_regex("x")
-        assert d.accepting[dfa_run(d, d.initial, b"x")]
-        assert dfa_run(d, d.initial, b"y") == DEAD
+        assert d.accepting[d.run(d.initial, b"x")]
+        assert d.run(d.initial, b"y") == DEAD
 
     def test_run_empty_is_identity(self):
         d = compile_regex("ab*")
         for q in range(d.n_states):
-            assert dfa_run(d, q, b"") == q
+            assert d.run(q, b"") == q
 
     def test_in_string_state_live_not_accepting(self):
         d = compile_regex('"[^"]*"')
-        q = dfa_run(d, d.initial, b'"keyword')
+        q = d.run(d.initial, b'"keyword')
         assert q != DEAD
         assert not d.accepting[q]
 
@@ -136,20 +135,13 @@ class TestRun:
         d = compile_regex('(ab|a)*"?')
         for u in all_strings([b"a", b"b", b'"'], 3):
             for v in all_strings([b"a", b"b", b'"'], 2):
-                assert dfa_run(d, d.initial, u + v) == dfa_run(
-                    d, dfa_run(d, d.initial, u), v
-                )
+                assert d.run(d.initial, u + v) == d.run(d.run(d.initial, u), v)
 
     def test_determinism_total_transition(self):
         d = compile_regex("[ab]+c?")
         assert d.transitions.shape == (d.n_states, 256)
         assert (d.transitions >= 0).all()
         assert (d.transitions < d.n_states).all()
-
-    def test_run_rejects_bad_state(self):
-        d = compile_regex("x")
-        with pytest.raises(ValueError):
-            dfa_run(d, 99, b"x")
 
 
 class TestConcat:

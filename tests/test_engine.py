@@ -10,19 +10,17 @@ import pytest
 from boundedgen.engine import (
     BudgetError,
     BudgetExhaustedError,
+    DeadSessionError,
     HashMismatchError,
+    LexError,
     MaskEngine,
     MaskedTokenError,
     ParseError,
-    advance,
-    compute_mask,
-    enumerate_accept_sequences,
-    is_complete,
-    new_session,
-    parser_feed,
 )
+from boundedgen.costs import build_cost_tables
+from boundedgen.dfa import INF
 from boundedgen.grammar import parse_grammar
-from boundedgen.oracle import brute_force_mask
+from boundedgen.oracle import brute_force_mask, cfg_membership
 from boundedgen.vocab import Vocabulary
 
 
@@ -35,7 +33,7 @@ def mask_dict(vocab, mask):
 
 class TestNewSession:
     def test_fresh_state(self, json_grammar, json_tables, json_vocab):
-        state = new_session(json_grammar, json_tables, json_vocab, budget=110)
+        state = MaskEngine(json_grammar, json_tables, json_vocab).new_session(110)
         assert state.stack == (json_grammar.nt_symbol(json_grammar.start),)
         assert state.consumed == 0
         assert state.tau == ()
@@ -43,7 +41,7 @@ class TestNewSession:
 
     def test_budget_zero_rejected(self, json_grammar, json_tables, json_vocab):
         with pytest.raises(BudgetError):
-            new_session(json_grammar, json_tables, json_vocab, budget=0)
+            MaskEngine(json_grammar, json_tables, json_vocab).new_session(0)
 
     def test_infeasible_budget_rejected_at_creation(self, paren_engine):
         # Minimum output is one content token plus eos, so budget 1 cannot work.
@@ -67,7 +65,7 @@ class TestParserFeed:
         state = paren_engine.new_session(8)
         x, lp = 0, 1
         g = paren_engine.grammar
-        after_lp = parser_feed(state, lp)
+        after_lp = paren_engine.feed(state.stack, lp)
         assert [g.symbol_name(s) for s in after_lp] == ["RP", "E"]
         after_x = paren_engine.feed(after_lp, x)
         assert [g.symbol_name(s) for s in after_x] == ["RP"]
@@ -77,18 +75,9 @@ class TestParserFeed:
         state = paren_engine.new_session(8)
         rp_only = paren_engine.feed(state.stack, 1)  # (RP, E)
         x_done = paren_engine.feed(rp_only, 0)  # (RP)
-        probe = type(state)(
-            engine=paren_engine,
-            stack=x_done,
-            tau=(),
-            remainder=b"",
-            lex_states=state.lex_states,
-            lex_accept=None,
-            consumed=0,
-            budget=8,
-        )
+        assert paren_engine.feed(x_done, 0) is None
         with pytest.raises(ParseError):
-            parser_feed(probe, 0)
+            paren_engine.replay([1, 0, 0], budget=8)  # "(", "x", "x"
 
 
 class TestAcceptSequences:
@@ -96,7 +85,7 @@ class TestAcceptSequences:
         state = paren_engine.new_session(8)
         seqs = {
             tuple(paren_grammar.terminals[t].name for t in seq.terminals): seq.d_cost
-            for seq in enumerate_accept_sequences(state)
+            for seq in paren_engine.accept_sequences(state.stack)
         }
         assert seqs == {
             ("X",): 0,
@@ -107,9 +96,9 @@ class TestAcceptSequences:
 
     def test_after_lp_x(self, paren_engine):
         state = paren_engine.new_session(8)
-        state = advance(state, 1)  # "("
-        state = advance(state, 0)  # "x"
-        seqs = enumerate_accept_sequences(state)
+        state = paren_engine.advance(state, 1)  # "("
+        state = paren_engine.advance(state, 0)  # "x"
+        seqs = paren_engine.accept_sequences(state.stack)
         assert [seq.terminals for seq in seqs] == [(2,)]
         assert seqs[0].d_cost == 0
 
@@ -133,15 +122,15 @@ class TestAcceptSequences:
 
     def test_empty_only_when_complete(self, paren_engine):
         state = paren_engine.new_session(4)
-        state = advance(state, 0)  # "x"
-        assert enumerate_accept_sequences(state) == ()
-        assert is_complete(state)
+        state = paren_engine.advance(state, 0)  # "x"
+        assert paren_engine.accept_sequences(state.stack) == ()
+        assert paren_engine.is_complete(state)
 
 
 class TestComputeMask:
     def test_paren_masks_match_spec_and_oracle(self, paren_engine, paren_grammar, paren_vocab):
         state3 = paren_engine.new_session(3)
-        got3 = compute_mask(state3)
+        got3 = paren_engine.compute_mask(state3)
         assert mask_dict(paren_vocab, got3) == {
             "x": True,
             "(": False,
@@ -152,23 +141,23 @@ class TestComputeMask:
         assert got3.tolist() == brute_force_mask(paren_grammar, paren_vocab, [], 3).tolist()
 
         state4 = paren_engine.new_session(4)
-        got4 = compute_mask(state4)
+        got4 = paren_engine.compute_mask(state4)
         assert mask_dict(paren_vocab, got4)["("] is True
         assert got4.tolist() == brute_force_mask(paren_grammar, paren_vocab, [], 4).tolist()
 
     def test_eos_only_after_complete(self, paren_engine, paren_grammar, paren_vocab):
         state = paren_engine.new_session(4)
-        state = advance(state, 0)
-        got = compute_mask(state)
+        state = paren_engine.advance(state, 0)
+        got = paren_engine.compute_mask(state)
         assert got.tolist() == [False, False, False, False, True]
         assert got.tolist() == brute_force_mask(paren_grammar, paren_vocab, [0], 4).tolist()
 
     def test_budget_exhausted(self, paren_engine):
         state = paren_engine.new_session(2)
-        state = advance(state, 0)
-        state = advance(state, paren_engine.vocab.eos)
+        state = paren_engine.advance(state, 0)
+        state = paren_engine.advance(state, paren_engine.vocab.eos)
         with pytest.raises(Exception):
-            compute_mask(state)
+            paren_engine.compute_mask(state)
         fresh = paren_engine.new_session(2)
         exhausted = type(fresh)(
             engine=paren_engine,
@@ -181,29 +170,58 @@ class TestComputeMask:
             budget=2,
         )
         with pytest.raises(BudgetExhaustedError):
-            compute_mask(exhausted)
+            paren_engine.compute_mask(exhausted)
 
     def test_grammar_only_ignores_budget(self, paren_grammar, paren_tables, paren_vocab):
         engine = MaskEngine(paren_grammar, paren_tables, paren_vocab, mode="grammar-only")
         state = engine.new_session(3)
-        got = compute_mask(state)
+        got = engine.compute_mask(state)
         # "(" is grammatically fine even though the budget cannot fit it.
         assert mask_dict(paren_vocab, got)["("] is True
 
     def test_vectorized_matches_report(self, json_engine, json_vocab):
         ids = json_vocab.tokenize(b'{"key')
-        state = json_engine.replay(ids, budget=20)
-        mask = compute_mask(state)
-        report = json_engine.mask_report(state)
-        for row in report:
-            assert row["admitted"] == bool(mask[row["token"]]), row
+        grammar_only = MaskEngine(
+            json_engine.grammar, json_engine.tables, json_vocab, mode="grammar-only"
+        )
+        for engine in (json_engine, grammar_only):
+            state = engine.replay(ids, budget=20)
+            mask = engine.compute_mask(state)
+            report = engine.mask_report(state)
+            for row in report:
+                assert row["admitted"] == bool(mask[row["token"]]), (engine.mode, row)
+        # Budget 1 leaves no room for content plus eos: the mask is all-false,
+        # which the report still explains.
+        fresh = json_engine.replay([], budget=1)
+        with pytest.raises(DeadSessionError):
+            json_engine.compute_mask(fresh)
+        report = json_engine.mask_report(fresh)
+        assert not any(row["admitted"] for row in report)
+        assert any(row["sequence"] is not None for row in report)
+
+    def test_report_agrees_with_mask_on_unfinishable_sequence(self):
+        # After "(", "y" keeps Y alive but nothing can spell the Z that must
+        # follow it, so even the grammar-only mask denies it.
+        grammar = parse_grammar(
+            r"S: LP T ; T: X | Y Z ; LP: /\(/ ; X: /x/ ; Y: /y/ ; Z: /z/ ;"
+        )
+        vocab = Vocabulary([b"(", b"x", b"y"], eos=3)
+        tables = build_cost_tables(grammar, vocab)
+        engine = MaskEngine(grammar, tables, vocab, mode="grammar-only")
+        state = engine.replay([0], budget=5)
+        mask = engine.compute_mask(state)
+        assert mask.tolist() == [False, True, False, False]
+        report = engine.mask_report(state)
+        assert [row["admitted"] for row in report] == mask.tolist()
+        assert report[2]["sequence"] is not None
+        assert report[2]["dangling_cost"] >= INF
 
 
 class TestAdvance:
     def test_lbrace_commits_terminal(self, json_engine, json_vocab):
         state = json_engine.new_session(20)
         lbrace = json_vocab.tokenize(b"{")[0]
-        state = advance(state, lbrace)
+        state = json_engine.advance(state, lbrace)
         names = [json_engine.grammar.terminals[t].name for t in state.tau]
         assert names == ["lbrace"]
         assert state.remainder == b""
@@ -212,8 +230,8 @@ class TestAdvance:
         state = json_engine.new_session(20)
         tok = next(i for i, t in enumerate(json_vocab.tokens) if t == b'{"')
         a = next(i for i, t in enumerate(json_vocab.tokens) if t == b"a")
-        state = advance(state, tok)
-        state = advance(state, a)
+        state = json_engine.advance(state, tok)
+        state = json_engine.advance(state, a)
         names = [json_engine.grammar.terminals[t].name for t in state.tau]
         assert names == ["lbrace"]
         assert state.remainder == b'"a'
@@ -223,7 +241,7 @@ class TestAdvance:
         state = json_engine.replay(ids, budget=40)
         assert state.remainder == b'"keyword'
         quote_comma = next(i for i, t in enumerate(json_vocab.tokens) if t == b'",')
-        state = advance(state, quote_comma)
+        state = json_engine.advance(state, quote_comma)
         names = [json_engine.grammar.terminals[t].name for t in state.tau]
         assert names == ["lbracket", "string", "comma"]
         assert state.remainder == b""
@@ -234,7 +252,7 @@ class TestAdvance:
         state = json_engine.replay(ids, budget=30)
         assert state.remainder == b'"a'
         quote_colon = next(i for i, t in enumerate(json_vocab.tokens) if t == b'":')
-        state = advance(state, quote_colon)
+        state = json_engine.advance(state, quote_colon)
         names = [json_engine.grammar.terminals[t].name for t in state.tau]
         assert names == ["lbrace", "string", "colon"]
         assert state.remainder == b""
@@ -242,11 +260,11 @@ class TestAdvance:
     def test_masked_token_rejected(self, paren_engine):
         state = paren_engine.new_session(3)
         with pytest.raises(MaskedTokenError):
-            advance(state, 2)  # ")" from a fresh session
+            paren_engine.advance(state, 2)  # ")" from a fresh session
 
     def test_advance_is_immutable(self, paren_engine):
         state = paren_engine.new_session(4)
-        out = advance(state, 0)
+        out = paren_engine.advance(state, 0)
         assert state.consumed == 0
         assert out.consumed == 1
         assert out is not state
@@ -259,31 +277,59 @@ class TestIsComplete:
     def test_paren_examples(self, paren_engine, paren_vocab, text, want):
         ids = paren_vocab.tokenize(text)
         state = paren_engine.replay(ids, budget=9)
-        assert is_complete(state) is want
+        assert paren_engine.is_complete(state) is want
 
     def test_number_remainder_flushes(self, json_engine, json_vocab):
         ids = json_vocab.tokenize(b"12")
         state = json_engine.replay(ids, budget=9)
         assert state.remainder == b"12"
-        assert is_complete(state)
+        assert json_engine.is_complete(state)
 
     def test_trailing_nullable_whitespace(self, json_engine, json_vocab):
         ids = json_vocab.tokenize(b"{} ")
         state = json_engine.replay(ids, budget=9)
-        assert is_complete(state)
+        assert json_engine.is_complete(state)
 
     def test_incomplete_number_like(self, json_engine, json_vocab):
         ids = json_vocab.tokenize(b"-")
         state = json_engine.replay(ids, budget=9)
-        assert not is_complete(state)
+        assert not json_engine.is_complete(state)
 
     def test_text_is_complete_matches_membership(self, json_engine):
-        from boundedgen.oracle import cfg_membership
-
         for text in [b"{}", b"[1,2]", b'{"a":true}', b"{", b"12", b'"ab"', b"[1,]"]:
             assert json_engine.text_is_complete(text) == cfg_membership(
                 json_engine.grammar, text
             ), text
+
+    def test_flush_from_lexer_state_matches_text_and_membership(self):
+        # "abb" holds a pending accept of A at offset 1 with the tail "bb"
+        # still to lex ("abbc" would be one ABC lexeme); "d" holds no accept.
+        grammar = parse_grammar(
+            "S: ε | Item S ; Item: ABC | A | B | DD ;"
+            " ABC: /ab*c/ ; A: /a/ ; B: /b/ ; DD: /dd/ ;"
+        )
+        vocab = Vocabulary([b"a", b"b", b"c", b"d", b"ab", b"bb", b"bc"], eos=7)
+        engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
+        rng = random.Random(23)
+        shapes = set()
+        for _ in range(400):
+            ids = [rng.randrange(vocab.eos) for _ in range(rng.randrange(6))]
+            text = vocab.decode(ids)
+            want = cfg_membership(grammar, text)
+            assert engine.text_is_complete(text) is want, text
+            try:
+                state = engine.replay(ids, budget=10)
+            except (LexError, ParseError):
+                assert not want, text
+                continue
+            assert engine.is_complete(state) is want, text
+            if not state.remainder:
+                shapes.add("empty")
+            elif state.lex_accept is None:
+                shapes.add("no accept")
+            elif state.lex_accept[0] < len(state.remainder):
+                shapes.add("accept with tail")
+        assert shapes == {"empty", "no accept", "accept with tail"}
 
 
 class TestReplayEquality:
@@ -293,13 +339,13 @@ class TestReplayEquality:
             state = paren_engine.new_session(6)
             ids: list[int] = []
             for _ in range(rng.randrange(5)):
-                mask = compute_mask(state)
+                mask = paren_engine.compute_mask(state)
                 choices = [t for t in np.flatnonzero(mask) if t != paren_vocab.eos]
                 if not choices:
                     break
                 token = rng.choice(choices)
                 ids.append(int(token))
-                state = advance(state, token, mask)
+                state = paren_engine.advance(state, token, mask)
             batch = paren_engine.replay(ids, budget=6)
             assert batch.stack == state.stack
             assert batch.tau == state.tau
@@ -314,7 +360,7 @@ class TestMaskProperties:
         for engine in (paren_engine, json_engine):
             previous = None
             for budget in range(2, 9):
-                mask = compute_mask(engine.new_session(budget))
+                mask = engine.compute_mask(engine.new_session(budget))
                 if previous is not None:
                     assert bool(np.all(previous <= mask)), budget
                 previous = mask
@@ -340,7 +386,7 @@ class TestMaskProperties:
                 continue
             prefix: list[int] = []
             for _ in range(rng.randint(1, 5)):
-                mask = compute_mask(state)
+                mask = engine.compute_mask(state)
                 oracle = brute_force_mask(json_grammar, vocab, prefix, n_max)
                 checked += 1
                 for tid in range(vocab.size):
@@ -368,13 +414,13 @@ class TestMaskProperties:
         depth = 8
         ids = [open_bracket] * depth + [one]
         state = json_engine.replay(ids, budget=2 * depth + 3)
-        mask = compute_mask(state)
+        mask = json_engine.compute_mask(state)
         assert mask[close_bracket]
         for _ in range(depth):
-            mask = compute_mask(state)
+            mask = json_engine.compute_mask(state)
             state = json_engine.advance(state, close_bracket, mask)
-        assert is_complete(state)
-        assert compute_mask(state)[json_vocab.eos]
+        assert json_engine.is_complete(state)
+        assert json_engine.compute_mask(state)[json_vocab.eos]
 
 
 class TestProgress:
@@ -384,13 +430,13 @@ class TestProgress:
             budget = rng.randrange(2, 14)
             state = json_engine.new_session(budget)
             while True:
-                mask = compute_mask(state)  # DeadSessionError would fail here
+                mask = json_engine.compute_mask(state)  # DeadSessionError would fail here
                 assert mask.any()
                 if state.consumed == budget - 1:
                     assert mask[json_vocab.eos], "one slot left: eos must be open"
                 choices = np.flatnonzero(mask)
                 token = int(rng.choice(choices))
-                state = advance(state, token, mask)
+                state = json_engine.advance(state, token, mask)
                 if token == json_vocab.eos:
                     break
             assert state.consumed <= budget
