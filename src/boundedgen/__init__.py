@@ -55,6 +55,7 @@ from boundedgen.evalharness import (
     EvalReport,
     Task,
     evaluate,
+    json_equal,
     load_tasks,
     save_tasks,
 )
@@ -67,7 +68,6 @@ from boundedgen.grammar import (
     load_grammar,
     parse_grammar,
 )
-from boundedgen.jsonval import json_equal, parse_json_value
 from boundedgen.models import (
     LanguageModel,
     NgramModel,
@@ -145,7 +145,6 @@ __all__ = [
     "mcts_decode",
     "model_from_spec",
     "parse_grammar",
-    "parse_json_value",
     "save_cache",
     "save_tasks",
     "save_vocabulary",

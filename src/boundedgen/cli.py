@@ -11,7 +11,7 @@ import argparse
 import sys
 import time
 
-from boundedgen.costs import CacheError, build_cost_tables, load_cache, save_cache
+from boundedgen.costs import CacheError, CostTables, build_cost_tables, load_cache, save_cache
 from boundedgen.decoding import unconstrained_greedy
 from boundedgen.dfa import INF, RegexError, StateLimitError
 from boundedgen.engine import (
@@ -73,16 +73,22 @@ def cmd_precompute(args) -> int:
     return EXIT_OK
 
 
-def _load_engine(args, mode: str) -> tuple[Grammar, Vocabulary, MaskEngine | None]:
+def _load_tables(args) -> tuple[Grammar, Vocabulary, CostTables]:
     grammar, vocab = _load_inputs(args)
-    if mode == MODE_NONE:
-        return grammar, vocab, None
     tables = load_cache(
         args.cache,
         expect_grammar_hash=grammar.source_hash,
         expect_vocab_hash=vocab.source_hash,
     )
-    return grammar, vocab, MaskEngine(grammar, vocab=vocab, tables=tables, mode=mode)
+    return grammar, vocab, tables
+
+
+def _load_engine(args, mode: str) -> tuple[Grammar, Vocabulary, MaskEngine]:
+    """Engine for ``mode``; without constraint a full-mask engine, which still
+    judges completeness."""
+    grammar, vocab, tables = _load_tables(args)
+    mode = MODE_FULL if mode == MODE_NONE else mode
+    return grammar, vocab, MaskEngine(grammar, tables, vocab, mode)
 
 
 def _resolve_budget(args) -> int:
@@ -97,7 +103,7 @@ def _resolve_budget(args) -> int:
 
 def cmd_generate(args) -> int:
     mode = _constraint_mode(args)
-    grammar, vocab, engine = _load_engine(args, mode)
+    _, vocab, engine = _load_engine(args, mode)
     model = model_from_spec(args.model, vocab)
     budget = _resolve_budget(args)
     prompt: tuple[int, ...] = ()
@@ -106,20 +112,12 @@ def cmd_generate(args) -> int:
             prompt = tuple(vocab.tokenize(fh.read()))
     label, decode = parse_strategy(args.strategy)
     started = time.perf_counter()
-    if engine is None:
+    if mode == MODE_NONE:
         ids = unconstrained_greedy(model, vocab.eos, budget, prompt)
     else:
-        session = engine.new_session(budget)
-        ids = decode(model, session, prompt)
+        ids = decode(model, engine.new_session(budget), prompt)
     elapsed = time.perf_counter() - started
     output = vocab.decode(ids)
-    if engine is None:
-        tables = load_cache(
-            args.cache,
-            expect_grammar_hash=grammar.source_hash,
-            expect_vocab_hash=vocab.source_hash,
-        )
-        engine = MaskEngine(grammar, tables, vocab)
     complete = engine.text_is_complete(output)
     sys.stdout.write(output.decode("utf-8", errors="backslashreplace") + "\n")
     per_token = 1000.0 * elapsed / len(ids) if ids else 0.0
@@ -169,14 +167,7 @@ def cmd_mask(args) -> int:
 
 def cmd_eval(args) -> int:
     mode = _constraint_mode(args)
-    grammar, vocab, engine = _load_engine(args, mode if mode != MODE_NONE else MODE_FULL)
-    tables = engine.tables if engine is not None else None
-    if tables is None:
-        tables = load_cache(
-            args.cache,
-            expect_grammar_hash=grammar.source_hash,
-            expect_vocab_hash=vocab.source_hash,
-        )
+    grammar, vocab, tables = _load_tables(args)
     model = model_from_spec(args.model, vocab)
     tasks = load_tasks(args.tasks)
     if args.budget is not None:

@@ -321,16 +321,15 @@ def save_cache(tables: CostTables, path) -> None:
         chunks.append(aut.transitions.astype("<i4").tobytes())
         chunks.append(_pack_costs(tables.c[key]))
     chunks.append(_pack_costs(tables.d))
-    entries: list[tuple[int, int, int, int]] = []
-    for key_idx, key in enumerate(tables.keys):
-        for q in sorted(tables.token_map[key]):
-            toks, succs = tables.token_map[key][q]
-            for t, s in zip(toks.tolist(), succs.tolist()):
-                entries.append((key_idx, q, t, s))
-    entries.sort()
+    rows = [
+        np.column_stack([np.full(toks.size, key_idx), np.full(toks.size, q), toks, succs])
+        for key_idx, key in enumerate(tables.keys)
+        for q, (toks, succs) in tables.token_map[key].items()
+    ]
+    entries = np.concatenate(rows) if rows else np.zeros((0, 4), dtype=np.int64)
+    entries = entries[np.lexsort((entries[:, 2], entries[:, 1], entries[:, 0]))]
     chunks.append(struct.pack("<Q", len(entries)))
-    if entries:
-        chunks.append(np.array(entries, dtype="<i4").tobytes())
+    chunks.append(entries.astype("<i4").tobytes())
 
     payload = b"".join(chunks)
     directory = os.path.dirname(os.path.abspath(path)) or "."

@@ -425,112 +425,47 @@ def _determinize(
 
 
 def _minimize(sparse: list[dict[int, int]], accepting: set[int]) -> Dfa:
-    """Hopcroft minimization; returns a canonical Dfa with dead state 0."""
+    """Moore partition refinement; returns a canonical Dfa with dead state 0."""
     n = len(sparse)
-    dead = n  # temporary explicit dead state
-    dense = np.full((n + 1, _N_BYTES), dead, dtype=np.int64)
+    dense = np.full((n + 1, _N_BYTES), n, dtype=np.int64)  # row n: explicit dead
     for q, row in enumerate(sparse):
-        for b, t in row.items():
-            dense[q, b] = t
+        dense[q, list(row)] = list(row.values())
+    # Bytes with identical columns never separate two states.
+    reduced = dense[:, np.unique(dense, axis=1, return_index=True)[1]]
 
-    inverse: list[dict[int, list[int]]] = [dict() for _ in range(_N_BYTES)]
-    for q in range(n + 1):
-        for b in range(_N_BYTES):
-            inverse[b].setdefault(int(dense[q, b]), []).append(q)
+    # Each round labels every state by its block and its successors' blocks,
+    # one opaque byte string per state so a single sort groups equal labels;
+    # blocks only ever split, so an unchanged count is the fixpoint.  Every
+    # state that cannot reach acceptance ends up in the dead row's block.
+    accept = np.zeros(n + 1, dtype=bool)
+    accept[list(accepting)] = True
+    block = accept.astype(np.int64)
+    n_blocks = 1 + bool(accepting)
+    while True:
+        labels = np.ascontiguousarray(np.column_stack([block, block[reduced]]))
+        keys = labels.view(f"V{labels.shape[1] * labels.itemsize}").ravel()
+        distinct, block = np.unique(keys, return_inverse=True)
+        if len(distinct) == n_blocks:
+            break
+        n_blocks = len(distinct)
 
-    acc = frozenset(accepting)
-    non_acc = frozenset(range(n + 1)) - acc
-    partition: list[set[int]] = [set(p) for p in (acc, non_acc) if p]
-    worklist: deque[frozenset[int]] = deque(frozenset(p) for p in partition)
-
-    while worklist:
-        splitter = worklist.popleft()
-        for b in range(_N_BYTES):
-            x: set[int] = set()
-            for t in splitter:
-                x.update(inverse[b].get(t, ()))
-            if not x:
-                continue
-            next_partition: list[set[int]] = []
-            for block in partition:
-                inter = block & x
-                rest = block - x
-                if inter and rest:
-                    next_partition.append(inter)
-                    next_partition.append(rest)
-                    fi, fr = frozenset(inter), frozenset(rest)
-                    if frozenset(block) in worklist:
-                        worklist.remove(frozenset(block))
-                        worklist.append(fi)
-                        worklist.append(fr)
-                    else:
-                        worklist.append(fi if len(inter) <= len(rest) else fr)
-                else:
-                    next_partition.append(block)
-            partition = next_partition
-
-    class_of = {}
-    for idx, block in enumerate(partition):
-        for q in block:
-            class_of[q] = idx
-    n_classes = len(partition)
-
-    # Quotient transitions and class-level liveness (can reach acceptance).
-    reps = [min(block) for block in partition]
-    class_acc = [bool(partition[i] & acc) for i in range(n_classes)]
-    quotient = [
-        [class_of[int(dense[reps[i], b])] for b in range(_N_BYTES)]
-        for i in range(n_classes)
-    ]
-    live = [False] * n_classes
-    frontier = deque(i for i in range(n_classes) if class_acc[i])
-    for i in frontier:
-        live[i] = True
-    reverse_q: list[set[int]] = [set() for _ in range(n_classes)]
-    for i in range(n_classes):
-        for b in range(_N_BYTES):
-            reverse_q[quotient[i][b]].add(i)
-    while frontier:
-        i = frontier.popleft()
-        for p in reverse_q[i]:
-            if not live[p]:
-                live[p] = True
-                frontier.append(p)
-
-    init_class = class_of[0]  # subset-construction start state is 0
-    if not live[init_class]:
+    dead, init = int(block[n]), int(block[0])  # subset-construction start is 0
+    if init == dead:
         raise EmptyLanguageError("pattern matches no string")
+    rep = np.unique(block, return_index=True)[1]
+    quotient = block[dense[rep]]
 
     # Canonical numbering: dead is 0, then breadth-first from the initial
-    # class with bytes in ascending order.  Dead classes all collapse to 0.
-    renumber: dict[int, int] = {}
-    for i in range(n_classes):
-        if not live[i]:
-            renumber[i] = DEAD
-    renumber[init_class] = 1
-    bfs = deque([init_class])
-    next_id = 2
-    while bfs:
-        i = bfs.popleft()
-        for b in range(_N_BYTES):
-            j = quotient[i][b]
-            if j not in renumber:
-                renumber[j] = next_id
-                next_id += 1
-                bfs.append(j)
-
-    n_new = next_id
-    new_trans = np.zeros((n_new, _N_BYTES), dtype=np.int32)
-    new_acc = np.zeros(n_new, dtype=bool)
-    for i in range(n_classes):
-        src = renumber.get(i)
-        if src is None or src == DEAD:
-            continue
-        if class_acc[i]:
-            new_acc[src] = True
-        for b in range(_N_BYTES):
-            new_trans[src, b] = renumber.get(quotient[i][b], DEAD)
-    return Dfa(new_trans, 1, new_acc)
+    # block with bytes in ascending order.
+    rows, seen = [dead, init], {dead, init}
+    for i in rows:
+        for j in quotient[i].tolist():
+            if j not in seen:
+                seen.add(j)
+                rows.append(j)
+    new_id = np.zeros(n_blocks, dtype=np.int32)
+    new_id[rows] = np.arange(len(rows))
+    return Dfa(new_id[quotient[rows]], 1, accept[rep[rows]])
 
 
 def compile_regex(pattern: str, state_cap: int = 10_000) -> Dfa:

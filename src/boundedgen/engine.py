@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from boundedgen.costs import CostTables
+from boundedgen.costs import CacheCorruptError, CostTables
 from boundedgen.dfa import DEAD, INF
 from boundedgen.grammar import Grammar, Ll1Table, build_ll1_table
 from boundedgen.vocab import Vocabulary
@@ -131,6 +131,10 @@ class MaskEngine:
             raise HashMismatchError("cost tables were built from a different vocabulary")
         if mode not in (MODE_FULL, MODE_GRAMMAR_ONLY):
             raise ValueError(f"unknown mode {mode!r}")
+        # A cache does not record the vocabulary size: bound its token ids here.
+        token_ids = [ids for rows in tables.token_map.values() for ids, _ in rows.values()]
+        if token_ids and np.concatenate(token_ids).max() >= vocab.size:
+            raise CacheCorruptError("token map names a token id outside the vocabulary")
         self.grammar = grammar
         self.tables = tables
         self.vocab = vocab

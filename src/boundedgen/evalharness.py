@@ -29,7 +29,6 @@ from boundedgen.decoding import (
 )
 from boundedgen.engine import BudgetError, MODE_FULL, MODE_GRAMMAR_ONLY, MaskEngine
 from boundedgen.grammar import Grammar
-from boundedgen.jsonval import json_equal
 from boundedgen.models import LanguageModel
 from boundedgen.vocab import Vocabulary
 
@@ -38,6 +37,22 @@ MODE_NONE = "none"
 
 class TaskFileError(ValueError):
     pass
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def json_equal(a: str, b: str) -> bool:
+    """Equality of the parsed values when both texts are JSON (whitespace and
+    key order ignored, the last duplicate key wins), else of the texts;
+    ``NaN`` and ``Infinity`` are not JSON."""
+    try:
+        return json.loads(a, parse_constant=_reject_constant) == json.loads(
+            b, parse_constant=_reject_constant
+        )
+    except ValueError:
+        return a == b
 
 
 @dataclass(frozen=True)

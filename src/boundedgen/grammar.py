@@ -309,23 +309,27 @@ def _compute_nullable(g: Grammar) -> frozenset[int]:
     return frozenset(nullable)
 
 
-def _compute_first(g: Grammar, nullable: frozenset[int]) -> dict[int, set[int]]:
-    first: dict[int, set[int]] = {t: {t} for t in range(g.n_terminals)}
+def _compute_ends(
+    g: Grammar, nullable: frozenset[int], last: bool = False
+) -> dict[int, set[int]]:
+    """Terminals each symbol can start with (FIRST), or end with (LAST) when
+    ``last`` walks every right-hand side backwards."""
+    ends: dict[int, set[int]] = {t: {t} for t in range(g.n_terminals)}
     for nt in range(g.n_nonterminals):
-        first[g.nt_symbol(nt)] = set()
+        ends[g.nt_symbol(nt)] = set()
     changed = True
     while changed:
         changed = False
         for prod in g.productions:
-            target = first[g.nt_symbol(prod.lhs)]
+            target = ends[g.nt_symbol(prod.lhs)]
             before = len(target)
-            for sym in prod.rhs:
-                target.update(first[sym])
+            for sym in reversed(prod.rhs) if last else prod.rhs:
+                target.update(ends[sym])
                 if g.is_terminal(sym) or g.nt_id(sym) not in nullable:
                     break
             if len(target) != before:
                 changed = True
-    return first
+    return ends
 
 
 def first_of_sequence(
@@ -349,7 +353,7 @@ def build_ll1_table(g: Grammar) -> Ll1Table:
     productive grammar always surfaces this way.
     """
     nullable = _compute_nullable(g)
-    first = _compute_first(g, nullable)
+    first = _compute_ends(g, nullable)
 
     follow: dict[int, set[int]] = {nt: set() for nt in range(g.n_nonterminals)}
     follow[g.start].add(END)
@@ -399,25 +403,6 @@ def build_ll1_table(g: Grammar) -> Ll1Table:
 # --- terminal adjacency -------------------------------------------------------
 
 
-def _compute_last(g: Grammar, nullable: frozenset[int]) -> dict[int, set[int]]:
-    last: dict[int, set[int]] = {t: {t} for t in range(g.n_terminals)}
-    for nt in range(g.n_nonterminals):
-        last[g.nt_symbol(nt)] = set()
-    changed = True
-    while changed:
-        changed = False
-        for prod in g.productions:
-            target = last[g.nt_symbol(prod.lhs)]
-            before = len(target)
-            for sym in reversed(prod.rhs):
-                target.update(last[sym])
-                if g.is_terminal(sym) or g.nt_id(sym) not in nullable:
-                    break
-            if len(target) != before:
-                changed = True
-    return last
-
-
 def adjacent_terminal_pairs(g: Grammar, table: Ll1Table) -> frozenset[tuple[int, int]]:
     """Ordered terminal pairs that can appear adjacently in some derivation.
 
@@ -428,7 +413,7 @@ def adjacent_terminal_pairs(g: Grammar, table: Ll1Table) -> frozenset[tuple[int,
     """
     nullable = table.nullable
     first = table.first
-    last = _compute_last(g, nullable)
+    last = _compute_ends(g, nullable, last=True)
     pairs: set[tuple[int, int]] = set()
     for prod in g.productions:
         rhs = prod.rhs

@@ -19,7 +19,7 @@ from boundedgen.decoding import MctsConfig, beam_search, greedy_decode, mcts_dec
 from boundedgen.engine import BudgetError, MaskEngine
 from boundedgen.evalharness import BudgetPolicy, evaluate
 from boundedgen.grammar import parse_grammar
-from boundedgen.jsonval import json_equal
+from boundedgen.evalharness import json_equal
 from boundedgen.models import NgramModel, ScriptedModel, UniformModel, VerbosityBiasedModel
 from boundedgen.oracle import brute_force_mask, brute_force_min_tokens, fits_two_terminals
 from boundedgen.vocab import Vocabulary

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import pytest
 
@@ -242,6 +243,23 @@ class TestMask:
         captured = capsys.readouterr()
         assert code == EXIT_OK
         assert "ADMIT <eos>" in captured.out
+
+    def test_token_id_beyond_vocabulary_exit_3(self, workspace, tmp_path, capsys):
+        raw = bytearray(open(workspace["cache"], "rb").read())
+        raw[-8:-4] = struct.pack("<i", 1 << 20)  # token id of the last entry
+        cache = tmp_path / "big-id.cache"
+        cache.write_bytes(bytes(raw))
+        code = main(
+            [
+                "mask",
+                "--grammar", workspace["grammar"],
+                "--vocab", workspace["vocab"],
+                "--cache", str(cache),
+                "--budget", "10",
+            ]
+        )
+        assert code == EXIT_IO
+        assert "outside the vocabulary" in capsys.readouterr().err
 
     def test_unlexable_prefix_exit_2(self, workspace, capsys):
         code = main(

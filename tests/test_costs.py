@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import struct
 
@@ -22,9 +23,11 @@ from boundedgen.costs import (
     save_cache,
 )
 from boundedgen.dfa import DEAD, INF, compile_regex
+from boundedgen.engine import MaskEngine
 from boundedgen.grammar import parse_grammar
 from boundedgen.oracle import brute_force_min_tokens
 from boundedgen.vocab import Vocabulary
+from tests.conftest import MINI_JSON_GRAMMAR, MINI_TOKENS, make_vocab
 
 
 class TestTerminalCosts:
@@ -314,6 +317,36 @@ class TestCache:
         path.write_bytes(bytes(raw))
         with pytest.raises(CacheCorruptError):
             load_cache(path)
+
+    def test_token_id_beyond_vocabulary_is_corrupt(
+        self, paren_grammar, paren_vocab, paren_tables, tmp_path
+    ):
+        path = tmp_path / "p.cache"
+        save_cache(paren_tables, path)
+        raw = bytearray(path.read_bytes())
+        raw[-8:-4] = struct.pack("<i", 1 << 20)  # token id of the last entry
+        path.write_bytes(bytes(raw))
+        tables = load_cache(path)  # the file does not record the vocabulary size
+        with pytest.raises(CacheCorruptError):
+            MaskEngine(paren_grammar, tables, paren_vocab)
+
+    @pytest.mark.parametrize(
+        "name,digest",
+        [
+            ("paren", "8692ebdb3428ba360c46c45147f44941d64352094530dce4545154356229d028"),
+            ("mini", "4524b094ccbc494396c11a0755f40e820e2ed339511ee5b9f90f6709ba04a0eb"),
+            ("json", "fe7507b40855563e5bf0d834c557b895f2a70bc4736c0e48f09bee8ff8c8c361"),
+        ],
+    )
+    def test_golden_cache_digest(self, request, tmp_path, name, digest):
+        # Pins the canonical automata and the entry packing byte for byte.
+        if name == "mini":
+            tables = build_cost_tables(parse_grammar(MINI_JSON_GRAMMAR), make_vocab(MINI_TOKENS))
+        else:
+            tables = request.getfixturevalue(f"{name}_tables")
+        path = tmp_path / "c.cache"
+        save_cache(tables, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_unsorted_entries_are_corrupt(self, paren_tables, tmp_path):
         path = tmp_path / "p.cache"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 import re
 
 import numpy as np
@@ -17,6 +18,20 @@ from boundedgen.dfa import (
     compile_regex,
     dfa_concat,
 )
+
+
+_ATOMS = ["a", "b", "c", "ab", "[ab]", "[^a]", "[a-c]", "\\x00", "é", "(a|b)"]
+
+
+def _random_pattern(rng: random.Random, depth: int) -> str:
+    roll = rng.random()
+    if depth > 3 or roll < 0.3:
+        return rng.choice(_ATOMS)
+    if roll < 0.55:
+        return _random_pattern(rng, depth + 1) + _random_pattern(rng, depth + 1)
+    if roll < 0.75:
+        return f"({_random_pattern(rng, depth + 1)}|{_random_pattern(rng, depth + 1)})"
+    return f"({_random_pattern(rng, depth + 1)}){rng.choice('*+?')}"
 
 
 def all_strings(alphabet: list[bytes], max_len: int):
@@ -112,6 +127,40 @@ class TestCompile:
     def test_minimality_on_redundant_pattern(self):
         # a|a|a collapses to the same 3-state automaton as a.
         assert compile_regex("a|a|a").n_states == compile_regex("a").n_states
+        rng = random.Random(11)
+        for _ in range(200):
+            pattern = _random_pattern(rng, 0)
+            d = compile_regex(pattern)
+            trans, n = d.transitions, d.n_states
+            # Every state but dead is reachable, numbered breadth-first from
+            # the initial state with bytes ascending.
+            order = {DEAD: DEAD, d.initial: 1}
+            queue = [d.initial]
+            for q in queue:
+                for t in trans[q].tolist():
+                    if t not in order:
+                        order[t] = len(order)
+                        queue.append(t)
+            assert d.initial == 1 and len(order) == n, pattern
+            assert all(q == i for q, i in order.items()), pattern
+            # Every non-dead state can reach acceptance.
+            live = set(np.flatnonzero(d.accepting).tolist())
+            grew = True
+            while grew:
+                grew = False
+                for q in range(n):
+                    if q not in live and live & set(trans[q].tolist()):
+                        live.add(q)
+                        grew = True
+            assert live == set(range(1, n)), pattern
+            # Table filling: no two distinct states are equivalent.
+            distinct = d.accepting[:, None] != d.accepting[None, :]
+            while True:
+                grown = distinct | distinct[trans[:, None, :], trans[None, :, :]].any(axis=2)
+                if (grown == distinct).all():
+                    break
+                distinct = grown
+            assert distinct[~np.eye(n, dtype=bool)].all(), pattern
 
 
 class TestRun:
