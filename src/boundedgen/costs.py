@@ -8,6 +8,15 @@ tokens to derive it fully (D).  Token costs are uniform (one per token), so
 Dijkstra degenerates to BFS; the priority queue stays so that non-uniform
 per-token costs remain a one-line change.
 
+The token map is built without a Python loop over tokens.  The vocabulary's
+bytes are laid out once per build as one flat byte array with per-token
+offsets and lengths.  For each automaton, every (live state, token) pair then
+steps through the transition table together, one byte position at a time;
+pairs that reach the dead state drop out, and a pair whose token has no bytes
+left keeps its state as the successor.  The pair arrays carried through the
+walk are int32, and no temporary holds more than (states x vocabulary)
+elements.
+
 Everything is persisted to a versioned binary cache keyed by the grammar and
 vocabulary content hashes; writes are atomic (temp file then rename).
 """
@@ -37,6 +46,7 @@ _INF_SERIALIZED = 0xFFFFFFFFFFFFFFFF
 
 Key = tuple[int, ...]  # (terminal,) or (first_terminal, second_terminal)
 TokenRow = tuple[np.ndarray, np.ndarray]  # token ids, successor states
+Layout = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # see _layout
 
 
 class CacheError(RuntimeError):
@@ -112,45 +122,58 @@ class CostTables:
 # --- token transitions -------------------------------------------------------
 
 
-def _token_columns(dfa: Dfa, vocab: Vocabulary) -> np.ndarray:
-    """Successor state per (state, token); DEAD where the run dies."""
-    n = dfa.n_states
-    out = np.zeros((n, vocab.size), dtype=np.int32)
+def _layout(vocab: Vocabulary) -> Layout:
+    """Content token ids (eos left out), every token's bytes as one flat array,
+    and the content tokens' offsets into it and lengths."""
+    lengths = np.fromiter(map(len, vocab.tokens), dtype=np.int32, count=vocab.size)
+    offsets = np.cumsum(lengths, dtype=np.int64) - lengths
+    ids = np.delete(np.arange(vocab.size, dtype=np.int32), vocab.eos)
+    flat = np.frombuffer(b"".join(vocab.tokens), dtype=np.uint8)
+    return ids, flat, offsets[ids], lengths[ids]
+
+
+def _token_rows(dfa: Dfa, layout: Layout) -> dict[int, TokenRow]:
+    """Live successors of one automaton, by a lockstep walk over ``layout``.
+
+    All (live state, content token) pairs step through the transition table
+    together, one byte position at a time; a pair leaves the walk when it
+    reaches DEAD or its token ends.
+    """
+    ids, flat, offsets, lengths = layout
     trans = dfa.transitions
-    base = np.arange(n, dtype=np.int32)
-    for tid, tok in enumerate(vocab.tokens):
-        if tid == vocab.eos:
-            continue
-        states = base
-        for b in tok:
-            states = trans[states, b]
-            if not states.any():
-                break
-        out[:, tid] = states
-    return out
-
-
-def _sparsify(columns: np.ndarray, eos: int) -> dict[int, TokenRow]:
-    rows: dict[int, TokenRow] = {}
-    n_states, n_tokens = columns.shape
-    for q in range(n_states):
-        if q == DEAD:
-            continue
-        live = np.flatnonzero(columns[q] != DEAD)
-        live = live[live != eos]
-        if live.size:
-            rows[q] = (live.astype(np.int32), columns[q, live].astype(np.int32))
-    return rows
+    first = trans[DEAD + 1 :, flat[offsets]]  # (live state, token) after byte 0
+    hit = np.flatnonzero(first)
+    succ = first.ravel()[hit]
+    pair_q, pair_t = (idx.astype(np.int32) for idx in np.divmod(hit, ids.size))
+    del first, hit
+    walking = np.flatnonzero(lengths[pair_t] > 1).astype(np.int32)
+    states = succ[walking]
+    pos = 1
+    while walking.size:
+        t = pair_t[walking]
+        states = trans[states, flat[offsets[t] + pos]]
+        succ[walking] = states
+        pos += 1
+        keep = (states != DEAD) & (lengths[t] > pos)
+        walking, states = walking[keep], states[keep]
+    live = succ != DEAD
+    pair_q, token_ids, succ = pair_q[live] + DEAD + 1, ids[pair_t[live]], succ[live]
+    cuts = np.flatnonzero(np.diff(pair_q)) + 1
+    return {
+        int(q[0]): (toks, s)
+        for q, toks, s in zip(
+            np.split(pair_q, cuts), np.split(token_ids, cuts), np.split(succ, cuts)
+        )
+        if q.size
+    }
 
 
 def compute_token_map(
     automata: dict[Key, Dfa], vocab: Vocabulary
 ) -> dict[Key, dict[int, TokenRow]]:
     """Sparse (key, state, token) -> successor map; most entries are dead."""
-    return {
-        key: _sparsify(_token_columns(dfa, vocab), vocab.eos)
-        for key, dfa in automata.items()
-    }
+    layout = _layout(vocab)
+    return {key: _token_rows(dfa, layout) for key, dfa in automata.items()}
 
 
 # --- completion costs --------------------------------------------------------
@@ -161,7 +184,8 @@ def _costs_from_rows(dfa: Dfa, rows: dict[int, TokenRow]) -> np.ndarray:
     n = dfa.n_states
     reverse: dict[int, list[int]] = {}
     for q, (_, succs) in rows.items():
-        for q2 in set(int(s) for s in succs):
+        succs = np.sort(succs)  # distinct successors; a row never holds DEAD
+        for q2 in succs[np.diff(succs, prepend=DEAD) != 0].tolist():
             reverse.setdefault(q2, []).append(q)
     costs = np.full(n, INF, dtype=np.int64)
     heap: list[tuple[int, int]] = []
@@ -183,8 +207,7 @@ def _costs_from_rows(dfa: Dfa, rows: dict[int, TokenRow]) -> np.ndarray:
 
 def compute_terminal_costs(dfa: Dfa, vocab: Vocabulary) -> np.ndarray:
     """Per-state minimum tokens to acceptance for one automaton."""
-    rows = _sparsify(_token_columns(dfa, vocab), vocab.eos)
-    return _costs_from_rows(dfa, rows)
+    return _costs_from_rows(dfa, _token_rows(dfa, _layout(vocab)))
 
 
 def compute_pair_costs(

@@ -110,10 +110,6 @@ class EngineState:
     budget: int
     finished: bool = False
 
-    @property
-    def tokens_left(self) -> int:
-        return self.budget - self.consumed
-
 
 class MaskEngine:
     """Shared, immutable context: grammar, tables, vocabulary, caches."""

@@ -46,12 +46,13 @@ def _reject_constant(name: str):
 def json_equal(a: str, b: str) -> bool:
     """Equality of the parsed values when both texts are JSON (whitespace and
     key order ignored, the last duplicate key wins), else of the texts;
-    ``NaN`` and ``Infinity`` are not JSON."""
+    ``NaN`` and ``Infinity`` are not JSON.  Texts nested too deeply for the
+    parser's recursion limit also compare as texts."""
     try:
         return json.loads(a, parse_constant=_reject_constant) == json.loads(
             b, parse_constant=_reject_constant
         )
-    except ValueError:
+    except (ValueError, RecursionError):
         return a == b
 
 

@@ -112,9 +112,6 @@ class Grammar:
             return self.terminals[sym].name
         return self.nonterminal_names[self.nt_id(sym)]
 
-    def productions_of(self, nt: int) -> tuple[Production, ...]:
-        return tuple(p for p in self.productions if p.lhs == nt)
-
     def format_production(self, prod: Production) -> str:
         rhs = " ".join(self.symbol_name(s) for s in prod.rhs) or EPSILON_MARK
         return f"{self.nonterminal_names[prod.lhs]}: {rhs}"

@@ -110,11 +110,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def token_bytes(self, token_id: int) -> bytes:
-        if not 0 <= token_id < len(self.tokens):
-            raise VocabularyError(f"unknown token id {token_id}")
-        return self.tokens[token_id]
-
     def decode(self, ids: Iterable[int]) -> bytes:
         """Concatenate token contents; eos contributes nothing."""
         parts = []

@@ -213,6 +213,48 @@ class TestTokenMap:
         span = dict(zip(token_ids.tolist(), succs.tolist()))[3]  # "(x"
         assert aut.accepting[span]
 
+    @staticmethod
+    def _walk_vocab() -> Vocabulary:
+        """Seeded tokens of 1 to 64 bytes (multi-byte UTF-8, whitespace runs,
+        tokens that die after one byte) with eos at a middle id."""
+        rng = random.Random(7)
+        pieces = ['"', "\\", "a", "Z", "0", "7", "-", ".", "e", ",", ":", "[", "]",
+                  "{", "}", " ", "\t", "\n", "\u00e9", "\u65e5\u672c", "\U0001f600",
+                  "true", "null", "\\u00e9", "@"]
+        tokens = {b"@", b"@@", b"\x01x", b"\xff", b"\n" + b" " * 8, b"\t\t"}
+        tokens.update(b" " * n for n in (1, 2, 4, 16, 64))
+        tokens.update(c.encode() for c in '{}[],:"')
+        for length in range(1, 65):
+            for _ in range(4):
+                text = ""
+                while len(text.encode()) < length:
+                    text += rng.choice(pieces)
+                tokens.add(text.encode()[:length])
+        tokens = sorted(tokens)
+        rng.shuffle(tokens)
+        eos = len(tokens) // 2
+        return Vocabulary(tokens[:eos] + [b""] + tokens[eos:], eos=eos)
+
+    def test_walk_matches_per_token_run(self, json_grammar):
+        vocab = self._walk_vocab()
+        assert {len(t) for t in vocab.tokens} == set(range(65))
+        tables = build_cost_tables(json_grammar, vocab)
+        for key, aut in tables.automata.items():
+            rows = tables.token_map[key]
+            for q in range(aut.n_states):
+                want = [] if q == DEAD else [
+                    (tid, aut.run(q, tok))
+                    for tid, tok in enumerate(vocab.tokens)
+                    if tid != vocab.eos
+                ]
+                want = [(tid, succ) for tid, succ in want if succ != DEAD]
+                got = []
+                if q in rows:
+                    assert rows[q][0].dtype == rows[q][1].dtype == np.int32
+                    got = list(zip(rows[q][0].tolist(), rows[q][1].tolist()))
+                assert got == want, (key, q)
+            assert np.array_equal(compute_terminal_costs(aut, vocab), tables.c[key]), key
+
 
 class TestCache:
     def test_round_trip_structural_identity(self, json_tables, tmp_path):

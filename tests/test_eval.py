@@ -60,6 +60,12 @@ class TestJsonValue:
         assert json_equal("not json", "not json")
         assert not json_equal("not json", "also not json")
 
+    def test_deep_nesting_falls_back_to_text(self):
+        deep = "[" * 5000 + "]" * 5000
+        assert json_equal(deep, deep)
+        assert not json_equal(deep, "[" * 4999 + "]" * 4999)
+        assert not json_equal(deep, "[" * 5000 + "0" + "]" * 5000)
+
 
 class TestBudgetPolicy:
     def test_ratio_floor(self):
