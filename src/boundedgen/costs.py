@@ -4,9 +4,10 @@ For every terminal, and every ordered terminal pair that can actually appear
 adjacently, this module builds the (pair-)automaton, the sparse map from
 (state, token) to successor state, the per-state minimum number of vocabulary
 tokens to reach acceptance (C), and the per-nonterminal minimum number of
-tokens to derive it fully (D).  Token costs are uniform (one per token), so
-Dijkstra degenerates to BFS; the priority queue stays so that non-uniform
-per-token costs remain a one-line change.
+tokens to derive it fully (D).  The automata depend on the grammar alone and
+are cached on it (``Grammar.pair_automata``), so tables for several
+vocabularies share them.  Every token costs one, so C is a breadth-first
+search backwards from the accepting states, one level at a time.
 
 The token map is built without a Python loop over tokens.  The vocabulary's
 bytes are laid out once per build as one flat byte array with per-token
@@ -23,7 +24,6 @@ vocabulary content hashes; writes are atomic (temp file then rename).
 
 from __future__ import annotations
 
-import heapq
 import logging
 import os
 import struct
@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from boundedgen.dfa import DEAD, INF, Dfa, dfa_concat
-from boundedgen.grammar import Grammar, Ll1Table, adjacent_terminal_pairs, build_ll1_table
+from boundedgen.dfa import DEAD, INF, Dfa
+from boundedgen.grammar import Grammar
 from boundedgen.vocab import Vocabulary
 
 logger = logging.getLogger(__name__)
@@ -180,29 +180,29 @@ def compute_token_map(
 
 
 def _costs_from_rows(dfa: Dfa, rows: dict[int, TokenRow]) -> np.ndarray:
-    """Min tokens to acceptance per state: multi-source Dijkstra, cost 1 edges."""
-    n = dfa.n_states
-    reverse: dict[int, list[int]] = {}
-    for q, (_, succs) in rows.items():
-        succs = np.sort(succs)  # distinct successors; a row never holds DEAD
-        for q2 in succs[np.diff(succs, prepend=DEAD) != 0].tolist():
-            reverse.setdefault(q2, []).append(q)
-    costs = np.full(n, INF, dtype=np.int64)
-    heap: list[tuple[int, int]] = []
-    for q in range(n):
-        if dfa.accepting[q]:
-            costs[q] = 0
-            heapq.heappush(heap, (0, q))
-    while heap:
-        dist, q = heapq.heappop(heap)
-        if dist > costs[q]:
-            continue
-        for prev in reverse.get(q, ()):
-            cand = dist + 1
-            if cand < costs[prev]:
-                costs[prev] = cand
-                heapq.heappush(heap, (cand, prev))
-    return costs
+    """Min tokens to acceptance per state: breadth-first over reversed token
+    edges, one level at a time."""
+    costs = np.full(dfa.n_states, INF, dtype=np.int64)
+    costs[dfa.accepting] = 0
+    if not rows:
+        return costs
+    src = np.repeat(
+        np.fromiter(rows, dtype=np.int32, count=len(rows)),
+        [toks.size for toks, _ in rows.values()],
+    )
+    dst = np.concatenate([succs for _, succs in rows.values()])
+    frontier = dfa.accepting
+    level = 0
+    while True:
+        pending = costs[src] == INF  # edges out of states not yet reached
+        src, dst = src[pending], dst[pending]
+        reached = np.zeros(dfa.n_states, dtype=bool)
+        reached[src[frontier[dst]]] = True
+        if not reached.any():
+            return costs
+        level += 1
+        costs[reached] = level
+        frontier = reached
 
 
 def compute_terminal_costs(dfa: Dfa, vocab: Vocabulary) -> np.ndarray:
@@ -211,10 +211,7 @@ def compute_terminal_costs(dfa: Dfa, vocab: Vocabulary) -> np.ndarray:
 
 
 def compute_pair_costs(
-    g: Grammar,
-    vocab: Vocabulary,
-    table: Ll1Table | None = None,
-    state_cap: int = 10_000,
+    g: Grammar, vocab: Vocabulary
 ) -> tuple[dict[Key, Dfa], dict[Key, np.ndarray]]:
     """Concatenation automata and their cost vectors for adjacent pairs.
 
@@ -222,17 +219,8 @@ def compute_pair_costs(
     adjacency relation is derived from the grammar, so every pair the parser
     can actually request is covered.
     """
-    if table is None:
-        table = build_ll1_table(g)
-    automata = _pair_automata(g, table, state_cap)
+    automata = dict(g.pair_automata)
     return automata, {key: compute_terminal_costs(dfa, vocab) for key, dfa in automata.items()}
-
-
-def _pair_automata(g: Grammar, table: Ll1Table, state_cap: int) -> dict[Key, Dfa]:
-    return {
-        (a, b): dfa_concat(g.terminals[a].dfa, g.terminals[b].dfa, state_cap=state_cap)
-        for a, b in sorted(adjacent_terminal_pairs(g, table))
-    }
 
 
 def compute_nonterminal_costs(g: Grammar, terminal_costs: np.ndarray) -> np.ndarray:
@@ -270,18 +258,11 @@ def compute_nonterminal_costs(g: Grammar, terminal_costs: np.ndarray) -> np.ndar
     return d
 
 
-def build_cost_tables(
-    g: Grammar,
-    vocab: Vocabulary,
-    table: Ll1Table | None = None,
-    state_cap: int = 10_000,
-) -> CostTables:
+def build_cost_tables(g: Grammar, vocab: Vocabulary) -> CostTables:
     """Run the whole offline phase for one grammar + vocabulary."""
     started = time.perf_counter()
-    if table is None:
-        table = build_ll1_table(g)
     automata: dict[Key, Dfa] = {(t,): g.terminals[t].dfa for t in range(g.n_terminals)}
-    automata.update(_pair_automata(g, table, state_cap))
+    automata.update(g.pair_automata)
     keys = tuple(sorted(automata.keys(), key=lambda k: (len(k), k)))
     token_map = compute_token_map(automata, vocab)
     c = {key: _costs_from_rows(automata[key], token_map[key]) for key in keys}
@@ -344,15 +325,22 @@ def save_cache(tables: CostTables, path) -> None:
         chunks.append(aut.transitions.astype("<i4").tobytes())
         chunks.append(_pack_costs(tables.c[key]))
     chunks.append(_pack_costs(tables.d))
+    # Rows in (key, state) order; token ids within a row are already ascending.
     rows = [
-        np.column_stack([np.full(toks.size, key_idx), np.full(toks.size, q), toks, succs])
+        (key_idx, q, toks, succs)
         for key_idx, key in enumerate(tables.keys)
-        for q, (toks, succs) in tables.token_map[key].items()
+        for q, (toks, succs) in sorted(tables.token_map[key].items())
     ]
-    entries = np.concatenate(rows) if rows else np.zeros((0, 4), dtype=np.int64)
-    entries = entries[np.lexsort((entries[:, 2], entries[:, 1], entries[:, 0]))]
+    sizes = [toks.size for _, _, toks, _ in rows]
+    entries = np.empty((sum(sizes), 4), dtype="<i4")
+    if rows:
+        key_ids, states, token_ids, successors = zip(*rows)
+        entries[:, 0] = np.repeat(key_ids, sizes)
+        entries[:, 1] = np.repeat(states, sizes)
+        entries[:, 2] = np.concatenate(token_ids)
+        entries[:, 3] = np.concatenate(successors)
     chunks.append(struct.pack("<Q", len(entries)))
-    chunks.append(entries.astype("<i4").tobytes())
+    chunks.append(entries.tobytes())
 
     payload = b"".join(chunks)
     directory = os.path.dirname(os.path.abspath(path)) or "."

@@ -488,14 +488,12 @@ def dfa_concat(a: Dfa, b: Dfa, state_cap: int = 10_000) -> Dfa:
     map_a = [nfa.new_state() for _ in range(a.n_states)]
     map_b = [nfa.new_state() for _ in range(b.n_states)]
     for mapping, dfa in ((map_a, a), (map_b, b)):
-        trans = dfa.transitions
-        for q in range(dfa.n_states):
+        for q, row in enumerate(dfa.transitions):
             if q == DEAD:
                 continue
-            for byte in range(_N_BYTES):
-                t = int(trans[q, byte])
+            for t in np.flatnonzero(np.bincount(row)).tolist():  # distinct targets
                 if t != DEAD:
-                    nfa.add_bytes(mapping[q], (byte,), mapping[t])
+                    nfa.add_bytes(mapping[q], np.flatnonzero(row == t).tolist(), mapping[t])
     for q in a.accepting_states:
         nfa.add_eps(map_a[q], map_b[b.initial])
     accept = nfa.new_state()

@@ -34,7 +34,7 @@ import numpy as np
 
 from boundedgen.costs import CacheCorruptError, CostTables
 from boundedgen.dfa import DEAD, INF
-from boundedgen.grammar import Grammar, Ll1Table, build_ll1_table
+from boundedgen.grammar import Grammar
 from boundedgen.vocab import Vocabulary
 
 
@@ -80,20 +80,16 @@ MODE_GRAMMAR_ONLY = "grammar-only"
 class AcceptSequence:
     """A one- or two-terminal continuation the parser accepts right now.
 
-    ``post_stack`` is the parser stack after feeding the sequence and
-    ``d_cost`` the summed minimum tokens to consume everything left on it.
+    ``d_cost`` is the summed minimum tokens to consume everything left on the
+    parser stack after feeding the sequence.
     """
 
     terminals: tuple[int, ...]
-    post_stack: tuple[int, ...]
     d_cost: int
 
 
-class _Missing:
-    pass
-
-
-_MISSING = _Missing()
+_MISSING = object()
+_DERIVES_EMPTY = object()  # the symbol derives the empty string under this lookahead
 
 
 @dataclass(frozen=True)
@@ -135,13 +131,14 @@ class MaskEngine:
         self.tables = tables
         self.vocab = vocab
         self.mode = mode
-        self.table: Ll1Table = build_ll1_table(grammar)
         self._start_symbol = grammar.nt_symbol(grammar.start)
         self._lex_dfas = [t.dfa for t in grammar.terminals]
         self._lex_initial = tuple(d.initial for d in self._lex_dfas)
         self._live_out = [d.live_out() for d in self._lex_dfas]
         self._term_cost = tables.terminal_start_costs(grammar.n_terminals)
-        self._feed_memo: dict[tuple[tuple[int, ...], int], tuple[int, ...] | None] = {}
+        # (stack symbol, terminal) -> what the symbol leaves after consuming
+        # the terminal, _DERIVES_EMPTY, or None; bounded by the grammar's size.
+        self._symbol_memo: dict[tuple[int, int], object] = {}
         self._accseq_memo: dict[tuple[int, ...], tuple[AcceptSequence, ...]] = {}
 
     # -- sessions ------------------------------------------------------------
@@ -186,34 +183,36 @@ class MaskEngine:
     def feed(self, stack: tuple[int, ...], terminal: int) -> tuple[int, ...] | None:
         """Stack after consuming ``terminal``, or None if the parse fails.
 
-        The stack top is the last element.  Nonterminals on top are expanded
-        through the prediction table (possibly through nullable chains) until
-        the terminal can be popped.
+        The stack top is the last element.  Symbols that derive the empty
+        string under ``terminal`` are popped; the first one that does not
+        either consumes it or fails the parse.
         """
-        key = (stack, terminal)
-        cached = self._feed_memo.get(key, _MISSING)
-        if cached is not _MISSING:
-            return cached
+        memo = self._symbol_memo
+        for i in range(len(stack) - 1, -1, -1):
+            key = (stack[i], terminal)
+            left = memo.get(key, _MISSING)
+            if left is _MISSING:
+                left = memo[key] = self._expand(stack[i], terminal)
+            if left is not _DERIVES_EMPTY:
+                return None if left is None else stack[:i] + left
+        return None
+
+    def _expand(self, symbol: int, terminal: int):
+        """What ``symbol`` alone leaves after consuming ``terminal`` (stack
+        order), _DERIVES_EMPTY, or None: the LL(1) loop on a one-symbol stack."""
         g = self.grammar
-        work = stack
-        result: tuple[int, ...] | None = None
+        work: tuple[int, ...] = (symbol,)
         for _ in range(_EXPANSION_LIMIT):
             if not work:
-                result = None
-                break
+                return _DERIVES_EMPTY
             top = work[-1]
             if g.is_terminal(top):
-                result = work[:-1] if top == terminal else None
-                break
-            prod_idx = self.table.lookup(g.nt_id(top), terminal)
+                return work[:-1] if top == terminal else None
+            prod_idx = g.ll1.lookup(g.nt_id(top), terminal)
             if prod_idx is None:
-                result = None
-                break
+                return None
             work = work[:-1] + tuple(reversed(g.productions[prod_idx].rhs))
-        else:
-            raise ParseError("expansion limit hit; grammar loops without consuming")
-        self._feed_memo[key] = result
-        return result
+        raise ParseError("expansion limit hit; grammar loops without consuming")
 
     def _stack_cost(self, stack: tuple[int, ...]) -> int:
         g = self.grammar
@@ -238,12 +237,12 @@ class MaskEngine:
             after_a = self.feed(stack, a)
             if after_a is None:
                 continue
-            out.append(AcceptSequence((a,), after_a, self._stack_cost(after_a)))
+            out.append(AcceptSequence((a,), self._stack_cost(after_a)))
             for b in range(n_t):
                 after_b = self.feed(after_a, b)
                 if after_b is None:
                     continue
-                out.append(AcceptSequence((a, b), after_b, self._stack_cost(after_b)))
+                out.append(AcceptSequence((a, b), self._stack_cost(after_b)))
         result = tuple(out)
         self._accseq_memo[stack] = result
         return result
@@ -344,10 +343,8 @@ class MaskEngine:
         except (LexError, ParseError):
             return False
         g = self.grammar
-        return all(
-            not g.is_terminal(sym) and g.nt_id(sym) in self.table.nullable
-            for sym in stack
-        )
+        nullable = g.ll1.nullable
+        return all(not g.is_terminal(sym) and g.nt_id(sym) in nullable for sym in stack)
 
     def _score(
         self, seq: AcceptSequence, remainder: bytes

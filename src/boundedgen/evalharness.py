@@ -27,7 +27,7 @@ from boundedgen.decoding import (
     mcts_decode,
     unconstrained_greedy,
 )
-from boundedgen.engine import BudgetError, MODE_FULL, MODE_GRAMMAR_ONLY, MaskEngine
+from boundedgen.engine import BudgetError, MODE_FULL, MaskEngine
 from boundedgen.grammar import Grammar
 from boundedgen.models import LanguageModel
 from boundedgen.vocab import Vocabulary
@@ -288,14 +288,8 @@ def evaluate(
     greedy only).  Grammatical validity is judged on the emitted bytes, so
     truncated-but-accidentally-complete outputs still count for Syntax.
     """
-    checker = MaskEngine(grammar, tables, vocab, MODE_FULL)
-    engine = (
-        checker
-        if mode == MODE_FULL
-        else MaskEngine(grammar, tables, vocab, MODE_GRAMMAR_ONLY)
-        if mode == MODE_GRAMMAR_ONLY
-        else None
-    )
+    # Completeness does not depend on the mode, so one engine also judges it.
+    engine = MaskEngine(grammar, tables, vocab, MODE_FULL if mode == MODE_NONE else mode)
     if mode == MODE_NONE and strategies != ["greedy"]:
         raise ValueError("unconstrained mode supports only the greedy strategy")
     records: list[EvalRecord] = []
@@ -308,7 +302,7 @@ def evaluate(
                 budget = policy.budget_for(task.l_gt)
                 prompt = tuple(vocab.tokenize(task.prompt.encode("utf-8")))
                 started = time.perf_counter()
-                if engine is None:
+                if mode == MODE_NONE:
                     ids = unconstrained_greedy(model, vocab.eos, budget, prompt)
                 else:
                     try:
@@ -319,7 +313,7 @@ def evaluate(
                 total_seconds += time.perf_counter() - started
                 total_tokens += len(ids)
                 output_bytes = vocab.decode(ids)
-                complete = checker.text_is_complete(output_bytes)
+                complete = engine.text_is_complete(output_bytes)
                 output_text = output_bytes.decode("utf-8", errors="backslashreplace")
                 exact = complete and json_equal(output_text, task.ground_truth)
                 records.append(

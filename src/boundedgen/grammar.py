@@ -22,9 +22,9 @@ pseudo-terminal END (``-1``) marks end of input in FIRST/FOLLOW sets.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from boundedgen.dfa import Dfa, RegexError, compile_regex
+from boundedgen.dfa import Dfa, RegexError, compile_regex, dfa_concat
 
 END = -1
 EPSILON_MARK = "ε"
@@ -87,6 +87,9 @@ class Grammar:
     productions: tuple[Production, ...]
     start: int  # nonterminal id
     source_hash: str
+    # Built on first use.  Fields, not cached_property: writing __dict__ slows every read.
+    _ll1: Ll1Table | None = field(default=None, init=False, repr=False, compare=False)
+    _pairs: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_terminals(self) -> int:
@@ -115,6 +118,24 @@ class Grammar:
     def format_production(self, prod: Production) -> str:
         rhs = " ".join(self.symbol_name(s) for s in prod.rhs) or EPSILON_MARK
         return f"{self.nonterminal_names[prod.lhs]}: {rhs}"
+
+    @property
+    def ll1(self) -> Ll1Table:
+        """The LL(1) prediction table; raises LlConflictError."""
+        if self._ll1 is None:
+            object.__setattr__(self, "_ll1", build_ll1_table(self))
+        return self._ll1
+
+    @property
+    def pair_automata(self) -> dict[tuple[int, int], Dfa]:
+        """Concatenation automaton of every adjacent terminal pair, in sorted
+        pair order; shared by every table built from this grammar."""
+        if self._pairs is None:
+            pairs = sorted(adjacent_terminal_pairs(self, self.ll1))
+            dfas = [t.dfa for t in self.terminals]
+            automata = {(a, b): dfa_concat(dfas[a], dfas[b]) for a, b in pairs}
+            object.__setattr__(self, "_pairs", automata)
+        return self._pairs
 
 
 @dataclass(frozen=True)
@@ -200,7 +221,7 @@ def _is_identifier(name: str) -> bool:
     return name.isidentifier() or (name.isascii() and name.replace("_", "a").isalnum())
 
 
-def parse_grammar(text: str, state_cap: int = 10_000) -> Grammar:
+def parse_grammar(text: str) -> Grammar:
     """Parse a grammar definition and compile every terminal to a DFA."""
     term_decls: list[tuple[str, str, int]] = []  # name, pattern, line
     rule_decls: list[tuple[str, list[list[str]], int]] = []  # name, alternatives, line
@@ -235,7 +256,7 @@ def parse_grammar(text: str, state_cap: int = 10_000) -> Grammar:
     term_ids: dict[str, int] = {}
     for priority, (name, pattern, line) in enumerate(term_decls):
         try:
-            dfa = compile_regex(pattern, state_cap=state_cap)
+            dfa = compile_regex(pattern)
         except RegexError as exc:
             raise GrammarError(f"terminal {name!r}: {exc}") from exc
         if dfa.accepts_empty():

@@ -97,6 +97,29 @@ class TestPairCosts:
                 )
 
 
+class TestGrammarCache:
+    def test_tables_share_what_the_grammar_determines(self, monkeypatch):
+        from boundedgen import grammar as grammar_module
+
+        calls = {"dfa_concat": 0, "build_ll1_table": 0}
+        for name in calls:
+            real = getattr(grammar_module, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(grammar_module, name, counted)
+        g = parse_grammar(MINI_JSON_GRAMMAR)
+        small, big = make_vocab(MINI_TOKENS[:5]), make_vocab(MINI_TOKENS)
+        first, second = build_cost_tables(g, small), build_cost_tables(g, big)
+        MaskEngine(g, first, small)
+        MaskEngine(g, second, big)
+        pairs = [key for key in first.keys if len(key) == 2]
+        assert pairs and all(first.automata[key] is second.automata[key] for key in pairs)
+        assert calls == {"dfa_concat": len(pairs), "build_ll1_table": 1}
+
+
 class TestNonterminalCosts:
     def test_paren_d_values(self, paren_grammar, paren_tables):
         names = dict(zip(paren_grammar.nonterminal_names, paren_tables.d.tolist()))

@@ -19,7 +19,7 @@ from boundedgen.engine import (
 )
 from boundedgen.costs import build_cost_tables
 from boundedgen.dfa import INF
-from boundedgen.grammar import parse_grammar
+from boundedgen.grammar import build_ll1_table, parse_grammar
 from boundedgen.oracle import brute_force_mask, cfg_membership
 from boundedgen.vocab import Vocabulary
 
@@ -78,6 +78,60 @@ class TestParserFeed:
         assert paren_engine.feed(x_done, 0) is None
         with pytest.raises(ParseError):
             paren_engine.replay([1, 0, 0], budget=8)  # "(", "x", "x"
+
+
+def whole_stack_feed(g, table, stack, terminal):
+    """Reference LL(1) step: expand the top of the whole stack until
+    ``terminal`` pops or the parse fails."""
+    work = stack
+    while work:
+        top = work[-1]
+        if g.is_terminal(top):
+            return work[:-1] if top == terminal else None
+        prod = table.lookup(g.nt_id(top), terminal)
+        if prod is None:
+            return None
+        work = work[:-1] + tuple(reversed(g.productions[prod].rhs))
+    return None
+
+
+class TestSymbolMemo:
+    @pytest.mark.parametrize("name", ["paren", "json"])
+    def test_feed_equals_whole_stack_step(self, request, name):
+        g, tables, vocab = (
+            request.getfixturevalue(f"{name}_{part}") for part in ("grammar", "tables", "vocab")
+        )
+        engine = MaskEngine(g, tables, vocab)
+        symbols = list(range(g.n_terminals + g.n_nonterminals))
+        table = build_ll1_table(g)
+        nullable = [g.nt_symbol(nt) for nt in sorted(table.nullable)]
+        rng = random.Random(17)
+        stacks = [()]
+        for _ in range(300):
+            stack: list[int] = []
+            for _ in range(rng.randint(1, 6)):
+                if nullable and rng.random() < 0.5:
+                    stack += rng.choices(nullable, k=rng.randint(1, 4))
+                else:
+                    stack.append(rng.choice(symbols))
+            stacks.append(tuple(stack))
+        for _ in range(2):  # cold memo, then warm
+            for stack in stacks:
+                for t in range(g.n_terminals):
+                    assert engine.feed(stack, t) == whole_stack_feed(g, table, stack, t), (stack, t)
+
+    def test_memo_bounded_by_grammar_not_depth(self, json_grammar, json_tables, json_vocab):
+        engine = MaskEngine(json_grammar, json_tables, json_vocab)
+        lb, rb = json_vocab.tokens.index(b"["), json_vocab.tokens.index(b"]")
+        sizes = []
+        for depth in (20, 200):
+            state = engine.replay([lb] * depth, budget=4 * depth)
+            engine.accept_sequences(state.stack)
+            state = engine.replay([lb] * depth + [rb] * depth, budget=4 * depth)
+            assert engine.is_complete(state)
+            sizes.append(len(engine._symbol_memo))
+        g = json_grammar
+        assert sizes[0] == sizes[1] <= (g.n_terminals + g.n_nonterminals) * g.n_terminals
 
 
 class TestAcceptSequences:

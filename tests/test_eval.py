@@ -180,6 +180,12 @@ class TestEvaluate:
                 UniformModel(json_vocab.size), tasks,
                 ["beam:2"], [BudgetPolicy.fixed(10)], mode="none",
             )
+        with pytest.raises(ValueError):  # an unknown mode is not unconstrained decoding
+            evaluate(
+                json_grammar, json_tables, json_vocab,
+                UniformModel(json_vocab.size), tasks,
+                ["greedy"], [BudgetPolicy.fixed(10)], mode="bogus",
+            )
 
     def test_slack_budget_matches_grammar_only_outputs(
         self, json_grammar, json_tables, json_vocab
