@@ -17,6 +17,21 @@ run that only ever advances on admitted tokens terminates with a complete
 output of at most ``budget`` tokens, eos included.  End-of-sequence itself is
 admitted purely by the completion rule and never touches the automata.
 
+The parser stack is persistent: a chain of immutable :class:`Stack` cells,
+each holding its symbol, the cell below, and facts about everything from it
+down to the bottom -- the summed completion cost, the depth, and whether all
+of it is nullable.  Feeding a terminal pops and pushes cells, so forks share
+every cell below where they diverge, and the last term of the rule above is
+read off the top cell instead of summed over the stack.  Two feeds touch
+only the cells down to the second symbol that cannot derive the empty
+string; the accept sequences are memoized on that window's symbols with
+costs relative to it, plus the scalar cost below it.  Each state carries the
+automaton state of every live accept sequence after its remainder: a step
+advances those by the token's bytes, and a step that commits a lexeme seeds
+them again from the bytes after the commit.  So a mask step costs time in
+the window, the token and the accept sequences, not in the nesting depth or
+the length of an uncommitted lexeme.
+
 Lexing is maximal munch over all terminal automata: a lexeme is committed
 when the next byte would kill every live automaton, or immediately when no
 byte can extend any of them; ties go to the earliest-declared terminal.  The
@@ -92,18 +107,92 @@ _MISSING = object()
 _DERIVES_EMPTY = object()  # the symbol derives the empty string under this lookahead
 
 
+class Stack:
+    """One cell of the persistent parser stack: ``symbol`` on top of ``below``.
+
+    Each cell also holds facts about itself and everything below it: ``cost``,
+    the summed minimum tokens to consume it all (terminal start cost or D per
+    symbol, clamped at INF); ``depth``, the number of symbols, which ``len``
+    returns; ``nullable``, whether every symbol is a nullable nonterminal;
+    and ``floor``, the nearest cell at or below whose symbol cannot derive
+    the empty string (the empty stack if none).  ``==`` compares symbols and
+    ``hash`` is structural; neither recurses.  Iterating yields the symbols
+    bottom first.  A :class:`MaskEngine` builds the cells, since it knows the
+    costs; :data:`EMPTY_STACK` is the bottom of every chain.
+    """
+
+    __slots__ = ("symbol", "below", "cost", "depth", "nullable", "floor", "_hash")
+
+    def __init__(self, symbol: int, below: "Stack | None", symbol_cost: int, symbol_nullable: bool):
+        self.symbol = symbol
+        self.below = below
+        if below is None:  # the empty stack
+            self.cost, self.depth, self.nullable, self.floor = 0, 0, True, self
+            self._hash = hash(())
+            return
+        self.cost = min(INF, below.cost + symbol_cost)
+        self.depth = below.depth + 1
+        self.nullable = symbol_nullable and below.nullable
+        self.floor = below.floor if symbol_nullable else self
+        self._hash = hash((symbol, below._hash))
+
+    def __len__(self) -> int:
+        return self.depth
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Stack):
+            return NotImplemented
+        a, b = self, other
+        if a.depth != b.depth or a._hash != b._hash:
+            return False
+        while a is not b:  # equal chains meet at a shared cell, at worst the bottom
+            if a.symbol != b.symbol:
+                return False
+            a, b = a.below, b.below
+        return True
+
+    def __iter__(self):
+        symbols = []
+        cell = self
+        while cell.depth:
+            symbols.append(cell.symbol)
+            cell = cell.below
+        return reversed(symbols)
+
+    def __repr__(self) -> str:
+        return f"Stack{tuple(self)}"
+
+
+EMPTY_STACK = Stack(-1, None, 0, True)
+
+# An accept sequence's terminals, its d_cost relative to the stack window
+# (see MaskEngine._window), and the state its automaton reaches on the remainder.
+LiveSequence = tuple[tuple[int, ...], int, int]
+
+
 @dataclass(frozen=True)
 class EngineState:
-    """Immutable snapshot of one generation session."""
+    """Immutable snapshot of one generation session.
+
+    ``live`` holds every accept sequence of ``stack`` whose automaton is
+    still alive after ``remainder``; ``base``, the cost of the stack below
+    the window, completes each sequence's d_cost.  Both follow from the
+    other fields, so they take no part in ``==``.
+    """
 
     engine: "MaskEngine" = field(compare=False, repr=False)
-    stack: tuple[int, ...]
+    stack: Stack
     tau: tuple[int, ...]
     remainder: bytes
     lex_states: tuple[int, ...]
     lex_accept: tuple[int, int] | None  # (end offset in remainder, terminal id)
     consumed: int
     budget: int
+    live: tuple[LiveSequence, ...] = field(compare=False, repr=False)
+    base: int = field(compare=False, repr=False)
     finished: bool = False
 
 
@@ -135,11 +224,18 @@ class MaskEngine:
         self._lex_dfas = [t.dfa for t in grammar.terminals]
         self._lex_initial = tuple(d.initial for d in self._lex_dfas)
         self._live_out = [d.live_out() for d in self._lex_dfas]
-        self._term_cost = tables.terminal_start_costs(grammar.n_terminals)
+        nullable = grammar.ll1.nullable
+        self._symbol_cost = [int(c) for c in tables.terminal_start_costs(grammar.n_terminals)]
+        self._symbol_cost += [int(c) for c in tables.d]
+        self._symbol_nullable = [False] * grammar.n_terminals
+        self._symbol_nullable += [nt in nullable for nt in range(grammar.n_nonterminals)]
         # (stack symbol, terminal) -> what the symbol leaves after consuming
         # the terminal, _DERIVES_EMPTY, or None; bounded by the grammar's size.
         self._symbol_memo: dict[tuple[int, int], object] = {}
-        self._accseq_memo: dict[tuple[int, ...], tuple[AcceptSequence, ...]] = {}
+        # window symbols (top first, see _window) -> _window_sequences: one
+        # entry per distinct window, whatever lies below it.
+        self._accseq_memo: dict[tuple[int, ...], tuple] = {}
+        self._start_stack = self._push(EMPTY_STACK, (self._start_symbol,))
 
     # -- sessions ------------------------------------------------------------
 
@@ -148,7 +244,7 @@ class MaskEngine:
             raise BudgetError(f"budget must be at least 1, got {budget}")
         state = self._fresh_state(budget)
         if self.mode == MODE_FULL and not self.is_complete(state):
-            need = self._min_completion_tokens(state.stack)
+            need = self._min_completion_tokens(state)
             if need + 1 > budget:
                 raise BudgetError(
                     f"budget {budget} cannot fit any complete output "
@@ -157,44 +253,54 @@ class MaskEngine:
         return state
 
     def _fresh_state(self, budget: int) -> EngineState:
+        live, base = self._seed(self._start_stack, b"")
         return EngineState(
             engine=self,
-            stack=(self._start_symbol,),
+            stack=self._start_stack,
             tau=(),
             remainder=b"",
             lex_states=self._lex_initial,
             lex_accept=None,
             consumed=0,
             budget=budget,
+            live=live,
+            base=base,
         )
 
-    def _min_completion_tokens(self, stack: tuple[int, ...]) -> int:
+    def _min_completion_tokens(self, state: EngineState) -> int:
         """Fewest tokens any admissible continuation needs, per the mask's
         own accounting: finish some accept sequence, then drain its stack."""
-        best = INF
-        for seq in self.accept_sequences(stack):
-            automaton = self.tables.automata[seq.terminals]
-            cost = int(self.tables.c[seq.terminals][automaton.initial]) + seq.d_cost
-            best = min(best, cost)
-        return best
+        c, base = self.tables.c, state.base
+        return min(
+            (int(c[terms][q]) + min(INF, d_cost + base) for terms, d_cost, q in state.live),
+            default=INF,
+        )
 
     # -- parsing ---------------------------------------------------------------
 
-    def feed(self, stack: tuple[int, ...], terminal: int) -> tuple[int, ...] | None:
+    def _push(self, below: Stack, symbols) -> Stack:
+        """``below`` with ``symbols`` pushed in order, the last one on top."""
+        cost, nullable = self._symbol_cost, self._symbol_nullable
+        for sym in symbols:
+            below = Stack(sym, below, cost[sym], nullable[sym])
+        return below
+
+    def feed(self, stack: Stack, terminal: int) -> Stack | None:
         """Stack after consuming ``terminal``, or None if the parse fails.
 
-        The stack top is the last element.  Symbols that derive the empty
-        string under ``terminal`` are popped; the first one that does not
-        either consumes it or fails the parse.
+        Symbols that derive the empty string under ``terminal`` are popped;
+        the first one that does not either consumes it or fails the parse.
         """
         memo = self._symbol_memo
-        for i in range(len(stack) - 1, -1, -1):
-            key = (stack[i], terminal)
+        cell = stack
+        while cell.depth:
+            key = (cell.symbol, terminal)
             left = memo.get(key, _MISSING)
             if left is _MISSING:
-                left = memo[key] = self._expand(stack[i], terminal)
+                left = memo[key] = self._expand(cell.symbol, terminal)
             if left is not _DERIVES_EMPTY:
-                return None if left is None else stack[:i] + left
+                return None if left is None else self._push(cell.below, left)
+            cell = cell.below
         return None
 
     def _expand(self, symbol: int, terminal: int):
@@ -214,50 +320,93 @@ class MaskEngine:
             work = work[:-1] + tuple(reversed(g.productions[prod_idx].rhs))
         raise ParseError("expansion limit hit; grammar loops without consuming")
 
-    def _stack_cost(self, stack: tuple[int, ...]) -> int:
-        g = self.grammar
-        total = 0
-        for sym in stack:
-            if g.is_terminal(sym):
-                total += int(self._term_cost[sym])
-            else:
-                total += int(self.tables.d[g.nt_id(sym)])
-            if total >= INF:
-                return INF
-        return total
+    @staticmethod
+    def _window(stack: Stack) -> tuple[tuple[int, ...], Stack]:
+        """The symbols two feeds can touch, top first, and the cell below them.
 
-    def accept_sequences(self, stack: tuple[int, ...]) -> tuple[AcceptSequence, ...]:
+        A feed pops only symbols that derive the empty string, so it stops at
+        the first symbol that cannot; the second feed, at the next such
+        symbol below.  The window runs down to that second symbol.
+        """
+        first = stack.floor
+        second = first.below.floor if first.depth else first
+        below = second.below if second.depth else second
+        symbols = []
+        cell = stack
+        while cell is not below:
+            symbols.append(cell.symbol)
+            cell = cell.below
+        return tuple(symbols), below
+
+    def accept_sequences(self, stack: Stack) -> tuple[AcceptSequence, ...]:
         """Every (a) and (a, b) the parser accepts from ``stack``."""
-        cached = self._accseq_memo.get(stack)
-        if cached is not None:
-            return cached
-        out: list[AcceptSequence] = []
+        window, below = self._window(stack)
+        relative = self._window_sequences(window)[0]
+        return tuple(
+            AcceptSequence(terms, min(INF, d_cost + below.cost)) for terms, d_cost in relative
+        )
+
+    def _window_sequences(self, window: tuple[int, ...]):
+        """Accept sequences of the stack ``window`` alone, as (terminals,
+        d_cost relative to the window), and the same as live sequences over
+        an empty remainder (None when an automaton is missing); memoized."""
+        memo = self._accseq_memo.get(window)
+        if memo is not None:
+            return memo
+        stack = self._push(EMPTY_STACK, reversed(window))
+        relative: list[tuple[tuple[int, ...], int]] = []
         n_t = self.grammar.n_terminals
         for a in range(n_t):
             after_a = self.feed(stack, a)
             if after_a is None:
                 continue
-            out.append(AcceptSequence((a,), self._stack_cost(after_a)))
+            relative.append(((a,), after_a.cost))
             for b in range(n_t):
                 after_b = self.feed(after_a, b)
-                if after_b is None:
-                    continue
-                out.append(AcceptSequence((a, b), self._stack_cost(after_b)))
-        result = tuple(out)
-        self._accseq_memo[stack] = result
-        return result
+                if after_b is not None:
+                    relative.append(((a, b), after_b.cost))
+        automata = self.tables.automata
+        fresh = None
+        if all(terms in automata for terms, _ in relative):
+            fresh = tuple(
+                (terms, d_cost, automata[terms].initial)
+                for terms, d_cost in relative
+                if automata[terms].initial != DEAD
+            )
+        memo = self._accseq_memo[window] = (tuple(relative), fresh)
+        return memo
+
+    def _seed(self, stack: Stack, remainder: bytes) -> tuple[tuple[LiveSequence, ...], int]:
+        """Live sequences of ``stack`` after ``remainder``, and the cost of
+        the stack below the window."""
+        window, below = self._window(stack)
+        fresh = self._window_sequences(window)[1]
+        if fresh is None:
+            raise EngineError(f"no precomputed automaton for an accept sequence of {stack!r}")
+        return self._run_live(fresh, remainder), below.cost
+
+    def _run_live(self, live: tuple[LiveSequence, ...], data: bytes) -> tuple[LiveSequence, ...]:
+        """``live`` advanced by ``data``, without the sequences it kills."""
+        if not data:
+            return live
+        automata = self.tables.automata
+        return tuple(
+            (terms, d_cost, q2)
+            for terms, d_cost, q in live
+            if (q2 := automata[terms].run(q, data)) != DEAD
+        )
 
     # -- lexing ----------------------------------------------------------------
 
     def _lex(
         self,
-        stack: tuple[int, ...],
+        stack: Stack,
         lex_states: tuple[int, ...],
         lex_accept: tuple[int, int] | None,
         remainder: bytes,
         incoming: bytes,
         final: bool = False,
-    ) -> tuple[tuple[int, ...], tuple[int, ...], bytes, tuple[int, ...], tuple[int, int] | None]:
+    ) -> tuple[Stack, tuple[int, ...], bytes, tuple[int, ...], tuple[int, int] | None]:
         """Feed ``incoming`` after ``remainder``; commit lexemes maximal-munch.
 
         With ``final`` the input ends here: the pending longest match is
@@ -284,7 +433,7 @@ class MaskEngine:
                 raise ParseError(
                     f"parser rejected terminal {self.grammar.terminals[tid].name!r} "
                     f"with stack top "
-                    f"{self.grammar.symbol_name(stack[-1]) if stack else '<empty>'}"
+                    f"{self.grammar.symbol_name(stack.symbol) if stack else '<empty>'}"
                 )
             stack = new_stack
             committed.append(tid)
@@ -332,7 +481,7 @@ class MaskEngine:
 
     def text_is_complete(self, data: bytes) -> bool:
         """Would ``data`` as a whole be a grammatically complete output?"""
-        return self._completes((self._start_symbol,), self._lex_initial, None, b"", data)
+        return self._completes(self._start_stack, self._lex_initial, None, b"", data)
 
     def _completes(self, stack, lex_states, lex_accept, remainder, incoming) -> bool:
         """Lex to the end of input; True if the stack left holds only nullable nonterminals."""
@@ -342,45 +491,34 @@ class MaskEngine:
             )[0]
         except (LexError, ParseError):
             return False
-        g = self.grammar
-        nullable = g.ll1.nullable
-        return all(not g.is_terminal(sym) and g.nt_id(sym) in nullable for sym in stack)
+        return stack.nullable
 
-    def _score(
-        self, seq: AcceptSequence, remainder: bytes
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Tokens that keep ``seq``'s automaton alive after ``remainder``, with
-        C at each token's successor state; None when no token does."""
-        automaton = self.tables.automata.get(seq.terminals)
-        if automaton is None:
-            raise EngineError(
-                f"no precomputed automaton for terminal sequence {seq.terminals}"
-            )
-        q = automaton.run(automaton.initial, remainder)
-        if q == DEAD:
-            return None
-        row = self.tables.token_map[seq.terminals].get(q)
+    def _score(self, terms: tuple[int, ...], q: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """Tokens that keep the automaton of ``terms`` alive from its state
+        ``q``, with C at each token's successor state; None when no token does."""
+        row = self.tables.token_map[terms].get(q)
         if row is None:
             return None
         token_ids, successors = row
-        return token_ids, self.tables.c[seq.terminals][successors]
+        return token_ids, self.tables.c[terms][successors]
 
     def _admit(self, state: EngineState) -> np.ndarray:
         """The mask rule itself, without state checks; may come out all-false."""
         budget_check = self.mode == MODE_FULL
         bits = np.zeros(self.vocab.size, dtype=bool)
         spent = state.consumed + 1
-        for seq in self.accept_sequences(state.stack):
-            if seq.d_cost >= INF:
+        for terms, d_cost, q in state.live:
+            d_cost += state.base
+            if d_cost >= INF:
                 continue
-            if budget_check and spent + seq.d_cost >= state.budget:
+            if budget_check and spent + d_cost >= state.budget:
                 continue
-            scored = self._score(seq, state.remainder)
+            scored = self._score(terms, q)
             if scored is None:
                 continue
             token_ids, costs = scored
             if budget_check:
-                bits[token_ids[spent + costs + seq.d_cost < state.budget]] = True
+                bits[token_ids[spent + costs + d_cost < state.budget]] = True
             else:
                 bits[token_ids[costs < INF]] = True
         if state.consumed < state.budget and self.is_complete(state):
@@ -411,17 +549,18 @@ class MaskEngine:
         closest miss (or None when every continuation dies on the automaton).
         """
         bits = self._admit(state)
-        candidates: dict[int, tuple[int, AcceptSequence, int]] = {}
+        candidates: dict[int, tuple[int, tuple[int, ...], int, int]] = {}
         spent = state.consumed + 1
-        for seq in self.accept_sequences(state.stack):
-            scored = self._score(seq, state.remainder)
+        for terms, d_cost, q in state.live:
+            scored = self._score(terms, q)
             if scored is None:
                 continue
+            d_cost = min(INF, d_cost + state.base)
             for tid, cost in zip(scored[0].tolist(), scored[1].tolist()):
-                total = spent + cost + seq.d_cost
+                total = spent + cost + d_cost
                 best = candidates.get(tid)
                 if best is None or total < best[0]:
-                    candidates[tid] = (total, seq, cost)
+                    candidates[tid] = (total, terms, d_cost, cost)
         rows: list[dict] = []
         for tid in range(self.vocab.size):
             row = {
@@ -435,12 +574,10 @@ class MaskEngine:
             if tid == self.vocab.eos:
                 row["automaton_cost"] = row["dangling_cost"] = 0
             elif tid in candidates:
-                _, seq, cost = candidates[tid]
-                row["sequence"] = tuple(
-                    self.grammar.terminals[t].name for t in seq.terminals
-                )
+                _, terms, d_cost, cost = candidates[tid]
+                row["sequence"] = tuple(self.grammar.terminals[t].name for t in terms)
                 row["automaton_cost"] = int(cost)
-                row["dangling_cost"] = int(seq.d_cost)
+                row["dangling_cost"] = int(d_cost)
             rows.append(row)
         return rows
 
@@ -478,13 +615,14 @@ class MaskEngine:
         change a session."""
         if token == self.vocab.eos:
             return replace(state, consumed=state.consumed + 1, finished=True)
+        data = self.vocab.tokens[token]
         stack, committed, remainder, lex_states, lex_accept = self._lex(
-            state.stack,
-            state.lex_states,
-            state.lex_accept,
-            state.remainder,
-            self.vocab.tokens[token],
+            state.stack, state.lex_states, state.lex_accept, state.remainder, data
         )
+        if committed:
+            live, base = self._seed(stack, remainder)
+        else:  # same stack, and the remainder grew by exactly ``data``
+            live, base = self._run_live(state.live, data), state.base
         return replace(
             state,
             stack=stack,
@@ -493,4 +631,6 @@ class MaskEngine:
             lex_states=lex_states,
             lex_accept=lex_accept,
             consumed=state.consumed + 1,
+            live=live,
+            base=base,
         )

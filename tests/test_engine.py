@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from boundedgen.engine import (
+    EMPTY_STACK,
     BudgetError,
     BudgetExhaustedError,
     DeadSessionError,
@@ -18,7 +19,7 @@ from boundedgen.engine import (
     ParseError,
 )
 from boundedgen.costs import build_cost_tables
-from boundedgen.dfa import INF
+from boundedgen.dfa import DEAD, INF, Dfa
 from boundedgen.grammar import build_ll1_table, parse_grammar
 from boundedgen.oracle import brute_force_mask, cfg_membership
 from boundedgen.vocab import Vocabulary
@@ -34,7 +35,7 @@ def mask_dict(vocab, mask):
 class TestNewSession:
     def test_fresh_state(self, json_grammar, json_tables, json_vocab):
         state = MaskEngine(json_grammar, json_tables, json_vocab).new_session(110)
-        assert state.stack == (json_grammar.nt_symbol(json_grammar.start),)
+        assert tuple(state.stack) == (json_grammar.nt_symbol(json_grammar.start),)
         assert state.consumed == 0
         assert state.tau == ()
         assert state.remainder == b""
@@ -95,43 +96,223 @@ def whole_stack_feed(g, table, stack, terminal):
     return None
 
 
+def whole_stack_cost(g, tables, stack):
+    """Reference d_cost: terminal start cost or D per symbol, clamped at INF."""
+    total = 0
+    for sym in stack:
+        if g.is_terminal(sym):
+            key = (sym,)
+            total += int(tables.c[key][tables.automata[key].initial])
+        else:
+            total += int(tables.d[g.nt_id(sym)])
+    return min(total, INF)
+
+
+def whole_stack_sequences(g, tables, table, stack):
+    """Reference accept sequences as (terminals, d_cost), from whole stacks."""
+    out = []
+    for a in range(g.n_terminals):
+        after_a = whole_stack_feed(g, table, stack, a)
+        if after_a is None:
+            continue
+        out.append(((a,), whole_stack_cost(g, tables, after_a)))
+        for b in range(g.n_terminals):
+            after_b = whole_stack_feed(g, table, after_a, b)
+            if after_b is not None:
+                out.append(((a, b), whole_stack_cost(g, tables, after_b)))
+    return out
+
+
+def seeded_stacks(g, table, seed=17, count=300):
+    """The empty stack plus ``count`` random stacks, rich in nullable runs."""
+    symbols = list(range(g.n_terminals + g.n_nonterminals))
+    nullable = [g.nt_symbol(nt) for nt in sorted(table.nullable)]
+    rng = random.Random(seed)
+    stacks = [()]
+    for _ in range(count):
+        stack: list[int] = []
+        for _ in range(rng.randint(1, 6)):
+            if nullable and rng.random() < 0.5:
+                stack += rng.choices(nullable, k=rng.randint(1, 4))
+            else:
+                stack.append(rng.choice(symbols))
+        stacks.append(tuple(stack))
+    return stacks
+
+
+def engine_parts(request, name):
+    return tuple(
+        request.getfixturevalue(f"{name}_{part}") for part in ("grammar", "tables", "vocab")
+    )
+
+
+def expected_live(engine, state):
+    """(terminals, d_cost, state) of each accept sequence whose automaton,
+    run from its initial state over the whole remainder, stays alive."""
+    out = []
+    for seq in engine.accept_sequences(state.stack):
+        automaton = engine.tables.automata[seq.terminals]
+        q = automaton.run(automaton.initial, state.remainder)
+        if q != DEAD:
+            out.append((seq.terminals, seq.d_cost, q))
+    return tuple(out)
+
+
+def carried(state):
+    """The state's live sequences with their d_cost made absolute."""
+    return tuple((terms, min(INF, d_cost + state.base), q) for terms, d_cost, q in state.live)
+
+
 class TestSymbolMemo:
     @pytest.mark.parametrize("name", ["paren", "json"])
     def test_feed_equals_whole_stack_step(self, request, name):
-        g, tables, vocab = (
-            request.getfixturevalue(f"{name}_{part}") for part in ("grammar", "tables", "vocab")
-        )
+        g, tables, vocab = engine_parts(request, name)
         engine = MaskEngine(g, tables, vocab)
-        symbols = list(range(g.n_terminals + g.n_nonterminals))
         table = build_ll1_table(g)
-        nullable = [g.nt_symbol(nt) for nt in sorted(table.nullable)]
-        rng = random.Random(17)
-        stacks = [()]
-        for _ in range(300):
-            stack: list[int] = []
-            for _ in range(rng.randint(1, 6)):
-                if nullable and rng.random() < 0.5:
-                    stack += rng.choices(nullable, k=rng.randint(1, 4))
-                else:
-                    stack.append(rng.choice(symbols))
-            stacks.append(tuple(stack))
+        stacks = seeded_stacks(g, table)
         for _ in range(2):  # cold memo, then warm
             for stack in stacks:
                 for t in range(g.n_terminals):
-                    assert engine.feed(stack, t) == whole_stack_feed(g, table, stack, t), (stack, t)
+                    got = engine.feed(engine._push(EMPTY_STACK, stack), t)
+                    got = None if got is None else tuple(got)
+                    assert got == whole_stack_feed(g, table, stack, t), (stack, t)
 
     def test_memo_bounded_by_grammar_not_depth(self, json_grammar, json_tables, json_vocab):
         engine = MaskEngine(json_grammar, json_tables, json_vocab)
         lb, rb = json_vocab.tokens.index(b"["), json_vocab.tokens.index(b"]")
         sizes = []
-        for depth in (20, 200):
+        for depth in (20, 200, 1000):
             state = engine.replay([lb] * depth, budget=4 * depth)
             engine.accept_sequences(state.stack)
             state = engine.replay([lb] * depth + [rb] * depth, budget=4 * depth)
             assert engine.is_complete(state)
-            sizes.append(len(engine._symbol_memo))
+            sizes.append((len(engine._symbol_memo), len(engine._accseq_memo)))
         g = json_grammar
-        assert sizes[0] == sizes[1] <= (g.n_terminals + g.n_nonterminals) * g.n_terminals
+        assert sizes[0] == sizes[1] == sizes[2]
+        assert sizes[0][0] <= (g.n_terminals + g.n_nonterminals) * g.n_terminals
+
+
+class TestPersistentStack:
+    @pytest.mark.parametrize("name", ["paren", "json"])
+    def test_d_cost_equals_whole_stack_sum(self, request, name):
+        g, tables, vocab = engine_parts(request, name)
+        engine = MaskEngine(g, tables, vocab)
+        table = build_ll1_table(g)
+        stacks = seeded_stacks(g, table)
+        # The second pass puts another stack below each one: the same window
+        # over a different remainder of the stack.
+        for below in ((),) * len(stacks), [stacks[-1]] + stacks[:-1]:
+            for under, stack in zip(below, stacks):
+                whole = under + stack
+                got = engine.accept_sequences(engine._push(EMPTY_STACK, whole))
+                want = whole_stack_sequences(g, tables, table, whole)
+                assert [(seq.terminals, seq.d_cost) for seq in got] == want, whole
+
+    def test_d_cost_on_deep_walk(self, json_grammar, json_tables, json_vocab):
+        engine = MaskEngine(json_grammar, json_tables, json_vocab)
+        table = build_ll1_table(json_grammar)
+        lb, rb = json_vocab.tokens.index(b"["), json_vocab.tokens.index(b"]")
+        depth = 1000
+        checked = {0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 999, 1000}
+        state = engine.new_session(2 * depth + 1)
+        for step, token in enumerate([lb] * depth + [rb] * depth, start=1):
+            state = engine.advance(state, token)
+            level = step if step <= depth else 2 * depth - step
+            if level in checked:
+                got = engine.accept_sequences(state.stack)
+                want = whole_stack_sequences(json_grammar, json_tables, table, tuple(state.stack))
+                assert [(seq.terminals, seq.d_cost) for seq in got] == want, step
+        assert engine.is_complete(state)
+
+    def test_carried_states_equal_run_from_initial(self, json_engine, json_vocab):
+        tok = {t: i for i, t in enumerate(json_vocab.tokens)}
+        # '[1' then ',"': the comma commits the number mid-token, and the '"'
+        # after it is the new remainder.
+        walks = [[tok[b"["], tok[b"1"], tok[b',"'], tok[b"a"], tok[b'"'], tok[b"]"]]]
+        rng = random.Random(41)
+        shapes = set()
+        for _ in range(60):
+            state = json_engine.new_session(rng.randrange(3, 16))
+            assert carried(state) == expected_live(json_engine, state)
+            while state.consumed < state.budget - 1:
+                mask = json_engine.compute_mask(state)
+                choices = [int(t) for t in np.flatnonzero(mask) if t != json_vocab.eos]
+                if not choices:
+                    break
+                token = rng.choice(choices)
+                after = json_engine.advance(state, token, mask)
+                assert carried(after) == expected_live(json_engine, after)
+                if after.stack is not state.stack and after.remainder:
+                    shapes.add("commit with tail")
+                elif after.stack is state.stack and after.remainder:
+                    shapes.add("no commit")
+                state = after
+        for ids in walks:  # replay: ',"' spans three terminals, which the mask denies
+            for k in range(len(ids) + 1):
+                state = json_engine.replay(ids[:k], 20)
+                assert carried(state) == expected_live(json_engine, state), ids[:k]
+        assert shapes == {"commit with tail", "no commit"}
+
+    def test_carried_states_on_3kb_string(self, json_engine, json_vocab):
+        letters = [i for i, t in enumerate(json_vocab.tokens) if t.isalpha()]
+        rng = random.Random(43)
+        state = json_engine.new_session(10_000)
+        state = json_engine.advance(state, json_vocab.tokens.index(b'"'))
+        step = 0
+        while len(state.remainder) < 3000:
+            state = json_engine.advance(state, rng.choice(letters))
+            step += 1
+            if step % 100 == 0:
+                assert carried(state) == expected_live(json_engine, state), len(state.remainder)
+        assert carried(state) == expected_live(json_engine, state)
+        state = json_engine.advance(state, json_vocab.tokens.index(b'"'))
+        assert state.remainder == b""
+        assert carried(state) == expected_live(json_engine, state)
+        assert json_engine.is_complete(state)
+
+    def test_dfa_bytes_per_step_flat_in_string_length(self, json_engine, json_vocab, monkeypatch):
+        run_bytes: list[int] = []
+        real_run = Dfa.run
+
+        def counting_run(self, state, data):
+            run_bytes.append(len(data))
+            return real_run(self, state, data)
+
+        monkeypatch.setattr(Dfa, "run", counting_run)
+        letters = [i for i, t in enumerate(json_vocab.tokens) if t.isalpha()]
+        rng = random.Random(47)
+        state = json_engine.new_session(10_000)
+        state = json_engine.advance(state, json_vocab.tokens.index(b'"'))
+        measured = 0
+        while len(state.remainder) < 3000:
+            token = rng.choice(letters)
+            run_bytes.clear()
+            after = json_engine.advance(state, token, json_engine.compute_mask(state))
+            if len(state.remainder) >= 200:
+                tail = len(after.remainder) if after.stack is not state.stack else 0
+                limit = len(json_vocab.tokens[token]) + tail
+                assert len(run_bytes) <= len(state.live)
+                assert max(run_bytes, default=0) <= limit, len(state.remainder)
+                measured += 1
+            state = after
+        assert measured > 500
+
+    def test_depth_5000_without_recursion_error(self, json_engine, json_vocab):
+        lb, rb = json_vocab.tokens.index(b"["), json_vocab.tokens.index(b"]")
+        depth, budget = 5000, 10_001
+        deep = json_engine.replay([lb] * depth, budget)
+        assert len(deep.stack) == len(tuple(deep.stack)) > depth
+        mask = json_engine.compute_mask(deep)
+        assert mask[rb] and not mask[lb]
+        assert not json_engine.is_complete(deep)
+        again = json_engine.replay([lb] * depth, budget)
+        assert again.stack is not deep.stack
+        assert again == deep and hash(again.stack) == hash(deep.stack)
+        assert json_engine.replay([lb] * (depth - 1) + [rb], budget) != deep
+        done = json_engine.replay([lb] * depth + [rb] * depth, budget)
+        assert len(done.stack) == 0 or done.stack.nullable
+        assert json_engine.is_complete(done)
+        assert json_engine.compute_mask(done)[json_vocab.eos]
 
 
 class TestAcceptSequences:
@@ -222,6 +403,8 @@ class TestComputeMask:
             lex_accept=None,
             consumed=2,
             budget=2,
+            live=fresh.live,
+            base=fresh.base,
         )
         with pytest.raises(BudgetExhaustedError):
             paren_engine.compute_mask(exhausted)
