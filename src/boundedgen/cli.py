@@ -141,8 +141,8 @@ def cmd_mask(args) -> int:
         state = engine.replay(ids, args.budget)
     except (VocabularyError, LexError, ParseError) as exc:
         raise GrammarError(f"prefix is not lexable under this grammar: {exc}") from exc
-    tau_names = " ".join(grammar.terminals[t].name for t in state.tau) or "(none)"
-    print(f"prefix tokens: {len(ids)}  committed terminals: {tau_names}")
+    stack_names = " ".join(grammar.symbol_name(s) for s in reversed(tuple(state.stack)))
+    print(f"prefix tokens: {len(ids)}  parser stack, top first: {stack_names or '(empty)'}")
     print(f"remainder: {state.remainder!r}")
     admitted = 0
     for row in engine.mask_report(state):
@@ -218,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     modes.add_argument(
         "--no-constraint", action="store_true", help="disable masking entirely"
     )
-    modes.add_argument("--full", action="store_true", help="full masking (default)")
 
     g = sub.add_parser("generate", parents=[common, modes], help="generate one output")
     g.add_argument("--cache", required=True, help="cost cache from 'precompute'")
@@ -228,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--budget", type=int, help="hard token budget including eos")
     g.add_argument("--ratio", type=float, help="budget = floor(ref-len * ratio)")
     g.add_argument("--ref-len", type=int, help="reference length for --ratio")
-    g.add_argument("--seed", type=int, default=0, help="reserved for stochastic models")
     g.set_defaults(func=cmd_generate)
 
     m = sub.add_parser("mask", parents=[common], help="explain the mask for a prefix")
@@ -245,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--strategy", action="append", help="repeatable; default greedy")
     e.add_argument("--ratio", action="append", type=float, help="repeatable expansion ratio")
     e.add_argument("--budget", type=int, help="fixed budget instead of ratios")
-    e.add_argument("--seed", type=int, default=0)
     e.add_argument("--format", choices=["text", "csv", "json-lines"], default="text")
     e.add_argument("--out", help="write the report here instead of stdout")
     e.set_defaults(func=cmd_eval)

@@ -1,34 +1,38 @@
 """Per-session masking engine.
 
-One :class:`EngineState` tracks a single generation: the committed terminal
-sequence, the uncommitted remainder bytes with their live lexer states, the
-LL(1) parser stack, and how many tokens have been consumed.  States are
-immutable; ``advance`` returns a fresh state sharing structure with the old
-one, so beam search and tree search fork sessions for free.
+One :class:`EngineState` tracks a single generation: the LL(1) parser stack,
+the uncommitted remainder bytes with their live lexer states, and how many
+tokens have been consumed.  States are immutable; ``advance`` returns a fresh
+state sharing structure with the old one, so beam search and tree search fork
+sessions for free.
 
-The mask admits a token only when some one- or two-terminal continuation of
-the current parse stays alive on ``remainder + token`` and the worst-case
-completion cost still fits the budget:
+Admission reads one vector that does not depend on the budget: ``need[t]``,
+the fewest tokens any one- or two-terminal continuation of the current parse
+needs after token ``t`` to finish everything, taken over the continuations
+that stay alive on ``remainder + t``.  The full mask admits ``t`` when
 
-    (consumed + 1) + tokens_to_finish_the_continuation + tokens_to_finish_everything_else < budget
+    (consumed + 1) + need[t] < budget
 
-The strict inequality reserves exactly one slot for end-of-sequence, so any
-run that only ever advances on admitted tokens terminates with a complete
-output of at most ``budget`` tokens, eos included.  End-of-sequence itself is
-admitted purely by the completion rule and never touches the automata.
+and the grammar-only mask when ``need[t]`` is finite.  The strict inequality
+reserves exactly one slot for end-of-sequence, so any run that only ever
+advances on admitted tokens terminates with a complete output of at most
+``budget`` tokens, eos included.  End-of-sequence itself is admitted purely
+by the completion rule and never touches the automata.  The mask report
+reads the same vector: for each token it names the continuation that attains
+``need``.
 
 The parser stack is persistent: a chain of immutable :class:`Stack` cells,
 each holding its symbol, the cell below, and facts about everything from it
 down to the bottom -- the summed completion cost, the depth, and whether all
 of it is nullable.  Feeding a terminal pops and pushes cells, so forks share
-every cell below where they diverge, and the last term of the rule above is
-read off the top cell instead of summed over the stack.  Two feeds touch
-only the cells down to the second symbol that cannot derive the empty
-string; the accept sequences are memoized on that window's symbols with
-costs relative to it, plus the scalar cost below it.  Each state carries the
-automaton state of every live accept sequence after its remainder: a step
-advances those by the token's bytes, and a step that commits a lexeme seeds
-them again from the bytes after the commit.  So a mask step costs time in
+every cell below where they diverge, and the cost of finishing the rest of
+the stack is read off one cell instead of summed over it.  Two feeds touch
+only the cells down to the second symbol that no terminal pops; the accept
+sequences are memoized on that window's symbols with costs relative to it,
+plus the scalar cost below it.  Each state carries the automaton state of
+every live accept sequence after its remainder: a step advances those by the
+token's bytes, and a step that commits a lexeme seeds them again from the
+bytes after the commit.  So a mask step costs time in
 the window, the token and the accept sequences, not in the nesting depth or
 the length of an uncommitted lexeme.
 
@@ -103,7 +107,6 @@ class AcceptSequence:
     d_cost: int
 
 
-_MISSING = object()
 _DERIVES_EMPTY = object()  # the symbol derives the empty string under this lookahead
 
 
@@ -114,26 +117,26 @@ class Stack:
     the summed minimum tokens to consume it all (terminal start cost or D per
     symbol, clamped at INF); ``depth``, the number of symbols, which ``len``
     returns; ``nullable``, whether every symbol is a nullable nonterminal;
-    and ``floor``, the nearest cell at or below whose symbol cannot derive
-    the empty string (the empty stack if none).  ``==`` compares symbols and
-    ``hash`` is structural; neither recurses.  Iterating yields the symbols
-    bottom first.  A :class:`MaskEngine` builds the cells, since it knows the
-    costs; :data:`EMPTY_STACK` is the bottom of every chain.
+    and ``floor``, the nearest cell at or below whose symbol no terminal
+    pops, where every feed stops (the empty stack if none).  ``==`` compares
+    symbols and ``hash`` is structural; neither recurses.  Iterating yields
+    the symbols bottom first.  A :class:`MaskEngine` builds the cells, since
+    it knows the costs; :data:`EMPTY_STACK` is the bottom of every chain.
     """
 
     __slots__ = ("symbol", "below", "cost", "depth", "nullable", "floor", "_hash")
 
-    def __init__(self, symbol: int, below: "Stack | None", symbol_cost: int, symbol_nullable: bool):
+    def __init__(self, symbol: int, below: "Stack | None", cost: int, nullable: bool, popped: bool):
         self.symbol = symbol
         self.below = below
         if below is None:  # the empty stack
             self.cost, self.depth, self.nullable, self.floor = 0, 0, True, self
             self._hash = hash(())
             return
-        self.cost = min(INF, below.cost + symbol_cost)
+        self.cost = min(INF, below.cost + cost)
         self.depth = below.depth + 1
-        self.nullable = symbol_nullable and below.nullable
-        self.floor = below.floor if symbol_nullable else self
+        self.nullable = nullable and below.nullable
+        self.floor = below.floor if popped else self
         self._hash = hash((symbol, below._hash))
 
     def __len__(self) -> int:
@@ -166,7 +169,7 @@ class Stack:
         return f"Stack{tuple(self)}"
 
 
-EMPTY_STACK = Stack(-1, None, 0, True)
+EMPTY_STACK = Stack(-1, None, 0, True, True)
 
 # An accept sequence's terminals, its d_cost relative to the stack window
 # (see MaskEngine._window), and the state its automaton reaches on the remainder.
@@ -185,7 +188,6 @@ class EngineState:
 
     engine: "MaskEngine" = field(compare=False, repr=False)
     stack: Stack
-    tau: tuple[int, ...]
     remainder: bytes
     lex_states: tuple[int, ...]
     lex_accept: tuple[int, int] | None  # (end offset in remainder, terminal id)
@@ -212,8 +214,15 @@ class MaskEngine:
             raise HashMismatchError("cost tables were built from a different vocabulary")
         if mode not in (MODE_FULL, MODE_GRAMMAR_ONLY):
             raise ValueError(f"unknown mode {mode!r}")
-        # A cache does not record the vocabulary size: bound its token ids here.
-        token_ids = [ids for rows in tables.token_map.values() for ids, _ in rows.values()]
+        # (sequence, automaton state) -> the tokens that keep the automaton
+        # alive and C at each one's successor.  A cache does not record the
+        # vocabulary size, so the same walk bounds its token ids.
+        self._rows: dict[tuple[int, ...], dict[int, tuple[np.ndarray, np.ndarray]]] = {}
+        token_ids = []
+        for key, rows in tables.token_map.items():
+            c = tables.c[key]
+            self._rows[key] = {q: (ids, c[successors]) for q, (ids, successors) in rows.items()}
+            token_ids += [ids for ids, _ in rows.values()]
         if token_ids and np.concatenate(token_ids).max() >= vocab.size:
             raise CacheCorruptError("token map names a token id outside the vocabulary")
         self.grammar = grammar
@@ -229,9 +238,14 @@ class MaskEngine:
         self._symbol_cost += [int(c) for c in tables.d]
         self._symbol_nullable = [False] * grammar.n_terminals
         self._symbol_nullable += [nt in nullable for nt in range(grammar.n_nonterminals)]
+        symbols, terminals = range(len(self._symbol_cost)), range(grammar.n_terminals)
         # (stack symbol, terminal) -> what the symbol leaves after consuming
         # the terminal, _DERIVES_EMPTY, or None; bounded by the grammar's size.
-        self._symbol_memo: dict[tuple[int, int], object] = {}
+        self._symbol_memo = {(sym, t): self._expand(sym, t) for sym in symbols for t in terminals}
+        # Whether some terminal pops the symbol; the others stop every feed.
+        self._symbol_popped = [
+            any(self._symbol_memo[sym, t] is _DERIVES_EMPTY for t in terminals) for sym in symbols
+        ]
         # window symbols (top first, see _window) -> _window_sequences: one
         # entry per distinct window, whatever lies below it.
         self._accseq_memo: dict[tuple[int, ...], tuple] = {}
@@ -244,7 +258,7 @@ class MaskEngine:
             raise BudgetError(f"budget must be at least 1, got {budget}")
         state = self._fresh_state(budget)
         if self.mode == MODE_FULL and not self.is_complete(state):
-            need = self._min_completion_tokens(state)
+            need = 1 + int(self._need(state).min())
             if need + 1 > budget:
                 raise BudgetError(
                     f"budget {budget} cannot fit any complete output "
@@ -257,7 +271,6 @@ class MaskEngine:
         return EngineState(
             engine=self,
             stack=self._start_stack,
-            tau=(),
             remainder=b"",
             lex_states=self._lex_initial,
             lex_accept=None,
@@ -267,22 +280,13 @@ class MaskEngine:
             base=base,
         )
 
-    def _min_completion_tokens(self, state: EngineState) -> int:
-        """Fewest tokens any admissible continuation needs, per the mask's
-        own accounting: finish some accept sequence, then drain its stack."""
-        c, base = self.tables.c, state.base
-        return min(
-            (int(c[terms][q]) + min(INF, d_cost + base) for terms, d_cost, q in state.live),
-            default=INF,
-        )
-
     # -- parsing ---------------------------------------------------------------
 
     def _push(self, below: Stack, symbols) -> Stack:
         """``below`` with ``symbols`` pushed in order, the last one on top."""
-        cost, nullable = self._symbol_cost, self._symbol_nullable
+        cost, nullable, popped = self._symbol_cost, self._symbol_nullable, self._symbol_popped
         for sym in symbols:
-            below = Stack(sym, below, cost[sym], nullable[sym])
+            below = Stack(sym, below, cost[sym], nullable[sym], popped[sym])
         return below
 
     def feed(self, stack: Stack, terminal: int) -> Stack | None:
@@ -294,10 +298,7 @@ class MaskEngine:
         memo = self._symbol_memo
         cell = stack
         while cell.depth:
-            key = (cell.symbol, terminal)
-            left = memo.get(key, _MISSING)
-            if left is _MISSING:
-                left = memo[key] = self._expand(cell.symbol, terminal)
+            left = memo[cell.symbol, terminal]
             if left is not _DERIVES_EMPTY:
                 return None if left is None else self._push(cell.below, left)
             cell = cell.below
@@ -324,9 +325,10 @@ class MaskEngine:
     def _window(stack: Stack) -> tuple[tuple[int, ...], Stack]:
         """The symbols two feeds can touch, top first, and the cell below them.
 
-        A feed pops only symbols that derive the empty string, so it stops at
-        the first symbol that cannot; the second feed, at the next such
-        symbol below.  The window runs down to that second symbol.
+        A feed pops only symbols that derive the empty string under its
+        terminal, so it stops at the first symbol that no terminal pops; the
+        second feed, at the next such symbol below.  The window runs down to
+        that second symbol.
         """
         first = stack.floor
         second = first.below.floor if first.depth else first
@@ -493,34 +495,31 @@ class MaskEngine:
             return False
         return stack.nullable
 
-    def _score(self, terms: tuple[int, ...], q: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """Tokens that keep the automaton of ``terms`` alive from its state
-        ``q``, with C at each token's successor state; None when no token does."""
-        row = self.tables.token_map[terms].get(q)
-        if row is None:
-            return None
-        token_ids, successors = row
-        return token_ids, self.tables.c[terms][successors]
+    def _totals(self, state: EngineState):
+        """The admission rule's accounting; the only place it is written.
 
-    def _admit(self, state: EngineState) -> np.ndarray:
+        For each live sequence ``k`` that some token keeps alive, yields
+        ``k``, those token ids and, per token, the tokens still needed after
+        it: C at its successor state plus the sequence's d_cost.
+        """
+        rows, base = self._rows, state.base
+        for k, (terms, d_cost, q) in enumerate(state.live):
+            row = rows[terms].get(q)
+            if row is not None:
+                yield k, row[0], row[1] + min(INF, d_cost + base)
+
+    def _need(self, state: EngineState) -> np.ndarray:
+        """Per token, the least total of ``_totals``; 3 * INF, above any
+        total, where no live sequence survives the token (eos included)."""
+        need = np.full(self.vocab.size, 3 * INF, dtype=np.int64)
+        for _, token_ids, totals in self._totals(state):
+            np.minimum.at(need, token_ids, totals)
+        return need
+
+    def _admit(self, state: EngineState, need: np.ndarray) -> np.ndarray:
         """The mask rule itself, without state checks; may come out all-false."""
-        budget_check = self.mode == MODE_FULL
-        bits = np.zeros(self.vocab.size, dtype=bool)
-        spent = state.consumed + 1
-        for terms, d_cost, q in state.live:
-            d_cost += state.base
-            if d_cost >= INF:
-                continue
-            if budget_check and spent + d_cost >= state.budget:
-                continue
-            scored = self._score(terms, q)
-            if scored is None:
-                continue
-            token_ids, costs = scored
-            if budget_check:
-                bits[token_ids[spent + costs + d_cost < state.budget]] = True
-            else:
-                bits[token_ids[costs < INF]] = True
+        limit = state.budget - state.consumed - 1 if self.mode == MODE_FULL else INF
+        bits = need < limit
         if state.consumed < state.budget and self.is_complete(state):
             bits[self.vocab.eos] = True
         return bits
@@ -533,7 +532,7 @@ class MaskEngine:
             raise BudgetExhaustedError(
                 f"consumed {state.consumed} of {state.budget} tokens"
             )
-        bits = self._admit(state)
+        bits = self._admit(state, self._need(state))
         if not bits.any():
             raise DeadSessionError(
                 "mask is all-false; a session advanced only on admitted tokens "
@@ -544,25 +543,19 @@ class MaskEngine:
     def mask_report(self, state: EngineState) -> list[dict]:
         """Per-token mask explanation: the dominating sequence and cost terms.
 
-        ``admitted`` is the mask bit.  For admitted tokens the reported
-        sequence is the cheapest admitting one; for denied tokens it is the
-        closest miss (or None when every continuation dies on the automaton).
+        ``admitted`` is the mask bit.  The reported sequence is the first live
+        one whose total attains ``need``: for admitted tokens the cheapest
+        admitting one, for denied tokens the closest miss (None when every
+        continuation dies on the automaton).
         """
-        bits = self._admit(state)
-        candidates: dict[int, tuple[int, tuple[int, ...], int, int]] = {}
-        spent = state.consumed + 1
-        for terms, d_cost, q in state.live:
-            scored = self._score(terms, q)
-            if scored is None:
-                continue
-            d_cost = min(INF, d_cost + state.base)
-            for tid, cost in zip(scored[0].tolist(), scored[1].tolist()):
-                total = spent + cost + d_cost
-                best = candidates.get(tid)
-                if best is None or total < best[0]:
-                    candidates[tid] = (total, terms, d_cost, cost)
+        need = self._need(state)
+        bits = self._admit(state, need)
+        owner = np.full(self.vocab.size, -1)
+        for k, token_ids, totals in self._totals(state):
+            first = token_ids[(totals == need[token_ids]) & (owner[token_ids] < 0)]
+            owner[first] = k
         rows: list[dict] = []
-        for tid in range(self.vocab.size):
+        for tid, k in enumerate(owner.tolist()):
             row = {
                 "token": tid,
                 "admitted": bool(bits[tid]),
@@ -573,11 +566,12 @@ class MaskEngine:
             }
             if tid == self.vocab.eos:
                 row["automaton_cost"] = row["dangling_cost"] = 0
-            elif tid in candidates:
-                _, terms, d_cost, cost = candidates[tid]
+            elif k >= 0:
+                terms, d_cost, _ = state.live[k]
+                d_cost = min(INF, d_cost + state.base)
                 row["sequence"] = tuple(self.grammar.terminals[t].name for t in terms)
-                row["automaton_cost"] = int(cost)
-                row["dangling_cost"] = int(d_cost)
+                row["automaton_cost"] = int(need[tid]) - d_cost
+                row["dangling_cost"] = d_cost
             rows.append(row)
         return rows
 
@@ -626,7 +620,6 @@ class MaskEngine:
         return replace(
             state,
             stack=stack,
-            tau=state.tau + committed,
             remainder=remainder,
             lex_states=lex_states,
             lex_accept=lex_accept,

@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 from boundedgen.costs import CostTables
 from boundedgen.decoding import (
@@ -200,22 +200,9 @@ class EvalReport:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["task_id", "strategy", "policy", "budget", "tokens", "complete", "exact", "output"]
-        )
+        writer.writerow(f.name for f in fields(EvalRecord))
         for r in self.records:
-            writer.writerow(
-                [
-                    r.task_id,
-                    r.strategy,
-                    r.policy,
-                    r.budget,
-                    r.tokens,
-                    int(r.complete),
-                    int(r.exact),
-                    r.output,
-                ]
-            )
+            writer.writerow(int(v) if isinstance(v, bool) else v for v in astuple(r))
         return buf.getvalue()
 
     @classmethod
@@ -224,39 +211,16 @@ class EvalReport:
         header = next(reader, None)
         if header is None:
             raise ValueError("empty CSV report")
+        # Keyed by the field types as written: annotations here are strings.
+        parse = {"str": str, "int": int, "bool": lambda cell: bool(int(cell))}
         records = [
-            EvalRecord(
-                task_id=row[0],
-                strategy=row[1],
-                policy=row[2],
-                budget=int(row[3]),
-                tokens=int(row[4]),
-                complete=bool(int(row[5])),
-                exact=bool(int(row[6])),
-                output=row[7],
-            )
+            EvalRecord(*(parse[f.type](cell) for f, cell in zip(fields(EvalRecord), row)))
             for row in reader
         ]
         return cls(records=records)
 
     def to_json_lines(self) -> str:
-        lines = []
-        for r in self.records:
-            lines.append(
-                json.dumps(
-                    {
-                        "task_id": r.task_id,
-                        "strategy": r.strategy,
-                        "policy": r.policy,
-                        "budget": r.budget,
-                        "tokens": r.tokens,
-                        "complete": r.complete,
-                        "exact": r.exact,
-                        "output": r.output,
-                    },
-                    ensure_ascii=True,
-                )
-            )
+        lines = [json.dumps(asdict(r), ensure_ascii=True) for r in self.records]
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:

@@ -464,7 +464,6 @@ class TestCriterion8DeterminismAndReplay:
                     state = engine.advance(state, token, mask)
                 batch = engine.replay(ids, budget=budget)
                 assert batch.stack == state.stack
-                assert batch.tau == state.tau
                 assert batch.remainder == state.remainder
                 assert batch.lex_states == state.lex_states
                 assert batch.lex_accept == state.lex_accept

@@ -89,7 +89,6 @@ class TestGenerate:
                 "--model", "uniform",
                 "--strategy", "greedy",
                 "--budget", "12",
-                "--seed", "7",
             ]
         )
         captured = capsys.readouterr()
@@ -303,7 +302,6 @@ class TestEval:
             "--tasks", workspace["tasks"],
             "--strategy", "greedy",
             "--ratio", "1.0",
-            "--seed", "13",
             "--format", "csv",
         ]
         first = tmp_path / "a.csv"

@@ -37,7 +37,6 @@ class TestNewSession:
         state = MaskEngine(json_grammar, json_tables, json_vocab).new_session(110)
         assert tuple(state.stack) == (json_grammar.nt_symbol(json_grammar.start),)
         assert state.consumed == 0
-        assert state.tau == ()
         assert state.remainder == b""
 
     def test_budget_zero_rejected(self, json_grammar, json_tables, json_vocab):
@@ -297,6 +296,19 @@ class TestPersistentStack:
             state = after
         assert measured > 500
 
+    def test_window_holds_only_symbols_some_terminal_pops(self):
+        # B is nullable, but no terminal pops it: x fails on B.  So a feed
+        # stops at B, and the window is S and the B below it at every depth.
+        grammar = parse_grammar("S: X S B | ε ; B: ε ; X: /x/ ;")
+        vocab = Vocabulary([b"x"], eos=1)
+        engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
+        for n in (10, 100):
+            state = engine.replay([0] * n, budget=n + 1)
+            assert engine.accept_sequences(state.stack)
+            assert len(engine._window(state.stack)[0]) == 2
+            assert len(engine._accseq_memo) == 2
+            assert engine.is_complete(state)
+
     def test_depth_5000_without_recursion_error(self, json_engine, json_vocab):
         lb, rb = json_vocab.tokens.index(b"["), json_vocab.tokens.index(b"]")
         depth, budget = 5000, 10_001
@@ -362,6 +374,65 @@ class TestAcceptSequences:
         assert paren_engine.is_complete(state)
 
 
+def reference_report(engine, state):
+    """``mask_report`` rescored token by token straight from the cost tables:
+    each live sequence admits a token when its own total fits (full mode) or
+    is finite (grammar-only), and the reported sequence is the first one of
+    least total."""
+    tables, vocab = engine.tables, engine.vocab
+    full = engine.mode == "full"
+    spent = state.consumed + 1
+    admitted = [False] * vocab.size
+    candidates = {}
+    for terms, d_cost, q in state.live:
+        row = tables.token_map[terms].get(q)
+        if row is None:
+            continue
+        d_cost = min(INF, d_cost + state.base)
+        for tid, successor in zip(row[0].tolist(), row[1].tolist()):
+            cost = int(tables.c[terms][successor])
+            total = spent + cost + d_cost
+            if d_cost < INF and (total < state.budget if full else cost < INF):
+                admitted[tid] = True
+            best = candidates.get(tid)
+            if best is None or total < best[0]:
+                candidates[tid] = (total, terms, d_cost, cost)
+    if state.consumed < state.budget and engine.is_complete(state):
+        admitted[vocab.eos] = True
+    rows = []
+    for tid in range(vocab.size):
+        sequence = automaton = dangling = None
+        if tid == vocab.eos:
+            automaton = dangling = 0
+        elif tid in candidates:
+            _, terms, dangling, automaton = candidates[tid]
+            sequence = tuple(engine.grammar.terminals[t].name for t in terms)
+        rows.append(
+            {
+                "token": tid,
+                "admitted": admitted[tid],
+                "sequence": sequence,
+                "consumed": state.consumed,
+                "automaton_cost": automaton,
+                "dangling_cost": dangling,
+            }
+        )
+    return rows
+
+
+UNFINISHABLE_GRAMMAR = r"S: LP T ; T: X | Y Z ; LP: /\(/ ; X: /x/ ; Y: /y/ ; Z: /z/ ;"
+
+
+def report_engine(request, name, mode):
+    """An engine on the paren or JSON fixtures, or on a grammar where "y"
+    keeps an accept sequence alive that nothing can finish."""
+    if name == "unfinishable":
+        grammar = parse_grammar(UNFINISHABLE_GRAMMAR)
+        vocab = Vocabulary([b"(", b"x", b"y"], eos=3)
+        return MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab, mode)
+    return MaskEngine(*engine_parts(request, name), mode)
+
+
 class TestComputeMask:
     def test_paren_masks_match_spec_and_oracle(self, paren_engine, paren_grammar, paren_vocab):
         state3 = paren_engine.new_session(3)
@@ -397,7 +468,6 @@ class TestComputeMask:
         exhausted = type(fresh)(
             engine=paren_engine,
             stack=fresh.stack,
-            tau=(),
             remainder=b"",
             lex_states=fresh.lex_states,
             lex_accept=None,
@@ -436,6 +506,46 @@ class TestComputeMask:
         assert not any(row["admitted"] for row in report)
         assert any(row["sequence"] is not None for row in report)
 
+    @pytest.mark.parametrize("mode", ["full", "grammar-only"])
+    @pytest.mark.parametrize("name", ["paren", "json", "unfinishable"])
+    def test_report_equals_reference_on_seeded_walks(self, request, name, mode):
+        engine = report_engine(request, name, mode)
+        eos = engine.vocab.eos
+        rng = random.Random(53)
+        shapes = set()
+        for _ in range(30):
+            budget = rng.randrange(1, 16)
+            state = engine.replay([], budget)  # no budget check: infeasible budgets too
+            while True:
+                report = engine.mask_report(state)
+                assert report == reference_report(engine, state), (state.consumed, budget)
+                for row in report:
+                    if row["admitted"]:
+                        shapes.add("admitted")
+                    elif row["sequence"] is not None:
+                        shapes.add("denied, closest miss")
+                choices = [row["token"] for row in report if row["admitted"] and row["token"] != eos]
+                if not choices or state.consumed >= budget - 1:
+                    break
+                state = engine.advance(state, rng.choice(choices))
+        # Grammar-only paren masks deny only tokens no sequence survives.
+        closest_miss = mode == "full" or name == "unfinishable"
+        assert shapes == {"admitted"} | ({"denied, closest miss"} if closest_miss else set())
+
+    @pytest.mark.parametrize("name", ["paren", "json", "unfinishable"])
+    def test_budget_error_reports_sequence_minimum(self, request, name):
+        engine = report_engine(request, name, "full")
+        fresh = engine.replay([], budget=1)
+        c = engine.tables.c
+        # Finish some accept sequence from its current state, then drain its stack.
+        least = min(
+            int(c[terms][q]) + min(INF, d_cost + fresh.base) for terms, d_cost, q in fresh.live
+        )
+        for budget in range(1, least + 1):
+            with pytest.raises(BudgetError, match=rf"\(minimum is {least} tokens "):
+                engine.new_session(budget)
+        engine.new_session(least + 1)
+
     def test_report_agrees_with_mask_on_unfinishable_sequence(self):
         # After "(", "y" keeps Y alive but nothing can spell the Z that must
         # follow it, so even the grammar-only mask denies it.
@@ -454,13 +564,23 @@ class TestComputeMask:
         assert report[2]["dangling_cost"] >= INF
 
 
+def lexed(engine, data):
+    """The stack, committed terminal names and remainder that ``_lex`` gives
+    for ``data`` fed to a fresh session in one go."""
+    stack, committed, remainder, _, _ = engine._lex(
+        engine._start_stack, engine._lex_initial, None, b"", data
+    )
+    return stack, [engine.grammar.terminals[t].name for t in committed], remainder
+
+
 class TestAdvance:
     def test_lbrace_commits_terminal(self, json_engine, json_vocab):
         state = json_engine.new_session(20)
         lbrace = json_vocab.tokenize(b"{")[0]
         state = json_engine.advance(state, lbrace)
-        names = [json_engine.grammar.terminals[t].name for t in state.tau]
+        stack, names, _ = lexed(json_engine, b"{")
         assert names == ["lbrace"]
+        assert state.stack == stack
         assert state.remainder == b""
 
     def test_string_stays_in_remainder(self, json_engine, json_vocab):
@@ -469,9 +589,10 @@ class TestAdvance:
         a = next(i for i, t in enumerate(json_vocab.tokens) if t == b"a")
         state = json_engine.advance(state, tok)
         state = json_engine.advance(state, a)
-        names = [json_engine.grammar.terminals[t].name for t in state.tau]
+        stack, names, remainder = lexed(json_engine, b'{"a')
         assert names == ["lbrace"]
-        assert state.remainder == b'"a'
+        assert state.stack == stack
+        assert state.remainder == remainder == b'"a'
 
     def test_closing_quote_comma_commits_string_and_comma(self, json_engine, json_vocab):
         ids = json_vocab.tokenize(b'["keyword')
@@ -479,8 +600,9 @@ class TestAdvance:
         assert state.remainder == b'"keyword'
         quote_comma = next(i for i, t in enumerate(json_vocab.tokens) if t == b'",')
         state = json_engine.advance(state, quote_comma)
-        names = [json_engine.grammar.terminals[t].name for t in state.tau]
+        stack, names, _ = lexed(json_engine, b'["keyword",')
         assert names == ["lbracket", "string", "comma"]
+        assert state.stack == stack
         assert state.remainder == b""
 
     def test_one_token_commits_three_terminals(self, json_engine, json_vocab):
@@ -490,8 +612,9 @@ class TestAdvance:
         assert state.remainder == b'"a'
         quote_colon = next(i for i, t in enumerate(json_vocab.tokens) if t == b'":')
         state = json_engine.advance(state, quote_colon)
-        names = [json_engine.grammar.terminals[t].name for t in state.tau]
+        stack, names, _ = lexed(json_engine, b'{"a":')
         assert names == ["lbrace", "string", "colon"]
+        assert state.stack == stack
         assert state.remainder == b""
 
     def test_masked_token_rejected(self, paren_engine):
@@ -585,7 +708,6 @@ class TestReplayEquality:
                 state = paren_engine.advance(state, token, mask)
             batch = paren_engine.replay(ids, budget=6)
             assert batch.stack == state.stack
-            assert batch.tau == state.tau
             assert batch.remainder == state.remainder
             assert batch.lex_states == state.lex_states
             assert batch.lex_accept == state.lex_accept

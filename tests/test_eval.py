@@ -8,6 +8,7 @@ import pytest
 
 from boundedgen.evalharness import (
     BudgetPolicy,
+    EvalRecord,
     EvalReport,
     Task,
     TaskFileError,
@@ -287,6 +288,28 @@ class TestReportFormats:
             "task_id", "strategy", "policy", "budget",
             "tokens", "complete", "exact", "output",
         }
+
+    def test_exact_csv_and_json_lines_text(self):
+        report = EvalReport(
+            records=[
+                EvalRecord("t0", "greedy", "ratio:1.1", 12, 7, True, False, '{"a": 1}'),
+                EvalRecord("t1", "beam:10", "fixed:4", 4, 4, False, False, "\u00e9,\n"),
+            ]
+        )
+        csv_text = (
+            "task_id,strategy,policy,budget,tokens,complete,exact,output\n"
+            't0,greedy,ratio:1.1,12,7,1,0,"{""a"": 1}"\n'
+            't1,beam:10,fixed:4,4,4,0,0,"\u00e9,\n"\n'
+        )
+        json_text = (
+            '{"task_id": "t0", "strategy": "greedy", "policy": "ratio:1.1", "budget": 12, '
+            '"tokens": 7, "complete": true, "exact": false, "output": "{\\"a\\": 1}"}\n'
+            '{"task_id": "t1", "strategy": "beam:10", "policy": "fixed:4", "budget": 4, '
+            '"tokens": 4, "complete": false, "exact": false, "output": "\\u00e9,\\n"}\n'
+        )
+        assert report.to_csv() == csv_text
+        assert report.to_json_lines() == json_text
+        assert EvalReport.from_csv(csv_text).records == report.records
 
     def test_text_table_mentions_aggregates(self, report):
         text = report.to_text()
