@@ -48,9 +48,9 @@ def _load_inputs(args) -> tuple[Grammar, Vocabulary]:
 
 
 def _constraint_mode(args) -> str:
-    if getattr(args, "no_constraint", False):
+    if args.no_constraint:
         return MODE_NONE
-    if getattr(args, "grammar_only", False):
+    if args.grammar_only:
         return MODE_GRAMMAR_ONLY
     return MODE_FULL
 
@@ -129,6 +129,10 @@ def cmd_generate(args) -> int:
     return EXIT_OK if complete else EXIT_INCOMPLETE
 
 
+def _cost_text(cost: int | None) -> str:
+    return "inf" if cost is not None and cost >= INF else str(cost)
+
+
 def cmd_mask(args) -> int:
     grammar, vocab, engine = _load_engine(args, MODE_FULL)
     if args.prefix_file:
@@ -155,11 +159,10 @@ def cmd_mask(args) -> int:
             print(f"{verdict} {token_repr:<16} no accept sequence stays alive")
             continue
         seq = "+".join(row["sequence"]) if row["sequence"] else "(completion)"
-        cost = row["automaton_cost"]
-        cost_text = "inf" if cost is not None and cost >= INF else str(cost)
         print(
             f"{verdict} {token_repr:<16} via {seq:<20} consumed={row['consumed']} "
-            f"automaton={cost_text} dangling={row['dangling_cost']}"
+            f"automaton={_cost_text(row['automaton_cost'])} "
+            f"dangling={_cost_text(row['dangling_cost'])}"
         )
     print(f"{admitted} of {vocab.size} tokens admitted (budget {args.budget})")
     return EXIT_OK
@@ -210,12 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_precompute)
 
     modes = argparse.ArgumentParser(add_help=False)
-    modes.add_argument(
+    exclusive = modes.add_mutually_exclusive_group()
+    exclusive.add_argument(
         "--grammar-only",
         action="store_true",
         help="disable the budget term of the mask (truncation baseline)",
     )
-    modes.add_argument(
+    exclusive.add_argument(
         "--no-constraint", action="store_true", help="disable masking entirely"
     )
 

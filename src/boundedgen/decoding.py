@@ -3,22 +3,34 @@
 Every strategy multiplies the model distribution by the engine mask before
 selecting, so no decoder ever advances on a denied token; with the full
 budget-aware mask this makes any output complete and within budget by
-construction.  All strategies are deterministic: ties break toward the
-lowest token id (greedy, beam) or the highest prior (tree search at zero
-visits), so fixed model + fixed seed reproduces identical outputs.
+construction.  Under the grammar-only mask a run can spend the budget
+without eos: greedy and tree search then return the truncated sequence, and
+beam search its best finished hypothesis, or the best truncated one if none
+finished.  All strategies are deterministic, so a fixed model reproduces
+identical outputs:
+
+- greedy takes the most probable admitted token, the lowest id on ties;
+- beam search ranks continuations by length-normalized log-probability and
+  breaks ties by the token ids, compared as tuples;
+- tree search selects by prior alone at a node with no visits, otherwise by
+  ``Q + c_puct * prior * sqrt(sum(N)) / (1 + N)``, and commits the visited
+  root edge with the highest Q.  Eos is a leaf of the tree, and so is a
+  state out of budget under grammar-only; the search stops when it commits
+  a leaf.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from boundedgen.engine import EngineState
 from boundedgen.models import LanguageModel
 
-_VALUE_FLOOR = 1e-12  # keeps rollout values strictly positive
+_PROB_FLOOR = 1e-12  # keeps the log of a zero-mass token finite
 
 
 @dataclass(frozen=True)
@@ -62,15 +74,26 @@ def softmax_prior(probs: np.ndarray, mask: np.ndarray, temperature: float) -> np
     return out
 
 
-def _masked_argmax(probs: np.ndarray, mask: np.ndarray) -> int:
-    """Highest-probability admitted token; lowest id on ties or zero mass."""
-    admitted = np.flatnonzero(mask)
-    best = admitted[np.argmax(probs[admitted])]
-    return int(best)
+def _log(prob: float) -> float:
+    return math.log(max(prob, _PROB_FLOOR))
 
 
-def _budget_reached(state: EngineState) -> bool:
-    return state.consumed >= state.budget
+def _greedy_steps(
+    model: LanguageModel, state: EngineState, context: tuple[int, ...]
+) -> Iterator[tuple[int, float]]:
+    """Yield each greedy token with its model probability until eos or the
+    end of the budget; ``context`` is everything the model has seen so far."""
+    engine = state.engine
+    while state.consumed < state.budget:
+        mask = engine.compute_mask(state)
+        probs = model.next_distribution(context)
+        admitted = np.flatnonzero(mask)
+        token = int(admitted[np.argmax(probs[admitted])])
+        yield token, float(probs[token])
+        if token == engine.vocab.eos:
+            return
+        context += (token,)
+        state = engine.advance(state, token, mask)
 
 
 def greedy_decode(
@@ -83,19 +106,7 @@ def greedy_decode(
     mask the loop can instead run out of budget and return a truncated
     sequence without eos.
     """
-    engine = session.engine
-    eos = engine.vocab.eos
-    state = session
-    out: list[int] = []
-    while not _budget_reached(state):
-        mask = engine.compute_mask(state)
-        probs = model.next_distribution(tuple(prompt) + tuple(out))
-        token = _masked_argmax(probs, mask)
-        out.append(token)
-        state = engine.advance(state, token, mask)
-        if token == eos:
-            break
-    return out
+    return [token for token, _ in _greedy_steps(model, session, tuple(prompt))]
 
 
 def unconstrained_greedy(
@@ -110,16 +121,6 @@ def unconstrained_greedy(
         if token == eos:
             break
     return out
-
-
-@dataclass
-class _Hypothesis:
-    ids: tuple[int, ...]
-    state: EngineState
-    log_sum: float
-
-    def score(self) -> float:
-        return self.log_sum / max(len(self.ids), 1)
 
 
 def beam_search(
@@ -139,51 +140,52 @@ def beam_search(
         raise ValueError("beams must be at least 1")
     engine = session.engine
     eos = engine.vocab.eos
-    live: list[_Hypothesis] = [_Hypothesis((), session, 0.0)]
-    finished: list[_Hypothesis] = []
-    while live:
-        candidates: list[tuple[float, tuple[int, ...], _Hypothesis, int, np.ndarray]] = []
-        for hyp in live:
-            if _budget_reached(hyp.state):
-                continue
-            mask = engine.compute_mask(hyp.state)
-            probs = model.next_distribution(tuple(prompt) + hyp.ids)
-            masked = np.where(mask, probs, 0.0)
-            total = masked.sum()
-            if total <= 0.0:
+    prompt = tuple(prompt)
+    # Live hypotheses, best first, all of one length: (ids, state), log-sums.
+    live: list[tuple[tuple[int, ...], EngineState]] = [((), session)]
+    log_sums = np.zeros(1)
+    finished: list[tuple[tuple[int, ...], float]] = []
+    while live and live[0][1].consumed < session.budget:
+        length = len(live[0][0]) + 1
+        masks, tokens, owners, scores = [], [], [], []
+        for i, (ids, state) in enumerate(live):
+            mask = engine.compute_mask(state)
+            masked = np.where(mask, model.next_distribution(prompt + ids), 0.0)
+            if masked.sum() <= 0.0:
                 masked = mask.astype(float)
-                total = masked.sum()
+            admitted = np.flatnonzero(mask)
             with np.errstate(divide="ignore"):
-                logs = np.log(masked / total)
-            for token in np.flatnonzero(mask):
-                token = int(token)
-                ids = hyp.ids + (token,)
-                score = (hyp.log_sum + logs[token]) / len(ids)
-                candidates.append((score, ids, hyp, token, mask))
-        if not candidates:
+                logs = np.log(masked[admitted] / masked.sum())
+            masks.append(mask)
+            tokens.append(admitted)
+            owners.append(np.full(admitted.size, i))
+            scores.append((log_sums[i] + logs) / length)
+        tokens, owners, scores = map(np.concatenate, (tokens, owners, scores))
+        if not tokens.size:
             break
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        live = []
-        for score, ids, hyp, token, mask in candidates[:beams]:
-            log_sum = score * len(ids)
+        # Equal lengths make the ids order the owner's ids order, then token.
+        rank = np.empty(len(live), dtype=np.int64)
+        rank[sorted(range(len(live)), key=lambda i: live[i][0])] = np.arange(len(live))
+        survivors, log_sums = [], []
+        for j in np.lexsort((tokens, rank[owners], -scores))[:beams]:
+            (ids, state), token = live[owners[j]], int(tokens[j])
             if token == eos:
-                finished.append(_Hypothesis(ids, hyp.state, log_sum))
+                finished.append((ids + (token,), scores[j] * length))
             else:
-                live.append(
-                    _Hypothesis(ids, engine.advance(hyp.state, token, mask), log_sum)
-                )
+                survivors.append((ids + (token,), engine.advance(state, token, masks[owners[j]])))
+                log_sums.append(scores[j] * length)
+        live, log_sums = survivors, np.array(log_sums)
     if finished:
-        finished.sort(key=lambda h: (-h.score(), h.ids))
-        return list(finished[0].ids)
+        return list(min(finished, key=lambda f: (-f[1] / len(f[0]), f[0]))[0])
     # Only reachable without budget-aware masking: every beam truncated.
-    best_live = max(live, default=None, key=lambda h: h.score()) if live else None
-    if best_live is None:
-        raise RuntimeError("beam search produced no hypothesis")
-    return list(best_live.ids)
+    return list(live[int(np.argmax(log_sums / max(len(live[0][0]), 1)))][0])
 
 
 class _SearchNode:
-    __slots__ = ("state", "probs", "mask", "priors", "visits", "values", "children", "terminal")
+    """A tree-search node: one engine state and its per-token edge statistics.
+    ``children`` maps a tried token to its node, or to None at a leaf."""
+
+    __slots__ = ("state", "probs", "mask", "priors", "visits", "values", "children")
 
     def __init__(self, state: EngineState, probs: np.ndarray, mask: np.ndarray, priors: np.ndarray):
         self.state = state
@@ -192,21 +194,17 @@ class _SearchNode:
         self.priors = priors
         self.visits = np.zeros(len(priors), dtype=np.int64)
         self.values = np.zeros(len(priors))  # max rollout value seen per edge
-        self.children: dict[int, "_SearchNode" | None] = {}
-        self.terminal = False
+        self.children: dict[int, _SearchNode | None] = {}
 
-
-def _make_terminal_node() -> _SearchNode:
-    node = _SearchNode.__new__(_SearchNode)
-    node.state = None
-    node.probs = None
-    node.mask = None
-    node.priors = None
-    node.visits = None
-    node.values = None
-    node.children = {}
-    node.terminal = True
-    return node
+    def select(self, c_puct: float) -> int:
+        """The admitted token to descend into: highest prior at zero visits,
+        otherwise highest ``Q + c_puct * prior * sqrt(sum(N)) / (1 + N)``."""
+        total = self.visits.sum()
+        if total == 0:
+            scores = self.priors
+        else:
+            scores = self.values + c_puct * self.priors * (math.sqrt(total) / (1.0 + self.visits))
+        return int(np.argmax(np.where(self.mask, scores, -np.inf)))
 
 
 def mcts_decode(
@@ -214,123 +212,58 @@ def mcts_decode(
     session: EngineState,
     prompt: tuple[int, ...] = (),
     config: MctsConfig = MctsConfig(),
-    stats: dict | None = None,
 ) -> list[int]:
     """Tree search with prior-weighted upper-confidence selection.
 
     Per emitted token: run ``config.trials`` simulations, each descending by
-    argmax of ``Q + c_puct * prior * sqrt(sum(N)) / (1 + N)``, expanding one
-    child, rolling out greedily under the mask, and backing the rollout value
-    (geometric mean of unmodified model probabilities over the whole
-    generated sequence) up as a maximum.  The argmax-Q child is committed and
-    its subtree reused.  At zero visits the selection term vanishes, so ties
-    break toward the highest prior: the first simulation is exactly the
-    greedy rollout.
+    :meth:`_SearchNode.select` until it tries a new edge or reaches a leaf,
+    expanding that edge, rolling out greedily under the mask, and backing the
+    rollout value up every edge of the path as a maximum.  The value is the
+    geometric mean of unmodified model probabilities over the whole sequence
+    generated so far, rollout included.  The visited root edge with the
+    highest value is committed and its subtree reused; the search stops when
+    it commits a leaf.  The first simulation is exactly the greedy rollout.
     """
     engine = session.engine
     eos = engine.vocab.eos
+    prompt = tuple(prompt)
 
     def expand(state: EngineState, generated: tuple[int, ...]) -> _SearchNode:
         mask = engine.compute_mask(state)
-        probs = model.next_distribution(tuple(prompt) + generated)
-        priors = softmax_prior(probs, mask, config.temperature)
-        return _SearchNode(state, probs, mask, priors)
+        probs = model.next_distribution(prompt + generated)
+        return _SearchNode(state, probs, mask, softmax_prior(probs, mask, config.temperature))
 
-    def rollout_value(log_parts: list[float], count: int) -> float:
-        if count == 0:
-            return _VALUE_FLOOR
-        return math.exp(sum(log_parts) / count)
-
-    def greedy_rollout(state: EngineState, generated: tuple[int, ...], logs: list[float]) -> float:
-        """Greedy completion from ``state``; returns the full-sequence value."""
-        local_logs = list(logs)
-        count = len(generated)
-        while not _budget_reached(state):
-            mask = engine.compute_mask(state)
-            probs = model.next_distribution(tuple(prompt) + generated)
-            token = _masked_argmax(probs, mask)
-            local_logs.append(math.log(max(float(probs[token]), _VALUE_FLOOR)))
-            generated = generated + (token,)
-            count += 1
-            state = engine.advance(state, token, mask)
-            if token == eos:
+    def simulate(node: _SearchNode, generated: tuple[int, ...], logs: list[float]) -> None:
+        path = []
+        while node is not None:
+            token = node.select(config.c_puct)
+            path.append((node, token))
+            logs.append(_log(float(node.probs[token])))
+            generated += (token,)
+            if token not in node.children:
+                node.children[token] = None
+                if token != eos:
+                    state = engine.advance(node.state, token, node.mask)
+                    if state.consumed < state.budget:
+                        node.children[token] = expand(state, generated)
+                        steps = _greedy_steps(model, state, prompt + generated)
+                        logs += [_log(prob) for _, prob in steps]
                 break
-        return rollout_value(local_logs, count)
+            node = node.children[token]
+        value = math.exp(sum(logs) / len(logs))
+        for parent, token in path:
+            parent.visits[token] += 1
+            parent.values[token] = max(parent.values[token], value)
 
     committed: list[int] = []
     committed_logs: list[float] = []
-    trials_per_step: list[int] = []
-    if stats is not None:
-        stats["trials_per_step"] = trials_per_step
-    root = expand(session, ())
-
-    while True:
-        trials_per_step.append(0)
+    root: _SearchNode | None = expand(session, ())
+    while root is not None:
         for _ in range(config.trials):
-            trials_per_step[-1] += 1
-            node = root
-            path: list[tuple[_SearchNode, int]] = []
-            generated = tuple(committed)
-            logs = list(committed_logs)
-            value: float | None = None
-            while True:
-                if node.terminal:
-                    value = rollout_value(logs, len(generated))
-                    break
-                totals = node.visits.sum()
-                scores = np.where(node.mask, node.values, -np.inf)
-                if config.c_puct > 0:
-                    bonus = (
-                        config.c_puct
-                        * node.priors
-                        * (math.sqrt(totals) / (1.0 + node.visits))
-                    )
-                    scores = np.where(node.mask, scores + bonus, -np.inf)
-                if totals == 0:
-                    scores = np.where(node.mask, node.priors, -np.inf)
-                token = int(np.argmax(scores))
-                path.append((node, token))
-                logs.append(math.log(max(float(node.probs[token]), _VALUE_FLOOR)))
-                generated = generated + (token,)
-                child = node.children.get(token)
-                if child is None:
-                    if token == eos:
-                        node.children[token] = _make_terminal_node()
-                        value = rollout_value(logs, len(generated))
-                    else:
-                        next_state = engine.advance(node.state, token, node.mask)
-                        if _budget_reached(next_state):
-                            # Only possible without the budget term in the
-                            # mask: the branch truncated, score it as-is.
-                            node.children[token] = _make_terminal_node()
-                            value = rollout_value(logs, len(generated))
-                        else:
-                            node.children[token] = expand(next_state, generated)
-                            value = greedy_rollout(next_state, generated, logs)
-                    break
-                node = child
-            assert value is not None
-            for parent, token in path:
-                parent.visits[token] += 1
-                parent.values[token] = max(parent.values[token], value)
-
-        visited = np.flatnonzero(root.visits > 0)
-        if visited.size == 0:
-            token = int(np.argmax(np.where(root.mask, root.priors, -np.inf)))
-        else:
-            best = visited[np.argmax(root.values[visited])]
-            token = int(best)
+            simulate(root, tuple(committed), list(committed_logs))
+        visited = np.flatnonzero(root.visits)
+        token = int(visited[np.argmax(root.values[visited])])
         committed.append(token)
-        committed_logs.append(math.log(max(float(root.probs[token]), _VALUE_FLOOR)))
-        if token == eos:
-            break
-        child = root.children.get(token)
-        if child is None or child.terminal:
-            next_state = engine.advance(root.state, token, root.mask)
-            if _budget_reached(next_state):
-                break
-            child = expand(next_state, tuple(committed))
-        root = child
-        if root.terminal:
-            break
+        committed_logs.append(_log(float(root.probs[token])))
+        root = root.children[token]
     return committed

@@ -129,7 +129,10 @@ class ScriptedModel(LanguageModel):
             arr = np.zeros(vocab_size)
             if isinstance(step, dict):
                 for key, weight in step.items():
-                    arr[int(key)] = float(weight)
+                    tid = int(key)
+                    if not 0 <= tid < vocab_size:
+                        raise ValueError(f"{path}: token id {tid} outside [0, {vocab_size})")
+                    arr[tid] = float(weight)
             else:
                 arr = np.asarray(step, dtype=float)
             steps.append(arr)

@@ -38,6 +38,20 @@ def workspace(tmp_path_factory):
     }
 
 
+@pytest.fixture(scope="module")
+def yz_workspace(tmp_path_factory):
+    """``T: X | Y Z`` with no token for Z: after ``(``, ``y`` can never finish."""
+    root = tmp_path_factory.mktemp("cli-yz")
+    grammar = root / "yz.grammar"
+    grammar.write_text(r"S: LP T ; T: X | Y Z ; LP: /\(/ ; X: /x/ ; Y: /y/ ; Z: /z/ ;")
+    vocab = root / "vocab.json"
+    save_vocabulary(Vocabulary([b"(", b"x", b"y"], eos=3), vocab)
+    cache = root / "yz.cache"
+    args = ["--grammar", str(grammar), "--vocab", str(vocab), "--cache", str(cache)]
+    assert main(["precompute", *args]) == EXIT_OK
+    return args
+
+
 class TestPrecompute:
     def test_cache_written(self, workspace, capsys):
         assert (workspace["root"] / "json.cache").exists()
@@ -180,6 +194,14 @@ class TestGenerate:
         assert code == EXIT_OK
         assert captured.out.strip() == "true"
 
+    @pytest.mark.parametrize("key", ["99", "-1"])
+    def test_scripted_token_id_outside_vocabulary_exit_2(self, yz_workspace, tmp_path, capsys, key):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"steps": [{key: 1.0}]}))
+        code = main(["generate", *yz_workspace, "--model", f"scripted:{script}", "--budget", "4"])
+        assert code == EXIT_GRAMMAR
+        assert f"token id {key} outside [0, 4)" in capsys.readouterr().err
+
     def test_grammar_only_can_truncate(self, workspace, capsys):
         code = main(
             [
@@ -259,6 +281,14 @@ class TestMask:
         )
         assert code == EXIT_IO
         assert "outside the vocabulary" in capsys.readouterr().err
+
+    def test_infinite_dangling_cost_prints_inf(self, yz_workspace, capsys):
+        code = main(["mask", *yz_workspace, "--prefix", "(", "--budget", "5"])
+        assert code == EXIT_OK
+        rows = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()[2:-1]}
+        assert rows["b'y'"].startswith("deny ")
+        assert rows["b'y'"].endswith("dangling=inf")
+        assert rows["b'x'"].endswith("automaton=0 dangling=0")
 
     def test_unlexable_prefix_exit_2(self, workspace, capsys):
         code = main(
@@ -340,3 +370,21 @@ class TestEval:
             ]
         )
         assert code == EXIT_GRAMMAR
+
+
+@pytest.mark.parametrize("command", ["generate", "eval"])
+def test_conflicting_mode_flags_usage_error(workspace, capsys, command):
+    required = {"generate": ["--budget", "8"], "eval": ["--tasks", workspace["tasks"]]}
+    argv = [
+        command,
+        "--grammar", workspace["grammar"],
+        "--vocab", workspace["vocab"],
+        "--cache", workspace["cache"],
+        *required[command],
+        "--grammar-only",
+        "--no-constraint",
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
