@@ -79,14 +79,18 @@ def _log(prob: float) -> float:
 
 
 def _greedy_steps(
-    model: LanguageModel, state: EngineState, context: tuple[int, ...]
+    model: LanguageModel,
+    state: EngineState,
+    context: tuple[int, ...],
+    first: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Iterator[tuple[int, float]]:
     """Yield each greedy token with its model probability until eos or the
-    end of the budget; ``context`` is everything the model has seen so far."""
+    end of the budget; ``context`` is everything the model has seen so far,
+    and ``first``, when given, the mask and distribution at ``state``."""
     engine = state.engine
     while state.consumed < state.budget:
-        mask = engine.compute_mask(state)
-        probs = model.next_distribution(context)
+        mask, probs = first or (engine.compute_mask(state), model.next_distribution(context))
+        first = None
         admitted = np.flatnonzero(mask)
         token = int(admitted[np.argmax(probs[admitted])])
         yield token, float(probs[token])
@@ -217,12 +221,13 @@ def mcts_decode(
 
     Per emitted token: run ``config.trials`` simulations, each descending by
     :meth:`_SearchNode.select` until it tries a new edge or reaches a leaf,
-    expanding that edge, rolling out greedily under the mask, and backing the
-    rollout value up every edge of the path as a maximum.  The value is the
-    geometric mean of unmodified model probabilities over the whole sequence
-    generated so far, rollout included.  The visited root edge with the
-    highest value is committed and its subtree reused; the search stops when
-    it commits a leaf.  The first simulation is exactly the greedy rollout.
+    expanding that edge, rolling out greedily from the new node's mask and
+    distribution, and backing the rollout value up every edge of the path as
+    a maximum.  The value is the geometric mean of unmodified model
+    probabilities over the whole sequence generated so far, rollout
+    included.  The visited root edge with the highest value is committed and
+    its subtree reused; the search stops when it commits a leaf.  The first
+    simulation is exactly the greedy rollout.
     """
     engine = session.engine
     eos = engine.vocab.eos
@@ -245,8 +250,9 @@ def mcts_decode(
                 if token != eos:
                     state = engine.advance(node.state, token, node.mask)
                     if state.consumed < state.budget:
-                        node.children[token] = expand(state, generated)
-                        steps = _greedy_steps(model, state, prompt + generated)
+                        child = node.children[token] = expand(state, generated)
+                        first = (child.mask, child.probs)
+                        steps = _greedy_steps(model, state, prompt + generated, first)
                         logs += [_log(prob) for _, prob in steps]
                 break
             node = node.children[token]

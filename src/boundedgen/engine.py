@@ -11,7 +11,7 @@ the fewest tokens any one- or two-terminal continuation of the current parse
 needs after token ``t`` to finish everything, taken over the continuations
 that stay alive on ``remainder + t``.  The full mask admits ``t`` when
 
-    (consumed + 1) + need[t] < budget
+    (consumed + 1) + need[t] < budget  and  need[t] < INF
 
 and the grammar-only mask when ``need[t]`` is finite.  The strict inequality
 reserves exactly one slot for end-of-sequence, so any run that only ever
@@ -19,7 +19,8 @@ advances on admitted tokens terminates with a complete output of at most
 ``budget`` tokens, eos included.  End-of-sequence itself is admitted purely
 by the completion rule and never touches the automata.  The mask report
 reads the same vector: for each token it names the continuation that attains
-``need``.
+``need``.  Each engine memoizes it on the only fields it reads, ``live`` and
+``base``: at most 64 read-only vectors of 8 bytes per token, dropped when full.
 
 The parser stack is persistent: a chain of immutable :class:`Stack` cells,
 each holding its symbol, the cell below, and facts about everything from it
@@ -90,6 +91,7 @@ class DeadSessionError(EngineError):
 
 
 _EXPANSION_LIMIT = 100_000
+_NEED_MEMO_SIZE = 64  # need vectors per engine, 8 bytes per token each
 
 MODE_FULL = "full"
 MODE_GRAMMAR_ONLY = "grammar-only"
@@ -249,6 +251,7 @@ class MaskEngine:
         # window symbols (top first, see _window) -> _window_sequences: one
         # entry per distinct window, whatever lies below it.
         self._accseq_memo: dict[tuple[int, ...], tuple] = {}
+        self._need_memo: dict[tuple[tuple[LiveSequence, ...], int], np.ndarray] = {}
         self._start_stack = self._push(EMPTY_STACK, (self._start_symbol,))
 
     # -- sessions ------------------------------------------------------------
@@ -259,7 +262,7 @@ class MaskEngine:
         state = self._fresh_state(budget)
         if self.mode == MODE_FULL and not self.is_complete(state):
             need = 1 + int(self._need(state).min())
-            if need + 1 > budget:
+            if need + 1 > min(budget, INF + 1):  # the first mask's threshold
                 raise BudgetError(
                     f"budget {budget} cannot fit any complete output "
                     f"(minimum is {need} tokens plus end-of-sequence)"
@@ -510,15 +513,24 @@ class MaskEngine:
 
     def _need(self, state: EngineState) -> np.ndarray:
         """Per token, the least total of ``_totals``; 3 * INF, above any
-        total, where no live sequence survives the token (eos included)."""
-        need = np.full(self.vocab.size, 3 * INF, dtype=np.int64)
-        for _, token_ids, totals in self._totals(state):
-            np.minimum.at(need, token_ids, totals)
+        total, where no live sequence survives the token (eos included).
+        Read-only, and memoized on the only fields ``_totals`` reads."""
+        key = (state.live, state.base)
+        need = self._need_memo.get(key)
+        if need is None:
+            need = np.full(self.vocab.size, 3 * INF, dtype=np.int64)
+            parts = [(ids, totals) for _, ids, totals in self._totals(state)]
+            if parts:
+                np.minimum.at(need, *map(np.concatenate, zip(*parts)))
+            need.setflags(write=False)
+            if len(self._need_memo) >= _NEED_MEMO_SIZE:
+                self._need_memo.clear()
+            self._need_memo[key] = need
         return need
 
     def _admit(self, state: EngineState, need: np.ndarray) -> np.ndarray:
         """The mask rule itself, without state checks; may come out all-false."""
-        limit = state.budget - state.consumed - 1 if self.mode == MODE_FULL else INF
+        limit = min(state.budget - state.consumed - 1, INF) if self.mode == MODE_FULL else INF
         bits = need < limit
         if state.consumed < state.budget and self.is_complete(state):
             bits[self.vocab.eos] = True

@@ -33,6 +33,10 @@ RB: /\\]/ ;
 COMMA: /,/ ;
 """
 
+# Its terminal's minimal DFA must remember the last 15 bytes: 2^15 states,
+# over the 10,000-state cap of determinization.
+STATE_CAP_GRAMMAR = "S: A ;\nA: /(a|b)*a" + "(a|b)" * 14 + "/ ;\n"
+
 PAREN_TOKENS = [b"x", b"(", b")", b"(x"]
 MINI_TOKENS = [b'"', b"a", b'"a', b'a"', b'"a"', b"1", b"12", b"[", b"]", b",", b"[1"]
 

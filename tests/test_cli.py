@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +15,9 @@ from boundedgen import bundled_json_grammar_path
 from boundedgen.cli import EXIT_GRAMMAR, EXIT_IO, EXIT_OK, main
 from boundedgen.evalharness import save_tasks
 from boundedgen.vocab import Vocabulary, save_vocabulary
-from tests.conftest import eval_token_strings, make_json_tasks
+from tests.conftest import STATE_CAP_GRAMMAR, eval_token_strings, make_json_tasks
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +74,19 @@ class TestPrecompute:
             ]
         )
         assert code == EXIT_GRAMMAR
+
+    def test_regex_over_state_cap_exit_2(self, tmp_path, workspace):
+        hostile = tmp_path / "hostile.grammar"
+        hostile.write_text(STATE_CAP_GRAMMAR)
+        args = ["--grammar", str(hostile), "--vocab", workspace["vocab"]]
+        result = subprocess.run(
+            [sys.executable, "-m", "boundedgen.cli", "precompute", *args,
+             "--cache", str(tmp_path / "out.cache")],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == EXIT_GRAMMAR
+        assert result.stderr.startswith("error: ") and "state cap" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_unwritable_output_exit_3(self, workspace):
         code = main(

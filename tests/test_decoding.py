@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from boundedgen import decoding
 from boundedgen.decoding import (
     MctsConfig,
     _SearchNode,
@@ -297,6 +298,51 @@ class TestMcts:
             model, paren_engine.new_session(6), config=MctsConfig(trials=12)
         )
         assert sequence_value(mcts_ids) >= sequence_value(greedy_ids) - 1e-12
+
+    def test_rollout_reuses_new_node_mask_and_distribution(self, json_engine, monkeypatch):
+        nodes, masks = [], []
+
+        class CountedNode(decoding._SearchNode):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                nodes.append(self)
+
+        class CountingModel(SeededRandomModel):
+            calls = 0
+
+            def next_distribution(self, prefix):
+                self.calls += 1
+                return super().next_distribution(prefix)
+
+        compute_mask = json_engine.compute_mask
+        monkeypatch.setattr(decoding, "_SearchNode", CountedNode)
+        monkeypatch.setattr(
+            json_engine, "compute_mask", lambda state: masks.append(state) or compute_mask(state)
+        )
+
+        def run():
+            nodes.clear()
+            masks.clear()
+            model = CountingModel(json_engine.vocab.size, 4)
+            ids = mcts_decode(model, json_engine.new_session(10), config=MctsConfig(trials=20))
+            return ids, model.calls, len(masks), len(nodes)
+
+        ids, calls, mask_calls, n_nodes = run()
+        # The same search with a rollout that asks for its first step again.
+        steps = decoding._greedy_steps
+
+        def asks_again(model, state, context, _first):
+            return steps(model, state, context)
+
+        monkeypatch.setattr(decoding, "_greedy_steps", asks_again)
+        ids_again, calls_again, mask_calls_again, n_nodes_again = run()
+        assert (ids_again, n_nodes_again) == (ids, n_nodes)
+        expanded = n_nodes - 1  # every node but the root is expanded by a trial
+        assert expanded > 0
+        assert calls_again - calls == expanded
+        assert mask_calls_again - mask_calls == expanded
 
 
 class TestPromptConditioning:

@@ -19,8 +19,10 @@ from boundedgen.engine import (
     ParseError,
 )
 from boundedgen.costs import build_cost_tables
+from boundedgen.decoding import greedy_decode
 from boundedgen.dfa import DEAD, INF, Dfa
 from boundedgen.grammar import build_ll1_table, parse_grammar
+from boundedgen.models import ScriptedModel
 from boundedgen.oracle import brute_force_mask, cfg_membership
 from boundedgen.vocab import Vocabulary
 
@@ -562,6 +564,107 @@ class TestComputeMask:
         assert [row["admitted"] for row in report] == mask.tolist()
         assert report[2]["sequence"] is not None
         assert report[2]["dangling_cost"] >= INF
+
+
+    def test_budget_above_inf_denies_unfinishable_token(self):
+        # Budget 2^41 leaves a slack above INF = 2^40: "y" after "(" has an
+        # infinite need (nothing spells Z) and must stay denied.
+        engine = report_engine(None, "unfinishable", "full")
+        state = engine.advance(engine.new_session(2**41), 0)
+        assert engine.compute_mask(state).tolist() == [False, True, False, False]
+        wants_y = ScriptedModel([[1, 0, 0, 0], [0, 1, 9, 0]], 4)
+        assert greedy_decode(wants_y, engine.new_session(2**41)) == [0, 1, 3]
+        # No token spells Z here, so no output is ever complete at any budget.
+        grammar = parse_grammar(r"S: LP Z ; LP: /\(/ ; Z: /z/ ;")
+        vocab = Vocabulary([b"(", b"x"], eos=2)
+        never = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
+        with pytest.raises(BudgetError):
+            never.new_session(2**41)
+
+
+def folded_need(engine, state):
+    """``need`` folded straight from the cost tables over the live sequences,
+    with no memo: per token, the least C at the successor plus d_cost."""
+    tables = engine.tables
+    need = np.full(engine.vocab.size, 3 * INF, dtype=np.int64)
+    for terms, d_cost, q in state.live:
+        row = tables.token_map[terms].get(q)
+        if row is not None:
+            totals = tables.c[terms][row[1]] + min(INF, d_cost + state.base)
+            need[row[0]] = np.minimum(need[row[0]], totals)
+    return need
+
+
+def seeded_walk_states(engine, seed, sessions, max_budget=16):
+    """States of ``sessions`` random admitted walks on ``engine``, one after
+    another, at random budgets below ``max_budget`` (infeasible ones skipped)."""
+    rng = random.Random(seed)
+    eos = engine.vocab.eos
+    for _ in range(sessions):
+        try:
+            state = engine.new_session(rng.randrange(2, max_budget))
+        except BudgetError:
+            continue
+        while state.consumed < state.budget:
+            yield state
+            choices = np.flatnonzero(engine.compute_mask(state)).tolist()
+            token = rng.choice([t for t in choices if t != eos] or choices)
+            if token == eos:
+                break
+            state = engine.advance(state, token)
+
+
+class TestNeedMemo:
+    def test_memo_bounded_over_1000_sessions(self, request):
+        engine = MaskEngine(*engine_parts(request, "json"))
+        keys = set()
+        for state in seeded_walk_states(engine, 71, 1000, max_budget=40):
+            keys.add((state.live, state.base))
+            assert len(engine._need_memo) <= 64
+        assert len(keys) > 64  # the bound was reached, not just respected
+
+    def test_repeated_configuration_skips_totals(self, request, monkeypatch):
+        engine = MaskEngine(*engine_parts(request, "json"))
+        tok = engine.vocab.tokenize
+        state = engine.replay(tok(b'["ab'), budget=20)
+        mask = engine.compute_mask(state)
+        calls = []
+        totals = engine._totals
+        monkeypatch.setattr(engine, "_totals", lambda s: calls.append(s) or totals(s))
+        # The same configuration reached by other tokens, at another budget.
+        spelled = engine.replay(tok(b"[") + tok(b'"') + tok(b"a") + tok(b"b"), budget=30)
+        assert spelled.consumed != state.consumed
+        assert engine.compute_mask(state).tolist() == mask.tolist()
+        assert engine.compute_mask(spelled).tolist() == mask.tolist()
+        assert calls == []
+        engine.compute_mask(engine.advance(state, tok(b'"')[0]))
+        assert len(calls) == 1
+
+    def test_stored_vector_is_read_only(self, request):
+        engine = MaskEngine(*engine_parts(request, "paren"))
+        state = engine.new_session(5)
+        need = engine._need(state)
+        assert engine._need(state) is need
+        assert not need.flags.writeable
+        with pytest.raises(ValueError):
+            need[0] = 0
+
+    @pytest.mark.parametrize("mode", ["full", "grammar-only"])
+    @pytest.mark.parametrize("name", ["paren", "json", "unfinishable"])
+    def test_masks_agree_with_unmemoized_fold(self, request, name, mode):
+        engine = report_engine(request, name, mode)
+        eos = engine.vocab.eos
+        for state in seeded_walk_states(engine, 29, 60):
+            need = folded_need(engine, state)
+            assert engine._need(state).tolist() == need.tolist()
+            limit = state.budget - state.consumed - 1 if mode == "full" else INF
+            want = need < min(limit, INF)
+            want[eos] = engine.is_complete(state)
+            assert engine.compute_mask(state).tolist() == want.tolist()
+            for row in engine.mask_report(state):
+                assert row["admitted"] == want[row["token"]]
+                if row["sequence"] is not None:
+                    assert row["automaton_cost"] + row["dangling_cost"] == need[row["token"]]
 
 
 def lexed(engine, data):

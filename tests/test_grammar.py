@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from boundedgen.dfa import StateLimitError
 from boundedgen.grammar import (
     DuplicateTerminalError,
     GrammarError,
@@ -17,6 +18,7 @@ from boundedgen.grammar import (
     parse_grammar,
 )
 from boundedgen.oracle import cfg_membership
+from tests.conftest import STATE_CAP_GRAMMAR
 
 
 class TestParseGrammar:
@@ -34,6 +36,10 @@ class TestParseGrammar:
         assert g.nonterminal_names[0] == "Json"
         table = build_ll1_table(g)  # zero conflicts
         assert table.predict
+
+    def test_regex_over_state_cap(self):
+        with pytest.raises(StateLimitError):
+            parse_grammar(STATE_CAP_GRAMMAR)
 
     def test_undeclared_symbol(self):
         with pytest.raises(UndeclaredSymbolError) as err:
