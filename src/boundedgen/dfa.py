@@ -19,8 +19,9 @@ Automata are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,6 +34,8 @@ INF = 1 << 40
 
 _N_BYTES = 256
 _ALL_BYTES = frozenset(range(_N_BYTES))
+
+STATE_CAP = 10_000  # reachable states of any automaton built here; beyond, StateLimitError
 
 
 class RegexError(ValueError):
@@ -54,7 +57,7 @@ class Dfa:
     dead state.  ``accepting`` is a boolean vector over states.
     """
 
-    __slots__ = ("transitions", "initial", "accepting", "_live_out")
+    __slots__ = ("transitions", "initial", "accepting")
 
     def __init__(self, transitions: np.ndarray, initial: int, accepting: np.ndarray):
         transitions = np.ascontiguousarray(transitions, dtype=np.int32)
@@ -77,7 +80,6 @@ class Dfa:
         self.transitions = transitions
         self.initial = initial
         self.accepting = accepting
-        self._live_out: np.ndarray | None = None
 
     @property
     def n_states(self) -> int:
@@ -99,14 +101,6 @@ class Dfa:
 
     def matches(self, data: bytes) -> bool:
         return bool(self.accepting[self.run(self.initial, data)])
-
-    def live_out(self) -> np.ndarray:
-        """Boolean per state: some byte leads to a non-dead state."""
-        if self._live_out is None:
-            lo = (self.transitions != DEAD).any(axis=1)
-            lo.setflags(write=False)
-            self._live_out = lo
-        return self._live_out
 
     def accepts_empty(self) -> bool:
         return bool(self.accepting[self.initial])
@@ -468,7 +462,7 @@ def _minimize(sparse: list[dict[int, int]], accepting: set[int]) -> Dfa:
     return Dfa(new_id[quotient[rows]], 1, accept[rep[rows]])
 
 
-def compile_regex(pattern: str, state_cap: int = 10_000) -> Dfa:
+def compile_regex(pattern: str, state_cap: int = STATE_CAP) -> Dfa:
     """Compile ``pattern`` into a minimal byte-level DFA.
 
     Raises RegexError (naming the construct) for unsupported syntax,
@@ -482,7 +476,7 @@ def compile_regex(pattern: str, state_cap: int = 10_000) -> Dfa:
     return _minimize(sparse, accepting)
 
 
-def dfa_concat(a: Dfa, b: Dfa, state_cap: int = 10_000) -> Dfa:
+def dfa_concat(a: Dfa, b: Dfa, state_cap: int = STATE_CAP) -> Dfa:
     """DFA accepting exactly the concatenation of the two input languages."""
     nfa = _Nfa()
     map_a = [nfa.new_state() for _ in range(a.n_states)]
@@ -501,3 +495,36 @@ def dfa_concat(a: Dfa, b: Dfa, state_cap: int = 10_000) -> Dfa:
         nfa.add_eps(map_b[q], accept)
     sparse, accepting = _determinize(nfa, map_a[a.initial], accept, state_cap)
     return _minimize(sparse, accepting)
+
+
+# --- the lexer's product automaton ---------------------------------------------
+
+Lexer = tuple[tuple[array, ...], tuple[int, ...], tuple[bool, ...]]  # see lexer_automaton
+
+
+def lexer_automaton(dfas: Sequence[Dfa]) -> Lexer:
+    """The product of ``dfas`` (in declaration order) that the lexer steps: a
+    state stands for a tuple of their states, 0 for all dead (DEAD) and 1 for
+    all initial.  Per state ``q``: ``transitions[q][b]`` is the successor on
+    byte ``b``, ``terminal[q]`` the earliest automaton accepting in ``q`` or
+    -1, and ``extends[q]`` whether some byte leads to a live state."""
+    if not dfas:  # the initial tuple is the dead one; keep it apart as state 1
+        return (array("i", bytes(4 * _N_BYTES)),) * 2, (-1, -1), (False, False)
+    tables = np.concatenate([d.transitions for d in dfas])
+    offsets = np.cumsum([0] + [d.n_states for d in dfas[:-1]])
+    states = [np.zeros(len(dfas), np.int32), np.array([d.initial for d in dfas], np.int32)]
+    ids = {tup.tobytes(): q for q, tup in enumerate(states)}  # keyed by the tuple's bytes
+    rows = []
+    for tup in states:  # grows while it is walked: breadth-first
+        successors = np.ascontiguousarray(tables[offsets + tup].T)
+        rows.append(array("i"))
+        for key in successors.view(f"V{4 * len(dfas)}").ravel().tolist():
+            if key not in ids:
+                if len(states) >= STATE_CAP:
+                    raise StateLimitError(f"lexer automaton exceeded state cap {STATE_CAP}")
+                ids[key] = len(states)
+                states.append(np.frombuffer(key, np.int32))
+            rows[-1].append(ids[key])
+    accepting = np.column_stack([d.accepting[col] for d, col in zip(dfas, np.stack(states).T)])
+    terminal = np.where(accepting.any(axis=1), accepting.argmax(axis=1), -1)
+    return tuple(rows), tuple(terminal.tolist()), tuple(max(row) != DEAD for row in rows)

@@ -1,10 +1,10 @@
 """Per-session masking engine.
 
 One :class:`EngineState` tracks a single generation: the LL(1) parser stack,
-the uncommitted remainder bytes with their live lexer states, and how many
-tokens have been consumed.  States are immutable; ``advance`` returns a fresh
-state sharing structure with the old one, so beam search and tree search fork
-sessions for free.
+the uncommitted remainder bytes with the lexer state they reach, and how
+many tokens have been consumed.  States are immutable; ``advance`` returns a
+fresh state sharing structure with the old one, so beam search and tree search
+fork sessions for free.
 
 Admission reads one vector that does not depend on the budget: ``need[t]``,
 the fewest tokens any one- or two-terminal continuation of the current parse
@@ -37,13 +37,13 @@ bytes after the commit.  So a mask step costs time in
 the window, the token and the accept sequences, not in the nesting depth or
 the length of an uncommitted lexeme.
 
-Lexing is maximal munch over all terminal automata: a lexeme is committed
-when the next byte would kill every live automaton, or immediately when no
-byte can extend any of them; ties go to the earliest-declared terminal.  The
-same lexer handles end of input: it commits the pending longest match and
-lexes the bytes after it again, until nothing is left.  A session is complete
-when that final lexing succeeds and leaves only nullable nonterminals on the
-stack.
+Lexing is maximal munch on the grammar's product of the terminal automata, one
+transition per byte: a lexeme is committed when the next byte leads to the dead
+state, or at once when every byte does; ties go to the earliest-declared
+terminal.  The same lexer handles end of input: it commits the pending longest
+match and lexes the bytes after it again, until nothing is left.  A session is
+complete when that final lexing succeeds and leaves only nullable nonterminals
+on the stack.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import numpy as np
 
 from boundedgen.costs import CacheCorruptError, CostTables
 from boundedgen.dfa import DEAD, INF
-from boundedgen.grammar import Grammar
+from boundedgen.grammar import Grammar, adjacent_terminal_pairs
 from boundedgen.vocab import Vocabulary
 
 
@@ -91,6 +91,7 @@ class DeadSessionError(EngineError):
 
 
 _EXPANSION_LIMIT = 100_000
+_LEX_INITIAL = 1  # the lexer automaton's initial state
 _NEED_MEMO_SIZE = 64  # need vectors per engine, 8 bytes per token each
 
 MODE_FULL = "full"
@@ -191,7 +192,7 @@ class EngineState:
     engine: "MaskEngine" = field(compare=False, repr=False)
     stack: Stack
     remainder: bytes
-    lex_states: tuple[int, ...]
+    lex_state: int
     lex_accept: tuple[int, int] | None  # (end offset in remainder, terminal id)
     consumed: int
     budget: int
@@ -216,6 +217,9 @@ class MaskEngine:
             raise HashMismatchError("cost tables were built from a different vocabulary")
         if mode not in (MODE_FULL, MODE_GRAMMAR_ONLY):
             raise ValueError(f"unknown mode {mode!r}")
+        singles = {(t,) for t in range(grammar.n_terminals)}
+        if set(tables.keys) != singles | adjacent_terminal_pairs(grammar, grammar.ll1):
+            raise CacheCorruptError("cost tables do not hold exactly the grammar's automata")
         # (sequence, automaton state) -> the tokens that keep the automaton
         # alive and C at each one's successor.  A cache does not record the
         # vocabulary size, so the same walk bounds its token ids.
@@ -232,9 +236,6 @@ class MaskEngine:
         self.vocab = vocab
         self.mode = mode
         self._start_symbol = grammar.nt_symbol(grammar.start)
-        self._lex_dfas = [t.dfa for t in grammar.terminals]
-        self._lex_initial = tuple(d.initial for d in self._lex_dfas)
-        self._live_out = [d.live_out() for d in self._lex_dfas]
         nullable = grammar.ll1.nullable
         self._symbol_cost = [int(c) for c in tables.terminal_start_costs(grammar.n_terminals)]
         self._symbol_cost += [int(c) for c in tables.d]
@@ -275,7 +276,7 @@ class MaskEngine:
             engine=self,
             stack=self._start_stack,
             remainder=b"",
-            lex_states=self._lex_initial,
+            lex_state=_LEX_INITIAL,
             lex_accept=None,
             consumed=0,
             budget=budget,
@@ -406,94 +407,62 @@ class MaskEngine:
     def _lex(
         self,
         stack: Stack,
-        lex_states: tuple[int, ...],
+        lex_state: int,
         lex_accept: tuple[int, int] | None,
         remainder: bytes,
         incoming: bytes,
         final: bool = False,
-    ) -> tuple[Stack, tuple[int, ...], bytes, tuple[int, ...], tuple[int, int] | None]:
+    ) -> tuple[Stack, tuple[int, ...], bytes, int, tuple[int, int] | None]:
         """Feed ``incoming`` after ``remainder``; commit lexemes maximal-munch.
 
         With ``final`` the input ends here: the pending longest match is
         committed and the bytes after it are lexed again, until the remainder
         is empty.  Returns (stack, committed terminal ids, new remainder, lexer
-        states, last-accept marker relative to the new remainder).
+        state, last-accept marker relative to the new remainder).
         """
+        transitions, terminal, extends = self.grammar.lexer
         data = remainder + incoming
-        states = list(lex_states)
-        accept = lex_accept  # absolute offset into data
-        start = 0
-        pos = len(remainder)
-        dfas = self._lex_dfas
+        q, accept = lex_state, lex_accept  # accept: (end offset from start, terminal)
+        start, pos = 0, len(remainder)
         committed: list[int] = []
-
-        def commit() -> None:
-            nonlocal stack, start, pos, states, accept
-            if accept is None:
-                snippet = data[start : pos + 1]
-                raise LexError(f"no terminal matches a prefix of {snippet!r}")
-            end, tid = accept
-            new_stack = self.feed(stack, tid)
-            if new_stack is None:
-                raise ParseError(
-                    f"parser rejected terminal {self.grammar.terminals[tid].name!r} "
-                    f"with stack top "
-                    f"{self.grammar.symbol_name(stack.symbol) if stack else '<empty>'}"
-                )
-            stack = new_stack
-            committed.append(tid)
-            start = end
-            pos = end
-            states = list(self._lex_initial)
-            accept = None
-
         while pos < len(data) or (final and start < len(data)):
-            if pos == len(data):  # input ends inside a lexeme
-                commit()
-                continue
-            byte = data[pos]
-            any_live = False
-            for t, q in enumerate(states):
-                if q != DEAD:
-                    q2 = int(dfas[t].transitions[q, byte])
-                    states[t] = q2
-                    if q2 != DEAD:
-                        any_live = True
-            if not any_live:
-                commit()
-                continue
-            pos += 1
-            for t, q in enumerate(states):
-                if q != DEAD and dfas[t].accepting[q]:
-                    accept = (pos, t)
-                    break
-            if not any(
-                q != DEAD and self._live_out[t][q] for t, q in enumerate(states)
-            ):
-                commit()
+            if pos < len(data) and (nxt := transitions[q][data[pos]]) != DEAD:
+                q = nxt
+                pos += 1
+                if terminal[q] >= 0:
+                    accept = (pos - start, terminal[q])
+                if extends[q]:
+                    continue
+            # The input ends, the next byte is dead, or every byte would be.
+            if accept is None:
+                raise LexError(f"no terminal matches a prefix of {data[start : pos + 1]!r}")
+            end, tid = accept
+            fed = self.feed(stack, tid)
+            if fed is None:
+                top = self.grammar.symbol_name(stack.symbol) if stack else "<empty>"
+                name = self.grammar.terminals[tid].name
+                raise ParseError(f"parser rejected terminal {name!r} with stack top {top}")
+            stack = fed
+            committed.append(tid)
+            start += end
+            pos, q, accept = start, _LEX_INITIAL, None
 
-        new_remainder = data[start:]
-        rel_accept = None if accept is None else (accept[0] - start, accept[1])
-        return stack, tuple(committed), new_remainder, tuple(states), rel_accept
+        return stack, tuple(committed), data[start:], q, accept
 
     # -- completion and masking -------------------------------------------------
 
     def is_complete(self, state: EngineState) -> bool:
         """True when the emitted bytes already form a full sentence."""
-        return self._completes(
-            state.stack, state.lex_states, state.lex_accept, state.remainder, b""
-        )
+        return self._completes(state.stack, state.lex_state, state.lex_accept, state.remainder, b"")
 
     def text_is_complete(self, data: bytes) -> bool:
         """Would ``data`` as a whole be a grammatically complete output?"""
-        return self._completes(self._start_stack, self._lex_initial, None, b"", data)
+        return self._completes(self._start_stack, _LEX_INITIAL, None, b"", data)
 
-    def _completes(self, stack, lex_states, lex_accept, remainder, incoming) -> bool:
+    def _completes(self, stack, lex_state, lex_accept, remainder, incoming) -> bool:
         """Lex to the end of input; True if the stack left holds only nullable nonterminals."""
         try:
-            stack = self._lex(
-                stack, lex_states, lex_accept, remainder, incoming, final=True
-            )[0]
+            stack = self._lex(stack, lex_state, lex_accept, remainder, incoming, final=True)[0]
         except (LexError, ParseError):
             return False
         return stack.nullable
@@ -622,8 +591,8 @@ class MaskEngine:
         if token == self.vocab.eos:
             return replace(state, consumed=state.consumed + 1, finished=True)
         data = self.vocab.tokens[token]
-        stack, committed, remainder, lex_states, lex_accept = self._lex(
-            state.stack, state.lex_states, state.lex_accept, state.remainder, data
+        stack, committed, remainder, lex_state, lex_accept = self._lex(
+            state.stack, state.lex_state, state.lex_accept, state.remainder, data
         )
         if committed:
             live, base = self._seed(stack, remainder)
@@ -633,7 +602,7 @@ class MaskEngine:
             state,
             stack=stack,
             remainder=remainder,
-            lex_states=lex_states,
+            lex_state=lex_state,
             lex_accept=lex_accept,
             consumed=state.consumed + 1,
             live=live,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from boundedgen.dfa import Dfa, RegexError, compile_regex, dfa_concat
+from boundedgen.dfa import Dfa, Lexer, RegexError, compile_regex, dfa_concat, lexer_automaton
 
 END = -1
 EPSILON_MARK = "ε"
@@ -70,7 +70,6 @@ class Terminal:
     name: str
     pattern: str
     dfa: Dfa
-    priority: int  # declaration index; lower wins lexer ties
 
 
 @dataclass(frozen=True)
@@ -87,6 +86,7 @@ class Grammar:
     productions: tuple[Production, ...]
     start: int  # nonterminal id
     source_hash: str
+    lexer: Lexer = field(repr=False, compare=False)  # product of the terminal automata
     # Built on first use.  Fields, not cached_property: writing __dict__ slows every read.
     _ll1: Ll1Table | None = field(default=None, init=False, repr=False, compare=False)
     _pairs: dict | None = field(default=None, init=False, repr=False, compare=False)
@@ -222,7 +222,8 @@ def _is_identifier(name: str) -> bool:
 
 
 def parse_grammar(text: str) -> Grammar:
-    """Parse a grammar definition and compile every terminal to a DFA."""
+    """Parse a grammar definition; compile each terminal and the lexer to
+    automata (StateLimitError when one exceeds its state cap)."""
     term_decls: list[tuple[str, str, int]] = []  # name, pattern, line
     rule_decls: list[tuple[str, list[list[str]], int]] = []  # name, alternatives, line
     seen_terminals: dict[str, int] = {}
@@ -254,7 +255,7 @@ def parse_grammar(text: str) -> Grammar:
 
     terminals: list[Terminal] = []
     term_ids: dict[str, int] = {}
-    for priority, (name, pattern, line) in enumerate(term_decls):
+    for name, pattern, line in term_decls:
         try:
             dfa = compile_regex(pattern)
         except RegexError as exc:
@@ -264,8 +265,8 @@ def parse_grammar(text: str) -> Grammar:
                 f"terminal {name!r} matches the empty string; "
                 "the lexer never emits empty lexemes"
             )
-        term_ids[name] = priority
-        terminals.append(Terminal(name, pattern, dfa, priority))
+        term_ids[name] = len(terminals)
+        terminals.append(Terminal(name, pattern, dfa))
 
     nt_names: list[str] = []
     nt_ids: dict[str, int] = {}
@@ -300,6 +301,7 @@ def parse_grammar(text: str) -> Grammar:
         productions=tuple(productions),
         start=0,
         source_hash=digest,
+        lexer=lexer_automaton([t.dfa for t in terminals]),
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -37,12 +38,31 @@ COMMA: /,/ ;
 # over the 10,000-state cap of determinization.
 STATE_CAP_GRAMMAR = "S: A ;\nA: /(a|b)*a" + "(a|b)" * 14 + "/ ;\n"
 
+# Each terminal is small, but on a run of a's the lexer tracks the run's length
+# modulo 2, 3, 5, 7, 11 and 13 at once: 30,030 product states, over the same cap.
+LEXER_CAP_GRAMMAR = "S: A | B | C | D | E | F ;\n" + "".join(
+    f"{name}: /({'a' * n})*{end}/ ;\n"
+    for name, n, end in zip("ABCDEF", (2, 3, 5, 7, 11, 13), "bcdefg")
+)
+
 PAREN_TOKENS = [b"x", b"(", b")", b"(x"]
 MINI_TOKENS = [b'"', b"a", b'"a', b'a"', b'"a"', b"1", b"12", b"[", b"]", b",", b"[1"]
 
 
 def make_vocab(tokens: list[bytes]) -> Vocabulary:
     return Vocabulary(tokens, eos=len(tokens))
+
+
+def drop_key(tables, key):
+    """``tables`` without the automaton of ``key`` and everything it indexes."""
+    kept = tuple(k for k in tables.keys if k != key)
+    return dataclasses.replace(
+        tables,
+        keys=kept,
+        automata={k: tables.automata[k] for k in kept},
+        c={k: tables.c[k] for k in kept},
+        token_map={k: tables.token_map[k] for k in kept},
+    )
 
 
 @pytest.fixture(scope="session")

@@ -465,7 +465,7 @@ class TestCriterion8DeterminismAndReplay:
                 batch = engine.replay(ids, budget=budget)
                 assert batch.stack == state.stack
                 assert batch.remainder == state.remainder
-                assert batch.lex_states == state.lex_states
+                assert batch.lex_state == state.lex_state
                 assert batch.lex_accept == state.lex_accept
                 assert batch.consumed == state.consumed
                 total += 1

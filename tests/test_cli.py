@@ -13,9 +13,16 @@ import pytest
 
 from boundedgen import bundled_json_grammar_path
 from boundedgen.cli import EXIT_GRAMMAR, EXIT_IO, EXIT_OK, main
+from boundedgen.costs import load_cache, save_cache
 from boundedgen.evalharness import save_tasks
 from boundedgen.vocab import Vocabulary, save_vocabulary
-from tests.conftest import STATE_CAP_GRAMMAR, eval_token_strings, make_json_tasks
+from tests.conftest import (
+    LEXER_CAP_GRAMMAR,
+    STATE_CAP_GRAMMAR,
+    drop_key,
+    eval_token_strings,
+    make_json_tasks,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -76,8 +83,15 @@ class TestPrecompute:
         assert code == EXIT_GRAMMAR
 
     def test_regex_over_state_cap_exit_2(self, tmp_path, workspace):
+        self._assert_state_cap_exit_2(tmp_path, workspace, STATE_CAP_GRAMMAR)
+
+    def test_lexer_over_state_cap_exit_2(self, tmp_path, workspace):
+        self._assert_state_cap_exit_2(tmp_path, workspace, LEXER_CAP_GRAMMAR)
+
+    @staticmethod
+    def _assert_state_cap_exit_2(tmp_path, workspace, text):
         hostile = tmp_path / "hostile.grammar"
-        hostile.write_text(STATE_CAP_GRAMMAR)
+        hostile.write_text(text)
         args = ["--grammar", str(hostile), "--vocab", workspace["vocab"]]
         result = subprocess.run(
             [sys.executable, "-m", "boundedgen.cli", "precompute", *args,
@@ -300,6 +314,21 @@ class TestMask:
         )
         assert code == EXIT_IO
         assert "outside the vocabulary" in capsys.readouterr().err
+
+    def test_cache_missing_an_automaton_exit_3(self, workspace, tmp_path, capsys):
+        cache = tmp_path / "dropped.cache"
+        save_cache(drop_key(load_cache(workspace["cache"]), (0,)), cache)
+        code = main(
+            [
+                "mask",
+                "--grammar", workspace["grammar"],
+                "--vocab", workspace["vocab"],
+                "--cache", str(cache),
+                "--budget", "10",
+            ]
+        )
+        assert code == EXIT_IO
+        assert "grammar's automata" in capsys.readouterr().err
 
     def test_infinite_dangling_cost_prints_inf(self, yz_workspace, capsys):
         code = main(["mask", *yz_workspace, "--prefix", "(", "--budget", "5"])

@@ -27,7 +27,7 @@ from boundedgen.engine import MaskEngine
 from boundedgen.grammar import parse_grammar
 from boundedgen.oracle import brute_force_min_tokens
 from boundedgen.vocab import Vocabulary
-from tests.conftest import MINI_JSON_GRAMMAR, MINI_TOKENS, make_vocab
+from tests.conftest import MINI_JSON_GRAMMAR, MINI_TOKENS, drop_key, make_vocab
 
 
 class TestTerminalCosts:
@@ -392,6 +392,16 @@ class TestCache:
         raw[-8:-4] = struct.pack("<i", 1 << 20)  # token id of the last entry
         path.write_bytes(bytes(raw))
         tables = load_cache(path)  # the file does not record the vocabulary size
+        with pytest.raises(CacheCorruptError):
+            MaskEngine(paren_grammar, tables, paren_vocab)
+
+    @pytest.mark.parametrize("key", [(0,), (0, 2)], ids=["terminal", "pair"])
+    def test_missing_automaton_is_corrupt(
+        self, paren_grammar, paren_vocab, paren_tables, tmp_path, key
+    ):
+        path = tmp_path / "p.cache"
+        save_cache(drop_key(paren_tables, key), path)
+        tables = load_cache(path, paren_grammar.source_hash, paren_vocab.source_hash)
         with pytest.raises(CacheCorruptError):
             MaskEngine(paren_grammar, tables, paren_vocab)
 

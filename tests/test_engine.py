@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from boundedgen.engine import (
+    _LEX_INITIAL,
     EMPTY_STACK,
     BudgetError,
     BudgetExhaustedError,
@@ -471,7 +472,7 @@ class TestComputeMask:
             engine=paren_engine,
             stack=fresh.stack,
             remainder=b"",
-            lex_states=fresh.lex_states,
+            lex_state=fresh.lex_state,
             lex_accept=None,
             consumed=2,
             budget=2,
@@ -671,7 +672,7 @@ def lexed(engine, data):
     """The stack, committed terminal names and remainder that ``_lex`` gives
     for ``data`` fed to a fresh session in one go."""
     stack, committed, remainder, _, _ = engine._lex(
-        engine._start_stack, engine._lex_initial, None, b"", data
+        engine._start_stack, _LEX_INITIAL, None, b"", data
     )
     return stack, [engine.grammar.terminals[t].name for t in committed], remainder
 
@@ -812,7 +813,7 @@ class TestReplayEquality:
             batch = paren_engine.replay(ids, budget=6)
             assert batch.stack == state.stack
             assert batch.remainder == state.remainder
-            assert batch.lex_states == state.lex_states
+            assert batch.lex_state == state.lex_state
             assert batch.lex_accept == state.lex_accept
             assert batch.consumed == state.consumed
 

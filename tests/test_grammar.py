@@ -6,7 +6,9 @@ import itertools
 
 import pytest
 
+from boundedgen.costs import build_cost_tables
 from boundedgen.dfa import StateLimitError
+from boundedgen.engine import _LEX_INITIAL, MaskEngine
 from boundedgen.grammar import (
     DuplicateTerminalError,
     GrammarError,
@@ -18,7 +20,8 @@ from boundedgen.grammar import (
     parse_grammar,
 )
 from boundedgen.oracle import cfg_membership
-from tests.conftest import STATE_CAP_GRAMMAR
+from boundedgen.vocab import Vocabulary
+from tests.conftest import LEXER_CAP_GRAMMAR, STATE_CAP_GRAMMAR
 
 
 class TestParseGrammar:
@@ -40,6 +43,10 @@ class TestParseGrammar:
     def test_regex_over_state_cap(self):
         with pytest.raises(StateLimitError):
             parse_grammar(STATE_CAP_GRAMMAR)
+
+    def test_lexer_over_state_cap(self):
+        with pytest.raises(StateLimitError, match="lexer automaton"):
+            parse_grammar(LEXER_CAP_GRAMMAR)
 
     def test_undeclared_symbol(self):
         with pytest.raises(UndeclaredSymbolError) as err:
@@ -68,8 +75,14 @@ class TestParseGrammar:
             parse_grammar("S: A ; A: /a*/ ;")  # accepts the empty string
 
     def test_terminal_priority_is_declaration_order(self):
-        g = parse_grammar("S: A B ; A: /a/ ; B: /ab/ ;")
-        assert g.terminals[0].priority < g.terminals[1].priority
+        # "ab" is a whole match of both terminals; the earlier declaration wins.
+        vocab = Vocabulary([b"a", b"b", b"c"], eos=3)
+        a, b = "A: /ab/ ;", "B: /a(b|c)/ ;"
+        for terminals, winner in ((a + b, "A"), (b + a, "B")):
+            g = parse_grammar("S: A | B ; " + terminals)
+            engine = MaskEngine(g, build_cost_tables(g, vocab), vocab)
+            lexed = engine._lex(engine._start_stack, _LEX_INITIAL, None, b"", b"ab", final=True)
+            assert [g.terminals[t].name for t in lexed[1]] == [winner]
 
     def test_epsilon_alternative_forms(self):
         by_mark = parse_grammar("S: ε | A ; A: /a/ ;")
