@@ -12,6 +12,12 @@ An unescaped ``[`` with no matching ``]`` and a ``]`` outside any class are
 taken literally, so single-character structural terminals like ``[`` compile
 without escaping.
 
+A grammar's terminals are compiled together: one subset construction over
+all their patterns gives one DFA whose states are labelled with the
+earliest-declared terminal accepting there.  That DFA is the lexer, and each
+terminal's automaton is it minimized with that terminal's labels accepting,
+so declaration order breaks ties for the costs exactly as for lexing.
+
 Every automaton is total: state 0 is the absorbing dead state, always
 allocated even when unreachable, and no accepting state is reachable from it.
 Automata are immutable after construction and safe to share between threads.
@@ -20,7 +26,6 @@ Automata are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -101,9 +106,6 @@ class Dfa:
 
     def matches(self, data: bytes) -> bool:
         return bool(self.accepting[self.run(self.initial, data)])
-
-    def accepts_empty(self) -> bool:
-        return bool(self.accepting[self.initial])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dfa):
@@ -380,74 +382,71 @@ def _eps_closure(nfa: _Nfa, states: Iterable[int]) -> frozenset[int]:
 
 
 def _determinize(
-    nfa: _Nfa, start: int, accept: int, state_cap: int
-) -> tuple[list[dict[int, int]], set[int]]:
+    nfa: _Nfa, start: int, accepts: Sequence[int], name: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Subset construction from ``start``, breadth-first with bytes in order:
+    the transition table, DEAD (the empty subset) as row 0 and the start
+    subset as row 1, and per state the index of the first of ``accepts`` it
+    holds (-1 for none).  StateLimitError, naming ``name``, past STATE_CAP."""
     init = _eps_closure(nfa, [start])
-    ids: dict[frozenset[int], int] = {init: 0}
+    ids: dict[frozenset[int], int] = {init: 1}
     order = [init]
-    trans: list[dict[int, int]] = []
-    accepting: set[int] = set()
-    queue = deque([init])
-    while queue:
-        current = queue.popleft()
-        cid = ids[current]
-        if accept in current:
-            accepting.add(cid)
+    rows, label = [np.zeros(_N_BYTES, dtype=np.int32)], [-1]
+    for current in order:  # grows while it is walked
+        label.append(next((i for i, a in enumerate(accepts) if a in current), -1))
         moves: dict[int, set[int]] = {}
         for q in current:
             for b, targets in nfa.byte_edges[q].items():
                 moves.setdefault(b, set()).update(targets)
-        row: dict[int, int] = {}
+        by_move: dict[frozenset[int], list[int]] = {}  # bytes by NFA move, first byte first
         for b in sorted(moves):
-            target = _eps_closure(nfa, moves[b])
-            tid = ids.get(target)
-            if tid is None:
-                tid = len(ids)
-                if tid >= state_cap:
-                    raise StateLimitError(
-                        f"determinization exceeded state cap {state_cap}"
-                    )
-                ids[target] = tid
+            by_move.setdefault(frozenset(moves[b]), []).append(b)
+        rows.append(np.zeros(_N_BYTES, dtype=np.int32))
+        for move, byteset in by_move.items():
+            target = _eps_closure(nfa, move)
+            if target not in ids:
+                if len(order) >= STATE_CAP:
+                    raise StateLimitError(f"{name} exceeded state cap {STATE_CAP}")
                 order.append(target)
-                queue.append(target)
-            row[b] = tid
-        trans.append(row)
-    return trans, accepting
+                ids[target] = len(order)
+            rows[-1][byteset] = ids[target]
+    return np.stack(rows), np.array(label)
 
 
 # --- minimization and canonical numbering ----------------------------------
 
 
-def _minimize(sparse: list[dict[int, int]], accepting: set[int]) -> Dfa:
-    """Moore partition refinement; returns a canonical Dfa with dead state 0."""
-    n = len(sparse)
-    dense = np.full((n + 1, _N_BYTES), n, dtype=np.int64)  # row n: explicit dead
-    for q, row in enumerate(sparse):
-        dense[q, list(row)] = list(row.values())
+def _row_keys(a: np.ndarray) -> np.ndarray:
+    """One opaque byte string per row of ``a``: equal rows, equal keys."""
+    a = np.ascontiguousarray(a)
+    return a.view(f"V{a.shape[1] * a.itemsize}").ravel()
+
+
+def _minimize(transitions: np.ndarray, accepting: np.ndarray) -> Dfa:
+    """Moore partition refinement of a table with DEAD as row 0 and the
+    initial state as row 1; returns the canonical minimal Dfa, for the empty
+    language a dead state and an initial state that leads nowhere."""
     # Bytes with identical columns never separate two states.
-    reduced = dense[:, np.unique(dense, axis=1, return_index=True)[1]]
+    reduced = transitions[:, np.unique(_row_keys(transitions.T), return_index=True)[1]]
 
     # Each round labels every state by its block and its successors' blocks,
     # one opaque byte string per state so a single sort groups equal labels;
     # blocks only ever split, so an unchanged count is the fixpoint.  Every
     # state that cannot reach acceptance ends up in the dead row's block.
-    accept = np.zeros(n + 1, dtype=bool)
-    accept[list(accepting)] = True
-    block = accept.astype(np.int64)
-    n_blocks = 1 + bool(accepting)
+    block = accepting.astype(np.int64)
+    n_blocks = 1 + bool(accepting.any())
     while True:
-        labels = np.ascontiguousarray(np.column_stack([block, block[reduced]]))
-        keys = labels.view(f"V{labels.shape[1] * labels.itemsize}").ravel()
+        keys = _row_keys(np.column_stack([block, block[reduced]]))
         distinct, block = np.unique(keys, return_inverse=True)
         if len(distinct) == n_blocks:
             break
         n_blocks = len(distinct)
 
-    dead, init = int(block[n]), int(block[0])  # subset-construction start is 0
+    dead, init = int(block[DEAD]), int(block[1])
     if init == dead:
-        raise EmptyLanguageError("pattern matches no string")
+        return Dfa(np.zeros((2, _N_BYTES), dtype=np.int32), 1, np.zeros(2, dtype=bool))
     rep = np.unique(block, return_index=True)[1]
-    quotient = block[dense[rep]]
+    quotient = block[transitions[rep]]
 
     # Canonical numbering: dead is 0, then breadth-first from the initial
     # block with bytes in ascending order.
@@ -459,24 +458,53 @@ def _minimize(sparse: list[dict[int, int]], accepting: set[int]) -> Dfa:
                 rows.append(j)
     new_id = np.zeros(n_blocks, dtype=np.int32)
     new_id[rows] = np.arange(len(rows))
-    return Dfa(new_id[quotient[rows]], 1, accept[rep[rows]])
+    return Dfa(new_id[quotient[rows]], 1, accepting[rep[rows]])
 
 
-def compile_regex(pattern: str, state_cap: int = STATE_CAP) -> Dfa:
-    """Compile ``pattern`` into a minimal byte-level DFA.
+# --- the terminals' labelled automaton ------------------------------------------
 
-    Raises RegexError (naming the construct) for unsupported syntax,
-    EmptyLanguageError when the pattern matches nothing, and StateLimitError
-    when determinization exceeds ``state_cap`` states.
+Lexer = tuple[tuple[array, ...], tuple[int, ...], tuple[bool, ...]]  # see compile_lexer
+
+
+def parse_pattern(pattern: str) -> tuple:
+    """The syntax tree of ``pattern``; RegexError (naming the construct) for
+    unsupported syntax, EmptyLanguageError when it matches nothing."""
+    return _PatternParser(pattern).parse()
+
+
+def compile_lexer(trees: Sequence[tuple]) -> tuple[Lexer, tuple[Dfa, ...]]:
+    """The lexer and each terminal's automaton, from one labelled DFA.
+
+    ``trees``, the terminals' parsed patterns in declaration order, share one
+    Thompson NFA whose start state has an epsilon edge to each one's
+    fragment, determinized once.  That DFA is the lexer: per state ``q``,
+    ``transitions[q][b]`` is the successor on byte ``b`` (0 is DEAD, 1 the
+    initial state), ``terminal[q]`` the earliest terminal accepting in ``q``
+    or -1, and ``extends[q]`` whether some byte leads to a live state.
+    Terminal ``t``'s automaton is that DFA minimized with the states labelled
+    ``t`` accepting: exactly the strings the lexer labels ``t``.
     """
-    ast = _PatternParser(pattern).parse()
     nfa = _Nfa()
-    start, accept = _build_fragment(nfa, ast)
-    sparse, accepting = _determinize(nfa, start, accept, state_cap)
-    return _minimize(sparse, accepting)
+    start = nfa.new_state()
+    accepts = []
+    for tree in trees:
+        s, t = _build_fragment(nfa, tree)
+        nfa.add_eps(start, s)
+        accepts.append(t)
+    table, label = _determinize(nfa, start, accepts, "lexer automaton")
+    rows = tuple(array("i", row.tobytes()) for row in table)
+    lexer = rows, tuple(label.tolist()), tuple((table != DEAD).any(axis=1).tolist())
+    return lexer, tuple(_minimize(table, label == t) for t in range(len(trees)))
 
 
-def dfa_concat(a: Dfa, b: Dfa, state_cap: int = STATE_CAP) -> Dfa:
+def compile_regex(pattern: str) -> Dfa:
+    """The minimal byte-level DFA of ``pattern``: the one-terminal case of
+    :func:`compile_lexer`, with the errors of :func:`parse_pattern` and
+    StateLimitError past STATE_CAP states."""
+    return compile_lexer([parse_pattern(pattern)])[1][0]
+
+
+def dfa_concat(a: Dfa, b: Dfa) -> Dfa:
     """DFA accepting exactly the concatenation of the two input languages."""
     nfa = _Nfa()
     map_a = [nfa.new_state() for _ in range(a.n_states)]
@@ -493,38 +521,5 @@ def dfa_concat(a: Dfa, b: Dfa, state_cap: int = STATE_CAP) -> Dfa:
     accept = nfa.new_state()
     for q in b.accepting_states:
         nfa.add_eps(map_b[q], accept)
-    sparse, accepting = _determinize(nfa, map_a[a.initial], accept, state_cap)
-    return _minimize(sparse, accepting)
-
-
-# --- the lexer's product automaton ---------------------------------------------
-
-Lexer = tuple[tuple[array, ...], tuple[int, ...], tuple[bool, ...]]  # see lexer_automaton
-
-
-def lexer_automaton(dfas: Sequence[Dfa]) -> Lexer:
-    """The product of ``dfas`` (in declaration order) that the lexer steps: a
-    state stands for a tuple of their states, 0 for all dead (DEAD) and 1 for
-    all initial.  Per state ``q``: ``transitions[q][b]`` is the successor on
-    byte ``b``, ``terminal[q]`` the earliest automaton accepting in ``q`` or
-    -1, and ``extends[q]`` whether some byte leads to a live state."""
-    if not dfas:  # the initial tuple is the dead one; keep it apart as state 1
-        return (array("i", bytes(4 * _N_BYTES)),) * 2, (-1, -1), (False, False)
-    tables = np.concatenate([d.transitions for d in dfas])
-    offsets = np.cumsum([0] + [d.n_states for d in dfas[:-1]])
-    states = [np.zeros(len(dfas), np.int32), np.array([d.initial for d in dfas], np.int32)]
-    ids = {tup.tobytes(): q for q, tup in enumerate(states)}  # keyed by the tuple's bytes
-    rows = []
-    for tup in states:  # grows while it is walked: breadth-first
-        successors = np.ascontiguousarray(tables[offsets + tup].T)
-        rows.append(array("i"))
-        for key in successors.view(f"V{4 * len(dfas)}").ravel().tolist():
-            if key not in ids:
-                if len(states) >= STATE_CAP:
-                    raise StateLimitError(f"lexer automaton exceeded state cap {STATE_CAP}")
-                ids[key] = len(states)
-                states.append(np.frombuffer(key, np.int32))
-            rows[-1].append(ids[key])
-    accepting = np.column_stack([d.accepting[col] for d, col in zip(dfas, np.stack(states).T)])
-    terminal = np.where(accepting.any(axis=1), accepting.argmax(axis=1), -1)
-    return tuple(rows), tuple(terminal.tolist()), tuple(max(row) != DEAD for row in rows)
+    table, label = _determinize(nfa, map_a[a.initial], [accept], "concatenation automaton")
+    return _minimize(table, label == 0)

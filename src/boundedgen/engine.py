@@ -37,18 +37,19 @@ bytes after the commit.  So a mask step costs time in
 the window, the token and the accept sequences, not in the nesting depth or
 the length of an uncommitted lexeme.
 
-Lexing is maximal munch on the grammar's product of the terminal automata, one
-transition per byte: a lexeme is committed when the next byte leads to the dead
-state, or at once when every byte does; ties go to the earliest-declared
-terminal.  The same lexer handles end of input: it commits the pending longest
-match and lexes the bytes after it again, until nothing is left.  A session is
-complete when that final lexing succeeds and leaves only nullable nonterminals
-on the stack.
+Lexing is maximal munch on the grammar's labelled automaton of all terminals
+(``dfa.compile_lexer``), one transition per byte: a lexeme is committed when
+the next byte leads to the dead state, or at once when every byte does; ties
+go to the earliest-declared terminal, as in the terminals' own automata.  The
+same lexer handles end of input: it commits the pending longest match and
+lexes the bytes after it again, until nothing is left.  A session is complete
+when that final lexing succeeds and leaves only nullable nonterminals on the
+stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -220,6 +221,8 @@ class MaskEngine:
         singles = {(t,) for t in range(grammar.n_terminals)}
         if set(tables.keys) != singles | adjacent_terminal_pairs(grammar, grammar.ll1):
             raise CacheCorruptError("cost tables do not hold exactly the grammar's automata")
+        if any(tables.automata[(t,)] != term.dfa for t, term in enumerate(grammar.terminals)):
+            raise CacheCorruptError("a terminal's automaton in the cost tables is not the grammar's")
         # (sequence, automaton state) -> the tokens that keep the automaton
         # alive and C at each one's successor.  A cache does not record the
         # vocabulary size, so the same walk bounds its token ids.
@@ -589,7 +592,10 @@ class MaskEngine:
         """Successor state after ``token``; the only place a token's bytes
         change a session."""
         if token == self.vocab.eos:
-            return replace(state, consumed=state.consumed + 1, finished=True)
+            return EngineState(
+                self, state.stack, state.remainder, state.lex_state, state.lex_accept,
+                state.consumed + 1, state.budget, state.live, state.base, finished=True,
+            )
         data = self.vocab.tokens[token]
         stack, committed, remainder, lex_state, lex_accept = self._lex(
             state.stack, state.lex_state, state.lex_accept, state.remainder, data
@@ -598,13 +604,6 @@ class MaskEngine:
             live, base = self._seed(stack, remainder)
         else:  # same stack, and the remainder grew by exactly ``data``
             live, base = self._run_live(state.live, data), state.base
-        return replace(
-            state,
-            stack=stack,
-            remainder=remainder,
-            lex_state=lex_state,
-            lex_accept=lex_accept,
-            consumed=state.consumed + 1,
-            live=live,
-            base=base,
+        return EngineState(
+            self, stack, remainder, lex_state, lex_accept, state.consumed + 1, state.budget, live, base
         )

@@ -10,7 +10,9 @@ Grammar file format (UTF-8 text, declarations separated by ``;``)::
 
 A name declared with a ``/regex/`` body is a terminal; a name declared with
 symbol alternatives is a nonterminal.  The first nonterminal declared is the
-start symbol.  Terminal priority (lexer tie-breaking) is declaration order.
+start symbol.  Terminal priority is declaration order: a string two
+terminals match is lexed as the earlier one, and it belongs to that one's
+automaton alone, so the costs count it only there.
 No grammar transformation is performed: the rules must already be LL(1), and
 left recursion is reported as a table conflict rather than rewritten.
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from boundedgen.dfa import Dfa, Lexer, RegexError, compile_regex, dfa_concat, lexer_automaton
+from boundedgen.dfa import Dfa, Lexer, RegexError, compile_lexer, dfa_concat, parse_pattern
 
 END = -1
 EPSILON_MARK = "ε"
@@ -86,7 +88,7 @@ class Grammar:
     productions: tuple[Production, ...]
     start: int  # nonterminal id
     source_hash: str
-    lexer: Lexer = field(repr=False, compare=False)  # product of the terminal automata
+    lexer: Lexer = field(repr=False, compare=False)  # see dfa.compile_lexer
     # Built on first use.  Fields, not cached_property: writing __dict__ slows every read.
     _ll1: Ll1Table | None = field(default=None, init=False, repr=False, compare=False)
     _pairs: dict | None = field(default=None, init=False, repr=False, compare=False)
@@ -222,8 +224,8 @@ def _is_identifier(name: str) -> bool:
 
 
 def parse_grammar(text: str) -> Grammar:
-    """Parse a grammar definition; compile each terminal and the lexer to
-    automata (StateLimitError when one exceeds its state cap)."""
+    """Parse a grammar definition; compile the lexer and each terminal's
+    automaton from one labelled DFA (StateLimitError past its state cap)."""
     term_decls: list[tuple[str, str, int]] = []  # name, pattern, line
     rule_decls: list[tuple[str, list[list[str]], int]] = []  # name, alternatives, line
     seen_terminals: dict[str, int] = {}
@@ -253,20 +255,20 @@ def parse_grammar(text: str) -> Grammar:
     if not rule_decls:
         raise GrammarError("grammar declares no rules")
 
-    terminals: list[Terminal] = []
-    term_ids: dict[str, int] = {}
+    trees = []
     for name, pattern, line in term_decls:
         try:
-            dfa = compile_regex(pattern)
+            trees.append(parse_pattern(pattern))
         except RegexError as exc:
             raise GrammarError(f"terminal {name!r}: {exc}") from exc
-        if dfa.accepts_empty():
-            raise GrammarError(
-                f"terminal {name!r} matches the empty string; "
-                "the lexer never emits empty lexemes"
-            )
-        term_ids[name] = len(terminals)
-        terminals.append(Terminal(name, pattern, dfa))
+    lexer, dfas = compile_lexer(trees)
+    if (empty := lexer[1][1]) >= 0:  # the label of the initial state
+        raise GrammarError(
+            f"terminal {term_decls[empty][0]!r} matches the empty string; "
+            "the lexer never emits empty lexemes"
+        )
+    terminals = [Terminal(name, pattern, dfa) for (name, pattern, _), dfa in zip(term_decls, dfas)]
+    term_ids = {t.name: i for i, t in enumerate(terminals)}
 
     nt_names: list[str] = []
     nt_ids: dict[str, int] = {}
@@ -301,7 +303,7 @@ def parse_grammar(text: str) -> Grammar:
         productions=tuple(productions),
         start=0,
         source_hash=digest,
-        lexer=lexer_automaton([t.dfa for t in terminals]),
+        lexer=lexer,
     )
 
 

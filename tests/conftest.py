@@ -9,6 +9,7 @@ import random
 import pytest
 
 from boundedgen.costs import build_cost_tables
+from boundedgen.dfa import compile_regex
 from boundedgen.engine import MaskEngine
 from boundedgen.evalharness import Task
 from boundedgen.grammar import load_grammar, parse_grammar
@@ -39,11 +40,18 @@ COMMA: /,/ ;
 STATE_CAP_GRAMMAR = "S: A ;\nA: /(a|b)*a" + "(a|b)" * 14 + "/ ;\n"
 
 # Each terminal is small, but on a run of a's the lexer tracks the run's length
-# modulo 2, 3, 5, 7, 11 and 13 at once: 30,030 product states, over the same cap.
+# modulo 2, 3, 5, 7, 11 and 13 at once: 30,030 states, over the same cap.
 LEXER_CAP_GRAMMAR = "S: A | B | C | D | E | F ;\n" + "".join(
     f"{name}: /({'a' * n})*{end}/ ;\n"
     for name, n, end in zip("ABCDEF", (2, 3, 5, 7, 11, 13), "bcdefg")
 )
+
+# Ties between terminals, with vocabularies: every string of K is also a V,
+# and every string of A is also a B; the earlier declaration lexes it.
+KV_GRAMMAR = "S: K V ; K: /k/ ; V: /[a-z]/ ;"
+KV_TOKENS = [b"k", b"v"]
+SHADOW_GRAMMAR = "S: A C ; B: /ab|x/ ; A: /ab/ ; C: /c/ ;"
+SHADOW_TOKENS = [b"a", b"b", b"c", b"ab"]
 
 PAREN_TOKENS = [b"x", b"(", b")", b"(x"]
 MINI_TOKENS = [b'"', b"a", b'"a', b'a"', b'"a"', b"1", b"12", b"[", b"]", b",", b"[1"]
@@ -63,6 +71,16 @@ def drop_key(tables, key):
         c={k: tables.c[k] for k in kept},
         token_map={k: tables.token_map[k] for k in kept},
     )
+
+
+def with_terminal_pattern(grammar, name: str, pattern: str):
+    """``grammar`` with ``name``'s automaton compiled from ``pattern`` alone, as
+    tables were built before ties shaped the terminals' automata."""
+    terminals = tuple(
+        dataclasses.replace(t, dfa=compile_regex(pattern)) if t.name == name else t
+        for t in grammar.terminals
+    )
+    return dataclasses.replace(grammar, terminals=terminals)
 
 
 @pytest.fixture(scope="session")

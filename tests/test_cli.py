@@ -13,16 +13,19 @@ import pytest
 
 from boundedgen import bundled_json_grammar_path
 from boundedgen.cli import EXIT_GRAMMAR, EXIT_IO, EXIT_OK, main
-from boundedgen.costs import load_cache, save_cache
+from boundedgen.costs import build_cost_tables, load_cache, save_cache
 from boundedgen.evalharness import save_tasks
-from boundedgen.vocab import Vocabulary, save_vocabulary
+from boundedgen.grammar import parse_grammar
+from boundedgen.vocab import Vocabulary, load_vocabulary, save_vocabulary
 from tests.conftest import (
     LEXER_CAP_GRAMMAR,
     STATE_CAP_GRAMMAR,
     drop_key,
     eval_token_strings,
     make_json_tasks,
+    with_terminal_pattern,
 )
+from tests.test_lexer_reference import KW_GRAMMAR
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -329,6 +332,25 @@ class TestMask:
         )
         assert code == EXIT_IO
         assert "grammar's automata" in capsys.readouterr().err
+
+    def test_cache_with_a_stale_terminal_automaton_exit_3(self, tmp_path, capsys):
+        grammar = tmp_path / "kw.grammar"
+        grammar.write_text(KW_GRAMMAR)
+        save_vocabulary(Vocabulary([b"i", b"f", b"x", b"if", b" "], eos=5), tmp_path / "vocab.json")
+        vocab = load_vocabulary(tmp_path / "vocab.json")  # hashed as the file
+        stale = with_terminal_pattern(parse_grammar(KW_GRAMMAR), "ID", "[a-z]+")
+        save_cache(build_cost_tables(stale, vocab), tmp_path / "kw.cache")
+        code = main(
+            [
+                "mask",
+                "--grammar", str(grammar),
+                "--vocab", str(tmp_path / "vocab.json"),
+                "--cache", str(tmp_path / "kw.cache"),
+                "--budget", "10",
+            ]
+        )
+        assert code == EXIT_IO
+        assert "terminal's automaton" in capsys.readouterr().err
 
     def test_infinite_dangling_cost_prints_inf(self, yz_workspace, capsys):
         code = main(["mask", *yz_workspace, "--prefix", "(", "--budget", "5"])

@@ -27,7 +27,14 @@ from boundedgen.engine import MaskEngine
 from boundedgen.grammar import parse_grammar
 from boundedgen.oracle import brute_force_min_tokens
 from boundedgen.vocab import Vocabulary
-from tests.conftest import MINI_JSON_GRAMMAR, MINI_TOKENS, drop_key, make_vocab
+from tests.conftest import (
+    MINI_JSON_GRAMMAR,
+    MINI_TOKENS,
+    drop_key,
+    make_vocab,
+    with_terminal_pattern,
+)
+from tests.test_lexer_reference import KW_GRAMMAR
 
 
 class TestTerminalCosts:
@@ -404,6 +411,15 @@ class TestCache:
         tables = load_cache(path, paren_grammar.source_hash, paren_vocab.source_hash)
         with pytest.raises(CacheCorruptError):
             MaskEngine(paren_grammar, tables, paren_vocab)
+
+    def test_terminal_automaton_not_the_grammars_is_corrupt(self, tmp_path):
+        g = parse_grammar(KW_GRAMMAR)
+        vocab = make_vocab([b"i", b"f", b"x", b"if", b" "])
+        path = tmp_path / "kw.cache"
+        save_cache(build_cost_tables(with_terminal_pattern(g, "ID", "[a-z]+"), vocab), path)
+        tables = load_cache(path, g.source_hash, vocab.source_hash)
+        with pytest.raises(CacheCorruptError, match="terminal's automaton"):
+            MaskEngine(g, tables, vocab)
 
     @pytest.mark.parametrize(
         "name,digest",

@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from boundedgen import dfa
 from boundedgen.dfa import (
     DEAD,
     Dfa,
@@ -227,10 +228,19 @@ class TestConcat:
             )
             assert c.matches(s) == want, s
 
-    def test_state_cap(self):
+    def test_state_cap(self, monkeypatch):
         big = compile_regex("[ab]*a[ab][ab][ab]")
+        monkeypatch.setattr(dfa, "STATE_CAP", 4)
         with pytest.raises(StateLimitError):
-            dfa_concat(big, big, state_cap=4)
+            dfa_concat(big, big)
+
+    def test_empty_language_operand_gives_empty_language(self):
+        # A terminal every string of which an earlier terminal takes.
+        empty = Dfa(np.zeros((2, 256), dtype=np.int32), 1, np.zeros(2, dtype=bool))
+        x = compile_regex("x*y")
+        for c in (dfa_concat(empty, x), dfa_concat(x, empty), dfa_concat(empty, empty)):
+            assert c == empty
+            assert not any(c.matches(s) for s in all_strings([b"x", b"y"], 4))
 
 
 class TestDfaType:

@@ -26,6 +26,7 @@ from boundedgen.grammar import build_ll1_table, parse_grammar
 from boundedgen.models import ScriptedModel
 from boundedgen.oracle import brute_force_mask, cfg_membership
 from boundedgen.vocab import Vocabulary
+from tests.conftest import KV_GRAMMAR, KV_TOKENS, SHADOW_GRAMMAR, SHADOW_TOKENS
 
 
 def mask_dict(vocab, mask):
@@ -884,6 +885,38 @@ class TestMaskProperties:
             state = json_engine.advance(state, close_bracket, mask)
         assert json_engine.is_complete(state)
         assert json_engine.compute_mask(state)[json_vocab.eos]
+
+
+class TestTiedTerminals:
+    @pytest.mark.parametrize(
+        "text,tokens,completes",
+        [(KV_GRAMMAR, KV_TOKENS, True), (SHADOW_GRAMMAR, SHADOW_TOKENS, False)],
+        ids=["k-v", "shadow"],
+    )
+    def test_walks_complete_or_are_refused_up_front(self, text, tokens, completes):
+        # 400 random admitted walks at budgets 2-12, the mask consulted at
+        # every step: a tie the costs broke otherwise than the lexer would
+        # raise ParseError or DeadSessionError here.
+        g = parse_grammar(text)
+        vocab = Vocabulary(tokens, eos=len(tokens))
+        engine = MaskEngine(g, build_cost_tables(g, vocab), vocab)
+        rng = random.Random(7)
+        complete = 0
+        for _ in range(400):
+            budget = rng.randint(2, 12)
+            try:
+                state = engine.new_session(budget)
+            except BudgetError:
+                continue
+            ids = []
+            while not state.finished:
+                mask = engine.compute_mask(state)
+                ids.append(rng.choice(np.flatnonzero(mask).tolist()))
+                state = engine.advance(state, ids[-1], mask)
+            assert state.consumed <= budget
+            assert engine.text_is_complete(vocab.decode(ids[:-1]))
+            complete += 1
+        assert (complete > 0) == completes
 
 
 class TestProgress:

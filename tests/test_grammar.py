@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from boundedgen.costs import build_cost_tables
-from boundedgen.dfa import StateLimitError
+from boundedgen.dfa import StateLimitError, compile_regex
 from boundedgen.engine import _LEX_INITIAL, MaskEngine
 from boundedgen.grammar import (
     DuplicateTerminalError,
@@ -21,7 +21,8 @@ from boundedgen.grammar import (
 )
 from boundedgen.oracle import cfg_membership
 from boundedgen.vocab import Vocabulary
-from tests.conftest import LEXER_CAP_GRAMMAR, STATE_CAP_GRAMMAR
+from tests.conftest import LEXER_CAP_GRAMMAR, SHADOW_GRAMMAR, STATE_CAP_GRAMMAR
+from tests.test_lexer_reference import ABC_GRAMMAR, KW_GRAMMAR
 
 
 class TestParseGrammar:
@@ -84,6 +85,10 @@ class TestParseGrammar:
             lexed = engine._lex(engine._start_stack, _LEX_INITIAL, None, b"", b"ab", final=True)
             assert [g.terminals[t].name for t in lexed[1]] == [winner]
 
+    def test_empty_string_named_by_the_earliest_terminal(self):
+        with pytest.raises(GrammarError, match="terminal 'B' matches the empty string"):
+            parse_grammar("S: A | B ; A: /a/ ; B: /b*/ ; C: /c?/ ;")
+
     def test_epsilon_alternative_forms(self):
         by_mark = parse_grammar("S: ε | A ; A: /a/ ;")
         by_empty = parse_grammar("S: | A ; A: /a/ ;")
@@ -103,6 +108,44 @@ class TestParseGrammar:
         g = parse_grammar("S: A ; A: /[;#]/ ;")
         assert g.terminals[0].dfa.matches(b";")
         assert g.terminals[0].dfa.matches(b"#")
+
+
+class TestTerminalAutomata:
+    """Each terminal's automaton is the strings the lexer labels with it."""
+
+    @pytest.mark.parametrize("name", ["paren", "mini", "json", "abc"])
+    def test_without_ties_each_automaton_is_its_pattern_alone(self, request, name):
+        g = parse_grammar(ABC_GRAMMAR) if name == "abc" else request.getfixturevalue(f"{name}_grammar")
+        for terminal in g.terminals:
+            assert terminal.dfa == compile_regex(terminal.pattern), terminal.name
+
+    def test_keywords_leave_the_identifier_automaton(self):
+        g = parse_grammar(KW_GRAMMAR)
+        ident = next(t.dfa for t in g.terminals if t.name == "ID")
+        for text, want in [(b"if", False), (b"in", False), (b"i", True), (b"x", True), (b"ifx", True)]:
+            assert ident.matches(text) == want, text
+
+    def test_shadowed_terminal_has_the_empty_language(self):
+        g = parse_grammar(SHADOW_GRAMMAR)
+        b, a, c = (t.dfa for t in g.terminals)
+        assert a.n_states == 2 and not a.accepting.any()
+        assert b == compile_regex("ab|x") and c == compile_regex("c")
+
+    @pytest.mark.parametrize(
+        "text,alphabet",
+        [(KW_GRAMMAR, b"ifnx1 "), (ABC_GRAMMAR, b"abcd"), (SHADOW_GRAMMAR, b"abcx")],
+        ids=["kw", "abc", "shadow"],
+    )
+    def test_each_automaton_accepts_what_the_lexer_labels(self, text, alphabet):
+        g = parse_grammar(text)
+        transitions, terminal, _ = g.lexer
+        for n in range(5):
+            for data in itertools.product(alphabet, repeat=n):
+                q = _LEX_INITIAL
+                for byte in data:
+                    q = transitions[q][byte]
+                for t, term in enumerate(g.terminals):
+                    assert term.dfa.matches(bytes(data)) == (terminal[q] == t), (bytes(data), t)
 
 
 class TestLl1Table:

@@ -2,7 +2,7 @@
 
 ``_lex`` below is the earlier lexer, kept verbatim as the reference: it steps
 every terminal's automaton side by side, one tuple of states per session,
-where the engine now steps one product automaton.  Both must commit the same
+where the engine now steps one labelled automaton of all terminals.  Both must commit the same
 terminals, leave the same stack, remainder and accept marker, and fail with
 the same error, on every grammar, text and chunking below.
 """
@@ -119,6 +119,8 @@ KW_GRAMMAR = (
     "S: ε | Item S ; Item: KW | ID | NUM | SP ;"
     " KW: /if|in/ ; ID: /[a-z]+/ ; NUM: /[0-9]+/ ; SP: / +/ ;"
 )
+# Every string of A is also a B, declared first: A's automaton is empty.
+SWAPPED_GRAMMAR = "S: ε | Item S ; Item: A | B ; B: /a(b|c)/ ; A: /ab/ ;"
 
 # Pieces that random texts are cut from: whole and partial lexemes of each
 # grammar, plus a byte no terminal starts with.
@@ -129,6 +131,7 @@ PIECES = {
              "e+3", "tru", "true", "false", "null", " ", "\n", "?"],
     "abc": ["a", "b", "c", "d", "ab", "bbc", "dd", "?"],
     "kw": ["i", "f", "n", "x", "if", "in", "ifx", "1", " ", "?"],
+    "swapped": ["a", "b", "c", "ab", "ac", "abc", "?"],
     "none": ["a", "?"],
 }
 
@@ -140,6 +143,7 @@ def engines(paren_engine, json_engine):
         ("mini", MINI_JSON_GRAMMAR, MINI_TOKENS),
         ("abc", ABC_GRAMMAR, [b"a", b"b", b"c", b"d", b"ab", b"bb", b"bc"]),
         ("kw", KW_GRAMMAR, [b"i", b"f", b"n", b"x", b"if", b"1", b" "]),
+        ("swapped", SWAPPED_GRAMMAR, [b"a", b"b", b"c", b"ab", b"ac"]),
         ("none", "S: ε ;", [b"a"]),  # no terminal at all
     ):
         g = parse_grammar(text)
@@ -186,7 +190,7 @@ def outcome(lex, stack, lex_state, accept, remainder, incoming, final):
     return (tuple(stack), committed, remainder, accept), (stack, lex_state, accept, remainder)
 
 
-@pytest.mark.parametrize("name", ["paren", "mini", "json", "abc", "kw", "none"])
+@pytest.mark.parametrize("name", ["paren", "mini", "json", "abc", "kw", "swapped", "none"])
 def test_lex_matches_reference(engines, name):
     engine = engines[name]
     reference = ReferenceLexer(engine)
