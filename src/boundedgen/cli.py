@@ -94,11 +94,11 @@ def _load_engine(args, mode: str) -> tuple[Grammar, Vocabulary, MaskEngine]:
 def _resolve_budget(args) -> int:
     if args.budget is not None:
         return args.budget
-    if args.ratio is not None:
-        if args.ref_len is None:
-            raise ValueError("--ratio needs --ref-len to derive the budget")
-        return max(int(args.ref_len * args.ratio), 1)
-    raise ValueError("one of --budget or --ratio is required")
+    if args.ratio is None:
+        raise ValueError("one of --budget or --ratio is required")
+    if args.ref_len is None or args.ref_len < 1:
+        raise ValueError("--ratio needs a --ref-len of at least 1 to derive the budget")
+    return BudgetPolicy.ratio(args.ratio).budget_for(args.ref_len)
 
 
 def cmd_generate(args) -> int:

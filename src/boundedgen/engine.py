@@ -37,6 +37,24 @@ bytes after the commit.  So a mask step costs time in
 the window, the token and the accept sequences, not in the nesting depth or
 the length of an uncommitted lexeme.
 
+Steps are memoized on interned *configurations*.  A configuration is what a
+step reads of a state: the window symbols, the live sequences, the lexer
+state, the last-accept terminal, and the remainder bytes after the last
+accept, the only ones a commit lexes again.  Each state carries its
+configuration; per (configuration, token) the engine remembers the cells
+popped and the symbols pushed, the new remainder (the token's bytes appended,
+or the bytes left after the commit), the lexer state and accept marker, and
+the successor's live sequences and configuration.  A hit pops the cells,
+pushes fresh ones and reads ``base`` off the new window's lower cell.  Two
+guards keep a remembered step exact for every stack with that window:
+everything it pops lies inside the old window, and the successor's second
+floor lies in the pushed cells or the old window, so the new window is known
+without looking below it.  A step that consumes a floor needs the next floor
+from below, so it is lexed every time.  The completion check is memoized per
+configuration in the same way, as the cells the final lexing pops.  An engine
+keeps at most ``_STEP_MEMO_SIZE`` configurations and steps; when full it
+drops them all, and a state holding a dropped configuration interns it again.
+
 Lexing is maximal munch on the grammar's labelled automaton of all terminals
 (``dfa.compile_lexer``), one transition per byte: a lexeme is committed when
 the next byte leads to the dead state, or at once when every byte does; ties
@@ -94,6 +112,7 @@ class DeadSessionError(EngineError):
 _EXPANSION_LIMIT = 100_000
 _LEX_INITIAL = 1  # the lexer automaton's initial state
 _NEED_MEMO_SIZE = 64  # need vectors per engine, 8 bytes per token each
+_STEP_MEMO_SIZE = 1024  # configurations plus memoized steps per engine
 
 MODE_FULL = "full"
 MODE_GRAMMAR_ONLY = "grammar-only"
@@ -180,14 +199,16 @@ EMPTY_STACK = Stack(-1, None, 0, True, True)
 LiveSequence = tuple[tuple[int, ...], int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EngineState:
-    """Immutable snapshot of one generation session.
+    """Snapshot of one generation session; treated as immutable.
 
     ``live`` holds every accept sequence of ``stack`` whose automaton is
     still alive after ``remainder``; ``base``, the cost of the stack below
     the window, completes each sequence's d_cost.  Both follow from the
-    other fields, so they take no part in ``==``.
+    other fields, so they take no part in ``==``; nor does ``config``, the
+    state's interned configuration, which the engine fills in on first use
+    when a state is built without one.
     """
 
     engine: "MaskEngine" = field(compare=False, repr=False)
@@ -200,6 +221,26 @@ class EngineState:
     live: tuple[LiveSequence, ...] = field(compare=False, repr=False)
     base: int = field(compare=False, repr=False)
     finished: bool = False
+    config: "_Config | None" = field(default=None, compare=False, repr=False)
+
+
+class _Config:
+    """An interned configuration: everything a step reads of a state.
+
+    ``key`` is (window symbols, live sequences, lexer state, last-accept
+    terminal or None, remainder bytes after the last accept).  ``steps``
+    maps a token to its memoized step (see ``MaskEngine._step``), and
+    ``eos`` memoizes the completion check (see ``MaskEngine.is_complete``).
+    ``steps`` is None once the engine's memo has been cleared; a state that
+    still holds the object then interns its key again.
+    """
+
+    __slots__ = ("key", "steps", "eos")
+
+    def __init__(self, key: tuple):
+        self.key = key
+        self.steps: dict | None = {}
+        self.eos: int | None = None
 
 
 class MaskEngine:
@@ -256,6 +297,10 @@ class MaskEngine:
         # entry per distinct window, whatever lies below it.
         self._accseq_memo: dict[tuple[int, ...], tuple] = {}
         self._need_memo: dict[tuple[tuple[LiveSequence, ...], int], np.ndarray] = {}
+        # configuration key -> its _Config; _memo_entries counts these and
+        # their memoized steps, at most _STEP_MEMO_SIZE.
+        self._configs: dict[tuple, _Config] = {}
+        self._memo_entries = 0
         self._start_stack = self._push(EMPTY_STACK, (self._start_symbol,))
 
     # -- sessions ------------------------------------------------------------
@@ -274,17 +319,11 @@ class MaskEngine:
         return state
 
     def _fresh_state(self, budget: int) -> EngineState:
-        live, base = self._seed(self._start_stack, b"")
+        window, below = self._window(self._start_stack)
+        live = self._seed(window, b"")
+        config = self._intern(self._key(window, live, _LEX_INITIAL, None, b""))
         return EngineState(
-            engine=self,
-            stack=self._start_stack,
-            remainder=b"",
-            lex_state=_LEX_INITIAL,
-            lex_accept=None,
-            consumed=0,
-            budget=budget,
-            live=live,
-            base=base,
+            self, self._start_stack, b"", _LEX_INITIAL, None, 0, budget, live, below.cost, False, config
         )
 
     # -- parsing ---------------------------------------------------------------
@@ -385,14 +424,12 @@ class MaskEngine:
         memo = self._accseq_memo[window] = (tuple(relative), fresh)
         return memo
 
-    def _seed(self, stack: Stack, remainder: bytes) -> tuple[tuple[LiveSequence, ...], int]:
-        """Live sequences of ``stack`` after ``remainder``, and the cost of
-        the stack below the window."""
-        window, below = self._window(stack)
+    def _seed(self, window: tuple[int, ...], remainder: bytes) -> tuple[LiveSequence, ...]:
+        """Live sequences of a stack with ``window`` after ``remainder``."""
         fresh = self._window_sequences(window)[1]
         if fresh is None:
-            raise EngineError(f"no precomputed automaton for an accept sequence of {stack!r}")
-        return self._run_live(fresh, remainder), below.cost
+            raise EngineError(f"no precomputed automaton for an accept sequence of window {window!r}")
+        return self._run_live(fresh, remainder)
 
     def _run_live(self, live: tuple[LiveSequence, ...], data: bytes) -> tuple[LiveSequence, ...]:
         """``live`` advanced by ``data``, without the sequences it kills."""
@@ -404,6 +441,63 @@ class MaskEngine:
             for terms, d_cost, q in live
             if (q2 := automata[terms].run(q, data)) != DEAD
         )
+
+    @staticmethod
+    def _diff(old: Stack, new: Stack) -> tuple[int, tuple[int, ...]]:
+        """How ``new`` was made from ``old``: the number of cells popped off
+        ``old``, then the symbols pushed, bottom first."""
+        depth = old.depth
+        pushed = []
+        while new is not old:  # chains meet at a shared cell, at worst the bottom
+            if new.depth >= old.depth:
+                pushed.append(new.symbol)
+                new = new.below
+            if old.depth > new.depth:
+                old = old.below
+        return depth - old.depth, tuple(reversed(pushed))
+
+    # -- configurations ----------------------------------------------------------
+
+    @staticmethod
+    def _key(window, live, lex_state, lex_accept, remainder: bytes) -> tuple:
+        """The configuration key of a state: a commit re-lexes only the
+        bytes after the last accept, so they stand for the remainder."""
+        if lex_accept is None:
+            return (window, live, lex_state, None, b"")
+        return (window, live, lex_state, lex_accept[1], remainder[lex_accept[0]:])
+
+    def _intern(self, key: tuple) -> _Config:
+        """The configuration with ``key``, created if new."""
+        config = self._configs.get(key)
+        if config is None:
+            self._count_entry()
+            config = self._configs[key] = _Config(key)
+        return config
+
+    def _count_entry(self) -> None:
+        """Count one memo entry; when the memo is full, clear it first."""
+        if self._memo_entries >= _STEP_MEMO_SIZE:
+            for config in self._configs.values():
+                config.steps = None
+            self._configs = {}
+            self._memo_entries = 0
+        self._memo_entries += 1
+
+    def _configure(self, state: EngineState) -> _Config:
+        """``state``'s configuration, interned afresh when the state was
+        built without one or the memo was cleared since."""
+        config = state.config
+        if config is not None and config.steps is not None:
+            return config
+        if config is None:
+            key = self._key(
+                self._window(state.stack)[0], state.live, state.lex_state,
+                state.lex_accept, state.remainder,
+            )
+        else:
+            key = config.key
+        config = state.config = self._intern(key)
+        return config
 
     # -- lexing ----------------------------------------------------------------
 
@@ -455,8 +549,38 @@ class MaskEngine:
     # -- completion and masking -------------------------------------------------
 
     def is_complete(self, state: EngineState) -> bool:
-        """True when the emitted bytes already form a full sentence."""
-        return self._completes(state.stack, state.lex_state, state.lex_accept, state.remainder, b"")
+        """True when the emitted bytes already form a full sentence.
+
+        Memoized per configuration as ``eos``: -1 when never, otherwise the
+        number of cells the final lexing pops, after which it pushes only
+        nullable symbols, so the answer is whether the cell there is nullable.
+        """
+        if state.lex_accept is None:  # nothing to commit: no bytes may be pending
+            return not state.remainder and state.stack.nullable
+        config = self._configure(state)
+        eos = config.eos
+        if eos is None:
+            try:
+                stack = self._lex(
+                    state.stack, state.lex_state, state.lex_accept, state.remainder, b"", final=True
+                )[0]
+            except LexError:  # the bytes alone fail, whatever the stack
+                eos = -1
+            except ParseError:  # the parser may have failed below the window
+                return False
+            else:
+                pops, pushed = self._diff(state.stack, stack)
+                if pops > len(config.key[0]):  # read below the window
+                    return stack.nullable
+                nullable = self._symbol_nullable
+                eos = pops if all(nullable[sym] for sym in pushed) else -1
+            config.eos = eos
+        if eos < 0:
+            return False
+        cell = state.stack
+        for _ in range(eos):
+            cell = cell.below
+        return cell.nullable
 
     def text_is_complete(self, data: bytes) -> bool:
         """Would ``data`` as a whole be a grammatically complete output?"""
@@ -590,20 +714,66 @@ class MaskEngine:
 
     def _step(self, state: EngineState, token: int) -> EngineState:
         """Successor state after ``token``; the only place a token's bytes
-        change a session."""
+        change a session.  Memoized per configuration and token: a hit pops
+        and pushes the remembered cells and reads ``base`` off the new
+        window's lower cell."""
         if token == self.vocab.eos:
             return EngineState(
                 self, state.stack, state.remainder, state.lex_state, state.lex_accept,
-                state.consumed + 1, state.budget, state.live, state.base, finished=True,
+                state.consumed + 1, state.budget, state.live, state.base, True, state.config,
             )
+        config = self._configure(state)
+        memo = config.steps.get(token)
+        if memo is None:
+            return self._step_and_remember(state, token, config)
+        pops, pushed, remainder, lex_state, accept, live, successor, width = memo
+        stack, base = state.stack, state.base
+        if pops:
+            for _ in range(pops):
+                stack = stack.below
+            below = stack = self._push(stack, pushed)
+            for _ in range(width):
+                below = below.below
+            base = below.cost
+        if remainder is None:  # nothing committed: the token's bytes are appended
+            remainder = state.remainder + self.vocab.tokens[token]
+        if accept is not None:  # stored counted from the remainder's end
+            accept = (len(remainder) - accept[0], accept[1])
+        return EngineState(
+            self, stack, remainder, lex_state, accept, state.consumed + 1, state.budget,
+            live, base, False, successor,
+        )
+
+    def _step_and_remember(self, state: EngineState, token: int, config: _Config) -> EngineState:
+        """``_step`` on a memo miss: lex, and remember the step when it read
+        nothing below the window and the successor's window is known from
+        the old window and the pushed cells alone."""
         data = self.vocab.tokens[token]
         stack, committed, remainder, lex_state, lex_accept = self._lex(
             state.stack, state.lex_state, state.lex_accept, state.remainder, data
         )
+        window = config.key[0]
         if committed:
-            live, base = self._seed(stack, remainder)
+            successor_window, below = self._window(stack)
+            live, base = self._seed(successor_window, remainder), below.cost
+            memo = None
+            first = stack.floor
+            second = first.below.floor if first.depth else first
+            if second.depth > state.stack.depth - len(window):  # above the old window's lower cell
+                pops, pushed = self._diff(state.stack, stack)
+                if pops <= len(window):
+                    memo = (pops, pushed, remainder, len(successor_window))
         else:  # same stack, and the remainder grew by exactly ``data``
-            live, base = self._run_live(state.live, data), state.base
+            successor_window, live, base = window, self._run_live(state.live, data), state.base
+            memo = (0, (), None, 0)
+        successor = self._intern(self._key(successor_window, live, lex_state, lex_accept, remainder))
+        if memo is not None:
+            self._count_entry()
+            if config.steps is not None:  # not cleared since
+                pops, pushed, kept, width = memo
+                accept = lex_accept and (len(remainder) - lex_accept[0], lex_accept[1])
+                config.steps[token] = (pops, pushed, kept, lex_state, accept, live, successor, width)
         return EngineState(
-            self, stack, remainder, lex_state, lex_accept, state.consumed + 1, state.budget, live, base
+            self, stack, remainder, lex_state, lex_accept, state.consumed + 1, state.budget,
+            live, base, False, successor,
         )

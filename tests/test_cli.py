@@ -161,6 +161,29 @@ class TestGenerate:
         assert code == EXIT_OK
         assert "budget=110" in captured.err
 
+    @pytest.mark.parametrize(
+        "ratio, ref_len, message",
+        [
+            ("0.5", "8", "expansion ratio must be at least 1.0"),
+            ("1.1", "-3", "--ref-len of at least 1"),
+            ("1.1", "0", "--ref-len of at least 1"),
+        ],
+    )
+    def test_ratio_follows_the_eval_rule_exit_2(self, workspace, capsys, ratio, ref_len, message):
+        code = main(
+            [
+                "generate",
+                "--grammar", workspace["grammar"],
+                "--vocab", workspace["vocab"],
+                "--cache", workspace["cache"],
+                "--ratio", ratio,
+                "--ref-len", ref_len,
+                "--model", "uniform",
+            ]
+        )
+        assert code == EXIT_GRAMMAR
+        assert message in capsys.readouterr().err
+
     def test_prompt_file_conditions_model(self, workspace, tmp_path, capsys):
         prompt = tmp_path / "prompt.txt"
         prompt.write_text('{"id":1}')
