@@ -155,8 +155,9 @@ def cmd_mask(args) -> int:
         if row["admitted"]:
             admitted += 1
         verdict = "ADMIT" if row["admitted"] else "deny "
-        if row["sequence"] is None and tid != vocab.eos:
-            print(f"{verdict} {token_repr:<16} no accept sequence stays alive")
+        if row["automaton_cost"] is None:
+            reason = "the output is not complete" if tid == vocab.eos else "no accept sequence stays alive"
+            print(f"{verdict} {token_repr:<16} {reason}")
             continue
         seq = "+".join(row["sequence"]) if row["sequence"] else "(completion)"
         print(

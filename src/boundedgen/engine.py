@@ -37,23 +37,25 @@ bytes after the commit.  So a mask step costs time in
 the window, the token and the accept sequences, not in the nesting depth or
 the length of an uncommitted lexeme.
 
-Steps are memoized on interned *configurations*.  A configuration is what a
-step reads of a state: the window symbols, the live sequences, the lexer
-state, the last-accept terminal, and the remainder bytes after the last
-accept, the only ones a commit lexes again.  Each state carries its
-configuration; per (configuration, token) the engine remembers the cells
-popped and the symbols pushed, the new remainder (the token's bytes appended,
-or the bytes left after the commit), the lexer state and accept marker, and
-the successor's live sequences and configuration.  A hit pops the cells,
-pushes fresh ones and reads ``base`` off the new window's lower cell.  Two
-guards keep a remembered step exact for every stack with that window:
-everything it pops lies inside the old window, and the successor's second
-floor lies in the pushed cells or the old window, so the new window is known
-without looking below it.  A step that consumes a floor needs the next floor
-from below, so it is lexed every time.  The completion check is memoized per
-configuration in the same way, as the cells the final lexing pops.  An engine
-keeps at most ``_STEP_MEMO_SIZE`` configurations and steps; when full it
-drops them all, and a state holding a dropped configuration interns it again.
+Steps are memoized on interned *configurations*.  A configuration is what
+decides a step apart from the stack below the window: the window symbols,
+the live sequences, the lexer state, the last-accept terminal, and the
+remainder bytes after the last accept, the only ones a commit lexes again.
+Lexing reads no stack at all: ``_scan`` turns the lexer state, the last
+accept and the bytes after it into the committed terminals, the new
+remainder, lexer state and accept marker, and ``_lex`` feeds those
+terminals to the stack afterwards.  Per (configuration, token) the engine
+remembers the scan's outcome and, keyed by the successor's window, the
+successor's live sequences and configuration: a token that commits nothing
+leaves the stack as it is and has one successor, and a token that commits
+has one per window it has been seen to leave.  Every step, remembered or
+not, feeds the committed terminals to the state's own stack and reads the
+successor's window and ``base`` off it, so a remembered step is exact for
+every stack, however far below the window it pops.  The completion check is
+memoized per configuration in the same way, as the terminals the final scan
+commits, or that it fails.  An engine keeps at most ``_STEP_MEMO_SIZE``
+configurations and remembered successors; when full it drops them all, and
+a state holding a dropped configuration interns it again.
 
 Lexing is maximal munch on the grammar's labelled automaton of all terminals
 (``dfa.compile_lexer``), one transition per byte: a lexeme is committed when
@@ -225,7 +227,8 @@ class EngineState:
 
 
 class _Config:
-    """An interned configuration: everything a step reads of a state.
+    """An interned configuration: everything a step reads of a state but
+    the stack below the window.
 
     ``key`` is (window symbols, live sequences, lexer state, last-accept
     terminal or None, remainder bytes after the last accept).  ``steps``
@@ -298,7 +301,7 @@ class MaskEngine:
         self._accseq_memo: dict[tuple[int, ...], tuple] = {}
         self._need_memo: dict[tuple[tuple[LiveSequence, ...], int], np.ndarray] = {}
         # configuration key -> its _Config; _memo_entries counts these and
-        # their memoized steps, at most _STEP_MEMO_SIZE.
+        # the successors of their memoized steps, at most _STEP_MEMO_SIZE.
         self._configs: dict[tuple, _Config] = {}
         self._memo_entries = 0
         self._start_stack = self._push(EMPTY_STACK, (self._start_symbol,))
@@ -306,8 +309,6 @@ class MaskEngine:
     # -- sessions ------------------------------------------------------------
 
     def new_session(self, budget: int) -> EngineState:
-        if budget < 1:
-            raise BudgetError(f"budget must be at least 1, got {budget}")
         state = self._fresh_state(budget)
         if self.mode == MODE_FULL and not self.is_complete(state):
             need = 1 + int(self._need(state).min())
@@ -319,6 +320,8 @@ class MaskEngine:
         return state
 
     def _fresh_state(self, budget: int) -> EngineState:
+        if budget < 1:
+            raise BudgetError(f"budget must be at least 1, got {budget}")
         window, below = self._window(self._start_stack)
         live = self._seed(window, b"")
         config = self._intern(self._key(window, live, _LEX_INITIAL, None, b""))
@@ -442,20 +445,6 @@ class MaskEngine:
             if (q2 := automata[terms].run(q, data)) != DEAD
         )
 
-    @staticmethod
-    def _diff(old: Stack, new: Stack) -> tuple[int, tuple[int, ...]]:
-        """How ``new`` was made from ``old``: the number of cells popped off
-        ``old``, then the symbols pushed, bottom first."""
-        depth = old.depth
-        pushed = []
-        while new is not old:  # chains meet at a shared cell, at worst the bottom
-            if new.depth >= old.depth:
-                pushed.append(new.symbol)
-                new = new.below
-            if old.depth > new.depth:
-                old = old.below
-        return depth - old.depth, tuple(reversed(pushed))
-
     # -- configurations ----------------------------------------------------------
 
     @staticmethod
@@ -501,21 +490,24 @@ class MaskEngine:
 
     # -- lexing ----------------------------------------------------------------
 
-    def _lex(
+    def _scan(
         self,
-        stack: Stack,
         lex_state: int,
         lex_accept: tuple[int, int] | None,
         remainder: bytes,
         incoming: bytes,
         final: bool = False,
-    ) -> tuple[Stack, tuple[int, ...], bytes, int, tuple[int, int] | None]:
-        """Feed ``incoming`` after ``remainder``; commit lexemes maximal-munch.
+    ) -> tuple[tuple[int, ...], bytes, int, tuple[int, int] | None, LexError | None]:
+        """Lex ``incoming`` after ``remainder`` maximal-munch, without the parser.
 
         With ``final`` the input ends here: the pending longest match is
         committed and the bytes after it are lexed again, until the remainder
-        is empty.  Returns (stack, committed terminal ids, new remainder, lexer
-        state, last-accept marker relative to the new remainder).
+        is empty.  Returns (committed terminal ids, new remainder, lexer state,
+        last-accept marker relative to the new remainder, the LexError met
+        after those commits or None).  Only the lexer state, the last accept
+        and the remainder bytes after it decide the outcome; the bytes before
+        the accept are only carried into a remainder that commits nothing,
+        and into an error's message.
         """
         transitions, terminal, extends = self.grammar.lexer
         data = remainder + incoming
@@ -532,55 +524,70 @@ class MaskEngine:
                     continue
             # The input ends, the next byte is dead, or every byte would be.
             if accept is None:
-                raise LexError(f"no terminal matches a prefix of {data[start : pos + 1]!r}")
+                error = LexError(f"no terminal matches a prefix of {data[start : pos + 1]!r}")
+                return tuple(committed), data[start:], q, None, error
             end, tid = accept
+            committed.append(tid)
+            start += end
+            pos, q, accept = start, _LEX_INITIAL, None
+        return tuple(committed), data[start:], q, accept, None
+
+    def _commit(self, stack: Stack, terminals: tuple[int, ...]) -> Stack:
+        """``stack`` after feeding ``terminals`` in order; ParseError when one fails."""
+        for tid in terminals:
             fed = self.feed(stack, tid)
             if fed is None:
                 top = self.grammar.symbol_name(stack.symbol) if stack else "<empty>"
                 name = self.grammar.terminals[tid].name
                 raise ParseError(f"parser rejected terminal {name!r} with stack top {top}")
             stack = fed
-            committed.append(tid)
-            start += end
-            pos, q, accept = start, _LEX_INITIAL, None
+        return stack
 
-        return stack, tuple(committed), data[start:], q, accept
+    def _lex(
+        self,
+        stack: Stack,
+        lex_state: int,
+        lex_accept: tuple[int, int] | None,
+        remainder: bytes,
+        incoming: bytes,
+        final: bool = False,
+    ) -> tuple[Stack, tuple[int, ...], bytes, int, tuple[int, int] | None]:
+        """``_scan``, then its terminals fed to ``stack``: a lexeme that fails
+        to parse raises ParseError before the scan's LexError.  Returns
+        (stack, committed terminal ids, new remainder, lexer state, last-accept
+        marker relative to the new remainder)."""
+        committed, remainder, lex_state, accept, error = self._scan(
+            lex_state, lex_accept, remainder, incoming, final
+        )
+        stack = self._commit(stack, committed)
+        if error is not None:
+            raise error
+        return stack, committed, remainder, lex_state, accept
 
     # -- completion and masking -------------------------------------------------
 
     def is_complete(self, state: EngineState) -> bool:
         """True when the emitted bytes already form a full sentence.
 
-        Memoized per configuration as ``eos``: -1 when never, otherwise the
-        number of cells the final lexing pops, after which it pushes only
-        nullable symbols, so the answer is whether the cell there is nullable.
+        Memoized per configuration as ``eos``: the terminals the final lexing
+        commits, or False when it fails; each call feeds them to the state's
+        own stack and asks whether what is left is nullable.
         """
         if state.lex_accept is None:  # nothing to commit: no bytes may be pending
             return not state.remainder and state.stack.nullable
         config = self._configure(state)
         eos = config.eos
         if eos is None:
-            try:
-                stack = self._lex(
-                    state.stack, state.lex_state, state.lex_accept, state.remainder, b"", final=True
-                )[0]
-            except LexError:  # the bytes alone fail, whatever the stack
-                eos = -1
-            except ParseError:  # the parser may have failed below the window
-                return False
-            else:
-                pops, pushed = self._diff(state.stack, stack)
-                if pops > len(config.key[0]):  # read below the window
-                    return stack.nullable
-                nullable = self._symbol_nullable
-                eos = pops if all(nullable[sym] for sym in pushed) else -1
-            config.eos = eos
-        if eos < 0:
+            committed, _, _, _, error = self._scan(
+                state.lex_state, state.lex_accept, state.remainder, b"", final=True
+            )
+            eos = config.eos = False if error else committed
+        if eos is False:
             return False
-        cell = state.stack
-        for _ in range(eos):
-            cell = cell.below
-        return cell.nullable
+        try:
+            return self._commit(state.stack, eos).nullable
+        except ParseError:
+            return False
 
     def text_is_complete(self, data: bytes) -> bool:
         """Would ``data`` as a whole be a grammatically complete output?"""
@@ -654,10 +661,12 @@ class MaskEngine:
         ``admitted`` is the mask bit.  The reported sequence is the first live
         one whose total attains ``need``: for admitted tokens the cheapest
         admitting one, for denied tokens the closest miss (None when every
-        continuation dies on the automaton).
+        continuation dies on the automaton).  End-of-sequence has no sequence
+        and costs of 0 when the output is complete, None when it is not.
         """
         need = self._need(state)
         bits = self._admit(state, need)
+        complete = self.is_complete(state)
         owner = np.full(self.vocab.size, -1)
         for k, token_ids, totals in self._totals(state):
             first = token_ids[(totals == need[token_ids]) & (owner[token_ids] < 0)]
@@ -673,7 +682,8 @@ class MaskEngine:
                 "dangling_cost": None,
             }
             if tid == self.vocab.eos:
-                row["automaton_cost"] = row["dangling_cost"] = 0
+                if complete:
+                    row["automaton_cost"] = row["dangling_cost"] = 0
             elif k >= 0:
                 terms, d_cost, _ = state.live[k]
                 d_cost = min(INF, d_cost + state.base)
@@ -714,66 +724,48 @@ class MaskEngine:
 
     def _step(self, state: EngineState, token: int) -> EngineState:
         """Successor state after ``token``; the only place a token's bytes
-        change a session.  Memoized per configuration and token: a hit pops
-        and pushes the remembered cells and reads ``base`` off the new
-        window's lower cell."""
+        change a session.  Memoized per configuration and token as the scan's
+        outcome and, per successor window, the successor's live sequences and
+        configuration.  Every call feeds the committed terminals to the
+        state's own stack and reads the successor window off it, so a
+        remembered step is exact whatever lies below the window."""
         if token == self.vocab.eos:
             return EngineState(
                 self, state.stack, state.remainder, state.lex_state, state.lex_accept,
                 state.consumed + 1, state.budget, state.live, state.base, True, state.config,
             )
+        data = self.vocab.tokens[token]
         config = self._configure(state)
         memo = config.steps.get(token)
         if memo is None:
-            return self._step_and_remember(state, token, config)
-        pops, pushed, remainder, lex_state, accept, live, successor, width = memo
-        stack, base = state.stack, state.base
-        if pops:
-            for _ in range(pops):
-                stack = stack.below
-            below = stack = self._push(stack, pushed)
-            for _ in range(width):
-                below = below.below
+            committed, remainder, lex_state, accept, error = self._scan(
+                state.lex_state, state.lex_accept, state.remainder, data
+            )
+            if error is not None:  # not remembered: the message names this state's bytes
+                self._commit(state.stack, committed)
+                raise error
+            # A remainder that commits nothing is the old one with ``data``
+            # appended; the accept marker is kept counted from its end.
+            back = accept and (len(remainder) - accept[0], accept[1])
+            kept = remainder if committed else None
+            memo = config.steps[token] = (committed, kept, lex_state, back, {})
+        committed, remainder, lex_state, back, successors = memo
+        if committed:
+            stack = self._commit(state.stack, committed)
+            window, below = self._window(stack)
             base = below.cost
-        if remainder is None:  # nothing committed: the token's bytes are appended
-            remainder = state.remainder + self.vocab.tokens[token]
-        if accept is not None:  # stored counted from the remainder's end
-            accept = (len(remainder) - accept[0], accept[1])
+        else:
+            stack, window, base = state.stack, config.key[0], state.base
+            remainder = state.remainder + data
+        accept = back and (len(remainder) - back[0], back[1])
+        successor = successors.get(window)
+        if successor is None:  # counted as one memo entry with the step's outcome
+            live = self._seed(window, remainder) if committed else self._run_live(state.live, data)
+            self._count_entry()
+            key = self._key(window, live, lex_state, accept, remainder)
+            successor = successors[window] = (live, self._intern(key))
+        live, successor_config = successor
         return EngineState(
             self, stack, remainder, lex_state, accept, state.consumed + 1, state.budget,
-            live, base, False, successor,
-        )
-
-    def _step_and_remember(self, state: EngineState, token: int, config: _Config) -> EngineState:
-        """``_step`` on a memo miss: lex, and remember the step when it read
-        nothing below the window and the successor's window is known from
-        the old window and the pushed cells alone."""
-        data = self.vocab.tokens[token]
-        stack, committed, remainder, lex_state, lex_accept = self._lex(
-            state.stack, state.lex_state, state.lex_accept, state.remainder, data
-        )
-        window = config.key[0]
-        if committed:
-            successor_window, below = self._window(stack)
-            live, base = self._seed(successor_window, remainder), below.cost
-            memo = None
-            first = stack.floor
-            second = first.below.floor if first.depth else first
-            if second.depth > state.stack.depth - len(window):  # above the old window's lower cell
-                pops, pushed = self._diff(state.stack, stack)
-                if pops <= len(window):
-                    memo = (pops, pushed, remainder, len(successor_window))
-        else:  # same stack, and the remainder grew by exactly ``data``
-            successor_window, live, base = window, self._run_live(state.live, data), state.base
-            memo = (0, (), None, 0)
-        successor = self._intern(self._key(successor_window, live, lex_state, lex_accept, remainder))
-        if memo is not None:
-            self._count_entry()
-            if config.steps is not None:  # not cleared since
-                pops, pushed, kept, width = memo
-                accept = lex_accept and (len(remainder) - lex_accept[0], lex_accept[1])
-                config.steps[token] = (pops, pushed, kept, lex_state, accept, live, successor, width)
-        return EngineState(
-            self, stack, remainder, lex_state, lex_accept, state.consumed + 1, state.budget,
-            live, base, False, successor,
+            live, base, False, successor_config,
         )

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from boundedgen import bundled_json_grammar_path
-from boundedgen.cli import EXIT_GRAMMAR, EXIT_IO, EXIT_OK, main
+from boundedgen.cli import EXIT_GRAMMAR, EXIT_INCOMPLETE, EXIT_IO, EXIT_OK, main
 from boundedgen.costs import build_cost_tables, load_cache, save_cache
 from boundedgen.evalharness import save_tasks
 from boundedgen.grammar import parse_grammar
@@ -323,6 +323,41 @@ class TestMask:
         captured = capsys.readouterr()
         assert code == EXIT_OK
         assert "ADMIT <eos>" in captured.out
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_1_exit_1(self, workspace, capsys, budget):
+        code = main(
+            [
+                "mask",
+                "--grammar", workspace["grammar"],
+                "--vocab", workspace["vocab"],
+                "--cache", workspace["cache"],
+                "--budget", budget,
+            ]
+        )
+        assert code == EXIT_INCOMPLETE
+        assert f"budget must be at least 1, got {budget}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "prefix, row",
+        [
+            ("[", "deny  <eos>            the output is not complete"),
+            ("[1]", "ADMIT <eos>            via (completion)         consumed=3 automaton=0 dangling=0"),
+        ],
+    )
+    def test_eos_row_says_whether_the_output_is_complete(self, workspace, capsys, prefix, row):
+        code = main(
+            [
+                "mask",
+                "--grammar", workspace["grammar"],
+                "--vocab", workspace["vocab"],
+                "--cache", workspace["cache"],
+                "--prefix", prefix,
+                "--budget", "5",
+            ]
+        )
+        assert code == EXIT_OK
+        assert row in capsys.readouterr().out.splitlines()
 
     def test_token_id_beyond_vocabulary_exit_3(self, workspace, tmp_path, capsys):
         raw = bytearray(open(workspace["cache"], "rb").read())

@@ -382,7 +382,7 @@ def reference_report(engine, state):
     """``mask_report`` rescored token by token straight from the cost tables:
     each live sequence admits a token when its own total fits (full mode) or
     is finite (grammar-only), and the reported sequence is the first one of
-    least total."""
+    least total.  End-of-sequence costs 0 and 0 when the output is complete."""
     tables, vocab = engine.tables, engine.vocab
     full = engine.mode == "full"
     spent = state.consumed + 1
@@ -401,13 +401,15 @@ def reference_report(engine, state):
             best = candidates.get(tid)
             if best is None or total < best[0]:
                 candidates[tid] = (total, terms, d_cost, cost)
-    if state.consumed < state.budget and engine.is_complete(state):
+    complete = engine.is_complete(state)
+    if state.consumed < state.budget and complete:
         admitted[vocab.eos] = True
     rows = []
     for tid in range(vocab.size):
         sequence = automaton = dangling = None
         if tid == vocab.eos:
-            automaton = dangling = 0
+            if complete:
+                automaton = dangling = 0
         elif tid in candidates:
             _, terms, dangling, automaton = candidates[tid]
             sequence = tuple(engine.grammar.terminals[t].name for t in terms)

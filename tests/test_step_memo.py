@@ -3,7 +3,9 @@
 A *warm* engine walks many sessions, so most of its steps are memo hits on an
 interned configuration.  Each of its steps is compared with the same step
 taken by a *cold* engine, whose step memo is emptied before every step, so
-that it lexes, feeds and seeds from the state's own fields.
+that it lexes, feeds and seeds from the state's own fields.  A hit feeds the
+remembered terminals to the state's own stack, so it must equal the cold
+step whatever lies below the window: the cases below pop cells under it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import pytest
 from boundedgen import engine as engine_module
 from boundedgen.costs import build_cost_tables
 from boundedgen.decoding import beam_search, greedy_decode
-from boundedgen.engine import BudgetError, EngineState, MaskEngine
+from boundedgen.engine import BudgetError, EngineState, LexError, MaskEngine, ParseError
 from boundedgen.grammar import parse_grammar
 from boundedgen.models import UniformModel
 from tests.conftest import MINI_JSON_GRAMMAR, MINI_TOKENS, make_vocab
@@ -72,13 +74,27 @@ def assert_same(got: EngineState, want: EngineState) -> None:
     assert (got.consumed, got.finished) == (want.consumed, want.finished)
 
 
-def assert_completion(engine: MaskEngine, state: EngineState) -> None:
-    direct = engine._completes(state.stack, state.lex_state, state.lex_accept, state.remainder, b"")
-    assert engine.is_complete(state) == direct
+def assert_completion(warm: MaskEngine, cold: MaskEngine, state: EngineState) -> None:
+    """``warm``'s (memoized) completion check equals ``cold`` lexing the state to the end."""
+    direct = cold._completes(state.stack, state.lex_state, state.lex_accept, state.remainder, b"")
+    assert warm.is_complete(state) == direct
 
 
 def is_hit(engine: MaskEngine, state: EngineState, token: int) -> bool:
     return token in engine._configure(state).steps
+
+
+def count_scans(engine: MaskEngine) -> list[int]:
+    """A one-item list that counts ``engine``'s lexing passes from now on."""
+    calls = [0]
+    scan = engine._scan
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return scan(*args, **kwargs)
+
+    engine._scan = counted
+    return calls
 
 
 def step_and_compare(warm, cold, state, token, mask=None) -> tuple[EngineState, bool]:
@@ -87,7 +103,7 @@ def step_and_compare(warm, cold, state, token, mask=None) -> tuple[EngineState, 
     want = cold_step(cold, state, token)
     got = warm.advance(state, token, mask)
     assert_same(got, want)
-    assert_completion(warm, got)
+    assert_completion(warm, cold, got)
     return got, hit
 
 
@@ -102,17 +118,17 @@ def test_memoized_walks_equal_cold_steps(setups, name):
             state = warm.new_session(rng.randint(low, high))
         except BudgetError:
             continue
-        assert_completion(warm, state)
+        assert_completion(warm, cold, state)
         while not state.finished and state.consumed < state.budget:
             mask = warm.compute_mask(state)
             token = rng.choice(np.flatnonzero(mask).tolist())
             state, hit = step_and_compare(warm, cold, state, token, mask)
             hits += hit
             steps += 1
-    # The walks exercise the memo, not only its misses.  A step that consumes
-    # a floor needs the next floor from below the window and is never
-    # memoized, so paren walks, about half closing steps, hit least.
-    assert hits > steps // 10
+    # The walks exercise the memo, not only its misses.  Steps that consume
+    # a floor hit too: paren walks, about half closing steps, hit on about
+    # six steps in ten.
+    assert hits > steps // 3
 
 
 def copy_walk(warm, cold, data: bytes) -> int:
@@ -130,12 +146,15 @@ def copy_walk(warm, cold, data: bytes) -> int:
 
 def test_deep_nesting(setups):
     warm, cold = engines(setups["json"])
+    scans = count_scans(warm)
     data = b"[" * 200 + b"]" * 200
-    # Nearly every "[" is a hit: the window is the same at every depth.
-    # Every "]" consumes a floor, needs the next one from below the window,
-    # and is lexed again.
+    # The window is the same at every depth, so only the first steps of each
+    # kind are lexed; a "]" feeds its terminal to the state's own stack and
+    # reads the new window off it.  The second walk lexes nothing at all.
     first = copy_walk(warm, cold, data)
-    assert 195 <= first <= copy_walk(warm, cold, data) <= 200
+    lexed = scans[0]
+    assert (first, copy_walk(warm, cold, data)) == (394, 400)
+    assert scans[0] == lexed
 
 
 def test_open_string(setups):
@@ -145,21 +164,23 @@ def test_open_string(setups):
     assert len(warm._configs) < 10  # the remainder grows, the key does not
 
 
-def test_successor_window_below_the_old_window_is_not_memoized(paren_grammar, paren_tables, paren_vocab):
+def test_successor_window_below_the_old_window(paren_grammar, paren_tables, paren_vocab):
     # After "(" the stack is (RP, E), bottom first; after "( (" it is
     # (RP, RP, E).  Both have the window (E, RP) and the same configuration.
     # After "x" the first has no second floor, and the second has its second
-    # floor below the old window: the step must not be memoized.
+    # floor below the old window: the step is remembered once and hits again.
     warm, cold = engines((paren_grammar, paren_tables, paren_vocab))
     x, lp = paren_vocab.tokens.index(b"x"), paren_vocab.tokens.index(b"(")
-    configs = []
+    configs, hits = [], []
     for prefix in ([lp, x], [lp, lp, x]):
         state = warm.new_session(10)
         for token in prefix:
             configs.append(warm._configure(state))
-            state, _ = step_and_compare(warm, cold, state, token)
+            state, hit = step_and_compare(warm, cold, state, token)
+            hits.append(hit)
         assert state.remainder == b"" and warm.compute_mask(state).any()
     assert configs[1] is configs[4]  # "x" was stepped from one configuration
+    assert hits[4]
 
 
 def test_memo_bound(monkeypatch, setups):
@@ -195,11 +216,12 @@ def test_memo_bound(monkeypatch, setups):
     assert all(config is not old.config for config in cleared)
 
 
-def test_completion_reading_below_the_window_is_not_memoized():
+def test_completion_popping_below_the_window():
     # Z keeps "x" pending while ")" bytes follow, so the final lexing commits
     # X and then one RP per ")".  "( ( x ) )" and "[ ( x ) )" end with the
     # same configuration, window (E, RP), but the final lexing pops three
     # cells: the cell below the window decides, RP completes and RB does not.
+    # The second check reads the first one's memo.
     grammar = parse_grammar(
         r"S: E ; E: X | Z | LP E RP | LB E RB ;"
         r" X: /x/ ; Z: /x\)*z/ ; LP: /\(/ ; RP: /\)/ ; LB: /\[/ ; RB: /\]/ ;"
@@ -212,9 +234,61 @@ def test_completion_reading_below_the_window_is_not_memoized():
         for token in vocab.tokenize(text):
             assert warm.compute_mask(state)[token]
             state, _ = step_and_compare(warm, cold, state, token)
-        ends.append((warm._configure(state), warm.is_complete(state)))
+        config = warm._configure(state)
+        ends.append((config, config.eos is not None, warm.is_complete(state)))
     assert ends[0][0] is ends[1][0]
-    assert [complete for _, complete in ends] == [True, False]
+    assert [(remembered, complete) for _, remembered, complete in ends] == [
+        (True, True), (True, False),
+    ]
+
+
+def test_token_popping_below_the_window(setups):
+    # "]]]" commits NUMBER and three rbracket and pops 9 cells, 3 of them
+    # below the 6-symbol window.  The mask denies it (it spans more than two
+    # terminals), so it is stepped directly.  After '{"a":[[[[1' and '[[[[[1' the
+    # configuration is the same; the second step hits, and both equal the
+    # cold step.  After '[[1' the same remembered step fails to parse.
+    grammar, _, vocab = setups["json"][:3]
+    vocab = make_vocab(list(vocab.tokens[: vocab.eos]) + [b"]]]"])
+    warm, cold = engines((grammar, build_cost_tables(grammar, vocab), vocab))
+    closing = vocab.tokens.index(b"]]]")
+    configs, hits = [], []
+    for text in (b'{"a":[[[[1', b"[[[[[1"):
+        state = warm.new_session(40)
+        for token in vocab.tokenize(text):
+            state, _ = step_and_compare(warm, cold, state, token)
+        configs.append(warm._configure(state))
+        assert len(configs[-1].key[0]) == 6
+        hits.append(is_hit(warm, state, closing))
+        got = warm._step(state, closing)
+        assert_same(got, cold_step(cold, state, closing))
+        assert_completion(warm, cold, got)
+        below = state.stack
+        for _ in range(9):
+            below = below.below
+        assert got.stack is below  # nine cells popped, none pushed
+    assert configs[0] is configs[1]
+    assert hits == [False, True]
+    shallow = warm.replay(vocab.tokenize(b"[[1"), 40)
+    assert warm._configure(shallow) is configs[0]
+    with pytest.raises(ParseError):
+        warm._step(shallow, closing)
+
+
+def test_parse_error_before_lex_error(paren_grammar):
+    # ")?" commits RP, which the start stack rejects, before "?" fails to
+    # lex; after "( x" the RP parses and the "?" fails.  Failing steps are
+    # not remembered, so asking twice fails the same way.
+    vocab = make_vocab([b"(", b"x", b")", b")?", b"x?"])
+    engine = MaskEngine(paren_grammar, build_cost_tables(paren_grammar, vocab), vocab)
+    ids = {token: vocab.tokens.index(token) for token in vocab.tokens[: vocab.eos]}
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            engine.replay([ids[b")?"]], budget=5)
+        with pytest.raises(LexError):
+            engine.replay([ids[b"("], ids[b"x"], ids[b")?"]], budget=5)
+        with pytest.raises(LexError):
+            engine.replay([ids[b"x?"]], budget=5)
 
 
 def test_tail_after_the_last_accept_is_in_the_key():
