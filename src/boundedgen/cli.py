@@ -1,8 +1,8 @@
 """Command-line interface: precompute, generate, mask, eval.
 
 Exit codes: 0 success, 1 generation did not complete (with full masking this
-signals an engine bug), 2 grammar/regex/conflict errors, 3 I/O and cache
-errors.
+signals an engine bug), 2 usage errors (grammar, regex, conflict, and a budget
+below 1 or too small for any complete output), 3 I/O and cache errors.
 """
 
 from __future__ import annotations
@@ -259,13 +259,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GrammarError, RegexError, StateLimitError, VocabularyError, TaskFileError, ValueError) as exc:
+    except (
+        GrammarError, RegexError, StateLimitError, VocabularyError, TaskFileError, ValueError, BudgetError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GRAMMAR
     except (CacheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (BudgetError, EngineError) as exc:
+    except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPLETE
 

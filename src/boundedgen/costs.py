@@ -19,11 +19,15 @@ walk are int32, and no temporary holds more than (states x vocabulary)
 elements.
 
 Everything is persisted to a versioned binary cache keyed by the grammar and
-vocabulary content hashes; writes are atomic (temp file then rename).
+vocabulary content hashes; writes are atomic (temp file then rename).  Each
+table is stored in the shape it loads into, the token map as CSR rows.  A
+SHA-256 trailer, range checks and a check of C against the token map make a
+damaged file raise ``CacheCorruptError`` instead of loading.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import os
 import struct
@@ -39,10 +43,8 @@ from boundedgen.vocab import Vocabulary
 
 logger = logging.getLogger(__name__)
 
-CACHE_MAGIC = b"BGC1"
-CACHE_VERSION = 1
-
-_INF_SERIALIZED = 0xFFFFFFFFFFFFFFFF
+CACHE_MAGIC = b"BGC1"  # the file type, in every format version
+CACHE_VERSION = 2
 
 Key = tuple[int, ...]  # (terminal,) or (first_terminal, second_terminal)
 TokenRow = tuple[np.ndarray, np.ndarray]  # token ids, successor states
@@ -88,11 +90,8 @@ class CostTables:
 
     def terminal_start_costs(self, n_terminals: int) -> np.ndarray:
         """C at the initial state of each single-terminal automaton."""
-        out = np.full(n_terminals, INF, dtype=np.int64)
-        for t in range(n_terminals):
-            aut = self.automata[(t,)]
-            out[t] = self.c[(t,)][aut.initial]
-        return out
+        starts = [self.c[(t,)][self.automata[(t,)].initial] for t in range(n_terminals)]
+        return np.array(starts, dtype=np.int64)
 
     def structurally_equal(self, other: "CostTables") -> bool:
         if (
@@ -265,40 +264,30 @@ def build_cost_tables(g: Grammar, vocab: Vocabulary) -> CostTables:
     automata.update(g.pair_automata)
     keys = tuple(sorted(automata.keys(), key=lambda k: (len(k), k)))
     token_map = compute_token_map(automata, vocab)
-    c = {key: _costs_from_rows(automata[key], token_map[key]) for key in keys}
-    single_costs = np.array(
-        [c[(t,)][automata[(t,)].initial] for t in range(g.n_terminals)], dtype=np.int64
-    )
-    d = compute_nonterminal_costs(g, single_costs)
-    return CostTables(
+    tables = CostTables(
         grammar_hash=g.source_hash,
         vocab_hash=vocab.source_hash,
         keys=keys,
         automata={key: automata[key] for key in keys},
-        c=c,
-        d=d,
+        c={key: _costs_from_rows(automata[key], token_map[key]) for key in keys},
+        d=np.empty(0, dtype=np.int64),
         token_map=token_map,
-        build_seconds=time.perf_counter() - started,
     )
+    tables.d = compute_nonterminal_costs(g, tables.terminal_start_costs(g.n_terminals))
+    tables.build_seconds = time.perf_counter() - started
+    return tables
 
 
 # --- cache serialization -----------------------------------------------------
+#
+# Layout (little-endian): magic, version, grammar hash, vocabulary hash, key
+# and nonterminal counts, D as int64; then per automaton its key, state count
+# and initial state, the accepting states as one byte each, the int32
+# transitions, C as int64, and the token map as CSR rows (int64 index
+# pointers over all states, int32 token ids, int32 successors).  A SHA-256
+# of everything before it closes the file.
 
-
-def _pack_costs(costs: np.ndarray) -> bytes:
-    packed = costs.astype("<u8")
-    packed[costs >= INF] = _INF_SERIALIZED
-    return packed.tobytes()
-
-
-def _unpack_costs(raw: bytes) -> np.ndarray:
-    packed = np.frombuffer(raw, dtype="<u8")
-    inf = packed == _INF_SERIALIZED
-    if (packed[~inf] >= INF).any():
-        raise CacheCorruptError("stored cost out of range")
-    costs = packed.astype(np.int64)
-    costs[inf] = INF
-    return costs
+_HEADER = "<BIIII"  # key arity, first terminal, second terminal, states, initial
 
 
 def save_cache(tables: CostTables, path) -> None:
@@ -306,48 +295,35 @@ def save_cache(tables: CostTables, path) -> None:
     for name, digest in (("grammar", tables.grammar_hash), ("vocab", tables.vocab_hash)):
         if len(digest) != 64:
             raise ValueError(f"{name} hash must be 64 hex characters, got {digest!r}")
-    chunks: list[bytes] = []
-    chunks.append(CACHE_MAGIC)
-    chunks.append(struct.pack("<I", tables.version))
-    chunks.append(bytes.fromhex(tables.grammar_hash))
-    chunks.append(bytes.fromhex(tables.vocab_hash))
-    chunks.append(struct.pack("<II", len(tables.keys), len(tables.d)))
-    for key in tables.keys:
-        aut = tables.automata[key]
-        a, b = key[0], key[1] if len(key) == 2 else 0xFFFFFFFF
-        acc = np.flatnonzero(aut.accepting).astype(np.int64)
-        chunks.append(
-            struct.pack(
-                "<BIIIII", len(key), a, b, aut.n_states, aut.initial, acc.size
-            )
-        )
-        chunks.append(acc.astype("<i4").tobytes())
-        chunks.append(aut.transitions.astype("<i4").tobytes())
-        chunks.append(_pack_costs(tables.c[key]))
-    chunks.append(_pack_costs(tables.d))
-    # Rows in (key, state) order; token ids within a row are already ascending.
-    rows = [
-        (key_idx, q, toks, succs)
-        for key_idx, key in enumerate(tables.keys)
-        for q, (toks, succs) in sorted(tables.token_map[key].items())
+    chunks = [
+        CACHE_MAGIC,
+        struct.pack("<I", tables.version),
+        bytes.fromhex(tables.grammar_hash),
+        bytes.fromhex(tables.vocab_hash),
+        struct.pack("<II", len(tables.keys), len(tables.d)),
+        tables.d.astype("<i8").tobytes(),
     ]
-    sizes = [toks.size for _, _, toks, _ in rows]
-    entries = np.empty((sum(sizes), 4), dtype="<i4")
-    if rows:
-        key_ids, states, token_ids, successors = zip(*rows)
-        entries[:, 0] = np.repeat(key_ids, sizes)
-        entries[:, 1] = np.repeat(states, sizes)
-        entries[:, 2] = np.concatenate(token_ids)
-        entries[:, 3] = np.concatenate(successors)
-    chunks.append(struct.pack("<Q", len(entries)))
-    chunks.append(entries.tobytes())
-
+    for key in tables.keys:
+        aut, rows = tables.automata[key], tables.token_map[key]
+        b = key[1] if len(key) == 2 else 0xFFFFFFFF
+        chunks.append(struct.pack(_HEADER, len(key), key[0], b, aut.n_states, aut.initial))
+        chunks.append(aut.accepting.astype(np.uint8).tobytes())
+        chunks.append(aut.transitions.astype("<i4").tobytes())
+        chunks.append(tables.c[key].astype("<i8").tobytes())
+        sizes = [0] * (aut.n_states + 1)
+        for q, (ids, _) in rows.items():
+            sizes[q + 1] = ids.size
+        chunks.append(np.cumsum(sizes, dtype="<i8").tobytes())
+        for column in (0, 1):  # token ids, then successors
+            parts = [np.empty(0, np.int32)] + [rows[q][column] for q in sorted(rows)]
+            chunks.append(np.concatenate(parts, dtype="<i4").tobytes())
     payload = b"".join(chunks)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(prefix=".cache-", dir=directory)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
+            fh.write(hashlib.sha256(payload).digest())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -356,12 +332,12 @@ def save_cache(tables: CostTables, path) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    def __init__(self, data: memoryview):
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+    def take(self, n: int) -> memoryview:
+        if n < 0 or self.pos + n > len(self.data):
             raise CacheCorruptError("cache file truncated")
         out = self.data[self.pos : self.pos + n]
         self.pos += n
@@ -370,18 +346,61 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def done(self) -> bool:
-        return self.pos == len(self.data)
+    def array(self, dtype: str, n: int) -> np.ndarray:
+        return np.frombuffer(self.take(np.dtype(dtype).itemsize * n), dtype=dtype)
+
+
+def _token_map(
+    automata: dict[Key, Dfa], c: dict[Key, np.ndarray], csr: list[tuple[np.ndarray, ...]]
+) -> dict[Key, dict[int, TokenRow]]:
+    """The token-map rows of every automaton, once they and C are checked
+    against each other.  All automata's states are numbered one after
+    another, so each check is one vectorized pass."""
+    keys = list(automata)
+    n_states = np.array([automata[key].n_states for key in keys])
+    first = np.cumsum(n_states) - n_states  # each automaton's state 0
+    indptrs, ids, succs = zip(*csr)
+    counts = np.array([indptr[-1] for indptr in indptrs])
+    starts = np.concatenate([indptr[:-1] for indptr in indptrs])
+    sizes = np.concatenate([indptr[1:] for indptr in indptrs]) - starts
+    if any(indptr[0] for indptr in indptrs) or (sizes < 0).any() or sizes[first + DEAD].any():
+        raise CacheCorruptError("token-map row pointers do not start at 0 and rise")
+    starts += np.repeat(np.cumsum(counts) - counts, n_states)
+    ids, succs = (np.concatenate(arrays, dtype=np.int32) for arrays in (ids, succs))
+    # Rows hold live transitions only: no successor is the dead state.
+    if ((succs <= DEAD) | (succs >= np.repeat(n_states, counts))).any():
+        raise CacheCorruptError("token-map successor out of range")
+    live = np.flatnonzero(sizes)
+    rising = np.diff(ids) > 0
+    rising[starts[live[1:]] - 1] = True  # a row may start below the previous row's end
+    if (ids < 0).any() or not rising.all():
+        raise CacheCorruptError("token ids do not rise from 0 within a row")
+    # C is the least tokens to acceptance: 0 on accepting states, otherwise
+    # one more than at the cheapest successor, INF with none.  Its only
+    # solution lies in [0, INF], so this also bounds every stored cost.
+    costs = np.concatenate([c[key] for key in keys])
+    want = np.full(costs.size, INF, dtype=np.int64)
+    if live.size:
+        cheapest = np.minimum.reduceat(costs[succs + np.repeat(first, counts)], starts[live])
+        want[live] = np.minimum(INF, cheapest + 1)
+    want[np.concatenate([automata[key].accepting for key in keys])] = 0
+    if not np.array_equal(costs, want):
+        raise CacheCorruptError("C does not match the token map")
+    token_map: dict[Key, dict[int, TokenRow]] = {key: {} for key in keys}
+    owner = np.searchsorted(first, live, side="right") - 1
+    bounds = zip(starts[live].tolist(), (starts + sizes)[live].tolist())
+    for k, q, (a, b) in zip(owner.tolist(), (live - first[owner]).tolist(), bounds):
+        token_map[keys[k]][q] = (ids[a:b], succs[a:b])
+    return token_map
 
 
 def load_cache(
-    path,
-    expect_grammar_hash: str | None = None,
-    expect_vocab_hash: str | None = None,
+    path, expect_grammar_hash: str | None = None, expect_vocab_hash: str | None = None
 ) -> CostTables:
     """Load a cache; optional expected hashes catch stale caches early."""
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read())
+        data = memoryview(fh.read())
+    reader = _Reader(data)
     if reader.take(4) != CACHE_MAGIC:
         raise CacheCorruptError(f"{path} is not a cost cache (bad magic)")
     (version,) = reader.unpack("<I")
@@ -389,6 +408,9 @@ def load_cache(
         raise CacheVersionError(
             f"cache format version {version} is not the supported {CACHE_VERSION}"
         )
+    reader.data, checksum = data[:-32], data[-32:]
+    if hashlib.sha256(reader.data).digest() != checksum:
+        raise CacheCorruptError(f"{path} fails its checksum (corrupt or truncated)")
     grammar_hash = reader.take(32).hex()
     vocab_hash = reader.take(32).hex()
     if expect_grammar_hash is not None and grammar_hash != expect_grammar_hash:
@@ -396,64 +418,38 @@ def load_cache(
     if expect_vocab_hash is not None and vocab_hash != expect_vocab_hash:
         raise CacheHashError("cache was built from a different vocabulary file")
     n_keys, n_nonterminals = reader.unpack("<II")
-    keys: list[Key] = []
+    d = reader.array("<i8", n_nonterminals).astype(np.int64)
+    if ((d < 0) | (d > INF)).any():
+        raise CacheCorruptError("stored D out of range")
     automata: dict[Key, Dfa] = {}
     c: dict[Key, np.ndarray] = {}
+    csr: list[tuple[np.ndarray, ...]] = []
     for _ in range(n_keys):
-        arity, a, b, n_states, initial, n_acc = reader.unpack("<BIIIII")
+        arity, a, b, n_states, initial = reader.unpack(_HEADER)
         if arity not in (1, 2):
             raise CacheCorruptError(f"bad key arity {arity}")
         key: Key = (a,) if arity == 1 else (a, b)
         if key in automata:
             raise CacheCorruptError(f"duplicate key {key}")
-        acc_ids = np.frombuffer(reader.take(4 * n_acc), dtype="<i4")
-        trans = np.frombuffer(reader.take(4 * n_states * 256), dtype="<i4").reshape(
-            n_states, 256
-        )
-        if ((acc_ids < 0) | (acc_ids >= n_states)).any():
-            raise CacheCorruptError(f"accepting state out of range for key {key}")
-        accepting = np.zeros(n_states, dtype=bool)
-        accepting[acc_ids] = True
+        accepting = reader.array("<u1", n_states)
+        trans = reader.array("<i4", 256 * n_states).reshape(n_states, 256)
         try:
-            automata[key] = Dfa(trans.copy(), int(initial), accepting)
+            automata[key] = Dfa(trans.copy(), initial, accepting)
         except ValueError as exc:
             raise CacheCorruptError(f"bad automaton for key {key}: {exc}") from exc
-        c[key] = _unpack_costs(reader.take(8 * n_states))
-        keys.append(key)
-    d = _unpack_costs(reader.take(8 * n_nonterminals))
-    (n_entries,) = reader.unpack("<Q")
-    token_map: dict[Key, dict[int, TokenRow]] = {key: {} for key in keys}
-    if n_entries:
-        flat = np.frombuffer(reader.take(16 * n_entries), dtype="<i4").reshape(
-            n_entries, 4
-        )
-        key_ids, states, token_ids, successors = flat.T
-        if ((key_ids < 0) | (key_ids >= n_keys)).any():
-            raise CacheCorruptError("token-map entry names an unknown automaton")
-        limit = np.array([automata[key].n_states for key in keys], dtype=np.int32)[key_ids]
-        # Entries hold live transitions only: neither end is the dead state.
-        for name, values in (("state", states), ("successor", successors)):
-            if ((values <= DEAD) | (values >= limit)).any():
-                raise CacheCorruptError(f"token-map entry {name} out of range")
-        if (token_ids < 0).any():
-            raise CacheCorruptError("token-map entry has a negative token id")
-        dk, dq, dt = np.diff(key_ids), np.diff(states), np.diff(token_ids)
-        if not ((dk > 0) | (dk == 0) & ((dq > 0) | (dq == 0) & (dt > 0))).all():
-            raise CacheCorruptError("token-map entries are not in sorted order")
-        for block in np.split(flat, np.flatnonzero((dk != 0) | (dq != 0)) + 1):
-            token_map[keys[block[0, 0]]][int(block[0, 1])] = (
-                block[:, 2].astype(np.int32),
-                block[:, 3].astype(np.int32),
-            )
-    if not reader.done():
+        c[key] = reader.array("<i8", n_states).astype(np.int64)
+        indptr = reader.array("<i8", n_states + 1)
+        n_entries = int(indptr[-1])
+        csr.append((indptr, reader.array("<i4", n_entries), reader.array("<i4", n_entries)))
+    if reader.pos != len(reader.data):
         raise CacheCorruptError("trailing bytes after cache payload")
     return CostTables(
         grammar_hash=grammar_hash,
         vocab_hash=vocab_hash,
-        keys=tuple(keys),
+        keys=tuple(automata),
         automata=automata,
         c=c,
         d=d,
-        token_map=token_map,
+        token_map=_token_map(automata, c, csr) if automata else {},
         version=version,
     )

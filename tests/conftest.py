@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -59,6 +60,32 @@ MINI_TOKENS = [b'"', b"a", b'"a', b'a"', b'"a"', b"1", b"12", b"[", b"]", b",", 
 
 def make_vocab(tokens: list[bytes]) -> Vocabulary:
     return Vocabulary(tokens, eos=len(tokens))
+
+
+def cache_offsets(tables, key) -> dict[str, int]:
+    """Byte offset of each field of ``key``'s automaton in a saved cache."""
+    at = 80 + 8 * len(tables.d)  # D follows the 80-byte file header
+    for k in tables.keys:
+        n = tables.automata[k].n_states
+        entries = sum(ids.size for ids, _ in tables.token_map[k].values())
+        fields = {"d": 80, "arity": at, "second": at + 5, "accepting": at + 17}
+        fields["c"] = fields["accepting"] + n + 4 * 256 * n
+        fields["indptr"] = fields["c"] + 8 * n
+        fields["ids"] = fields["indptr"] + 8 * (n + 1)
+        fields["succs"] = fields["ids"] + 4 * entries
+        if k == key:
+            return fields
+        at = fields["succs"] + 4 * entries
+    raise KeyError(key)
+
+
+def edit_cache(path, at: int, value: bytes) -> None:
+    """Overwrite the bytes at ``at`` in a saved cache and recompute its
+    SHA-256 trailer, so the edited field reaches its own check on load."""
+    raw = bytearray(path.read_bytes())
+    assert raw[at : at + len(value)] != value, "the edit changes nothing"
+    raw[at : at + len(value)] = value
+    path.write_bytes(bytes(raw[:-32]) + hashlib.sha256(raw[:-32]).digest())
 
 
 def drop_key(tables, key):

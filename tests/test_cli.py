@@ -12,15 +12,17 @@ from pathlib import Path
 import pytest
 
 from boundedgen import bundled_json_grammar_path
-from boundedgen.cli import EXIT_GRAMMAR, EXIT_INCOMPLETE, EXIT_IO, EXIT_OK, main
-from boundedgen.costs import build_cost_tables, load_cache, save_cache
+from boundedgen.cli import EXIT_GRAMMAR, EXIT_IO, EXIT_OK, main
+from boundedgen.costs import CACHE_MAGIC, build_cost_tables, load_cache, save_cache
 from boundedgen.evalharness import save_tasks
 from boundedgen.grammar import parse_grammar
 from boundedgen.vocab import Vocabulary, load_vocabulary, save_vocabulary
 from tests.conftest import (
     LEXER_CAP_GRAMMAR,
     STATE_CAP_GRAMMAR,
+    cache_offsets,
     drop_key,
+    edit_cache,
     eval_token_strings,
     make_json_tasks,
     with_terminal_pattern,
@@ -184,6 +186,26 @@ class TestGenerate:
         assert code == EXIT_GRAMMAR
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "budget, message",
+        [
+            ("0", "budget must be at least 1, got 0"),
+            ("1", "budget 1 cannot fit any complete output"),
+        ],
+    )
+    def test_budget_too_small_exit_2(self, workspace, capsys, budget, message):
+        code = main(
+            [
+                "generate",
+                "--grammar", workspace["grammar"],
+                "--vocab", workspace["vocab"],
+                "--cache", workspace["cache"],
+                "--budget", budget,
+            ]
+        )
+        assert code == EXIT_GRAMMAR
+        assert message in capsys.readouterr().err
+
     def test_prompt_file_conditions_model(self, workspace, tmp_path, capsys):
         prompt = tmp_path / "prompt.txt"
         prompt.write_text('{"id":1}')
@@ -325,7 +347,7 @@ class TestMask:
         assert "ADMIT <eos>" in captured.out
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
-    def test_budget_below_1_exit_1(self, workspace, capsys, budget):
+    def test_budget_below_1_exit_2(self, workspace, capsys, budget):
         code = main(
             [
                 "mask",
@@ -335,7 +357,7 @@ class TestMask:
                 "--budget", budget,
             ]
         )
-        assert code == EXIT_INCOMPLETE
+        assert code == EXIT_GRAMMAR
         assert f"budget must be at least 1, got {budget}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -360,10 +382,11 @@ class TestMask:
         assert row in capsys.readouterr().out.splitlines()
 
     def test_token_id_beyond_vocabulary_exit_3(self, workspace, tmp_path, capsys):
-        raw = bytearray(open(workspace["cache"], "rb").read())
-        raw[-8:-4] = struct.pack("<i", 1 << 20)  # token id of the last entry
         cache = tmp_path / "big-id.cache"
-        cache.write_bytes(bytes(raw))
+        tables = load_cache(workspace["cache"])
+        save_cache(tables, cache)
+        last_id = cache_offsets(tables, tables.keys[-1])["succs"] - 4
+        edit_cache(cache, last_id, struct.pack("<i", 1 << 20))
         code = main(
             [
                 "mask",
@@ -375,6 +398,22 @@ class TestMask:
         )
         assert code == EXIT_IO
         assert "outside the vocabulary" in capsys.readouterr().err
+
+    def test_version_1_cache_exit_3(self, workspace, tmp_path, capsys):
+        cache = tmp_path / "v1.cache"
+        raw = Path(workspace["cache"]).read_bytes()
+        cache.write_bytes(CACHE_MAGIC + struct.pack("<I", 1) + raw[8:])
+        code = main(
+            [
+                "mask",
+                "--grammar", workspace["grammar"],
+                "--vocab", workspace["vocab"],
+                "--cache", str(cache),
+                "--budget", "10",
+            ]
+        )
+        assert code == EXIT_IO
+        assert "cache format version 1 is not the supported 2" in capsys.readouterr().err
 
     def test_cache_missing_an_automaton_exit_3(self, workspace, tmp_path, capsys):
         cache = tmp_path / "dropped.cache"

@@ -30,7 +30,9 @@ from boundedgen.vocab import Vocabulary
 from tests.conftest import (
     MINI_JSON_GRAMMAR,
     MINI_TOKENS,
+    cache_offsets,
     drop_key,
+    edit_cache,
     make_vocab,
     with_terminal_pattern,
 )
@@ -343,25 +345,26 @@ class TestCache:
         save_cache(paren_tables, path)
         assert path.read_bytes()[:4] == CACHE_MAGIC
 
+    # In the paren cache, key (1, 0) has accepting mask [0, 0, 0, 1], C = [INF,
+    # 1, 1, 0], row pointers [0, 0, 2, 3, 3] and token ids [1, 3, 0].  Each
+    # field of the first format's entry table is written where the same kind
+    # of value lives in this format: its key, its state (the row pointers),
+    # its token id and its successor.
+    _PLACES = {
+        "accepting": ("accepting", 0),
+        "c": ("c", 1),
+        "d": ("d", 0),
+        "key_index": ("arity", 0),
+        "state": ("indptr", 2),
+        "token": ("ids", 0),
+        "successor": ("succs", 0),
+    }
+
     @staticmethod
-    def _offsets(tables, raw: bytes) -> dict[str, int]:
-        """Byte offset of one value of each field in a saved cache."""
-        key = tables.keys[0]
-        aut = tables.automata[key]
-        first_key = 4 + 4 + 32 + 32 + 8
-        acc = first_key + struct.calcsize("<BIIIII")
-        costs = acc + 4 * int(aut.accepting.sum()) + 4 * 256 * aut.n_states
-        n_entries = sum(ids.size for rows in tables.token_map.values() for ids, _ in rows.values())
-        entries = len(raw) - 16 * n_entries
-        return {
-            "accepting": acc,
-            "c": costs,
-            "d": entries - 8 - 8 * len(tables.d),
-            "key_index": entries,
-            "state": entries + 4,
-            "token": entries + 8,
-            "successor": entries + 12,
-        }
+    def _corrupt(tables, path, section: str, index: int, value: bytes):
+        save_cache(tables, path)
+        at = cache_offsets(tables, (1, 0))[section]
+        edit_cache(path, at + index * {"accepting": 1, "ids": 4, "succs": 4}.get(section, 8), value)
 
     @pytest.mark.parametrize(
         "field,value",
@@ -382,12 +385,32 @@ class TestCache:
     )
     def test_out_of_range_field_is_corrupt(self, paren_tables, tmp_path, field, value):
         path = tmp_path / "p.cache"
-        save_cache(paren_tables, path)
-        raw = bytearray(path.read_bytes())
-        at = self._offsets(paren_tables, raw)[field]
-        raw[at : at + len(value)] = value
-        path.write_bytes(bytes(raw))
-        with pytest.raises(CacheCorruptError):
+        self._corrupt(paren_tables, path, *self._PLACES[field], value)
+        with pytest.raises(CacheCorruptError) as caught:
+            load_cache(path)
+        assert "checksum" not in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "section,index,value,match",
+        [
+            ("c", 1, struct.pack("<q", 2), "C does not match"),
+            ("accepting", 1, b"\x01", "C does not match"),
+            ("indptr", 0, struct.pack("<q", 1), "row pointers"),
+            ("indptr", DEAD + 1, struct.pack("<q", 1), "row pointers"),
+            ("indptr", 3, struct.pack("<q", 1), "row pointers"),
+            ("ids", 1, struct.pack("<i", 1), "do not rise"),
+            ("arity", 0, b"\x03", "arity"),
+            ("second", 0, struct.pack("<I", 1), "duplicate key"),
+        ],
+        ids=[
+            "c-off-by-one", "accepting-where-c-is-1", "indptr-not-from-0", "dead-row-not-empty",
+            "indptr-decreasing", "token-id-twice-in-a-row", "arity-3", "duplicate-key",
+        ],
+    )
+    def test_inconsistent_field_is_corrupt(self, paren_tables, tmp_path, section, index, value, match):
+        path = tmp_path / "p.cache"
+        self._corrupt(paren_tables, path, section, index, value)
+        with pytest.raises(CacheCorruptError, match=match):
             load_cache(path)
 
     def test_token_id_beyond_vocabulary_is_corrupt(
@@ -395,9 +418,8 @@ class TestCache:
     ):
         path = tmp_path / "p.cache"
         save_cache(paren_tables, path)
-        raw = bytearray(path.read_bytes())
-        raw[-8:-4] = struct.pack("<i", 1 << 20)  # token id of the last entry
-        path.write_bytes(bytes(raw))
+        last_id = cache_offsets(paren_tables, paren_tables.keys[-1])["succs"] - 4
+        edit_cache(path, last_id, struct.pack("<i", 1 << 20))
         tables = load_cache(path)  # the file does not record the vocabulary size
         with pytest.raises(CacheCorruptError):
             MaskEngine(paren_grammar, tables, paren_vocab)
@@ -424,13 +446,14 @@ class TestCache:
     @pytest.mark.parametrize(
         "name,digest",
         [
-            ("paren", "8692ebdb3428ba360c46c45147f44941d64352094530dce4545154356229d028"),
-            ("mini", "4524b094ccbc494396c11a0755f40e820e2ed339511ee5b9f90f6709ba04a0eb"),
-            ("json", "fe7507b40855563e5bf0d834c557b895f2a70bc4736c0e48f09bee8ff8c8c361"),
+            ("paren", "e59e9329a68b0c2cb893ad295974a2ebeb2847c17b04241c9e8c28e25595eb5b"),
+            ("mini", "57258e0cf51f0d536e56b0abdd6f2a6deebbca8a646b5de1f29e6472108f593d"),
+            ("json", "59fdd19eb813554e8a4f6979a706eb08a2b484b809ac0c4a8f2f033107770567"),
         ],
+        ids=["paren", "mini", "json"],
     )
     def test_golden_cache_digest(self, request, tmp_path, name, digest):
-        # Pins the canonical automata and the entry packing byte for byte.
+        # Pins the canonical automata and the CSR packing byte for byte.
         if name == "mini":
             tables = build_cost_tables(parse_grammar(MINI_JSON_GRAMMAR), make_vocab(MINI_TOKENS))
         else:
@@ -442,24 +465,31 @@ class TestCache:
     def test_unsorted_entries_are_corrupt(self, paren_tables, tmp_path):
         path = tmp_path / "p.cache"
         save_cache(paren_tables, path)
-        raw = bytearray(path.read_bytes())
-        at = self._offsets(paren_tables, raw)["key_index"]
-        raw[at : at + 32] = raw[at + 16 : at + 32] + raw[at : at + 16]
-        path.write_bytes(bytes(raw))
-        with pytest.raises(CacheCorruptError):
+        at = cache_offsets(paren_tables, (1, 0))["ids"]
+        edit_cache(path, at, struct.pack("<ii", 3, 1))  # state 1's row, swapped
+        with pytest.raises(CacheCorruptError, match="do not rise"):
             load_cache(path)
 
     def test_bit_flips_raise_only_cache_errors(self, paren_tables, tmp_path):
+        # One seeded bit in every byte: the magic, the version field or the
+        # checksum catches each flip.
         path = tmp_path / "p.cache"
         save_cache(paren_tables, path)
         raw = path.read_bytes()
         rng = random.Random(2024)
-        for _ in range(3000):
-            bit = rng.randrange(8 * len(raw))
-            flipped = bytearray(raw)
-            flipped[bit // 8] ^= 1 << (bit % 8)
-            path.write_bytes(bytes(flipped))
-            try:
-                load_cache(path)
-            except CacheError:
-                pass
+        with open(path, "r+b") as fh:
+            for at in range(len(raw)):
+                fh.seek(at)
+                fh.write(bytes([raw[at] ^ 1 << rng.randrange(8)]))
+                fh.flush()
+                with pytest.raises(CacheVersionError if 4 <= at < 8 else CacheError):
+                    load_cache(path)
+                fh.seek(at)
+                fh.write(raw[at : at + 1])
+
+    def test_version_1_file_is_refused(self, paren_tables, tmp_path):
+        path = tmp_path / "p.cache"
+        save_cache(paren_tables, path)
+        path.write_bytes(CACHE_MAGIC + struct.pack("<I", 1) + path.read_bytes()[8:])
+        with pytest.raises(CacheVersionError, match="version 1 "):
+            load_cache(path)
