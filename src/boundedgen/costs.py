@@ -6,23 +6,24 @@ adjacently, this module builds the (pair-)automaton, the sparse map from
 tokens to reach acceptance (C), and the per-nonterminal minimum number of
 tokens to derive it fully (D).  The automata depend on the grammar alone and
 are cached on it (``Grammar.pair_automata``), so tables for several
-vocabularies share them.  Every token costs one, so C is a breadth-first
-search backwards from the accepting states, one level at a time.
+vocabularies share them.
 
-The token map is built without a Python loop over tokens.  The vocabulary's
-bytes are laid out once per build as one flat byte array with per-token
-offsets and lengths.  For each automaton, every (live state, token) pair then
-steps through the transition table together, one byte position at a time;
-pairs that reach the dead state drop out, and a pair whose token has no bytes
-left keeps its state as the successor.  The pair arrays carried through the
-walk are int32, and no temporary holds more than (states x vocabulary)
-elements.
+The token map of all automata comes from one lockstep walk.  Their states
+are numbered one after another, with one shared dead state, in one stacked
+transition table.  Tokens are bucketed by first byte, and only the (state,
+token) pairs whose first byte keeps the state alive are seeded; they then
+step through the table one byte position at a time.  The walk goes in blocks
+of whole states with about ``_BLOCK_PAIRS`` seeded pairs each, so its
+temporaries stay bounded; only the map itself grows with the vocabulary.
+Every token costs one, so C is one breadth-first search backwards from the
+accepting states over all the automata's token edges.
 
 Everything is persisted to a versioned binary cache keyed by the grammar and
 vocabulary content hashes; writes are atomic (temp file then rename).  Each
 table is stored in the shape it loads into, the token map as CSR rows.  A
 SHA-256 trailer, range checks and a check of C against the token map make a
-damaged file raise ``CacheCorruptError`` instead of loading.
+damaged file raise ``CacheCorruptError`` instead of loading; the engine checks
+D, which needs the grammar.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ CACHE_VERSION = 2
 
 Key = tuple[int, ...]  # (terminal,) or (first_terminal, second_terminal)
 TokenRow = tuple[np.ndarray, np.ndarray]  # token ids, successor states
-Layout = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # see _layout
+TokenMap = dict[Key, dict[int, TokenRow]]  # key -> live state -> its row
 
 
 class CacheError(RuntimeError):
@@ -84,7 +85,7 @@ class CostTables:
     automata: dict[Key, Dfa]
     c: dict[Key, np.ndarray]
     d: np.ndarray
-    token_map: dict[Key, dict[int, TokenRow]]
+    token_map: TokenMap
     version: int = CACHE_VERSION
     build_seconds: float = field(default=0.0, compare=False)
 
@@ -94,124 +95,135 @@ class CostTables:
         return np.array(starts, dtype=np.int64)
 
     def structurally_equal(self, other: "CostTables") -> bool:
-        if (
-            self.version != other.version
-            or self.grammar_hash != other.grammar_hash
-            or self.vocab_hash != other.vocab_hash
-            or self.keys != other.keys
-            or not np.array_equal(self.d, other.d)
-        ):
+        fields = ("version", "grammar_hash", "vocab_hash", "keys")
+        if any(getattr(self, f) != getattr(other, f) for f in fields):
             return False
-        for key in self.keys:
-            if self.automata[key] != other.automata[key]:
-                return False
-            if not np.array_equal(self.c[key], other.c[key]):
-                return False
-            rows, orows = self.token_map[key], other.token_map[key]
-            if rows.keys() != orows.keys():
-                return False
-            for q in rows:
-                if not np.array_equal(rows[q][0], orows[q][0]) or not np.array_equal(
-                    rows[q][1], orows[q][1]
-                ):
-                    return False
-        return True
+        return np.array_equal(self.d, other.d) and all(
+            self.automata[key] == other.automata[key]
+            and np.array_equal(self.c[key], other.c[key])
+            and self.token_map[key].keys() == other.token_map[key].keys()
+            and all(np.array_equal(mine, theirs) for q, row in self.token_map[key].items()
+                    for mine, theirs in zip(row, other.token_map[key][q]))
+            for key in self.keys
+        )
 
 
 # --- token transitions -------------------------------------------------------
 
+_BLOCK_PAIRS = 1 << 14  # about this many seeded (state, token) pairs per block of the walk
 
-def _layout(vocab: Vocabulary) -> Layout:
-    """Content token ids (eos left out), every token's bytes as one flat array,
-    and the content tokens' offsets into it and lengths."""
+
+def _layout(vocab: Vocabulary) -> tuple[np.ndarray, ...]:
+    """Every token's bytes as a zero-padded (max length x tokens) matrix, the
+    tokens' lengths, the content token ids (eos left out) bucketed by first
+    byte, in id order within a bucket, and each bucket's size."""
     lengths = np.fromiter(map(len, vocab.tokens), dtype=np.int32, count=vocab.size)
-    offsets = np.cumsum(lengths, dtype=np.int64) - lengths
+    columns = np.zeros((int(lengths.max()), vocab.size), dtype=np.uint8)
+    data = np.frombuffer(b"".join(vocab.tokens), dtype=np.uint8)
+    columns.T[np.arange(columns.shape[0]) < lengths[:, None]] = data
     ids = np.delete(np.arange(vocab.size, dtype=np.int32), vocab.eos)
-    flat = np.frombuffer(b"".join(vocab.tokens), dtype=np.uint8)
-    return ids, flat, offsets[ids], lengths[ids]
+    ids = ids[np.argsort(columns[0, ids], kind="stable")]
+    return columns, lengths, ids, np.bincount(columns[0, ids], minlength=256)
 
 
-def _token_rows(dfa: Dfa, layout: Layout) -> dict[int, TokenRow]:
-    """Live successors of one automaton, by a lockstep walk over ``layout``.
-
-    All (live state, content token) pairs step through the transition table
-    together, one byte position at a time; a pair leaves the walk when it
-    reaches DEAD or its token ends.
-    """
-    ids, flat, offsets, lengths = layout
-    trans = dfa.transitions
-    first = trans[DEAD + 1 :, flat[offsets]]  # (live state, token) after byte 0
-    hit = np.flatnonzero(first)
-    succ = first.ravel()[hit]
-    pair_q, pair_t = (idx.astype(np.int32) for idx in np.divmod(hit, ids.size))
-    del first, hit
-    walking = np.flatnonzero(lengths[pair_t] > 1).astype(np.int32)
-    states = succ[walking]
-    pos = 1
-    while walking.size:
-        t = pair_t[walking]
-        states = trans[states, flat[offsets[t] + pos]]
-        succ[walking] = states
-        pos += 1
-        keep = (states != DEAD) & (lengths[t] > pos)
-        walking, states = walking[keep], states[keep]
-    live = succ != DEAD
-    pair_q, token_ids, succ = pair_q[live] + DEAD + 1, ids[pair_t[live]], succ[live]
-    cuts = np.flatnonzero(np.diff(pair_q)) + 1
-    return {
-        int(q[0]): (toks, s)
-        for q, toks, s in zip(
-            np.split(pair_q, cuts), np.split(token_ids, cuts), np.split(succ, cuts)
-        )
-        if q.size
-    }
+def _numbering(dfas) -> tuple[np.ndarray, np.ndarray]:
+    """State counts, and each automaton's state 0 once states are numbered in a row."""
+    n_states = np.array([dfa.n_states for dfa in dfas], dtype=np.int64)
+    return n_states, np.cumsum(n_states) - n_states
 
 
-def compute_token_map(
-    automata: dict[Key, Dfa], vocab: Vocabulary
-) -> dict[Key, dict[int, TokenRow]]:
+def _walk(dfas: list[Dfa], vocab: Vocabulary) -> tuple[np.ndarray, ...]:
+    """Live token transitions of all ``dfas`` in one lockstep walk over their
+    globally numbered states (see ``_numbering``), every dead transition going
+    to state 0.  Returns ``first`` and, per global state, the start and size of
+    its row in ``ids`` (rising) and ``succs`` (numbered within the automaton)."""
+    n_states, first = _numbering(dfas)
+    trans = np.concatenate([np.empty((0, 256), dtype=np.int32)] + [
+        np.where(d.transitions != DEAD, d.transitions + f, DEAD) for d, f in zip(dfas, first.tolist())
+    ])
+    columns, lengths, by_byte, counts = _layout(vocab)
+    bucket = np.cumsum(counts) - counts
+    owner_first = np.repeat(first, n_states)
+    seeded = np.concatenate([[0], np.cumsum((trans != DEAD) @ counts)])
+    sizes = np.zeros(trans.shape[0], dtype=np.int64)
+    ids, succs = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
+    a = 0
+    while a < trans.shape[0]:  # blocks of whole states, about _BLOCK_PAIRS seeds each
+        b = max(a + 1, int(np.searchsorted(seeded, seeded[a] + _BLOCK_PAIRS, side="right")) - 1)
+        row, byte = np.nonzero(trans[a:b])  # first bytes that keep a state alive
+        n = counts[byte]
+        tok = by_byte[np.repeat(bucket[byte] - np.cumsum(n) + n, n) + np.arange(n.sum())]
+        row, succ = np.repeat(row, n), np.repeat(trans[row + a, byte], n)
+        walking = np.flatnonzero(lengths[tok] > 1)
+        t, states = tok[walking], succ[walking]
+        for pos, column in enumerate(columns[1:], 2):
+            if not walking.size:
+                break
+            states = trans.ravel().take(states * 256 + column.take(t))  # int32: < 2**23 states
+            succ[walking] = states
+            keep = np.flatnonzero((states != DEAD) & (lengths.take(t) > pos))
+            walking, t, states = walking[keep], t[keep], states[keep]
+        live = succ != DEAD
+        packed = np.sort((row[live] * vocab.size + tok[live]) * trans.shape[0] + succ[live])
+        rest, succ = np.divmod(packed, trans.shape[0])
+        row, tok = np.divmod(rest, vocab.size)
+        sizes[a:b] = np.bincount(row, minlength=b - a)
+        ids.append(tok.astype(np.int32))
+        succs.append((succ - owner_first[succ]).astype(np.int32))
+        a = b
+    del trans, columns  # out of the peak that the concatenation below sets
+    return first, np.cumsum(sizes) - sizes, sizes, np.concatenate(ids), np.concatenate(succs)
+
+
+def _cut_rows(keys: list[Key], first, starts, sizes, ids, succs) -> TokenMap:
+    """Each automaton's non-empty rows, cut from ``ids`` and ``succs`` by the
+    rows of globally numbered states (``keys[k]``'s state 0 at ``first[k]``)."""
+    token_map: TokenMap = {key: {} for key in keys}
+    live = np.flatnonzero(sizes)
+    owner = np.searchsorted(first, live, side="right") - 1
+    bounds = zip(starts[live].tolist(), (starts + sizes)[live].tolist())
+    for k, q, (a, b) in zip(owner.tolist(), (live - first[owner]).tolist(), bounds):
+        token_map[keys[k]][q] = (ids[a:b], succs[a:b])
+    return token_map
+
+
+def compute_token_map(automata: dict[Key, Dfa], vocab: Vocabulary) -> TokenMap:
     """Sparse (key, state, token) -> successor map; most entries are dead."""
-    layout = _layout(vocab)
-    return {key: _token_rows(dfa, layout) for key, dfa in automata.items()}
+    return _cut_rows(list(automata), *_walk(list(automata.values()), vocab))
 
 
 # --- completion costs --------------------------------------------------------
 
 
-def _costs_from_rows(dfa: Dfa, rows: dict[int, TokenRow]) -> np.ndarray:
-    """Min tokens to acceptance per state: breadth-first over reversed token
-    edges, one level at a time."""
-    costs = np.full(dfa.n_states, INF, dtype=np.int64)
-    costs[dfa.accepting] = 0
-    if not rows:
-        return costs
-    src = np.repeat(
-        np.fromiter(rows, dtype=np.int32, count=len(rows)),
-        [toks.size for toks, _ in rows.values()],
-    )
-    dst = np.concatenate([succs for _, succs in rows.values()])
-    frontier = dfa.accepting
-    level = 0
+def _costs(automata: dict[Key, Dfa], token_map: TokenMap) -> dict[Key, np.ndarray]:
+    """Min tokens to acceptance per state of every automaton, by one
+    breadth-first search over their globally numbered states: a state is
+    reached at a level when a successor in its row was at the one before."""
+    n_states, first = _numbering(automata.values())
+    rows = [
+        (f + q, row[1] + f) for key, f in zip(automata, first.tolist()) for q, row in token_map[key].items()
+    ]
+    live = np.array([state for state, _ in rows], dtype=np.int64)
+    sizes = np.array([succs.size for _, succs in rows], dtype=np.int64)
+    succs = np.concatenate([np.empty(0, dtype=np.int32)] + [succs for _, succs in rows])
+    accepting = np.concatenate([np.empty(0, dtype=bool)] + [dfa.accepting for dfa in automata.values()])
+    costs, starts, level = np.where(accepting, 0, INF), np.cumsum(sizes) - sizes, 0
     while True:
-        pending = costs[src] == INF  # edges out of states not yet reached
-        src, dst = src[pending], dst[pending]
-        reached = np.zeros(dfa.n_states, dtype=bool)
-        reached[src[frontier[dst]]] = True
-        if not reached.any():
-            return costs
+        reached = live[np.logical_or.reduceat((costs == level)[succs], starts)]
+        reached = reached[costs[reached] == INF]
+        if not reached.size:
+            return {key: costs[f : f + n] for key, f, n in zip(automata, first.tolist(), n_states.tolist())}
         level += 1
         costs[reached] = level
-        frontier = reached
 
 
 def compute_terminal_costs(dfa: Dfa, vocab: Vocabulary) -> np.ndarray:
     """Per-state minimum tokens to acceptance for one automaton."""
-    return _costs_from_rows(dfa, _token_rows(dfa, _layout(vocab)))
+    automata = {(0,): dfa}
+    return _costs(automata, compute_token_map(automata, vocab))[(0,)]
 
 
-def compute_pair_costs(
-    g: Grammar, vocab: Vocabulary
-) -> tuple[dict[Key, Dfa], dict[Key, np.ndarray]]:
+def compute_pair_costs(g: Grammar, vocab: Vocabulary) -> tuple[dict[Key, Dfa], dict[Key, np.ndarray]]:
     """Concatenation automata and their cost vectors for adjacent pairs.
 
     Pairs that can never be adjacent in any derivation are skipped; the
@@ -219,7 +231,7 @@ def compute_pair_costs(
     can actually request is covered.
     """
     automata = dict(g.pair_automata)
-    return automata, {key: compute_terminal_costs(dfa, vocab) for key, dfa in automata.items()}
+    return automata, _costs(automata, compute_token_map(automata, vocab))
 
 
 def compute_nonterminal_costs(g: Grammar, terminal_costs: np.ndarray) -> np.ndarray:
@@ -236,24 +248,13 @@ def compute_nonterminal_costs(g: Grammar, terminal_costs: np.ndarray) -> np.ndar
         for prod in g.productions:
             total = 0
             for sym in prod.rhs:
-                part = (
-                    int(terminal_costs[sym])
-                    if g.is_terminal(sym)
-                    else int(d[g.nt_id(sym)])
-                )
-                total += part
+                total += int(terminal_costs[sym] if g.is_terminal(sym) else d[g.nt_id(sym)])
                 if total >= INF:
                     total = INF
                     break
             if total < d[prod.lhs]:
                 d[prod.lhs] = total
                 changed = True
-    dead_nts = [g.nonterminal_names[i] for i in range(g.n_nonterminals) if d[i] >= INF]
-    if dead_nts:
-        logger.warning(
-            "nonterminals with no realizable derivation under this vocabulary: %s",
-            ", ".join(dead_nts),
-        )
     return d
 
 
@@ -269,11 +270,15 @@ def build_cost_tables(g: Grammar, vocab: Vocabulary) -> CostTables:
         vocab_hash=vocab.source_hash,
         keys=keys,
         automata={key: automata[key] for key in keys},
-        c={key: _costs_from_rows(automata[key], token_map[key]) for key in keys},
+        c=_costs(automata, token_map),
         d=np.empty(0, dtype=np.int64),
         token_map=token_map,
     )
     tables.d = compute_nonterminal_costs(g, tables.terminal_start_costs(g.n_terminals))
+    dead_nts = [name for name, cost in zip(g.nonterminal_names, tables.d) if cost >= INF]
+    if dead_nts:
+        logger.warning("nonterminals with no realizable derivation under this vocabulary: %s",
+                       ", ".join(dead_nts))
     tables.build_seconds = time.perf_counter() - started
     return tables
 
@@ -350,15 +355,12 @@ class _Reader:
         return np.frombuffer(self.take(np.dtype(dtype).itemsize * n), dtype=dtype)
 
 
-def _token_map(
-    automata: dict[Key, Dfa], c: dict[Key, np.ndarray], csr: list[tuple[np.ndarray, ...]]
-) -> dict[Key, dict[int, TokenRow]]:
+def _token_map(automata: dict[Key, Dfa], c: dict[Key, np.ndarray], csr: list[tuple]) -> TokenMap:
     """The token-map rows of every automaton, once they and C are checked
     against each other.  All automata's states are numbered one after
     another, so each check is one vectorized pass."""
     keys = list(automata)
-    n_states = np.array([automata[key].n_states for key in keys])
-    first = np.cumsum(n_states) - n_states  # each automaton's state 0
+    n_states, first = _numbering(automata.values())
     indptrs, ids, succs = zip(*csr)
     counts = np.array([indptr[-1] for indptr in indptrs])
     starts = np.concatenate([indptr[:-1] for indptr in indptrs])
@@ -386,12 +388,7 @@ def _token_map(
     want[np.concatenate([automata[key].accepting for key in keys])] = 0
     if not np.array_equal(costs, want):
         raise CacheCorruptError("C does not match the token map")
-    token_map: dict[Key, dict[int, TokenRow]] = {key: {} for key in keys}
-    owner = np.searchsorted(first, live, side="right") - 1
-    bounds = zip(starts[live].tolist(), (starts + sizes)[live].tolist())
-    for k, q, (a, b) in zip(owner.tolist(), (live - first[owner]).tolist(), bounds):
-        token_map[keys[k]][q] = (ids[a:b], succs[a:b])
-    return token_map
+    return _cut_rows(keys, first, starts, sizes, ids, succs)
 
 
 def load_cache(

@@ -73,7 +73,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from boundedgen.costs import CacheCorruptError, CostTables
+from boundedgen.costs import CacheCorruptError, CostTables, compute_nonterminal_costs
 from boundedgen.dfa import DEAD, INF
 from boundedgen.grammar import Grammar, adjacent_terminal_pairs
 from boundedgen.vocab import Vocabulary
@@ -267,6 +267,9 @@ class MaskEngine:
             raise CacheCorruptError("cost tables do not hold exactly the grammar's automata")
         if any(tables.automata[(t,)] != term.dfa for t, term in enumerate(grammar.terminals)):
             raise CacheCorruptError("a terminal's automaton in the cost tables is not the grammar's")
+        start_costs = tables.terminal_start_costs(grammar.n_terminals)  # C is checked on load, D here
+        if not np.array_equal(compute_nonterminal_costs(grammar, start_costs), tables.d):
+            raise CacheCorruptError("D in the cost tables does not match the grammar and C")
         # (sequence, automaton state) -> the tokens that keep the automaton
         # alive and C at each one's successor.  A cache does not record the
         # vocabulary size, so the same walk bounds its token ids.
@@ -284,7 +287,7 @@ class MaskEngine:
         self.mode = mode
         self._start_symbol = grammar.nt_symbol(grammar.start)
         nullable = grammar.ll1.nullable
-        self._symbol_cost = [int(c) for c in tables.terminal_start_costs(grammar.n_terminals)]
+        self._symbol_cost = [int(c) for c in start_costs]
         self._symbol_cost += [int(c) for c in tables.d]
         self._symbol_nullable = [False] * grammar.n_terminals
         self._symbol_nullable += [nt in nullable for nt in range(grammar.n_nonterminals)]

@@ -19,6 +19,8 @@ from boundedgen.grammar import parse_grammar
 from boundedgen.vocab import Vocabulary, load_vocabulary, save_vocabulary
 from tests.conftest import (
     LEXER_CAP_GRAMMAR,
+    PAREN_GRAMMAR,
+    PAREN_TOKENS,
     STATE_CAP_GRAMMAR,
     cache_offsets,
     drop_key,
@@ -448,6 +450,21 @@ class TestMask:
         )
         assert code == EXIT_IO
         assert "terminal's automaton" in capsys.readouterr().err
+
+    def test_cache_with_a_wrong_d_exit_3(self, tmp_path, capsys):
+        (tmp_path / "paren.grammar").write_text(PAREN_GRAMMAR)
+        save_vocabulary(Vocabulary(PAREN_TOKENS, eos=len(PAREN_TOKENS)), tmp_path / "vocab.json")
+        args = [
+            "--grammar", str(tmp_path / "paren.grammar"),
+            "--vocab", str(tmp_path / "vocab.json"),
+            "--cache", str(tmp_path / "paren.cache"),
+        ]
+        assert main(["precompute", *args]) == EXIT_OK
+        d0 = cache_offsets(load_cache(tmp_path / "paren.cache"), (0,))["d"]
+        edit_cache(tmp_path / "paren.cache", d0, struct.pack("<q", 5))  # D[S] is 1
+        capsys.readouterr()
+        assert main(["mask", *args, "--budget", "10"]) == EXIT_IO
+        assert "D in the cost tables does not match" in capsys.readouterr().err
 
     def test_infinite_dangling_cost_prints_inf(self, yz_workspace, capsys):
         code = main(["mask", *yz_workspace, "--prefix", "(", "--budget", "5"])

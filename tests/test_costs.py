@@ -5,10 +5,13 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from boundedgen import bundled_json_grammar_path, costs
 from boundedgen.costs import (
     CACHE_MAGIC,
     CacheCorruptError,
@@ -24,12 +27,15 @@ from boundedgen.costs import (
 )
 from boundedgen.dfa import DEAD, INF, compile_regex
 from boundedgen.engine import MaskEngine
-from boundedgen.grammar import parse_grammar
+from boundedgen.grammar import load_grammar, parse_grammar
 from boundedgen.oracle import brute_force_min_tokens
 from boundedgen.vocab import Vocabulary
 from tests.conftest import (
     MINI_JSON_GRAMMAR,
     MINI_TOKENS,
+    PAREN_GRAMMAR,
+    SHADOW_GRAMMAR,
+    SHADOW_TOKENS,
     cache_offsets,
     drop_key,
     edit_cache,
@@ -37,6 +43,8 @@ from tests.conftest import (
     with_terminal_pattern,
 )
 from tests.test_lexer_reference import KW_GRAMMAR
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 class TestTerminalCosts:
@@ -288,6 +296,85 @@ class TestTokenMap:
             assert np.array_equal(compute_terminal_costs(aut, vocab), tables.c[key]), key
 
 
+def _check_walk(grammar, vocab):
+    """Tables for ``grammar`` whose every row is checked token by token
+    against ``Dfa.run``, and whose C is checked against the oracle and
+    against the single-automaton and pair entry points."""
+    tables = build_cost_tables(grammar, vocab)
+    for key, aut in tables.automata.items():
+        rows = tables.token_map[key]
+        for q in range(aut.n_states):
+            want = [] if q == DEAD else [
+                (tid, aut.run(q, tok)) for tid, tok in enumerate(vocab.tokens) if tid != vocab.eos
+            ]
+            want = [(tid, succ) for tid, succ in want if succ != DEAD]
+            got = list(zip(rows[q][0].tolist(), rows[q][1].tolist())) if q in rows else []
+            assert got == want and (q not in rows or got), (key, q)
+            assert tables.c[key][q] == brute_force_min_tokens(aut, vocab, q), (key, q)
+        assert np.array_equal(compute_terminal_costs(aut, vocab), tables.c[key]), key
+    automata, pair_costs = compute_pair_costs(grammar, vocab)
+    assert sorted(pair_costs) == sorted(automata) == [key for key in tables.keys if len(key) == 2]
+    for key, c in pair_costs.items():
+        assert np.array_equal(c, tables.c[key]), key
+    return tables
+
+
+class TestWalkEdgeCases:
+    def test_fully_shadowed_terminal_has_no_rows(self):
+        # B lexes every "ab" before A can, so A's automaton never accepts.
+        g = parse_grammar(SHADOW_GRAMMAR)
+        tables = _check_walk(g, make_vocab(SHADOW_TOKENS))
+        a = [t.name for t in g.terminals].index("A")
+        assert tables.token_map[(a,)] == {}
+        assert all(tables.token_map[key] == {} for key in tables.keys if key[0] == a)
+        assert (tables.c[(a,)] == INF).all()
+
+    def test_grammar_without_adjacent_pairs(self):
+        g = parse_grammar("S: X ; X: /x+/ ;")
+        vocab = make_vocab([b"x", b"xx", b"y", b"xy"])
+        tables = _check_walk(g, vocab)
+        assert tables.keys == ((0,),)
+        assert compute_pair_costs(g, vocab) == ({}, {})
+        assert compute_token_map({}, vocab) == {}
+
+    def test_single_content_token(self, paren_grammar):
+        for token in (b"x", b"(x", b"z"):
+            _check_walk(paren_grammar, Vocabulary([token], eos=1))
+
+    def test_tokens_longer_than_every_path(self, paren_grammar):
+        # Paren terminals take one byte and their pairs two: only the two-byte
+        # tokens fit, "(x" into (LP, X) and "((" into (LP, LP).
+        tokens = [b"((((x))))", b"x" * 64, b"(x", b"((", b"x)" * 20]
+        tables = _check_walk(paren_grammar, make_vocab(tokens))
+        live = {tid for rows in tables.token_map.values() for ids, _ in rows.values() for tid in ids.tolist()}
+        assert live == {2, 3}
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_block_size_does_not_change_the_map(self, json_grammar, json_vocab, json_tables, monkeypatch, block):
+        monkeypatch.setattr(costs, "_BLOCK_PAIRS", block)
+        assert build_cost_tables(json_grammar, json_vocab).structurally_equal(json_tables)
+
+
+def test_build_peak_memory_is_bounded(monkeypatch):
+    # Blocks of about 16 K seeded pairs bound the walk's temporaries: 2.45 MiB
+    # traced, against 2.06 MiB for the per-automaton walk it replaced and
+    # 11.3 MiB for one block over all seeds.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import inputs
+
+    grammar = load_grammar(bundled_json_grammar_path())
+    vocab = inputs.ngram_vocab(1, 8002)
+    build_cost_tables(grammar, vocab)  # the grammar caches its pair automata
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        build_cost_tables(grammar, vocab)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+
+
 class TestCache:
     def test_round_trip_structural_identity(self, json_tables, tmp_path):
         path = tmp_path / "json.cache"
@@ -422,6 +509,16 @@ class TestCache:
         edit_cache(path, last_id, struct.pack("<i", 1 << 20))
         tables = load_cache(path)  # the file does not record the vocabulary size
         with pytest.raises(CacheCorruptError):
+            MaskEngine(paren_grammar, tables, paren_vocab)
+
+    def test_wrong_d_is_corrupt(self, paren_grammar, paren_vocab, paren_tables, tmp_path):
+        # In range and checksummed, so it loads; the engine recomputes D.
+        path = tmp_path / "p.cache"
+        save_cache(paren_tables, path)
+        edit_cache(path, cache_offsets(paren_tables, (0,))["d"], struct.pack("<q", 5))
+        tables = load_cache(path, paren_grammar.source_hash, paren_vocab.source_hash)
+        assert tables.d[0] == 5
+        with pytest.raises(CacheCorruptError, match="D in the cost tables"):
             MaskEngine(paren_grammar, tables, paren_vocab)
 
     @pytest.mark.parametrize("key", [(0,), (0, 2)], ids=["terminal", "pair"])
