@@ -12,11 +12,15 @@ An unescaped ``[`` with no matching ``]`` and a ``]`` outside any class are
 taken literally, so single-character structural terminals like ``[`` compile
 without escaping.
 
-A grammar's terminals are compiled together: one subset construction over
-all their patterns gives one DFA whose states are labelled with the
+Patterns become position automata (Glushkov; Berry and Sethi 1986): each
+byte set of a pattern is a state, and a state moves on a byte to the
+positions that may follow it and hold that byte, so there are no epsilon
+moves.  A grammar's terminals are compiled together: one subset construction
+over all their positions gives one DFA whose states are labelled with the
 earliest-declared terminal accepting there.  That DFA is the lexer, and each
 terminal's automaton is it minimized with that terminal's labels accepting,
 so declaration order breaks ties for the costs exactly as for lexing.
+Concatenation runs the same subset construction over two DFAs' states.
 
 Every automaton is total: state 0 is the absorbing dead state, always
 allocated even when unreachable, and no accepting state is reachable from it.
@@ -90,10 +94,6 @@ class Dfa:
     def n_states(self) -> int:
         return self.transitions.shape[0]
 
-    @property
-    def accepting_states(self) -> frozenset[int]:
-        return frozenset(int(q) for q in np.flatnonzero(self.accepting))
-
     def run(self, state: int, data: bytes) -> int:
         """Iterated transition from ``state`` over ``data``; DEAD absorbs."""
         trans = self.transitions
@@ -120,7 +120,8 @@ class Dfa:
         return hash((self.initial, self.transitions.tobytes(), self.accepting.tobytes()))
 
     def __repr__(self) -> str:
-        return f"Dfa(states={self.n_states}, initial={self.initial}, accepting={sorted(self.accepting_states)})"
+        accepting = np.flatnonzero(self.accepting).tolist()
+        return f"Dfa(states={self.n_states}, initial={self.initial}, accepting={accepting})"
 
 
 # --- pattern parsing -------------------------------------------------------
@@ -314,96 +315,64 @@ class _PatternParser:
         )
 
 
-# --- Thompson construction -------------------------------------------------
+# --- position automata and determinization ----------------------------------
 
 
-class _Nfa:
-    def __init__(self):
-        self.byte_edges: list[dict[int, list[int]]] = []
-        self.eps: list[list[int]] = []
-
-    def new_state(self) -> int:
-        self.byte_edges.append({})
-        self.eps.append([])
-        return len(self.eps) - 1
-
-    def add_eps(self, src: int, dst: int) -> None:
-        self.eps[src].append(dst)
-
-    def add_bytes(self, src: int, byteset: Iterable[int], dst: int) -> None:
-        edges = self.byte_edges[src]
-        for b in byteset:
-            edges.setdefault(b, []).append(dst)
-
-
-def _build_fragment(nfa: _Nfa, node) -> tuple[int, int]:
+def _positions(node, sets: list, follow: list) -> tuple[bool, set[int], set[int]]:
+    """Whether ``node`` matches the empty string, and its first and last
+    positions.  Each byte set of ``node`` becomes a position: its bytes go on
+    ``sets``, and ``follow`` gets the positions that may come right after it."""
     kind = node[0]
     if kind == "set":
-        s, t = nfa.new_state(), nfa.new_state()
-        nfa.add_bytes(s, sorted(node[1]), t)
-        return s, t
-    if kind == "seq":
-        s = t = nfa.new_state()
-        for child in node[1]:
-            cs, ct = _build_fragment(nfa, child)
-            nfa.add_eps(t, cs)
-            t = ct
-        return s, t
+        sets.append(node[1])
+        follow.append(set())
+        return False, {len(sets) - 1}, {len(sets) - 1}
     if kind == "alt":
-        s, t = nfa.new_state(), nfa.new_state()
+        nullable, first, last = zip(*(_positions(child, sets, follow) for child in node[1]))
+        return any(nullable), set().union(*first), set().union(*last)
+    if kind == "seq":
+        nullable, first, last = True, set(), set()
         for child in node[1]:
-            cs, ct = _build_fragment(nfa, child)
-            nfa.add_eps(s, cs)
-            nfa.add_eps(ct, t)
-        return s, t
-    if kind in ("star", "plus", "opt"):
-        cs, ct = _build_fragment(nfa, node[1])
-        s, t = nfa.new_state(), nfa.new_state()
-        nfa.add_eps(s, cs)
-        if kind != "plus":
-            nfa.add_eps(s, t)
-        nfa.add_eps(ct, t)
-        if kind != "opt":
-            nfa.add_eps(ct, cs)
-        return s, t
-    raise AssertionError(f"unknown node {kind}")
-
-
-def _eps_closure(nfa: _Nfa, states: Iterable[int]) -> frozenset[int]:
-    seen = set(states)
-    stack = list(seen)
-    while stack:
-        q = stack.pop()
-        for nxt in nfa.eps[q]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return frozenset(seen)
+            n, f, l = _positions(child, sets, follow)
+            for p in last:
+                follow[p] |= f
+            if nullable:
+                first |= f
+            last = last | l if n else l
+            nullable &= n
+        return nullable, first, last
+    nullable, first, last = _positions(node[1], sets, follow)  # star, plus, opt
+    if kind != "opt":
+        for p in last:
+            follow[p] |= first
+    return nullable or kind != "plus", first, last
 
 
 def _determinize(
-    nfa: _Nfa, start: int, accepts: Sequence[int], name: str
+    moves: Sequence[dict[int, Iterable[int]]],
+    start: frozenset[int],
+    accepts: Sequence[set[int]],
+    name: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Subset construction from ``start``, breadth-first with bytes in order:
-    the transition table, DEAD (the empty subset) as row 0 and the start
-    subset as row 1, and per state the index of the first of ``accepts`` it
-    holds (-1 for none).  StateLimitError, naming ``name``, past STATE_CAP."""
-    init = _eps_closure(nfa, [start])
-    ids: dict[frozenset[int], int] = {init: 1}
-    order = [init]
+    """Subset construction from ``start`` over the states' ``byte -> next
+    states`` moves, breadth-first with bytes in order: the transition table,
+    DEAD (the empty subset) as row 0 and the start subset as row 1, and per
+    state the index of the first of ``accepts`` it meets (-1 for none).
+    StateLimitError, naming ``name``, past STATE_CAP."""
+    ids: dict[frozenset[int], int] = {start: 1}
+    order = [start]
     rows, label = [np.zeros(_N_BYTES, dtype=np.int32)], [-1]
     for current in order:  # grows while it is walked
-        label.append(next((i for i, a in enumerate(accepts) if a in current), -1))
-        moves: dict[int, set[int]] = {}
+        label.append(next((i for i, a in enumerate(accepts) if not a.isdisjoint(current)), -1))
+        step: dict[int, set[int]] = {}
         for q in current:
-            for b, targets in nfa.byte_edges[q].items():
-                moves.setdefault(b, set()).update(targets)
-        by_move: dict[frozenset[int], list[int]] = {}  # bytes by NFA move, first byte first
-        for b in sorted(moves):
-            by_move.setdefault(frozenset(moves[b]), []).append(b)
+            for b, targets in moves[q].items():
+                step.setdefault(b, set()).update(targets)
+        by_target: dict[frozenset[int], list[int]] = {}  # bytes by next subset, first byte first
+        for b in sorted(step):
+            by_target.setdefault(frozenset(step[b]), []).append(b)
         rows.append(np.zeros(_N_BYTES, dtype=np.int32))
-        for move, byteset in by_move.items():
-            target = _eps_closure(nfa, move)
+        for target, byteset in by_target.items():
             if target not in ids:
                 if len(order) >= STATE_CAP:
                     raise StateLimitError(f"{name} exceeded state cap {STATE_CAP}")
@@ -475,23 +444,28 @@ def parse_pattern(pattern: str) -> tuple:
 def compile_lexer(trees: Sequence[tuple]) -> tuple[Lexer, tuple[Dfa, ...]]:
     """The lexer and each terminal's automaton, from one labelled DFA.
 
-    ``trees``, the terminals' parsed patterns in declaration order, share one
-    Thompson NFA whose start state has an epsilon edge to each one's
-    fragment, determinized once.  That DFA is the lexer: per state ``q``,
-    ``transitions[q][b]`` is the successor on byte ``b`` (0 is DEAD, 1 the
-    initial state), ``terminal[q]`` the earliest terminal accepting in ``q``
-    or -1, and ``extends[q]`` whether some byte leads to a live state.
-    Terminal ``t``'s automaton is that DFA minimized with the states labelled
-    ``t`` accepting: exactly the strings the lexer labels ``t``.
+    ``trees``, the terminals' parsed patterns in declaration order, give one
+    position automaton: every byte set of every pattern is a position, and
+    one start position moves to each pattern's first positions.  Terminal
+    ``t`` accepts at its last positions, and at the start too if its pattern
+    matches the empty string.  That automaton determinized is the lexer: per
+    state ``q``, ``transitions[q][b]`` is the successor on byte ``b`` (0 is
+    DEAD, 1 the initial state), ``terminal[q]`` the earliest terminal
+    accepting in ``q`` or -1, and ``extends[q]`` whether some byte leads to a
+    live state.  Terminal ``t``'s automaton is that DFA minimized with the
+    states labelled ``t`` accepting: exactly the strings the lexer labels ``t``.
     """
-    nfa = _Nfa()
-    start = nfa.new_state()
-    accepts = []
+    sets, follow, accepts = [frozenset()], [set()], []  # position 0 is the start
     for tree in trees:
-        s, t = _build_fragment(nfa, tree)
-        nfa.add_eps(start, s)
-        accepts.append(t)
-    table, label = _determinize(nfa, start, accepts, "lexer automaton")
+        nullable, first, last = _positions(tree, sets, follow)
+        follow[0] |= first
+        accepts.append(last | {0} if nullable else last)
+    moves: list[dict[int, list[int]]] = [{} for _ in sets]
+    for p, after in enumerate(follow):
+        for q in after:
+            for b in sets[q]:
+                moves[p].setdefault(b, []).append(q)
+    table, label = _determinize(moves, frozenset([0]), accepts, "lexer automaton")
     rows = tuple(array("i", row.tobytes()) for row in table)
     lexer = rows, tuple(label.tolist()), tuple((table != DEAD).any(axis=1).tolist())
     return lexer, tuple(_minimize(table, label == t) for t in range(len(trees)))
@@ -505,21 +479,21 @@ def compile_regex(pattern: str) -> Dfa:
 
 
 def dfa_concat(a: Dfa, b: Dfa) -> Dfa:
-    """DFA accepting exactly the concatenation of the two input languages."""
-    nfa = _Nfa()
-    map_a = [nfa.new_state() for _ in range(a.n_states)]
-    map_b = [nfa.new_state() for _ in range(b.n_states)]
-    for mapping, dfa in ((map_a, a), (map_b, b)):
-        for q, row in enumerate(dfa.transitions):
-            if q == DEAD:
-                continue
-            for t in np.flatnonzero(np.bincount(row)).tolist():  # distinct targets
-                if t != DEAD:
-                    nfa.add_bytes(mapping[q], np.flatnonzero(row == t).tolist(), mapping[t])
-    for q in a.accepting_states:
-        nfa.add_eps(map_a[q], map_b[b.initial])
-    accept = nfa.new_state()
-    for q in b.accepting_states:
-        nfa.add_eps(map_b[q], accept)
-    table, label = _determinize(nfa, map_a[a.initial], [accept], "concatenation automaton")
+    """DFA accepting exactly the concatenation of the two input languages:
+    the subset construction over the states of ``a`` and then ``b``, where
+    each accepting state of ``a`` also moves as ``b``'s initial state."""
+    n = a.n_states
+    moves = []
+    for offset, dfa in ((0, a), (n, b)):
+        for row in dfa.transitions:
+            live = np.flatnonzero(row)
+            moves.append({x: (offset + t,) for x, t in zip(live.tolist(), row[live].tolist())})
+    ends = np.flatnonzero(a.accepting).tolist()
+    initial = moves[n + b.initial]
+    for q in ends:
+        moves[q] = {x: moves[q].get(x, ()) + initial.get(x, ()) for x in moves[q] | initial}
+    accept = set((np.flatnonzero(b.accepting) + n).tolist())
+    if b.accepting[b.initial]:
+        accept.update(ends)
+    table, label = _determinize(moves, frozenset([a.initial]), [accept], "concatenation automaton")
     return _minimize(table, label == 0)

@@ -316,10 +316,12 @@ class MaskEngine:
         if self.mode == MODE_FULL and not self.is_complete(state):
             need = 1 + int(self._need(state).min())
             if need + 1 > min(budget, INF + 1):  # the first mask's threshold
-                raise BudgetError(
-                    f"budget {budget} cannot fit any complete output "
-                    f"(minimum is {need} tokens plus end-of-sequence)"
+                why = (
+                    "no complete output exists under this vocabulary"
+                    if need >= INF
+                    else f"minimum is {need} tokens plus end-of-sequence"
                 )
+                raise BudgetError(f"budget {budget} cannot fit any complete output ({why})")
         return state
 
     def _fresh_state(self, budget: int) -> EngineState:

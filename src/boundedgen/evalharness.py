@@ -5,7 +5,8 @@ A task file is JSON lines, one object per task::
     {"id": "t0", "prompt": "", "ground_truth": "{\\"a\\":1}", "l_gt": 7}
 
 ``l_gt`` is the ground-truth length in tokens under the vocabulary the run
-loads; a ratio budget policy turns it into ``floor(l_gt * e)`` per task.
+loads, end-of-sequence included, so a positive integer; a ratio budget policy
+turns it into ``floor(l_gt * e)`` per task.
 Reports carry per-cell records plus aggregate percentages; the CSV and
 JSON-lines forms contain no timing so fixed inputs reproduce byte-identical
 files.
@@ -110,12 +111,15 @@ def load_tasks(path) -> list[Task]:
             except json.JSONDecodeError as exc:
                 raise TaskFileError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
             try:
+                l_gt = obj["l_gt"]
+                if isinstance(l_gt, bool) or not isinstance(l_gt, int) or l_gt < 1:
+                    raise ValueError(f"'l_gt' must be a positive integer, got {l_gt!r}")
                 tasks.append(
                     Task(
                         task_id=str(obj["id"]),
                         prompt=str(obj.get("prompt", "")),
                         ground_truth=str(obj["ground_truth"]),
-                        l_gt=int(obj["l_gt"]),
+                        l_gt=l_gt,
                     )
                 )
             except (KeyError, TypeError, ValueError) as exc:

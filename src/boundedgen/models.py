@@ -114,7 +114,9 @@ class ScriptedModel(LanguageModel):
             arr = np.asarray(step, dtype=float)
             if arr.shape != (vocab_size,):
                 raise ValueError(f"step has shape {arr.shape}, expected ({vocab_size},)")
-            total = arr.sum()
+            total = arr.sum()  # NaN or infinite if any weight is, or if the sum overflows
+            if not np.isfinite(total) or (arr < 0).any():
+                raise ValueError("step weights must be non-negative with a finite sum")
             if total <= 0:
                 raise ValueError("step distribution has no mass")
             self._steps.append(arr / total)

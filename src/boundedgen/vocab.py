@@ -168,7 +168,7 @@ def load_vocabulary(path) -> Vocabulary:
     ):
         raise VocabularyError("'tokens' must be an array of strings")
     eos = payload["eos"]
-    if not isinstance(eos, int):
+    if not isinstance(eos, int) or isinstance(eos, bool):
         raise VocabularyError("'eos' must be an integer index")
     tokens = [_decode_token_text(t) for t in tokens_field]
     return Vocabulary(tokens, eos, source_hash=hashlib.sha256(raw).hexdigest())

@@ -109,6 +109,13 @@ class TestPrecompute:
         assert result.stderr.startswith("error: ") and "state cap" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_boolean_eos_exit_2(self, tmp_path, capsys):
+        vocab = tmp_path / "v.json"
+        vocab.write_text('{"tokens": ["a"], "eos": true}')
+        args = ["--grammar", bundled_json_grammar_path(), "--vocab", str(vocab)]
+        assert main(["precompute", *args, "--cache", str(tmp_path / "c")]) == EXIT_GRAMMAR
+        assert "'eos' must be an integer index" in capsys.readouterr().err
+
     def test_unwritable_output_exit_3(self, workspace):
         code = main(
             [
@@ -284,6 +291,30 @@ class TestGenerate:
         code = main(["generate", *yz_workspace, "--model", f"scripted:{script}", "--budget", "4"])
         assert code == EXIT_GRAMMAR
         assert f"token id {key} outside [0, 4)" in capsys.readouterr().err
+
+    def test_negative_scripted_weight_exit_2(self, yz_workspace, tmp_path, capsys):
+        script = tmp_path / "script.json"
+        script.write_text('{"steps": [{"0": -1, "3": 2}]}')
+        code = main(["generate", *yz_workspace, "--model", f"scripted:{script}", "--budget", "4"])
+        assert code == EXIT_GRAMMAR
+        assert "non-negative with a finite sum" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text", ["S: S ;", "S: Z ; Z: /z/ ;"], ids=["no-derivation", "unspellable-terminal"]
+    )
+    def test_no_complete_output_exit_2(self, tmp_path, capsys, text):
+        grammar = tmp_path / "g.grammar"
+        grammar.write_text(text)
+        vocab = tmp_path / "v.json"
+        save_vocabulary(Vocabulary([b"a", b"b"], eos=2), vocab)
+        args = ["--grammar", str(grammar), "--vocab", str(vocab), "--cache", str(tmp_path / "c")]
+        assert main(["precompute", *args]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["generate", *args, "--budget", "5"]) == EXIT_GRAMMAR
+        err = capsys.readouterr().err
+        assert "budget 5 cannot fit any complete output" in err
+        assert "no complete output exists under this vocabulary" in err
+        assert "minimum" not in err
 
     def test_grammar_only_can_truncate(self, workspace, capsys):
         code = main(
@@ -554,6 +585,15 @@ class TestEval:
             ]
         )
         assert code == EXIT_GRAMMAR
+
+    @pytest.mark.parametrize("l_gt", ["true", "-3"])
+    def test_bad_l_gt_exit_2(self, workspace, tmp_path, capsys, l_gt):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(f'{{"id": "a", "ground_truth": "1", "l_gt": {l_gt}}}\n')
+        args = ["--grammar", workspace["grammar"], "--vocab", workspace["vocab"]]
+        code = main(["eval", *args, "--cache", workspace["cache"], "--tasks", str(bad)])
+        assert code == EXIT_GRAMMAR
+        assert "'l_gt' must be a positive integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["generate", "eval"])

@@ -106,6 +106,17 @@ class TestModels:
         with pytest.raises(ValueError, match=rf"token id {key} outside \[0, 4\)"):
             ScriptedModel.from_file(config, 4)
 
+    @pytest.mark.parametrize(
+        "step",
+        ['{"0": -1, "3": 2}', '{"0": NaN}', '{"0": Infinity, "3": 2}'],
+        ids=["negative", "nan", "infinity"],
+    )
+    def test_scripted_from_file_rejects_negative_and_non_finite_weights(self, tmp_path, step):
+        config = tmp_path / "s.json"
+        config.write_text(f'{{"steps": [{step}]}}')
+        with pytest.raises(ValueError, match="non-negative with a finite sum"):
+            ScriptedModel.from_file(config, 4)
+
 
 class TestSoftmaxPrior:
     def test_temperature_one_renormalizes(self):

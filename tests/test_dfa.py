@@ -164,6 +164,31 @@ class TestCompile:
             assert distinct[~np.eye(n, dtype=bool)].all(), pattern
 
 
+class TestAgainstRe:
+    """Random patterns, alone and as lexers of up to three, against ``re``
+    on every string of up to four bytes over the patterns' bytes ("é" is
+    C3 A9)."""
+
+    STRINGS = list(all_strings([b"a", b"b", b"c", b"\x00", b"\xc3", b"\xa9"], 4))
+
+    def test_random_patterns_match_like_re(self):
+        rng = random.Random(16)
+        for _ in range(120):
+            patterns = [_random_pattern(rng, 0) for _ in range(rng.randint(1, 3))]
+            oracles = [re.compile(p.encode()) for p in patterns]
+            (rows, labels, _), automata = dfa.compile_lexer([dfa.parse_pattern(p) for p in patterns])
+            for s in self.STRINGS:
+                matched = [bool(o.fullmatch(s)) for o in oracles]
+                # The lexer labels s with the earliest pattern that matches it.
+                q = 1
+                for byte in s:
+                    q = rows[q][byte]
+                assert labels[q] == next((i for i, m in enumerate(matched) if m), -1), (patterns, s)
+                assert [d.matches(s) for d in automata] == [
+                    i == labels[q] for i in range(len(patterns))
+                ], (patterns, s)
+
+
 class TestRun:
     def test_run_examples(self):
         d = compile_regex("x")
@@ -218,15 +243,17 @@ class TestConcat:
 
     def test_concat_equals_split_enumeration(self):
         # s in L(a.b) iff some split has the left part in L(a), right in L(b).
-        a = compile_regex("(ab|b)+")
-        b = compile_regex("c[ab]?")
-        c = dfa_concat(a, b)
-        alphabet = [b"a", b"b", b"c", b"d"]
-        for s in all_strings(alphabet, 6):
-            want = any(
-                a.matches(s[:k]) and b.matches(s[k:]) for k in range(len(s) + 1)
-            )
-            assert c.matches(s) == want, s
+        # Nullable and empty operands too: a.(ab)* must keep a's own strings.
+        empty = Dfa(np.zeros((2, 256), dtype=np.int32), 1, np.zeros(2, dtype=bool))
+        operands = [compile_regex(p) for p in ["(ab|b)+", "c[ab]?", "(ab)*", "a?", "a"]]
+        operands.append(empty)
+        strings = list(all_strings([b"a", b"b", b"c", b"d"], 6))
+        langs = [{s for s in strings if d.matches(s)} for d in operands]
+        for (a, la), (b, lb) in itertools.product(zip(operands, langs), repeat=2):
+            c = dfa_concat(a, b)
+            for s in strings:
+                want = any(s[:k] in la and s[k:] in lb for k in range(len(s) + 1))
+                assert c.matches(s) == want, (a, b, s)
 
     def test_state_cap(self, monkeypatch):
         big = compile_regex("[ab]*a[ab][ab][ab]")

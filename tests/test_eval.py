@@ -103,6 +103,15 @@ class TestTaskFiles:
         with pytest.raises(TaskFileError):
             load_tasks(path)
 
+    @pytest.mark.parametrize("l_gt", ["true", "false", "-3", "0", "5.7", '"7"'])
+    def test_l_gt_must_be_a_positive_integer(self, tmp_path, l_gt):
+        # The count includes end-of-sequence.  int() read true as 1, 5.7 as 5
+        # and "7" as 7, and a negative count became a ratio budget of 1.
+        path = tmp_path / "bad.jsonl"
+        path.write_text(f'{{"id": "a", "ground_truth": "1", "l_gt": {l_gt}}}\n')
+        with pytest.raises(TaskFileError, match="'l_gt' must be a positive integer"):
+            load_tasks(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -21,7 +22,7 @@ from boundedgen.grammar import (
 )
 from boundedgen.oracle import cfg_membership
 from boundedgen.vocab import Vocabulary
-from tests.conftest import LEXER_CAP_GRAMMAR, SHADOW_GRAMMAR, STATE_CAP_GRAMMAR
+from tests.conftest import KV_GRAMMAR, LEXER_CAP_GRAMMAR, SHADOW_GRAMMAR, STATE_CAP_GRAMMAR
 from tests.test_lexer_reference import ABC_GRAMMAR, KW_GRAMMAR
 
 
@@ -146,6 +147,29 @@ class TestTerminalAutomata:
                     q = transitions[q][byte]
                 for t, term in enumerate(g.terminals):
                     assert term.dfa.matches(bytes(data)) == (terminal[q] == t), (bytes(data), t)
+
+    @pytest.mark.parametrize(
+        "name,digest",
+        [
+            ("json", "161b5cba66bb0e38bb70a9fef03df732f58f10a87befba36ae0600885c20c022"),
+            ("paren", "ebd8a35a221a6e24418ee91c0b8d59fedf463acbefbf3745d90667e01903bd61"),
+            ("mini", "262c318cf1462b1d89fedd38af5534fd43b82f4ca1c7f269e451e16536ed8fd9"),
+            ("kv", "05b5f4fba10269ca9014acd32206edfc44806f0eb8c8df5dba8cdf84d7dae7e6"),
+            ("shadow", "9b5015ff8b8e69e4350fb6737499118fa11ffffa3611c9137b4583ecff553b1c"),
+            ("abc", "a1004a9c5deb70ed1d809fe486daccd1b371c3d06661016aedc98248f3bff18c"),
+            ("kw", "0321997a828e026196a1cbf892a9496921b6267bced80e38402eb5c997f40054"),
+        ],
+        ids=["json", "paren", "mini", "kv", "shadow", "abc", "kw"],
+    )
+    def test_golden_lexer_digest(self, request, name, digest):
+        # Pins the lexer table byte for byte: its state numbers key the
+        # engine's step memo, and no cache holds it.
+        texts = {"kv": KV_GRAMMAR, "shadow": SHADOW_GRAMMAR, "abc": ABC_GRAMMAR, "kw": KW_GRAMMAR}
+        g = parse_grammar(texts[name]) if name in texts else request.getfixturevalue(f"{name}_grammar")
+        rows, terminal, extends = g.lexer
+        h = hashlib.sha256(b"".join(row.tobytes() for row in rows))
+        h.update(repr((terminal, extends)).encode())
+        assert h.hexdigest() == digest
 
 
 class TestLl1Table:

@@ -92,6 +92,13 @@ class TestFileFormat:
             load_vocabulary(path)
         assert "eos" in str(err.value)
 
+    @pytest.mark.parametrize("eos", [True, False, -1, 1.0, "1"])
+    def test_eos_must_be_a_non_negative_integer(self, tmp_path, eos):
+        # True == 1 == len(tokens) would otherwise append an empty eos token.
+        path = write_vocab(tmp_path / "v.json", {"tokens": ["a"], "eos": eos})
+        with pytest.raises(VocabularyError, match="eos"):
+            load_vocabulary(path)
+
     def test_byte_escapes(self, tmp_path):
         path = write_vocab(
             tmp_path / "v.json", {"tokens": ["\\xff\\x00", "a\\\\b"], "eos": 2}
