@@ -59,15 +59,14 @@ def cmd_precompute(args) -> int:
     grammar, vocab = _load_inputs(args)
     tables = build_cost_tables(grammar, vocab)
     save_cache(tables, args.cache)
-    n_pairs = sum(1 for k in tables.keys if len(k) == 2)
     n_map = sum(len(rows) for rows in tables.token_map.values())
     n_entries = sum(
         row[0].size for rows in tables.token_map.values() for row in rows.values()
     )
     print(
         f"cache written to {args.cache}: {grammar.n_terminals} terminals, "
-        f"{n_pairs} adjacent pairs, {n_map} live automaton states, "
-        f"{n_entries} token-transition entries"
+        f"{n_map} live automaton states, {n_entries} token-transition entries, "
+        f"{len(tables.steps.tails)} scan configurations, {tables.steps.ids.size} step-table entries"
     )
     print(f"precompute took {tables.build_seconds:.2f} s")
     return EXIT_OK

@@ -1,29 +1,22 @@
-"""Offline precomputation: completion-cost tables and the token-transition map.
+"""Offline precomputation: the step table and the completion costs.
 
-For every terminal, and every ordered terminal pair that can actually appear
-adjacently, this module builds the (pair-)automaton, the sparse map from
-(state, token) to successor state, the per-state minimum number of vocabulary
-tokens to reach acceptance (C), and the per-nonterminal minimum number of
-tokens to derive it fully (D).  The automata depend on the grammar alone and
-are cached on it (``Grammar.pair_automata``), so tables for several
-vocabularies share them.
-
-The token map of all automata comes from one lockstep walk.  Their states
-are numbered one after another, with one shared dead state, in one stacked
-transition table.  Tokens are bucketed by first byte, and only the (state,
-token) pairs whose first byte keeps the state alive are seeded; they then
-step through the table one byte position at a time.  The walk goes in blocks
-of whole states with about ``_BLOCK_PAIRS`` seeded pairs each, so its
-temporaries stay bounded; only the map itself grows with the vocabulary.
-Every token costs one, so C is one breadth-first search backwards from the
-accepting states over all the automata's token edges.
+Two tables come from the grammar's lexer and the vocabulary.  The step table
+(:class:`StepTable`) is the maximal-munch lexer tabulated: per scan
+configuration reachable from the initial one and per token, the terminals
+the token commits and the configuration it leaves; one lockstep walk over
+the lexer settles nearly every entry (``build_step_table``).  Per terminal,
+the automaton's sparse token map (state, token) -> successor comes from one
+lockstep walk over all the automata, and C, the fewest tokens from a state
+to acceptance, from one breadth-first search over their token edges.  D,
+the fewest tokens to derive each nonterminal, is a fixpoint over the
+productions.  The walks go in blocks of about ``_BLOCK_PAIRS`` seeded pairs,
+so their temporaries stay bounded.
 
 Everything is persisted to a versioned binary cache keyed by the grammar and
-vocabulary content hashes; writes are atomic (temp file then rename).  Each
-table is stored in the shape it loads into, the token map as CSR rows.  A
+vocabulary content hashes; writes are atomic (temp file then rename).  A
 SHA-256 trailer, range checks and a check of C against the token map make a
-damaged file raise ``CacheCorruptError`` instead of loading; the engine checks
-D, which needs the grammar.
+damaged file raise ``CacheCorruptError`` instead of loading; the engine
+checks D and the configurations, which need the grammar.
 """
 
 from __future__ import annotations
@@ -38,16 +31,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from boundedgen.dfa import DEAD, INF, Dfa
-from boundedgen.grammar import Grammar
+from boundedgen.dfa import DEAD, INF, STATE_CAP, Dfa, Lexer, StateLimitError, dfa_concat, scan
+from boundedgen.grammar import Grammar, adjacent_terminal_pairs
 from boundedgen.vocab import Vocabulary
 
 logger = logging.getLogger(__name__)
 
 CACHE_MAGIC = b"BGC1"  # the file type, in every format version
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
-Key = tuple[int, ...]  # (terminal,) or (first_terminal, second_terminal)
+Key = tuple[int, ...]  # (terminal,) or, from compute_pair_costs, (first, second)
 TokenRow = tuple[np.ndarray, np.ndarray]  # token ids, successor states
 TokenMap = dict[Key, dict[int, TokenRow]]  # key -> live state -> its row
 
@@ -68,15 +61,49 @@ class CacheCorruptError(CacheError):
     pass
 
 
+@dataclass(eq=False)
+class StepTable:
+    """``dfa.scan`` tabulated over a vocabulary: per scan configuration and
+    token, the lexemes the token commits and the configuration it leaves.
+
+    A configuration is what decides a scan: the lexer state, the terminal of
+    the pending accept (-1 for none) and the bytes after that accept, the
+    only ones a commit lexes again.  Configuration 0 is the initial one.
+    Row ``s`` runs from ``indptr[s]`` to ``indptr[s + 1]`` over ``ids``
+    (rising), ``succs`` and ``moves``; a token missing from a row fails to
+    lex.  ``commits[move]`` is the committed terminals and how many trailing
+    bytes of the remainder and the token stay uncommitted; move 0, ``((),
+    0)``, commits nothing and keeps every byte.
+    """
+
+    states: np.ndarray
+    accepts: np.ndarray
+    tails: tuple[bytes, ...]
+    indptr: np.ndarray
+    ids: np.ndarray
+    succs: np.ndarray
+    moves: np.ndarray
+    commits: tuple[tuple[tuple[int, ...], int], ...]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StepTable):
+            return NotImplemented
+        arrays = ("states", "accepts", "indptr", "ids", "succs", "moves")
+        return (self.tails, self.commits) == (other.tails, other.commits) and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in arrays
+        )
+
+
 @dataclass
 class CostTables:
-    """Precomputed completion costs plus the automata they index.
+    """Precomputed completion costs, the automata they index and the step table.
 
-    ``c[key][q]`` is the minimum tokens from state ``q`` to acceptance of the
-    automaton for ``key`` (INF when unreachable); ``d[nt]`` is the minimum
-    tokens to fully derive nonterminal ``nt``; ``token_map[key][q]`` holds the
-    token ids that keep the automaton alive from ``q`` together with their
-    successor states (absent entries are dead).
+    ``c[(t,)][q]`` is the minimum tokens from state ``q`` of terminal ``t``'s
+    automaton to its acceptance (INF when unreachable); ``d[nt]`` is the
+    minimum tokens to fully derive nonterminal ``nt``; ``token_map[(t,)][q]``
+    holds the token ids that keep the automaton alive from ``q`` together
+    with their successor states (absent entries are dead); ``steps`` is the
+    lexer tabulated over the vocabulary.
     """
 
     grammar_hash: str
@@ -86,6 +113,7 @@ class CostTables:
     c: dict[Key, np.ndarray]
     d: np.ndarray
     token_map: TokenMap
+    steps: StepTable
     version: int = CACHE_VERSION
     build_seconds: float = field(default=0.0, compare=False)
 
@@ -95,7 +123,7 @@ class CostTables:
         return np.array(starts, dtype=np.int64)
 
     def structurally_equal(self, other: "CostTables") -> bool:
-        fields = ("version", "grammar_hash", "vocab_hash", "keys")
+        fields = ("version", "grammar_hash", "vocab_hash", "keys", "steps")
         if any(getattr(self, f) != getattr(other, f) for f in fields):
             return False
         return np.array_equal(self.d, other.d) and all(
@@ -224,13 +252,13 @@ def compute_terminal_costs(dfa: Dfa, vocab: Vocabulary) -> np.ndarray:
 
 
 def compute_pair_costs(g: Grammar, vocab: Vocabulary) -> tuple[dict[Key, Dfa], dict[Key, np.ndarray]]:
-    """Concatenation automata and their cost vectors for adjacent pairs.
-
-    Pairs that can never be adjacent in any derivation are skipped; the
-    adjacency relation is derived from the grammar, so every pair the parser
-    can actually request is covered.
-    """
-    automata = dict(g.pair_automata)
+    """Concatenation automata and their cost vectors for the terminal pairs
+    that can appear adjacently in some derivation (see
+    ``grammar.adjacent_terminal_pairs``); the tables no longer hold them."""
+    automata: dict[Key, Dfa] = {
+        (a, b): dfa_concat(g.terminals[a].dfa, g.terminals[b].dfa)
+        for a, b in sorted(adjacent_terminal_pairs(g, g.ll1))
+    }
     return automata, _costs(automata, compute_token_map(automata, vocab))
 
 
@@ -258,21 +286,189 @@ def compute_nonterminal_costs(g: Grammar, terminal_costs: np.ndarray) -> np.ndar
     return d
 
 
+# --- the step table -------------------------------------------------------------
+
+
+def _scan_walk(trans, label, extends, states, tok, columns, lengths) -> tuple[np.ndarray, ...]:
+    """Tokens ``tok`` walked in lockstep through the lexer from ``states``,
+    one byte position at a time; a walk stops on a dead byte or after a byte
+    into a state that does not extend.  Returns per pair the state it stopped
+    in (DEAD when a byte killed it), the bytes walked, the killing byte
+    included, and the end and terminal of the last accept within them (-1)."""
+    stopped, walked = states.copy(), lengths.take(tok)
+    acc_end, acc_term = np.full(tok.size, -1, dtype=np.int32), np.full(tok.size, -1, dtype=np.int32)
+    pair, q, t, left = np.arange(tok.size, dtype=np.int32), states, tok, walked
+    for pos, column in enumerate(columns, 1):
+        q = trans.ravel().take(q * 256 + column.take(t))
+        terms = label.take(q)
+        if (hit := np.flatnonzero(terms >= 0)).size:
+            acc_end[pair[hit]], acc_term[pair[hit]] = pos, terms[hit]
+        going = extends.take(q) & (left > pos)  # extends[DEAD] is False
+        if not going.all():
+            stop = np.flatnonzero(~going)
+            stopped[pair[stop]], walked[pair[stop]] = q[stop], pos
+            pair, q, t, left = pair[going], q[going], t[going], left[going]
+            if not pair.size:
+                break
+    return stopped, walked, acc_end, acc_term
+
+
+def scan_configuration(lexer: Lexer, key: tuple[int, int, bytes], incoming: bytes) -> tuple:
+    """``dfa.scan`` of ``incoming`` from configuration ``key`` (lexer state,
+    pending-accept terminal or -1, the bytes after it): the committed
+    terminals, the bytes left uncommitted, the configuration they leave,
+    and whether lexing failed."""
+    q, accept, tail = key
+    data = tail + incoming
+    committed, start, q, last, failed = scan(lexer, q, None if accept < 0 else (0, accept), data, len(tail))
+    rest = data[start:]
+    return tuple(committed), rest, (q, last[1], rest[last[0] :]) if last else (q, -1, b""), failed is not None
+
+
+def number(index: dict, items: list, item) -> int:
+    """``item``'s position in ``items``, appended if new; ``index`` maps
+    each item to its position."""
+    if item not in index:
+        index[item] = len(items)
+        items.append(item)
+    return index[item]
+
+
+def build_step_table(lexer: Lexer, vocab: Vocabulary) -> StepTable:
+    """``dfa.scan`` tabulated over the configurations reachable from the
+    initial one, breadth first, in blocks of about ``_BLOCK_PAIRS`` pairs.
+
+    One lockstep walk (``_scan_walk``) settles most pairs: a token that keeps
+    the lexer alive and extending commits nothing, and its successor follows
+    from the state and the last accept it reaches; a token that dies with no
+    accept to commit fails to lex.  The others are scanned one by one, when
+    the byte where lexing would restart is live.  A configuration whose tail
+    is longer than every token is left out (the engine scans its row), so
+    the table stays finite; StateLimitError when the configurations plus
+    their tail bytes pass STATE_CAP.
+    """
+    trans = np.array(lexer[0], dtype=np.int32)
+    label, extends = np.array(lexer[1], dtype=np.int32), np.array(lexer[2], dtype=bool)
+    columns, lengths, content, _ = _layout(vocab)
+    content = np.sort(content)
+    leads = columns[0, content]
+    by_lead = np.bincount(leads, minlength=256)
+    restarts = np.append(trans[1] != DEAD, False)  # bytes that start a lexeme; 256 is none
+    width = int(label.max()) + 2  # accept terminals, -1 included, in a successor's code
+    configs: list[tuple[int, int, bytes]] = [(1, -1, b"")]
+    index = {configs[0]: 0}
+    commits: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    records = {commits[0]: 0}
+    size = 1
+    parts: list[tuple[np.ndarray, ...]] = []
+    first = np.zeros(vocab.size, dtype=bool)  # the tokens the initial configuration lexes
+
+    def intern(q: int, acc: int, tail: bytes) -> int:
+        nonlocal size
+        key = (q, acc, tail)
+        if key not in index:
+            size += 1 + len(tail)
+            if size > STATE_CAP:
+                raise StateLimitError(f"scan configurations exceeded state cap {STATE_CAP}")
+            index[key] = len(configs)
+            configs.append(key)
+        return index[key]
+
+    done = 0
+    while done < len(configs):
+        start, done = done, len(configs)
+        q0, acc0, tail0, lead0 = np.array(
+            [(q, acc, len(tail), tail[0] if tail else 256) for q, acc, tail in configs[start:]]
+        ).T
+        # Seeds: tokens whose first byte is live, and those a pending accept
+        # may restart at; blocks of whole configurations.
+        extra = np.where(acc0 < 0, 0, np.where(tail0 == 0, np.count_nonzero(first), content.size))
+        seeded = np.where(tail0 > columns.shape[0], 0, (trans[q0] != DEAD) @ by_lead + extra)
+        seeded = np.concatenate([[0], np.cumsum(seeded)])
+        a = 0
+        while a < q0.size:
+            b = max(a + 1, int(np.searchsorted(seeded, seeded[a] + _BLOCK_PAIRS, side="right")) - 1)
+            seed = trans[q0[a:b]][:, leads] != DEAD
+            pending, tails = acc0[a:b] >= 0, tail0[a:b]
+            seed[pending & (tails == 0)] |= first[content]
+            seed[pending & restarts[lead0[a:b]]] = True
+            seed[tails > columns.shape[0]] = False
+            k, t = np.nonzero(seed)
+            k, t = (k + a).astype(np.int32), content[t]
+            a = b
+            s, acc_s = k + start, acc0[k]
+            states, walked, acc_end, acc_term = _scan_walk(trans, label, extends, q0[k], t, columns, lengths)
+            n, dead, stop = lengths[t], states == DEAD, ~extends[states]
+            succ = np.full(t.size, -1, dtype=np.int32)
+            move = np.zeros(t.size, dtype=np.int32)
+            # Alive and extending after the last byte: nothing committed.
+            live = np.flatnonzero(~stop)
+            inner = acc_end[live] >= 0
+            acc = np.where(inner, acc_term[live], acc_s[live])
+            bare = np.where(inner, acc_end[live] == n[live], acc < 0)  # no tail
+            codes = states[live[bare]] * width + acc[bare] + 1
+            distinct = np.unique(codes)
+            made = [intern(code // width, code % width - 1, b"") for code in distinct.tolist()]
+            succ[live[bare]] = np.array(made, dtype=np.int32)[np.searchsorted(distinct, codes)]
+            for p, terminal in zip(live[~bare].tolist(), acc[~bare].tolist()):
+                data = vocab.tokens[t[p]]
+                tail = data[acc_end[p] :] if acc_end[p] >= 0 else configs[s[p]][2] + data
+                succ[p] = intern(int(states[p]), terminal, tail)
+            # Stopped with an accept to commit: scanned, where lexing can go on.
+            ended = ~dead & (walked == n)
+            at = np.where(dead, acc_end, walked)
+            byte = np.where(at >= 0, columns[np.minimum(at, columns.shape[0] - 1), t],
+                            np.where(tail0[k] > 0, lead0[k], columns[0, t]))
+            scanned = stop & (ended | ((acc_end >= 0) | (acc_s >= 0)) & restarts[byte])
+            for p in np.flatnonzero(scanned).tolist():
+                got, rest, after, failed = scan_configuration(lexer, configs[s[p]], vocab.tokens[t[p]])
+                if not failed:
+                    succ[p] = intern(*after)
+                    move[p] = number(records, commits, (got, len(rest)))
+            ok = succ >= 0
+            parts.append((s[ok], t[ok], succ[ok], move[ok]))
+        if start == 0:
+            first[parts[-1][1] if parts else []] = True
+    # Configurations and commits in key order, whatever order the blocks found them in.
+    order = sorted(range(len(configs)), key=configs.__getitem__)
+    rank = np.empty(len(configs), dtype=np.int32)
+    rank[order] = np.arange(len(configs))
+    empty = np.empty(0, dtype=np.int32)
+    cfg = rank[np.concatenate([empty] + [p[0] for p in parts])]
+    sort = np.argsort(cfg, kind="stable")  # rows keep their rising token ids
+    tok, succ, move = (np.concatenate([empty] + [p[i] for p in parts])[sort] for i in (1, 2, 3))
+    del parts
+    by = sorted(range(len(commits)), key=commits.__getitem__)
+    renumber = np.empty(len(commits), dtype=np.int32)
+    renumber[by] = np.arange(len(commits))
+    q, acc, tails = zip(*(configs[i] for i in order))
+    return StepTable(
+        states=np.array(q, dtype=np.int32),
+        accepts=np.array(acc, dtype=np.int32),
+        tails=tails,
+        indptr=np.concatenate([[0], np.cumsum(np.bincount(cfg, minlength=len(configs)))]),
+        ids=tok,
+        succs=rank[succ],
+        moves=renumber[move],
+        commits=tuple(commits[i] for i in by),
+    )
+
+
 def build_cost_tables(g: Grammar, vocab: Vocabulary) -> CostTables:
     """Run the whole offline phase for one grammar + vocabulary."""
     started = time.perf_counter()
+    g.ll1  # LlConflictError unless the grammar is LL(1)
     automata: dict[Key, Dfa] = {(t,): g.terminals[t].dfa for t in range(g.n_terminals)}
-    automata.update(g.pair_automata)
-    keys = tuple(sorted(automata.keys(), key=lambda k: (len(k), k)))
     token_map = compute_token_map(automata, vocab)
     tables = CostTables(
         grammar_hash=g.source_hash,
         vocab_hash=vocab.source_hash,
-        keys=keys,
-        automata={key: automata[key] for key in keys},
+        keys=tuple(automata),
+        automata=automata,
         c=_costs(automata, token_map),
         d=np.empty(0, dtype=np.int64),
         token_map=token_map,
+        steps=build_step_table(g.lexer, vocab),
     )
     tables.d = compute_nonterminal_costs(g, tables.terminal_start_costs(g.n_terminals))
     dead_nts = [name for name, cost in zip(g.nonterminal_names, tables.d) if cost >= INF]
@@ -286,13 +482,22 @@ def build_cost_tables(g: Grammar, vocab: Vocabulary) -> CostTables:
 # --- cache serialization -----------------------------------------------------
 #
 # Layout (little-endian): magic, version, grammar hash, vocabulary hash, key
-# and nonterminal counts, D as int64; then per automaton its key, state count
-# and initial state, the accepting states as one byte each, the int32
-# transitions, C as int64, and the token map as CSR rows (int64 index
-# pointers over all states, int32 token ids, int32 successors).  A SHA-256
-# of everything before it closes the file.
+# and nonterminal counts, D as int64; then per terminal automaton its key,
+# state count and initial state, the accepting states as one byte each, the
+# int32 transitions, C as int64, and the token map as CSR rows (int64 index
+# pointers over all states, int32 token ids, int32 successors).  The step
+# table follows: configuration and commit counts; per configuration its
+# lexer state and accept terminal (int32) and its tail as CSR bytes; its
+# rows as CSR (int64 pointers, int32 token ids, successors and moves); per
+# commit the bytes kept (int32) and the terminals as CSR.  A SHA-256 of
+# everything before it closes the file.
 
-_HEADER = "<BIIII"  # key arity, first terminal, second terminal, states, initial
+_HEADER = "<BIII"  # key arity, terminal, states, initial
+
+
+def _pointers(rows) -> bytes:
+    """The int64 CSR pointers of ``rows``."""
+    return np.cumsum([0] + [len(row) for row in rows], dtype="<i8").tobytes()
 
 
 def save_cache(tables: CostTables, path) -> None:
@@ -310,8 +515,7 @@ def save_cache(tables: CostTables, path) -> None:
     ]
     for key in tables.keys:
         aut, rows = tables.automata[key], tables.token_map[key]
-        b = key[1] if len(key) == 2 else 0xFFFFFFFF
-        chunks.append(struct.pack(_HEADER, len(key), key[0], b, aut.n_states, aut.initial))
+        chunks.append(struct.pack(_HEADER, len(key), key[0], aut.n_states, aut.initial))
         chunks.append(aut.accepting.astype(np.uint8).tobytes())
         chunks.append(aut.transitions.astype("<i4").tobytes())
         chunks.append(tables.c[key].astype("<i8").tobytes())
@@ -322,6 +526,15 @@ def save_cache(tables: CostTables, path) -> None:
         for column in (0, 1):  # token ids, then successors
             parts = [np.empty(0, np.int32)] + [rows[q][column] for q in sorted(rows)]
             chunks.append(np.concatenate(parts, dtype="<i4").tobytes())
+    steps = tables.steps
+    chunks.append(struct.pack("<II", len(steps.tails), len(steps.commits)))
+    chunks += [steps.states.astype("<i4").tobytes(), steps.accepts.astype("<i4").tobytes()]
+    chunks += [_pointers(steps.tails), b"".join(steps.tails)]
+    chunks.append(steps.indptr.astype("<i8").tobytes())
+    chunks += [column.astype("<i4").tobytes() for column in (steps.ids, steps.succs, steps.moves)]
+    chunks.append(np.array([keep for _, keep in steps.commits], dtype="<i4").tobytes())
+    terms = [terms for terms, _ in steps.commits]
+    chunks += [_pointers(terms), np.array(sum(terms, ()), dtype="<i4").tobytes()]
     payload = b"".join(chunks)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(prefix=".cache-", dir=directory)
@@ -355,6 +568,54 @@ class _Reader:
         return np.frombuffer(self.take(np.dtype(dtype).itemsize * n), dtype=dtype)
 
 
+def _check_rising(ids: np.ndarray, starts: np.ndarray) -> None:
+    """CacheCorruptError unless ``ids`` rise from 0 within each of the rows
+    that start at ``starts`` (the non-empty ones)."""
+    rising = np.diff(ids) > 0
+    rising[starts[1:] - 1] = True  # a row may start below the previous row's end
+    if (ids < 0).any() or not rising.all():
+        raise CacheCorruptError("token ids do not rise from 0 within a row")
+
+
+def _step_table(reader: _Reader, n_terminals: int) -> StepTable:
+    """The step table at the reader's position, once every field is checked
+    to lie in range: pointers, rising token ids, successors below the
+    configuration count and committed terminals below the terminal count."""
+    n_configs, n_commits = reader.unpack("<II")
+    states, accepts = reader.array("<i4", n_configs), reader.array("<i4", n_configs)
+    tail_ptr = reader.array("<i8", n_configs + 1)
+    tail_bytes = bytes(reader.take(int(tail_ptr[-1])))
+    indptr = reader.array("<i8", n_configs + 1)
+    ids, succs, moves = (reader.array("<i4", int(indptr[-1])) for _ in range(3))
+    keeps, commit_ptr = reader.array("<i4", n_commits), reader.array("<i8", n_commits + 1)
+    terms = reader.array("<i4", int(commit_ptr[-1]))
+    if any(ptr[0] or (np.diff(ptr) < 0).any() for ptr in (tail_ptr, indptr, commit_ptr)):
+        raise CacheCorruptError("step-table pointers do not start at 0 and rise")
+    if not n_configs or (states[0], accepts[0], tail_ptr[1]) != (1, -1, 0):
+        raise CacheCorruptError("configuration 0 is not the initial one")
+    if (states <= DEAD).any() or ((accepts < -1) | (accepts >= n_terminals)).any():
+        raise CacheCorruptError("configuration out of range")
+    _check_rising(ids, indptr[:-1][np.diff(indptr) > 0])
+    if ((succs < 0) | (succs >= n_configs) | (moves < 0) | (moves >= n_commits)).any():
+        raise CacheCorruptError("step-table successor or move out of range")
+    sizes = np.diff(commit_ptr)
+    if not n_commits or keeps[0] or sizes[0] or not sizes[1:].all() or (keeps < 0).any() \
+            or ((terms < 0) | (terms >= n_terminals)).any():
+        raise CacheCorruptError("step-table commit out of range")
+    bounds = list(zip(tail_ptr[:-1].tolist(), tail_ptr[1:].tolist()))
+    spans = zip(commit_ptr[:-1].tolist(), commit_ptr[1:].tolist())
+    return StepTable(
+        states=states,
+        accepts=accepts,
+        tails=tuple(tail_bytes[a:b] for a, b in bounds),
+        indptr=indptr,
+        ids=ids,
+        succs=succs,
+        moves=moves,
+        commits=tuple((tuple(terms[a:b].tolist()), keep) for (a, b), keep in zip(spans, keeps.tolist())),
+    )
+
+
 def _token_map(automata: dict[Key, Dfa], c: dict[Key, np.ndarray], csr: list[tuple]) -> TokenMap:
     """The token-map rows of every automaton, once they and C are checked
     against each other.  All automata's states are numbered one after
@@ -373,10 +634,7 @@ def _token_map(automata: dict[Key, Dfa], c: dict[Key, np.ndarray], csr: list[tup
     if ((succs <= DEAD) | (succs >= np.repeat(n_states, counts))).any():
         raise CacheCorruptError("token-map successor out of range")
     live = np.flatnonzero(sizes)
-    rising = np.diff(ids) > 0
-    rising[starts[live[1:]] - 1] = True  # a row may start below the previous row's end
-    if (ids < 0).any() or not rising.all():
-        raise CacheCorruptError("token ids do not rise from 0 within a row")
+    _check_rising(ids, starts[live])
     # C is the least tokens to acceptance: 0 on accepting states, otherwise
     # one more than at the cheapest successor, INF with none.  Its only
     # solution lies in [0, INF], so this also bounds every stored cost.
@@ -422,10 +680,10 @@ def load_cache(
     c: dict[Key, np.ndarray] = {}
     csr: list[tuple[np.ndarray, ...]] = []
     for _ in range(n_keys):
-        arity, a, b, n_states, initial = reader.unpack(_HEADER)
-        if arity not in (1, 2):
+        arity, a, n_states, initial = reader.unpack(_HEADER)
+        if arity != 1:
             raise CacheCorruptError(f"bad key arity {arity}")
-        key: Key = (a,) if arity == 1 else (a, b)
+        key: Key = (a,)
         if key in automata:
             raise CacheCorruptError(f"duplicate key {key}")
         accepting = reader.array("<u1", n_states)
@@ -438,6 +696,9 @@ def load_cache(
         indptr = reader.array("<i8", n_states + 1)
         n_entries = int(indptr[-1])
         csr.append((indptr, reader.array("<i4", n_entries), reader.array("<i4", n_entries)))
+    if list(automata) != [(t,) for t in range(n_keys)]:
+        raise CacheCorruptError("cache does not hold the grammar's automata, one per terminal in order")
+    steps = _step_table(reader, n_keys)
     if reader.pos != len(reader.data):
         raise CacheCorruptError("trailing bytes after cache payload")
     return CostTables(
@@ -448,5 +709,6 @@ def load_cache(
         c=c,
         d=d,
         token_map=_token_map(automata, c, csr) if automata else {},
+        steps=steps,
         version=version,
     )

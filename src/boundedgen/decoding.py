@@ -42,10 +42,10 @@ class MctsConfig:
     trials: int = 20
 
     def __post_init__(self):
-        if self.c_puct < 0:
-            raise ValueError("c_puct must be non-negative")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not 0 <= self.c_puct < math.inf:
+            raise ValueError(f"c_puct must be non-negative and finite, got {self.c_puct!r}")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
 

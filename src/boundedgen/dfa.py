@@ -471,6 +471,60 @@ def compile_lexer(trees: Sequence[tuple]) -> tuple[Lexer, tuple[Dfa, ...]]:
     return lexer, tuple(_minimize(table, label == t) for t in range(len(trees)))
 
 
+def scan(lexer: Lexer, q: int, accept, data: bytes, pos: int, final: bool = False):
+    """Lex ``data[pos:]`` maximal munch, the lexer being in state ``q`` after
+    ``data[:pos]`` with ``accept`` its last accept, (end offset, terminal) or
+    None.  A lexeme is committed when the next byte is dead, or at once when
+    every byte would be; lexing goes on from its end in the initial state.
+    With ``final`` the input ends with ``data``: the pending longest match is
+    committed and the bytes after it lexed again, until none are left.
+
+    Returns the committed terminal ids, the offset in ``data`` where the
+    uncommitted bytes start, the lexer state and last accept (relative to
+    that offset) after them, and the offset of the byte no terminal matches
+    or None.
+    """
+    transitions, terminal, extends = lexer
+    start, committed = 0, []
+    while pos < len(data) or (final and start < len(data)):
+        if pos < len(data) and (nxt := transitions[q][data[pos]]) != DEAD:
+            q = nxt
+            pos += 1
+            if terminal[q] >= 0:
+                accept = (pos - start, terminal[q])
+            if extends[q]:
+                continue
+        # The input ends, the next byte is dead, or every byte would be.
+        if accept is None:
+            return committed, start, q, None, pos
+        end, tid = accept
+        committed.append(tid)
+        start += end
+        pos, q, accept = start, 1, None
+    return committed, start, q, accept, None
+
+
+def lexer_states(lexer: Lexer, dfa: Dfa) -> np.ndarray:
+    """Per lexer state, the state of ``dfa`` after the same bytes: one state
+    for all of them, since each terminal's automaton is the lexer with its
+    states merged (DEAD for a state the lexer never reaches)."""
+    trans = np.array(lexer[0], dtype=np.int32)
+    out = np.zeros(trans.shape[0], dtype=np.int32)
+    out[1] = dfa.initial
+    seen = np.zeros(trans.shape[0], dtype=bool)
+    seen[[DEAD, 1]] = True
+    frontier = np.array([1])
+    while frontier.size:  # breadth first, one parent and byte per new state
+        rows, byte = np.nonzero(trans[frontier])
+        new, first = np.unique(trans[frontier[rows], byte], return_index=True)
+        fresh = ~seen[new]
+        new, first = new[fresh], first[fresh]
+        out[new] = dfa.transitions[out[frontier[rows[first]]], byte[first]]
+        seen[new] = True
+        frontier = new
+    return out
+
+
 def compile_regex(pattern: str) -> Dfa:
     """The minimal byte-level DFA of ``pattern``: the one-terminal case of
     :func:`compile_lexer`, with the errors of :func:`parse_pattern` and

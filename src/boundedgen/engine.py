@@ -1,70 +1,42 @@
 """Per-session masking engine.
 
 One :class:`EngineState` tracks a single generation: the LL(1) parser stack,
-the uncommitted remainder bytes with the lexer state they reach, and how
-many tokens have been consumed.  States are immutable; ``advance`` returns a
-fresh state sharing structure with the old one, so beam search and tree search
-fork sessions for free.
+the uncommitted remainder bytes with the scan configuration they leave, and
+how many tokens have been consumed.  States are immutable, so beam search
+and tree search fork sessions for free.
+
+Lexing is maximal munch (``dfa.scan``), and the cost tables hold it
+tabulated over the vocabulary (``costs.StepTable``): per configuration --
+lexer state, pending-accept terminal, the bytes after that accept -- and
+token, the terminals the token commits and the configuration it leaves.  A
+step is one lookup in that table; the committed terminals are then fed to
+the state's own stack, so a step is exact whatever lies below.
 
 Admission reads one vector that does not depend on the budget: ``need[t]``,
-the fewest tokens any one- or two-terminal continuation of the current parse
-needs after token ``t`` to finish everything, taken over the continuations
-that stay alive on ``remainder + t``.  The full mask admits ``t`` when
+the fewest tokens needed after token ``t`` to finish everything.  Token
+``t`` commits ``c`` and leaves configuration ``s``, whose pending lexeme
+finishes as any terminal ``b`` the parser takes after ``c`` (C of ``b``'s
+automaton at ``s``'s lexer state, plus the cost of the stack after
+``c + b``), as a pair that one token crosses, or by committing its pending
+accept and lexing the tail afresh, at no tokens.  So a token whose bytes
+span any number of lexemes costs what any other does.  The full mask admits
+``t`` when
 
     (consumed + 1) + need[t] < budget  and  need[t] < INF
 
 and the grammar-only mask when ``need[t]`` is finite.  The strict inequality
-reserves exactly one slot for end-of-sequence, so any run that only ever
-advances on admitted tokens terminates with a complete output of at most
-``budget`` tokens, eos included.  End-of-sequence itself is admitted purely
-by the completion rule and never touches the automata.  The mask report
-reads the same vector: for each token it names the continuation that attains
-``need``.  Each engine memoizes it on the only fields it reads, ``live`` and
-``base``: at most 64 read-only vectors of 8 bytes per token, dropped when full.
+reserves one slot for end-of-sequence, which is admitted only when the
+output is complete, so a run that only advances on admitted tokens ends
+complete within ``budget`` tokens.  The mask report reads the same vector.
 
-The parser stack is persistent: a chain of immutable :class:`Stack` cells,
-each holding its symbol, the cell below, and facts about everything from it
-down to the bottom -- the summed completion cost, the depth, and whether all
-of it is nullable.  Feeding a terminal pops and pushes cells, so forks share
-every cell below where they diverge, and the cost of finishing the rest of
-the stack is read off one cell instead of summed over it.  Two feeds touch
-only the cells down to the second symbol that no terminal pops; the accept
-sequences are memoized on that window's symbols with costs relative to it,
-plus the scalar cost below it.  Each state carries the automaton state of
-every live accept sequence after its remainder: a step advances those by the
-token's bytes, and a step that commits a lexeme seeds them again from the
-bytes after the commit.  So a mask step costs time in
-the window, the token and the accept sequences, not in the nesting depth or
-the length of an uncommitted lexeme.
-
-Steps are memoized on interned *configurations*.  A configuration is what
-decides a step apart from the stack below the window: the window symbols,
-the live sequences, the lexer state, the last-accept terminal, and the
-remainder bytes after the last accept, the only ones a commit lexes again.
-Lexing reads no stack at all: ``_scan`` turns the lexer state, the last
-accept and the bytes after it into the committed terminals, the new
-remainder, lexer state and accept marker, and ``_lex`` feeds those
-terminals to the stack afterwards.  Per (configuration, token) the engine
-remembers the scan's outcome and, keyed by the successor's window, the
-successor's live sequences and configuration: a token that commits nothing
-leaves the stack as it is and has one successor, and a token that commits
-has one per window it has been seen to leave.  Every step, remembered or
-not, feeds the committed terminals to the state's own stack and reads the
-successor's window and ``base`` off it, so a remembered step is exact for
-every stack, however far below the window it pops.  The completion check is
-memoized per configuration in the same way, as the terminals the final scan
-commits, or that it fails.  An engine keeps at most ``_STEP_MEMO_SIZE``
-configurations and remembered successors; when full it drops them all, and
-a state holding a dropped configuration interns it again.
-
-Lexing is maximal munch on the grammar's labelled automaton of all terminals
-(``dfa.compile_lexer``), one transition per byte: a lexeme is committed when
-the next byte leads to the dead state, or at once when every byte does; ties
-go to the earliest-declared terminal, as in the terminals' own automata.  The
-same lexer handles end of input: it commits the pending longest match and
-lexes the bytes after it again, until nothing is left.  A session is complete
-when that final lexing succeeds and leaves only nullable nonterminals on the
-stack.
+The parser stack is persistent: each immutable :class:`Stack` cell holds its
+symbol, the cell below, and the summed completion cost, depth and
+nullability of everything down to the bottom, so forks share cells and the
+cost of the rest of the stack is read off one cell.  ``k`` feeds touch only
+the cells down to the ``k``-th symbol that no terminal pops; ``need`` is
+memoized on the configuration, those symbols and the cost below them, so a
+mask step costs time in that window and the table row, not in the nesting
+depth or the length of an uncommitted lexeme.
 """
 
 from __future__ import annotations
@@ -73,8 +45,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from boundedgen.costs import CacheCorruptError, CostTables, compute_nonterminal_costs
-from boundedgen.dfa import DEAD, INF
+from boundedgen.costs import (
+    CacheCorruptError,
+    CostTables,
+    compute_nonterminal_costs,
+    number,
+    scan_configuration,
+)
+from boundedgen.dfa import DEAD, INF, scan
 from boundedgen.grammar import Grammar, adjacent_terminal_pairs
 from boundedgen.vocab import Vocabulary
 
@@ -113,8 +91,7 @@ class DeadSessionError(EngineError):
 
 _EXPANSION_LIMIT = 100_000
 _LEX_INITIAL = 1  # the lexer automaton's initial state
-_NEED_MEMO_SIZE = 64  # need vectors per engine, 8 bytes per token each
-_STEP_MEMO_SIZE = 1024  # configurations plus memoized steps per engine
+_NEED_MEMO_SIZE = 256  # need vectors per engine, 8 bytes per token each
 
 MODE_FULL = "full"
 MODE_GRAMMAR_ONLY = "grammar-only"
@@ -133,6 +110,7 @@ class AcceptSequence:
 
 
 _DERIVES_EMPTY = object()  # the symbol derives the empty string under this lookahead
+_MISSING = object()
 
 
 class Stack:
@@ -196,54 +174,47 @@ class Stack:
 
 EMPTY_STACK = Stack(-1, None, 0, True, True)
 
-# An accept sequence's terminals, its d_cost relative to the stack window
-# (see MaskEngine._window), and the state its automaton reaches on the remainder.
-LiveSequence = tuple[tuple[int, ...], int, int]
-
 
 @dataclass(slots=True, unsafe_hash=True)
 class EngineState:
     """Snapshot of one generation session; treated as immutable.
 
-    ``live`` holds every accept sequence of ``stack`` whose automaton is
-    still alive after ``remainder``; ``base``, the cost of the stack below
-    the window, completes each sequence's d_cost.  Both follow from the
-    other fields, so they take no part in ``==``; nor does ``config``, the
-    state's interned configuration, which the engine fills in on first use
-    when a state is built without one.
+    ``config`` numbers the scan configuration the remainder leaves (see
+    ``MaskEngine._row``); ``lex_state`` and ``lex_accept`` read it back.
     """
 
     engine: "MaskEngine" = field(compare=False, repr=False)
     stack: Stack
     remainder: bytes
-    lex_state: int
-    lex_accept: tuple[int, int] | None  # (end offset in remainder, terminal id)
+    config: int
     consumed: int
     budget: int
-    live: tuple[LiveSequence, ...] = field(compare=False, repr=False)
-    base: int = field(compare=False, repr=False)
     finished: bool = False
-    config: "_Config | None" = field(default=None, compare=False, repr=False)
+
+    @property
+    def lex_state(self) -> int:
+        """The lexer state after the remainder."""
+        return self.engine._configurations[self.config][0]
+
+    @property
+    def lex_accept(self) -> tuple[int, int] | None:
+        """(end offset in the remainder, terminal) of the last accept, or None."""
+        _, terminal, tail = self.engine._configurations[self.config]
+        return None if terminal < 0 else (len(self.remainder) - len(tail), terminal)
 
 
-class _Config:
-    """An interned configuration: everything a step reads of a state but
-    the stack below the window.
+class _Row:
+    """A configuration's row of the step table, as the engine reads it.
 
-    ``key`` is (window symbols, live sequences, lexer state, last-accept
-    terminal or None, remainder bytes after the last accept).  ``steps``
-    maps a token to its memoized step (see ``MaskEngine._step``), and
-    ``eos`` memoizes the completion check (see ``MaskEngine.is_complete``).
-    ``steps`` is None once the engine's memo has been cleared; a state that
-    still holds the object then interns its key again.
+    ``succ`` and ``move`` are the row spread over the vocabulary (-1 where a
+    token fails to lex).  Entries with the same move and successor form a
+    group, ``of`` names each entry's group, and each group finishes in the
+    ways its candidates list: per candidate its ``group``, the ``terms`` fed
+    to the stack and C of the pending lexeme, ``cost``.  ``depth`` is the
+    most terminals a candidate feeds.
     """
 
-    __slots__ = ("key", "steps", "eos")
-
-    def __init__(self, key: tuple):
-        self.key = key
-        self.steps: dict | None = {}
-        self.eos: int | None = None
+    __slots__ = ("ids", "succ", "move", "of", "groups", "group", "terms", "cost", "depth")
 
 
 class MaskEngine:
@@ -262,24 +233,28 @@ class MaskEngine:
             raise HashMismatchError("cost tables were built from a different vocabulary")
         if mode not in (MODE_FULL, MODE_GRAMMAR_ONLY):
             raise ValueError(f"unknown mode {mode!r}")
-        singles = {(t,) for t in range(grammar.n_terminals)}
-        if set(tables.keys) != singles | adjacent_terminal_pairs(grammar, grammar.ll1):
+        if set(tables.keys) != {(t,) for t in range(grammar.n_terminals)}:
             raise CacheCorruptError("cost tables do not hold exactly the grammar's automata")
         if any(tables.automata[(t,)] != term.dfa for t, term in enumerate(grammar.terminals)):
             raise CacheCorruptError("a terminal's automaton in the cost tables is not the grammar's")
         start_costs = tables.terminal_start_costs(grammar.n_terminals)  # C is checked on load, D here
         if not np.array_equal(compute_nonterminal_costs(grammar, start_costs), tables.d):
             raise CacheCorruptError("D in the cost tables does not match the grammar and C")
-        # (sequence, automaton state) -> the tokens that keep the automaton
-        # alive and C at each one's successor.  A cache does not record the
-        # vocabulary size, so the same walk bounds its token ids.
-        self._rows: dict[tuple[int, ...], dict[int, tuple[np.ndarray, np.ndarray]]] = {}
-        token_ids = []
-        for key, rows in tables.token_map.items():
-            c = tables.c[key]
-            self._rows[key] = {q: (ids, c[successors]) for q, (ids, successors) in rows.items()}
-            token_ids += [ids for ids, _ in rows.values()]
-        if token_ids and np.concatenate(token_ids).max() >= vocab.size:
+        steps = tables.steps
+        transitions, label, extends = grammar.lexer
+        if (steps.states >= len(transitions)).any():
+            raise CacheCorruptError("a configuration's lexer state is not the grammar's lexer's")
+        # A configuration's state extends (the initial one aside), its accept
+        # is the state's label if it has one, and only a past accept has a tail.
+        label, extends = np.array(label)[steps.states], np.array(extends)[steps.states]
+        tailed = np.array([len(tail) > 0 for tail in steps.tails])
+        stuck = ~extends & (steps.states != _LEX_INITIAL)
+        if stuck.any() or ((label >= 0) & (steps.accepts != label)).any() \
+                or (tailed != ((label < 0) & (steps.accepts >= 0))).any():
+            raise CacheCorruptError("a configuration's lexer state is not the grammar's lexer's")
+        # A cache does not record the vocabulary size, so bound its token ids.
+        token_ids = [steps.ids] + [ids for rows in tables.token_map.values() for ids, _ in rows.values()]
+        if np.concatenate(token_ids).max(initial=-1) >= vocab.size:
             raise CacheCorruptError("token map names a token id outside the vocabulary")
         self.grammar = grammar
         self.tables = tables
@@ -302,12 +277,26 @@ class MaskEngine:
         # window symbols (top first, see _window) -> _window_sequences: one
         # entry per distinct window, whatever lies below it.
         self._accseq_memo: dict[tuple[int, ...], tuple] = {}
-        self._need_memo: dict[tuple[tuple[LiveSequence, ...], int], np.ndarray] = {}
-        # configuration key -> its _Config; _memo_entries counts these and
-        # the successors of their memoized steps, at most _STEP_MEMO_SIZE.
-        self._configs: dict[tuple, _Config] = {}
-        self._memo_entries = 0
+        self._need_memo: dict[tuple, np.ndarray] = {}
+        # Configurations and commits: the table's, then those of the rows the
+        # engine scans itself (see _row).  Per configuration its _Row (the
+        # table's built below, the others on first use) and, on first use,
+        # the terminals the final lexing commits (False when it fails); per
+        # configuration key, its ways to finish.
+        self._configurations = list(zip(steps.states.tolist(), steps.accepts.tolist(), steps.tails))
+        self._index = {key: s for s, key in enumerate(self._configurations)}
+        self._commits = list(steps.commits)
+        self._records = {commit: m for m, commit in enumerate(self._commits)}
+        self._longest = max(map(len, vocab.tokens))
+        self._rows: dict[int, _Row] = {}
+        self._eos: dict[int, tuple[int, ...] | bool] = {}
+        self._finishes: dict[tuple[int, int, bytes], list] = {}
+        self._bridge: list | None = None
+        self._adjacent = adjacent_terminal_pairs(grammar, grammar.ll1)
         self._start_stack = self._push(EMPTY_STACK, (self._start_symbol,))
+        for config, tail in enumerate(steps.tails):
+            if len(tail) <= self._longest:
+                self._row(config)
 
     # -- sessions ------------------------------------------------------------
 
@@ -327,12 +316,7 @@ class MaskEngine:
     def _fresh_state(self, budget: int) -> EngineState:
         if budget < 1:
             raise BudgetError(f"budget must be at least 1, got {budget}")
-        window, below = self._window(self._start_stack)
-        live = self._seed(window, b"")
-        config = self._intern(self._key(window, live, _LEX_INITIAL, None, b""))
-        return EngineState(
-            self, self._start_stack, b"", _LEX_INITIAL, None, 0, budget, live, below.cost, False, config
-        )
+        return EngineState(self, self._start_stack, b"", 0, 0, budget)
 
     # -- parsing ---------------------------------------------------------------
 
@@ -376,17 +360,18 @@ class MaskEngine:
         raise ParseError("expansion limit hit; grammar loops without consuming")
 
     @staticmethod
-    def _window(stack: Stack) -> tuple[tuple[int, ...], Stack]:
-        """The symbols two feeds can touch, top first, and the cell below them.
+    def _window(stack: Stack, floors: int = 2) -> tuple[tuple[int, ...], Stack]:
+        """The symbols ``floors`` feeds can touch, top first, and the cell below them.
 
         A feed pops only symbols that derive the empty string under its
-        terminal, so it stops at the first symbol that no terminal pops; the
-        second feed, at the next such symbol below.  The window runs down to
-        that second symbol.
+        terminal, so it stops at the first symbol that no terminal pops; each
+        further feed, at the next such symbol below.  The window runs down to
+        the ``floors``-th such symbol.
         """
-        first = stack.floor
-        second = first.below.floor if first.depth else first
-        below = second.below if second.depth else second
+        below = stack
+        for _ in range(floors):
+            floor = below.floor
+            below = floor.below if floor.depth else floor
         symbols = []
         cell = stack
         while cell is not below:
@@ -397,101 +382,38 @@ class MaskEngine:
     def accept_sequences(self, stack: Stack) -> tuple[AcceptSequence, ...]:
         """Every (a) and (a, b) the parser accepts from ``stack``."""
         window, below = self._window(stack)
-        relative = self._window_sequences(window)[0]
         return tuple(
-            AcceptSequence(terms, min(INF, d_cost + below.cost)) for terms, d_cost in relative
+            AcceptSequence(terms, min(INF, d_cost + below.cost))
+            for terms, d_cost in self._window_sequences(window)
         )
 
-    def _window_sequences(self, window: tuple[int, ...]):
+    def _window_sequences(self, window: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Accept sequences of the stack ``window`` alone, as (terminals,
-        d_cost relative to the window), and the same as live sequences over
-        an empty remainder (None when an automaton is missing); memoized."""
+        d_cost relative to the window); memoized."""
         memo = self._accseq_memo.get(window)
-        if memo is not None:
-            return memo
-        stack = self._push(EMPTY_STACK, reversed(window))
-        relative: list[tuple[tuple[int, ...], int]] = []
-        n_t = self.grammar.n_terminals
-        for a in range(n_t):
-            after_a = self.feed(stack, a)
-            if after_a is None:
-                continue
-            relative.append(((a,), after_a.cost))
-            for b in range(n_t):
-                after_b = self.feed(after_a, b)
-                if after_b is not None:
-                    relative.append(((a, b), after_b.cost))
-        automata = self.tables.automata
-        fresh = None
-        if all(terms in automata for terms, _ in relative):
-            fresh = tuple(
-                (terms, d_cost, automata[terms].initial)
-                for terms, d_cost in relative
-                if automata[terms].initial != DEAD
+        if memo is None:
+            prefixes: dict = {}
+            memo = self._accseq_memo[window] = tuple(
+                (terms, fed.cost)
+                for a in range(self.grammar.n_terminals)
+                for terms in [(a,)] + [(a, b) for b in range(self.grammar.n_terminals)]
+                if (fed := self._fed_window(window, terms, prefixes)) is not None
             )
-        memo = self._accseq_memo[window] = (tuple(relative), fresh)
         return memo
 
-    def _seed(self, window: tuple[int, ...], remainder: bytes) -> tuple[LiveSequence, ...]:
-        """Live sequences of a stack with ``window`` after ``remainder``."""
-        fresh = self._window_sequences(window)[1]
-        if fresh is None:
-            raise EngineError(f"no precomputed automaton for an accept sequence of window {window!r}")
-        return self._run_live(fresh, remainder)
-
-    def _run_live(self, live: tuple[LiveSequence, ...], data: bytes) -> tuple[LiveSequence, ...]:
-        """``live`` advanced by ``data``, without the sequences it kills."""
-        if not data:
-            return live
-        automata = self.tables.automata
-        return tuple(
-            (terms, d_cost, q2)
-            for terms, d_cost, q in live
-            if (q2 := automata[terms].run(q, data)) != DEAD
-        )
-
-    # -- configurations ----------------------------------------------------------
-
-    @staticmethod
-    def _key(window, live, lex_state, lex_accept, remainder: bytes) -> tuple:
-        """The configuration key of a state: a commit re-lexes only the
-        bytes after the last accept, so they stand for the remainder."""
-        if lex_accept is None:
-            return (window, live, lex_state, None, b"")
-        return (window, live, lex_state, lex_accept[1], remainder[lex_accept[0]:])
-
-    def _intern(self, key: tuple) -> _Config:
-        """The configuration with ``key``, created if new."""
-        config = self._configs.get(key)
-        if config is None:
-            self._count_entry()
-            config = self._configs[key] = _Config(key)
-        return config
-
-    def _count_entry(self) -> None:
-        """Count one memo entry; when the memo is full, clear it first."""
-        if self._memo_entries >= _STEP_MEMO_SIZE:
-            for config in self._configs.values():
-                config.steps = None
-            self._configs = {}
-            self._memo_entries = 0
-        self._memo_entries += 1
-
-    def _configure(self, state: EngineState) -> _Config:
-        """``state``'s configuration, interned afresh when the state was
-        built without one or the memo was cleared since."""
-        config = state.config
-        if config is not None and config.steps is not None:
-            return config
-        if config is None:
-            key = self._key(
-                self._window(state.stack)[0], state.live, state.lex_state,
-                state.lex_accept, state.remainder,
-            )
-        else:
-            key = config.key
-        config = state.config = self._intern(key)
-        return config
+    def _fed_window(self, window: tuple[int, ...], terminals: tuple[int, ...], fed: dict) -> Stack | None:
+        """The stack ``window`` alone after feeding ``terminals``, or None
+        when the parse fails; ``fed`` holds the stacks of the prefixes fed
+        so far, shared by the sequences of one call."""
+        stack = fed.get(terminals, _MISSING)
+        if stack is _MISSING:
+            if terminals:
+                below = self._fed_window(window, terminals[:-1], fed)
+                stack = None if below is None else self.feed(below, terminals[-1])
+            else:
+                stack = self._push(EMPTY_STACK, reversed(window))
+            fed[terminals] = stack
+        return stack
 
     # -- lexing ----------------------------------------------------------------
 
@@ -503,39 +425,20 @@ class MaskEngine:
         incoming: bytes,
         final: bool = False,
     ) -> tuple[tuple[int, ...], bytes, int, tuple[int, int] | None, LexError | None]:
-        """Lex ``incoming`` after ``remainder`` maximal-munch, without the parser.
+        """``dfa.scan`` of ``incoming`` after ``remainder``, without the parser.
 
-        With ``final`` the input ends here: the pending longest match is
-        committed and the bytes after it are lexed again, until the remainder
-        is empty.  Returns (committed terminal ids, new remainder, lexer state,
+        Returns (committed terminal ids, new remainder, lexer state,
         last-accept marker relative to the new remainder, the LexError met
-        after those commits or None).  Only the lexer state, the last accept
-        and the remainder bytes after it decide the outcome; the bytes before
-        the accept are only carried into a remainder that commits nothing,
-        and into an error's message.
+        after those commits or None).
         """
-        transitions, terminal, extends = self.grammar.lexer
         data = remainder + incoming
-        q, accept = lex_state, lex_accept  # accept: (end offset from start, terminal)
-        start, pos = 0, len(remainder)
-        committed: list[int] = []
-        while pos < len(data) or (final and start < len(data)):
-            if pos < len(data) and (nxt := transitions[q][data[pos]]) != DEAD:
-                q = nxt
-                pos += 1
-                if terminal[q] >= 0:
-                    accept = (pos - start, terminal[q])
-                if extends[q]:
-                    continue
-            # The input ends, the next byte is dead, or every byte would be.
-            if accept is None:
-                error = LexError(f"no terminal matches a prefix of {data[start : pos + 1]!r}")
-                return tuple(committed), data[start:], q, None, error
-            end, tid = accept
-            committed.append(tid)
-            start += end
-            pos, q, accept = start, _LEX_INITIAL, None
-        return tuple(committed), data[start:], q, accept, None
+        committed, start, q, accept, failed = scan(
+            self.grammar.lexer, lex_state, lex_accept, data, len(remainder), final
+        )
+        error = None
+        if failed is not None:
+            error = LexError(f"no terminal matches a prefix of {data[start : failed + 1]!r}")
+        return tuple(committed), data[start:], q, accept, error
 
     def _commit(self, stack: Stack, terminals: tuple[int, ...]) -> Stack:
         """``stack`` after feeding ``terminals`` in order; ParseError when one fails."""
@@ -569,24 +472,127 @@ class MaskEngine:
             raise error
         return stack, committed, remainder, lex_state, accept
 
+    # -- the step table ----------------------------------------------------------
+
+    def _finish(self, q: int, accept: int, tail: bytes) -> list[tuple[tuple[int, ...], int]]:
+        """The ways to finish the lexeme pending in a configuration, as
+        (terminals fed to the stack, C): as any terminal whose automaton is
+        alive at the lexer state; as a pair of terminals that one token
+        crosses (see ``_bridges``); by committing the pending accept and
+        lexing the tail afresh; or, with nothing pending, by feeding nothing."""
+        key = (q, accept, tail)
+        ways = self._finishes.get(key)
+        if ways is None:
+            if q == _LEX_INITIAL and accept < 0:
+                ways = [((), 0)]
+            else:
+                c, states = self.tables.c, self.grammar.automaton_states
+                ways = [((b,), int(c[(b,)][at[q]])) for b, at in enumerate(states) if at[q] != DEAD]
+                if key in self._index and self._index[key] < len(self.tables.steps.tails):
+                    ways += self._bridges()[self._index[key]]
+            if accept >= 0 and tail:
+                committed, _, after, failed = scan_configuration(self.grammar.lexer, (_LEX_INITIAL, -1, b""), tail)
+                if not failed:
+                    ways += [((accept, *committed) + terms, cost) for terms, cost in self._finish(*after)]
+            self._finishes[key] = ways
+        return ways
+
+    def _bridges(self) -> list[list[tuple[tuple[int, int], int]]]:
+        """Per configuration of the table, the pairs (a, b) that finish for
+        fewer tokens than a and then b apart, with that count: the fewest
+        tokens that commit a and then finish b, where one token may cross
+        from a into b.  A shortest path over the table's distinct edges,
+        built on first use."""
+        if self._bridge is None:
+            steps, n_t = self.tables.steps, self.grammar.n_terminals
+            n, m = len(steps.tails), len(steps.commits)
+            states = self.grammar.automaton_states
+            pending = np.stack([self.tables.c[(b,)][states[b][steps.states]] for b in range(n_t)], axis=-1)
+            starts = np.repeat(np.arange(n, dtype=np.int64), np.diff(steps.indptr))
+            edges = np.unique((starts * m + steps.moves) * n + steps.succs)
+            source, move, target = edges // (m * n), edges // n % m, edges % n
+            cost = np.full((n, n_t, n_t), INF, dtype=np.int64)
+            for s, terms, t in zip(source.tolist(), move.tolist(), target.tolist()):
+                terms = steps.commits[terms][0]
+                if len(terms) == 1:  # a committed, b still to finish
+                    cost[s, terms[0]] = np.minimum(cost[s, terms[0]], 1 + pending[t])
+                elif len(terms) == 2 and t == 0:  # both finished by this token
+                    cost[s][terms] = 1
+            free = move == 0
+            while True:  # tokens that commit nothing, one more at a time
+                relaxed = cost.copy()
+                np.minimum.at(relaxed, source[free], 1 + cost[target[free]])
+                if np.array_equal(relaxed, cost):
+                    break
+                cost = relaxed
+            apart = pending[:, :, None] + pending[0][None, None, :]
+            self._bridge = [[] for _ in range(n)]
+            for s, a, b in zip(*np.nonzero(cost < np.minimum(apart, INF))):
+                self._bridge[s].append(((int(a), int(b)), int(cost[s, a, b])))
+        return self._bridge
+
+    def _row(self, config: int) -> _Row:
+        """Configuration ``config``'s row: from the step table, or scanned
+        token by token when the table leaves it out, its tail being longer
+        than any token (see ``costs.build_step_table``).  The table's rows
+        are built when the engine is, the others on first use."""
+        row = self._rows.get(config)
+        if row is None:
+            q, accept, tail = self._configurations[config]
+            steps = self.tables.steps
+            if config < len(steps.tails) and len(tail) <= self._longest:
+                a, b = steps.indptr[config], steps.indptr[config + 1]
+                ids, succs, moves = steps.ids[a:b], steps.succs[a:b], steps.moves[a:b]
+            else:
+                ids, succs, moves = self._scan_row(q, accept, tail)
+            row = self._rows[config] = _Row()
+            row.ids = ids
+            row.succ = np.full(self.vocab.size, -1, dtype=np.int32)
+            row.move = np.zeros(self.vocab.size, dtype=np.int32)
+            row.succ[ids], row.move[ids] = succs, moves
+            n = len(self._configurations)
+            groups, row.of = np.unique(moves.astype(np.int64) * n + succs, return_inverse=True)
+            row.groups, row.group, row.terms, row.cost = len(groups), [], [], []
+            for g, (move, succ) in enumerate(zip(*np.divmod(groups.tolist(), n))):
+                for terms, cost in self._finish(*self._configurations[succ]):
+                    terms = self._commits[move][0] + terms
+                    if self._adjacent.issuperset(zip(terms, terms[1:])):  # else it never parses
+                        row.group.append(g)
+                        row.terms.append(terms)
+                        row.cost.append(cost)
+            row.depth = max(map(len, row.terms), default=1)
+        return row
+
+    def _scan_row(self, q: int, accept: int, tail: bytes) -> tuple[np.ndarray, ...]:
+        """The row of a configuration, as (token ids, successors, moves), by
+        scanning every token; new configurations and commits are numbered
+        after the table's."""
+        ids, succs, moves = [], [], []
+        for token, data in enumerate(self.vocab.tokens):
+            committed, rest, after, failed = scan_configuration(self.grammar.lexer, (q, accept, tail), data)
+            if not failed and token != self.vocab.eos:
+                ids.append(token)
+                succs.append(number(self._index, self._configurations, after))
+                moves.append(number(self._records, self._commits, (committed, len(rest) if committed else 0)))
+        return tuple(np.array(column, dtype=np.int32) for column in (ids, succs, moves))
+
     # -- completion and masking -------------------------------------------------
 
     def is_complete(self, state: EngineState) -> bool:
         """True when the emitted bytes already form a full sentence.
 
-        Memoized per configuration as ``eos``: the terminals the final lexing
-        commits, or False when it fails; each call feeds them to the state's
-        own stack and asks whether what is left is nullable.
+        Memoized per configuration: the terminals the final lexing commits,
+        or False when it fails; each call feeds them to the state's own
+        stack and asks whether what is left is nullable.
         """
-        if state.lex_accept is None:  # nothing to commit: no bytes may be pending
+        if self._configurations[state.config][1] < 0:  # nothing to commit: no bytes may be pending
             return not state.remainder and state.stack.nullable
-        config = self._configure(state)
-        eos = config.eos
+        eos = self._eos.get(state.config)
         if eos is None:
             committed, _, _, _, error = self._scan(
                 state.lex_state, state.lex_accept, state.remainder, b"", final=True
             )
-            eos = config.eos = False if error else committed
+            eos = self._eos[state.config] = False if error else committed
         if eos is False:
             return False
         try:
@@ -606,30 +612,40 @@ class MaskEngine:
             return False
         return stack.nullable
 
-    def _totals(self, state: EngineState):
+    def _totals(self, state: EngineState) -> tuple[_Row, list]:
         """The admission rule's accounting; the only place it is written.
 
-        For each live sequence ``k`` that some token keeps alive, yields
-        ``k``, those token ids and, per token, the tokens still needed after
-        it: C at its successor state plus the sequence's d_cost.
+        Returns the state's row and, per group of it, the least total over
+        the group's candidates -- C of the pending lexeme plus the cost of
+        the stack after the candidate's terminals -- with those terminals
+        and that C, or None when no candidate parses.
         """
-        rows, base = self._rows, state.base
-        for k, (terms, d_cost, q) in enumerate(state.live):
-            row = rows[terms].get(q)
-            if row is not None:
-                yield k, row[0], row[1] + min(INF, d_cost + base)
+        row = self._rows.get(state.config) or self._row(state.config)
+        window, below = self._window(state.stack, row.depth)
+        best: list = [None] * row.groups
+        prefixes: dict = {}
+        for g, terms, cost in zip(row.group, row.terms, row.cost):
+            fed = self._fed_window(window, terms, prefixes)
+            if fed is not None:
+                total = cost + min(INF, fed.cost + below.cost)
+                if best[g] is None or total < best[g][0]:
+                    best[g] = (total, terms, cost)
+        return row, best
 
     def _need(self, state: EngineState) -> np.ndarray:
         """Per token, the least total of ``_totals``; 3 * INF, above any
-        total, where no live sequence survives the token (eos included).
-        Read-only, and memoized on the only fields ``_totals`` reads."""
-        key = (state.live, state.base)
+        total, where no candidate parses or the token fails to lex (eos
+        included).  Read-only, and memoized on what ``_totals`` reads: the
+        configuration, the window its candidates feed and the cost below."""
+        row = self._rows.get(state.config) or self._row(state.config)
+        window, below = self._window(state.stack, row.depth)
+        key = (state.config, window, below.cost)
         need = self._need_memo.get(key)
         if need is None:
+            row, best = self._totals(state)
             need = np.full(self.vocab.size, 3 * INF, dtype=np.int64)
-            parts = [(ids, totals) for _, ids, totals in self._totals(state)]
-            if parts:
-                np.minimum.at(need, *map(np.concatenate, zip(*parts)))
+            totals = np.array([3 * INF if b is None else b[0] for b in best], dtype=np.int64)
+            need[row.ids] = totals[row.of]
             need.setflags(write=False)
             if len(self._need_memo) >= _NEED_MEMO_SIZE:
                 self._need_memo.clear()
@@ -661,24 +677,27 @@ class MaskEngine:
         return bits
 
     def mask_report(self, state: EngineState) -> list[dict]:
-        """Per-token mask explanation: the dominating sequence and cost terms.
+        """Per-token mask explanation: the dominating terminals and cost terms.
 
-        ``admitted`` is the mask bit.  The reported sequence is the first live
-        one whose total attains ``need``: for admitted tokens the cheapest
-        admitting one, for denied tokens the closest miss (None when every
-        continuation dies on the automaton).  End-of-sequence has no sequence
-        and costs of 0 when the output is complete, None when it is not.
+        ``admitted`` is the mask bit.  The reported sequence is the terminals
+        whose total attains ``need``, the first such candidate of the token's
+        group: for admitted tokens the cheapest way to finish, for denied
+        tokens the closest miss (None when no candidate parses or the token
+        fails to lex).  ``automaton_cost`` is C of the pending lexeme, and
+        ``dangling_cost`` the cost of the stack after the sequence.
+        End-of-sequence has no sequence and costs of 0 when the output is
+        complete, None when it is not.
         """
         need = self._need(state)
         bits = self._admit(state, need)
         complete = self.is_complete(state)
-        owner = np.full(self.vocab.size, -1)
-        for k, token_ids, totals in self._totals(state):
-            first = token_ids[(totals == need[token_ids]) & (owner[token_ids] < 0)]
-            owner[first] = k
+        row, best = self._totals(state)
+        group = np.full(self.vocab.size, -1)
+        group[row.ids] = row.of
+        names = [t.name for t in self.grammar.terminals]
         rows: list[dict] = []
-        for tid, k in enumerate(owner.tolist()):
-            row = {
+        for tid, g in enumerate(group.tolist()):
+            report = {
                 "token": tid,
                 "admitted": bool(bits[tid]),
                 "sequence": None,
@@ -688,14 +707,13 @@ class MaskEngine:
             }
             if tid == self.vocab.eos:
                 if complete:
-                    row["automaton_cost"] = row["dangling_cost"] = 0
-            elif k >= 0:
-                terms, d_cost, _ = state.live[k]
-                d_cost = min(INF, d_cost + state.base)
-                row["sequence"] = tuple(self.grammar.terminals[t].name for t in terms)
-                row["automaton_cost"] = int(need[tid]) - d_cost
-                row["dangling_cost"] = d_cost
-            rows.append(row)
+                    report["automaton_cost"] = report["dangling_cost"] = 0
+            elif g >= 0 and best[g] is not None:
+                total, terms, cost = best[g]
+                report["sequence"] = tuple(names[t] for t in terms)
+                report["automaton_cost"] = cost
+                report["dangling_cost"] = total - cost
+            rows.append(report)
         return rows
 
     # -- advancing ---------------------------------------------------------------
@@ -729,48 +747,26 @@ class MaskEngine:
 
     def _step(self, state: EngineState, token: int) -> EngineState:
         """Successor state after ``token``; the only place a token's bytes
-        change a session.  Memoized per configuration and token as the scan's
-        outcome and, per successor window, the successor's live sequences and
-        configuration.  Every call feeds the committed terminals to the
-        state's own stack and reads the successor window off it, so a
-        remembered step is exact whatever lies below the window."""
+        change a session.  One lookup in the step table gives the committed
+        terminals and the successor configuration; the terminals are fed to
+        the state's own stack.  A token missing from the table is scanned
+        from the state's own bytes, so that the error names them."""
         if token == self.vocab.eos:
             return EngineState(
-                self, state.stack, state.remainder, state.lex_state, state.lex_accept,
-                state.consumed + 1, state.budget, state.live, state.base, True, state.config,
+                self, state.stack, state.remainder, state.config,
+                state.consumed + 1, state.budget, True,
             )
         data = self.vocab.tokens[token]
-        config = self._configure(state)
-        memo = config.steps.get(token)
-        if memo is None:
-            committed, remainder, lex_state, accept, error = self._scan(
-                state.lex_state, state.lex_accept, state.remainder, data
-            )
-            if error is not None:  # not remembered: the message names this state's bytes
-                self._commit(state.stack, committed)
-                raise error
-            # A remainder that commits nothing is the old one with ``data``
-            # appended; the accept marker is kept counted from its end.
-            back = accept and (len(remainder) - accept[0], accept[1])
-            kept = remainder if committed else None
-            memo = config.steps[token] = (committed, kept, lex_state, back, {})
-        committed, remainder, lex_state, back, successors = memo
-        if committed:
-            stack = self._commit(state.stack, committed)
-            window, below = self._window(stack)
-            base = below.cost
+        row = self._rows.get(state.config) or self._row(state.config)
+        config = row.succ.item(token)
+        if config < 0:
+            committed, _, _, _, error = self._scan(state.lex_state, state.lex_accept, state.remainder, data)
+            self._commit(state.stack, committed)
+            raise error
+        terminals, keep = self._commits[row.move.item(token)]
+        if terminals:
+            stack = self._commit(state.stack, terminals)
+            remainder = (state.remainder[-keep:] + data)[-keep:] if keep else b""
         else:
-            stack, window, base = state.stack, config.key[0], state.base
-            remainder = state.remainder + data
-        accept = back and (len(remainder) - back[0], back[1])
-        successor = successors.get(window)
-        if successor is None:  # counted as one memo entry with the step's outcome
-            live = self._seed(window, remainder) if committed else self._run_live(state.live, data)
-            self._count_entry()
-            key = self._key(window, live, lex_state, accept, remainder)
-            successor = successors[window] = (live, self._intern(key))
-        live, successor_config = successor
-        return EngineState(
-            self, stack, remainder, lex_state, accept, state.consumed + 1, state.budget,
-            live, base, False, successor_config,
-        )
+            stack, remainder = state.stack, state.remainder + data
+        return EngineState(self, stack, remainder, config, state.consumed + 1, state.budget)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields
 
@@ -75,6 +76,8 @@ class BudgetPolicy:
     def __post_init__(self):
         if self.kind not in ("fixed", "ratio"):
             raise ValueError(f"unknown budget policy {self.kind!r}")
+        if not math.isfinite(self.value):
+            raise ValueError(f"budget policy value must be finite, got {self.value!r}")
         if self.kind == "fixed" and (self.value < 1 or self.value != int(self.value)):
             raise ValueError("fixed budget must be a positive integer")
         if self.kind == "ratio" and self.value < 1.0:
@@ -114,14 +117,11 @@ def load_tasks(path) -> list[Task]:
                 l_gt = obj["l_gt"]
                 if isinstance(l_gt, bool) or not isinstance(l_gt, int) or l_gt < 1:
                     raise ValueError(f"'l_gt' must be a positive integer, got {l_gt!r}")
-                tasks.append(
-                    Task(
-                        task_id=str(obj["id"]),
-                        prompt=str(obj.get("prompt", "")),
-                        ground_truth=str(obj["ground_truth"]),
-                        l_gt=l_gt,
-                    )
-                )
+                prompt, ground_truth = obj.get("prompt", ""), obj["ground_truth"]
+                for name, text in (("prompt", prompt), ("ground_truth", ground_truth)):
+                    if not isinstance(text, str):
+                        raise ValueError(f"{name!r} must be a string, got {text!r}")
+                tasks.append(Task(str(obj["id"]), prompt, ground_truth, l_gt))
             except (KeyError, TypeError, ValueError) as exc:
                 raise TaskFileError(f"{path}:{lineno}: bad task record: {exc}") from exc
     if not tasks:
@@ -150,16 +150,20 @@ def parse_strategy(spec: str):
     """Strategy spec -> (label, decode function taking (model, session, prompt)).
 
     Forms: ``greedy``, ``beam:<width>``, ``mcts:<trials>,<c_puct>,<tau>``
-    (later mcts fields optional).
+    (later mcts fields optional).  ValueError for any other spec.
     """
     name, _, arg = spec.partition(":")
-    if name == "greedy":
+    if name == "greedy" and not arg:
         return "greedy", greedy_decode
     if name == "beam":
         width = int(arg) if arg else 10
+        if width < 1:
+            raise ValueError(f"beam width must be at least 1, got {width}")
         return f"beam:{width}", lambda m, s, p=(): beam_search(m, s, p, beams=width)
     if name == "mcts":
         parts = [p for p in arg.split(",") if p] if arg else []
+        if len(parts) > 3:
+            raise ValueError(f"mcts takes at most three fields, got {spec!r}")
         trials = int(parts[0]) if len(parts) > 0 else 20
         c_puct = float(parts[1]) if len(parts) > 1 else 5.0
         tau = float(parts[2]) if len(parts) > 2 else 2.0
@@ -263,8 +267,7 @@ def evaluate(
     records: list[EvalRecord] = []
     total_tokens = 0
     total_seconds = 0.0
-    for strategy_spec in strategies:
-        label, decode = parse_strategy(strategy_spec)
+    for label, decode in [parse_strategy(spec) for spec in strategies]:  # all before any cell
         for policy in policies:
             for task in tasks:
                 budget = policy.budget_for(task.l_gt)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from boundedgen.dfa import Dfa, Lexer, RegexError, compile_lexer, dfa_concat, parse_pattern
+from boundedgen.dfa import Dfa, Lexer, RegexError, compile_lexer, lexer_states, parse_pattern
 
 END = -1
 EPSILON_MARK = "ε"
@@ -91,7 +91,7 @@ class Grammar:
     lexer: Lexer = field(repr=False, compare=False)  # see dfa.compile_lexer
     # Built on first use.  Fields, not cached_property: writing __dict__ slows every read.
     _ll1: Ll1Table | None = field(default=None, init=False, repr=False, compare=False)
-    _pairs: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _states: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_terminals(self) -> int:
@@ -129,15 +129,13 @@ class Grammar:
         return self._ll1
 
     @property
-    def pair_automata(self) -> dict[tuple[int, int], Dfa]:
-        """Concatenation automaton of every adjacent terminal pair, in sorted
-        pair order; shared by every table built from this grammar."""
-        if self._pairs is None:
-            pairs = sorted(adjacent_terminal_pairs(self, self.ll1))
-            dfas = [t.dfa for t in self.terminals]
-            automata = {(a, b): dfa_concat(dfas[a], dfas[b]) for a, b in pairs}
-            object.__setattr__(self, "_pairs", automata)
-        return self._pairs
+    def automaton_states(self) -> tuple:
+        """Per terminal, its automaton's state at each lexer state (see
+        ``dfa.lexer_states``); shared by every engine on this grammar."""
+        if self._states is None:
+            states = tuple(lexer_states(self.lexer, t.dfa) for t in self.terminals)
+            object.__setattr__(self, "_states", states)
+        return self._states
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ seed, which keeps every downstream run reproducible.
 from __future__ import annotations
 
 import json
+import math
 from typing import Sequence
 
 import numpy as np
@@ -126,6 +127,8 @@ class ScriptedModel(LanguageModel):
     def from_file(cls, path, vocab_size: int) -> "ScriptedModel":
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path}: a scripted model is a JSON object with 'steps'")
         steps = []
         for step in payload.get("steps", []):
             arr = np.zeros(vocab_size)
@@ -158,8 +161,8 @@ class VerbosityBiasedModel(LanguageModel):
     """
 
     def __init__(self, base: LanguageModel, factor: float, vocab: Vocabulary):
-        if factor <= 0:
-            raise ValueError("factor must be positive")
+        if not 0 < factor < math.inf:
+            raise ValueError(f"factor must be positive and finite, got {factor!r}")
         self.base = base
         self.factor = factor
         self.vocab_size = base.vocab_size

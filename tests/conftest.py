@@ -68,7 +68,7 @@ def cache_offsets(tables, key) -> dict[str, int]:
     for k in tables.keys:
         n = tables.automata[k].n_states
         entries = sum(ids.size for ids, _ in tables.token_map[k].values())
-        fields = {"d": 80, "arity": at, "second": at + 5, "accepting": at + 17}
+        fields = {"d": 80, "arity": at, "terminal": at + 1, "accepting": at + 13}
         fields["c"] = fields["accepting"] + n + 4 * 256 * n
         fields["indptr"] = fields["c"] + 8 * n
         fields["ids"] = fields["indptr"] + 8 * (n + 1)
@@ -77,6 +77,21 @@ def cache_offsets(tables, key) -> dict[str, int]:
             return fields
         at = fields["succs"] + 4 * entries
     raise KeyError(key)
+
+
+def step_offsets(tables) -> dict[str, int]:
+    """Byte offset of each field of the step table in a saved cache."""
+    key = tables.keys[-1]
+    at = {"counts": cache_offsets(tables, key)["succs"]}
+    at["counts"] += 4 * sum(ids.size for ids, _ in tables.token_map[key].values())
+    steps = tables.steps
+    n, m, entries = len(steps.tails), len(steps.commits), steps.ids.size
+    sizes = [("counts", 8), ("states", 4 * n), ("accepts", 4 * n), ("tail_ptr", 8 * (n + 1)),
+             ("tails", sum(map(len, steps.tails))), ("indptr", 8 * (n + 1)), ("ids", 4 * entries),
+             ("succs", 4 * entries), ("moves", 4 * entries), ("keeps", 4 * m), ("commit_ptr", 8 * (m + 1))]
+    for (field, size), (following, _) in zip(sizes, sizes[1:] + [("terms", 0)]):
+        at[following] = at[field] + size
+    return at
 
 
 def edit_cache(path, at: int, value: bytes) -> None:

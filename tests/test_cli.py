@@ -292,6 +292,39 @@ class TestGenerate:
         assert code == EXIT_GRAMMAR
         assert f"token id {key} outside [0, 4)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--ratio", "inf", "--ref-len", "5"], "budget policy value must be finite"),
+            (["--ratio", "nan", "--ref-len", "5"], "budget policy value must be finite"),
+            (["--model", "verbose-bias:nan", "--budget", "4"], "factor must be positive and finite"),
+            (["--model", "verbose-bias:inf", "--budget", "4"], "factor must be positive and finite"),
+            (["--strategy", "mcts:5,nan", "--budget", "4"], "c_puct must be non-negative and finite"),
+            (["--strategy", "mcts:5,1,inf", "--budget", "4"], "temperature must be positive and finite"),
+        ],
+        ids=["ratio-inf", "ratio-nan", "bias-nan", "bias-inf", "c-puct-nan", "tau-inf"],
+    )
+    def test_non_finite_numbers_exit_2(self, yz_workspace, capsys, extra, message):
+        assert main(["generate", *yz_workspace, *extra]) == EXIT_GRAMMAR
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--strategy", "greedy:junk"], "unknown strategy 'greedy:junk'"),
+            (["--strategy", "mcts:1,2,3,4"], "at most three fields"),
+            (["--strategy", "beam:0"], "beam width must be at least 1"),
+            (["--model", "scripted:LIST"], "is a JSON object with 'steps'"),
+        ],
+        ids=["greedy-argument", "mcts-four-fields", "beam-0", "scripted-list"],
+    )
+    def test_malformed_specs_exit_2(self, yz_workspace, tmp_path, capsys, extra, message):
+        script = tmp_path / "script.json"
+        script.write_text("[[0, 1, 0, 0]]")
+        extra = [arg.replace("LIST", str(script)) for arg in extra]
+        assert main(["generate", *yz_workspace, *extra, "--budget", "4"]) == EXIT_GRAMMAR
+        assert message in capsys.readouterr().err
+
     def test_negative_scripted_weight_exit_2(self, yz_workspace, tmp_path, capsys):
         script = tmp_path / "script.json"
         script.write_text('{"steps": [{"0": -1, "3": 2}]}')
@@ -446,7 +479,7 @@ class TestMask:
             ]
         )
         assert code == EXIT_IO
-        assert "cache format version 1 is not the supported 2" in capsys.readouterr().err
+        assert "cache format version 1 is not the supported 3" in capsys.readouterr().err
 
     def test_cache_missing_an_automaton_exit_3(self, workspace, tmp_path, capsys):
         cache = tmp_path / "dropped.cache"
@@ -585,6 +618,34 @@ class TestEval:
             ]
         )
         assert code == EXIT_GRAMMAR
+
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            ('{"id": "a", "prompt": null, "ground_truth": "1", "l_gt": 2}', "'prompt' must be a string"),
+            ('{"id": "a", "ground_truth": {"a": 1}, "l_gt": 2}', "'ground_truth' must be a string"),
+        ],
+        ids=["null-prompt", "object-ground-truth"],
+    )
+    def test_non_string_task_fields_exit_2(self, workspace, tmp_path, capsys, record, message):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(record + "\n")
+        args = ["--grammar", workspace["grammar"], "--vocab", workspace["vocab"]]
+        code = main(["eval", *args, "--cache", workspace["cache"], "--tasks", str(bad)])
+        assert code == EXIT_GRAMMAR
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["greedy:junk", "mcts:1,2,3,4", "beam:0", "mcts:5,nan"])
+    def test_every_strategy_parsed_before_any_cell(self, workspace, tmp_path, capsys, spec, monkeypatch):
+        # The bad spec comes last; no cell runs, so no decoder is called.
+        from boundedgen import evalharness
+
+        monkeypatch.setattr(evalharness, "greedy_decode", None)
+        args = ["--grammar", workspace["grammar"], "--vocab", workspace["vocab"], "--cache", workspace["cache"]]
+        code = main(["eval", *args, "--tasks", workspace["tasks"], "--strategy", "greedy", "--strategy", spec])
+        captured = capsys.readouterr()
+        assert code == EXIT_GRAMMAR and captured.out == ""
+        assert "error:" in captured.err
 
     @pytest.mark.parametrize("l_gt", ["true", "-3"])
     def test_bad_l_gt_exit_2(self, workspace, tmp_path, capsys, l_gt):

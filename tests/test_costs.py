@@ -25,11 +25,12 @@ from boundedgen.costs import (
     load_cache,
     save_cache,
 )
-from boundedgen.dfa import DEAD, INF, compile_regex
+from boundedgen.cli import EXIT_GRAMMAR, main
+from boundedgen.dfa import DEAD, INF, StateLimitError, compile_regex, scan
 from boundedgen.engine import MaskEngine
 from boundedgen.grammar import load_grammar, parse_grammar
-from boundedgen.oracle import brute_force_min_tokens
-from boundedgen.vocab import Vocabulary
+from boundedgen.oracle import brute_force_mask, brute_force_min_tokens
+from boundedgen.vocab import Vocabulary, save_vocabulary
 from tests.conftest import (
     MINI_JSON_GRAMMAR,
     MINI_TOKENS,
@@ -40,6 +41,7 @@ from tests.conftest import (
     drop_key,
     edit_cache,
     make_vocab,
+    step_offsets,
     with_terminal_pattern,
 )
 from tests.test_lexer_reference import KW_GRAMMAR
@@ -116,25 +118,30 @@ class TestPairCosts:
 
 class TestGrammarCache:
     def test_tables_share_what_the_grammar_determines(self, monkeypatch):
-        from boundedgen import grammar as grammar_module
+        # The LL(1) table and the lexer's map onto the terminals' automata
+        # are built once per grammar; no table builds a pair automaton.
+        from boundedgen import dfa, grammar as grammar_module
 
-        calls = {"dfa_concat": 0, "build_ll1_table": 0}
-        for name in calls:
-            real = getattr(grammar_module, name)
+        calls = {"dfa_concat": 0, "build_ll1_table": 0, "lexer_states": 0}
+        for module, name in ((costs, "dfa_concat"), (grammar_module, "build_ll1_table"),
+                             (grammar_module, "lexer_states")):
+            real = getattr(module, name)
 
             def counted(*args, _real=real, _name=name):
                 calls[_name] += 1
                 return _real(*args)
 
-            monkeypatch.setattr(grammar_module, name, counted)
+            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(dfa, "dfa_concat", None)
         g = parse_grammar(MINI_JSON_GRAMMAR)
         small, big = make_vocab(MINI_TOKENS[:5]), make_vocab(MINI_TOKENS)
         first, second = build_cost_tables(g, small), build_cost_tables(g, big)
-        MaskEngine(g, first, small)
-        MaskEngine(g, second, big)
-        pairs = [key for key in first.keys if len(key) == 2]
-        assert pairs and all(first.automata[key] is second.automata[key] for key in pairs)
-        assert calls == {"dfa_concat": len(pairs), "build_ll1_table": 1}
+        for tables, vocab in ((first, small), (second, big)):
+            engine = MaskEngine(g, tables, vocab)
+            engine.compute_mask(engine.new_session(12))
+        assert first.keys == second.keys == tuple((t,) for t in range(g.n_terminals))
+        assert all(first.automata[key] is second.automata[key] for key in first.keys)
+        assert calls == {"dfa_concat": 0, "build_ll1_table": 1, "lexer_states": g.n_terminals}
 
 
 class TestNonterminalCosts:
@@ -246,10 +253,11 @@ class TestTokenMap:
         x_token = 0
         assert x_token not in token_ids.tolist()
 
-    def test_pair_automaton_span_token(self, paren_tables, paren_vocab):
+    def test_pair_automaton_span_token(self, paren_grammar, paren_vocab):
+        automata, _ = compute_pair_costs(paren_grammar, paren_vocab)
         key = (1, 0)
-        aut = paren_tables.automata[key]
-        token_ids, succs = paren_tables.token_map[key][aut.initial]
+        aut = automata[key]
+        token_ids, succs = compute_token_map(automata, paren_vocab)[key][aut.initial]
         span = dict(zip(token_ids.tolist(), succs.tolist()))[3]  # "(x"
         assert aut.accepting[span]
 
@@ -296,13 +304,53 @@ class TestTokenMap:
             assert np.array_equal(compute_terminal_costs(aut, vocab), tables.c[key]), key
 
 
+def reference_steps(lexer, vocab):
+    """The step table as a breadth-first search that scans every token from
+    every configuration: configuration key -> {token id: (successor key,
+    committed terminals, bytes kept)}.  A configuration whose tail is longer
+    than every token is listed with no row."""
+    longest = max(map(len, vocab.tokens))
+    rows, todo = {}, [(1, -1, b"")]
+    while todo:
+        q, accept, tail = key = todo.pop()
+        if key in rows:
+            continue
+        rows[key] = {}
+        for tid, token in enumerate(vocab.tokens if len(tail) <= longest else []):
+            data = tail + token
+            committed, start, q2, again, failed = scan(lexer, q, (0, accept) if accept >= 0 else None, data, len(tail))
+            if tid != vocab.eos and failed is None:
+                rest = data[start:]
+                after = (q2, again[1], rest[again[0] :]) if again else (q2, -1, b"")
+                rows[key][tid] = (after, tuple(committed), len(rest) if committed else 0)
+                todo.append(after)
+    return rows
+
+
+def check_steps(steps, lexer, vocab) -> None:
+    """``steps`` equals ``reference_steps``, configuration for configuration."""
+    keys = list(zip(steps.states.tolist(), steps.accepts.tolist(), steps.tails))
+    got = {}
+    for s, key in enumerate(keys):
+        a, b = steps.indptr[s], steps.indptr[s + 1]
+        got[key] = {
+            tid: (keys[succ], *steps.commits[move])
+            for tid, succ, move in zip(steps.ids[a:b].tolist(), steps.succs[a:b].tolist(), steps.moves[a:b].tolist())
+        }
+    assert keys[0] == (1, -1, b"") and keys == sorted(keys)
+    assert got == reference_steps(lexer, vocab)
+
+
 def _check_walk(grammar, vocab):
     """Tables for ``grammar`` whose every row is checked token by token
-    against ``Dfa.run``, and whose C is checked against the oracle and
-    against the single-automaton and pair entry points."""
+    against ``Dfa.run``, whose C is checked against the oracle and the
+    single-automaton entry point, and whose step table is checked against
+    ``reference_steps``; the pair entry point is checked against the oracle."""
     tables = build_cost_tables(grammar, vocab)
-    for key, aut in tables.automata.items():
-        rows = tables.token_map[key]
+    automata, pair_costs = compute_pair_costs(grammar, vocab)
+    for key, aut in [*tables.automata.items(), *automata.items()]:
+        rows = tables.token_map[key] if len(key) == 1 else compute_token_map({key: aut}, vocab)[key]
+        c = tables.c[key] if len(key) == 1 else pair_costs[key]
         for q in range(aut.n_states):
             want = [] if q == DEAD else [
                 (tid, aut.run(q, tok)) for tid, tok in enumerate(vocab.tokens) if tid != vocab.eos
@@ -310,12 +358,9 @@ def _check_walk(grammar, vocab):
             want = [(tid, succ) for tid, succ in want if succ != DEAD]
             got = list(zip(rows[q][0].tolist(), rows[q][1].tolist())) if q in rows else []
             assert got == want and (q not in rows or got), (key, q)
-            assert tables.c[key][q] == brute_force_min_tokens(aut, vocab, q), (key, q)
-        assert np.array_equal(compute_terminal_costs(aut, vocab), tables.c[key]), key
-    automata, pair_costs = compute_pair_costs(grammar, vocab)
-    assert sorted(pair_costs) == sorted(automata) == [key for key in tables.keys if len(key) == 2]
-    for key, c in pair_costs.items():
-        assert np.array_equal(c, tables.c[key]), key
+            assert c[q] == brute_force_min_tokens(aut, vocab, q), (key, q)
+        assert np.array_equal(compute_terminal_costs(aut, vocab), c), key
+    check_steps(tables.steps, grammar.lexer, vocab)
     return tables
 
 
@@ -342,12 +387,15 @@ class TestWalkEdgeCases:
             _check_walk(paren_grammar, Vocabulary([token], eos=1))
 
     def test_tokens_longer_than_every_path(self, paren_grammar):
-        # Paren terminals take one byte and their pairs two: only the two-byte
-        # tokens fit, "(x" into (LP, X) and "((" into (LP, LP).
+        # Paren terminals take one byte, so no token fits a terminal's
+        # automaton; from the initial configuration every token commits one
+        # lexeme per byte.
         tokens = [b"((((x))))", b"x" * 64, b"(x", b"((", b"x)" * 20]
         tables = _check_walk(paren_grammar, make_vocab(tokens))
-        live = {tid for rows in tables.token_map.values() for ids, _ in rows.values() for tid in ids.tolist()}
-        assert live == {2, 3}
+        assert not any(tables.token_map.values())
+        steps = tables.steps
+        assert steps.ids.tolist() == [0, 1, 2, 3, 4] and len(steps.tails) == 1
+        assert [len(steps.commits[m][0]) for m in steps.moves.tolist()] == [9, 64, 2, 2, 40]
 
     @pytest.mark.parametrize("block", [1, 7, 1000])
     def test_block_size_does_not_change_the_map(self, json_grammar, json_vocab, json_tables, monkeypatch, block):
@@ -355,16 +403,52 @@ class TestWalkEdgeCases:
         assert build_cost_tables(json_grammar, json_vocab).structurally_equal(json_tables)
 
 
+class TestStepTableBounds:
+    def test_configurations_past_the_cap_are_refused(self, json_grammar, json_vocab, monkeypatch, tmp_path):
+        # The bundled grammar has 34 configurations over this vocabulary.
+        monkeypatch.setattr(costs, "STATE_CAP", 20)
+        with pytest.raises(StateLimitError, match="scan configurations exceeded state cap 20"):
+            build_cost_tables(json_grammar, json_vocab)
+        vocab_path = tmp_path / "vocab.json"
+        save_vocabulary(json_vocab, vocab_path)
+        args = ["--grammar", str(bundled_json_grammar_path()), "--vocab", str(vocab_path)]
+        assert main(["precompute", *args, "--cache", str(tmp_path / "c.cache")]) == EXIT_GRAMMAR
+
+    def test_tails_longer_than_every_token_are_left_to_the_engine(self):
+        # After "a" A is pending, and "b", "c" grow the tail after it without
+        # bound.  The table expands the configurations whose tail is at most
+        # one byte, the longest token; the engine scans the others' rows.
+        grammar = parse_grammar("S: A ; A: /a|a(bc)*d/ ;")
+        vocab = make_vocab([b"a", b"b", b"c", b"d"])
+        tables = _check_walk(grammar, vocab)
+        steps = tables.steps
+        rows = np.diff(steps.indptr)
+        assert {len(tail) for tail in steps.tails} == {0, 1, 2}
+        assert all((rows[s] > 0) == (len(tail) <= 1) for s, tail in enumerate(steps.tails))
+        engine = MaskEngine(grammar, tables, vocab)
+        rng = random.Random(3)
+        for _ in range(40):
+            budget = rng.randint(2, 8)
+            state, prefix = engine.new_session(budget), []
+            while not state.finished:
+                mask = engine.compute_mask(state)
+                assert mask.tolist() == brute_force_mask(grammar, vocab, prefix, budget).tolist()
+                token = rng.choice(np.flatnonzero(mask).tolist())
+                state = engine.advance(state, token, mask)
+                prefix.append(token)
+            assert engine.text_is_complete(vocab.decode(prefix[:-1]))
+        assert len(engine._configurations) > len(steps.tails)  # rows the engine scanned
+
+
 def test_build_peak_memory_is_bounded(monkeypatch):
-    # Blocks of about 16 K seeded pairs bound the walk's temporaries: 2.45 MiB
-    # traced, against 2.06 MiB for the per-automaton walk it replaced and
-    # 11.3 MiB for one block over all seeds.
+    # Blocks of about 16 K seeded pairs bound the walks' temporaries: 2.70
+    # MiB traced, most of it while the step table is built.
     monkeypatch.syspath_prepend(str(BENCH))
     import inputs
 
     grammar = load_grammar(bundled_json_grammar_path())
     vocab = inputs.ngram_vocab(1, 8002)
-    build_cost_tables(grammar, vocab)  # the grammar caches its pair automata
+    build_cost_tables(grammar, vocab)  # the grammar caches its LL(1) table
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
@@ -373,6 +457,11 @@ def test_build_peak_memory_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 3.0 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.fixture(scope="module")
+def mini_tables(mini_grammar):
+    return build_cost_tables(mini_grammar, make_vocab(MINI_TOKENS))
 
 
 class TestCache:
@@ -432,13 +521,13 @@ class TestCache:
         save_cache(paren_tables, path)
         assert path.read_bytes()[:4] == CACHE_MAGIC
 
-    # In the paren cache, key (1, 0) has accepting mask [0, 0, 0, 1], C = [INF,
-    # 1, 1, 0], row pointers [0, 0, 2, 3, 3] and token ids [1, 3, 0].  Each
-    # field of the first format's entry table is written where the same kind
-    # of value lives in this format: its key, its state (the row pointers),
-    # its token id and its successor.
+    # In the mini-JSON cache, NUM's automaton, key (1,), has accepting mask
+    # [0, 0, 1], C = [INF, 1, 0], row pointers [0, 0, 2, 4] and token ids
+    # [5, 6, 5, 6].  Each field of the first format's entry table is written
+    # where the same kind of value lives in this format: its key, its state
+    # (the row pointers), its token id and its successor.
     _PLACES = {
-        "accepting": ("accepting", 0),
+        "accepting": ("accepting", 1),
         "c": ("c", 1),
         "d": ("d", 0),
         "key_index": ("arity", 0),
@@ -450,7 +539,7 @@ class TestCache:
     @staticmethod
     def _corrupt(tables, path, section: str, index: int, value: bytes):
         save_cache(tables, path)
-        at = cache_offsets(tables, (1, 0))[section]
+        at = cache_offsets(tables, (1,))[section]
         edit_cache(path, at + index * {"accepting": 1, "ids": 4, "succs": 4}.get(section, 8), value)
 
     @pytest.mark.parametrize(
@@ -470,9 +559,9 @@ class TestCache:
             ("successor", struct.pack("<i", DEAD)),
         ],
     )
-    def test_out_of_range_field_is_corrupt(self, paren_tables, tmp_path, field, value):
-        path = tmp_path / "p.cache"
-        self._corrupt(paren_tables, path, *self._PLACES[field], value)
+    def test_out_of_range_field_is_corrupt(self, mini_tables, tmp_path, field, value):
+        path = tmp_path / "m.cache"
+        self._corrupt(mini_tables, path, *self._PLACES[field], value)
         with pytest.raises(CacheCorruptError) as caught:
             load_cache(path)
         assert "checksum" not in str(caught.value)
@@ -484,21 +573,59 @@ class TestCache:
             ("accepting", 1, b"\x01", "C does not match"),
             ("indptr", 0, struct.pack("<q", 1), "row pointers"),
             ("indptr", DEAD + 1, struct.pack("<q", 1), "row pointers"),
-            ("indptr", 3, struct.pack("<q", 1), "row pointers"),
-            ("ids", 1, struct.pack("<i", 1), "do not rise"),
+            ("indptr", 2, struct.pack("<q", 5), "row pointers"),
+            ("ids", 1, struct.pack("<i", 5), "do not rise"),
             ("arity", 0, b"\x03", "arity"),
-            ("second", 0, struct.pack("<I", 1), "duplicate key"),
+            ("terminal", 0, struct.pack("<I", 0), "duplicate key"),
         ],
         ids=[
             "c-off-by-one", "accepting-where-c-is-1", "indptr-not-from-0", "dead-row-not-empty",
             "indptr-decreasing", "token-id-twice-in-a-row", "arity-3", "duplicate-key",
         ],
     )
-    def test_inconsistent_field_is_corrupt(self, paren_tables, tmp_path, section, index, value, match):
-        path = tmp_path / "p.cache"
-        self._corrupt(paren_tables, path, section, index, value)
+    def test_inconsistent_field_is_corrupt(self, mini_tables, tmp_path, section, index, value, match):
+        path = tmp_path / "m.cache"
+        self._corrupt(mini_tables, path, section, index, value)
         with pytest.raises(CacheCorruptError, match=match):
             load_cache(path)
+
+    # The mini-JSON step table has 4 configurations, 24 entries and 13
+    # commits over 5 terminals; configuration 0 is the initial one.
+    @pytest.mark.parametrize(
+        "field,index,value,match",
+        [
+            ("states", 0, struct.pack("<i", 2), "configuration 0 is not the initial one"),
+            ("states", 1, struct.pack("<i", DEAD), "configuration out of range"),
+            ("accepts", 1, struct.pack("<i", 5), "configuration out of range"),
+            ("tail_ptr", 1, struct.pack("<q", 1), "pointers do not start at 0"),
+            ("indptr", 1, struct.pack("<q", 30), "pointers do not start at 0"),
+            ("ids", 1, struct.pack("<i", 0), "do not rise"),
+            ("succs", 0, struct.pack("<i", 4), "successor or move out of range"),
+            ("moves", 0, struct.pack("<i", 13), "successor or move out of range"),
+            ("keeps", 0, struct.pack("<i", 1), "commit out of range"),
+            ("commit_ptr", 1, struct.pack("<q", 1), "commit out of range"),
+            ("terms", 0, struct.pack("<i", 5), "commit out of range"),
+        ],
+    )
+    def test_step_table_field_is_corrupt(self, mini_tables, tmp_path, field, index, value, match):
+        path = tmp_path / "m.cache"
+        save_cache(mini_tables, path)
+        at = step_offsets(mini_tables)[field]
+        edit_cache(path, at + index * (8 if field.endswith("ptr") else 4), value)
+        with pytest.raises(CacheCorruptError, match=match):
+            load_cache(path)
+
+    @pytest.mark.parametrize("state", [4, 3, 1000], ids=["accepting", "not-extending", "past-the-lexer"])
+    def test_configuration_not_the_lexers_is_corrupt(self, mini_grammar, mini_tables, tmp_path, state):
+        # In range and checksummed, so it loads; the engine checks each
+        # configuration against the grammar's lexer.  Configuration 3 holds
+        # no accept; lexer state 4 accepts NUM, and state 3 does not extend.
+        path = tmp_path / "m.cache"
+        save_cache(mini_tables, path)
+        edit_cache(path, step_offsets(mini_tables)["states"] + 4 * 3, struct.pack("<i", state))
+        tables = load_cache(path)
+        with pytest.raises(CacheCorruptError, match="lexer state is not the grammar's"):
+            MaskEngine(mini_grammar, tables, make_vocab(MINI_TOKENS))
 
     def test_token_id_beyond_vocabulary_is_corrupt(
         self, paren_grammar, paren_vocab, paren_tables, tmp_path
@@ -521,15 +648,14 @@ class TestCache:
         with pytest.raises(CacheCorruptError, match="D in the cost tables"):
             MaskEngine(paren_grammar, tables, paren_vocab)
 
-    @pytest.mark.parametrize("key", [(0,), (0, 2)], ids=["terminal", "pair"])
+    @pytest.mark.parametrize("key", [(0,)], ids=["terminal"])
     def test_missing_automaton_is_corrupt(
         self, paren_grammar, paren_vocab, paren_tables, tmp_path, key
     ):
         path = tmp_path / "p.cache"
         save_cache(drop_key(paren_tables, key), path)
-        tables = load_cache(path, paren_grammar.source_hash, paren_vocab.source_hash)
-        with pytest.raises(CacheCorruptError):
-            MaskEngine(paren_grammar, tables, paren_vocab)
+        with pytest.raises(CacheCorruptError, match="grammar's automata"):
+            MaskEngine(paren_grammar, load_cache(path), paren_vocab)
 
     def test_terminal_automaton_not_the_grammars_is_corrupt(self, tmp_path):
         g = parse_grammar(KW_GRAMMAR)
@@ -543,14 +669,14 @@ class TestCache:
     @pytest.mark.parametrize(
         "name,digest",
         [
-            ("paren", "e59e9329a68b0c2cb893ad295974a2ebeb2847c17b04241c9e8c28e25595eb5b"),
-            ("mini", "57258e0cf51f0d536e56b0abdd6f2a6deebbca8a646b5de1f29e6472108f593d"),
-            ("json", "59fdd19eb813554e8a4f6979a706eb08a2b484b809ac0c4a8f2f033107770567"),
+            ("paren", "982b4e949a9220fd05e4e49b752ddf45673df71907b2023d41714a6136472ae3"),
+            ("mini", "f5e6bf4194ad2f07988eccc029a2e153f0a7536af083a659edbc28a2f4d0d5a8"),
+            ("json", "5ce3b8bbc0fbcb275ad90f35aea09535de8ce5ad9d7b52b137b29af700a35951"),
         ],
         ids=["paren", "mini", "json"],
     )
     def test_golden_cache_digest(self, request, tmp_path, name, digest):
-        # Pins the canonical automata and the CSR packing byte for byte.
+        # Pins the canonical automata, the step table and the CSR packing byte for byte.
         if name == "mini":
             tables = build_cost_tables(parse_grammar(MINI_JSON_GRAMMAR), make_vocab(MINI_TOKENS))
         else:
@@ -559,11 +685,11 @@ class TestCache:
         save_cache(tables, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
-    def test_unsorted_entries_are_corrupt(self, paren_tables, tmp_path):
-        path = tmp_path / "p.cache"
-        save_cache(paren_tables, path)
-        at = cache_offsets(paren_tables, (1, 0))["ids"]
-        edit_cache(path, at, struct.pack("<ii", 3, 1))  # state 1's row, swapped
+    def test_unsorted_entries_are_corrupt(self, mini_tables, tmp_path):
+        path = tmp_path / "m.cache"
+        save_cache(mini_tables, path)
+        at = cache_offsets(mini_tables, (1,))["ids"]
+        edit_cache(path, at, struct.pack("<ii", 6, 5))  # state 1's row, swapped
         with pytest.raises(CacheCorruptError, match="do not rise"):
             load_cache(path)
 

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from boundedgen import engine as engine_module
 from boundedgen.engine import (
     _LEX_INITIAL,
     EMPTY_STACK,
@@ -19,14 +21,26 @@ from boundedgen.engine import (
     MaskedTokenError,
     ParseError,
 )
-from boundedgen.costs import build_cost_tables
+from boundedgen.costs import build_cost_tables, compute_pair_costs
 from boundedgen.decoding import greedy_decode
 from boundedgen.dfa import DEAD, INF, Dfa
 from boundedgen.grammar import build_ll1_table, parse_grammar
 from boundedgen.models import ScriptedModel
 from boundedgen.oracle import brute_force_mask, cfg_membership
 from boundedgen.vocab import Vocabulary
-from tests.conftest import KV_GRAMMAR, KV_TOKENS, SHADOW_GRAMMAR, SHADOW_TOKENS
+from tests.conftest import (
+    KV_GRAMMAR,
+    KV_TOKENS,
+    MINI_JSON_GRAMMAR,
+    MINI_TOKENS,
+    PAREN_GRAMMAR,
+    PAREN_TOKENS,
+    SHADOW_GRAMMAR,
+    SHADOW_TOKENS,
+)
+from tests.test_lexer_reference import ABC_GRAMMAR, KW_GRAMMAR
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def mask_dict(vocab, mask):
@@ -149,21 +163,17 @@ def engine_parts(request, name):
     )
 
 
-def expected_live(engine, state):
-    """(terminals, d_cost, state) of each accept sequence whose automaton,
-    run from its initial state over the whole remainder, stays alive."""
-    out = []
-    for seq in engine.accept_sequences(state.stack):
-        automaton = engine.tables.automata[seq.terminals]
-        q = automaton.run(automaton.initial, state.remainder)
-        if q != DEAD:
-            out.append((seq.terminals, seq.d_cost, q))
-    return tuple(out)
+def expected_scan(engine, state):
+    """The lexer state and last accept of the remainder lexed afresh from
+    the initial state, which commits nothing."""
+    committed, remainder, q, accept, error = engine._scan(_LEX_INITIAL, None, b"", state.remainder)
+    assert (committed, remainder, error) == ((), state.remainder, None)
+    return q, accept
 
 
 def carried(state):
-    """The state's live sequences with their d_cost made absolute."""
-    return tuple((terms, min(INF, d_cost + state.base), q) for terms, d_cost, q in state.live)
+    """The lexer state and last accept the state's configuration holds."""
+    return state.lex_state, state.lex_accept
 
 
 class TestSymbolMemo:
@@ -236,7 +246,7 @@ class TestPersistentStack:
         shapes = set()
         for _ in range(60):
             state = json_engine.new_session(rng.randrange(3, 16))
-            assert carried(state) == expected_live(json_engine, state)
+            assert carried(state) == expected_scan(json_engine, state)
             while state.consumed < state.budget - 1:
                 mask = json_engine.compute_mask(state)
                 choices = [int(t) for t in np.flatnonzero(mask) if t != json_vocab.eos]
@@ -244,7 +254,7 @@ class TestPersistentStack:
                     break
                 token = rng.choice(choices)
                 after = json_engine.advance(state, token, mask)
-                assert carried(after) == expected_live(json_engine, after)
+                assert carried(after) == expected_scan(json_engine, after)
                 if after.stack is not state.stack and after.remainder:
                     shapes.add("commit with tail")
                 elif after.stack is state.stack and after.remainder:
@@ -253,7 +263,7 @@ class TestPersistentStack:
         for ids in walks:  # replay: ',"' spans three terminals, which the mask denies
             for k in range(len(ids) + 1):
                 state = json_engine.replay(ids[:k], 20)
-                assert carried(state) == expected_live(json_engine, state), ids[:k]
+                assert carried(state) == expected_scan(json_engine, state), ids[:k]
         assert shapes == {"commit with tail", "no commit"}
 
     def test_carried_states_on_3kb_string(self, json_engine, json_vocab):
@@ -266,22 +276,29 @@ class TestPersistentStack:
             state = json_engine.advance(state, rng.choice(letters))
             step += 1
             if step % 100 == 0:
-                assert carried(state) == expected_live(json_engine, state), len(state.remainder)
-        assert carried(state) == expected_live(json_engine, state)
+                assert carried(state) == expected_scan(json_engine, state), len(state.remainder)
+        assert carried(state) == expected_scan(json_engine, state)
         state = json_engine.advance(state, json_vocab.tokens.index(b'"'))
         assert state.remainder == b""
-        assert carried(state) == expected_live(json_engine, state)
+        assert carried(state) == expected_scan(json_engine, state)
         assert json_engine.is_complete(state)
 
     def test_dfa_bytes_per_step_flat_in_string_length(self, json_engine, json_vocab, monkeypatch):
+        # A step and a mask are table lookups: inside a long string neither
+        # runs an automaton or the lexer over any byte.
         run_bytes: list[int] = []
-        real_run = Dfa.run
+        real_run, real_scan = Dfa.run, engine_module.scan
 
         def counting_run(self, state, data):
             run_bytes.append(len(data))
             return real_run(self, state, data)
 
+        def counting_scan(lexer, q, accept, data, pos, final=False):
+            run_bytes.append(len(data) - pos)
+            return real_scan(lexer, q, accept, data, pos, final)
+
         monkeypatch.setattr(Dfa, "run", counting_run)
+        monkeypatch.setattr(engine_module, "scan", counting_scan)
         letters = [i for i, t in enumerate(json_vocab.tokens) if t.isalpha()]
         rng = random.Random(47)
         state = json_engine.new_session(10_000)
@@ -292,10 +309,7 @@ class TestPersistentStack:
             run_bytes.clear()
             after = json_engine.advance(state, token, json_engine.compute_mask(state))
             if len(state.remainder) >= 200:
-                tail = len(after.remainder) if after.stack is not state.stack else 0
-                limit = len(json_vocab.tokens[token]) + tail
-                assert len(run_bytes) <= len(state.live)
-                assert max(run_bytes, default=0) <= limit, len(state.remainder)
+                assert run_bytes == [], len(state.remainder)
                 measured += 1
             state = after
         assert measured > 500
@@ -306,12 +320,15 @@ class TestPersistentStack:
         grammar = parse_grammar("S: X S B | ε ; B: ε ; X: /x/ ;")
         vocab = Vocabulary([b"x"], eos=1)
         engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
+        sizes = []
         for n in (10, 100):
             state = engine.replay([0] * n, budget=n + 1)
             assert engine.accept_sequences(state.stack)
             assert len(engine._window(state.stack)[0]) == 2
-            assert len(engine._accseq_memo) == 2
+            engine.compute_mask(state)
+            sizes.append((len(engine._accseq_memo), engine._window(state.stack, engine._row(state.config).depth)[0]))
             assert engine.is_complete(state)
+        assert sizes[0] == sizes[1] and sizes[0][0] == 1
 
     def test_depth_5000_without_recursion_error(self, json_engine, json_vocab):
         lb, rb = json_vocab.tokens.index(b"["), json_vocab.tokens.index(b"]")
@@ -378,51 +395,90 @@ class TestAcceptSequences:
         assert paren_engine.is_complete(state)
 
 
-def reference_report(engine, state):
-    """``mask_report`` rescored token by token straight from the cost tables:
-    each live sequence admits a token when its own total fits (full mode) or
-    is finite (grammar-only), and the reported sequence is the first one of
-    least total.  End-of-sequence costs 0 and 0 when the output is complete."""
-    tables, vocab = engine.tables, engine.vocab
-    full = engine.mode == "full"
-    spent = state.consumed + 1
-    admitted = [False] * vocab.size
-    candidates = {}
-    for terms, d_cost, q in state.live:
-        row = tables.token_map[terms].get(q)
-        if row is None:
+def finishes(engine, remainder, accept):
+    """(terminals, C) of each way to finish the lexeme pending in
+    ``remainder``: as any terminal whose automaton, run over it from its
+    initial state, is alive; as an adjacent pair whose concatenation
+    automaton finishes it for fewer tokens than the two apart; by committing
+    the last accept and lexing the bytes after it afresh; with nothing
+    pending, by nothing."""
+    if not remainder:
+        return [((), 0)]
+    c, out = engine.tables.c, []
+    for b, term in enumerate(engine.grammar.terminals):
+        q = term.dfa.run(term.dfa.initial, remainder)
+        if q != DEAD:
+            out.append(((b,), int(c[(b,)][q])))
+    alone = dict(out)
+    automata, pair_costs = pair_tables(engine)
+    for (a, b), automaton in sorted(automata.items()):
+        q = automaton.run(automaton.initial, remainder)
+        apart = alone.get((a,), INF) + int(c[(b,)][engine.tables.automata[(b,)].initial])
+        if q != DEAD and pair_costs[a, b][q] < min(apart, INF):
+            out.append(((a, b), int(pair_costs[a, b][q])))
+    if accept is not None and accept[0] < len(remainder):
+        committed, rest, _, again, error = engine._scan(_LEX_INITIAL, None, b"", remainder[accept[0] :])
+        if error is None:
+            out += [((accept[1], *committed) + terms, cost) for terms, cost in finishes(engine, rest, again)]
+    return out
+
+
+_PAIRS = {}
+
+
+def pair_tables(engine):
+    """``compute_pair_costs`` for the engine's grammar and vocabulary, once."""
+    key = (engine.grammar.source_hash, engine.vocab.source_hash)
+    if key not in _PAIRS:
+        _PAIRS[key] = compute_pair_costs(engine.grammar, engine.vocab)
+    return _PAIRS[key]
+
+
+def reference_totals(engine, state):
+    """token id -> (need, terminals, C) folded with no memo: each token is
+    lexed from the state's own bytes, and each way to finish after it is
+    priced on the whole stack; the first of least total wins."""
+    g, stack = engine.grammar, tuple(state.stack)
+    out = {}
+    for tid, data in enumerate(engine.vocab.tokens):
+        committed, remainder, _, accept, error = engine._scan(
+            state.lex_state, state.lex_accept, state.remainder, data
+        )
+        if tid == engine.vocab.eos or error is not None:
             continue
-        d_cost = min(INF, d_cost + state.base)
-        for tid, successor in zip(row[0].tolist(), row[1].tolist()):
-            cost = int(tables.c[terms][successor])
-            total = spent + cost + d_cost
-            if d_cost < INF and (total < state.budget if full else cost < INF):
-                admitted[tid] = True
-            best = candidates.get(tid)
-            if best is None or total < best[0]:
-                candidates[tid] = (total, terms, d_cost, cost)
+        for terms, cost in finishes(engine, remainder, accept):
+            fed = stack
+            for t in committed + terms:
+                fed = None if fed is None else whole_stack_feed(g, g.ll1, fed, t)
+            if fed is not None:
+                total = cost + whole_stack_cost(g, engine.tables, fed)
+                if tid not in out or total < out[tid][0]:
+                    out[tid] = (total, committed + terms, cost)
+    return out
+
+
+def reference_report(engine, state):
+    """``mask_report`` rescored token by token from ``reference_totals``: a
+    token is admitted when its need fits (full mode) or is finite
+    (grammar-only).  End-of-sequence costs 0 and 0 when the output is complete."""
+    vocab = engine.vocab
+    limit = min(state.budget - state.consumed - 1, INF) if engine.mode == "full" else INF
+    totals = reference_totals(engine, state)
     complete = engine.is_complete(state)
-    if state.consumed < state.budget and complete:
-        admitted[vocab.eos] = True
     rows = []
     for tid in range(vocab.size):
-        sequence = automaton = dangling = None
+        row = {"token": tid, "admitted": False, "sequence": None, "consumed": state.consumed,
+               "automaton_cost": None, "dangling_cost": None}
         if tid == vocab.eos:
+            row["admitted"] = complete and state.consumed < state.budget
             if complete:
-                automaton = dangling = 0
-        elif tid in candidates:
-            _, terms, dangling, automaton = candidates[tid]
-            sequence = tuple(engine.grammar.terminals[t].name for t in terms)
-        rows.append(
-            {
-                "token": tid,
-                "admitted": admitted[tid],
-                "sequence": sequence,
-                "consumed": state.consumed,
-                "automaton_cost": automaton,
-                "dangling_cost": dangling,
-            }
-        )
+                row["automaton_cost"] = row["dangling_cost"] = 0
+        elif tid in totals:
+            total, terms, cost = totals[tid]
+            row["admitted"] = total < limit
+            row["sequence"] = tuple(engine.grammar.terminals[t].name for t in terms)
+            row["automaton_cost"], row["dangling_cost"] = cost, total - cost
+        rows.append(row)
     return rows
 
 
@@ -475,12 +531,9 @@ class TestComputeMask:
             engine=paren_engine,
             stack=fresh.stack,
             remainder=b"",
-            lex_state=fresh.lex_state,
-            lex_accept=None,
+            config=fresh.config,
             consumed=2,
             budget=2,
-            live=fresh.live,
-            base=fresh.base,
         )
         with pytest.raises(BudgetExhaustedError):
             paren_engine.compute_mask(exhausted)
@@ -542,11 +595,8 @@ class TestComputeMask:
     def test_budget_error_reports_sequence_minimum(self, request, name):
         engine = report_engine(request, name, "full")
         fresh = engine.replay([], budget=1)
-        c = engine.tables.c
-        # Finish some accept sequence from its current state, then drain its stack.
-        least = min(
-            int(c[terms][q]) + min(INF, d_cost + fresh.base) for terms, d_cost, q in fresh.live
-        )
+        # One token, then finish what it leaves and drain the stack.
+        least = 1 + min(total for total, _, _ in reference_totals(engine, fresh).values())
         for budget in range(1, least + 1):
             with pytest.raises(BudgetError, match=rf"\(minimum is {least} tokens "):
                 engine.new_session(budget)
@@ -587,15 +637,10 @@ class TestComputeMask:
 
 
 def folded_need(engine, state):
-    """``need`` folded straight from the cost tables over the live sequences,
-    with no memo: per token, the least C at the successor plus d_cost."""
-    tables = engine.tables
+    """``need`` from ``reference_totals``: 3 * INF where no way parses."""
     need = np.full(engine.vocab.size, 3 * INF, dtype=np.int64)
-    for terms, d_cost, q in state.live:
-        row = tables.token_map[terms].get(q)
-        if row is not None:
-            totals = tables.c[terms][row[1]] + min(INF, d_cost + state.base)
-            need[row[0]] = np.minimum(need[row[0]], totals)
+    for tid, (total, _, _) in reference_totals(engine, state).items():
+        need[tid] = total
     return need
 
 
@@ -619,13 +664,17 @@ def seeded_walk_states(engine, seed, sessions, max_budget=16):
 
 
 class TestNeedMemo:
-    def test_memo_bounded_over_1000_sessions(self, request):
+    def test_memo_bounded_over_1000_sessions(self, request, monkeypatch):
+        # These walks read 151 distinct keys, under the engine's bound of 256;
+        # a bound of 64 is reached, not just respected.
+        monkeypatch.setattr(engine_module, "_NEED_MEMO_SIZE", 64)
         engine = MaskEngine(*engine_parts(request, "json"))
         keys = set()
         for state in seeded_walk_states(engine, 71, 1000, max_budget=40):
-            keys.add((state.live, state.base))
+            window, below = engine._window(state.stack, engine._row(state.config).depth)
+            keys.add((state.config, window, below.cost))
             assert len(engine._need_memo) <= 64
-        assert len(keys) > 64  # the bound was reached, not just respected
+        assert len(keys) > 64
 
     def test_repeated_configuration_skips_totals(self, request, monkeypatch):
         engine = MaskEngine(*engine_parts(request, "json"))
@@ -892,8 +941,15 @@ class TestMaskProperties:
 class TestTiedTerminals:
     @pytest.mark.parametrize(
         "text,tokens,completes",
-        [(KV_GRAMMAR, KV_TOKENS, True), (SHADOW_GRAMMAR, SHADOW_TOKENS, False)],
-        ids=["k-v", "shadow"],
+        [
+            (KV_GRAMMAR, KV_TOKENS, True),
+            (SHADOW_GRAMMAR, SHADOW_TOKENS, False),
+            (PAREN_GRAMMAR, PAREN_TOKENS, True),
+            (MINI_JSON_GRAMMAR, MINI_TOKENS, True),
+            (KW_GRAMMAR, [b"i", b"f", b"n", b"x", b"if", b"1", b" "], True),
+            (ABC_GRAMMAR, [b"a", b"b", b"c", b"d", b"ab", b"bb", b"bc"], True),
+        ],
+        ids=["k-v", "shadow", "paren", "mini", "kw", "abc"],
     )
     def test_walks_complete_or_are_refused_up_front(self, text, tokens, completes):
         # 400 random admitted walks at budgets 2-12, the mask consulted at
@@ -919,6 +975,72 @@ class TestTiedTerminals:
             assert engine.text_is_complete(vocab.decode(ids[:-1]))
             complete += 1
         assert (complete > 0) == completes
+
+
+class TestBridgeTokens:
+    """Tokens whose bytes span three or more lexemes cost what any other
+    token does: the lexemes they commit are fed to the stack first."""
+
+    def test_quote_colon_quote_after_a_key(self, json_grammar):
+        tokens = [b"{", b"}", b'"', b"a", b"b", b":", b'":"', b'"}', b'":', b","]
+        vocab = Vocabulary(tokens, eos=len(tokens))
+        engine = MaskEngine(json_grammar, build_cost_tables(json_grammar, vocab), vocab)
+        for budget in (12, 30):
+            state = engine.replay(vocab.tokenize(b'{"a'), budget)
+            mask = engine.compute_mask(state)
+            assert mask[tokens.index(b'":"')], budget  # {"a":"b"} is JSON
+            assert not mask[tokens.index(b'"}')], budget  # {"a"} is not
+            row = engine.mask_report(state)[tokens.index(b'":"')]
+            assert row["sequence"][:3] == ("string", "colon", "string")
+        state = engine.replay(vocab.tokenize(b'{"a'), 12)
+        state = engine.advance(state, tokens.index(b'":"'))
+        assert engine.text_is_complete(b'{"a":"b"}') and state.remainder == b'"'
+
+    def test_close_comma_after_a_number(self, json_grammar, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH))
+        import inputs
+
+        vocab = inputs.base_vocab()
+        engine = MaskEngine(json_grammar, build_cost_tables(json_grammar, vocab), vocab)
+        state = engine.replay(vocab.tokenize(b'[{"a":1'), 30)
+        close_comma = vocab.tokens.index(b"},")
+        assert engine.compute_mask(state)[close_comma]
+        state = engine.advance(state, close_comma)
+        assert state.remainder == b"" and not engine.is_complete(state)
+
+    def test_pending_accept_with_a_tail(self):
+        # After "a", "b" leaves A pending with the tail "b": "abc" lexes as
+        # A then BC, one token short of "abd", so budget 4 admits "b".
+        grammar = parse_grammar("S: A B ; A: /a|abd/ ; B: /bc/ ;")
+        vocab = Vocabulary([b"a", b"b", b"c", b"d"], eos=4)
+        engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
+        state = engine.advance(engine.new_session(4), 0)
+        mask = engine.compute_mask(state)
+        assert mask.tolist() == brute_force_mask(grammar, vocab, [0], 4).tolist()
+        assert mask[1] and engine.mask_report(state)[1]["sequence"] == ("A", "B")
+        state = engine.advance(engine.advance(state, 1, mask), 2)
+        assert engine.is_complete(state)
+
+
+    @pytest.mark.parametrize(
+        "tokens", [[b"a", b"b", b"c", b"d"], [b"a", b"b", b"c", b"d", b"ab", b"bb", b"bc"]], ids=["bytes", "pieces"]
+    )
+    def test_pending_accepts_match_the_oracle(self, tokens):
+        # ABC_GRAMMAR keeps A pending under "ab...b", whose tail lexes as B
+        # lexemes once the ABC lexeme dies: committing the accept and lexing
+        # the tail afresh is a way to finish, and the masks equal the oracle's.
+        grammar = parse_grammar(ABC_GRAMMAR)
+        vocab = Vocabulary(tokens, eos=len(tokens))
+        engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
+        rng = random.Random(5)
+        for _ in range(40):
+            budget, prefix = rng.randint(2, 8), []
+            state = engine.new_session(budget)
+            while not state.finished:
+                mask = engine.compute_mask(state)
+                assert mask.tolist() == brute_force_mask(grammar, vocab, prefix, budget).tolist(), prefix
+                prefix.append(rng.choice(np.flatnonzero(mask).tolist()))
+                state = engine.advance(state, prefix[-1], mask)
 
 
 class TestProgress:
