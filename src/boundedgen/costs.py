@@ -334,101 +334,160 @@ def number(index: dict, items: list, item) -> int:
     return index[item]
 
 
+def _each_distinct(codes: np.ndarray, make) -> np.ndarray:
+    """``make(code)`` per code, as int32, called once per distinct code."""
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    return np.array([make(code) for code in distinct.tolist()], dtype=np.int32)[inverse]
+
+
+class Scanner:
+    """The lexer and a vocabulary laid out for lockstep walks, to fill the
+    step table's rows of any configurations (see ``rows``)."""
+
+    def __init__(self, lexer: Lexer, vocab: Vocabulary):
+        self.lexer, self.tokens = lexer, vocab.tokens
+        self.trans = np.array(lexer[0], dtype=np.int32)
+        self.label, self.extends = np.array(lexer[1], dtype=np.int32), np.array(lexer[2], dtype=bool)
+        self.restarts = np.append(self.trans[1] != DEAD, False)  # bytes that start a lexeme; 256 is none
+        self.columns, self.lengths, content, _ = _layout(vocab)
+        self.content = np.sort(content)
+
+    def seeds(self, keys: list[tuple[int, int, bytes | None]]) -> np.ndarray:
+        """Per configuration and content token, whether its walk can settle
+        the pair: the first byte is live, or an accept is pending and lexing
+        can restart at its tail's first byte, or the token's when the tail is
+        empty, or the tail is not known."""
+        states, accepts = (np.array([key[i] for key in keys], dtype=np.int32) for i in (0, 1))
+        leads = self.columns[0, self.content]
+        seed = self.trans[states][:, leads] != DEAD
+        first = np.array([key[2][0] if key[2] else 256 for key in keys], dtype=np.int32)  # 256: no tail
+        unknown = np.array([key[2] is None for key in keys], dtype=bool)
+        seed[(self.restarts[first] | unknown) & (accepts >= 0)] = True
+        seed[(first == 256) & ~unknown & (accepts >= 0)] |= self.restarts[leads]
+        return seed
+
+    def rows(self, keys: list[tuple[int, int, bytes | None]], config_id, commit_id) -> tuple[np.ndarray, ...]:
+        """The rows of configurations ``keys`` as (index in ``keys``, token,
+        successor, move) arrays, ordered by index and token; ``config_id``
+        and ``commit_id`` number the successors and the commits.
+
+        One lockstep walk (``_scan_walk``) settles most pairs: a token that
+        keeps the lexer alive and extending commits nothing, and its
+        successor follows from the state and the last accept it reaches.  A
+        token that stops after an accept of its own commits that lexeme; it
+        is scanned, when the byte where lexing would restart is live.  One
+        that stops before commits the pending accept, if any, and its walk
+        goes on from the configuration the bytes after that accept leave,
+        lexed afresh once per configuration; without one it fails to lex.
+        A tail may be None, not known: such a token's successor is None, and
+        a successor that keeps the pending accept has the tail None too.
+        """
+        keys = list(keys)
+        # Per configuration walked, the one its row is for, and the terminals
+        # committed before the walk with the bytes left after them.
+        origin, before = list(range(len(keys))), [((), 0)] * len(keys)
+        width = int(self.label.max()) + 2  # accept terminals, -1 included, in a successor's code
+        longest = self.columns.shape[0]
+        states, accepts = (np.array([key[i] for key in keys], dtype=np.int32) for i in (0, 1))
+        k, t = np.nonzero(self.seeds(keys))
+        k, t = k.astype(np.int32), self.content[t]
+        parts = []
+        while t.size:
+            stopped, walked, acc_end, acc_term = _scan_walk(
+                self.trans, self.label, self.extends, states[k], t, self.columns, self.lengths
+            )
+            n, acc_s, stop = self.lengths[t], accepts[k], ~self.extends[stopped]
+            succ, move = np.full(t.size, -1, dtype=np.int32), np.zeros(t.size, dtype=np.int32)
+            # Alive and extending after the last byte: the token commits nothing.
+            live = np.flatnonzero(~stop)
+            inner = acc_end[live] >= 0
+            acc = np.where(inner, acc_term[live], acc_s[live])
+            bare = np.where(inner, acc_end[live] == n[live], acc < 0)  # no tail
+            succ[live[bare]] = _each_distinct(
+                stopped[live[bare]] * width + acc[bare] + 1,
+                lambda code: config_id((code // width, code % width - 1, b"")),
+            )
+            for p, terminal in zip(live[~bare].tolist(), acc[~bare].tolist()):
+                data, tail = self.tokens[t[p]], keys[k[p]][2]
+                tail = data[acc_end[p] :] if acc_end[p] >= 0 else None if tail is None else tail + data
+                succ[p] = config_id((int(stopped[p]), terminal, tail))
+            carried = live[np.array([bool(terms) for terms, _ in before])[k[live]]]
+            span = longest + 1  # token lengths, in a move's code
+            move[carried] = _each_distinct(
+                k[carried].astype(np.int64) * span + n[carried],
+                lambda code: commit_id((before[code // span][0], before[code // span][1] + code % span)),
+            )
+            # Stopped after an accept of its own: scanned where lexing goes on.
+            byte = np.where(acc_end < n, self.columns[np.minimum(acc_end, longest - 1), t], 256)
+            for p in np.flatnonzero(stop & (acc_end >= 0) & ((acc_end == n) | self.restarts[byte])).tolist():
+                state, accept, _ = keys[k[p]]  # lexing restarts inside the token
+                key = (state, accept, b"")
+                got, rest, after, failed = scan_configuration(self.lexer, key, self.tokens[t[p]])
+                if not failed:
+                    succ[p], move[p] = config_id(after), commit_id((before[k[p]][0] + got, len(rest)))
+            # Stopped before one: the pending accept commits, and the walk
+            # goes on from where the bytes after it leave the lexer.
+            stuck = stop & (acc_end < 0) & (acc_s >= 0)
+            unknown = stuck & np.array([key[2] is None for key in keys], dtype=bool)[k]
+            if unknown.any():
+                succ[unknown] = config_id(None)
+            ok = succ >= 0
+            parts.append((np.array(origin, dtype=np.int32)[k[ok]], t[ok], succ[ok], move[ok]))
+            again = np.flatnonzero(stuck & ~unknown)
+            restart = np.full(len(keys), -1, dtype=np.int32)
+            for i in np.unique(k[again]).tolist():
+                got, rest, after, failed = scan_configuration(self.lexer, (1, -1, b""), keys[i][2])
+                if not failed:
+                    restart[i] = len(keys)
+                    before.append((before[i][0] + (keys[i][1],) + got, len(rest)))
+                    origin.append(origin[i])
+                    keys.append(after)
+            states, accepts = (np.array([key[i] for key in keys], dtype=np.int32) for i in (0, 1))
+            k, t = restart[k[again]], t[again]
+            k, t = k[k >= 0], t[k >= 0]
+        empty = np.empty(0, dtype=np.int32)
+        k, t, succ, move = (np.concatenate([empty] + [p[i] for p in parts]) for i in range(4))
+        order = np.lexsort((t, k))
+        return k[order], t[order], succ[order], move[order]
+
+
 def build_step_table(lexer: Lexer, vocab: Vocabulary) -> StepTable:
     """``dfa.scan`` tabulated over the configurations reachable from the
-    initial one, breadth first, in blocks of about ``_BLOCK_PAIRS`` pairs.
-
-    One lockstep walk (``_scan_walk``) settles most pairs: a token that keeps
-    the lexer alive and extending commits nothing, and its successor follows
-    from the state and the last accept it reaches; a token that dies with no
-    accept to commit fails to lex.  The others are scanned one by one, when
-    the byte where lexing would restart is live.  A configuration whose tail
-    is longer than every token is left out (the engine scans its row), so
-    the table stays finite; StateLimitError when the configurations plus
-    their tail bytes pass STATE_CAP.
+    initial one (see ``Scanner.rows``), breadth first, in blocks of about
+    ``_BLOCK_PAIRS`` pairs.  A configuration whose tail is longer than every
+    token gets no row (see ``engine.MaskEngine._split``), so the table stays
+    finite; StateLimitError when the configurations plus their tail bytes
+    pass STATE_CAP.
     """
-    trans = np.array(lexer[0], dtype=np.int32)
-    label, extends = np.array(lexer[1], dtype=np.int32), np.array(lexer[2], dtype=bool)
-    columns, lengths, content, _ = _layout(vocab)
-    content = np.sort(content)
-    leads = columns[0, content]
-    by_lead = np.bincount(leads, minlength=256)
-    restarts = np.append(trans[1] != DEAD, False)  # bytes that start a lexeme; 256 is none
-    width = int(label.max()) + 2  # accept terminals, -1 included, in a successor's code
+    scanner = Scanner(lexer, vocab)
     configs: list[tuple[int, int, bytes]] = [(1, -1, b"")]
     index = {configs[0]: 0}
     commits: list[tuple[tuple[int, ...], int]] = [((), 0)]
     records = {commits[0]: 0}
     size = 1
     parts: list[tuple[np.ndarray, ...]] = []
-    first = np.zeros(vocab.size, dtype=bool)  # the tokens the initial configuration lexes
 
-    def intern(q: int, acc: int, tail: bytes) -> int:
+    def intern(key: tuple[int, int, bytes]) -> int:
         nonlocal size
-        key = (q, acc, tail)
         if key not in index:
-            size += 1 + len(tail)
+            size += 1 + len(key[2])
             if size > STATE_CAP:
                 raise StateLimitError(f"scan configurations exceeded state cap {STATE_CAP}")
-            index[key] = len(configs)
-            configs.append(key)
-        return index[key]
+        return number(index, configs, key)
 
     done = 0
     while done < len(configs):
         start, done = done, len(configs)
-        q0, acc0, tail0, lead0 = np.array(
-            [(q, acc, len(tail), tail[0] if tail else 256) for q, acc, tail in configs[start:]]
-        ).T
-        # Seeds: tokens whose first byte is live, and those a pending accept
-        # may restart at; blocks of whole configurations.
-        extra = np.where(acc0 < 0, 0, np.where(tail0 == 0, np.count_nonzero(first), content.size))
-        seeded = np.where(tail0 > columns.shape[0], 0, (trans[q0] != DEAD) @ by_lead + extra)
-        seeded = np.concatenate([[0], np.cumsum(seeded)])
+        short = [s for s in range(start, done) if len(configs[s][2]) <= scanner.columns.shape[0]]
+        seeded = np.concatenate([[0], np.cumsum(scanner.seeds([configs[s] for s in short]).sum(axis=1))])
         a = 0
-        while a < q0.size:
+        while a < len(short):  # blocks of whole configurations
             b = max(a + 1, int(np.searchsorted(seeded, seeded[a] + _BLOCK_PAIRS, side="right")) - 1)
-            seed = trans[q0[a:b]][:, leads] != DEAD
-            pending, tails = acc0[a:b] >= 0, tail0[a:b]
-            seed[pending & (tails == 0)] |= first[content]
-            seed[pending & restarts[lead0[a:b]]] = True
-            seed[tails > columns.shape[0]] = False
-            k, t = np.nonzero(seed)
-            k, t = (k + a).astype(np.int32), content[t]
+            k, t, succ, move = scanner.rows(
+                [configs[s] for s in short[a:b]], intern, lambda commit: number(records, commits, commit)
+            )
+            parts.append((np.array(short[a:b], dtype=np.int32)[k], t, succ, move))
             a = b
-            s, acc_s = k + start, acc0[k]
-            states, walked, acc_end, acc_term = _scan_walk(trans, label, extends, q0[k], t, columns, lengths)
-            n, dead, stop = lengths[t], states == DEAD, ~extends[states]
-            succ = np.full(t.size, -1, dtype=np.int32)
-            move = np.zeros(t.size, dtype=np.int32)
-            # Alive and extending after the last byte: nothing committed.
-            live = np.flatnonzero(~stop)
-            inner = acc_end[live] >= 0
-            acc = np.where(inner, acc_term[live], acc_s[live])
-            bare = np.where(inner, acc_end[live] == n[live], acc < 0)  # no tail
-            codes = states[live[bare]] * width + acc[bare] + 1
-            distinct = np.unique(codes)
-            made = [intern(code // width, code % width - 1, b"") for code in distinct.tolist()]
-            succ[live[bare]] = np.array(made, dtype=np.int32)[np.searchsorted(distinct, codes)]
-            for p, terminal in zip(live[~bare].tolist(), acc[~bare].tolist()):
-                data = vocab.tokens[t[p]]
-                tail = data[acc_end[p] :] if acc_end[p] >= 0 else configs[s[p]][2] + data
-                succ[p] = intern(int(states[p]), terminal, tail)
-            # Stopped with an accept to commit: scanned, where lexing can go on.
-            ended = ~dead & (walked == n)
-            at = np.where(dead, acc_end, walked)
-            byte = np.where(at >= 0, columns[np.minimum(at, columns.shape[0] - 1), t],
-                            np.where(tail0[k] > 0, lead0[k], columns[0, t]))
-            scanned = stop & (ended | ((acc_end >= 0) | (acc_s >= 0)) & restarts[byte])
-            for p in np.flatnonzero(scanned).tolist():
-                got, rest, after, failed = scan_configuration(lexer, configs[s[p]], vocab.tokens[t[p]])
-                if not failed:
-                    succ[p] = intern(*after)
-                    move[p] = number(records, commits, (got, len(rest)))
-            ok = succ >= 0
-            parts.append((s[ok], t[ok], succ[ok], move[ok]))
-        if start == 0:
-            first[parts[-1][1] if parts else []] = True
     # Configurations and commits in key order, whatever order the blocks found them in.
     order = sorted(range(len(configs)), key=configs.__getitem__)
     rank = np.empty(len(configs), dtype=np.int32)

@@ -10,7 +10,10 @@ tabulated over the vocabulary (``costs.StepTable``): per configuration --
 lexer state, pending-accept terminal, the bytes after that accept -- and
 token, the terminals the token commits and the configuration it leaves.  A
 step is one lookup in that table; the committed terminals are then fed to
-the state's own stack, so a step is exact whatever lies below.
+the state's own stack, so a step is exact whatever lies below.  The table
+leaves out the configurations whose tail is longer than every token; a state
+in one is stepped by lexing its own bytes and masked from two rows whose
+size does not grow with the tail (see ``MaskEngine._split``).
 
 Admission reads one vector that does not depend on the budget: ``need[t]``,
 the fewest tokens needed after token ``t`` to finish everything.  Token
@@ -48,6 +51,7 @@ import numpy as np
 from boundedgen.costs import (
     CacheCorruptError,
     CostTables,
+    Scanner,
     compute_nonterminal_costs,
     number,
     scan_configuration,
@@ -92,6 +96,7 @@ class DeadSessionError(EngineError):
 _EXPANSION_LIMIT = 100_000
 _LEX_INITIAL = 1  # the lexer automaton's initial state
 _NEED_MEMO_SIZE = 256  # need vectors per engine, 8 bytes per token each
+_BEYOND_ROWS = 32  # rows of configurations outside the step table per engine
 
 MODE_FULL = "full"
 MODE_GRAMMAR_ONLY = "grammar-only"
@@ -179,14 +184,16 @@ EMPTY_STACK = Stack(-1, None, 0, True, True)
 class EngineState:
     """Snapshot of one generation session; treated as immutable.
 
-    ``config`` numbers the scan configuration the remainder leaves (see
-    ``MaskEngine._row``); ``lex_state`` and ``lex_accept`` read it back.
+    ``config`` is the scan configuration the remainder leaves: its number in
+    the step table, or the configuration itself, (lexer state, accept
+    terminal, tail), when the table leaves it out (see ``MaskEngine._row``);
+    ``lex_state`` and ``lex_accept`` read it back.
     """
 
     engine: "MaskEngine" = field(compare=False, repr=False)
     stack: Stack
     remainder: bytes
-    config: int
+    config: int | tuple[int, int, bytes]
     consumed: int
     budget: int
     finished: bool = False
@@ -194,12 +201,12 @@ class EngineState:
     @property
     def lex_state(self) -> int:
         """The lexer state after the remainder."""
-        return self.engine._configurations[self.config][0]
+        return self.engine._configuration(self.config)[0]
 
     @property
     def lex_accept(self) -> tuple[int, int] | None:
         """(end offset in the remainder, terminal) of the last accept, or None."""
-        _, terminal, tail = self.engine._configurations[self.config]
+        _, terminal, tail = self.engine._configuration(self.config)
         return None if terminal < 0 else (len(self.remainder) - len(tail), terminal)
 
 
@@ -207,14 +214,27 @@ class _Row:
     """A configuration's row of the step table, as the engine reads it.
 
     ``succ`` and ``move`` are the row spread over the vocabulary (-1 where a
-    token fails to lex).  Entries with the same move and successor form a
-    group, ``of`` names each entry's group, and each group finishes in the
-    ways its candidates list: per candidate its ``group``, the ``terms`` fed
-    to the stack and C of the pending lexeme, ``cost``.  ``depth`` is the
-    most terminals a candidate feeds.
+    token fails to lex); they index ``configs``, what a successor state's
+    ``config`` is, and ``commits``.  Entries with the same move and successor
+    form a group, ``of`` names each entry's group, and each group finishes
+    in the ways its candidates list: per candidate its ``group``, the
+    ``terms`` fed to the stack and C of the pending lexeme, ``cost``.
+    ``depth`` is the most terminals a candidate feeds.  ``eos`` is the
+    terminals the final lexing commits, False when it fails, once known.
+    In the row of a configuration whose tail is not known (see
+    ``MaskEngine._split``), ``relex`` marks the tokens that also commit the
+    pending accept and lex the tail afresh, or only that.
     """
 
-    __slots__ = ("ids", "succ", "move", "of", "groups", "group", "terms", "cost", "depth")
+    __slots__ = ("ids", "succ", "move", "configs", "commits", "of", "groups", "group", "terms", "cost",
+                 "depth", "eos", "relex")
+
+
+def _numbering(table: dict, items: list):
+    """A numbering that gives an item its number in ``table``, or else its
+    position in ``items``, where it is appended once."""
+    index: dict = {}
+    return lambda item: table[item] if item in table else number(index, items, item)
 
 
 class MaskEngine:
@@ -278,18 +298,18 @@ class MaskEngine:
         # entry per distinct window, whatever lies below it.
         self._accseq_memo: dict[tuple[int, ...], tuple] = {}
         self._need_memo: dict[tuple, np.ndarray] = {}
-        # Configurations and commits: the table's, then those of the rows the
-        # engine scans itself (see _row).  Per configuration its _Row (the
-        # table's built below, the others on first use) and, on first use,
-        # the terminals the final lexing commits (False when it fails); per
-        # configuration key, its ways to finish.
+        # The table's configurations and commits, numbered; per configuration
+        # its _Row (see _row) and its ways to finish.  Rows of configurations
+        # outside the table are kept apart, at most _BEYOND_ROWS at a time.
         self._configurations = list(zip(steps.states.tolist(), steps.accepts.tolist(), steps.tails))
         self._index = {key: s for s, key in enumerate(self._configurations)}
+        self._ids = list(range(len(self._configurations)))
         self._commits = list(steps.commits)
         self._records = {commit: m for m, commit in enumerate(self._commits)}
         self._longest = max(map(len, vocab.tokens))
         self._rows: dict[int, _Row] = {}
-        self._eos: dict[int, tuple[int, ...] | bool] = {}
+        self._beyond: dict[tuple[int, int, bytes], _Row] = {}
+        self._scanner: Scanner | None = None
         self._finishes: dict[tuple[int, int, bytes], list] = {}
         self._bridge: list | None = None
         self._adjacent = adjacent_terminal_pairs(grammar, grammar.ll1)
@@ -488,13 +508,16 @@ class MaskEngine:
             else:
                 c, states = self.tables.c, self.grammar.automaton_states
                 ways = [((b,), int(c[(b,)][at[q]])) for b, at in enumerate(states) if at[q] != DEAD]
-                if key in self._index and self._index[key] < len(self.tables.steps.tails):
+                if key in self._index:
                     ways += self._bridges()[self._index[key]]
             if accept >= 0 and tail:
-                committed, _, after, failed = scan_configuration(self.grammar.lexer, (_LEX_INITIAL, -1, b""), tail)
+                committed, _, after, failed = scan_configuration(
+                    self.grammar.lexer, (_LEX_INITIAL, -1, b""), tail
+                )
                 if not failed:
                     ways += [((accept, *committed) + terms, cost) for terms, cost in self._finish(*after)]
-            self._finishes[key] = ways
+            if key in self._index:  # the others' are found again when a row needs them
+                self._finishes[key] = ways
         return ways
 
     def _bridges(self) -> list[list[tuple[tuple[int, int], int]]]:
@@ -531,68 +554,109 @@ class MaskEngine:
                 self._bridge[s].append(((int(a), int(b)), int(cost[s, a, b])))
         return self._bridge
 
-    def _row(self, config: int) -> _Row:
-        """Configuration ``config``'s row: from the step table, or scanned
-        token by token when the table leaves it out, its tail being longer
-        than any token (see ``costs.build_step_table``).  The table's rows
-        are built when the engine is, the others on first use."""
-        row = self._rows.get(config)
-        if row is None:
-            q, accept, tail = self._configurations[config]
+    def _configuration(self, config) -> tuple[int, int, bytes | None]:
+        """The configuration a state's ``config`` names."""
+        return config if isinstance(config, tuple) else self._configurations[config]
+
+    def _long(self, config) -> bool:
+        """Whether the configuration's tail is longer than every token."""
+        tail = self._configuration(config)[2]
+        return tail is not None and len(tail) > self._longest
+
+    def _row(self, config) -> _Row:
+        """Configuration ``config``'s row: from the step table, or filled by
+        ``costs.Scanner`` for a configuration outside it, whose successors
+        are numbered as in the table or after it.  A configuration whose
+        tail is longer than every token has none (see ``_split``).  The
+        table's rows are built when the engine is, the others on first use,
+        at most _BEYOND_ROWS of them kept."""
+        rows = self._rows if isinstance(config, int) else self._beyond
+        row = rows.get(config)
+        if row is not None:
+            return row
+        configs, commits = self._ids, self._commits
+        if isinstance(config, int):
             steps = self.tables.steps
-            if config < len(steps.tails) and len(tail) <= self._longest:
-                a, b = steps.indptr[config], steps.indptr[config + 1]
-                ids, succs, moves = steps.ids[a:b], steps.succs[a:b], steps.moves[a:b]
-            else:
-                ids, succs, moves = self._scan_row(q, accept, tail)
-            row = self._rows[config] = _Row()
-            row.ids = ids
-            row.succ = np.full(self.vocab.size, -1, dtype=np.int32)
-            row.move = np.zeros(self.vocab.size, dtype=np.int32)
-            row.succ[ids], row.move[ids] = succs, moves
-            n = len(self._configurations)
-            groups, row.of = np.unique(moves.astype(np.int64) * n + succs, return_inverse=True)
-            row.groups, row.group, row.terms, row.cost = len(groups), [], [], []
-            for g, (move, succ) in enumerate(zip(*np.divmod(groups.tolist(), n))):
-                for terms, cost in self._finish(*self._configurations[succ]):
-                    terms = self._commits[move][0] + terms
-                    if self._adjacent.issuperset(zip(terms, terms[1:])):  # else it never parses
-                        row.group.append(g)
-                        row.terms.append(terms)
-                        row.cost.append(cost)
-            row.depth = max(map(len, row.terms), default=1)
+            a, b = steps.indptr[config], steps.indptr[config + 1]
+            ids, succs, moves = steps.ids[a:b], steps.succs[a:b], steps.moves[a:b]
+        else:
+            self._scanner = self._scanner or Scanner(self.grammar.lexer, self.vocab)
+            configs, commits = list(configs), list(commits)
+            _, ids, succs, moves = self._scanner.rows(
+                [config], _numbering(self._index, configs), _numbering(self._records, commits)
+            )
+        row = _Row()
+        row.ids, row.configs, row.commits, row.eos = ids, configs, commits, None
+        row.succ = np.full(self.vocab.size, -1, dtype=np.int32)
+        row.move = np.zeros(self.vocab.size, dtype=np.int32)
+        row.succ[ids], row.move[ids] = succs, moves
+        beyond = enumerate(configs[len(self._ids) :], len(self._ids))
+        row.relex = np.isin(row.succ, [c for c, key in beyond if key is None or key[2] is None])
+        n = len(configs)
+        groups, row.of = np.unique(moves.astype(np.int64) * n + succs, return_inverse=True)
+        row.groups, row.group, row.terms, row.cost = len(groups), [], [], []
+        for g, (move, succ) in enumerate(zip(*np.divmod(groups.tolist(), n))):
+            ways = () if configs[succ] is None else self._finish(*self._configuration(configs[succ]))
+            for terms, cost in ways:
+                terms = commits[move][0] + terms
+                if self._adjacent.issuperset(zip(terms, terms[1:])):  # else it never parses
+                    row.group.append(g)
+                    row.terms.append(terms)
+                    row.cost.append(cost)
+        row.depth = max(map(len, row.terms), default=1)
+        if rows is self._beyond and len(rows) >= _BEYOND_ROWS:
+            rows.clear()
+        rows[config] = row
         return row
 
-    def _scan_row(self, q: int, accept: int, tail: bytes) -> tuple[np.ndarray, ...]:
-        """The row of a configuration, as (token ids, successors, moves), by
-        scanning every token; new configurations and commits are numbered
-        after the table's."""
-        ids, succs, moves = [], [], []
-        for token, data in enumerate(self.vocab.tokens):
-            committed, rest, after, failed = scan_configuration(self.grammar.lexer, (q, accept, tail), data)
-            if not failed and token != self.vocab.eos:
-                ids.append(token)
-                succs.append(number(self._index, self._configurations, after))
-                moves.append(number(self._records, self._commits, (committed, len(rest) if committed else 0)))
-        return tuple(np.array(column, dtype=np.int32) for column in (ids, succs, moves))
+    def _split(self, state: EngineState) -> tuple[EngineState, EngineState | None, tuple, np.ndarray]:
+        """A state whose tail is longer than every token, as the two ways a
+        token can go from it.  A token that finds an accept of its own, or
+        keeps the pending lexeme alive, goes on as from the same lexer state
+        and accept with the tail not known (tail None); of those, ``relex``
+        marks the ones that keep the pending accept.  Those, and the tokens
+        that stop before an accept of their own, also commit the pending
+        accept and the tail lexed afresh, then go on from where that leaves
+        the lexer.  Returns the state for each way (the second None when
+        that fails to lex or parse), the terminals the second commits
+        first, and ``relex``."""
+        q, accept, tail = self._configuration(state.config)
+        onward = EngineState(self, state.stack, b"", (q, accept, None), state.consumed, state.budget)
+        relex = self._row(onward.config).relex
+        committed, _, after, failed = scan_configuration(
+            self.grammar.lexer, (_LEX_INITIAL, -1, b""), tail
+        )
+        prefix = (accept, *committed)
+        try:
+            stack = None if failed else self._commit(state.stack, prefix)
+        except ParseError:
+            stack = None
+        relexed = None if stack is None else EngineState(
+            self, stack, b"", self._index.get(after, after), state.consumed, state.budget
+        )
+        return onward, relexed, prefix, relex
 
     # -- completion and masking -------------------------------------------------
 
     def is_complete(self, state: EngineState) -> bool:
         """True when the emitted bytes already form a full sentence.
 
-        Memoized per configuration: the terminals the final lexing commits,
-        or False when it fails; each call feeds them to the state's own
-        stack and asks whether what is left is nullable.
+        Memoized in the configuration's row (a tail longer than every token
+        has none): the terminals the final lexing commits, or False when it
+        fails; each call feeds them to the state's own stack and asks
+        whether what is left is nullable.
         """
-        if self._configurations[state.config][1] < 0:  # nothing to commit: no bytes may be pending
-            return not state.remainder and state.stack.nullable
-        eos = self._eos.get(state.config)
+        row = self._rows.get(state.config)
+        if row is None and not self._long(state.config):
+            row = self._row(state.config)
+        eos = None if row is None else row.eos
         if eos is None:
             committed, _, _, _, error = self._scan(
                 state.lex_state, state.lex_accept, state.remainder, b"", final=True
             )
-            eos = self._eos[state.config] = False if error else committed
+            eos = False if error else committed
+            if row is not None:
+                row.eos = eos
         if eos is False:
             return False
         try:
@@ -636,8 +700,18 @@ class MaskEngine:
         """Per token, the least total of ``_totals``; 3 * INF, above any
         total, where no candidate parses or the token fails to lex (eos
         included).  Read-only, and memoized on what ``_totals`` reads: the
-        configuration, the window its candidates feed and the cost below."""
-        row = self._rows.get(state.config) or self._row(state.config)
+        configuration, the window its candidates feed and the cost below.
+        For a tail longer than every token, the least over its two ways (see
+        ``_split``), not memoized."""
+        row = self._rows.get(state.config)
+        if row is None:
+            if self._long(state.config):
+                onward, relexed, _, relex = self._split(state)
+                need = self._need(onward)
+                if relexed is not None:
+                    need = np.minimum(need, np.where(relex, self._need(relexed), 3 * INF))
+                return need
+            row = self._row(state.config)
         window, below = self._window(state.stack, row.depth)
         key = (state.config, window, below.cost)
         need = self._need_memo.get(key)
@@ -691,12 +765,9 @@ class MaskEngine:
         need = self._need(state)
         bits = self._admit(state, need)
         complete = self.is_complete(state)
-        row, best = self._totals(state)
-        group = np.full(self.vocab.size, -1)
-        group[row.ids] = row.of
         names = [t.name for t in self.grammar.terminals]
         rows: list[dict] = []
-        for tid, g in enumerate(group.tolist()):
+        for tid, way in enumerate(self._best(state)):
             report = {
                 "token": tid,
                 "admitted": bool(bits[tid]),
@@ -708,13 +779,28 @@ class MaskEngine:
             if tid == self.vocab.eos:
                 if complete:
                     report["automaton_cost"] = report["dangling_cost"] = 0
-            elif g >= 0 and best[g] is not None:
-                total, terms, cost = best[g]
+            elif way is not None:
+                total, terms, cost = way
                 report["sequence"] = tuple(names[t] for t in terms)
                 report["automaton_cost"] = cost
                 report["dangling_cost"] = total - cost
             rows.append(report)
         return rows
+
+    def _best(self, state: EngineState) -> list:
+        """Per token, (total, terminals, C) of the first candidate whose total
+        attains ``need`` (see ``_need``), or None."""
+        if state.config not in self._rows and self._long(state.config):
+            onward, relexed, prefix, relex = self._split(state)
+            best = self._best(onward)
+            for t, way in enumerate(self._best(relexed) if relexed is not None else ()):
+                if relex[t] and way is not None and (best[t] is None or way[0] < best[t][0]):
+                    best[t] = (way[0], prefix + way[1], way[2])
+            return best
+        row, best = self._totals(state)
+        group = np.full(self.vocab.size, -1)
+        group[row.ids] = row.of
+        return [best[g] if g >= 0 else None for g in group.tolist()]
 
     # -- advancing ---------------------------------------------------------------
 
@@ -750,20 +836,30 @@ class MaskEngine:
         change a session.  One lookup in the step table gives the committed
         terminals and the successor configuration; the terminals are fed to
         the state's own stack.  A token missing from the table is scanned
-        from the state's own bytes, so that the error names them."""
+        from the state's own bytes, so that the error names them; so is
+        every token after a tail longer than every token (see ``_split``)."""
         if token == self.vocab.eos:
             return EngineState(
                 self, state.stack, state.remainder, state.config,
                 state.consumed + 1, state.budget, True,
             )
         data = self.vocab.tokens[token]
-        row = self._rows.get(state.config) or self._row(state.config)
+        row = self._rows.get(state.config)
+        if row is None and self._long(state.config):
+            stack, _, remainder, q, accept = self._lex(
+                state.stack, state.lex_state, state.lex_accept, state.remainder, data
+            )
+            key = (q, accept[1], remainder[accept[0] :]) if accept else (q, -1, b"")
+            config = self._index.get(key, key)
+            return EngineState(self, stack, remainder, config, state.consumed + 1, state.budget)
+        row = row or self._row(state.config)
         config = row.succ.item(token)
         if config < 0:
             committed, _, _, _, error = self._scan(state.lex_state, state.lex_accept, state.remainder, data)
             self._commit(state.stack, committed)
             raise error
-        terminals, keep = self._commits[row.move.item(token)]
+        terminals, keep = row.commits[row.move.item(token)]
+        config = row.configs[config]
         if terminals:
             stack = self._commit(state.stack, terminals)
             remainder = (state.remainder[-keep:] + data)[-keep:] if keep else b""

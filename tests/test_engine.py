@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from pathlib import Path
 
@@ -1041,6 +1042,30 @@ class TestBridgeTokens:
                 assert mask.tolist() == brute_force_mask(grammar, vocab, prefix, budget).tolist(), prefix
                 prefix.append(rng.choice(np.flatnonzero(mask).tolist()))
                 state = engine.advance(state, prefix[-1], mask)
+
+
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            (ABC_GRAMMAR, [b"a", b"b", b"c", b"d", b"ab", b"bb", b"bc"]),
+            ("S: A Bs C | ABC D ; Bs: ε | B Bs ; A: /a/ ; B: /b/ ; C: /c/ ; ABC: /ab*c/ ; D: /d/ ;",
+             [b"a", b"b", b"c", b"d", b"bc"]),
+        ],
+        ids=["abc", "abc-or-a-b-c"],
+    )
+    def test_tails_longer_than_every_token_match_the_reference(self, text, tokens):
+        # Past the table a state is masked from the row of its lexer state
+        # and accept with the tail unknown, and from the state that lexing
+        # the tail afresh leaves (MaskEngine._split).  After "abbb", "bc"
+        # ends an ABC lexeme of its own, so A B B B C, which finishes the
+        # second grammar at once, is no way to finish it.
+        grammar = parse_grammar(text)
+        vocab = Vocabulary(tokens, eos=len(tokens))
+        engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
+        for length, budget in itertools.product(range(7), range(3, 12)):
+            state = engine.replay([0] + [1] * length, length + budget)
+            assert engine._long(state.config) == (length > 2)  # "bc" is the longest token
+            assert engine.mask_report(state) == reference_report(engine, state)
 
 
 class TestProgress:

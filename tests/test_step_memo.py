@@ -20,7 +20,7 @@ from boundedgen.costs import build_cost_tables
 from boundedgen.engine import BudgetError, EngineState, LexError, MaskEngine, ParseError
 from boundedgen.grammar import parse_grammar
 from tests.conftest import MINI_JSON_GRAMMAR, MINI_TOKENS, make_vocab
-from tests.test_lexer_reference import KW_GRAMMAR
+from tests.test_lexer_reference import ABC_GRAMMAR, KW_GRAMMAR
 
 KW_TOKENS = [b"i", b"f", b"n", b"x", b"if", b"1", b" "]
 
@@ -193,7 +193,7 @@ def test_completion_popping_below_the_window():
         r"S: E ; E: X | Z | LP E RP | LB E RB ;"
         r" X: /x/ ; Z: /x\)*z/ ; LP: /\(/ ; RP: /\)/ ; LB: /\[/ ; RB: /\]/ ;"
     )
-    vocab = make_vocab([b"(", b"[", b"x", b")", b"]", b"z"])
+    vocab = make_vocab([b"(", b"[", b"x", b")", b"]", b"z", b"zz"])  # "zz": the tail "))" is in the table
     engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
     ends = []
     for text in (b"((x))", b"[(x))"):
@@ -201,7 +201,7 @@ def test_completion_popping_below_the_window():
         for token in vocab.tokenize(text):
             assert engine.compute_mask(state)[token]
             state = step_and_compare(engine, state, token)
-        ends.append((state.config, state.config in engine._eos, engine.is_complete(state)))
+        ends.append((state.config, engine._row(state.config).eos is not None, engine.is_complete(state)))
     assert ends[0][0] == ends[1][0]
     assert [(remembered, complete) for _, remembered, complete in ends] == [
         (True, True), (True, False),
@@ -257,7 +257,7 @@ def test_parse_error_before_lex_error(paren_grammar):
 def test_tail_after_the_last_accept_is_in_the_key():
     # After "abb" and "abbb" only ABC is alive, in one lexer state, and A is
     # the last accept; only the bytes after it tell how many B follow.  Both
-    # tails are longer than any token, so the engine scans their rows.
+    # tails are longer than any token, so the states hold them themselves.
     grammar = parse_grammar("S: A B B B | ABC ; ABC: /ab*c/ ; A: /a/ ; B: /b/ ;")
     vocab = make_vocab([b"a", b"b", b"c"])
     engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
@@ -268,6 +268,42 @@ def test_tail_after_the_last_accept_is_in_the_key():
             assert engine.compute_mask(state)[token]
             state = step_and_compare(engine, state, token)
         completes.append(engine.is_complete(state))
-        keys.append(engine._configurations[state.config])
+        keys.append(engine._configuration(state.config))
     assert completes == [False, True]
     assert keys[0][:2] == keys[1][:2] and (keys[0][2], keys[1][2]) == (b"bb", b"bbb")
+
+
+@pytest.mark.parametrize(
+    "text, tokens, piece, end",
+    [
+        (ABC_GRAMMAR, [b"a", b"b", b"c", b"d", b"ab", b"bb", b"bc"], b"b", b"c"),
+        ("S: A ; A: /a|a(bc)*d/ ;", [b"a", b"b", b"c", b"d"], b"bc", b"d"),
+    ],
+    ids=["abc", "a-bc-d"],
+)
+def test_rows_outside_the_table_stay_bounded(monkeypatch, text, tokens, piece, end):
+    # "a" leaves A pending, and each repetition of the piece grows the tail
+    # after it, so every tail is a configuration of its own, past the table,
+    # which the state holds itself; "end" closes the longer lexeme.  Over many sessions the engine keeps at
+    # most _BEYOND_ROWS rows outside the table (one here, while the sessions
+    # need two on the second grammar), and nothing else it holds grows with
+    # the tails; each step equals the scanned one.
+    monkeypatch.setattr(engine_module, "_BEYOND_ROWS", 1)
+    grammar = parse_grammar(text)
+    vocab = make_vocab(tokens)
+    engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
+    table, a = len(engine._configurations), [t.name for t in grammar.terminals].index("A")
+    beyond = set()
+    for length in (20, 30, 15, 30):
+        state = engine.new_session(100)
+        for token in vocab.tokenize(b"a" + piece * length):
+            state = step_and_compare(engine, state, token, engine.compute_mask(state))
+            assert len(engine._beyond) <= 1
+            beyond |= set(engine._beyond)
+        assert state.config == (state.lex_state, a, piece * length)
+        mask = engine.compute_mask(state)
+        state = step_and_compare(engine, state, vocab.tokens.index(end), mask)
+        assert state.remainder == b"" and engine.is_complete(state)
+    assert len(beyond) == len(piece)
+    assert len(engine._configurations) == table and len(engine._finishes) <= table
+    assert len(engine._rows) <= table and len(engine._need_memo) <= engine_module._NEED_MEMO_SIZE
