@@ -63,10 +63,12 @@ def cmd_precompute(args) -> int:
     n_entries = sum(
         row[0].size for rows in tables.token_map.values() for row in rows.values()
     )
+    n_rows = tables.steps.tails.count(b"")
     print(
         f"cache written to {args.cache}: {grammar.n_terminals} terminals, "
         f"{n_map} live automaton states, {n_entries} token-transition entries, "
-        f"{len(tables.steps.tails)} scan configurations, {tables.steps.ids.size} step-table entries"
+        f"{n_rows} step-table rows with {tables.steps.ids.size} entries, "
+        f"{len(tables.steps.tails) - n_rows} tails kept without a row"
     )
     print(f"precompute took {tables.build_seconds:.2f} s")
     return EXIT_OK

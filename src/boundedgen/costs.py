@@ -1,16 +1,16 @@
 """Offline precomputation: the step table and the completion costs.
 
 Two tables come from the grammar's lexer and the vocabulary.  The step table
-(:class:`StepTable`) is the maximal-munch lexer tabulated: per scan
-configuration reachable from the initial one and per token, the terminals
-the token commits and the configuration it leaves; one lockstep walk over
-the lexer settles nearly every entry (``build_step_table``).  Per terminal,
-the automaton's sparse token map (state, token) -> successor comes from one
-lockstep walk over all the automata, and C, the fewest tokens from a state
-to acceptance, from one breadth-first search over their token edges.  D,
-the fewest tokens to derive each nonterminal, is a fixpoint over the
-productions.  The walks go in blocks of about ``_BLOCK_PAIRS`` seeded pairs,
-so their temporaries stay bounded.
+(:class:`StepTable`) is the maximal-munch lexer tabulated: per (lexer state,
+pending accept) pair that bytes can reach and per token, the terminals the
+token commits and the configuration it leaves; lockstep walks over the
+lexer, restarted after each commit, fill it (``build_step_table``).  Per
+terminal, the automaton's sparse token map (state, token) -> successor
+comes from one lockstep walk over all the automata, and C, the fewest
+tokens from a state to acceptance, from one breadth-first search over their
+token edges.  D, the fewest tokens to derive each nonterminal, is a fixpoint
+over the productions.  The walks go in blocks of about ``_BLOCK_PAIRS``
+seeded pairs, so their temporaries stay bounded.
 
 Everything is persisted to a versioned binary cache keyed by the grammar and
 vocabulary content hashes; writes are atomic (temp file then rename).  A
@@ -31,14 +31,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from boundedgen.dfa import DEAD, INF, STATE_CAP, Dfa, Lexer, StateLimitError, dfa_concat, scan
+from boundedgen.dfa import DEAD, INF, STATE_CAP, Dfa, Lexer, StateLimitError, dfa_concat
 from boundedgen.grammar import Grammar, adjacent_terminal_pairs
 from boundedgen.vocab import Vocabulary
 
 logger = logging.getLogger(__name__)
 
 CACHE_MAGIC = b"BGC1"  # the file type, in every format version
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 Key = tuple[int, ...]  # (terminal,) or, from compute_pair_costs, (first, second)
 TokenRow = tuple[np.ndarray, np.ndarray]  # token ids, successor states
@@ -68,12 +68,16 @@ class StepTable:
 
     A configuration is what decides a scan: the lexer state, the terminal of
     the pending accept (-1 for none) and the bytes after that accept, the
-    only ones a commit lexes again.  Configuration 0 is the initial one.
-    Row ``s`` runs from ``indptr[s]`` to ``indptr[s + 1]`` over ``ids``
+    only ones a commit lexes again.  The configurations with an empty tail
+    have rows, one per pair of ``byte_closure``; configuration 0 is the
+    initial one.  Where the lexer state is past its accept, a row holds only
+    the tokens whose scan does not depend on the tail.  A configuration
+    with a tail has no row: it is the successor of an entry, kept to price
+    it.  Row ``s`` runs from ``indptr[s]`` to ``indptr[s + 1]`` over ``ids``
     (rising), ``succs`` and ``moves``; a token missing from a row fails to
-    lex.  ``commits[move]`` is the committed terminals and how many trailing
-    bytes of the remainder and the token stay uncommitted; move 0, ``((),
-    0)``, commits nothing and keeps every byte.
+    lex or needs the tail.  ``commits[move]`` is the committed terminals and
+    how many trailing bytes of the remainder and the token stay
+    uncommitted; move 0, ``((), 0)``, commits nothing and keeps every byte.
     """
 
     states: np.ndarray
@@ -139,6 +143,7 @@ class CostTables:
 # --- token transitions -------------------------------------------------------
 
 _BLOCK_PAIRS = 1 << 14  # about this many seeded (state, token) pairs per block of the walk
+_LEX_INITIAL = 1  # the lexer automaton's initial state
 
 
 def _layout(vocab: Vocabulary) -> tuple[np.ndarray, ...]:
@@ -289,43 +294,56 @@ def compute_nonterminal_costs(g: Grammar, terminal_costs: np.ndarray) -> np.ndar
 # --- the step table -------------------------------------------------------------
 
 
-def _scan_walk(trans, label, extends, states, tok, columns, lengths) -> tuple[np.ndarray, ...]:
+def byte_closure(lexer: Lexer) -> list[tuple[int, int]]:
+    """The (lexer state, pending-accept terminal or -1) pairs that bytes
+    lexed from the initial state can leave, in order.  A byte into a state
+    that extends keeps the lexeme open, and that state's terminal, if it has
+    one, becomes the pending accept; any other byte commits or fails, and
+    lexing goes on from the initial pair."""
+    trans, label = np.array(lexer[0], dtype=np.int64), np.array(lexer[1], dtype=np.int64)
+    extends = np.array(lexer[2], dtype=bool)
+    width = int(label.max()) + 2  # accept terminals, -1 included, in a pair's code
+    seen = frontier = np.array([_LEX_INITIAL * width])
+    while frontier.size:
+        q, a = np.divmod(frontier, width)
+        after = trans[q]
+        codes = after * width + np.where(label[after] >= 0, label[after] + 1, a[:, None])
+        frontier = np.setdiff1d(codes[extends[after]], seen)  # extends[DEAD] is False
+        seen = np.union1d(seen, frontier)
+    q, a = np.divmod(seen, width)
+    return list(zip(q.tolist(), (a - 1).tolist()))
+
+
+def _scan_walk(trans, label, extends, states, tok, off, columns, lengths) -> tuple[np.ndarray, ...]:
     """Tokens ``tok`` walked in lockstep through the lexer from ``states``,
-    one byte position at a time; a walk stops on a dead byte or after a byte
-    into a state that does not extend.  Returns per pair the state it stopped
-    in (DEAD when a byte killed it), the bytes walked, the killing byte
-    included, and the end and terminal of the last accept within them (-1)."""
-    stopped, walked = states.copy(), lengths.take(tok)
+    from byte ``off`` on, one byte position at a time; a walk stops on a
+    dead byte or after a byte into a state that does not extend.  Returns
+    per pair the state it stopped in (DEAD when a byte killed it, its start
+    when no byte is left) and the end offset and terminal of the last
+    accept it passed (-1 for none)."""
+    stopped = states.copy()
     acc_end, acc_term = np.full(tok.size, -1, dtype=np.int32), np.full(tok.size, -1, dtype=np.int32)
-    pair, q, t, left = np.arange(tok.size, dtype=np.int32), states, tok, walked
-    for pos, column in enumerate(columns, 1):
-        q = trans.ravel().take(q * 256 + column.take(t))
+    left = lengths.take(tok) - off
+    pair = np.flatnonzero(left > 0).astype(np.int32)
+    q, left = states[pair], left[pair]
+    at = (off.astype(np.int64) * columns.shape[1] + tok)[pair]  # the next byte's place in ``columns``
+    for pos in range(1, columns.shape[0] + 1):
+        if not pair.size:
+            break
+        q = trans.ravel().take(q * 256 + columns.ravel().take(at))
         terms = label.take(q)
         if (hit := np.flatnonzero(terms >= 0)).size:
             acc_end[pair[hit]], acc_term[pair[hit]] = pos, terms[hit]
         going = extends.take(q) & (left > pos)  # extends[DEAD] is False
         if not going.all():
             stop = np.flatnonzero(~going)
-            stopped[pair[stop]], walked[pair[stop]] = q[stop], pos
-            pair, q, t, left = pair[going], q[going], t[going], left[going]
-            if not pair.size:
-                break
-    return stopped, walked, acc_end, acc_term
+            stopped[pair[stop]] = q[stop]
+            pair, q, at, left = pair[going], q[going], at[going], left[going]
+        at += columns.shape[1]
+    return stopped, np.where(acc_end >= 0, acc_end + off, -1), acc_term
 
 
-def scan_configuration(lexer: Lexer, key: tuple[int, int, bytes], incoming: bytes) -> tuple:
-    """``dfa.scan`` of ``incoming`` from configuration ``key`` (lexer state,
-    pending-accept terminal or -1, the bytes after it): the committed
-    terminals, the bytes left uncommitted, the configuration they leave,
-    and whether lexing failed."""
-    q, accept, tail = key
-    data = tail + incoming
-    committed, start, q, last, failed = scan(lexer, q, None if accept < 0 else (0, accept), data, len(tail))
-    rest = data[start:]
-    return tuple(committed), rest, (q, last[1], rest[last[0] :]) if last else (q, -1, b""), failed is not None
-
-
-def number(index: dict, items: list, item) -> int:
+def _number(index: dict, items: list, item) -> int:
     """``item``'s position in ``items``, appended if new; ``index`` maps
     each item to its position."""
     if item not in index:
@@ -342,109 +360,88 @@ def _each_distinct(codes: np.ndarray, make) -> np.ndarray:
 
 class Scanner:
     """The lexer and a vocabulary laid out for lockstep walks, to fill the
-    step table's rows of any configurations (see ``rows``)."""
+    step table's rows (see ``rows``)."""
 
     def __init__(self, lexer: Lexer, vocab: Vocabulary):
-        self.lexer, self.tokens = lexer, vocab.tokens
+        self.tokens = vocab.tokens
         self.trans = np.array(lexer[0], dtype=np.int32)
         self.label, self.extends = np.array(lexer[1], dtype=np.int32), np.array(lexer[2], dtype=bool)
-        self.restarts = np.append(self.trans[1] != DEAD, False)  # bytes that start a lexeme; 256 is none
-        self.columns, self.lengths, content, _ = _layout(vocab)
+        self.columns, self.lengths, content, self.counts = _layout(vocab)
         self.content = np.sort(content)
 
-    def seeds(self, keys: list[tuple[int, int, bytes | None]]) -> np.ndarray:
-        """Per configuration and content token, whether its walk can settle
-        the pair: the first byte is live, or an accept is pending and lexing
-        can restart at its tail's first byte, or the token's when the tail is
-        empty, or the tail is not known."""
+    def seeds(self, keys: list[tuple]) -> np.ndarray:
+        """Per key (lexer state, accept, ...) and byte, whether a walk of a
+        token starting with that byte can settle the pair: the byte is live,
+        or an accept is pending with no bytes after it and the byte starts a
+        lexeme."""
         states, accepts = (np.array([key[i] for key in keys], dtype=np.int32) for i in (0, 1))
-        leads = self.columns[0, self.content]
-        seed = self.trans[states][:, leads] != DEAD
-        first = np.array([key[2][0] if key[2] else 256 for key in keys], dtype=np.int32)  # 256: no tail
-        unknown = np.array([key[2] is None for key in keys], dtype=bool)
-        seed[(self.restarts[first] | unknown) & (accepts >= 0)] = True
-        seed[(first == 256) & ~unknown & (accepts >= 0)] |= self.restarts[leads]
+        seed = self.trans[states] != DEAD
+        seed[(accepts >= 0) & (self.label[states] == accepts)] |= self.trans[_LEX_INITIAL] != DEAD
         return seed
 
-    def rows(self, keys: list[tuple[int, int, bytes | None]], config_id, commit_id) -> tuple[np.ndarray, ...]:
-        """The rows of configurations ``keys`` as (index in ``keys``, token,
-        successor, move) arrays, ordered by index and token; ``config_id``
-        and ``commit_id`` number the successors and the commits.
+    def rows(self, keys: list[tuple], config_id, commit_id) -> tuple[np.ndarray, ...]:
+        """The rows of ``keys``, (lexer state, accept, b"") configurations,
+        as (index in ``keys``, token, successor, move) arrays ordered by
+        index and token; ``config_id`` numbers the successors and
+        ``commit_id`` the commits.
 
-        One lockstep walk (``_scan_walk``) settles most pairs: a token that
-        keeps the lexer alive and extending commits nothing, and its
-        successor follows from the state and the last accept it reaches.  A
-        token that stops after an accept of its own commits that lexeme; it
-        is scanned, when the byte where lexing would restart is live.  One
-        that stops before commits the pending accept, if any, and its walk
-        goes on from the configuration the bytes after that accept leave,
-        lexed afresh once per configuration; without one it fails to lex.
-        A tail may be None, not known: such a token's successor is None, and
-        a successor that keeps the pending accept has the tail None too.
+        Each round walks its pairs in lockstep (``_scan_walk``) from a lexer
+        state and an offset in the token.  A walk that keeps the lexer alive
+        and extending to the token's end commits nothing more: it leaves its
+        state, the last accept it passed with the bytes after it, or else
+        the pending accept.  A walk that stops after an accept of its own
+        commits that lexeme, and one that stops before commits the pending
+        accept; the next round walks the rest of the token from the initial
+        state.  A key past its accept has a tail the row does not know: a
+        token that would commit the pending accept is left out, and one
+        that keeps it leaves the key of its state and that accept.
         """
-        keys = list(keys)
-        # Per configuration walked, the one its row is for, and the terminals
-        # committed before the walk with the bytes left after them.
-        origin, before = list(range(len(keys))), [((), 0)] * len(keys)
-        width = int(self.label.max()) + 2  # accept terminals, -1 included, in a successor's code
-        longest = self.columns.shape[0]
         states, accepts = (np.array([key[i] for key in keys], dtype=np.int32) for i in (0, 1))
-        k, t = np.nonzero(self.seeds(keys))
+        past = (self.label[states] < 0) & (accepts >= 0)
+        width, span = int(self.label.max()) + 2, self.columns.shape[0] + 1
+        k, t = np.nonzero(self.seeds(keys)[:, self.columns[0, self.content]])
         k, t = k.astype(np.int32), self.content[t]
+        q, acc = states[k], accepts[k]
+        off, before = np.zeros(t.size, dtype=np.int32), np.zeros(t.size, dtype=np.int32)
+        befores, index = [()], {(): 0}  # the terminals a walk's token committed before it
         parts = []
         while t.size:
-            stopped, walked, acc_end, acc_term = _scan_walk(
-                self.trans, self.label, self.extends, states[k], t, self.columns, self.lengths
+            stopped, end, term = _scan_walk(
+                self.trans, self.label, self.extends, q, t, off, self.columns, self.lengths
             )
-            n, acc_s, stop = self.lengths[t], accepts[k], ~self.extends[stopped]
-            succ, move = np.full(t.size, -1, dtype=np.int32), np.zeros(t.size, dtype=np.int32)
-            # Alive and extending after the last byte: the token commits nothing.
-            live = np.flatnonzero(~stop)
-            inner = acc_end[live] >= 0
-            acc = np.where(inner, acc_term[live], acc_s[live])
-            bare = np.where(inner, acc_end[live] == n[live], acc < 0)  # no tail
-            succ[live[bare]] = _each_distinct(
-                stopped[live[bare]] * width + acc[bare] + 1,
+            n, own, alive = self.lengths[t], end >= 0, self.extends[stopped]
+            # Alive after the last byte, or no byte left after a commit: the
+            # tail runs from the last accept passed, or from the token's start
+            # when that is the pending one.
+            live = np.flatnonzero(alive)
+            last = np.where(own, term, acc)[live]
+            start = np.where(own, end, np.where((acc >= 0) & ~past[k], off, n))[live]
+            bare = start == n[live]
+            succ = np.empty(live.size, dtype=np.int32)
+            succ[bare] = _each_distinct(
+                stopped[live[bare]] * width + last[bare] + 1,
                 lambda code: config_id((code // width, code % width - 1, b"")),
             )
-            for p, terminal in zip(live[~bare].tolist(), acc[~bare].tolist()):
-                data, tail = self.tokens[t[p]], keys[k[p]][2]
-                tail = data[acc_end[p] :] if acc_end[p] >= 0 else None if tail is None else tail + data
-                succ[p] = config_id((int(stopped[p]), terminal, tail))
-            carried = live[np.array([bool(terms) for terms, _ in before])[k[live]]]
-            span = longest + 1  # token lengths, in a move's code
-            move[carried] = _each_distinct(
-                k[carried].astype(np.int64) * span + n[carried],
-                lambda code: commit_id((before[code // span][0], before[code // span][1] + code % span)),
+            succ[~bare] = [
+                config_id((s, a, self.tokens[tok][i:]))
+                for s, a, tok, i in zip(*(x[~bare].tolist() for x in (stopped[live], last, t[live], start)))
+            ]
+            keep = np.where(before > 0, n - off, 0)[live]
+            move = _each_distinct(
+                before[live].astype(np.int64) * span + keep,
+                lambda code: commit_id((befores[code // span], code % span)),
             )
-            # Stopped after an accept of its own: scanned where lexing goes on.
-            byte = np.where(acc_end < n, self.columns[np.minimum(acc_end, longest - 1), t], 256)
-            for p in np.flatnonzero(stop & (acc_end >= 0) & ((acc_end == n) | self.restarts[byte])).tolist():
-                state, accept, _ = keys[k[p]]  # lexing restarts inside the token
-                key = (state, accept, b"")
-                got, rest, after, failed = scan_configuration(self.lexer, key, self.tokens[t[p]])
-                if not failed:
-                    succ[p], move[p] = config_id(after), commit_id((before[k[p]][0] + got, len(rest)))
-            # Stopped before one: the pending accept commits, and the walk
-            # goes on from where the bytes after it leave the lexer.
-            stuck = stop & (acc_end < 0) & (acc_s >= 0)
-            unknown = stuck & np.array([key[2] is None for key in keys], dtype=bool)[k]
-            if unknown.any():
-                succ[unknown] = config_id(None)
-            ok = succ >= 0
-            parts.append((np.array(origin, dtype=np.int32)[k[ok]], t[ok], succ[ok], move[ok]))
-            again = np.flatnonzero(stuck & ~unknown)
-            restart = np.full(len(keys), -1, dtype=np.int32)
-            for i in np.unique(k[again]).tolist():
-                got, rest, after, failed = scan_configuration(self.lexer, (1, -1, b""), keys[i][2])
-                if not failed:
-                    restart[i] = len(keys)
-                    before.append((before[i][0] + (keys[i][1],) + got, len(rest)))
-                    origin.append(origin[i])
-                    keys.append(after)
-            states, accepts = (np.array([key[i] for key in keys], dtype=np.int32) for i in (0, 1))
-            k, t = restart[k[again]], t[again]
-            k, t = k[k >= 0], t[k >= 0]
+            parts.append((k[live], t[live], succ, move))
+            # Stopped: the lexeme of its own accept commits, or else the
+            # pending one if the row knows the bytes after it.
+            commit = np.where(own, term, acc)
+            again = np.flatnonzero(~alive & (own | ((acc >= 0) & ~past[k])))
+            before = _each_distinct(
+                before[again].astype(np.int64) * width + commit[again],
+                lambda code: _number(index, befores, befores[code // width] + (code % width,)),
+            )
+            k, t, off = k[again], t[again], np.where(own, end, off)[again]
+            q, acc = np.full(t.size, _LEX_INITIAL, dtype=np.int32), np.full(t.size, -1, dtype=np.int32)
         empty = np.empty(0, dtype=np.int32)
         k, t, succ, move = (np.concatenate([empty] + [p[i] for p in parts]) for i in range(4))
         order = np.lexsort((t, k))
@@ -452,42 +449,30 @@ class Scanner:
 
 
 def build_step_table(lexer: Lexer, vocab: Vocabulary) -> StepTable:
-    """``dfa.scan`` tabulated over the configurations reachable from the
-    initial one (see ``Scanner.rows``), breadth first, in blocks of about
-    ``_BLOCK_PAIRS`` pairs.  A configuration whose tail is longer than every
-    token gets no row (see ``engine.MaskEngine._split``), so the table stays
-    finite; StateLimitError when the configurations plus their tail bytes
-    pass STATE_CAP.
-    """
+    """``dfa.scan`` tabulated over the vocabulary: one row per pair of
+    ``byte_closure``, filled by ``Scanner.rows`` in blocks of about
+    ``_BLOCK_PAIRS`` pairs, then the successors with a tail, which have
+    none.  StateLimitError when the rows pass STATE_CAP."""
     scanner = Scanner(lexer, vocab)
-    configs: list[tuple[int, int, bytes]] = [(1, -1, b"")]
-    index = {configs[0]: 0}
+    configs: list[tuple[int, int, bytes]] = [(q, a, b"") for q, a in byte_closure(lexer)]
+    if len(configs) > STATE_CAP:
+        raise StateLimitError(f"scan configurations exceeded state cap {STATE_CAP}")
+    index = {key: s for s, key in enumerate(configs)}
     commits: list[tuple[tuple[int, ...], int]] = [((), 0)]
     records = {commits[0]: 0}
-    size = 1
+    rows = len(configs)
+    seeded = np.concatenate([[0], np.cumsum(scanner.seeds(configs) @ scanner.counts)])
     parts: list[tuple[np.ndarray, ...]] = []
-
-    def intern(key: tuple[int, int, bytes]) -> int:
-        nonlocal size
-        if key not in index:
-            size += 1 + len(key[2])
-            if size > STATE_CAP:
-                raise StateLimitError(f"scan configurations exceeded state cap {STATE_CAP}")
-        return number(index, configs, key)
-
-    done = 0
-    while done < len(configs):
-        start, done = done, len(configs)
-        short = [s for s in range(start, done) if len(configs[s][2]) <= scanner.columns.shape[0]]
-        seeded = np.concatenate([[0], np.cumsum(scanner.seeds([configs[s] for s in short]).sum(axis=1))])
-        a = 0
-        while a < len(short):  # blocks of whole configurations
-            b = max(a + 1, int(np.searchsorted(seeded, seeded[a] + _BLOCK_PAIRS, side="right")) - 1)
-            k, t, succ, move = scanner.rows(
-                [configs[s] for s in short[a:b]], intern, lambda commit: number(records, commits, commit)
-            )
-            parts.append((np.array(short[a:b], dtype=np.int32)[k], t, succ, move))
-            a = b
+    a = 0
+    while a < rows:  # blocks of whole rows
+        b = max(a + 1, int(np.searchsorted(seeded, seeded[a] + _BLOCK_PAIRS, side="right")) - 1)
+        k, t, succ, move = scanner.rows(
+            configs[a:b],
+            lambda key: _number(index, configs, key),
+            lambda commit: _number(records, commits, commit),
+        )
+        parts.append((k + a, t, succ, move))
+        a = b
     # Configurations and commits in key order, whatever order the blocks found them in.
     order = sorted(range(len(configs)), key=configs.__getitem__)
     rank = np.empty(len(configs), dtype=np.int32)
@@ -639,7 +624,8 @@ def _check_rising(ids: np.ndarray, starts: np.ndarray) -> None:
 def _step_table(reader: _Reader, n_terminals: int) -> StepTable:
     """The step table at the reader's position, once every field is checked
     to lie in range: pointers, rising token ids, successors below the
-    configuration count and committed terminals below the terminal count."""
+    configuration count and committed terminals below the terminal count;
+    a configuration with a tail has a pending accept and no entries."""
     n_configs, n_commits = reader.unpack("<II")
     states, accepts = reader.array("<i4", n_configs), reader.array("<i4", n_configs)
     tail_ptr = reader.array("<i8", n_configs + 1)
@@ -661,6 +647,8 @@ def _step_table(reader: _Reader, n_terminals: int) -> StepTable:
     if not n_commits or keeps[0] or sizes[0] or not sizes[1:].all() or (keeps < 0).any() \
             or ((terms < 0) | (terms >= n_terminals)).any():
         raise CacheCorruptError("step-table commit out of range")
+    if ((np.diff(tail_ptr) > 0) & ((accepts < 0) | (np.diff(indptr) > 0))).any():
+        raise CacheCorruptError("a configuration with a tail has a row or no pending accept")
     bounds = list(zip(tail_ptr[:-1].tolist(), tail_ptr[1:].tolist()))
     spans = zip(commit_ptr[:-1].tolist(), commit_ptr[1:].tolist())
     return StepTable(

@@ -9,11 +9,13 @@ Lexing is maximal munch (``dfa.scan``), and the cost tables hold it
 tabulated over the vocabulary (``costs.StepTable``): per configuration --
 lexer state, pending-accept terminal, the bytes after that accept -- and
 token, the terminals the token commits and the configuration it leaves.  A
-step is one lookup in that table; the committed terminals are then fed to
-the state's own stack, so a step is exact whatever lies below.  The table
-leaves out the configurations whose tail is longer than every token; a state
-in one is stepped by lexing its own bytes and masked from two rows whose
-size does not grow with the tail (see ``MaskEngine._split``).
+state's configuration is the row of its lexer state and pending accept.  A
+step is one lookup in that row; the committed terminals are then fed to the
+state's own stack, so a step is exact whatever lies below.  Past a pending
+accept the row holds only the tokens whose scan does not depend on the bytes
+after it, the tail; a token it leaves out is lexed from the state's own
+bytes, and the mask adds, for those tokens and the ones that keep the
+pending accept, the state left by committing it and lexing the tail afresh.
 
 Admission reads one vector that does not depend on the budget: ``need[t]``,
 the fewest tokens needed after token ``t`` to finish everything.  Token
@@ -48,14 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from boundedgen.costs import (
-    CacheCorruptError,
-    CostTables,
-    Scanner,
-    compute_nonterminal_costs,
-    number,
-    scan_configuration,
-)
+from boundedgen.costs import CacheCorruptError, CostTables, byte_closure, compute_nonterminal_costs
 from boundedgen.dfa import DEAD, INF, scan
 from boundedgen.grammar import Grammar, adjacent_terminal_pairs
 from boundedgen.vocab import Vocabulary
@@ -96,7 +91,6 @@ class DeadSessionError(EngineError):
 _EXPANSION_LIMIT = 100_000
 _LEX_INITIAL = 1  # the lexer automaton's initial state
 _NEED_MEMO_SIZE = 256  # need vectors per engine, 8 bytes per token each
-_BEYOND_ROWS = 32  # rows of configurations outside the step table per engine
 
 MODE_FULL = "full"
 MODE_GRAMMAR_ONLY = "grammar-only"
@@ -184,16 +178,14 @@ EMPTY_STACK = Stack(-1, None, 0, True, True)
 class EngineState:
     """Snapshot of one generation session; treated as immutable.
 
-    ``config`` is the scan configuration the remainder leaves: its number in
-    the step table, or the configuration itself, (lexer state, accept
-    terminal, tail), when the table leaves it out (see ``MaskEngine._row``);
-    ``lex_state`` and ``lex_accept`` read it back.
+    ``config`` is the step-table row of the lexer state and pending accept
+    the remainder leaves; ``lex_state`` and ``lex_accept`` read it back.
     """
 
     engine: "MaskEngine" = field(compare=False, repr=False)
     stack: Stack
     remainder: bytes
-    config: int | tuple[int, int, bytes]
+    config: int
     consumed: int
     budget: int
     finished: bool = False
@@ -201,40 +193,45 @@ class EngineState:
     @property
     def lex_state(self) -> int:
         """The lexer state after the remainder."""
-        return self.engine._configuration(self.config)[0]
+        return self.engine._configurations[self.config][0]
 
     @property
     def lex_accept(self) -> tuple[int, int] | None:
-        """(end offset in the remainder, terminal) of the last accept, or None."""
-        _, terminal, tail = self.engine._configuration(self.config)
-        return None if terminal < 0 else (len(self.remainder) - len(tail), terminal)
+        """(end offset in the remainder, terminal) of the last accept, or
+        None; past the accept, found by lexing the remainder again."""
+        terminal = self.engine._configurations[self.config][1]
+        if terminal < 0:
+            return None
+        if self.engine._rows[self.config].relex is None:
+            return len(self.remainder), terminal
+        return scan(self.engine.grammar.lexer, _LEX_INITIAL, None, self.remainder, 0)[3]
 
 
 class _Row:
     """A configuration's row of the step table, as the engine reads it.
 
-    ``succ`` and ``move`` are the row spread over the vocabulary (-1 where a
-    token fails to lex); they index ``configs``, what a successor state's
-    ``config`` is, and ``commits``.  Entries with the same move and successor
-    form a group, ``of`` names each entry's group, and each group finishes
-    in the ways its candidates list: per candidate its ``group``, the
-    ``terms`` fed to the stack and C of the pending lexeme, ``cost``.
+    ``succ`` and ``move`` are the row spread over the vocabulary (-1 where
+    the row leaves a token out): a successor state's ``config`` and an index
+    in ``commits``.  Entries with the same move and successor form a group,
+    ``of`` names each entry's group, and each group finishes in the ways its
+    candidates list: per candidate its ``group``, the ``terms`` fed to the
+    stack and C of the pending lexeme, ``cost``.
     ``depth`` is the most terminals a candidate feeds.  ``eos`` is the
     terminals the final lexing commits, False when it fails, once known.
-    In the row of a configuration whose tail is not known (see
-    ``MaskEngine._split``), ``relex`` marks the tokens that also commit the
-    pending accept and lex the tail afresh, or only that.
+    ``relex`` is None unless the lexer state is past its accept; then it
+    marks the tokens the row leaves out or that keep the pending accept,
+    which the state left by committing it and lexing the tail afresh also
+    prices (see ``MaskEngine._relexed``).
     """
 
-    __slots__ = ("ids", "succ", "move", "configs", "commits", "of", "groups", "group", "terms", "cost",
-                 "depth", "eos", "relex")
+    __slots__ = ("ids", "succ", "move", "commits", "of", "groups", "group", "terms", "cost", "depth", "eos",
+                 "relex")
 
 
-def _numbering(table: dict, items: list):
-    """A numbering that gives an item its number in ``table``, or else its
-    position in ``items``, where it is appended once."""
-    index: dict = {}
-    return lambda item: table[item] if item in table else number(index, items, item)
+def _key(q: int, accept: tuple[int, int] | None, remainder: bytes) -> tuple[int, int, bytes]:
+    """The configuration that lexing results leave: the lexer state, the
+    accept terminal or -1, and the bytes after the accept."""
+    return (q, accept[1], remainder[accept[0] :]) if accept else (q, -1, b"")
 
 
 class MaskEngine:
@@ -261,16 +258,14 @@ class MaskEngine:
         if not np.array_equal(compute_nonterminal_costs(grammar, start_costs), tables.d):
             raise CacheCorruptError("D in the cost tables does not match the grammar and C")
         steps = tables.steps
-        transitions, label, extends = grammar.lexer
-        if (steps.states >= len(transitions)).any():
-            raise CacheCorruptError("a configuration's lexer state is not the grammar's lexer's")
-        # A configuration's state extends (the initial one aside), its accept
-        # is the state's label if it has one, and only a past accept has a tail.
-        label, extends = np.array(label)[steps.states], np.array(extends)[steps.states]
-        tailed = np.array([len(tail) > 0 for tail in steps.tails])
-        stuck = ~extends & (steps.states != _LEX_INITIAL)
-        if stuck.any() or ((label >= 0) & (steps.accepts != label)).any() \
-                or (tailed != ((label < 0) & (steps.accepts >= 0))).any():
+        configurations = list(zip(steps.states.tolist(), steps.accepts.tolist(), steps.tails))
+        # The rows are the lexer's byte closure, and a configuration with a
+        # tail is past its accept, in one of them.
+        label = grammar.lexer[1]
+        rows = [(q, a) for q, a, tail in configurations if not tail]
+        tailed = {(q, a) for q, a, tail in configurations if tail}
+        if rows != byte_closure(grammar.lexer) or not tailed <= set(rows) \
+                or any(a < 0 or label[q] >= 0 for q, a in tailed):
             raise CacheCorruptError("a configuration's lexer state is not the grammar's lexer's")
         # A cache does not record the vocabulary size, so bound its token ids.
         token_ids = [steps.ids] + [ids for rows in tables.token_map.values() for ids, _ in rows.values()]
@@ -298,25 +293,23 @@ class MaskEngine:
         # entry per distinct window, whatever lies below it.
         self._accseq_memo: dict[tuple[int, ...], tuple] = {}
         self._need_memo: dict[tuple, np.ndarray] = {}
-        # The table's configurations and commits, numbered; per configuration
-        # its _Row (see _row) and its ways to finish.  Rows of configurations
-        # outside the table are kept apart, at most _BEYOND_ROWS at a time.
-        self._configurations = list(zip(steps.states.tolist(), steps.accepts.tolist(), steps.tails))
-        self._index = {key: s for s, key in enumerate(self._configurations)}
-        self._ids = list(range(len(self._configurations)))
-        self._commits = list(steps.commits)
-        self._records = {commit: m for m, commit in enumerate(self._commits)}
-        self._longest = max(map(len, vocab.tokens))
-        self._rows: dict[int, _Row] = {}
-        self._beyond: dict[tuple[int, int, bytes], _Row] = {}
-        self._scanner: Scanner | None = None
+        # The table's configurations, numbered; per configuration the row
+        # it is priced by, its own or that of its lexer state and accept
+        # (``_row``), and its ways to finish.
+        self._configurations = configurations
+        self._index = {key: s for s, key in enumerate(configurations)}
+        self._alias = np.array([self._index[q, a, b""] for q, a, _ in configurations], dtype=np.int32)
+        # The rows past their accept, whose tail the table does not know.
+        tails = np.array([len(tail) for tail in steps.tails])
+        self._unknown = (steps.accepts >= 0) & (np.array(label)[steps.states] < 0) & (tails == 0)
         self._finishes: dict[tuple[int, int, bytes], list] = {}
         self._bridge: list | None = None
         self._adjacent = adjacent_terminal_pairs(grammar, grammar.ll1)
         self._start_stack = self._push(EMPTY_STACK, (self._start_symbol,))
+        self._rows: dict[int, _Row] = {}
         for config, tail in enumerate(steps.tails):
-            if len(tail) <= self._longest:
-                self._row(config)
+            if not tail:
+                self._rows[config] = self._row(config)
 
     # -- sessions ------------------------------------------------------------
 
@@ -498,8 +491,10 @@ class MaskEngine:
         """The ways to finish the lexeme pending in a configuration, as
         (terminals fed to the stack, C): as any terminal whose automaton is
         alive at the lexer state; as a pair of terminals that one token
-        crosses (see ``_bridges``); by committing the pending accept and
-        lexing the tail afresh; or, with nothing pending, by feeding nothing."""
+        crosses, in the row of the lexer state and accept (see
+        ``_bridges``); by committing the pending accept and lexing the tail
+        afresh; or, with nothing pending, by feeding nothing.  Memoized: the
+        table's configurations and their tails bound the keys."""
         key = (q, accept, tail)
         ways = self._finishes.get(key)
         if ways is None:
@@ -508,31 +503,28 @@ class MaskEngine:
             else:
                 c, states = self.tables.c, self.grammar.automaton_states
                 ways = [((b,), int(c[(b,)][at[q]])) for b, at in enumerate(states) if at[q] != DEAD]
-                if key in self._index:
-                    ways += self._bridges()[self._index[key]]
-            if accept >= 0 and tail:
-                committed, _, after, failed = scan_configuration(
-                    self.grammar.lexer, (_LEX_INITIAL, -1, b""), tail
-                )
-                if not failed:
-                    ways += [((accept, *committed) + terms, cost) for terms, cost in self._finish(*after)]
-            if key in self._index:  # the others' are found again when a row needs them
-                self._finishes[key] = ways
+                ways += self._bridges()[self._index[q, accept, b""]]
+            if tail:
+                committed, rest, q, last, error = self._scan(_LEX_INITIAL, None, b"", tail)
+                if error is None:
+                    after = self._finish(*_key(q, last, rest))
+                    ways += [((accept, *committed) + terms, cost) for terms, cost in after]
+            self._finishes[key] = ways
         return ways
 
     def _bridges(self) -> list[list[tuple[tuple[int, int], int]]]:
         """Per configuration of the table, the pairs (a, b) that finish for
         fewer tokens than a and then b apart, with that count: the fewest
         tokens that commit a and then finish b, where one token may cross
-        from a into b.  A shortest path over the table's distinct edges,
-        built on first use."""
+        from a into b.  A shortest path over the rows' distinct edges, each
+        successor read as the row that prices it, built on first use."""
         if self._bridge is None:
             steps, n_t = self.tables.steps, self.grammar.n_terminals
             n, m = len(steps.tails), len(steps.commits)
             states = self.grammar.automaton_states
             pending = np.stack([self.tables.c[(b,)][states[b][steps.states]] for b in range(n_t)], axis=-1)
             starts = np.repeat(np.arange(n, dtype=np.int64), np.diff(steps.indptr))
-            edges = np.unique((starts * m + steps.moves) * n + steps.succs)
+            edges = np.unique((starts * m + steps.moves) * n + self._alias[steps.succs])
             source, move, target = edges // (m * n), edges // n % m, edges % n
             cost = np.full((n, n_t, n_t), INF, dtype=np.int64)
             for s, terms, t in zip(source.tolist(), move.tolist(), target.tolist()):
@@ -554,108 +546,71 @@ class MaskEngine:
                 self._bridge[s].append(((int(a), int(b)), int(cost[s, a, b])))
         return self._bridge
 
-    def _configuration(self, config) -> tuple[int, int, bytes | None]:
-        """The configuration a state's ``config`` names."""
-        return config if isinstance(config, tuple) else self._configurations[config]
-
-    def _long(self, config) -> bool:
-        """Whether the configuration's tail is longer than every token."""
-        tail = self._configuration(config)[2]
-        return tail is not None and len(tail) > self._longest
-
-    def _row(self, config) -> _Row:
-        """Configuration ``config``'s row: from the step table, or filled by
-        ``costs.Scanner`` for a configuration outside it, whose successors
-        are numbered as in the table or after it.  A configuration whose
-        tail is longer than every token has none (see ``_split``).  The
-        table's rows are built when the engine is, the others on first use,
-        at most _BEYOND_ROWS of them kept."""
-        rows = self._rows if isinstance(config, int) else self._beyond
-        row = rows.get(config)
-        if row is not None:
-            return row
-        configs, commits = self._ids, self._commits
-        if isinstance(config, int):
-            steps = self.tables.steps
-            a, b = steps.indptr[config], steps.indptr[config + 1]
-            ids, succs, moves = steps.ids[a:b], steps.succs[a:b], steps.moves[a:b]
-        else:
-            self._scanner = self._scanner or Scanner(self.grammar.lexer, self.vocab)
-            configs, commits = list(configs), list(commits)
-            _, ids, succs, moves = self._scanner.rows(
-                [config], _numbering(self._index, configs), _numbering(self._records, commits)
-            )
+    def _row(self, config: int) -> _Row:
+        """The step table's row ``config``, spread over the vocabulary, its
+        successors read as the rows that price them; built with the engine."""
+        steps = self.tables.steps
+        a, b = steps.indptr[config], steps.indptr[config + 1]
+        ids, succs, moves = steps.ids[a:b], steps.succs[a:b], steps.moves[a:b]
         row = _Row()
-        row.ids, row.configs, row.commits, row.eos = ids, configs, commits, None
+        row.ids, row.commits, row.eos = ids, steps.commits, None
         row.succ = np.full(self.vocab.size, -1, dtype=np.int32)
         row.move = np.zeros(self.vocab.size, dtype=np.int32)
-        row.succ[ids], row.move[ids] = succs, moves
-        beyond = enumerate(configs[len(self._ids) :], len(self._ids))
-        row.relex = np.isin(row.succ, [c for c, key in beyond if key is None or key[2] is None])
-        n = len(configs)
+        row.succ[ids], row.move[ids] = self._alias[succs], moves
+        row.relex = None
+        if self._unknown[config]:
+            row.relex = np.ones(self.vocab.size, dtype=bool)
+            row.relex[ids] = self._unknown[succs]
+        n = len(self._configurations)
         groups, row.of = np.unique(moves.astype(np.int64) * n + succs, return_inverse=True)
         row.groups, row.group, row.terms, row.cost = len(groups), [], [], []
         for g, (move, succ) in enumerate(zip(*np.divmod(groups.tolist(), n))):
-            ways = () if configs[succ] is None else self._finish(*self._configuration(configs[succ]))
-            for terms, cost in ways:
-                terms = commits[move][0] + terms
+            for terms, cost in self._finish(*self._configurations[succ]):
+                terms = steps.commits[move][0] + terms
                 if self._adjacent.issuperset(zip(terms, terms[1:])):  # else it never parses
                     row.group.append(g)
                     row.terms.append(terms)
                     row.cost.append(cost)
         row.depth = max(map(len, row.terms), default=1)
-        if rows is self._beyond and len(rows) >= _BEYOND_ROWS:
-            rows.clear()
-        rows[config] = row
         return row
 
-    def _split(self, state: EngineState) -> tuple[EngineState, EngineState | None, tuple, np.ndarray]:
-        """A state whose tail is longer than every token, as the two ways a
-        token can go from it.  A token that finds an accept of its own, or
-        keeps the pending lexeme alive, goes on as from the same lexer state
-        and accept with the tail not known (tail None); of those, ``relex``
-        marks the ones that keep the pending accept.  Those, and the tokens
-        that stop before an accept of their own, also commit the pending
-        accept and the tail lexed afresh, then go on from where that leaves
-        the lexer.  Returns the state for each way (the second None when
-        that fails to lex or parse), the terminals the second commits
-        first, and ``relex``."""
-        q, accept, tail = self._configuration(state.config)
-        onward = EngineState(self, state.stack, b"", (q, accept, None), state.consumed, state.budget)
-        relex = self._row(onward.config).relex
-        committed, _, after, failed = scan_configuration(
-            self.grammar.lexer, (_LEX_INITIAL, -1, b""), tail
-        )
+    def _relexed(self, state: EngineState) -> tuple[EngineState | None, tuple[int, ...]]:
+        """The state left by committing the pending accept of a state past
+        it and lexing the tail afresh, None when that fails to lex or parse,
+        and the terminals it commits."""
+        end, accept = state.lex_accept
+        committed, remainder, q, last, error = self._scan(_LEX_INITIAL, None, b"", state.remainder[end:])
         prefix = (accept, *committed)
         try:
-            stack = None if failed else self._commit(state.stack, prefix)
+            stack = None if error else self._commit(state.stack, prefix)
         except ParseError:
             stack = None
-        relexed = None if stack is None else EngineState(
-            self, stack, b"", self._index.get(after, after), state.consumed, state.budget
-        )
-        return onward, relexed, prefix, relex
+        relexed = None if stack is None else self._state(stack, remainder, q, last, state.consumed, state.budget)
+        return relexed, prefix
+
+    def _state(self, stack, remainder, q, accept, consumed, budget) -> EngineState:
+        """A state from lexing results: its configuration is the row of ``q`` and ``accept``."""
+        config = self._index[q, -1 if accept is None else accept[1], b""]
+        return EngineState(self, stack, remainder, config, consumed, budget)
 
     # -- completion and masking -------------------------------------------------
 
     def is_complete(self, state: EngineState) -> bool:
         """True when the emitted bytes already form a full sentence.
 
-        Memoized in the configuration's row (a tail longer than every token
-        has none): the terminals the final lexing commits, or False when it
-        fails; each call feeds them to the state's own stack and asks
-        whether what is left is nullable.
+        Memoized in the configuration's row unless the tail decides it: the
+        terminals the final lexing commits, or False when it fails; each
+        call feeds them to the state's own stack and asks whether what is
+        left is nullable.
         """
-        row = self._rows.get(state.config)
-        if row is None and not self._long(state.config):
-            row = self._row(state.config)
-        eos = None if row is None else row.eos
+        row = self._rows[state.config]
+        eos = row.eos
         if eos is None:
             committed, _, _, _, error = self._scan(
                 state.lex_state, state.lex_accept, state.remainder, b"", final=True
             )
             eos = False if error else committed
-            if row is not None:
+            if row.relex is None:
                 row.eos = eos
         if eos is False:
             return False
@@ -684,7 +639,7 @@ class MaskEngine:
         the stack after the candidate's terminals -- with those terminals
         and that C, or None when no candidate parses.
         """
-        row = self._rows.get(state.config) or self._row(state.config)
+        row = self._rows[state.config]
         window, below = self._window(state.stack, row.depth)
         best: list = [None] * row.groups
         prefixes: dict = {}
@@ -701,17 +656,9 @@ class MaskEngine:
         total, where no candidate parses or the token fails to lex (eos
         included).  Read-only, and memoized on what ``_totals`` reads: the
         configuration, the window its candidates feed and the cost below.
-        For a tail longer than every token, the least over its two ways (see
-        ``_split``), not memoized."""
-        row = self._rows.get(state.config)
-        if row is None:
-            if self._long(state.config):
-                onward, relexed, _, relex = self._split(state)
-                need = self._need(onward)
-                if relexed is not None:
-                    need = np.minimum(need, np.where(relex, self._need(relexed), 3 * INF))
-                return need
-            row = self._row(state.config)
+        Past a pending accept, the tokens ``relex`` marks take the lesser of
+        that and their need in the state ``_relexed`` leaves."""
+        row = self._rows[state.config]
         window, below = self._window(state.stack, row.depth)
         key = (state.config, window, below.cost)
         need = self._need_memo.get(key)
@@ -724,6 +671,10 @@ class MaskEngine:
             if len(self._need_memo) >= _NEED_MEMO_SIZE:
                 self._need_memo.clear()
             self._need_memo[key] = need
+        if row.relex is not None:
+            relexed, _ = self._relexed(state)
+            if relexed is not None:
+                need = np.minimum(need, np.where(row.relex, self._need(relexed), 3 * INF))
         return need
 
     def _admit(self, state: EngineState, need: np.ndarray) -> np.ndarray:
@@ -789,18 +740,18 @@ class MaskEngine:
 
     def _best(self, state: EngineState) -> list:
         """Per token, (total, terminals, C) of the first candidate whose total
-        attains ``need`` (see ``_need``), or None."""
-        if state.config not in self._rows and self._long(state.config):
-            onward, relexed, prefix, relex = self._split(state)
-            best = self._best(onward)
-            for t, way in enumerate(self._best(relexed) if relexed is not None else ()):
-                if relex[t] and way is not None and (best[t] is None or way[0] < best[t][0]):
-                    best[t] = (way[0], prefix + way[1], way[2])
-            return best
+        attains ``need`` (see ``_need``), or None; a way through the state
+        ``_relexed`` leaves comes after the row's candidates."""
         row, best = self._totals(state)
         group = np.full(self.vocab.size, -1)
         group[row.ids] = row.of
-        return [best[g] if g >= 0 else None for g in group.tolist()]
+        best = [best[g] if g >= 0 else None for g in group.tolist()]
+        relexed, prefix = self._relexed(state) if row.relex is not None else (None, ())
+        if relexed is not None:
+            for t, way in enumerate(self._best(relexed)):
+                if row.relex[t] and way is not None and (best[t] is None or way[0] < best[t][0]):
+                    best[t] = (way[0], prefix + way[1], way[2])
+        return best
 
     # -- advancing ---------------------------------------------------------------
 
@@ -835,31 +786,23 @@ class MaskEngine:
         """Successor state after ``token``; the only place a token's bytes
         change a session.  One lookup in the step table gives the committed
         terminals and the successor configuration; the terminals are fed to
-        the state's own stack.  A token missing from the table is scanned
-        from the state's own bytes, so that the error names them; so is
-        every token after a tail longer than every token (see ``_split``)."""
+        the state's own stack.  A token missing from the row is lexed from
+        the state's own bytes: it fails, and the error names them, or it
+        commits a pending accept whose tail the row does not know."""
         if token == self.vocab.eos:
             return EngineState(
                 self, state.stack, state.remainder, state.config,
                 state.consumed + 1, state.budget, True,
             )
         data = self.vocab.tokens[token]
-        row = self._rows.get(state.config)
-        if row is None and self._long(state.config):
+        row = self._rows[state.config]
+        config = row.succ.item(token)
+        if config < 0:
             stack, _, remainder, q, accept = self._lex(
                 state.stack, state.lex_state, state.lex_accept, state.remainder, data
             )
-            key = (q, accept[1], remainder[accept[0] :]) if accept else (q, -1, b"")
-            config = self._index.get(key, key)
-            return EngineState(self, stack, remainder, config, state.consumed + 1, state.budget)
-        row = row or self._row(state.config)
-        config = row.succ.item(token)
-        if config < 0:
-            committed, _, _, _, error = self._scan(state.lex_state, state.lex_accept, state.remainder, data)
-            self._commit(state.stack, committed)
-            raise error
+            return self._state(stack, remainder, q, accept, state.consumed + 1, state.budget)
         terminals, keep = row.commits[row.move.item(token)]
-        config = row.configs[config]
         if terminals:
             stack = self._commit(state.stack, terminals)
             remainder = (state.remainder[-keep:] + data)[-keep:] if keep else b""

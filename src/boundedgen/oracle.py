@@ -306,30 +306,3 @@ def brute_force_min_tokens(
                 nxt.append(q2)
         frontier = nxt
     return INF
-
-
-def fits_two_terminals(g: Grammar, data: bytes) -> bool:
-    """Can ``data`` sit inside at most two terminal lexemes?
-
-    True when some terminal's automaton stays alive on all of ``data``, or
-    some split makes a complete first lexeme plus a live second prefix.  Used
-    to classify which mask entries the two-terminal relaxation must get
-    exactly right.
-    """
-    if not data:
-        return True
-    for term in g.terminals:
-        if term.dfa.run(term.dfa.initial, data) != DEAD:
-            return True
-    for term in g.terminals:
-        q = term.dfa.initial
-        for split in range(1, len(data)):
-            q = int(term.dfa.transitions[q, data[split - 1]])
-            if q == DEAD:
-                break
-            if term.dfa.accepting[q]:
-                rest = data[split:]
-                for second in g.terminals:
-                    if second.dfa.run(second.dfa.initial, rest) != DEAD:
-                        return True
-    return False

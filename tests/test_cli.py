@@ -479,7 +479,7 @@ class TestMask:
             ]
         )
         assert code == EXIT_IO
-        assert "cache format version 1 is not the supported 3" in capsys.readouterr().err
+        assert "cache format version 1 is not the supported 4" in capsys.readouterr().err
 
     def test_cache_missing_an_automaton_exit_3(self, workspace, tmp_path, capsys):
         cache = tmp_path / "dropped.cache"

@@ -19,6 +19,8 @@ from boundedgen.costs import (
     CacheHashError,
     CacheVersionError,
     build_cost_tables,
+    build_step_table,
+    byte_closure,
     compute_pair_costs,
     compute_terminal_costs,
     compute_token_map,
@@ -44,7 +46,7 @@ from tests.conftest import (
     step_offsets,
     with_terminal_pattern,
 )
-from tests.test_lexer_reference import KW_GRAMMAR
+from tests.test_lexer_reference import ABC_GRAMMAR, KW_GRAMMAR
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -305,30 +307,34 @@ class TestTokenMap:
 
 
 def reference_steps(lexer, vocab):
-    """The step table as a breadth-first search that scans every token from
-    every configuration: configuration key -> {token id: (successor key,
-    committed terminals, bytes kept)}.  A configuration whose tail is longer
-    than every token is listed with no row."""
-    longest = max(map(len, vocab.tokens))
-    rows, todo = {}, [(1, -1, b"")]
+    """The step table from ``dfa.scan`` of every token: (lexer state,
+    accept) -> {token id: (successor configuration, committed terminals,
+    bytes kept)}.  The rows are the pairs that scans of single bytes reach
+    from the initial one.  Past its accept a row does not know the tail, so
+    each token is scanned with no accept pending: one that fails before a
+    lexeme of its own would commit the pending one and is left out, and one
+    that finds no accept keeps the pending one, its tail still not known."""
+    rows, todo = {}, [(1, -1)]
     while todo:
-        q, accept, tail = key = todo.pop()
+        q, accept = key = todo.pop()
         if key in rows:
             continue
-        rows[key] = {}
-        for tid, token in enumerate(vocab.tokens if len(tail) <= longest else []):
-            data = tail + token
-            committed, start, q2, again, failed = scan(lexer, q, (0, accept) if accept >= 0 else None, data, len(tail))
-            if tid != vocab.eos and failed is None:
-                rest = data[start:]
-                after = (q2, again[1], rest[again[0] :]) if again else (q2, -1, b"")
-                rows[key][tid] = (after, tuple(committed), len(rest) if committed else 0)
-                todo.append(after)
+        past = accept >= 0 and lexer[1][q] < 0
+
+        def step(data):
+            committed, start, q2, again, failed = scan(lexer, q, None if past or accept < 0 else (0, accept), data, 0)
+            rest = data[start:]
+            after = (q2, again[1], rest[again[0] :]) if again else (q2, accept if past and not committed else -1, b"")
+            return (after, tuple(committed), len(rest) if committed else 0) if failed is None else None
+
+        todo += [got[0][:2] for byte in range(256) if (got := step(bytes([byte])))]
+        rows[key] = {tid: got for tid, token in enumerate(vocab.tokens) if tid != vocab.eos and (got := step(token))}
     return rows
 
 
 def check_steps(steps, lexer, vocab) -> None:
-    """``steps`` equals ``reference_steps``, configuration for configuration."""
+    """``steps`` equals ``reference_steps`` row for row, and its
+    configurations with a tail are the successors with one, with no row."""
     keys = list(zip(steps.states.tolist(), steps.accepts.tolist(), steps.tails))
     got = {}
     for s, key in enumerate(keys):
@@ -338,7 +344,10 @@ def check_steps(steps, lexer, vocab) -> None:
             for tid, succ, move in zip(steps.ids[a:b].tolist(), steps.succs[a:b].tolist(), steps.moves[a:b].tolist())
         }
     assert keys[0] == (1, -1, b"") and keys == sorted(keys)
-    assert got == reference_steps(lexer, vocab)
+    want = reference_steps(lexer, vocab)
+    assert {key[:2]: row for key, row in got.items() if not key[2]} == want
+    tailed = {after for row in want.values() for after, _, _ in row.values() if after[2]}
+    assert {key for key in keys if key[2]} == tailed and not any(got[key] for key in tailed)
 
 
 def _check_walk(grammar, vocab):
@@ -414,22 +423,29 @@ class TestStepTableBounds:
         args = ["--grammar", str(bundled_json_grammar_path()), "--vocab", str(vocab_path)]
         assert main(["precompute", *args, "--cache", str(tmp_path / "c.cache")]) == EXIT_GRAMMAR
 
-    def test_tails_longer_than_every_token_are_left_to_the_engine(self):
+    @pytest.mark.parametrize(
+        "tokens, tails",
+        [([b"a", b"b", b"c", b"d"], [b"b"]), ([b"abc", b"bc", b"d"], [b"bc"]), ([b"a", b"d"], [])],
+        ids=["bytes", "pieces", "no-tails"],
+    )
+    def test_rows_are_the_byte_closure(self, tokens, tails):
         # After "a" A is pending, and "b", "c" grow the tail after it without
-        # bound.  The table expands the configurations whose tail is at most
-        # one byte, the longest token; the engine masks the others from rows
-        # with the tail unknown.
+        # bound.  The rows are the (lexer state, accept) pairs that bytes
+        # reach, whatever the vocabulary: the initial one, A after "a", and
+        # A pending after "ab" and after "abc".  A tail, here after a token
+        # that ends past A, is kept as a configuration with no row.
         grammar = parse_grammar("S: A ; A: /a|a(bc)*d/ ;")
-        vocab = make_vocab([b"a", b"b", b"c", b"d"])
+        vocab = make_vocab(tokens)
         tables = _check_walk(grammar, vocab)
         steps = tables.steps
-        rows = np.diff(steps.indptr)
-        assert {len(tail) for tail in steps.tails} == {0, 1, 2}
-        assert all((rows[s] > 0) == (len(tail) <= 1) for s, tail in enumerate(steps.tails))
+        keys = list(zip(steps.states.tolist(), steps.accepts.tolist(), steps.tails))
+        assert [key[:2] for key in keys if not key[2]] == byte_closure(grammar.lexer)
+        assert len(byte_closure(grammar.lexer)) == 4
+        assert [key[2] for key in keys if key[2]] == tails
         engine = MaskEngine(grammar, tables, vocab)
         rng = random.Random(3)
         for _ in range(40):
-            budget = rng.randint(2, 8)
+            budget = rng.randint(3, 8)
             state, prefix = engine.new_session(budget), []
             while not state.finished:
                 mask = engine.compute_mask(state)
@@ -438,7 +454,36 @@ class TestStepTableBounds:
                 state = engine.advance(state, token, mask)
                 prefix.append(token)
             assert engine.text_is_complete(vocab.decode(prefix[:-1]))
-        assert engine._beyond  # rows with the tail not known, for the tails past the table
+
+
+    def test_token_that_needs_the_tail_is_left_out(self):
+        # After "ab" ABC is alive past the accept of A, in a row that does
+        # not know the tail.  "bd" keeps ABC alive for one byte, then stops
+        # before an accept of its own, so its scan commits A and lexes the
+        # tail afresh: the row leaves it out, and the engine lexes it.  After
+        # "a" no byte follows A's accept, and "bd" commits A and B.
+        grammar = parse_grammar(ABC_GRAMMAR)
+        vocab = make_vocab([b"a", b"b", b"c", b"d", b"bd"])
+        tables = _check_walk(grammar, vocab)
+        engine = MaskEngine(grammar, tables, vocab)
+        bd = vocab.tokens.index(b"bd")
+        assert engine._rows[engine.replay([0], 6).config].succ[bd] >= 0
+        state = engine.replay([0, 1], 6)
+        assert engine._rows[state.config].relex is not None and engine._rows[state.config].succ[bd] < 0
+        mask = engine.compute_mask(state)
+        assert mask[bd] and mask.tolist() == brute_force_mask(grammar, vocab, [0, 1], 6).tolist()
+        state = engine.advance(state, bd, mask)
+        a, b = ([t.name for t in grammar.terminals].index(name) for name in ("A", "B"))
+        assert state.stack == engine._commit(engine.new_session(6).stack, (a, b, b))
+        assert (state.remainder, state.lex_accept) == (b"d", None)
+
+    def test_number_tails_match_the_reference(self, json_grammar):
+        # In the bundled grammar "." and "e" leave a number pending with a
+        # tail; "5]" and "5," end one after the tail.
+        tokens = [b"[", b"]", b",", b"1", b".", b"e", b"+", b"5", b"5]", b"5,", b"e+", b".5", b"1."]
+        steps = build_step_table(json_grammar.lexer, make_vocab(tokens))
+        check_steps(steps, json_grammar.lexer, make_vocab(tokens))
+        assert sorted(tail for tail in steps.tails if tail) == [b".", b"e", b"e+"]
 
 
 def test_build_peak_memory_is_bounded(monkeypatch):
@@ -495,10 +540,11 @@ class TestCache:
         path = tmp_path / "p.cache"
         save_cache(paren_tables, path)
         raw = bytearray(path.read_bytes())
-        raw[4] = 99  # bump the version field
-        path.write_bytes(bytes(raw))
-        with pytest.raises(CacheVersionError):
-            load_cache(path)
+        for version in (3, 99):  # format 3 kept a row per tail the vocabulary reaches
+            raw[4] = version
+            path.write_bytes(bytes(raw))
+            with pytest.raises(CacheVersionError):
+                load_cache(path)
 
     def test_corrupt_magic_and_truncation(self, paren_tables, tmp_path):
         path = tmp_path / "p.cache"
@@ -616,6 +662,30 @@ class TestCache:
         with pytest.raises(CacheCorruptError, match=match):
             load_cache(path)
 
+    # In the table of "S: A B ; A: /a|abd/ ; B: /bc/ ;" over a, b, c, d,
+    # configuration 4 is A pending in lexer state 4 with the tail "b", and
+    # has no row; row 3 holds one entry, and lexer state 2 accepts A.
+    @pytest.mark.parametrize(
+        "field,index,value,match",
+        [
+            ("accepts", 4, struct.pack("<i", -1), "with a tail has a row or no pending accept"),
+            ("indptr", 4, struct.pack("<q", 5), "with a tail has a row or no pending accept"),
+            ("states", 4, struct.pack("<i", 2), "lexer state is not the grammar's"),
+            ("states", 3, struct.pack("<i", 3), "lexer state is not the grammar's"),
+        ],
+        ids=["no-accept", "with-a-row", "not-past-the-accept", "row-not-in-the-closure"],
+    )
+    def test_configuration_with_a_tail_is_corrupt(self, tmp_path, field, index, value, match):
+        grammar = parse_grammar("S: A B ; A: /a|abd/ ; B: /bc/ ;")
+        vocab = make_vocab([b"a", b"b", b"c", b"d"])
+        tables = build_cost_tables(grammar, vocab)
+        assert tables.steps.tails == (b"", b"", b"", b"", b"b")
+        path = tmp_path / "t.cache"
+        save_cache(tables, path)
+        edit_cache(path, step_offsets(tables)[field] + index * (8 if field.endswith("ptr") else 4), value)
+        with pytest.raises(CacheCorruptError, match=match):
+            MaskEngine(grammar, load_cache(path), vocab)
+
     @pytest.mark.parametrize("state", [4, 3, 1000], ids=["accepting", "not-extending", "past-the-lexer"])
     def test_configuration_not_the_lexers_is_corrupt(self, mini_grammar, mini_tables, tmp_path, state):
         # In range and checksummed, so it loads; the engine checks each
@@ -670,9 +740,9 @@ class TestCache:
     @pytest.mark.parametrize(
         "name,digest",
         [
-            ("paren", "982b4e949a9220fd05e4e49b752ddf45673df71907b2023d41714a6136472ae3"),
-            ("mini", "f5e6bf4194ad2f07988eccc029a2e153f0a7536af083a659edbc28a2f4d0d5a8"),
-            ("json", "5ce3b8bbc0fbcb275ad90f35aea09535de8ce5ad9d7b52b137b29af700a35951"),
+            ("paren", "375e127c5148e233587b1f510c27f8e24c5915015792db5ef8b6af0a7b115fcd"),
+            ("mini", "dbd4d60097102340acd6d5ae06ce6423931cb3c4d3799b9bbef2bf32232b975f"),
+            ("json", "b7d53e9a4d68a0164019e87fefa7aa75a6d8fafe042c8ceefa3eca0276194d10"),
         ],
         ids=["paren", "mini", "json"],
     )

@@ -14,7 +14,6 @@ from boundedgen.oracle import (
     brute_force_mask,
     brute_force_min_tokens,
     cfg_membership,
-    fits_two_terminals,
 )
 from boundedgen.vocab import Vocabulary
 
@@ -134,16 +133,3 @@ class TestOracleBudget:
             OracleBudget(max_total_tokens=0)
         with pytest.raises(ValueError):
             OracleBudget(max_depth=0)
-
-
-class TestFitsTwoTerminals:
-    def test_paren_spans(self, paren_grammar):
-        assert fits_two_terminals(paren_grammar, b"(")
-        assert fits_two_terminals(paren_grammar, b"(x")
-        assert not fits_two_terminals(paren_grammar, b"(x)")  # three terminals
-        assert not fits_two_terminals(paren_grammar, b"x))")
-
-    def test_json_spans(self, json_grammar):
-        assert fits_two_terminals(json_grammar, b'"key":'[:-1])  # inside string
-        assert fits_two_terminals(json_grammar, b'"key":')  # string then colon
-        assert not fits_two_terminals(json_grammar, b'"key":1')  # three terminals

@@ -15,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from boundedgen import costs as costs_module, engine as engine_module
+from boundedgen import engine as engine_module
 from boundedgen.costs import build_cost_tables
 from boundedgen.engine import BudgetError, EngineState, LexError, MaskEngine, ParseError
 from boundedgen.grammar import parse_grammar
@@ -73,8 +73,7 @@ def assert_completion(engine: MaskEngine, state: EngineState) -> None:
 
 
 def count_scans(monkeypatch) -> list[int]:
-    """A one-item list that counts the lexing passes of the engine and of
-    the row scans it asks ``costs`` for, from now on."""
+    """A one-item list that counts the engine's lexing passes from now on."""
     calls = [0]
     scan = engine_module.scan
 
@@ -82,8 +81,7 @@ def count_scans(monkeypatch) -> list[int]:
         calls[0] += 1
         return scan(*args, **kwargs)
 
-    for module in (engine_module, costs_module):
-        monkeypatch.setattr(module, "scan", counted)
+    monkeypatch.setattr(engine_module, "scan", counted)
     return calls
 
 
@@ -188,12 +186,12 @@ def test_completion_popping_below_the_window():
     # X and then one RP per ")".  "( ( x ) )" and "[ ( x ) )" end with the
     # same configuration, window (E, RP), but the final lexing pops three
     # cells: the cell below the window decides, RP completes and RB does not.
-    # The second check reads the first one's memo.
+    # The tail "))" decides the final lexing, so the row remembers none.
     grammar = parse_grammar(
         r"S: E ; E: X | Z | LP E RP | LB E RB ;"
         r" X: /x/ ; Z: /x\)*z/ ; LP: /\(/ ; RP: /\)/ ; LB: /\[/ ; RB: /\]/ ;"
     )
-    vocab = make_vocab([b"(", b"[", b"x", b")", b"]", b"z", b"zz"])  # "zz": the tail "))" is in the table
+    vocab = make_vocab([b"(", b"[", b"x", b")", b"]", b"z"])
     engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
     ends = []
     for text in (b"((x))", b"[(x))"):
@@ -201,11 +199,9 @@ def test_completion_popping_below_the_window():
         for token in vocab.tokenize(text):
             assert engine.compute_mask(state)[token]
             state = step_and_compare(engine, state, token)
-        ends.append((state.config, engine._row(state.config).eos is not None, engine.is_complete(state)))
+        ends.append((state.config, engine.is_complete(state), engine._rows[state.config].eos))
     assert ends[0][0] == ends[1][0]
-    assert [(remembered, complete) for _, remembered, complete in ends] == [
-        (True, True), (True, False),
-    ]
+    assert [(complete, remembered) for _, complete, remembered in ends] == [(True, None), (False, None)]
 
 
 def test_token_popping_below_the_window(setups):
@@ -257,7 +253,8 @@ def test_parse_error_before_lex_error(paren_grammar):
 def test_tail_after_the_last_accept_is_in_the_key():
     # After "abb" and "abbb" only ABC is alive, in one lexer state, and A is
     # the last accept; only the bytes after it tell how many B follow.  Both
-    # tails are longer than any token, so the states hold them themselves.
+    # states are in the row of that state and accept, and the key of the
+    # configuration they leave, lexed from the remainder, holds the tail.
     grammar = parse_grammar("S: A B B B | ABC ; ABC: /ab*c/ ; A: /a/ ; B: /b/ ;")
     vocab = make_vocab([b"a", b"b", b"c"])
     engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
@@ -268,9 +265,10 @@ def test_tail_after_the_last_accept_is_in_the_key():
             assert engine.compute_mask(state)[token]
             state = step_and_compare(engine, state, token)
         completes.append(engine.is_complete(state))
-        keys.append(engine._configuration(state.config))
+        keys.append((state.config, engine_module._key(state.lex_state, state.lex_accept, state.remainder)))
     assert completes == [False, True]
-    assert keys[0][:2] == keys[1][:2] and (keys[0][2], keys[1][2]) == (b"bb", b"bbb")
+    assert keys[0][0] == keys[1][0] and engine._configurations[keys[0][0]] == keys[0][1][:2] + (b"",)
+    assert keys[0][1][:2] == keys[1][1][:2] and (keys[0][1][2], keys[1][1][2]) == (b"bb", b"bbb")
 
 
 @pytest.mark.parametrize(
@@ -281,29 +279,29 @@ def test_tail_after_the_last_accept_is_in_the_key():
     ],
     ids=["abc", "a-bc-d"],
 )
-def test_rows_outside_the_table_stay_bounded(monkeypatch, text, tokens, piece, end):
+def test_rows_outside_the_table_stay_bounded(text, tokens, piece, end):
     # "a" leaves A pending, and each repetition of the piece grows the tail
-    # after it, so every tail is a configuration of its own, past the table,
-    # which the state holds itself; "end" closes the longer lexeme.  Over many sessions the engine keeps at
-    # most _BEYOND_ROWS rows outside the table (one here, while the sessions
-    # need two on the second grammar), and nothing else it holds grows with
-    # the tails; each step equals the scanned one.
-    monkeypatch.setattr(engine_module, "_BEYOND_ROWS", 1)
+    # after it without bound.  Every such state is in the row of its lexer
+    # state and A, with the tail in its remainder, so over many sessions
+    # the engine holds exactly the table's rows and no more configurations,
+    # and its memos stay bounded; each step equals the scanned one.
     grammar = parse_grammar(text)
     vocab = make_vocab(tokens)
     engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
-    table, a = len(engine._configurations), [t.name for t in grammar.terminals].index("A")
-    beyond = set()
-    for length in (20, 30, 15, 30):
+    steps = engine.tables.steps
+    rows = {s for s, tail in enumerate(steps.tails) if not tail}
+    a = [t.name for t in grammar.terminals].index("A")
+    finishes = None
+    for length in (20, 30, 15, 30, 25):
         state = engine.new_session(100)
         for token in vocab.tokenize(b"a" + piece * length):
             state = step_and_compare(engine, state, token, engine.compute_mask(state))
-            assert len(engine._beyond) <= 1
-            beyond |= set(engine._beyond)
-        assert state.config == (state.lex_state, a, piece * length)
+        assert engine._configurations[state.config] == (state.lex_state, a, b"")
+        assert state.lex_accept == (1, a) and engine._rows[state.config].relex is not None
         mask = engine.compute_mask(state)
         state = step_and_compare(engine, state, vocab.tokens.index(end), mask)
         assert state.remainder == b"" and engine.is_complete(state)
-    assert len(beyond) == len(piece)
-    assert len(engine._configurations) == table and len(engine._finishes) <= table
-    assert len(engine._rows) <= table and len(engine._need_memo) <= engine_module._NEED_MEMO_SIZE
+        assert set(engine._rows) == rows and len(engine._configurations) == len(steps.tails)
+        assert finishes in (None, len(engine._finishes))  # every way was found in the first session
+        finishes = len(engine._finishes)
+        assert len(engine._need_memo) <= engine_module._NEED_MEMO_SIZE
