@@ -19,7 +19,9 @@ moves.  A grammar's terminals are compiled together: one subset construction
 over all their positions gives one DFA whose states are labelled with the
 earliest-declared terminal accepting there.  That DFA is the lexer, and each
 terminal's automaton is it minimized with that terminal's labels accepting,
-so declaration order breaks ties for the costs exactly as for lexing.
+so declaration order breaks ties for the costs exactly as for lexing.  A
+minimal DFA is a quotient of the DFA it is minimized from, so minimization
+also gives each lexer state's state in every terminal's automaton.
 Concatenation runs the same subset construction over two DFAs' states.
 
 Every automaton is total: state 0 is the absorbing dead state, always
@@ -391,10 +393,12 @@ def _row_keys(a: np.ndarray) -> np.ndarray:
     return a.view(f"V{a.shape[1] * a.itemsize}").ravel()
 
 
-def _minimize(transitions: np.ndarray, accepting: np.ndarray) -> Dfa:
+def _minimize(transitions: np.ndarray, accepting: np.ndarray) -> tuple[Dfa, np.ndarray]:
     """Moore partition refinement of a table with DEAD as row 0 and the
     initial state as row 1; returns the canonical minimal Dfa, for the empty
-    language a dead state and an initial state that leads nowhere."""
+    language a dead state and an initial state that leads nowhere, and per
+    state of the table its state in that Dfa (a minimal DFA is a quotient of
+    the DFA it is minimized from)."""
     # Bytes with identical columns never separate two states.
     reduced = transitions[:, np.unique(_row_keys(transitions.T), return_index=True)[1]]
 
@@ -413,7 +417,9 @@ def _minimize(transitions: np.ndarray, accepting: np.ndarray) -> Dfa:
 
     dead, init = int(block[DEAD]), int(block[1])
     if init == dead:
-        return Dfa(np.zeros((2, _N_BYTES), dtype=np.int32), 1, np.zeros(2, dtype=bool))
+        states = np.zeros(len(block), dtype=np.int32)
+        states[1] = 1
+        return Dfa(np.zeros((2, _N_BYTES), dtype=np.int32), 1, np.zeros(2, dtype=bool)), states
     rep = np.unique(block, return_index=True)[1]
     quotient = block[transitions[rep]]
 
@@ -427,7 +433,7 @@ def _minimize(transitions: np.ndarray, accepting: np.ndarray) -> Dfa:
                 rows.append(j)
     new_id = np.zeros(n_blocks, dtype=np.int32)
     new_id[rows] = np.arange(len(rows))
-    return Dfa(new_id[quotient[rows]], 1, accepting[rep[rows]])
+    return Dfa(new_id[quotient[rows]], 1, accepting[rep[rows]]), new_id[block]
 
 
 # --- the terminals' labelled automaton ------------------------------------------
@@ -441,8 +447,9 @@ def parse_pattern(pattern: str) -> tuple:
     return _PatternParser(pattern).parse()
 
 
-def compile_lexer(trees: Sequence[tuple]) -> tuple[Lexer, tuple[Dfa, ...]]:
-    """The lexer and each terminal's automaton, from one labelled DFA.
+def compile_lexer(trees: Sequence[tuple]) -> tuple[Lexer, tuple[Dfa, ...], np.ndarray]:
+    """The lexer, each terminal's automaton, and each automaton's state at
+    every lexer state, from one labelled DFA.
 
     ``trees``, the terminals' parsed patterns in declaration order, give one
     position automaton: every byte set of every pattern is a position, and
@@ -454,6 +461,8 @@ def compile_lexer(trees: Sequence[tuple]) -> tuple[Lexer, tuple[Dfa, ...]]:
     accepting in ``q`` or -1, and ``extends[q]`` whether some byte leads to a
     live state.  Terminal ``t``'s automaton is that DFA minimized with the
     states labelled ``t`` accepting: exactly the strings the lexer labels ``t``.
+    Minimizing merges lexer states, so ``states[t, q]`` is the state of
+    ``t``'s automaton after any bytes that leave the lexer in ``q``.
     """
     sets, follow, accepts = [frozenset()], [set()], []  # position 0 is the start
     for tree in trees:
@@ -468,7 +477,10 @@ def compile_lexer(trees: Sequence[tuple]) -> tuple[Lexer, tuple[Dfa, ...]]:
     table, label = _determinize(moves, frozenset([0]), accepts, "lexer automaton")
     rows = tuple(array("i", row.tobytes()) for row in table)
     lexer = rows, tuple(label.tolist()), tuple((table != DEAD).any(axis=1).tolist())
-    return lexer, tuple(_minimize(table, label == t) for t in range(len(trees)))
+    minimized = [_minimize(table, label == t) for t in range(len(trees))]
+    states = np.array([m[1] for m in minimized], dtype=np.int32).reshape(len(trees), len(table))
+    states.setflags(write=False)
+    return lexer, tuple(m[0] for m in minimized), states
 
 
 def scan(lexer: Lexer, q: int, accept, data: bytes, pos: int, final: bool = False):
@@ -504,27 +516,6 @@ def scan(lexer: Lexer, q: int, accept, data: bytes, pos: int, final: bool = Fals
     return committed, start, q, accept, None
 
 
-def lexer_states(lexer: Lexer, dfa: Dfa) -> np.ndarray:
-    """Per lexer state, the state of ``dfa`` after the same bytes: one state
-    for all of them, since each terminal's automaton is the lexer with its
-    states merged (DEAD for a state the lexer never reaches)."""
-    trans = np.array(lexer[0], dtype=np.int32)
-    out = np.zeros(trans.shape[0], dtype=np.int32)
-    out[1] = dfa.initial
-    seen = np.zeros(trans.shape[0], dtype=bool)
-    seen[[DEAD, 1]] = True
-    frontier = np.array([1])
-    while frontier.size:  # breadth first, one parent and byte per new state
-        rows, byte = np.nonzero(trans[frontier])
-        new, first = np.unique(trans[frontier[rows], byte], return_index=True)
-        fresh = ~seen[new]
-        new, first = new[fresh], first[fresh]
-        out[new] = dfa.transitions[out[frontier[rows[first]]], byte[first]]
-        seen[new] = True
-        frontier = new
-    return out
-
-
 def compile_regex(pattern: str) -> Dfa:
     """The minimal byte-level DFA of ``pattern``: the one-terminal case of
     :func:`compile_lexer`, with the errors of :func:`parse_pattern` and
@@ -550,4 +541,4 @@ def dfa_concat(a: Dfa, b: Dfa) -> Dfa:
     if b.accepting[b.initial]:
         accept.update(ends)
     table, label = _determinize(moves, frozenset([a.initial]), [accept], "concatenation automaton")
-    return _minimize(table, label == 0)
+    return _minimize(table, label == 0)[0]

@@ -289,9 +289,6 @@ class MaskEngine:
         self._symbol_popped = [
             any(self._symbol_memo[sym, t] is _DERIVES_EMPTY for t in terminals) for sym in symbols
         ]
-        # window symbols (top first, see _window) -> _window_sequences: one
-        # entry per distinct window, whatever lies below it.
-        self._accseq_memo: dict[tuple[int, ...], tuple] = {}
         self._need_memo: dict[tuple, np.ndarray] = {}
         # The table's configurations, numbered; per configuration the row
         # it is priced by, its own or that of its lexer state and accept
@@ -302,8 +299,14 @@ class MaskEngine:
         # The rows past their accept, whose tail the table does not know.
         tails = np.array([len(tail) for tail in steps.tails])
         self._unknown = (steps.accepts >= 0) & (np.array(label)[steps.states] < 0) & (tails == 0)
+        # C of each terminal's automaton at each lexer state, and whether
+        # the automaton is alive there.
+        at = grammar.automaton_states
+        c = [tables.c[(b,)][at[b]] for b in range(grammar.n_terminals)]
+        self._c = np.array(c, dtype=np.int64).reshape(at.shape).T
+        self._alive = (at != DEAD).T
         self._finishes: dict[tuple[int, int, bytes], list] = {}
-        self._bridge: list | None = None
+        self._bridge = self._bridges()
         self._adjacent = adjacent_terminal_pairs(grammar, grammar.ll1)
         self._start_stack = self._push(EMPTY_STACK, (self._start_symbol,))
         self._rows: dict[int, _Row] = {}
@@ -394,39 +397,27 @@ class MaskEngine:
 
     def accept_sequences(self, stack: Stack) -> tuple[AcceptSequence, ...]:
         """Every (a) and (a, b) the parser accepts from ``stack``."""
-        window, below = self._window(stack)
+        terminals, prefixes = range(self.grammar.n_terminals), {}
         return tuple(
-            AcceptSequence(terms, min(INF, d_cost + below.cost))
-            for terms, d_cost in self._window_sequences(window)
+            AcceptSequence(terms, fed.cost)
+            for a in terminals
+            for terms in [(a,)] + [(a, b) for b in terminals]
+            if (fed := self._fed(stack, terms, prefixes)) is not None
         )
 
-    def _window_sequences(self, window: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Accept sequences of the stack ``window`` alone, as (terminals,
-        d_cost relative to the window); memoized."""
-        memo = self._accseq_memo.get(window)
-        if memo is None:
-            prefixes: dict = {}
-            memo = self._accseq_memo[window] = tuple(
-                (terms, fed.cost)
-                for a in range(self.grammar.n_terminals)
-                for terms in [(a,)] + [(a, b) for b in range(self.grammar.n_terminals)]
-                if (fed := self._fed_window(window, terms, prefixes)) is not None
-            )
-        return memo
-
-    def _fed_window(self, window: tuple[int, ...], terminals: tuple[int, ...], fed: dict) -> Stack | None:
-        """The stack ``window`` alone after feeding ``terminals``, or None
-        when the parse fails; ``fed`` holds the stacks of the prefixes fed
-        so far, shared by the sequences of one call."""
-        stack = fed.get(terminals, _MISSING)
-        if stack is _MISSING:
+    def _fed(self, stack: Stack, terminals: tuple[int, ...], prefixes: dict) -> Stack | None:
+        """``stack`` after feeding ``terminals``, or None when the parse
+        fails; ``prefixes`` holds the stacks of the prefixes fed so far,
+        shared by the sequences fed to one stack."""
+        fed = prefixes.get(terminals, _MISSING)
+        if fed is _MISSING:
             if terminals:
-                below = self._fed_window(window, terminals[:-1], fed)
-                stack = None if below is None else self.feed(below, terminals[-1])
+                below = self._fed(stack, terminals[:-1], prefixes)
+                fed = None if below is None else self.feed(below, terminals[-1])
             else:
-                stack = self._push(EMPTY_STACK, reversed(window))
-            fed[terminals] = stack
-        return stack
+                fed = stack
+            prefixes[terminals] = fed
+        return fed
 
     # -- lexing ----------------------------------------------------------------
 
@@ -501,9 +492,8 @@ class MaskEngine:
             if q == _LEX_INITIAL and accept < 0:
                 ways = [((), 0)]
             else:
-                c, states = self.tables.c, self.grammar.automaton_states
-                ways = [((b,), int(c[(b,)][at[q]])) for b, at in enumerate(states) if at[q] != DEAD]
-                ways += self._bridges()[self._index[q, accept, b""]]
+                ways = [((b,), int(self._c[q, b])) for b in np.flatnonzero(self._alive[q]).tolist()]
+                ways += self._bridge[self._index[q, accept, b""]]
             if tail:
                 committed, rest, q, last, error = self._scan(_LEX_INITIAL, None, b"", tail)
                 if error is None:
@@ -517,34 +507,32 @@ class MaskEngine:
         fewer tokens than a and then b apart, with that count: the fewest
         tokens that commit a and then finish b, where one token may cross
         from a into b.  A shortest path over the rows' distinct edges, each
-        successor read as the row that prices it, built on first use."""
-        if self._bridge is None:
-            steps, n_t = self.tables.steps, self.grammar.n_terminals
-            n, m = len(steps.tails), len(steps.commits)
-            states = self.grammar.automaton_states
-            pending = np.stack([self.tables.c[(b,)][states[b][steps.states]] for b in range(n_t)], axis=-1)
-            starts = np.repeat(np.arange(n, dtype=np.int64), np.diff(steps.indptr))
-            edges = np.unique((starts * m + steps.moves) * n + self._alias[steps.succs])
-            source, move, target = edges // (m * n), edges // n % m, edges % n
-            cost = np.full((n, n_t, n_t), INF, dtype=np.int64)
-            for s, terms, t in zip(source.tolist(), move.tolist(), target.tolist()):
-                terms = steps.commits[terms][0]
-                if len(terms) == 1:  # a committed, b still to finish
-                    cost[s, terms[0]] = np.minimum(cost[s, terms[0]], 1 + pending[t])
-                elif len(terms) == 2 and t == 0:  # both finished by this token
-                    cost[s][terms] = 1
-            free = move == 0
-            while True:  # tokens that commit nothing, one more at a time
-                relaxed = cost.copy()
-                np.minimum.at(relaxed, source[free], 1 + cost[target[free]])
-                if np.array_equal(relaxed, cost):
-                    break
-                cost = relaxed
-            apart = pending[:, :, None] + pending[0][None, None, :]
-            self._bridge = [[] for _ in range(n)]
-            for s, a, b in zip(*np.nonzero(cost < np.minimum(apart, INF))):
-                self._bridge[s].append(((int(a), int(b)), int(cost[s, a, b])))
-        return self._bridge
+        successor read as the row that prices it."""
+        steps, n_t = self.tables.steps, self.grammar.n_terminals
+        n, m = len(steps.tails), len(steps.commits)
+        pending = self._c[steps.states]
+        starts = np.repeat(np.arange(n, dtype=np.int64), np.diff(steps.indptr))
+        edges = np.unique((starts * m + steps.moves) * n + self._alias[steps.succs])
+        source, move, target = edges // (m * n), edges // n % m, edges % n
+        cost = np.full((n, n_t, n_t), INF, dtype=np.int64)
+        for s, terms, t in zip(source.tolist(), move.tolist(), target.tolist()):
+            terms = steps.commits[terms][0]
+            if len(terms) == 1:  # a committed, b still to finish
+                cost[s, terms[0]] = np.minimum(cost[s, terms[0]], 1 + pending[t])
+            elif len(terms) == 2 and t == 0:  # both finished by this token
+                cost[s][terms] = 1
+        free = move == 0
+        while True:  # tokens that commit nothing, one more at a time
+            relaxed = cost.copy()
+            np.minimum.at(relaxed, source[free], 1 + cost[target[free]])
+            if np.array_equal(relaxed, cost):
+                break
+            cost = relaxed
+        apart = pending[:, :, None] + pending[0][None, None, :]
+        bridge = [[] for _ in range(n)]
+        for s, a, b in zip(*np.nonzero(cost < np.minimum(apart, INF))):
+            bridge[s].append(((int(a), int(b)), int(cost[s, a, b])))
+        return bridge
 
     def _row(self, config: int) -> _Row:
         """The step table's row ``config``, spread over the vocabulary, its
@@ -640,13 +628,12 @@ class MaskEngine:
         and that C, or None when no candidate parses.
         """
         row = self._rows[state.config]
-        window, below = self._window(state.stack, row.depth)
         best: list = [None] * row.groups
         prefixes: dict = {}
         for g, terms, cost in zip(row.group, row.terms, row.cost):
-            fed = self._fed_window(window, terms, prefixes)
+            fed = self._fed(state.stack, terms, prefixes)
             if fed is not None:
-                total = cost + min(INF, fed.cost + below.cost)
+                total = cost + fed.cost
                 if best[g] is None or total < best[g][0]:
                     best[g] = (total, terms, cost)
         return row, best
@@ -761,8 +748,7 @@ class MaskEngine:
         """Consume one admitted token and return the successor state."""
         if state.finished:
             raise EngineError("session already emitted end-of-sequence")
-        if not 0 <= token < self.vocab.size:
-            raise MaskedTokenError(f"token id {token} out of range")
+        self._check_id(token)
         if mask is None:
             mask = self.compute_mask(state)
         if not mask[token]:
@@ -774,13 +760,20 @@ class MaskEngine:
     def replay(self, token_ids, budget: int) -> EngineState:
         """Rebuild a session from raw tokens without mask or budget checks.
 
-        Raises LexError/ParseError when the bytes do not lex or parse; used
-        for loading externally supplied prefixes and for validity checks.
+        Raises MaskedTokenError for an id outside the vocabulary and
+        LexError/ParseError when the bytes do not lex or parse; used for
+        loading externally supplied prefixes and for validity checks.
         """
         state = self._fresh_state(budget)
         for token in token_ids:
+            self._check_id(token)
             state = self._step(state, token)
         return state
+
+    def _check_id(self, token: int) -> None:
+        """MaskedTokenError unless ``token`` is a vocabulary id."""
+        if not 0 <= token < self.vocab.size:
+            raise MaskedTokenError(f"token id {token} out of range")
 
     def _step(self, state: EngineState, token: int) -> EngineState:
         """Successor state after ``token``; the only place a token's bytes

@@ -26,7 +26,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from boundedgen.dfa import Dfa, Lexer, RegexError, compile_lexer, lexer_states, parse_pattern
+import numpy as np
+
+from boundedgen.dfa import Dfa, Lexer, RegexError, compile_lexer, parse_pattern
 
 END = -1
 EPSILON_MARK = "ε"
@@ -89,9 +91,10 @@ class Grammar:
     start: int  # nonterminal id
     source_hash: str
     lexer: Lexer = field(repr=False, compare=False)  # see dfa.compile_lexer
-    # Built on first use.  Fields, not cached_property: writing __dict__ slows every read.
+    # [terminal, lexer state] -> the state of the terminal's automaton there.
+    automaton_states: np.ndarray = field(repr=False, compare=False)
+    # Built on first use.  A field, not cached_property: writing __dict__ slows every read.
     _ll1: Ll1Table | None = field(default=None, init=False, repr=False, compare=False)
-    _states: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_terminals(self) -> int:
@@ -127,15 +130,6 @@ class Grammar:
         if self._ll1 is None:
             object.__setattr__(self, "_ll1", build_ll1_table(self))
         return self._ll1
-
-    @property
-    def automaton_states(self) -> tuple:
-        """Per terminal, its automaton's state at each lexer state (see
-        ``dfa.lexer_states``); shared by every engine on this grammar."""
-        if self._states is None:
-            states = tuple(lexer_states(self.lexer, t.dfa) for t in self.terminals)
-            object.__setattr__(self, "_states", states)
-        return self._states
 
 
 @dataclass(frozen=True)
@@ -259,7 +253,7 @@ def parse_grammar(text: str) -> Grammar:
             trees.append(parse_pattern(pattern))
         except RegexError as exc:
             raise GrammarError(f"terminal {name!r}: {exc}") from exc
-    lexer, dfas = compile_lexer(trees)
+    lexer, dfas, automaton_states = compile_lexer(trees)
     if (empty := lexer[1][1]) >= 0:  # the label of the initial state
         raise GrammarError(
             f"terminal {term_decls[empty][0]!r} matches the empty string; "
@@ -302,6 +296,7 @@ def parse_grammar(text: str) -> Grammar:
         start=0,
         source_hash=digest,
         lexer=lexer,
+        automaton_states=automaton_states,
     )
 
 

@@ -121,12 +121,13 @@ class TestPairCosts:
 class TestGrammarCache:
     def test_tables_share_what_the_grammar_determines(self, monkeypatch):
         # The LL(1) table and the lexer's map onto the terminals' automata
-        # are built once per grammar; no table builds a pair automaton.
+        # are built once per grammar, the map by the minimizations that
+        # parsing runs; no table builds a pair automaton.
         from boundedgen import dfa, grammar as grammar_module
 
-        calls = {"dfa_concat": 0, "build_ll1_table": 0, "lexer_states": 0}
+        calls = {"dfa_concat": 0, "build_ll1_table": 0, "_minimize": 0}
         for module, name in ((costs, "dfa_concat"), (grammar_module, "build_ll1_table"),
-                             (grammar_module, "lexer_states")):
+                             (dfa, "_minimize")):
             real = getattr(module, name)
 
             def counted(*args, _real=real, _name=name):
@@ -143,7 +144,7 @@ class TestGrammarCache:
             engine.compute_mask(engine.new_session(12))
         assert first.keys == second.keys == tuple((t,) for t in range(g.n_terminals))
         assert all(first.automata[key] is second.automata[key] for key in first.keys)
-        assert calls == {"dfa_concat": 0, "build_ll1_table": 1, "lexer_states": g.n_terminals}
+        assert calls == {"dfa_concat": 0, "build_ll1_table": 1, "_minimize": g.n_terminals}
 
 
 class TestNonterminalCosts:

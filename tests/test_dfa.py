@@ -167,16 +167,22 @@ class TestCompile:
 class TestAgainstRe:
     """Random patterns, alone and as lexers of up to three, against ``re``
     on every string of up to four bytes over the patterns' bytes ("é" is
-    C3 A9)."""
+    C3 A9); each automaton's state after a string is the one its map names
+    at the lexer's state."""
 
     STRINGS = list(all_strings([b"a", b"b", b"c", b"\x00", b"\xc3", b"\xa9"], 4))
 
     def test_random_patterns_match_like_re(self):
         rng = random.Random(16)
-        for _ in range(120):
-            patterns = [_random_pattern(rng, 0) for _ in range(rng.randint(1, 3))]
+        # The first pattern takes every string of the second, whose
+        # automaton is then empty: its map keeps the initial state.
+        cases = [["a|b", "a"]] + [
+            [_random_pattern(rng, 0) for _ in range(rng.randint(1, 3))] for _ in range(120)
+        ]
+        for patterns in cases:
             oracles = [re.compile(p.encode()) for p in patterns]
-            (rows, labels, _), automata = dfa.compile_lexer([dfa.parse_pattern(p) for p in patterns])
+            (rows, labels, _), automata, states = dfa.compile_lexer([dfa.parse_pattern(p) for p in patterns])
+            assert states.shape == (len(patterns), len(rows)), patterns
             for s in self.STRINGS:
                 matched = [bool(o.fullmatch(s)) for o in oracles]
                 # The lexer labels s with the earliest pattern that matches it.
@@ -187,6 +193,7 @@ class TestAgainstRe:
                 assert [d.matches(s) for d in automata] == [
                     i == labels[q] for i in range(len(patterns))
                 ], (patterns, s)
+                assert [d.run(d.initial, s) for d in automata] == states[:, q].tolist(), (patterns, s)
 
 
 class TestRun:

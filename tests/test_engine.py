@@ -200,10 +200,10 @@ class TestSymbolMemo:
             engine.accept_sequences(state.stack)
             state = engine.replay([lb] * depth + [rb] * depth, budget=4 * depth)
             assert engine.is_complete(state)
-            sizes.append((len(engine._symbol_memo), len(engine._accseq_memo)))
+            sizes.append(len(engine._symbol_memo))
         g = json_grammar
         assert sizes[0] == sizes[1] == sizes[2]
-        assert sizes[0][0] <= (g.n_terminals + g.n_nonterminals) * g.n_terminals
+        assert sizes[0] <= (g.n_terminals + g.n_nonterminals) * g.n_terminals
 
 
 class TestPersistentStack:
@@ -327,9 +327,9 @@ class TestPersistentStack:
             assert engine.accept_sequences(state.stack)
             assert len(engine._window(state.stack)[0]) == 2
             engine.compute_mask(state)
-            sizes.append((len(engine._accseq_memo), engine._window(state.stack, engine._row(state.config).depth)[0]))
+            sizes.append(engine._window(state.stack, engine._row(state.config).depth)[0])
             assert engine.is_complete(state)
-        assert sizes[0] == sizes[1] and sizes[0][0] == 1
+        assert sizes[0] == sizes[1]
 
     def test_depth_5000_without_recursion_error(self, json_engine, json_vocab):
         lb, rb = json_vocab.tokens.index(b"["), json_vocab.tokens.index(b"]")
@@ -779,6 +779,19 @@ class TestAdvance:
         with pytest.raises(MaskedTokenError):
             paren_engine.advance(state, 2)  # ")" from a fresh session
 
+    def test_token_ids_outside_the_vocabulary_rejected(self, json_engine, json_vocab):
+        # Negative ids would index from the end, and V and beyond past it.
+        size = json_vocab.size
+        state = json_engine.new_session(10)
+        prefix = json_vocab.tokenize(b"[")
+        for token in (-1, -2, size, size + 5):
+            with pytest.raises(MaskedTokenError, match="out of range"):
+                json_engine.advance(state, token)
+            with pytest.raises(MaskedTokenError, match="out of range"):
+                json_engine.replay([token], 10)
+            with pytest.raises(MaskedTokenError, match="out of range"):
+                json_engine.replay(prefix + [token], 10)
+
     def test_advance_is_immutable(self, paren_engine):
         state = paren_engine.new_session(4)
         out = paren_engine.advance(state, 0)
@@ -1061,6 +1074,18 @@ class TestBridgeTokens:
             ids = vocab.tokenize(prefix)
             state = engine.replay(ids, len(ids) + budget)
             assert engine.mask_report(state) == reference_report(engine, state), (prefix, budget)
+
+    def test_long_pending_tail(self):
+        # After "a" and 1,500 "b" tokens the A accept is long past: the tail
+        # lexes afresh into 1,499 B terminals, more than the default
+        # recursion limit, and is committed on every mask.
+        grammar = parse_grammar(ABC_GRAMMAR)
+        vocab = Vocabulary([b"a", b"b", b"c", b"d"], eos=4)
+        engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
+        for left in (1, 2, 5):
+            short, long = (engine.replay([0] + [1] * k, 1 + k + left) for k in (5, 1500))
+            assert engine.compute_mask(long).tolist() == engine.compute_mask(short).tolist(), left
+            assert engine.mask_report(long) == reference_report(engine, long), left
 
 
 class TestProgress:

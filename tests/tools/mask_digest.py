@@ -1,10 +1,12 @@
 """Digests of the engine's masks over seeded admitted walks, one per setup.
 
 Each walk starts a session at a seeded budget and, at every step, hashes
-``compute_mask``, ``mask_report``, ``is_complete`` and the state's
-``remainder``, ``lex_state``, ``lex_accept`` and stack, then advances on a
-seeded admitted token.  Only public engine API is read, so the script runs
-unchanged on two checkouts; equal digests mean equal masks and reports:
+``compute_mask``, ``mask_report``, ``is_complete``, the accept sequences
+of the state's stack as (terminals, d_cost), ``text_is_complete`` of the
+bytes emitted so far and the state's ``remainder``, ``lex_state``,
+``lex_accept`` and stack, then advances on a seeded admitted token.  Only
+public engine API is read, so the script runs unchanged on two checkouts;
+equal digests mean equal masks and reports:
 
     python tests/tools/mask_digest.py > before.txt   # in the first checkout
     python tests/tools/mask_digest.py > after.txt    # in the second
@@ -77,13 +79,19 @@ def digest(grammar, vocab, walks: int, seed: int = 0) -> str:
         except BudgetError as exc:
             h.update(repr(exc).encode())
             continue
+        emitted = b""
         while not state.finished:
             mask = engine.compute_mask(state)
             h.update(mask.tobytes())
             h.update(repr(engine.mask_report(state)).encode())
             h.update(repr((engine.is_complete(state), state.remainder, state.lex_state,
                            state.lex_accept, tuple(state.stack))).encode())
-            state = engine.advance(state, rng.choice(np.flatnonzero(mask).tolist()), mask)
+            h.update(repr([(s.terminals, s.d_cost) for s in engine.accept_sequences(state.stack)]).encode())
+            h.update(repr(engine.text_is_complete(emitted)).encode())
+            token = rng.choice(np.flatnonzero(mask).tolist())
+            state = engine.advance(state, token, mask)
+            if token != vocab.eos:
+                emitted += vocab.tokens[token]
             steps += 1
     return f"{h.hexdigest()[:16]} ({steps} steps)"
 
