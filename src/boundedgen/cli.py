@@ -140,7 +140,7 @@ def cmd_mask(args) -> int:
         with open(args.prefix_file, "rb") as fh:
             prefix = fh.read()
     else:
-        prefix = args.prefix.encode("utf-8")
+        prefix = (args.prefix or "").encode("utf-8")
     try:
         ids = vocab.tokenize(prefix)
         state = engine.replay(ids, args.budget)
@@ -230,15 +230,17 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--model", default="uniform", help="uniform | ngram:<corpus> | scripted:<file> | verbose-bias:<factor>")
     g.add_argument("--prompt-file", help="file whose bytes condition the model")
     g.add_argument("--strategy", default="greedy", help="greedy | beam:<b> | mcts:<trials>,<c_puct>,<tau>")
-    g.add_argument("--budget", type=int, help="hard token budget including eos")
-    g.add_argument("--ratio", type=float, help="budget = floor(ref-len * ratio)")
+    budget = g.add_mutually_exclusive_group()
+    budget.add_argument("--budget", type=int, help="hard token budget including eos")
+    budget.add_argument("--ratio", type=float, help="budget = floor(ref-len * ratio)")
     g.add_argument("--ref-len", type=int, help="reference length for --ratio")
     g.set_defaults(func=cmd_generate)
 
     m = sub.add_parser("mask", parents=[common], help="explain the mask for a prefix")
     m.add_argument("--cache", required=True)
-    m.add_argument("--prefix", default="", help="prefix text")
-    m.add_argument("--prefix-file", help="read the prefix from a file")
+    prefix = m.add_mutually_exclusive_group()
+    prefix.add_argument("--prefix", help="prefix text (default empty)")
+    prefix.add_argument("--prefix-file", help="read the prefix from a file")
     m.add_argument("--budget", type=int, required=True)
     m.set_defaults(func=cmd_mask)
 
@@ -247,8 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--model", default="uniform")
     e.add_argument("--tasks", required=True, help="JSON-lines task file")
     e.add_argument("--strategy", action="append", help="repeatable; default greedy")
-    e.add_argument("--ratio", action="append", type=float, help="repeatable expansion ratio")
-    e.add_argument("--budget", type=int, help="fixed budget instead of ratios")
+    budget = e.add_mutually_exclusive_group()
+    budget.add_argument("--ratio", action="append", type=float, help="repeatable expansion ratio")
+    budget.add_argument("--budget", type=int, help="fixed budget instead of ratios")
     e.add_argument("--format", choices=["text", "csv", "json-lines"], default="text")
     e.add_argument("--out", help="write the report here instead of stdout")
     e.set_defaults(func=cmd_eval)

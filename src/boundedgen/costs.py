@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from boundedgen.dfa import DEAD, INF, STATE_CAP, Dfa, Lexer, StateLimitError, dfa_concat
+from boundedgen.dfa import DEAD, INF, INITIAL, STATE_CAP, Dfa, Lexer, StateLimitError, dfa_concat
 from boundedgen.grammar import Grammar, adjacent_terminal_pairs
 from boundedgen.vocab import Vocabulary
 
@@ -143,7 +143,6 @@ class CostTables:
 # --- token transitions -------------------------------------------------------
 
 _BLOCK_PAIRS = 1 << 14  # about this many seeded (state, token) pairs per block of the walk
-_LEX_INITIAL = 1  # the lexer automaton's initial state
 
 
 def _layout(vocab: Vocabulary) -> tuple[np.ndarray, ...]:
@@ -303,7 +302,7 @@ def byte_closure(lexer: Lexer) -> list[tuple[int, int]]:
     trans, label = np.array(lexer[0], dtype=np.int64), np.array(lexer[1], dtype=np.int64)
     extends = np.array(lexer[2], dtype=bool)
     width = int(label.max()) + 2  # accept terminals, -1 included, in a pair's code
-    seen = frontier = np.array([_LEX_INITIAL * width])
+    seen = frontier = np.array([INITIAL * width])
     while frontier.size:
         q, a = np.divmod(frontier, width)
         after = trans[q]
@@ -376,7 +375,7 @@ class Scanner:
         lexeme."""
         states, accepts = (np.array([key[i] for key in keys], dtype=np.int32) for i in (0, 1))
         seed = self.trans[states] != DEAD
-        seed[(accepts >= 0) & (self.label[states] == accepts)] |= self.trans[_LEX_INITIAL] != DEAD
+        seed[(accepts >= 0) & (self.label[states] == accepts)] |= self.trans[INITIAL] != DEAD
         return seed
 
     def rows(self, keys: list[tuple], config_id, commit_id) -> tuple[np.ndarray, ...]:
@@ -441,7 +440,7 @@ class Scanner:
                 lambda code: _number(index, befores, befores[code // width] + (code % width,)),
             )
             k, t, off = k[again], t[again], np.where(own, end, off)[again]
-            q, acc = np.full(t.size, _LEX_INITIAL, dtype=np.int32), np.full(t.size, -1, dtype=np.int32)
+            q, acc = np.full(t.size, INITIAL, dtype=np.int32), np.full(t.size, -1, dtype=np.int32)
         empty = np.empty(0, dtype=np.int32)
         k, t, succ, move = (np.concatenate([empty] + [p[i] for p in parts]) for i in range(4))
         order = np.lexsort((t, k))
@@ -636,7 +635,7 @@ def _step_table(reader: _Reader, n_terminals: int) -> StepTable:
     terms = reader.array("<i4", int(commit_ptr[-1]))
     if any(ptr[0] or (np.diff(ptr) < 0).any() for ptr in (tail_ptr, indptr, commit_ptr)):
         raise CacheCorruptError("step-table pointers do not start at 0 and rise")
-    if not n_configs or (states[0], accepts[0], tail_ptr[1]) != (1, -1, 0):
+    if not n_configs or (states[0], accepts[0], tail_ptr[1]) != (INITIAL, -1, 0):
         raise CacheCorruptError("configuration 0 is not the initial one")
     if (states <= DEAD).any() or ((accepts < -1) | (accepts >= n_terminals)).any():
         raise CacheCorruptError("configuration out of range")

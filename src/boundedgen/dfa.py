@@ -5,8 +5,9 @@ literals expand to byte sequences, so automata stay deterministic even when
 vocabulary tokens split codepoints.  The supported syntax is a regular-only
 subset: literals, character classes (negation, ranges, ``\\xNN`` byte
 escapes), ``* + ?``, alternation, grouping and escapes.  Backreferences,
-lookaround, ``.``, anchors and bounded repetition are rejected with an error
-naming the construct.
+lookaround, ``.``, anchors, bounded repetition and stacked quantifiers (lazy
+``+?``, possessive ``*+``, nested ``**``) are rejected with an error naming
+the construct.
 
 An unescaped ``[`` with no matching ``]`` and a ``]`` outside any class are
 taken literally, so single-character structural terminals like ``[`` compile
@@ -15,13 +16,15 @@ without escaping.
 Patterns become position automata (Glushkov; Berry and Sethi 1986): each
 byte set of a pattern is a state, and a state moves on a byte to the
 positions that may follow it and hold that byte, so there are no epsilon
-moves.  A grammar's terminals are compiled together: one subset construction
-over all their positions gives one DFA whose states are labelled with the
-earliest-declared terminal accepting there.  That DFA is the lexer, and each
-terminal's automaton is it minimized with that terminal's labels accepting,
-so declaration order breaks ties for the costs exactly as for lexing.  A
-minimal DFA is a quotient of the DFA it is minimized from, so minimization
-also gives each lexer state's state in every terminal's automaton.
+moves.  The parser computes the positions, and what may follow each, as
+it reads the pattern.  A grammar's terminals are compiled together: one
+subset construction over all their positions gives one DFA whose states are
+labelled with the earliest-declared terminal accepting there.  That DFA is
+the lexer, and each terminal's automaton is it minimized with that
+terminal's labels accepting, so declaration order breaks ties for the costs
+exactly as for lexing.  A minimal DFA is a quotient of the DFA it is
+minimized from, so minimization also gives each lexer state's state in
+every terminal's automaton.
 Concatenation runs the same subset construction over two DFAs' states.
 
 Every automaton is total: state 0 is the absorbing dead state, always
@@ -37,6 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 DEAD = 0
+INITIAL = 1  # the initial state of every automaton built here
 
 # Sentinel for "no token sequence reaches acceptance".  Large enough to
 # dominate any real budget, small enough that sums of a few of them stay
@@ -50,7 +54,8 @@ STATE_CAP = 10_000  # reachable states of any automaton built here; beyond, Stat
 
 
 class RegexError(ValueError):
-    """Malformed or unsupported pattern."""
+    """Malformed or unsupported pattern.  Raised by :func:`compile_lexer`, it
+    carries the failing pattern's place in its list as ``pattern_index``."""
 
 
 class EmptyLanguageError(RegexError):
@@ -126,10 +131,7 @@ class Dfa:
         return f"Dfa(states={self.n_states}, initial={self.initial}, accepting={accepting})"
 
 
-# --- pattern parsing -------------------------------------------------------
-#
-# AST nodes: ("set", frozenset[int]) | ("seq", [nodes]) | ("alt", [nodes])
-#            | ("star", node) | ("plus", node) | ("opt", node)
+# --- pattern parsing ---------------------------------------------------------
 
 _ESCAPES = {
     "n": ord("\n"),
@@ -150,9 +152,22 @@ _UNSUPPORTED = {
 
 
 class _PatternParser:
-    def __init__(self, pattern: str):
+    """Reads one pattern straight into positions (Berry and Sethi 1986).
+
+    Each byte set read becomes a position: its bytes go on ``sets``, and
+    ``follow`` gets the positions that may come right after it.  Every
+    ``parse_*`` method returns, for what it read, whether it matches the
+    empty string and its first and last positions.  Positions are numbered
+    in the order the pattern's text gives them.  At most one quantifier
+    follows an atom: a second (lazy ``+?``, possessive ``*+``, nested
+    ``**``) is rejected rather than read as a nested repeat.
+    """
+
+    def __init__(self, pattern: str, sets: list, follow: list):
         self.pattern = pattern
         self.pos = 0
+        self.sets = sets
+        self.follow = follow
 
     def error(self, message: str) -> RegexError:
         return RegexError(f"{message} at index {self.pos} in pattern {self.pattern!r}")
@@ -160,42 +175,54 @@ class _PatternParser:
     def peek(self) -> str | None:
         return self.pattern[self.pos] if self.pos < len(self.pattern) else None
 
-    def parse(self):
-        node = self.parse_alt()
+    def parse(self) -> tuple[bool, set[int], set[int]]:
+        result = self.parse_alt()
         if self.pos != len(self.pattern):
             raise self.error(f"unexpected {self.pattern[self.pos]!r}")
-        return node
+        return result
 
     def parse_alt(self):
-        branches = [self.parse_seq()]
+        nullable, first, last = self.parse_seq()
         while self.peek() == "|":
             self.pos += 1
-            branches.append(self.parse_seq())
-        return branches[0] if len(branches) == 1 else ("alt", branches)
+            n, f, l = self.parse_seq()
+            nullable, first, last = nullable or n, first | f, last | l
+        return nullable, first, last
 
     def parse_seq(self):
-        items = []
-        while True:
-            c = self.peek()
-            if c is None or c in "|)":
-                break
-            items.append(self.parse_repeat())
-        return ("seq", items)
+        result = True, set(), set()
+        while (c := self.peek()) is not None and c not in "|)":
+            result = self.concat(result, self.parse_repeat())
+        return result
+
+    def concat(self, a, b):
+        """``a`` then ``b``: the last positions of ``a`` move to the first
+        positions of ``b``."""
+        (na, fa, la), (nb, fb, lb) = a, b
+        for p in la:
+            self.follow[p] |= fb
+        return na and nb, fa | fb if na else fa, la | lb if nb else lb
+
+    def position(self, byteset: frozenset[int]):
+        self.sets.append(byteset)
+        self.follow.append(set())
+        return False, {len(self.sets) - 1}, {len(self.sets) - 1}
 
     def parse_repeat(self):
-        node = self.parse_atom()
-        while True:
-            c = self.peek()
-            if c == "*":
-                node = ("star", node)
-            elif c == "+":
-                node = ("plus", node)
-            elif c == "?":
-                node = ("opt", node)
-            else:
-                break
-            self.pos += 1
-        return node
+        nullable, first, last = self.parse_atom()
+        c = self.peek()
+        if c is None or c not in "*+?":
+            return nullable, first, last
+        self.pos += 1
+        if (again := self.peek()) is not None and again in "*+?":
+            raise RegexError(
+                f"unsupported construct stacked quantifier {c + again!r} (lazy, possessive "
+                f"or nested repetition) at index {self.pos} in pattern {self.pattern!r}"
+            )
+        if c != "?":
+            for p in last:
+                self.follow[p] |= first
+        return nullable or c != "+", first, last
 
     def parse_atom(self):
         c = self.peek()
@@ -210,28 +237,25 @@ class _PatternParser:
                     f"at index {self.pos} in pattern {self.pattern!r}"
                 )
             self.pos += 1
-            node = self.parse_alt()
+            result = self.parse_alt()
             if self.peek() != ")":
                 raise self.error("unbalanced '('")
             self.pos += 1
-            return node
+            return result
         if c == "[":
-            return self.parse_class()
+            return self.position(self.parse_class())
         if c == "\\":
-            return ("set", frozenset([self.parse_escape(in_class=False)]))
+            return self.position(frozenset([self.parse_escape(in_class=False)]))
         if c in _UNSUPPORTED:
             raise RegexError(
                 f"unsupported construct {_UNSUPPORTED[c]} at index {self.pos} "
                 f"in pattern {self.pattern!r}"
             )
         self.pos += 1
-        return self._literal(c)
-
-    def _literal(self, ch: str):
-        encoded = ch.encode("utf-8")
-        if len(encoded) == 1:
-            return ("set", frozenset([encoded[0]]))
-        return ("seq", [("set", frozenset([b])) for b in encoded])
+        result = True, set(), set()
+        for b in c.encode("utf-8"):
+            result = self.concat(result, self.position(frozenset([b])))
+        return result
 
     def _class_is_terminated(self) -> bool:
         i = self.pos + 1
@@ -244,11 +268,11 @@ class _PatternParser:
             i += 1
         return False
 
-    def parse_class(self):
+    def parse_class(self) -> frozenset[int]:
         if not self._class_is_terminated():
             # Lone '[' is taken literally (structural terminals).
             self.pos += 1
-            return ("set", frozenset([ord("[")]))
+            return frozenset([ord("[")])
         self.pos += 1
         negate = False
         if self.peek() == "^":
@@ -278,7 +302,7 @@ class _PatternParser:
             raise EmptyLanguageError(
                 f"character class excludes every byte in pattern {self.pattern!r}"
             )
-        return ("set", result)
+        return result
 
     def parse_class_member(self) -> int:
         c = self.peek()
@@ -320,36 +344,6 @@ class _PatternParser:
 # --- position automata and determinization ----------------------------------
 
 
-def _positions(node, sets: list, follow: list) -> tuple[bool, set[int], set[int]]:
-    """Whether ``node`` matches the empty string, and its first and last
-    positions.  Each byte set of ``node`` becomes a position: its bytes go on
-    ``sets``, and ``follow`` gets the positions that may come right after it."""
-    kind = node[0]
-    if kind == "set":
-        sets.append(node[1])
-        follow.append(set())
-        return False, {len(sets) - 1}, {len(sets) - 1}
-    if kind == "alt":
-        nullable, first, last = zip(*(_positions(child, sets, follow) for child in node[1]))
-        return any(nullable), set().union(*first), set().union(*last)
-    if kind == "seq":
-        nullable, first, last = True, set(), set()
-        for child in node[1]:
-            n, f, l = _positions(child, sets, follow)
-            for p in last:
-                follow[p] |= f
-            if nullable:
-                first |= f
-            last = last | l if n else l
-            nullable &= n
-        return nullable, first, last
-    nullable, first, last = _positions(node[1], sets, follow)  # star, plus, opt
-    if kind != "opt":
-        for p in last:
-            follow[p] |= first
-    return nullable or kind != "plus", first, last
-
-
 def _determinize(
     moves: Sequence[dict[int, Iterable[int]]],
     start: frozenset[int],
@@ -361,7 +355,7 @@ def _determinize(
     DEAD (the empty subset) as row 0 and the start subset as row 1, and per
     state the index of the first of ``accepts`` it meets (-1 for none).
     StateLimitError, naming ``name``, past STATE_CAP."""
-    ids: dict[frozenset[int], int] = {start: 1}
+    ids: dict[frozenset[int], int] = {start: INITIAL}
     order = [start]
     rows, label = [np.zeros(_N_BYTES, dtype=np.int32)], [-1]
     for current in order:  # grows while it is walked
@@ -415,11 +409,11 @@ def _minimize(transitions: np.ndarray, accepting: np.ndarray) -> tuple[Dfa, np.n
             break
         n_blocks = len(distinct)
 
-    dead, init = int(block[DEAD]), int(block[1])
+    dead, init = int(block[DEAD]), int(block[INITIAL])
     if init == dead:
         states = np.zeros(len(block), dtype=np.int32)
-        states[1] = 1
-        return Dfa(np.zeros((2, _N_BYTES), dtype=np.int32), 1, np.zeros(2, dtype=bool)), states
+        states[INITIAL] = INITIAL
+        return Dfa(np.zeros((2, _N_BYTES), dtype=np.int32), INITIAL, np.zeros(2, dtype=bool)), states
     rep = np.unique(block, return_index=True)[1]
     quotient = block[transitions[rep]]
 
@@ -433,7 +427,7 @@ def _minimize(transitions: np.ndarray, accepting: np.ndarray) -> tuple[Dfa, np.n
                 rows.append(j)
     new_id = np.zeros(n_blocks, dtype=np.int32)
     new_id[rows] = np.arange(len(rows))
-    return Dfa(new_id[quotient[rows]], 1, accepting[rep[rows]]), new_id[block]
+    return Dfa(new_id[quotient[rows]], INITIAL, accepting[rep[rows]]), new_id[block]
 
 
 # --- the terminals' labelled automaton ------------------------------------------
@@ -441,32 +435,32 @@ def _minimize(transitions: np.ndarray, accepting: np.ndarray) -> tuple[Dfa, np.n
 Lexer = tuple[tuple[array, ...], tuple[int, ...], tuple[bool, ...]]  # see compile_lexer
 
 
-def parse_pattern(pattern: str) -> tuple:
-    """The syntax tree of ``pattern``; RegexError (naming the construct) for
-    unsupported syntax, EmptyLanguageError when it matches nothing."""
-    return _PatternParser(pattern).parse()
-
-
-def compile_lexer(trees: Sequence[tuple]) -> tuple[Lexer, tuple[Dfa, ...], np.ndarray]:
+def compile_lexer(patterns: Sequence[str]) -> tuple[Lexer, tuple[Dfa, ...], np.ndarray]:
     """The lexer, each terminal's automaton, and each automaton's state at
     every lexer state, from one labelled DFA.
 
-    ``trees``, the terminals' parsed patterns in declaration order, give one
-    position automaton: every byte set of every pattern is a position, and
-    one start position moves to each pattern's first positions.  Terminal
-    ``t`` accepts at its last positions, and at the start too if its pattern
-    matches the empty string.  That automaton determinized is the lexer: per
-    state ``q``, ``transitions[q][b]`` is the successor on byte ``b`` (0 is
-    DEAD, 1 the initial state), ``terminal[q]`` the earliest terminal
-    accepting in ``q`` or -1, and ``extends[q]`` whether some byte leads to a
-    live state.  Terminal ``t``'s automaton is that DFA minimized with the
+    ``patterns``, the terminals' patterns in declaration order, are parsed
+    straight into one position automaton: every byte set of every pattern
+    is a position, numbered in declaration and then textual order, and one
+    start position moves to each pattern's first positions.  A RegexError
+    from parsing carries the failing pattern's place in ``patterns`` as
+    ``pattern_index``.  Terminal ``t`` accepts at its last positions, and at
+    the start too if its pattern matches the empty string.  That automaton
+    determinized is the lexer: per state ``q``, ``transitions[q][b]`` is the
+    successor on byte ``b`` (DEAD and INITIAL as in every automaton here),
+    ``terminal[q]`` the earliest terminal accepting in ``q`` or -1, and
+    ``extends[q]`` whether some byte leads to a live state.  Terminal ``t``'s automaton is that DFA minimized with the
     states labelled ``t`` accepting: exactly the strings the lexer labels ``t``.
     Minimizing merges lexer states, so ``states[t, q]`` is the state of
     ``t``'s automaton after any bytes that leave the lexer in ``q``.
     """
     sets, follow, accepts = [frozenset()], [set()], []  # position 0 is the start
-    for tree in trees:
-        nullable, first, last = _positions(tree, sets, follow)
+    for i, pattern in enumerate(patterns):
+        try:
+            nullable, first, last = _PatternParser(pattern, sets, follow).parse()
+        except RegexError as exc:
+            exc.pattern_index = i
+            raise
         follow[0] |= first
         accepts.append(last | {0} if nullable else last)
     moves: list[dict[int, list[int]]] = [{} for _ in sets]
@@ -477,8 +471,8 @@ def compile_lexer(trees: Sequence[tuple]) -> tuple[Lexer, tuple[Dfa, ...], np.nd
     table, label = _determinize(moves, frozenset([0]), accepts, "lexer automaton")
     rows = tuple(array("i", row.tobytes()) for row in table)
     lexer = rows, tuple(label.tolist()), tuple((table != DEAD).any(axis=1).tolist())
-    minimized = [_minimize(table, label == t) for t in range(len(trees))]
-    states = np.array([m[1] for m in minimized], dtype=np.int32).reshape(len(trees), len(table))
+    minimized = [_minimize(table, label == t) for t in range(len(patterns))]
+    states = np.array([m[1] for m in minimized], dtype=np.int32).reshape(len(patterns), len(table))
     states.setflags(write=False)
     return lexer, tuple(m[0] for m in minimized), states
 
@@ -512,15 +506,16 @@ def scan(lexer: Lexer, q: int, accept, data: bytes, pos: int, final: bool = Fals
         end, tid = accept
         committed.append(tid)
         start += end
-        pos, q, accept = start, 1, None
+        pos, q, accept = start, INITIAL, None
     return committed, start, q, accept, None
 
 
 def compile_regex(pattern: str) -> Dfa:
     """The minimal byte-level DFA of ``pattern``: the one-terminal case of
-    :func:`compile_lexer`, with the errors of :func:`parse_pattern` and
-    StateLimitError past STATE_CAP states."""
-    return compile_lexer([parse_pattern(pattern)])[1][0]
+    :func:`compile_lexer`.  RegexError (naming the construct) for unsupported
+    syntax, EmptyLanguageError when it matches nothing, and StateLimitError
+    past STATE_CAP states."""
+    return compile_lexer([pattern])[1][0]
 
 
 def dfa_concat(a: Dfa, b: Dfa) -> Dfa:

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from boundedgen.costs import CacheCorruptError, CostTables, byte_closure, compute_nonterminal_costs
-from boundedgen.dfa import DEAD, INF, scan
+from boundedgen.dfa import DEAD, INF, INITIAL as _LEX_INITIAL, scan
 from boundedgen.grammar import Grammar, adjacent_terminal_pairs
 from boundedgen.vocab import Vocabulary
 
@@ -89,7 +89,6 @@ class DeadSessionError(EngineError):
 
 
 _EXPANSION_LIMIT = 100_000
-_LEX_INITIAL = 1  # the lexer automaton's initial state
 _NEED_MEMO_SIZE = 256  # need vectors per engine, 8 bytes per token each
 
 MODE_FULL = "full"

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from boundedgen.dfa import Dfa, Lexer, RegexError, compile_lexer, parse_pattern
+from boundedgen.dfa import INITIAL, Dfa, Lexer, RegexError, compile_lexer
 
 END = -1
 EPSILON_MARK = "ε"
@@ -247,14 +247,11 @@ def parse_grammar(text: str) -> Grammar:
     if not rule_decls:
         raise GrammarError("grammar declares no rules")
 
-    trees = []
-    for name, pattern, line in term_decls:
-        try:
-            trees.append(parse_pattern(pattern))
-        except RegexError as exc:
-            raise GrammarError(f"terminal {name!r}: {exc}") from exc
-    lexer, dfas, automaton_states = compile_lexer(trees)
-    if (empty := lexer[1][1]) >= 0:  # the label of the initial state
+    try:
+        lexer, dfas, automaton_states = compile_lexer([pattern for _, pattern, _ in term_decls])
+    except RegexError as exc:
+        raise GrammarError(f"terminal {term_decls[exc.pattern_index][0]!r}: {exc}") from exc
+    if (empty := lexer[1][INITIAL]) >= 0:  # the label of the initial state
         raise GrammarError(
             f"terminal {term_decls[empty][0]!r} matches the empty string; "
             "the lexer never emits empty lexemes"

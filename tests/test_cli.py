@@ -657,17 +657,29 @@ class TestEval:
         assert "'l_gt' must be a positive integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["generate", "eval"])
-def test_conflicting_mode_flags_usage_error(workspace, capsys, command):
-    required = {"generate": ["--budget", "8"], "eval": ["--tasks", workspace["tasks"]]}
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("generate", ["--budget", "8", "--grammar-only", "--no-constraint"]),
+        ("eval", ["--grammar-only", "--no-constraint"]),
+        ("generate", ["--budget", "5", "--ratio", "1.0", "--ref-len", "1"]),
+        ("eval", ["--budget", "5", "--ratio", "1.5"]),
+        ("mask", ["--budget", "5", "--prefix", "[1", "--prefix-file", "PREFIX"]),
+        ("mask", ["--budget", "5", "--prefix", "", "--prefix-file", "PREFIX"]),
+    ],
+    ids=["generate", "eval", "generate-budget-ratio", "eval-budget-ratio", "mask-prefix", "mask-empty-prefix"],
+)
+def test_conflicting_mode_flags_usage_error(workspace, tmp_path, capsys, command, flags):
+    prefix_file = tmp_path / "prefix.txt"
+    prefix_file.write_text("[1")
+    required = {"eval": ["--tasks", workspace["tasks"]]}.get(command, [])
     argv = [
         command,
         "--grammar", workspace["grammar"],
         "--vocab", workspace["vocab"],
         "--cache", workspace["cache"],
-        *required[command],
-        "--grammar-only",
-        "--no-constraint",
+        *required,
+        *[str(prefix_file) if flag == "PREFIX" else flag for flag in flags],
     ]
     with pytest.raises(SystemExit) as exc:
         main(argv)

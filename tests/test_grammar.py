@@ -8,7 +8,7 @@ import itertools
 import pytest
 
 from boundedgen.costs import build_cost_tables
-from boundedgen.dfa import StateLimitError, compile_regex
+from boundedgen.dfa import EmptyLanguageError, RegexError, StateLimitError, compile_regex
 from boundedgen.engine import _LEX_INITIAL, MaskEngine
 from boundedgen.grammar import (
     DuplicateTerminalError,
@@ -58,6 +58,17 @@ class TestParseGrammar:
     def test_duplicate_terminal(self):
         with pytest.raises(DuplicateTerminalError):
             parse_grammar("S: A ; A: /a/ ; A: /b/ ;")
+
+    @pytest.mark.parametrize(
+        "pattern,cause",
+        [("b{2}", RegexError), (r"[^\x00-\xff]", EmptyLanguageError), ('"[^"]+?"', RegexError)],
+    )
+    def test_bad_pattern_names_its_terminal(self, pattern, cause):
+        with pytest.raises(GrammarError) as err:
+            parse_grammar(f"S: A B C ; A: /a/ ; B: /{pattern}/ ; C: /c/ ;")
+        assert type(err.value.__cause__) is cause
+        assert str(err.value) == f"terminal 'B': {err.value.__cause__}"
+        assert repr(pattern) in str(err.value)
 
     def test_syntax_error_has_position(self):
         with pytest.raises(GrammarSyntaxError) as err:
