@@ -261,6 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "ref_len", None) is not None and args.budget is not None:
+        parser.error("argument --ref-len: not allowed with argument --budget")
     try:
         return args.func(args)
     except (

@@ -58,19 +58,19 @@ def softmax_prior(probs: np.ndarray, mask: np.ndarray, temperature: float) -> np
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
+    admitted = np.flatnonzero(mask)
+    if not admitted.size:
         raise ValueError("mask admits no token")
     out = np.zeros(len(probs))
-    selected = np.asarray(probs, dtype=float)[mask]
+    selected = np.asarray(probs, dtype=float)[admitted]
     if selected.max() <= 0.0:
-        out[mask] = 1.0 / mask.sum()
+        out[admitted] = 1.0 / admitted.size
         return out
     with np.errstate(divide="ignore"):
         logs = np.log(selected) / temperature
     logs -= logs.max()
     weights = np.exp(logs)
-    out[mask] = weights / weights.sum()
+    out[admitted] = weights / weights.sum()
     return out
 
 
@@ -83,17 +83,19 @@ def _greedy_steps(
     state: EngineState,
     context: tuple[int, ...],
     first: tuple[np.ndarray, np.ndarray] | None = None,
-) -> Iterator[tuple[int, float]]:
-    """Yield each greedy token with its model probability until eos or the
-    end of the budget; ``context`` is everything the model has seen so far,
-    and ``first``, when given, the mask and distribution at ``state``."""
+) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """Yield each greedy step's mask, distribution and token until eos or
+    the end of the budget; ``context`` is everything the model has seen so
+    far, and ``first``, when given, the mask and distribution at ``state``."""
     engine = state.engine
     while state.consumed < state.budget:
         mask, probs = first or (engine.compute_mask(state), model.next_distribution(context))
         first = None
-        admitted = np.flatnonzero(mask)
-        token = int(admitted[np.argmax(probs[admitted])])
-        yield token, float(probs[token])
+        token = int(np.argmax(probs))  # the lowest id on ties, admitted or not
+        if not mask[token]:
+            admitted = np.flatnonzero(mask)
+            token = int(admitted[np.argmax(probs[admitted])])
+        yield mask, probs, token
         if token == engine.vocab.eos:
             return
         context += (token,)
@@ -110,7 +112,7 @@ def greedy_decode(
     mask the loop can instead run out of budget and return a truncated
     sequence without eos.
     """
-    return [token for token, _ in _greedy_steps(model, session, tuple(prompt))]
+    return [token for _, _, token in _greedy_steps(model, session, tuple(prompt))]
 
 
 def unconstrained_greedy(
@@ -171,7 +173,7 @@ def beam_search(
         rank = np.empty(len(live), dtype=np.int64)
         rank[sorted(range(len(live)), key=lambda i: live[i][0])] = np.arange(len(live))
         survivors, log_sums = [], []
-        for j in np.lexsort((tokens, rank[owners], -scores))[:beams]:
+        for j in _best(scores, rank[owners], tokens, beams):
             (ids, state), token = live[owners[j]], int(tokens[j])
             if token == eos:
                 finished.append((ids + (token,), scores[j] * length))
@@ -185,14 +187,28 @@ def beam_search(
     return list(live[int(np.argmax(log_sums / max(len(live[0][0]), 1)))][0])
 
 
+def _best(scores: np.ndarray, owners: np.ndarray, tokens: np.ndarray, beams: int) -> np.ndarray:
+    """Indices of the ``beams`` best candidates, best first, as
+    ``np.lexsort((tokens, owners, -scores))[:beams]`` for scores that are
+    never NaN, sorting only those at or above the ``beams``-th best score."""
+    kth = np.partition(scores, -beams)[-beams] if scores.size > beams else -np.inf
+    top = np.flatnonzero(scores >= kth)
+    return top[np.lexsort((tokens[top], owners[top], -scores[top]))][:beams]
+
+
 class _SearchNode:
     """A tree-search node: one engine state and its per-token edge statistics.
-    ``children`` maps a tried token to its node, or to None at a leaf."""
+    ``children`` maps a tried token to its node, or to None at a leaf.
+    ``rollout`` is the greedy rollout through the node, shared by the nodes
+    on it: per step the mask (packed, as most steps never become nodes), the
+    distribution and the token, and per step the log-probability; ``at`` is
+    the node's step."""
 
-    __slots__ = ("state", "probs", "mask", "priors", "visits", "values", "children")
+    __slots__ = ("state", "probs", "mask", "priors", "visits", "values", "children", "rollout", "at")
 
-    def __init__(self, state: EngineState, probs: np.ndarray, mask: np.ndarray, priors: np.ndarray):
-        self.state = state
+    def __init__(self, state: EngineState, probs: np.ndarray, mask: np.ndarray, priors: np.ndarray,
+                 rollout: tuple[list, list[float]] = ([], []), at: int = 0):
+        self.state, self.rollout, self.at = state, rollout, at
         self.probs = probs
         self.mask = mask
         self.priors = priors
@@ -223,20 +239,24 @@ def mcts_decode(
     :meth:`_SearchNode.select` until it tries a new edge or reaches a leaf,
     expanding that edge, rolling out greedily from the new node's mask and
     distribution, and backing the rollout value up every edge of the path as
-    a maximum.  The value is the geometric mean of unmodified model
-    probabilities over the whole sequence generated so far, rollout
-    included.  The visited root edge with the highest value is committed and
-    its subtree reused; the search stops when it commits a leaf.  The first
-    simulation is exactly the greedy rollout.
+    a maximum; a node on its parent's rollout takes the rest of it, so each
+    prefix is masked and scored by the model once.  The value is the
+    geometric mean of unmodified model probabilities over the whole sequence
+    generated so far, rollout included.  The visited root edge with the
+    highest value is committed and its subtree reused; the search stops when
+    it commits a leaf.  The first simulation is exactly the greedy rollout.
     """
     engine = session.engine
     eos = engine.vocab.eos
     prompt = tuple(prompt)
 
+    def new_node(state: EngineState, mask, probs, rollout: tuple[list, list[float]], at: int) -> _SearchNode:
+        return _SearchNode(state, probs, mask, softmax_prior(probs, mask, config.temperature), rollout, at)
+
     def expand(state: EngineState, generated: tuple[int, ...]) -> _SearchNode:
-        mask = engine.compute_mask(state)
-        probs = model.next_distribution(prompt + generated)
-        return _SearchNode(state, probs, mask, softmax_prior(probs, mask, config.temperature))
+        first = (engine.compute_mask(state), model.next_distribution(prompt + generated))
+        steps = [(np.packbits(m), p, t) for m, p, t in _greedy_steps(model, state, prompt + generated, first)]
+        return new_node(state, *first, (steps, [_log(float(p[t])) for _, p, t in steps]), 0)
 
     def simulate(node: _SearchNode, generated: tuple[int, ...], logs: list[float]) -> None:
         path = []
@@ -246,14 +266,19 @@ def mcts_decode(
             logs.append(_log(float(node.probs[token])))
             generated += (token,)
             if token not in node.children:
-                node.children[token] = None
-                if token != eos:
-                    state = engine.advance(node.state, token, node.mask)
-                    if state.consumed < state.budget:
-                        child = node.children[token] = expand(state, generated)
-                        first = (child.mask, child.probs)
-                        steps = _greedy_steps(model, state, prompt + generated, first)
-                        logs += [_log(prob) for _, prob in steps]
+                state = None if token == eos else engine.advance(node.state, token, node.mask)
+                steps, at = node.rollout[0], node.at + 1
+                if token == steps[node.at][2] and at < len(steps):  # the rest of the node's rollout
+                    packed, probs, _ = steps[at]
+                    mask = np.unpackbits(packed, count=len(probs)).view(bool)
+                    child = new_node(state, mask, probs, node.rollout, at)
+                elif state is not None and state.consumed < state.budget:
+                    child = expand(state, generated)
+                else:
+                    child = None
+                node.children[token] = child
+                if child is not None:
+                    logs += child.rollout[1][child.at :]
                 break
             node = node.children[token]
         value = math.exp(sum(logs) / len(logs))

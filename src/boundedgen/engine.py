@@ -38,10 +38,12 @@ The parser stack is persistent: each immutable :class:`Stack` cell holds its
 symbol, the cell below, and the summed completion cost, depth and
 nullability of everything down to the bottom, so forks share cells and the
 cost of the rest of the stack is read off one cell.  ``k`` feeds touch only
-the cells down to the ``k``-th symbol that no terminal pops; ``need`` is
-memoized on the configuration, those symbols and the cost below them, so a
-mask step costs time in that window and the table row, not in the nesting
-depth or the length of an uncommitted lexeme.
+the cells down to the ``k``-th symbol that no terminal pops, a window the
+top cell keeps once found; ``need`` is memoized on the configuration, those
+symbols and the cost below them, beside its least entry, so a mask step
+costs time in that window and the table row, not in the nesting depth or
+the length of an uncommitted lexeme.  Whether the mask is empty is read off
+that least need and the completion bit, without a pass over the mask.
 """
 
 from __future__ import annotations
@@ -125,11 +127,12 @@ class Stack:
     it knows the costs; :data:`EMPTY_STACK` is the bottom of every chain.
     """
 
-    __slots__ = ("symbol", "below", "cost", "depth", "nullable", "floor", "_hash")
+    __slots__ = ("symbol", "below", "cost", "depth", "nullable", "floor", "_hash", "window")
 
     def __init__(self, symbol: int, below: "Stack | None", cost: int, nullable: bool, popped: bool):
         self.symbol = symbol
         self.below = below
+        self.window = None  # the last (floors, symbols, below) ``MaskEngine._window`` found
         if below is None:  # the empty stack
             self.cost, self.depth, self.nullable, self.floor = 0, 0, True, self
             self._hash = hash(())
@@ -188,6 +191,7 @@ class EngineState:
     consumed: int
     budget: int
     finished: bool = False
+    _accept: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
     @property
     def lex_state(self) -> int:
@@ -197,13 +201,15 @@ class EngineState:
     @property
     def lex_accept(self) -> tuple[int, int] | None:
         """(end offset in the remainder, terminal) of the last accept, or
-        None; past the accept, found by lexing the remainder again."""
+        None; past the accept, found once by lexing the remainder again."""
         terminal = self.engine._configurations[self.config][1]
         if terminal < 0:
             return None
         if self.engine._rows[self.config].relex is None:
             return len(self.remainder), terminal
-        return scan(self.engine.grammar.lexer, _LEX_INITIAL, None, self.remainder, 0)[3]
+        if self._accept is None:
+            self._accept = scan(self.engine.grammar.lexer, _LEX_INITIAL, None, self.remainder, 0)[3]
+        return self._accept
 
 
 class _Row:
@@ -318,7 +324,7 @@ class MaskEngine:
     def new_session(self, budget: int) -> EngineState:
         state = self._fresh_state(budget)
         if self.mode == MODE_FULL and not self.is_complete(state):
-            need = 1 + int(self._need(state).min())
+            need = 1 + self._need(state)[1]
             if need + 1 > min(budget, INF + 1):  # the first mask's threshold
                 why = (
                     "no complete output exists under this vocabulary"
@@ -381,8 +387,10 @@ class MaskEngine:
         A feed pops only symbols that derive the empty string under its
         terminal, so it stops at the first symbol that no terminal pops; each
         further feed, at the next such symbol below.  The window runs down to
-        the ``floors``-th such symbol.
+        the ``floors``-th such symbol; the cell keeps the last one found.
         """
+        if stack.window is not None and stack.window[0] == floors:
+            return stack.window[1]
         below = stack
         for _ in range(floors):
             floor = below.floor
@@ -392,7 +400,8 @@ class MaskEngine:
         while cell is not below:
             symbols.append(cell.symbol)
             cell = cell.below
-        return tuple(symbols), below
+        stack.window = (floors, (tuple(symbols), below))
+        return stack.window[1]
 
     def accept_sequences(self, stack: Stack) -> tuple[AcceptSequence, ...]:
         """Every (a) and (a, b) the parser accepts from ``stack``."""
@@ -637,18 +646,19 @@ class MaskEngine:
                     best[g] = (total, terms, cost)
         return row, best
 
-    def _need(self, state: EngineState) -> np.ndarray:
+    def _need(self, state: EngineState) -> tuple[np.ndarray, int]:
         """Per token, the least total of ``_totals``; 3 * INF, above any
         total, where no candidate parses or the token fails to lex (eos
-        included).  Read-only, and memoized on what ``_totals`` reads: the
-        configuration, the window its candidates feed and the cost below.
-        Past a pending accept, the tokens ``relex`` marks take the lesser of
-        that and their need in the state ``_relexed`` leaves."""
+        included); and the least of those.  Read-only, and memoized on what
+        ``_totals`` reads: the configuration, the window its candidates feed
+        and the cost below.  Past a pending accept, the tokens ``relex``
+        marks take the lesser of that and their need in the state
+        ``_relexed`` leaves."""
         row = self._rows[state.config]
         window, below = self._window(state.stack, row.depth)
         key = (state.config, window, below.cost)
-        need = self._need_memo.get(key)
-        if need is None:
+        memo = self._need_memo.get(key)
+        if memo is None:
             row, best = self._totals(state)
             need = np.full(self.vocab.size, 3 * INF, dtype=np.int64)
             totals = np.array([3 * INF if b is None else b[0] for b in best], dtype=np.int64)
@@ -656,20 +666,24 @@ class MaskEngine:
             need.setflags(write=False)
             if len(self._need_memo) >= _NEED_MEMO_SIZE:
                 self._need_memo.clear()
-            self._need_memo[key] = need
+            memo = self._need_memo[key] = (need, int(totals.min(initial=3 * INF)))
         if row.relex is not None:
             relexed, _ = self._relexed(state)
             if relexed is not None:
-                need = np.minimum(need, np.where(row.relex, self._need(relexed), 3 * INF))
-        return need
+                need = np.minimum(memo[0], np.where(row.relex, self._need(relexed)[0], 3 * INF))
+                return need, int(need.min())
+        return memo
 
-    def _admit(self, state: EngineState, need: np.ndarray) -> np.ndarray:
-        """The mask rule itself, without state checks; may come out all-false."""
+    def _admit(self, state: EngineState) -> tuple[np.ndarray, bool]:
+        """The mask rule itself, without state checks, and whether it admits
+        nothing: no need under the limit and the output not complete."""
+        need, least = self._need(state)
         limit = min(state.budget - state.consumed - 1, INF) if self.mode == MODE_FULL else INF
         bits = need < limit
-        if state.consumed < state.budget and self.is_complete(state):
+        complete = state.consumed < state.budget and self.is_complete(state)
+        if complete:
             bits[self.vocab.eos] = True
-        return bits
+        return bits, least >= limit and not complete
 
     def compute_mask(self, state: EngineState) -> np.ndarray:
         """Boolean vector over the vocabulary for the next step."""
@@ -679,8 +693,8 @@ class MaskEngine:
             raise BudgetExhaustedError(
                 f"consumed {state.consumed} of {state.budget} tokens"
             )
-        bits = self._admit(state, self._need(state))
-        if not bits.any():
+        bits, empty = self._admit(state)
+        if empty:
             raise DeadSessionError(
                 "mask is all-false; a session advanced only on admitted tokens "
                 "can never reach this"
@@ -699,8 +713,7 @@ class MaskEngine:
         End-of-sequence has no sequence and costs of 0 when the output is
         complete, None when it is not.
         """
-        need = self._need(state)
-        bits = self._admit(state, need)
+        bits, _ = self._admit(state)
         complete = self.is_complete(state)
         names = [t.name for t in self.grammar.terminals]
         rows: list[dict] = []

@@ -663,11 +663,15 @@ class TestEval:
         ("generate", ["--budget", "8", "--grammar-only", "--no-constraint"]),
         ("eval", ["--grammar-only", "--no-constraint"]),
         ("generate", ["--budget", "5", "--ratio", "1.0", "--ref-len", "1"]),
+        ("generate", ["--budget", "12", "--ref-len", "3"]),
         ("eval", ["--budget", "5", "--ratio", "1.5"]),
         ("mask", ["--budget", "5", "--prefix", "[1", "--prefix-file", "PREFIX"]),
         ("mask", ["--budget", "5", "--prefix", "", "--prefix-file", "PREFIX"]),
     ],
-    ids=["generate", "eval", "generate-budget-ratio", "eval-budget-ratio", "mask-prefix", "mask-empty-prefix"],
+    ids=[
+        "generate", "eval", "generate-budget-ratio", "generate-budget-ref-len", "eval-budget-ratio", "mask-prefix",
+        "mask-empty-prefix",
+    ],
 )
 def test_conflicting_mode_flags_usage_error(workspace, tmp_path, capsys, command, flags):
     prefix_file = tmp_path / "prefix.txt"

@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from boundedgen import decoding
 from boundedgen.decoding import (
@@ -18,6 +20,7 @@ from boundedgen.decoding import (
     softmax_prior,
     unconstrained_greedy,
 )
+from boundedgen.engine import EngineState
 from boundedgen.models import (
     NgramModel,
     ScriptedModel,
@@ -243,6 +246,25 @@ class TestBeam:
             assert ids[-1] == json_engine.vocab.eos
             assert json_engine.text_is_complete(json_engine.vocab.decode(ids))
 
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 9), st.integers(0, 40), st.sampled_from([-math.inf, -2.5, -1.0, -0.75, 0.0])
+            ),
+            min_size=1, max_size=80, unique_by=lambda c: c[:2],
+        ),
+        st.integers(1, 12),
+    )
+    @example([(0, 3, -1.0), (1, 2, -math.inf)], 10)  # fewer candidates than beams
+    @example([(o, t, -math.inf) for o in range(3) for t in range(5)], 4)  # zero mass everywhere
+    def test_partitioned_ranking_equals_full_lexsort(self, candidates, beams):
+        # (owner rank, token, score) per candidate; scores tie often, and
+        # -inf is an admitted token with zero model mass.
+        owners, tokens, scores = (np.array(column) for column in zip(*candidates))
+        want = np.lexsort((tokens, owners, -scores))[:beams]
+        assert decoding._best(scores, owners, tokens, beams).tolist() == want.tolist()
+
     def test_no_dead_end_over_1000_random_runs(self, paren_engine):
         # A DeadSessionError anywhere would propagate and fail the test.
         rng = random.Random(1234)
@@ -311,49 +333,31 @@ class TestMcts:
         assert sequence_value(mcts_ids) >= sequence_value(greedy_ids) - 1e-12
 
     def test_rollout_reuses_new_node_mask_and_distribution(self, json_engine, monkeypatch):
-        nodes, masks = [], []
+        # A node on its parent's greedy rollout takes the rest of that
+        # rollout, whose steps keep their masks and distributions: over one
+        # search the mask and the model see each generated prefix exactly
+        # once, the mask first, and the output is the reference search's.
+        from tests.test_decoding_reference import mcts_decode as reference_mcts_decode
 
-        class CountedNode(decoding._SearchNode):
-            __slots__ = ()
-
-            def __init__(self, *args):
-                super().__init__(*args)
-                nodes.append(self)
+        events = []
 
         class CountingModel(SeededRandomModel):
-            calls = 0
-
             def next_distribution(self, prefix):
-                self.calls += 1
+                events.append(tuple(prefix))
                 return super().next_distribution(prefix)
 
         compute_mask = json_engine.compute_mask
-        monkeypatch.setattr(decoding, "_SearchNode", CountedNode)
         monkeypatch.setattr(
-            json_engine, "compute_mask", lambda state: masks.append(state) or compute_mask(state)
+            json_engine, "compute_mask", lambda state: events.append(state) or compute_mask(state)
         )
-
-        def run():
-            nodes.clear()
-            masks.clear()
-            model = CountingModel(json_engine.vocab.size, 4)
-            ids = mcts_decode(model, json_engine.new_session(10), config=MctsConfig(trials=20))
-            return ids, model.calls, len(masks), len(nodes)
-
-        ids, calls, mask_calls, n_nodes = run()
-        # The same search with a rollout that asks for its first step again.
-        steps = decoding._greedy_steps
-
-        def asks_again(model, state, context, _first):
-            return steps(model, state, context)
-
-        monkeypatch.setattr(decoding, "_greedy_steps", asks_again)
-        ids_again, calls_again, mask_calls_again, n_nodes_again = run()
-        assert (ids_again, n_nodes_again) == (ids, n_nodes)
-        expanded = n_nodes - 1  # every node but the root is expanded by a trial
-        assert expanded > 0
-        assert calls_again - calls == expanded
-        assert mask_calls_again - mask_calls == expanded
+        config = MctsConfig(trials=20)
+        model = CountingModel(json_engine.vocab.size, 4)
+        ids = mcts_decode(model, json_engine.new_session(10), config=config)
+        states, prefixes = events[::2], events[1::2]
+        assert len(states) == len(prefixes) > 2 * len(ids)
+        assert all(isinstance(s, EngineState) and s.consumed == len(p) for s, p in zip(states, prefixes))
+        assert len(set(prefixes)) == len(prefixes)
+        assert ids == reference_mcts_decode(model, json_engine.new_session(10), config=config)
 
 
 class TestPromptConditioning:

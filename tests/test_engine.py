@@ -331,6 +331,29 @@ class TestPersistentStack:
             assert engine.is_complete(state)
         assert sizes[0] == sizes[1]
 
+    @pytest.mark.parametrize("name", ["paren", "json"])
+    def test_cached_window_equals_a_fresh_walk(self, request, name):
+        # Each cell keeps the last window asked of it; asking again with the
+        # same floors reads it back, with other floors walks afresh.
+        g, tables, vocab = engine_parts(request, name)
+        engine = MaskEngine(g, tables, vocab)
+
+        def fresh_walk(stack, floors):
+            symbols, cell = [], stack
+            while cell.depth and floors:
+                symbols.append(cell.symbol)
+                floors -= not engine._symbol_popped[cell.symbol]
+                cell = cell.below
+            return tuple(symbols), cell
+
+        for symbols in seeded_stacks(g, build_ll1_table(g), count=100):
+            stack = engine._push(EMPTY_STACK, symbols)
+            floors = list(range(len(symbols) + 2))
+            for k in floors + floors[::-1] + [2, 2, 1, 2]:
+                window, below = engine._window(stack, k)
+                want, want_below = fresh_walk(stack, k)
+                assert window == want and below is want_below, (symbols, k)
+
     def test_depth_5000_without_recursion_error(self, json_engine, json_vocab):
         lb, rb = json_vocab.tokens.index(b"["), json_vocab.tokens.index(b"]")
         depth, budget = 5000, 10_001
@@ -697,8 +720,8 @@ class TestNeedMemo:
     def test_stored_vector_is_read_only(self, request):
         engine = MaskEngine(*engine_parts(request, "paren"))
         state = engine.new_session(5)
-        need = engine._need(state)
-        assert engine._need(state) is need
+        need, least = engine._need(state)
+        assert engine._need(state)[0] is need and least == need.min()
         assert not need.flags.writeable
         with pytest.raises(ValueError):
             need[0] = 0
@@ -710,7 +733,8 @@ class TestNeedMemo:
         eos = engine.vocab.eos
         for state in seeded_walk_states(engine, 29, 60):
             need = folded_need(engine, state)
-            assert engine._need(state).tolist() == need.tolist()
+            got, least = engine._need(state)
+            assert got.tolist() == need.tolist() and least == need.min()
             limit = state.budget - state.consumed - 1 if mode == "full" else INF
             want = need < min(limit, INF)
             want[eos] = engine.is_complete(state)
@@ -1086,6 +1110,24 @@ class TestBridgeTokens:
             short, long = (engine.replay([0] + [1] * k, 1 + k + left) for k in (5, 1500))
             assert engine.compute_mask(long).tolist() == engine.compute_mask(short).tolist(), left
             assert engine.mask_report(long) == reference_report(engine, long), left
+
+    def test_pending_accept_found_once_per_state(self, monkeypatch):
+        # After "a" and 400 "b" the A accept is 400 bytes back.  A mask lexes
+        # the remainder once to find the accept's end, the tail after it
+        # once, and the end of input once for completion; a second mask of
+        # the same state no longer looks for the accept.
+        grammar = parse_grammar(ABC_GRAMMAR)
+        vocab = Vocabulary([b"a", b"b", b"c", b"d"], eos=4)
+        engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
+        want = engine.compute_mask(engine.replay([0] + [1] * 400, 410)).tolist()
+        state = engine.replay([0] + [1] * 400, 410)
+        lexed, scan = [], engine_module.scan
+        monkeypatch.setattr(engine_module, "scan", lambda *args: lexed.append(args[3:5]) or scan(*args))
+        assert engine.compute_mask(state).tolist() == want
+        assert lexed == [(b"a" + b"b" * 400, 0), (b"b" * 400, 0), (b"a" + b"b" * 400, 401)]
+        lexed.clear()
+        assert engine.compute_mask(state).tolist() == want
+        assert len(lexed) == 2
 
 
 class TestProgress:
