@@ -16,6 +16,7 @@ from boundedgen.decoding import unconstrained_greedy
 from boundedgen.dfa import INF, RegexError, StateLimitError
 from boundedgen.engine import (
     BudgetError,
+    BudgetExhaustedError,
     EngineError,
     LexError,
     MODE_FULL,
@@ -144,13 +145,16 @@ def cmd_mask(args) -> int:
     try:
         ids = vocab.tokenize(prefix)
         state = engine.replay(ids, args.budget)
+        report = engine.mask_report(state)
     except (VocabularyError, LexError, ParseError) as exc:
         raise GrammarError(f"prefix is not lexable under this grammar: {exc}") from exc
+    except BudgetExhaustedError as exc:
+        raise BudgetError(f"budget {args.budget} leaves no token after the prefix ({exc})") from exc
     stack_names = " ".join(grammar.symbol_name(s) for s in reversed(tuple(state.stack)))
     print(f"prefix tokens: {len(ids)}  parser stack, top first: {stack_names or '(empty)'}")
     print(f"remainder: {state.remainder!r}")
     admitted = 0
-    for row in engine.mask_report(state):
+    for row in report:
         tid = row["token"]
         token_repr = "<eos>" if tid == vocab.eos else repr(vocab.tokens[tid])
         if row["admitted"]:

@@ -288,7 +288,7 @@ def mcts_decode(
 
     committed: list[int] = []
     committed_logs: list[float] = []
-    root: _SearchNode | None = expand(session, ())
+    root = expand(session, ()) if session.consumed < session.budget else None
     while root is not None:
         for _ in range(config.trials):
             simulate(root, tuple(committed), list(committed_logs))

@@ -13,9 +13,11 @@ state's configuration is the row of its lexer state and pending accept.  A
 step is one lookup in that row; the committed terminals are then fed to the
 state's own stack, so a step is exact whatever lies below.  Past a pending
 accept the row holds only the tokens whose scan does not depend on the bytes
-after it, the tail; a token it leaves out is lexed from the state's own
-bytes, and the mask adds, for those tokens and the ones that keep the
-pending accept, the state left by committing it and lexing the tail afresh.
+after it, the tail.  The state left by committing the accept and lexing the
+tail afresh is found once per state: it steps the tokens the row leaves
+out, prices them and the ones that keep the accept, and is complete exactly
+when the state is.  Any other row fixes completion when it is built: what
+lexing to the end of input commits, fed to the state's own stack.
 
 Admission reads one vector that does not depend on the budget: ``need[t]``,
 the fewest tokens needed after token ``t`` to finish everything.  Token
@@ -32,17 +34,18 @@ span any number of lexemes costs what any other does.  The full mask admits
 and the grammar-only mask when ``need[t]`` is finite.  The strict inequality
 reserves one slot for end-of-sequence, which is admitted only when the
 output is complete, so a run that only advances on admitted tokens ends
-complete within ``budget`` tokens.  The mask report reads the same vector.
+complete within ``budget`` tokens.  The mask report reads the same memo
+entry, which also holds each group's cheapest way to finish.
 
 The parser stack is persistent: each immutable :class:`Stack` cell holds its
-symbol, the cell below, and the summed completion cost, depth and
-nullability of everything down to the bottom, so forks share cells and the
-cost of the rest of the stack is read off one cell.  ``k`` feeds touch only
-the cells down to the ``k``-th symbol that no terminal pops, a window the
-top cell keeps once found; ``need`` is memoized on the configuration, those
-symbols and the cost below them, beside its least entry, so a mask step
-costs time in that window and the table row, not in the nesting depth or
-the length of an uncommitted lexeme.  Whether the mask is empty is read off
+symbol, the cell below, and the summed completion cost and depth of
+everything down to the bottom, so forks share cells and the cost of the
+rest of the stack, 0 exactly when it may end there, is read off one cell.
+``k`` feeds touch only the cells down to the ``k``-th symbol that no
+terminal pops, a window the top cell keeps once found; ``need`` is memoized
+on the configuration, those symbols and the cost below them, beside its
+least entry, so a mask step costs time in that window and the table row,
+not in the nesting depth or the length of an uncommitted lexeme.  Whether the mask is empty is read off
 that least need and the completion bit, without a pass over the mask.
 """
 
@@ -118,28 +121,28 @@ class Stack:
 
     Each cell also holds facts about itself and everything below it: ``cost``,
     the summed minimum tokens to consume it all (terminal start cost or D per
-    symbol, clamped at INF); ``depth``, the number of symbols, which ``len``
-    returns; ``nullable``, whether every symbol is a nullable nonterminal;
-    and ``floor``, the nearest cell at or below whose symbol no terminal
-    pops, where every feed stops (the empty stack if none).  ``==`` compares
-    symbols and ``hash`` is structural; neither recurses.  Iterating yields
-    the symbols bottom first.  A :class:`MaskEngine` builds the cells, since
+    symbol, clamped at INF), which is 0 exactly when every symbol is a
+    nullable nonterminal, since a terminal costs at least 1 and D is 0
+    exactly for those; ``depth``, the number of symbols, which ``len``
+    returns; and ``floor``, the nearest cell at or below whose symbol no
+    terminal pops, where every feed stops (the empty stack if none).
+    ``==`` compares symbols and ``hash`` is structural; neither recurses.
+    Iterating yields the symbols bottom first.  A :class:`MaskEngine` builds the cells, since
     it knows the costs; :data:`EMPTY_STACK` is the bottom of every chain.
     """
 
-    __slots__ = ("symbol", "below", "cost", "depth", "nullable", "floor", "_hash", "window")
+    __slots__ = ("symbol", "below", "cost", "depth", "floor", "_hash", "window")
 
-    def __init__(self, symbol: int, below: "Stack | None", cost: int, nullable: bool, popped: bool):
+    def __init__(self, symbol: int, below: "Stack | None", cost: int, popped: bool):
         self.symbol = symbol
         self.below = below
         self.window = None  # the last (floors, symbols, below) ``MaskEngine._window`` found
         if below is None:  # the empty stack
-            self.cost, self.depth, self.nullable, self.floor = 0, 0, True, self
+            self.cost, self.depth, self.floor = 0, 0, self
             self._hash = hash(())
             return
         self.cost = min(INF, below.cost + cost)
         self.depth = below.depth + 1
-        self.nullable = nullable and below.nullable
         self.floor = below.floor if popped else self
         self._hash = hash((symbol, below._hash))
 
@@ -173,7 +176,7 @@ class Stack:
         return f"Stack{tuple(self)}"
 
 
-EMPTY_STACK = Stack(-1, None, 0, True, True)
+EMPTY_STACK = Stack(-1, None, 0, True)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -182,6 +185,8 @@ class EngineState:
 
     ``config`` is the step-table row of the lexer state and pending accept
     the remainder leaves; ``lex_state`` and ``lex_accept`` read it back.
+    Past a pending accept, the accept and the state ``MaskEngine._relexed``
+    leaves are each found once and kept.
     """
 
     engine: "MaskEngine" = field(compare=False, repr=False)
@@ -192,6 +197,7 @@ class EngineState:
     budget: int
     finished: bool = False
     _accept: tuple[int, int] | None = field(default=None, compare=False, repr=False)
+    _relex: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def lex_state(self) -> int:
@@ -215,22 +221,22 @@ class EngineState:
 class _Row:
     """A configuration's row of the step table, as the engine reads it.
 
-    ``succ`` and ``move`` are the row spread over the vocabulary (-1 where
-    the row leaves a token out): a successor state's ``config`` and an index
-    in ``commits``.  Entries with the same move and successor form a group,
-    ``of`` names each entry's group, and each group finishes in the ways its
-    candidates list: per candidate its ``group``, the ``terms`` fed to the
-    stack and C of the pending lexeme, ``cost``.
-    ``depth`` is the most terminals a candidate feeds.  ``eos`` is the
-    terminals the final lexing commits, False when it fails, once known.
-    ``relex`` is None unless the lexer state is past its accept; then it
-    marks the tokens the row leaves out or that keep the pending accept,
-    which the state left by committing it and lexing the tail afresh also
-    prices (see ``MaskEngine._relexed``).
+    Entries with the same move and successor form a group.  ``index`` names
+    each token's group over the vocabulary, -1 where the row leaves the
+    token out, and ``steps`` holds per group the terminals it commits, how
+    many trailing bytes stay uncommitted and the successor state's
+    ``config``.  Each group finishes in the ways its candidates list: per
+    candidate its ``group``, the ``terms`` fed to the stack and C of the
+    pending lexeme, ``cost``.  ``depth`` is the most terminals a candidate
+    feeds.  ``relex`` is None unless the lexer state is past its accept;
+    then it marks the tokens the row leaves out or that keep the pending
+    accept, which the state left by committing it and lexing the tail
+    afresh also prices (see ``MaskEngine._relexed``).  Otherwise ``final``
+    is what lexing to the end of input commits: the terminal of a labelled
+    lexer state, nothing at the initial row, and None, a failure, elsewhere.
     """
 
-    __slots__ = ("ids", "succ", "move", "commits", "of", "groups", "group", "terms", "cost", "depth", "eos",
-                 "relex")
+    __slots__ = ("index", "steps", "group", "terms", "cost", "depth", "final", "relex")
 
 
 def _key(q: int, accept: tuple[int, int] | None, remainder: bytes) -> tuple[int, int, bytes]:
@@ -280,12 +286,7 @@ class MaskEngine:
         self.tables = tables
         self.vocab = vocab
         self.mode = mode
-        self._start_symbol = grammar.nt_symbol(grammar.start)
-        nullable = grammar.ll1.nullable
-        self._symbol_cost = [int(c) for c in start_costs]
-        self._symbol_cost += [int(c) for c in tables.d]
-        self._symbol_nullable = [False] * grammar.n_terminals
-        self._symbol_nullable += [nt in nullable for nt in range(grammar.n_nonterminals)]
+        self._symbol_cost = [int(c) for c in start_costs] + [int(c) for c in tables.d]
         symbols, terminals = range(len(self._symbol_cost)), range(grammar.n_terminals)
         # (stack symbol, terminal) -> what the symbol leaves after consuming
         # the terminal, _DERIVES_EMPTY, or None; bounded by the grammar's size.
@@ -313,11 +314,8 @@ class MaskEngine:
         self._finishes: dict[tuple[int, int, bytes], list] = {}
         self._bridge = self._bridges()
         self._adjacent = adjacent_terminal_pairs(grammar, grammar.ll1)
-        self._start_stack = self._push(EMPTY_STACK, (self._start_symbol,))
-        self._rows: dict[int, _Row] = {}
-        for config, tail in enumerate(steps.tails):
-            if not tail:
-                self._rows[config] = self._row(config)
+        self._start_stack = self._push(EMPTY_STACK, (grammar.nt_symbol(grammar.start),))
+        self._rows = {config: self._row(config) for config, tail in enumerate(steps.tails) if not tail}
 
     # -- sessions ------------------------------------------------------------
 
@@ -343,9 +341,9 @@ class MaskEngine:
 
     def _push(self, below: Stack, symbols) -> Stack:
         """``below`` with ``symbols`` pushed in order, the last one on top."""
-        cost, nullable, popped = self._symbol_cost, self._symbol_nullable, self._symbol_popped
+        cost, popped = self._symbol_cost, self._symbol_popped
         for sym in symbols:
-            below = Stack(sym, below, cost[sym], nullable[sym], popped[sym])
+            below = Stack(sym, below, cost[sym], popped[sym])
         return below
 
     def feed(self, stack: Stack, terminal: int) -> Stack | None:
@@ -545,22 +543,16 @@ class MaskEngine:
     def _row(self, config: int) -> _Row:
         """The step table's row ``config``, spread over the vocabulary, its
         successors read as the rows that price them; built with the engine."""
-        steps = self.tables.steps
+        steps, n = self.tables.steps, len(self._configurations)
         a, b = steps.indptr[config], steps.indptr[config + 1]
         ids, succs, moves = steps.ids[a:b], steps.succs[a:b], steps.moves[a:b]
         row = _Row()
-        row.ids, row.commits, row.eos = ids, steps.commits, None
-        row.succ = np.full(self.vocab.size, -1, dtype=np.int32)
-        row.move = np.zeros(self.vocab.size, dtype=np.int32)
-        row.succ[ids], row.move[ids] = self._alias[succs], moves
-        row.relex = None
-        if self._unknown[config]:
-            row.relex = np.ones(self.vocab.size, dtype=bool)
-            row.relex[ids] = self._unknown[succs]
-        n = len(self._configurations)
-        groups, row.of = np.unique(moves.astype(np.int64) * n + succs, return_inverse=True)
-        row.groups, row.group, row.terms, row.cost = len(groups), [], [], []
-        for g, (move, succ) in enumerate(zip(*np.divmod(groups.tolist(), n))):
+        groups, of = np.unique(moves.astype(np.int64) * n + succs, return_inverse=True)
+        row.index = np.full(self.vocab.size, -1, dtype=np.int32)
+        row.index[ids] = of
+        row.steps, row.group, row.terms, row.cost = [], [], [], []
+        for g, (move, succ) in enumerate(divmod(key, n) for key in groups.tolist()):
+            row.steps.append((*steps.commits[move], int(self._alias[succ])))
             for terms, cost in self._finish(*self._configurations[succ]):
                 terms = steps.commits[move][0] + terms
                 if self._adjacent.issuperset(zip(terms, terms[1:])):  # else it never parses
@@ -568,75 +560,77 @@ class MaskEngine:
                     row.terms.append(terms)
                     row.cost.append(cost)
         row.depth = max(map(len, row.terms), default=1)
+        label = self.grammar.lexer[1][self._configurations[config][0]]
+        row.final = (label,) if label >= 0 else () if config == 0 else None
+        row.relex = None
+        if self._unknown[config]:
+            row.relex = np.ones(self.vocab.size, dtype=bool)
+            row.relex[ids] = self._unknown[succs]
         return row
 
     def _relexed(self, state: EngineState) -> tuple[EngineState | None, tuple[int, ...]]:
         """The state left by committing the pending accept of a state past
         it and lexing the tail afresh, None when that fails to lex or parse,
-        and the terminals it commits."""
-        end, accept = state.lex_accept
-        committed, remainder, q, last, error = self._scan(_LEX_INITIAL, None, b"", state.remainder[end:])
-        prefix = (accept, *committed)
-        try:
-            stack = None if error else self._commit(state.stack, prefix)
-        except ParseError:
-            stack = None
-        relexed = None if stack is None else self._state(stack, remainder, q, last, state.consumed, state.budget)
-        return relexed, prefix
-
-    def _state(self, stack, remainder, q, accept, consumed, budget) -> EngineState:
-        """A state from lexing results: its configuration is the row of ``q`` and ``accept``."""
-        config = self._index[q, -1 if accept is None else accept[1], b""]
-        return EngineState(self, stack, remainder, config, consumed, budget)
+        and the terminals it commits; found once per state."""
+        if state._relex is None:
+            end, accept = state.lex_accept
+            committed, remainder, q, last, error = self._scan(_LEX_INITIAL, None, b"", state.remainder[end:])
+            prefix = (accept, *committed)
+            try:
+                stack = None if error else self._commit(state.stack, prefix)
+            except ParseError:
+                stack = None
+            relexed = None
+            if stack is not None:
+                config = self._index[_key(q, last, b"")]
+                relexed = EngineState(self, stack, remainder, config, state.consumed, state.budget, _accept=last)
+            state._relex = (relexed, prefix)
+        return state._relex
 
     # -- completion and masking -------------------------------------------------
 
     def is_complete(self, state: EngineState) -> bool:
         """True when the emitted bytes already form a full sentence.
 
-        Memoized in the configuration's row unless the tail decides it: the
-        terminals the final lexing commits, or False when it fails; each
-        call feeds them to the state's own stack and asks whether what is
-        left is nullable.
+        A row not past its accept fixes what lexing to the end of input
+        commits (``_Row.final``); fed to the state's own stack, the output
+        is complete when what is left costs nothing.  Past an accept, the
+        state ``_relexed`` leaves is complete or not in its place.
         """
         row = self._rows[state.config]
-        eos = row.eos
-        if eos is None:
-            committed, _, _, _, error = self._scan(
-                state.lex_state, state.lex_accept, state.remainder, b"", final=True
-            )
-            eos = False if error else committed
-            if row.relex is None:
-                row.eos = eos
-        if eos is False:
+        while row.relex is not None:
+            state = self._relexed(state)[0]
+            if state is None:
+                return False
+            row = self._rows[state.config]
+        if row.final is None:
             return False
-        try:
-            return self._commit(state.stack, eos).nullable
-        except ParseError:
-            return False
+        stack = self.feed(state.stack, row.final[0]) if row.final else state.stack
+        return stack is not None and stack.cost == 0
 
     def text_is_complete(self, data: bytes) -> bool:
         """Would ``data`` as a whole be a grammatically complete output?"""
         return self._completes(self._start_stack, _LEX_INITIAL, None, b"", data)
 
     def _completes(self, stack, lex_state, lex_accept, remainder, incoming) -> bool:
-        """Lex to the end of input; True if the stack left holds only nullable nonterminals."""
+        """Lex to the end of input; True if the stack left costs nothing,
+        that is, holds only nullable nonterminals."""
         try:
             stack = self._lex(stack, lex_state, lex_accept, remainder, incoming, final=True)[0]
         except (LexError, ParseError):
             return False
-        return stack.nullable
+        return stack.cost == 0
 
-    def _totals(self, state: EngineState) -> tuple[_Row, list]:
+    def _totals(self, state: EngineState) -> list:
         """The admission rule's accounting; the only place it is written.
 
-        Returns the state's row and, per group of it, the least total over
-        the group's candidates -- C of the pending lexeme plus the cost of
-        the stack after the candidate's terminals -- with those terminals
-        and that C, or None when no candidate parses.
+        Per group of the state's row, the least total over the group's
+        candidates -- C of the pending lexeme plus the cost of the stack
+        after the candidate's terminals -- with those terminals and that C,
+        or None when no candidate parses.
         """
         row = self._rows[state.config]
-        best: list = [None] * row.groups
+        best: list = [None] * len(row.steps)
         prefixes: dict = {}
         for g, terms, cost in zip(row.group, row.terms, row.cost):
             fed = self._fed(state.stack, terms, prefixes)
@@ -644,56 +638,54 @@ class MaskEngine:
                 total = cost + fed.cost
                 if best[g] is None or total < best[g][0]:
                     best[g] = (total, terms, cost)
-        return row, best
+        return best
 
-    def _need(self, state: EngineState) -> tuple[np.ndarray, int]:
+    def _need(self, state: EngineState) -> tuple[np.ndarray, int, list]:
         """Per token, the least total of ``_totals``; 3 * INF, above any
-        total, where no candidate parses or the token fails to lex (eos
-        included); and the least of those.  Read-only, and memoized on what
-        ``_totals`` reads: the configuration, the window its candidates feed
-        and the cost below.  Past a pending accept, the tokens ``relex``
-        marks take the lesser of that and their need in the state
-        ``_relexed`` leaves."""
+        total, where no candidate parses or the row leaves the token out
+        (eos included); the least of those; and ``_totals`` itself.  Read-only,
+        and memoized on what ``_totals`` reads: the configuration, the
+        window its candidates feed and the cost below.  Past a pending
+        accept, the tokens ``relex`` marks take the lesser of that and their
+        need in the state ``_relexed`` leaves."""
         row = self._rows[state.config]
         window, below = self._window(state.stack, row.depth)
         key = (state.config, window, below.cost)
         memo = self._need_memo.get(key)
         if memo is None:
-            row, best = self._totals(state)
-            need = np.full(self.vocab.size, 3 * INF, dtype=np.int64)
-            totals = np.array([3 * INF if b is None else b[0] for b in best], dtype=np.int64)
-            need[row.ids] = totals[row.of]
+            best = self._totals(state)
+            totals = np.array([3 * INF if b is None else b[0] for b in best] + [3 * INF], dtype=np.int64)
+            need = totals[row.index]  # a token left out, at index -1, reads the last
             need.setflags(write=False)
             if len(self._need_memo) >= _NEED_MEMO_SIZE:
                 self._need_memo.clear()
-            memo = self._need_memo[key] = (need, int(totals.min(initial=3 * INF)))
+            memo = self._need_memo[key] = (need, int(totals.min()), best)
         if row.relex is not None:
             relexed, _ = self._relexed(state)
             if relexed is not None:
                 need = np.minimum(memo[0], np.where(row.relex, self._need(relexed)[0], 3 * INF))
-                return need, int(need.min())
+                return need, int(need.min()), memo[2]
         return memo
 
-    def _admit(self, state: EngineState) -> tuple[np.ndarray, bool]:
-        """The mask rule itself, without state checks, and whether it admits
-        nothing: no need under the limit and the output not complete."""
-        need, least = self._need(state)
-        limit = min(state.budget - state.consumed - 1, INF) if self.mode == MODE_FULL else INF
-        bits = need < limit
-        complete = state.consumed < state.budget and self.is_complete(state)
-        if complete:
-            bits[self.vocab.eos] = True
-        return bits, least >= limit and not complete
-
-    def compute_mask(self, state: EngineState) -> np.ndarray:
-        """Boolean vector over the vocabulary for the next step."""
+    def _admit(self, state: EngineState) -> tuple[np.ndarray, bool, bool]:
+        """The mask rule itself after the state checks, the completion bit,
+        and whether it admits nothing: no need under the limit and the
+        output not complete."""
         if state.finished:
             raise EngineError("session already emitted end-of-sequence")
         if state.consumed >= state.budget:
-            raise BudgetExhaustedError(
-                f"consumed {state.consumed} of {state.budget} tokens"
-            )
-        bits, empty = self._admit(state)
+            raise BudgetExhaustedError(f"consumed {state.consumed} of {state.budget} tokens")
+        need, least, _ = self._need(state)
+        limit = min(state.budget - state.consumed - 1, INF) if self.mode == MODE_FULL else INF
+        bits = need < limit
+        complete = self.is_complete(state)
+        if complete:
+            bits[self.vocab.eos] = True
+        return bits, complete, least >= limit and not complete
+
+    def compute_mask(self, state: EngineState) -> np.ndarray:
+        """Boolean vector over the vocabulary for the next step."""
+        bits, _, empty = self._admit(state)
         if empty:
             raise DeadSessionError(
                 "mask is all-false; a session advanced only on admitted tokens "
@@ -704,7 +696,9 @@ class MaskEngine:
     def mask_report(self, state: EngineState) -> list[dict]:
         """Per-token mask explanation: the dominating terminals and cost terms.
 
-        ``admitted`` is the mask bit.  The reported sequence is the terminals
+        ``admitted`` is the mask bit; a state that ``compute_mask`` refuses
+        for being finished or out of budget raises the same error, while an
+        all-false mask is explained.  The reported sequence is the terminals
         whose total attains ``need``, the first such candidate of the token's
         group: for admitted tokens the cheapest way to finish, for denied
         tokens the closest miss (None when no candidate parses or the token
@@ -713,8 +707,7 @@ class MaskEngine:
         End-of-sequence has no sequence and costs of 0 when the output is
         complete, None when it is not.
         """
-        bits, _ = self._admit(state)
-        complete = self.is_complete(state)
+        bits, complete, _ = self._admit(state)
         names = [t.name for t in self.grammar.terminals]
         rows: list[dict] = []
         for tid, way in enumerate(self._best(state)):
@@ -739,12 +732,12 @@ class MaskEngine:
 
     def _best(self, state: EngineState) -> list:
         """Per token, (total, terminals, C) of the first candidate whose total
-        attains ``need`` (see ``_need``), or None; a way through the state
-        ``_relexed`` leaves comes after the row's candidates."""
-        row, best = self._totals(state)
-        group = np.full(self.vocab.size, -1)
-        group[row.ids] = row.of
-        best = [best[g] if g >= 0 else None for g in group.tolist()]
+        attains ``need`` (see ``_need``), or None, read off ``_need``'s memo;
+        a way through the state ``_relexed`` leaves comes after the
+        row's candidates."""
+        row = self._rows[state.config]
+        best = self._need(state)[2]
+        best = [best[g] if g >= 0 else None for g in row.index.tolist()]
         relexed, prefix = self._relexed(state) if row.relex is not None else (None, ())
         if relexed is not None:
             for t, way in enumerate(self._best(relexed)):
@@ -758,9 +751,7 @@ class MaskEngine:
         self, state: EngineState, token: int, mask: np.ndarray | None = None
     ) -> EngineState:
         """Consume one admitted token and return the successor state."""
-        if state.finished:
-            raise EngineError("session already emitted end-of-sequence")
-        self._check_id(token)
+        self._check_token(state, token)
         if mask is None:
             mask = self.compute_mask(state)
         if not mask[token]:
@@ -772,42 +763,45 @@ class MaskEngine:
     def replay(self, token_ids, budget: int) -> EngineState:
         """Rebuild a session from raw tokens without mask or budget checks.
 
-        Raises MaskedTokenError for an id outside the vocabulary and
+        Raises EngineError for a token after end-of-sequence, as ``advance``
+        does, MaskedTokenError for an id outside the vocabulary and
         LexError/ParseError when the bytes do not lex or parse; used for
         loading externally supplied prefixes and for validity checks.
         """
         state = self._fresh_state(budget)
         for token in token_ids:
-            self._check_id(token)
+            self._check_token(state, token)
             state = self._step(state, token)
         return state
 
-    def _check_id(self, token: int) -> None:
-        """MaskedTokenError unless ``token`` is a vocabulary id."""
+    def _check_token(self, state: EngineState, token: int) -> None:
+        """EngineError once the session has emitted end-of-sequence, then
+        MaskedTokenError unless ``token`` is a vocabulary id."""
+        if state.finished:
+            raise EngineError("session already emitted end-of-sequence")
         if not 0 <= token < self.vocab.size:
             raise MaskedTokenError(f"token id {token} out of range")
 
     def _step(self, state: EngineState, token: int) -> EngineState:
         """Successor state after ``token``; the only place a token's bytes
-        change a session.  One lookup in the step table gives the committed
-        terminals and the successor configuration; the terminals are fed to
-        the state's own stack.  A token missing from the row is lexed from
-        the state's own bytes: it fails, and the error names them, or it
-        commits a pending accept whose tail the row does not know."""
+        change a session.  One lookup in the row gives the token's group:
+        the committed terminals, fed to the state's own stack, and the
+        successor configuration.  A token the row leaves out past a pending
+        accept commits that accept, so the state ``_relexed`` leaves steps
+        it instead.  Any other token the row leaves out fails, and lexing
+        the state's own bytes raises the error that names them."""
         if token == self.vocab.eos:
-            return EngineState(
-                self, state.stack, state.remainder, state.config,
-                state.consumed + 1, state.budget, True,
-            )
+            return EngineState(self, state.stack, state.remainder, state.config, state.consumed + 1,
+                               state.budget, True)
         data = self.vocab.tokens[token]
         row = self._rows[state.config]
-        config = row.succ.item(token)
-        if config < 0:
-            stack, _, remainder, q, accept = self._lex(
-                state.stack, state.lex_state, state.lex_accept, state.remainder, data
-            )
-            return self._state(stack, remainder, q, accept, state.consumed + 1, state.budget)
-        terminals, keep = row.commits[row.move.item(token)]
+        group = row.index.item(token)
+        if group < 0:
+            relexed = self._relexed(state)[0] if row.relex is not None else None
+            if relexed is None:  # raises: the token fails to lex or parse
+                self._lex(state.stack, state.lex_state, state.lex_accept, state.remainder, data)
+            return self._step(relexed, token)
+        terminals, keep, config = row.steps[group]
         if terminals:
             stack = self._commit(state.stack, terminals)
             remainder = (state.remainder[-keep:] + data)[-keep:] if keep else b""

@@ -530,6 +530,23 @@ class TestMask:
         assert main(["mask", *args, "--budget", "10"]) == EXIT_IO
         assert "D in the cost tables does not match" in capsys.readouterr().err
 
+    def test_prefix_that_uses_the_budget_exit_2(self, tmp_path, capsys):
+        # "((" spends both tokens of budget 2 on the paren grammar, so no
+        # mask exists to explain.
+        (tmp_path / "paren.grammar").write_text(PAREN_GRAMMAR)
+        save_vocabulary(Vocabulary(PAREN_TOKENS, eos=len(PAREN_TOKENS)), tmp_path / "vocab.json")
+        args = [
+            "--grammar", str(tmp_path / "paren.grammar"),
+            "--vocab", str(tmp_path / "vocab.json"),
+            "--cache", str(tmp_path / "paren.cache"),
+        ]
+        assert main(["precompute", *args]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["mask", *args, "--prefix", "((", "--budget", "2"]) == EXIT_GRAMMAR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "budget 2 leaves no token after the prefix (consumed 2 of 2 tokens)" in captured.err
+
     def test_infinite_dangling_cost_prints_inf(self, yz_workspace, capsys):
         code = main(["mask", *yz_workspace, "--prefix", "(", "--budget", "5"])
         assert code == EXIT_OK

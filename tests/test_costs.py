@@ -461,16 +461,17 @@ class TestStepTableBounds:
         # After "ab" ABC is alive past the accept of A, in a row that does
         # not know the tail.  "bd" keeps ABC alive for one byte, then stops
         # before an accept of its own, so its scan commits A and lexes the
-        # tail afresh: the row leaves it out, and the engine lexes it.  After
-        # "a" no byte follows A's accept, and "bd" commits A and B.
+        # tail afresh: the row leaves it out, and the engine steps it from the
+        # state that committing A leaves.  After "a" no byte follows A's
+        # accept, and "bd" commits A and B.
         grammar = parse_grammar(ABC_GRAMMAR)
         vocab = make_vocab([b"a", b"b", b"c", b"d", b"bd"])
         tables = _check_walk(grammar, vocab)
         engine = MaskEngine(grammar, tables, vocab)
         bd = vocab.tokens.index(b"bd")
-        assert engine._rows[engine.replay([0], 6).config].succ[bd] >= 0
+        assert engine._rows[engine.replay([0], 6).config].index[bd] >= 0
         state = engine.replay([0, 1], 6)
-        assert engine._rows[state.config].relex is not None and engine._rows[state.config].succ[bd] < 0
+        assert engine._rows[state.config].relex is not None and engine._rows[state.config].index[bd] < 0
         mask = engine.compute_mask(state)
         assert mask[bd] and mask.tolist() == brute_force_mask(grammar, vocab, [0, 1], 6).tolist()
         state = engine.advance(state, bd, mask)

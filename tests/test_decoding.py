@@ -398,6 +398,14 @@ class TestGrammarOnlyMode:
 
 
 class TestDecoderInvariants:
+    def test_no_budget_left_decodes_nothing(self, paren_engine):
+        # "((" uses both tokens of the budget: every decoder returns no token.
+        spent = paren_engine.replay([1, 1], 2)
+        model = SeededRandomModel(paren_engine.vocab.size, 0)
+        assert greedy_decode(model, spent) == []
+        assert beam_search(model, spent, beams=3) == []
+        assert mcts_decode(model, spent, config=MctsConfig(trials=4)) == []
+
     def test_outputs_within_budget_all_strategies(self, json_engine):
         rng = random.Random(7)
         for trial in range(12):

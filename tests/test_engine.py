@@ -16,6 +16,7 @@ from boundedgen.engine import (
     BudgetError,
     BudgetExhaustedError,
     DeadSessionError,
+    EngineError,
     HashMismatchError,
     LexError,
     MaskEngine,
@@ -367,7 +368,7 @@ class TestPersistentStack:
         assert again == deep and hash(again.stack) == hash(deep.stack)
         assert json_engine.replay([lb] * (depth - 1) + [rb], budget) != deep
         done = json_engine.replay([lb] * depth + [rb] * depth, budget)
-        assert len(done.stack) == 0 or done.stack.nullable
+        assert done.stack.cost == 0
         assert json_engine.is_complete(done)
         assert json_engine.compute_mask(done)[json_vocab.eos]
 
@@ -720,7 +721,7 @@ class TestNeedMemo:
     def test_stored_vector_is_read_only(self, request):
         engine = MaskEngine(*engine_parts(request, "paren"))
         state = engine.new_session(5)
-        need, least = engine._need(state)
+        need, least, _ = engine._need(state)
         assert engine._need(state)[0] is need and least == need.min()
         assert not need.flags.writeable
         with pytest.raises(ValueError):
@@ -733,7 +734,7 @@ class TestNeedMemo:
         eos = engine.vocab.eos
         for state in seeded_walk_states(engine, 29, 60):
             need = folded_need(engine, state)
-            got, least = engine._need(state)
+            got, least, _ = engine._need(state)
             assert got.tolist() == need.tolist() and least == need.min()
             limit = state.budget - state.consumed - 1 if mode == "full" else INF
             want = need < min(limit, INF)
@@ -906,6 +907,56 @@ class TestReplayEquality:
             assert batch.lex_state == state.lex_state
             assert batch.lex_accept == state.lex_accept
             assert batch.consumed == state.consumed
+
+
+class TestRefusedSessions:
+    """A finished session and one with no budget left are refused alike by
+    ``advance``, ``replay``, ``compute_mask`` and ``mask_report``."""
+
+    @staticmethod
+    def raised(call) -> tuple[type, str]:
+        with pytest.raises(EngineError) as info:
+            call()
+        return type(info.value), str(info.value)
+
+    def test_replay_refuses_tokens_after_eos(self, paren_engine):
+        # "(" eos "x" ")": the engine must not step past end-of-sequence.
+        eos = paren_engine.vocab.eos
+        finished = paren_engine.replay([1, eos], 10)
+        want = self.raised(lambda: paren_engine.advance(finished, 0))
+        assert want == (EngineError, "session already emitted end-of-sequence")
+        assert self.raised(lambda: paren_engine.replay([1, eos, 0, 2], 10)) == want
+        assert self.raised(lambda: paren_engine.replay([1, eos, 99], 10)) == want
+
+    def test_report_refuses_what_the_mask_refuses(self, paren_engine):
+        eos = paren_engine.vocab.eos
+        state = paren_engine.new_session(3)
+        finished = paren_engine.advance(paren_engine.advance(state, 0), eos)
+        spent = paren_engine.replay([1, 1], 2)
+        for state, error in ((finished, EngineError), (spent, BudgetExhaustedError)):
+            want = self.raised(lambda: paren_engine.compute_mask(state))
+            assert want[0] is error
+            assert self.raised(lambda: paren_engine.mask_report(state)) == want
+
+    def test_report_explains_an_all_false_mask(self, paren_engine):
+        # One token of budget fits no complete output: the mask is dead, and
+        # the report says why for every token.
+        state = paren_engine.replay([], 1)
+        with pytest.raises(DeadSessionError):
+            paren_engine.compute_mask(state)
+        report = paren_engine.mask_report(state)
+        assert not any(row["admitted"] for row in report)
+        assert report[0]["sequence"] == ("X",) and report[paren_engine.vocab.eos]["automaton_cost"] is None
+
+    def test_one_completion_check_per_report(self, paren_engine, monkeypatch):
+        calls = []
+        is_complete = paren_engine.is_complete
+        monkeypatch.setattr(paren_engine, "is_complete", lambda s: calls.append(s) or is_complete(s))
+        for prefix in ([], [1], [0], [1, 0, 2]):
+            state = paren_engine.replay(prefix, 6)
+            calls.clear()
+            paren_engine.mask_report(state)
+            assert len(calls) == 1, prefix
 
 
 class TestMaskProperties:
@@ -1113,9 +1164,9 @@ class TestBridgeTokens:
 
     def test_pending_accept_found_once_per_state(self, monkeypatch):
         # After "a" and 400 "b" the A accept is 400 bytes back.  A mask lexes
-        # the remainder once to find the accept's end, the tail after it
-        # once, and the end of input once for completion; a second mask of
-        # the same state no longer looks for the accept.
+        # the remainder once to find the accept's end and the tail after it
+        # once; completion reads the row of the state that leaves, so a
+        # second mask of the same state lexes nothing.
         grammar = parse_grammar(ABC_GRAMMAR)
         vocab = Vocabulary([b"a", b"b", b"c", b"d"], eos=4)
         engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
@@ -1124,10 +1175,10 @@ class TestBridgeTokens:
         lexed, scan = [], engine_module.scan
         monkeypatch.setattr(engine_module, "scan", lambda *args: lexed.append(args[3:5]) or scan(*args))
         assert engine.compute_mask(state).tolist() == want
-        assert lexed == [(b"a" + b"b" * 400, 0), (b"b" * 400, 0), (b"a" + b"b" * 400, 401)]
+        assert lexed == [(b"a" + b"b" * 400, 0), (b"b" * 400, 0)]
         lexed.clear()
         assert engine.compute_mask(state).tolist() == want
-        assert len(lexed) == 2
+        assert lexed == []
 
 
 class TestProgress:

@@ -60,9 +60,7 @@ def scanned_step(engine: MaskEngine, state: EngineState, token: int) -> tuple:
 def assert_same(got: EngineState, want: tuple) -> None:
     stack, remainder, q, accept = want
     assert got.stack == stack
-    assert (got.stack.cost, got.stack.nullable, got.stack.floor.depth) == (
-        stack.cost, stack.nullable, stack.floor.depth,
-    )
+    assert (got.stack.cost, got.stack.floor.depth) == (stack.cost, stack.floor.depth)
     assert (got.remainder, got.lex_state, got.lex_accept) == (remainder, q, accept)
 
 
@@ -186,7 +184,7 @@ def test_completion_popping_below_the_window():
     # X and then one RP per ")".  "( ( x ) )" and "[ ( x ) )" end with the
     # same configuration, window (E, RP), but the final lexing pops three
     # cells: the cell below the window decides, RP completes and RB does not.
-    # The tail "))" decides the final lexing, so the row remembers none.
+    # The tail "))" decides the final lexing, so the row fixes none.
     grammar = parse_grammar(
         r"S: E ; E: X | Z | LP E RP | LB E RB ;"
         r" X: /x/ ; Z: /x\)*z/ ; LP: /\(/ ; RP: /\)/ ; LB: /\[/ ; RB: /\]/ ;"
@@ -199,7 +197,7 @@ def test_completion_popping_below_the_window():
         for token in vocab.tokenize(text):
             assert engine.compute_mask(state)[token]
             state = step_and_compare(engine, state, token)
-        ends.append((state.config, engine.is_complete(state), engine._rows[state.config].eos))
+        ends.append((state.config, engine.is_complete(state), engine._rows[state.config].final))
     assert ends[0][0] == ends[1][0]
     assert [(complete, remembered) for _, complete, remembered in ends] == [(True, None), (False, None)]
 
