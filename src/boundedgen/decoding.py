@@ -62,16 +62,20 @@ def softmax_prior(probs: np.ndarray, mask: np.ndarray, temperature: float) -> np
     if not admitted.size:
         raise ValueError("mask admits no token")
     out = np.zeros(len(probs))
+    out[admitted] = _admitted_prior(probs, admitted, temperature)
+    return out
+
+
+def _admitted_prior(probs: np.ndarray, admitted: np.ndarray, temperature: float) -> np.ndarray:
+    """:func:`softmax_prior` at the ``admitted`` ids, in their order."""
     selected = np.asarray(probs, dtype=float)[admitted]
     if selected.max() <= 0.0:
-        out[admitted] = 1.0 / admitted.size
-        return out
+        return np.full(admitted.size, 1.0 / admitted.size)
     with np.errstate(divide="ignore"):
         logs = np.log(selected) / temperature
     logs -= logs.max()
     weights = np.exp(logs)
-    out[admitted] = weights / weights.sum()
-    return out
+    return weights / weights.sum()
 
 
 def _log(prob: float) -> float:
@@ -91,10 +95,9 @@ def _greedy_steps(
     while state.consumed < state.budget:
         mask, probs = first or (engine.compute_mask(state), model.next_distribution(context))
         first = None
-        token = int(np.argmax(probs))  # the lowest id on ties, admitted or not
+        token = int(probs.argmax())  # the lowest id on ties, admitted or not
         if not mask[token]:
-            admitted = np.flatnonzero(mask)
-            token = int(admitted[np.argmax(probs[admitted])])
+            token = int(np.where(mask, probs, -np.inf).argmax())
         yield mask, probs, token
         if token == engine.vocab.eos:
             return
@@ -153,19 +156,21 @@ def beam_search(
     finished: list[tuple[tuple[int, ...], float]] = []
     while live and live[0][1].consumed < session.budget:
         length = len(live[0][0]) + 1
-        masks, tokens, owners, scores = [], [], [], []
+        masks, tokens, owners, shares = [], [], [], []
         for i, (ids, state) in enumerate(live):
             mask = engine.compute_mask(state)
             masked = np.where(mask, model.next_distribution(prompt + ids), 0.0)
-            if masked.sum() <= 0.0:
+            total = masked.sum()
+            if total <= 0.0:
                 masked = mask.astype(float)
+                total = masked.sum()
             admitted = np.flatnonzero(mask)
-            with np.errstate(divide="ignore"):
-                logs = np.log(masked[admitted] / masked.sum())
             masks.append(mask)
             tokens.append(admitted)
             owners.append(np.full(admitted.size, i))
-            scores.append((log_sums[i] + logs) / length)
+            shares.append(masked[admitted] / total)
+        with np.errstate(divide="ignore"):
+            scores = [(log_sums[i] + np.log(share)) / length for i, share in enumerate(shares)]
         tokens, owners, scores = map(np.concatenate, (tokens, owners, scores))
         if not tokens.size:
             break
@@ -197,34 +202,36 @@ def _best(scores: np.ndarray, owners: np.ndarray, tokens: np.ndarray, beams: int
 
 
 class _SearchNode:
-    """A tree-search node: one engine state and its per-token edge statistics.
-    ``children`` maps a tried token to its node, or to None at a leaf.
-    ``rollout`` is the greedy rollout through the node, shared by the nodes
-    on it: per step the mask (packed, as most steps never become nodes), the
-    distribution and the token, and per step the log-probability; ``at`` is
-    the node's step."""
+    """A tree-search node: one engine state and the edge statistics of its
+    admitted tokens.  ``ids`` are those tokens, ascending, and ``priors``,
+    ``visits`` and ``values`` hold one entry per id; ``mask`` is kept to
+    check a token when the state advances on it.  ``children`` maps a tried
+    token to its node, or to None at a leaf.  ``rollout`` is the greedy
+    rollout through the node, shared by the nodes on it: per step the mask
+    (packed, as most steps never become nodes), the distribution and the
+    token, and per step the log-probability; ``at`` is the node's step."""
 
-    __slots__ = ("state", "probs", "mask", "priors", "visits", "values", "children", "rollout", "at")
+    __slots__ = ("state", "probs", "mask", "ids", "priors", "visits", "values", "children", "rollout", "at")
 
-    def __init__(self, state: EngineState, probs: np.ndarray, mask: np.ndarray, priors: np.ndarray,
+    def __init__(self, state: EngineState, probs: np.ndarray, mask: np.ndarray, temperature: float,
                  rollout: tuple[list, list[float]] = ([], []), at: int = 0):
         self.state, self.rollout, self.at = state, rollout, at
         self.probs = probs
         self.mask = mask
-        self.priors = priors
-        self.visits = np.zeros(len(priors), dtype=np.int64)
-        self.values = np.zeros(len(priors))  # max rollout value seen per edge
+        self.ids = np.flatnonzero(mask)
+        self.priors = _admitted_prior(probs, self.ids, temperature)
+        self.visits = np.zeros(self.ids.size, dtype=np.int64)
+        self.values = np.zeros(self.ids.size)  # max rollout value seen per edge
         self.children: dict[int, _SearchNode | None] = {}
 
     def select(self, c_puct: float) -> int:
-        """The admitted token to descend into: highest prior at zero visits,
-        otherwise highest ``Q + c_puct * prior * sqrt(sum(N)) / (1 + N)``."""
+        """The position in ``ids`` to descend into: highest prior at zero
+        visits, otherwise highest ``Q + c_puct * prior * sqrt(sum(N)) / (1 + N)``;
+        the lowest id on ties."""
         total = self.visits.sum()
         if total == 0:
-            scores = self.priors
-        else:
-            scores = self.values + c_puct * self.priors * (math.sqrt(total) / (1.0 + self.visits))
-        return int(np.argmax(np.where(self.mask, scores, -np.inf)))
+            return int(self.priors.argmax())
+        return int((self.values + c_puct * self.priors * (math.sqrt(total) / (1.0 + self.visits))).argmax())
 
 
 def mcts_decode(
@@ -250,19 +257,17 @@ def mcts_decode(
     eos = engine.vocab.eos
     prompt = tuple(prompt)
 
-    def new_node(state: EngineState, mask, probs, rollout: tuple[list, list[float]], at: int) -> _SearchNode:
-        return _SearchNode(state, probs, mask, softmax_prior(probs, mask, config.temperature), rollout, at)
-
     def expand(state: EngineState, generated: tuple[int, ...]) -> _SearchNode:
-        first = (engine.compute_mask(state), model.next_distribution(prompt + generated))
-        steps = [(np.packbits(m), p, t) for m, p, t in _greedy_steps(model, state, prompt + generated, first)]
-        return new_node(state, *first, (steps, [_log(float(p[t])) for _, p, t in steps]), 0)
+        mask, probs = engine.compute_mask(state), model.next_distribution(prompt + generated)
+        steps = [(np.packbits(m), p, t) for m, p, t in _greedy_steps(model, state, prompt + generated, (mask, probs))]
+        return _SearchNode(state, probs, mask, config.temperature, (steps, [_log(float(p[t])) for _, p, t in steps]))
 
     def simulate(node: _SearchNode, generated: tuple[int, ...], logs: list[float]) -> None:
         path = []
         while node is not None:
-            token = node.select(config.c_puct)
-            path.append((node, token))
+            pos = node.select(config.c_puct)
+            token = int(node.ids[pos])
+            path.append((node, pos))
             logs.append(_log(float(node.probs[token])))
             generated += (token,)
             if token not in node.children:
@@ -271,7 +276,7 @@ def mcts_decode(
                 if token == steps[node.at][2] and at < len(steps):  # the rest of the node's rollout
                     packed, probs, _ = steps[at]
                     mask = np.unpackbits(packed, count=len(probs)).view(bool)
-                    child = new_node(state, mask, probs, node.rollout, at)
+                    child = _SearchNode(state, probs, mask, config.temperature, node.rollout, at)
                 elif state is not None and state.consumed < state.budget:
                     child = expand(state, generated)
                 else:
@@ -282,9 +287,9 @@ def mcts_decode(
                 break
             node = node.children[token]
         value = math.exp(sum(logs) / len(logs))
-        for parent, token in path:
-            parent.visits[token] += 1
-            parent.values[token] = max(parent.values[token], value)
+        for parent, pos in path:
+            parent.visits[pos] += 1
+            parent.values[pos] = max(parent.values[pos], value)
 
     committed: list[int] = []
     committed_logs: list[float] = []
@@ -293,7 +298,7 @@ def mcts_decode(
         for _ in range(config.trials):
             simulate(root, tuple(committed), list(committed_logs))
         visited = np.flatnonzero(root.visits)
-        token = int(visited[np.argmax(root.values[visited])])
+        token = int(root.ids[visited[root.values[visited].argmax()]])
         committed.append(token)
         committed_logs.append(_log(float(root.probs[token])))
         root = root.children[token]

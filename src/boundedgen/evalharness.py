@@ -150,7 +150,9 @@ def parse_strategy(spec: str):
     """Strategy spec -> (label, decode function taking (model, session, prompt)).
 
     Forms: ``greedy``, ``beam:<width>``, ``mcts:<trials>,<c_puct>,<tau>``
-    (later mcts fields optional).  ValueError for any other spec.
+    (each mcts field keeps its position; an empty or missing one takes its
+    default, so ``mcts:,8`` is ``mcts:20,8,2``).  ValueError for any other
+    spec.
     """
     name, _, arg = spec.partition(":")
     if name == "greedy" and not arg:
@@ -161,12 +163,13 @@ def parse_strategy(spec: str):
             raise ValueError(f"beam width must be at least 1, got {width}")
         return f"beam:{width}", lambda m, s, p=(): beam_search(m, s, p, beams=width)
     if name == "mcts":
-        parts = [p for p in arg.split(",") if p] if arg else []
+        parts = arg.split(",")
         if len(parts) > 3:
             raise ValueError(f"mcts takes at most three fields, got {spec!r}")
-        trials = int(parts[0]) if len(parts) > 0 else 20
-        c_puct = float(parts[1]) if len(parts) > 1 else 5.0
-        tau = float(parts[2]) if len(parts) > 2 else 2.0
+        parts += [""] * (3 - len(parts))  # an empty or missing field takes its default
+        trials = int(parts[0]) if parts[0] else 20
+        c_puct = float(parts[1]) if parts[1] else 5.0
+        tau = float(parts[2]) if parts[2] else 2.0
         config = MctsConfig(c_puct=c_puct, temperature=tau, trials=trials)
         label = f"mcts:{trials},{c_puct:g},{tau:g}"
         return label, lambda m, s, p=(): mcts_decode(m, s, p, config=config)

@@ -156,6 +156,25 @@ class TestGenerate:
         assert code == EXIT_OK
         assert "complete=True" in captured.err
 
+    @pytest.mark.parametrize(
+        "spec, label", [("mcts:,8", "mcts:20,8,2"), ("mcts:20,,3", "mcts:20,5,3"), ("mcts:20,", "mcts:20,5,2")]
+    )
+    def test_empty_mcts_field_keeps_its_position(self, workspace, capsys, spec, label):
+        code = main(
+            [
+                "generate",
+                "--grammar", workspace["grammar"],
+                "--vocab", workspace["vocab"],
+                "--cache", workspace["cache"],
+                "--model", "uniform",
+                "--strategy", spec,
+                "--budget", "6",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        assert f"strategy={label} " in captured.err
+
     def test_ratio_budget_arithmetic(self, workspace, capsys):
         code = main(
             [

@@ -286,25 +286,69 @@ class TestMcts:
             MctsConfig(trials=0)
 
     def test_select_on_hand_set_node(self):
-        # Tokens 0-2 admitted, token 3 denied.
+        # Tokens 0-2 admitted, token 3 denied: the node keeps statistics for
+        # ids 0-2 only, so a position in ids is a token here.
         mask = np.array([True, True, True, False])
-        node = _SearchNode(None, np.full(4, 0.25), mask, np.array([0.2, 0.5, 0.3, 0.0]))
+        node = _SearchNode(None, np.array([0.2, 0.5, 0.3, 0.0]), mask, 1.0)
+        assert node.ids.tolist() == [0, 1, 2]
+        assert 3 not in node.ids  # the denied token can never be picked
+        assert node.priors.size == node.visits.size == node.values.size == 3
         # Zero visits: the top prior wins, whatever c_puct is.
         assert node.select(0.0) == node.select(5.0) == 1
         # Visited: Q + c_puct * prior * sqrt(sum N) / (1 + N) with sum N = 4 and
         # c_puct = 1 scores 0.4 + 0.4*2/3, 0.1 + 0.5*2/2, 0.5 + 0.1*2/2 =
-        # 0.667, 0.6, 0.6: token 0, though token 2 has the top admitted Q and
-        # token 1 the top prior.
-        node.priors = np.array([0.4, 0.5, 0.1, 0.0])
-        node.visits = np.array([2, 1, 1, 0])
-        node.values = np.array([0.4, 0.1, 0.5, 0.0])
+        # 0.667, 0.6, 0.6: token 0, though token 2 has the top Q and token 1
+        # the top prior.
+        node.priors = np.array([0.4, 0.5, 0.1])
+        node.visits = np.array([2, 1, 1])
+        node.values = np.array([0.4, 0.1, 0.5])
         assert node.select(1.0) == 0
         assert node.select(0.0) == 2
-        # The denied token is never picked, even with the top Q.
-        node.values[3] = 0.95
-        node.priors[3] = 0.9
-        assert node.select(0.0) == 2
-        assert node.select(1.0) == 0
+
+    def test_nodes_hold_admitted_ids_only(self, json_engine, monkeypatch):
+        # Every node of a seeded search keeps its statistics over exactly
+        # the ids its mask admits, and its priors are softmax_prior's at
+        # those ids, bit for bit.
+        from boundedgen import decoding
+
+        nodes = []
+
+        class Recording(decoding._SearchNode):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                nodes.append(self)
+
+        monkeypatch.setattr(decoding, "_SearchNode", Recording)
+        config = MctsConfig(trials=20)
+        ids = mcts_decode(SeededRandomModel(json_engine.vocab.size, 5), json_engine.new_session(10), config=config)
+        assert ids[-1] == json_engine.vocab.eos
+        assert len(nodes) > len(ids)
+        for node in nodes:
+            assert np.array_equal(node.ids, np.flatnonzero(node.mask))
+            assert node.priors.size == node.visits.size == node.values.size == node.ids.size
+            want = softmax_prior(node.probs, node.mask, config.temperature)[node.ids]
+            assert np.array_equal(node.priors, want)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_node_priors_match_softmax_prior_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        size = 64
+        probs = rng.dirichlet(np.full(size, 0.3))
+        probs[rng.permutation(size)[:12]] = 0.0  # some ids carry no mass
+        for mask in (
+            rng.permutation(size) < 25,
+            np.arange(size) == seed,  # a single admitted token
+            probs == 0.0,  # every admitted id at zero mass: uniform
+        ):
+            for temperature in (0.5, 1.0, 2.0, 7.3):
+                node = _SearchNode(None, probs, mask, temperature)
+                want = softmax_prior(probs, mask, temperature)[node.ids]
+                assert np.array_equal(node.priors, want)
+                assert node.priors.dtype == want.dtype
+        uniform = _SearchNode(None, np.zeros(size), np.arange(size) % 3 == 0, 2.0).priors
+        assert np.array_equal(uniform, np.full(22, 1 / 22))
 
     def test_outputs_complete_and_deterministic(self, json_engine):
         model = SeededRandomModel(json_engine.vocab.size, 3)

@@ -127,6 +127,23 @@ class TestStrategyParsing:
         with pytest.raises(ValueError):
             parse_strategy("magic")
 
+    @pytest.mark.parametrize(
+        "spec, label",
+        [
+            ("mcts", "mcts:20,5,2"),
+            ("mcts:,8", "mcts:20,8,2"),
+            ("mcts:20,,3", "mcts:20,5,3"),
+            ("mcts:20,", "mcts:20,5,2"),
+            ("mcts:,,0.5", "mcts:20,5,0.5"),
+        ],
+    )
+    def test_empty_mcts_field_takes_its_default_in_place(self, spec, label):
+        assert parse_strategy(spec)[0] == label
+
+    def test_mcts_fields_counted_empty_ones_included(self):
+        with pytest.raises(ValueError, match="at most three fields"):
+            parse_strategy("mcts:,,,")
+
 
 class TestEvaluate:
     def test_full_mask_syntax_100(self, json_grammar, json_tables, json_vocab):
