@@ -1,7 +1,7 @@
 """Decoding strategies over a masked language model.
 
-Every strategy multiplies the model distribution by the engine mask before
-selecting, so no decoder ever advances on a denied token; with the full
+Every strategy selects from the model distribution times the engine mask,
+so no decoder ever advances on a denied token; with the full
 budget-aware mask this makes any output complete and within budget by
 construction.  Under the grammar-only mask a run can spend the budget
 without eos: greedy and tree search then return the truncated sequence, and
@@ -9,7 +9,8 @@ beam search its best finished hypothesis, or the best truncated one if none
 finished.  All strategies are deterministic, so a fixed model reproduces
 identical outputs:
 
-- greedy takes the most probable admitted token, the lowest id on ties;
+- greedy takes the most probable admitted token, the lowest id on ties,
+  and builds the mask only when the model's own argmax is denied;
 - beam search ranks continuations by length-normalized log-probability and
   breaks ties by the token ids, compared as tuples;
 - tree search selects by prior alone at a node with no visits, otherwise by
@@ -87,22 +88,28 @@ def _greedy_steps(
     state: EngineState,
     context: tuple[int, ...],
     first: tuple[np.ndarray, np.ndarray] | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-    """Yield each greedy step's mask, distribution and token until eos or
-    the end of the budget; ``context`` is everything the model has seen so
-    far, and ``first``, when given, the mask and distribution at ``state``."""
+) -> Iterator[tuple[np.ndarray, int]]:
+    """Yield each greedy step's distribution and token until eos or the end
+    of the budget; ``context`` is everything the model has seen so far, and
+    ``first``, when given, the mask and distribution at ``state``.  A step
+    asks the engine whether the model's argmax is admitted, and builds the
+    mask only when it is not."""
     engine = state.engine
+    mask, probs = first or (None, None)
     while state.consumed < state.budget:
-        mask, probs = first or (engine.compute_mask(state), model.next_distribution(context))
-        first = None
+        if probs is None:
+            probs = model.next_distribution(context)
         token = int(probs.argmax())  # the lowest id on ties, admitted or not
-        if not mask[token]:
+        if mask is None and not engine.admits(state, token):
+            mask = engine.compute_mask(state)
+        if mask is not None and not mask[token]:
             token = int(np.where(mask, probs, -np.inf).argmax())
-        yield mask, probs, token
+        yield probs, token
         if token == engine.vocab.eos:
             return
         context += (token,)
         state = engine.advance(state, token, mask)
+        mask = probs = None
 
 
 def greedy_decode(
@@ -115,7 +122,7 @@ def greedy_decode(
     mask the loop can instead run out of budget and return a truncated
     sequence without eos.
     """
-    return [token for _, _, token in _greedy_steps(model, session, tuple(prompt))]
+    return [token for _, token in _greedy_steps(model, session, tuple(prompt))]
 
 
 def unconstrained_greedy(
@@ -140,10 +147,12 @@ def beam_search(
 ) -> list[int]:
     """Length-normalized beam search over masked, renormalized probabilities.
 
-    Each hypothesis carries its own forked engine state.  The top ``beams``
-    continuations survive each step; those ending in eos retire to a pool
-    and the best finished hypothesis wins.  With ``beams=1`` the selection
-    rule coincides with greedy decoding, including tie-breaking.
+    Each hypothesis carries its own forked engine state.  A step stacks the
+    live hypotheses' masks and distributions, one row each, and scores
+    every admitted continuation in one pass (``_candidates``).  The top
+    ``beams`` continuations survive each step; those ending in eos retire
+    to a pool and the best finished hypothesis wins.  With ``beams=1`` the
+    selection rule coincides with greedy decoding, including tie-breaking.
     """
     if beams < 1:
         raise ValueError("beams must be at least 1")
@@ -156,22 +165,9 @@ def beam_search(
     finished: list[tuple[tuple[int, ...], float]] = []
     while live and live[0][1].consumed < session.budget:
         length = len(live[0][0]) + 1
-        masks, tokens, owners, shares = [], [], [], []
-        for i, (ids, state) in enumerate(live):
-            mask = engine.compute_mask(state)
-            masked = np.where(mask, model.next_distribution(prompt + ids), 0.0)
-            total = masked.sum()
-            if total <= 0.0:
-                masked = mask.astype(float)
-                total = masked.sum()
-            admitted = np.flatnonzero(mask)
-            masks.append(mask)
-            tokens.append(admitted)
-            owners.append(np.full(admitted.size, i))
-            shares.append(masked[admitted] / total)
-        with np.errstate(divide="ignore"):
-            scores = [(log_sums[i] + np.log(share)) / length for i, share in enumerate(shares)]
-        tokens, owners, scores = map(np.concatenate, (tokens, owners, scores))
+        masks = np.array([engine.compute_mask(state) for _, state in live])
+        probs = np.array([model.next_distribution(prompt + ids) for ids, _ in live])
+        owners, tokens, scores = _candidates(masks, probs, log_sums, length)
         if not tokens.size:
             break
         # Equal lengths make the ids order the owner's ids order, then token.
@@ -192,6 +188,29 @@ def beam_search(
     return list(live[int(np.argmax(log_sums / max(len(live[0][0]), 1)))][0])
 
 
+def _candidates(
+    masks: np.ndarray, probs: np.ndarray, log_sums: np.ndarray, length: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One beam step's candidates from the live hypotheses' masks and
+    distributions, one row each: the owner row and token of every admitted
+    token, by owner and then token, and its score, the owner's log-sum plus
+    the log of the token's share of the row's admitted mass, over
+    ``length``.  A row whose admitted tokens carry no mass shares it
+    equally among them."""
+    masked = np.where(masks, probs, 0.0)
+    totals = masked.sum(axis=1)
+    zero = totals <= 0.0
+    if zero.any():
+        masked[zero] = masks[zero]
+        totals[zero] = masked[zero].sum(axis=1)
+    at = np.flatnonzero(masks)
+    owners = at // masks.shape[1]
+    tokens = at - owners * masks.shape[1]
+    with np.errstate(divide="ignore"):
+        scores = (log_sums[owners] + np.log(masked.ravel()[at] / totals[owners])) / length
+    return owners, tokens, scores
+
+
 def _best(scores: np.ndarray, owners: np.ndarray, tokens: np.ndarray, beams: int) -> np.ndarray:
     """Indices of the ``beams`` best candidates, best first, as
     ``np.lexsort((tokens, owners, -scores))[:beams]`` for scores that are
@@ -204,14 +223,15 @@ def _best(scores: np.ndarray, owners: np.ndarray, tokens: np.ndarray, beams: int
 class _SearchNode:
     """A tree-search node: one engine state and the edge statistics of its
     admitted tokens.  ``ids`` are those tokens, ascending, and ``priors``,
-    ``visits`` and ``values`` hold one entry per id; ``mask`` is kept to
-    check a token when the state advances on it.  ``children`` maps a tried
-    token to its node, or to None at a leaf.  ``rollout`` is the greedy
-    rollout through the node, shared by the nodes on it: per step the mask
-    (packed, as most steps never become nodes), the distribution and the
-    token, and per step the log-probability; ``at`` is the node's step."""
+    ``visits`` and ``values`` hold one entry per id, ``total`` the sum of
+    ``visits``; ``mask`` is kept to check a token when the state advances
+    on it.  ``children`` maps a tried token to its node, or to None at a
+    leaf.  ``rollout`` is the greedy rollout through the node, shared by the
+    nodes on it: per step the distribution and the token, and per step the
+    log-probability; ``at`` is the node's step."""
 
-    __slots__ = ("state", "probs", "mask", "ids", "priors", "visits", "values", "children", "rollout", "at")
+    __slots__ = ("state", "probs", "mask", "ids", "priors", "visits", "values", "total", "children",
+                 "rollout", "at")
 
     def __init__(self, state: EngineState, probs: np.ndarray, mask: np.ndarray, temperature: float,
                  rollout: tuple[list, list[float]] = ([], []), at: int = 0):
@@ -222,16 +242,16 @@ class _SearchNode:
         self.priors = _admitted_prior(probs, self.ids, temperature)
         self.visits = np.zeros(self.ids.size, dtype=np.int64)
         self.values = np.zeros(self.ids.size)  # max rollout value seen per edge
+        self.total = 0
         self.children: dict[int, _SearchNode | None] = {}
 
     def select(self, c_puct: float) -> int:
         """The position in ``ids`` to descend into: highest prior at zero
         visits, otherwise highest ``Q + c_puct * prior * sqrt(sum(N)) / (1 + N)``;
         the lowest id on ties."""
-        total = self.visits.sum()
-        if total == 0:
+        if self.total == 0:
             return int(self.priors.argmax())
-        return int((self.values + c_puct * self.priors * (math.sqrt(total) / (1.0 + self.visits))).argmax())
+        return int((self.values + c_puct * self.priors * (math.sqrt(self.total) / (1.0 + self.visits))).argmax())
 
 
 def mcts_decode(
@@ -246,8 +266,10 @@ def mcts_decode(
     :meth:`_SearchNode.select` until it tries a new edge or reaches a leaf,
     expanding that edge, rolling out greedily from the new node's mask and
     distribution, and backing the rollout value up every edge of the path as
-    a maximum; a node on its parent's rollout takes the rest of it, so each
-    prefix is masked and scored by the model once.  The value is the
+    a maximum; a node on its parent's rollout takes the rest of it and
+    builds only its own mask, so each prefix is scored by the model once,
+    and a rollout step builds a mask only when the engine denies the
+    model's argmax (see ``_greedy_steps``).  The value is the
     geometric mean of unmodified model probabilities over the whole sequence
     generated so far, rollout included.  The visited root edge with the
     highest value is committed and its subtree reused; the search stops when
@@ -259,8 +281,8 @@ def mcts_decode(
 
     def expand(state: EngineState, generated: tuple[int, ...]) -> _SearchNode:
         mask, probs = engine.compute_mask(state), model.next_distribution(prompt + generated)
-        steps = [(np.packbits(m), p, t) for m, p, t in _greedy_steps(model, state, prompt + generated, (mask, probs))]
-        return _SearchNode(state, probs, mask, config.temperature, (steps, [_log(float(p[t])) for _, p, t in steps]))
+        steps = list(_greedy_steps(model, state, prompt + generated, (mask, probs)))
+        return _SearchNode(state, probs, mask, config.temperature, (steps, [_log(float(p[t])) for p, t in steps]))
 
     def simulate(node: _SearchNode, generated: tuple[int, ...], logs: list[float]) -> None:
         path = []
@@ -273,10 +295,9 @@ def mcts_decode(
             if token not in node.children:
                 state = None if token == eos else engine.advance(node.state, token, node.mask)
                 steps, at = node.rollout[0], node.at + 1
-                if token == steps[node.at][2] and at < len(steps):  # the rest of the node's rollout
-                    packed, probs, _ = steps[at]
-                    mask = np.unpackbits(packed, count=len(probs)).view(bool)
-                    child = _SearchNode(state, probs, mask, config.temperature, node.rollout, at)
+                if token == steps[node.at][1] and at < len(steps):  # the rest of the node's rollout
+                    mask = engine.compute_mask(state)  # the rollout already read its need memo entry
+                    child = _SearchNode(state, steps[at][0], mask, config.temperature, node.rollout, at)
                 elif state is not None and state.consumed < state.budget:
                     child = expand(state, generated)
                 else:
@@ -289,6 +310,7 @@ def mcts_decode(
         value = math.exp(sum(logs) / len(logs))
         for parent, pos in path:
             parent.visits[pos] += 1
+            parent.total += 1
             parent.values[pos] = max(parent.values[pos], value)
 
     committed: list[int] = []

@@ -35,7 +35,10 @@ and the grammar-only mask when ``need[t]`` is finite.  The strict inequality
 reserves one slot for end-of-sequence, which is admitted only when the
 output is complete, so a run that only advances on admitted tokens ends
 complete within ``budget`` tokens.  The mask report reads the same memo
-entry, which also holds each group's cheapest way to finish.
+entry, which also holds each group's cheapest way to finish, and
+``admits`` reads one token of it: a decoder that only asks whether its
+choice is admitted never builds the mask, and ``advance`` without a mask
+checks its one token the same way.
 
 The parser stack is persistent: each immutable :class:`Stack` cell holds its
 symbol, the cell below, and the summed completion cost and depth of
@@ -91,6 +94,12 @@ class ParseError(EngineError):
 
 class DeadSessionError(EngineError):
     """The mask came out all-false; impossible after valid steps, so a bug."""
+
+
+def _dead() -> DeadSessionError:
+    return DeadSessionError(
+        "mask is all-false; a session advanced only on admitted tokens can never reach this"
+    )
 
 
 _EXPANSION_LIMIT = 100_000
@@ -186,7 +195,9 @@ class EngineState:
     ``config`` is the step-table row of the lexer state and pending accept
     the remainder leaves; ``lex_state`` and ``lex_accept`` read it back.
     Past a pending accept, the accept and the state ``MaskEngine._relexed``
-    leaves are each found once and kept.
+    leaves are each found once and kept, and so is the token that
+    ``MaskEngine.admits`` last admitted, which ``advance`` then need not
+    check again.
     """
 
     engine: "MaskEngine" = field(compare=False, repr=False)
@@ -198,6 +209,7 @@ class EngineState:
     finished: bool = False
     _accept: tuple[int, int] | None = field(default=None, compare=False, repr=False)
     _relex: tuple | None = field(default=None, compare=False, repr=False)
+    _admitted: int | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def lex_state(self) -> int:
@@ -640,14 +652,15 @@ class MaskEngine:
                     best[g] = (total, terms, cost)
         return best
 
-    def _need(self, state: EngineState) -> tuple[np.ndarray, int, list]:
+    def _need(self, state: EngineState, relex: bool = True) -> tuple[np.ndarray, int, list]:
         """Per token, the least total of ``_totals``; 3 * INF, above any
         total, where no candidate parses or the row leaves the token out
         (eos included); the least of those; and ``_totals`` itself.  Read-only,
         and memoized on what ``_totals`` reads: the configuration, the
         window its candidates feed and the cost below.  Past a pending
-        accept, the tokens ``relex`` marks take the lesser of that and their
-        need in the state ``_relexed`` leaves."""
+        accept, and unless ``relex`` is false, the tokens ``relex`` marks
+        take the lesser of that and their need in the state ``_relexed``
+        leaves."""
         row = self._rows[state.config]
         window, below = self._window(state.stack, row.depth)
         key = (state.config, window, below.cost)
@@ -660,23 +673,40 @@ class MaskEngine:
             if len(self._need_memo) >= _NEED_MEMO_SIZE:
                 self._need_memo.clear()
             memo = self._need_memo[key] = (need, int(totals.min()), best)
-        if row.relex is not None:
+        if relex and row.relex is not None:
             relexed, _ = self._relexed(state)
             if relexed is not None:
                 need = np.minimum(memo[0], np.where(row.relex, self._need(relexed)[0], 3 * INF))
                 return need, int(need.min()), memo[2]
         return memo
 
-    def _admit(self, state: EngineState) -> tuple[np.ndarray, bool, bool]:
-        """The mask rule itself after the state checks, the completion bit,
-        and whether it admits nothing: no need under the limit and the
-        output not complete."""
+    def _token_need(self, state: EngineState, token: int) -> int:
+        """``_need(state)[0][token]``, without the vector past a pending accept."""
+        need = self._need(state, False)[0].item(token)
+        relex = self._rows[state.config].relex
+        if relex is not None and relex[token]:
+            relexed, _ = self._relexed(state)
+            if relexed is not None:
+                need = min(need, self._token_need(relexed, token))
+        return need
+
+    def _limit(self, state: EngineState) -> int:
+        """The admission rule's bound after the state checks: a token is
+        admitted when its need is under it, and end-of-sequence when the
+        output is complete.  Under the full mask it leaves one slot for
+        end-of-sequence; under grammar-only it is INF."""
         if state.finished:
             raise EngineError("session already emitted end-of-sequence")
         if state.consumed >= state.budget:
             raise BudgetExhaustedError(f"consumed {state.consumed} of {state.budget} tokens")
+        return min(state.budget - state.consumed - 1, INF) if self.mode == MODE_FULL else INF
+
+    def _admit(self, state: EngineState) -> tuple[np.ndarray, bool, bool]:
+        """The mask rule over the vocabulary, the completion bit, and whether
+        it admits nothing: no need under the limit and the output not
+        complete."""
+        limit = self._limit(state)
         need, least, _ = self._need(state)
-        limit = min(state.budget - state.consumed - 1, INF) if self.mode == MODE_FULL else INF
         bits = need < limit
         complete = self.is_complete(state)
         if complete:
@@ -687,11 +717,27 @@ class MaskEngine:
         """Boolean vector over the vocabulary for the next step."""
         bits, _, empty = self._admit(state)
         if empty:
-            raise DeadSessionError(
-                "mask is all-false; a session advanced only on admitted tokens "
-                "can never reach this"
-            )
+            raise _dead()
         return bits
+
+    def admits(self, state: EngineState, token: int) -> bool:
+        """``compute_mask(state)[token]`` without building the mask.
+
+        Raises what ``compute_mask`` raises, and MaskedTokenError for an id
+        outside the vocabulary, in the order ``advance`` checks them.  Only
+        a denied token reads the whole need vector, to tell a denial from
+        an all-false mask.
+        """
+        self._check_token(state, token)
+        limit = self._limit(state)
+        admitted = self._token_need(state, token) < limit or (
+            token == self.vocab.eos and self.is_complete(state))
+        if admitted:
+            if state.engine is self:
+                state._admitted = token
+        elif self._need(state)[1] >= limit and not self.is_complete(state):
+            raise _dead()
+        return admitted
 
     def mask_report(self, state: EngineState) -> list[dict]:
         """Per-token mask explanation: the dominating terminals and cost terms.
@@ -750,11 +796,18 @@ class MaskEngine:
     def advance(
         self, state: EngineState, token: int, mask: np.ndarray | None = None
     ) -> EngineState:
-        """Consume one admitted token and return the successor state."""
-        self._check_token(state, token)
+        """Consume one admitted token and return the successor state.
+
+        ``mask``, when given, is the state's mask; without it only ``token``
+        is checked, as ``admits`` does, and not again when ``admits`` has
+        just admitted it on this state.
+        """
         if mask is None:
-            mask = self.compute_mask(state)
-        if not mask[token]:
+            admitted = token == state._admitted and state.engine is self or self.admits(state, token)
+        else:
+            self._check_token(state, token)
+            admitted = mask[token]
+        if not admitted:
             raise MaskedTokenError(
                 f"token {self.vocab.tokens[token]!r} is masked false at this step"
             )

@@ -265,6 +265,63 @@ class TestBeam:
         want = np.lexsort((tokens, owners, -scores))[:beams]
         assert decoding._best(scores, owners, tokens, beams).tolist() == want.tolist()
 
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 1100),
+        st.sampled_from([0.02, 0.3, 0.9, 1.0]), st.sampled_from([0.0, 0.5, 0.95, 1.0]),
+    )
+    def test_batched_step_equals_per_row_bitwise(self, seed, rows, size, density, zero):
+        # One beam step over stacked (hypotheses x V) masks and distributions
+        # sums each row and scores each candidate to the same bits as the
+        # step computed row by row; ``zero`` is the share of ids without
+        # model mass, so some rows have none on their admitted tokens.
+        rng = np.random.default_rng(seed)
+        masks = rng.random((rows, size)) < density
+        masks[np.arange(rows), rng.integers(0, size, rows)] = True
+        probs = rng.dirichlet(np.full(size, 0.5), rows) * (rng.random((rows, size)) >= zero)
+        log_sums = np.log(rng.random(rows)) * rng.integers(0, 30)
+        length = int(rng.integers(1, 40))
+        masked = np.where(masks, probs, 0.0)
+        assert np.array_equal(masked.sum(axis=1), [np.where(m, p, 0.0).sum() for m, p in zip(masks, probs)])
+        want_owners, want_tokens, want_scores = [], [], []
+        for i, (mask, row) in enumerate(zip(masks, probs)):
+            row = np.where(mask, row, 0.0)
+            total = row.sum()
+            if total <= 0.0:
+                row = mask.astype(float)
+                total = row.sum()
+            admitted = np.flatnonzero(mask)
+            want_owners.append(np.full(admitted.size, i))
+            want_tokens.append(admitted)
+            with np.errstate(divide="ignore"):
+                want_scores.append((log_sums[i] + np.log(row[admitted] / total)) / length)
+        owners, tokens, scores = decoding._candidates(masks, probs, log_sums, length)
+        assert np.array_equal(owners, np.concatenate(want_owners))
+        assert np.array_equal(tokens, np.concatenate(want_tokens))
+        assert np.array_equal(scores, np.concatenate(want_scores))
+        assert scores.dtype == np.float64
+
+    def test_zero_mass_row_beside_a_massed_one(self, paren_engine, paren_vocab):
+        # After "(" the model puts all its mass on ")", which the mask denies
+        # there, so that hypothesis shares its step equally among its
+        # admitted tokens, while the one after "(x" keeps the model's shares.
+        from tests.test_decoding_reference import beam_search as reference_beam_search
+
+        opening, close = paren_vocab.tokens.index(b"("), paren_vocab.tokens.index(b")")
+        assert not paren_engine.compute_mask(paren_engine.replay([opening], 6))[close]
+
+        class ZeroAfterOpening(SeededRandomModel):
+            def next_distribution(self, prefix):
+                if tuple(prefix) == (opening,):
+                    return np.eye(self.vocab_size)[close]
+                return super().next_distribution(prefix)
+
+        for seed in range(4):
+            model = ZeroAfterOpening(paren_vocab.size, seed)
+            for beams in (3, 10):
+                want = reference_beam_search(model, paren_engine.new_session(6), beams=beams)
+                assert beam_search(model, paren_engine.new_session(6), beams=beams) == want, (seed, beams)
+
     def test_no_dead_end_over_1000_random_runs(self, paren_engine):
         # A DeadSessionError anywhere would propagate and fail the test.
         rng = random.Random(1234)
@@ -301,6 +358,7 @@ class TestMcts:
         # the top prior.
         node.priors = np.array([0.4, 0.5, 0.1])
         node.visits = np.array([2, 1, 1])
+        node.total = 4  # the node keeps sum(N) beside the visits
         node.values = np.array([0.4, 0.1, 0.5])
         assert node.select(1.0) == 0
         assert node.select(0.0) == 2
@@ -378,29 +436,55 @@ class TestMcts:
 
     def test_rollout_reuses_new_node_mask_and_distribution(self, json_engine, monkeypatch):
         # A node on its parent's greedy rollout takes the rest of that
-        # rollout, whose steps keep their masks and distributions: over one
-        # search the mask and the model see each generated prefix exactly
-        # once, the mask first, and the output is the reference search's.
+        # rollout's distributions, so over one search the model sees each
+        # generated prefix exactly once.  A rollout step asks the engine
+        # about its argmax alone, so the full mask is built only for node
+        # states and for rollout steps whose argmax the engine denied; the
+        # output is the reference search's.
         from tests.test_decoding_reference import mcts_decode as reference_mcts_decode
 
-        events = []
+        events, nodes = [], []
 
         class CountingModel(SeededRandomModel):
             def next_distribution(self, prefix):
-                events.append(tuple(prefix))
-                return super().next_distribution(prefix)
+                probs = super().next_distribution(prefix)
+                events.append(("model", tuple(prefix), probs))
+                return probs
+
+        class Recording(decoding._SearchNode):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                nodes.append(self)
 
         compute_mask = json_engine.compute_mask
-        monkeypatch.setattr(
-            json_engine, "compute_mask", lambda state: events.append(state) or compute_mask(state)
-        )
+
+        def counting_mask(state):
+            mask = compute_mask(state)
+            events.append(("mask", state, mask))
+            return mask
+
+        monkeypatch.setattr(json_engine, "compute_mask", counting_mask)
+        monkeypatch.setattr(decoding, "_SearchNode", Recording)
         config = MctsConfig(trials=20)
         model = CountingModel(json_engine.vocab.size, 4)
         ids = mcts_decode(model, json_engine.new_session(10), config=config)
-        states, prefixes = events[::2], events[1::2]
-        assert len(states) == len(prefixes) > 2 * len(ids)
-        assert all(isinstance(s, EngineState) and s.consumed == len(p) for s, p in zip(states, prefixes))
-        assert len(set(prefixes)) == len(prefixes)
+        prefixes = [prefix for kind, prefix, _ in events if kind == "model"]
+        assert len(set(prefixes)) == len(prefixes) > 2 * len(ids)
+        node_states = {id(node.state) for node in nodes}
+        at_nodes = at_denials = 0
+        for before, (kind, state, mask) in zip([None] + events, events):
+            if kind != "mask":
+                continue
+            if id(state) in node_states:
+                at_nodes += 1
+            else:  # a rollout step, right after the model scored its prefix
+                assert before[0] == "model" and len(before[1]) == state.consumed
+                assert not mask[before[2].argmax()]
+                at_denials += 1
+        assert at_nodes == len(nodes) and at_denials > 0
+        assert at_nodes + at_denials < len(prefixes)
         assert ids == reference_mcts_decode(model, json_engine.new_session(10), config=config)
 
 

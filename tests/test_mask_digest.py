@@ -8,18 +8,25 @@ the script.  A change that moves them on purpose rewrites that file:
 
 The other tests check, on the same setups, the two facts that completion is
 read from: each row's final lexing, fixed when the row is built, and a
-stack cell's cost, 0 exactly when the stack may end there.
+stack cell's cost, 0 exactly when the stack may end there; and that the
+one-token queries, ``admits`` and ``advance`` without a mask, answer what
+the mask answers.
 """
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from boundedgen.costs import build_cost_tables
 from boundedgen.dfa import DEAD, INITIAL, scan
-from boundedgen.engine import MaskEngine
+from boundedgen.engine import (
+    MODE_FULL, MODE_GRAMMAR_ONLY, BudgetError, BudgetExhaustedError, DeadSessionError, EngineError,
+    MaskEngine, MaskedTokenError,
+)
 from tests.test_engine import seeded_walk_states
 from tests.tools import mask_digest
 
@@ -82,3 +89,101 @@ def test_stack_cost_is_0_exactly_when_nullable(setups):
                 assert (cell.cost == 0) == nullable.issuperset(cell), (name, cell)
                 cell = cell.below
     assert zero == {True, False}
+
+
+def admitted_walk_states(engine, walks: int, seed: int = 0):
+    """Every state of ``walks`` seeded admitted walks at budgets 2-30, up to
+    and including the first one the mask refuses: finished, out of budget,
+    or, under grammar-only, with nothing admitted."""
+    rng = random.Random(seed)
+    for _ in range(walks):
+        try:
+            state = engine.new_session(rng.randint(2, 30))
+        except BudgetError:
+            continue
+        while True:
+            yield state
+            try:
+                mask = engine.compute_mask(state)
+            except EngineError:
+                break
+            state = engine.advance(state, rng.choice(np.flatnonzero(mask).tolist()), mask)
+
+
+def error_class(call) -> type | None:
+    try:
+        call()
+    except EngineError as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("mode", [MODE_FULL, MODE_GRAMMAR_ONLY])
+def test_admits_and_unmasked_advance_agree_with_the_mask(setups, mode):
+    # Every token at every step: ``admits`` reads the mask bit, and
+    # ``advance`` without a mask steps exactly the admitted tokens to the
+    # state it steps them to with the mask, the first time through its own
+    # check and the second through the token ``admits`` just admitted.
+    # States the mask refuses, finished, out of budget or with nothing
+    # admitted, refuse every query with the mask's error.
+    refused = set()
+    for name, (grammar, vocab, walks) in setups.items():
+        engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab, mode)
+        past_accept = 0
+        for state in admitted_walk_states(engine, walks // 5):
+            want = error_class(lambda: engine.compute_mask(state))
+            if want is not None:
+                refused.add(want)
+                for token in range(vocab.size):
+                    assert error_class(lambda: engine.admits(state, token)) is want, (name, token)
+                    assert error_class(lambda: engine.advance(state, token)) is want, (name, token)
+                continue
+            past_accept += engine._rows[state.config].relex is not None
+            mask = engine.compute_mask(state)
+            for token in range(vocab.size):
+                if mask[token]:
+                    stepped = engine.advance(state, token, mask)
+                    assert engine.advance(state, token) == stepped, (name, token)
+                    assert engine.admits(state, token)
+                    assert engine.advance(state, token) == stepped, (name, token)
+                else:
+                    with pytest.raises(MaskedTokenError):
+                        engine.advance(state, token)
+                    assert not engine.admits(state, token), (name, token)
+        if name.startswith("abc"):
+            assert past_accept, name
+    ends = {EngineError} if mode == MODE_FULL else {EngineError, BudgetExhaustedError, DeadSessionError}
+    assert refused == ends
+
+
+def test_admits_refuses_what_the_mask_refuses(setups):
+    # An all-false mask, outside a walk: budget 1 leaves no room for content
+    # plus eos.  Ids outside the vocabulary are not tokens.
+    grammar, vocab, _ = setups["json"]
+    engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
+    dead = engine.replay([], budget=1)
+    assert error_class(lambda: engine.compute_mask(dead)) is DeadSessionError
+    for token in range(vocab.size):
+        assert error_class(lambda: engine.admits(dead, token)) is DeadSessionError
+        assert error_class(lambda: engine.advance(dead, token)) is DeadSessionError
+    state = engine.new_session(10)
+    for token in (-1, vocab.size):
+        assert error_class(lambda: engine.admits(state, token)) is MaskedTokenError
+        assert error_class(lambda: engine.advance(state, token)) is MaskedTokenError
+
+
+def test_admission_is_remembered_per_engine(setups):
+    # A grammar-only engine admits tokens that the full mask denies for lack
+    # of budget; its answer, on its own state or on a full engine's, does
+    # not let the full engine's ``advance`` skip its own check.
+    grammar, vocab, _ = setups["json"]
+    tables = build_cost_tables(grammar, vocab)
+    full, loose = MaskEngine(grammar, tables, vocab), MaskEngine(grammar, tables, vocab, MODE_GRAMMAR_ONLY)
+    for state in (full.new_session(4), loose.new_session(4)):
+        only_loose = np.flatnonzero(loose.compute_mask(state) & ~full.compute_mask(state)).tolist()
+        assert only_loose
+        for token in only_loose:
+            assert loose.admits(state, token)
+            with pytest.raises(MaskedTokenError):
+                full.advance(state, token)
+            assert loose.advance(state, token) == loose.advance(state, token, loose.compute_mask(state))
