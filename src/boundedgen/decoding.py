@@ -28,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from boundedgen.engine import EngineState
+from boundedgen.engine import EngineState, MaskedTokenError
 from boundedgen.models import LanguageModel
 
 _PROB_FLOOR = 1e-12  # keeps the log of a zero-mass token finite
@@ -92,23 +92,26 @@ def _greedy_steps(
     """Yield each greedy step's distribution and token until eos or the end
     of the budget; ``context`` is everything the model has seen so far, and
     ``first``, when given, the mask and distribution at ``state``.  A step
-    asks the engine whether the model's argmax is admitted, and builds the
-    mask only when it is not."""
+    advances on the model's argmax, which checks that one token, and builds
+    the mask only when the engine denies it."""
     engine = state.engine
     mask, probs = first or (None, None)
     while state.consumed < state.budget:
         if probs is None:
             probs = model.next_distribution(context)
         token = int(probs.argmax())  # the lowest id on ties, admitted or not
-        if mask is None and not engine.admits(state, token):
-            mask = engine.compute_mask(state)
-        if mask is not None and not mask[token]:
+        try:
+            following = engine.advance(state, token, mask)
+        except MaskedTokenError:
+            if mask is None:
+                mask = engine.compute_mask(state)
             token = int(np.where(mask, probs, -np.inf).argmax())
+            following = engine.advance(state, token, mask)
         yield probs, token
         if token == engine.vocab.eos:
             return
         context += (token,)
-        state = engine.advance(state, token, mask)
+        state = following
         mask = probs = None
 
 

@@ -195,9 +195,7 @@ class EngineState:
     ``config`` is the step-table row of the lexer state and pending accept
     the remainder leaves; ``lex_state`` and ``lex_accept`` read it back.
     Past a pending accept, the accept and the state ``MaskEngine._relexed``
-    leaves are each found once and kept, and so is the token that
-    ``MaskEngine.admits`` last admitted, which ``advance`` then need not
-    check again.
+    leaves are each found once and kept.
     """
 
     engine: "MaskEngine" = field(compare=False, repr=False)
@@ -209,7 +207,6 @@ class EngineState:
     finished: bool = False
     _accept: tuple[int, int] | None = field(default=None, compare=False, repr=False)
     _relex: tuple | None = field(default=None, compare=False, repr=False)
-    _admitted: int | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def lex_state(self) -> int:
@@ -652,15 +649,14 @@ class MaskEngine:
                     best[g] = (total, terms, cost)
         return best
 
-    def _need(self, state: EngineState, relex: bool = True) -> tuple[np.ndarray, int, list]:
+    def _need(self, state: EngineState) -> tuple[np.ndarray, int, list]:
         """Per token, the least total of ``_totals``; 3 * INF, above any
         total, where no candidate parses or the row leaves the token out
         (eos included); the least of those; and ``_totals`` itself.  Read-only,
         and memoized on what ``_totals`` reads: the configuration, the
         window its candidates feed and the cost below.  Past a pending
-        accept, and unless ``relex`` is false, the tokens ``relex`` marks
-        take the lesser of that and their need in the state ``_relexed``
-        leaves."""
+        accept, the tokens ``relex`` marks take the lesser of that and their
+        need in the state ``_relexed`` leaves."""
         row = self._rows[state.config]
         window, below = self._window(state.stack, row.depth)
         key = (state.config, window, below.cost)
@@ -673,44 +669,38 @@ class MaskEngine:
             if len(self._need_memo) >= _NEED_MEMO_SIZE:
                 self._need_memo.clear()
             memo = self._need_memo[key] = (need, int(totals.min()), best)
-        if relex and row.relex is not None:
+        if row.relex is not None:
             relexed, _ = self._relexed(state)
             if relexed is not None:
                 need = np.minimum(memo[0], np.where(row.relex, self._need(relexed)[0], 3 * INF))
                 return need, int(need.min()), memo[2]
         return memo
 
-    def _token_need(self, state: EngineState, token: int) -> int:
-        """``_need(state)[0][token]``, without the vector past a pending accept."""
-        need = self._need(state, False)[0].item(token)
-        relex = self._rows[state.config].relex
-        if relex is not None and relex[token]:
-            relexed, _ = self._relexed(state)
-            if relexed is not None:
-                need = min(need, self._token_need(relexed, token))
-        return need
-
-    def _limit(self, state: EngineState) -> int:
-        """The admission rule's bound after the state checks: a token is
-        admitted when its need is under it, and end-of-sequence when the
-        output is complete.  Under the full mask it leaves one slot for
-        end-of-sequence; under grammar-only it is INF."""
+    def _admit(
+        self, state: EngineState, token: int | None = None
+    ) -> tuple[np.ndarray | bool, bool, bool]:
+        """The mask rule after the state checks, over the vocabulary or for
+        ``token`` alone: a token is admitted when its need is under the
+        limit, which under the full mask keeps one slot for end-of-sequence,
+        and end-of-sequence when the output is complete.  Returns the mask,
+        or ``token``'s bit; the completion bit; and whether the rule admits
+        nothing: no need under the limit and the output not complete.  An
+        admitted ``token`` returns at once, both of those read as False."""
         if state.finished:
             raise EngineError("session already emitted end-of-sequence")
         if state.consumed >= state.budget:
             raise BudgetExhaustedError(f"consumed {state.consumed} of {state.budget} tokens")
-        return min(state.budget - state.consumed - 1, INF) if self.mode == MODE_FULL else INF
-
-    def _admit(self, state: EngineState) -> tuple[np.ndarray, bool, bool]:
-        """The mask rule over the vocabulary, the completion bit, and whether
-        it admits nothing: no need under the limit and the output not
-        complete."""
-        limit = self._limit(state)
+        limit = min(state.budget - state.consumed - 1, INF) if self.mode == MODE_FULL else INF
         need, least, _ = self._need(state)
-        bits = need < limit
+        if token is not None and need.item(token) < limit:
+            return True, False, False
         complete = self.is_complete(state)
-        if complete:
-            bits[self.vocab.eos] = True
+        if token is not None:
+            bits = complete and token == self.vocab.eos
+        else:
+            bits = need < limit
+            if complete:
+                bits[self.vocab.eos] = True
         return bits, complete, least >= limit and not complete
 
     def compute_mask(self, state: EngineState) -> np.ndarray:
@@ -725,17 +715,12 @@ class MaskEngine:
 
         Raises what ``compute_mask`` raises, and MaskedTokenError for an id
         outside the vocabulary, in the order ``advance`` checks them.  Only
-        a denied token reads the whole need vector, to tell a denial from
-        an all-false mask.
+        a token whose need is not under the limit, eos always, asks whether
+        the output is complete.
         """
         self._check_token(state, token)
-        limit = self._limit(state)
-        admitted = self._token_need(state, token) < limit or (
-            token == self.vocab.eos and self.is_complete(state))
-        if admitted:
-            if state.engine is self:
-                state._admitted = token
-        elif self._need(state)[1] >= limit and not self.is_complete(state):
+        admitted, _, empty = self._admit(state, token)
+        if empty:
             raise _dead()
         return admitted
 
@@ -799,11 +784,10 @@ class MaskEngine:
         """Consume one admitted token and return the successor state.
 
         ``mask``, when given, is the state's mask; without it only ``token``
-        is checked, as ``admits`` does, and not again when ``admits`` has
-        just admitted it on this state.
+        is checked, by ``admits``.
         """
         if mask is None:
-            admitted = token == state._admitted and state.engine is self or self.admits(state, token)
+            admitted = self.admits(state, token)
         else:
             self._check_token(state, token)
             admitted = mask[token]

@@ -122,10 +122,9 @@ def error_class(call) -> type | None:
 def test_admits_and_unmasked_advance_agree_with_the_mask(setups, mode):
     # Every token at every step: ``admits`` reads the mask bit, and
     # ``advance`` without a mask steps exactly the admitted tokens to the
-    # state it steps them to with the mask, the first time through its own
-    # check and the second through the token ``admits`` just admitted.
-    # States the mask refuses, finished, out of budget or with nothing
-    # admitted, refuse every query with the mask's error.
+    # state it steps them to with the mask.  States the mask refuses,
+    # finished, out of budget or with nothing admitted, refuse every query
+    # with the mask's error.
     refused = set()
     for name, (grammar, vocab, walks) in setups.items():
         engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab, mode)
@@ -142,10 +141,8 @@ def test_admits_and_unmasked_advance_agree_with_the_mask(setups, mode):
             mask = engine.compute_mask(state)
             for token in range(vocab.size):
                 if mask[token]:
-                    stepped = engine.advance(state, token, mask)
-                    assert engine.advance(state, token) == stepped, (name, token)
                     assert engine.admits(state, token)
-                    assert engine.advance(state, token) == stepped, (name, token)
+                    assert engine.advance(state, token) == engine.advance(state, token, mask), (name, token)
                 else:
                     with pytest.raises(MaskedTokenError):
                         engine.advance(state, token)
@@ -170,20 +167,3 @@ def test_admits_refuses_what_the_mask_refuses(setups):
     for token in (-1, vocab.size):
         assert error_class(lambda: engine.admits(state, token)) is MaskedTokenError
         assert error_class(lambda: engine.advance(state, token)) is MaskedTokenError
-
-
-def test_admission_is_remembered_per_engine(setups):
-    # A grammar-only engine admits tokens that the full mask denies for lack
-    # of budget; its answer, on its own state or on a full engine's, does
-    # not let the full engine's ``advance`` skip its own check.
-    grammar, vocab, _ = setups["json"]
-    tables = build_cost_tables(grammar, vocab)
-    full, loose = MaskEngine(grammar, tables, vocab), MaskEngine(grammar, tables, vocab, MODE_GRAMMAR_ONLY)
-    for state in (full.new_session(4), loose.new_session(4)):
-        only_loose = np.flatnonzero(loose.compute_mask(state) & ~full.compute_mask(state)).tolist()
-        assert only_loose
-        for token in only_loose:
-            assert loose.admits(state, token)
-            with pytest.raises(MaskedTokenError):
-                full.advance(state, token)
-            assert loose.advance(state, token) == loose.advance(state, token, loose.compute_mask(state))
