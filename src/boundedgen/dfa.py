@@ -387,12 +387,10 @@ def _row_keys(a: np.ndarray) -> np.ndarray:
     return a.view(f"V{a.shape[1] * a.itemsize}").ravel()
 
 
-def _minimize(transitions: np.ndarray, accepting: np.ndarray) -> tuple[Dfa, np.ndarray]:
+def _minimize(transitions: np.ndarray, accepting: np.ndarray) -> Dfa:
     """Moore partition refinement of a table with DEAD as row 0 and the
     initial state as row 1; returns the canonical minimal Dfa, for the empty
-    language a dead state and an initial state that leads nowhere, and per
-    state of the table its state in that Dfa (a minimal DFA is a quotient of
-    the DFA it is minimized from)."""
+    language a dead state and an initial state that leads nowhere."""
     # Bytes with identical columns never separate two states.
     reduced = transitions[:, np.unique(_row_keys(transitions.T), return_index=True)[1]]
 
@@ -411,9 +409,7 @@ def _minimize(transitions: np.ndarray, accepting: np.ndarray) -> tuple[Dfa, np.n
 
     dead, init = int(block[DEAD]), int(block[INITIAL])
     if init == dead:
-        states = np.zeros(len(block), dtype=np.int32)
-        states[INITIAL] = INITIAL
-        return Dfa(np.zeros((2, _N_BYTES), dtype=np.int32), INITIAL, np.zeros(2, dtype=bool)), states
+        return Dfa(np.zeros((2, _N_BYTES), dtype=np.int32), INITIAL, np.zeros(2, dtype=bool))
     rep = np.unique(block, return_index=True)[1]
     quotient = block[transitions[rep]]
 
@@ -427,7 +423,7 @@ def _minimize(transitions: np.ndarray, accepting: np.ndarray) -> tuple[Dfa, np.n
                 rows.append(j)
     new_id = np.zeros(n_blocks, dtype=np.int32)
     new_id[rows] = np.arange(len(rows))
-    return Dfa(new_id[quotient[rows]], INITIAL, accepting[rep[rows]]), new_id[block]
+    return Dfa(new_id[quotient[rows]], INITIAL, accepting[rep[rows]])
 
 
 # --- the terminals' labelled automaton ------------------------------------------
@@ -435,9 +431,8 @@ def _minimize(transitions: np.ndarray, accepting: np.ndarray) -> tuple[Dfa, np.n
 Lexer = tuple[tuple[array, ...], tuple[int, ...], tuple[bool, ...]]  # see compile_lexer
 
 
-def compile_lexer(patterns: Sequence[str]) -> tuple[Lexer, tuple[Dfa, ...], np.ndarray]:
-    """The lexer, each terminal's automaton, and each automaton's state at
-    every lexer state, from one labelled DFA.
+def compile_lexer(patterns: Sequence[str]) -> tuple[Lexer, tuple[Dfa, ...]]:
+    """The lexer and each terminal's automaton, from one labelled DFA.
 
     ``patterns``, the terminals' patterns in declaration order, are parsed
     straight into one position automaton: every byte set of every pattern
@@ -449,10 +444,9 @@ def compile_lexer(patterns: Sequence[str]) -> tuple[Lexer, tuple[Dfa, ...], np.n
     determinized is the lexer: per state ``q``, ``transitions[q][b]`` is the
     successor on byte ``b`` (DEAD and INITIAL as in every automaton here),
     ``terminal[q]`` the earliest terminal accepting in ``q`` or -1, and
-    ``extends[q]`` whether some byte leads to a live state.  Terminal ``t``'s automaton is that DFA minimized with the
-    states labelled ``t`` accepting: exactly the strings the lexer labels ``t``.
-    Minimizing merges lexer states, so ``states[t, q]`` is the state of
-    ``t``'s automaton after any bytes that leave the lexer in ``q``.
+    ``extends[q]`` whether some byte leads to a live state.  Terminal
+    ``t``'s automaton is that DFA minimized with the states labelled ``t``
+    accepting: exactly the strings the lexer labels ``t``.
     """
     sets, follow, accepts = [frozenset()], [set()], []  # position 0 is the start
     for i, pattern in enumerate(patterns):
@@ -471,10 +465,7 @@ def compile_lexer(patterns: Sequence[str]) -> tuple[Lexer, tuple[Dfa, ...], np.n
     table, label = _determinize(moves, frozenset([0]), accepts, "lexer automaton")
     rows = tuple(array("i", row.tobytes()) for row in table)
     lexer = rows, tuple(label.tolist()), tuple((table != DEAD).any(axis=1).tolist())
-    minimized = [_minimize(table, label == t) for t in range(len(patterns))]
-    states = np.array([m[1] for m in minimized], dtype=np.int32).reshape(len(patterns), len(table))
-    states.setflags(write=False)
-    return lexer, tuple(m[0] for m in minimized), states
+    return lexer, tuple(_minimize(table, label == t) for t in range(len(patterns)))
 
 
 def scan(lexer: Lexer, q: int, accept, data: bytes, pos: int, final: bool = False):
@@ -536,4 +527,4 @@ def dfa_concat(a: Dfa, b: Dfa) -> Dfa:
     if b.accepting[b.initial]:
         accept.update(ends)
     table, label = _determinize(moves, frozenset([a.initial]), [accept], "concatenation automaton")
-    return _minimize(table, label == 0)[0]
+    return _minimize(table, label == 0)

@@ -22,12 +22,12 @@ lexing to the end of input commits, fed to the state's own stack.
 Admission reads one vector that does not depend on the budget: ``need[t]``,
 the fewest tokens needed after token ``t`` to finish everything.  Token
 ``t`` commits ``c`` and leaves configuration ``s``, whose pending lexeme
-finishes as any terminal ``b`` the parser takes after ``c`` (C of ``b``'s
-automaton at ``s``'s lexer state, plus the cost of the stack after
-``c + b``), as a pair that one token crosses, or by committing its pending
-accept and lexing the tail afresh, at no tokens.  So a token whose bytes
-span any number of lexemes costs what any other does.  The full mask admits
-``t`` when
+finishes as any terminal ``b`` the parser takes after ``c`` (C of ``b`` at
+``s``, a shortest path over the table's own edges, plus the cost of the
+stack after ``c + b``), as a pair that one token crosses, or by committing
+its pending accept and lexing the tail afresh, at no tokens.  So a token
+whose bytes span any number of lexemes costs what any other does.  The
+full mask admits ``t`` when
 
     (consumed + 1) + need[t] < budget  and  need[t] < INF
 
@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from boundedgen.costs import CacheCorruptError, CostTables, byte_closure, compute_nonterminal_costs
-from boundedgen.dfa import DEAD, INF, INITIAL as _LEX_INITIAL, scan
+from boundedgen.dfa import INF, INITIAL as _LEX_INITIAL, scan
 from boundedgen.grammar import Grammar, adjacent_terminal_pairs
 from boundedgen.vocab import Vocabulary
 
@@ -274,14 +274,11 @@ class MaskEngine:
             raise CacheCorruptError("cost tables do not hold exactly the grammar's automata")
         if any(tables.automata[(t,)] != term.dfa for t, term in enumerate(grammar.terminals)):
             raise CacheCorruptError("a terminal's automaton in the cost tables is not the grammar's")
-        start_costs = tables.terminal_start_costs(grammar.n_terminals)  # C is checked on load, D here
-        if not np.array_equal(compute_nonterminal_costs(grammar, start_costs), tables.d):
-            raise CacheCorruptError("D in the cost tables does not match the grammar and C")
         steps = tables.steps
         configurations = list(zip(steps.states.tolist(), steps.accepts.tolist(), steps.tails))
         # The rows are the lexer's byte closure, and a configuration with a
         # tail is past its accept, in one of them.
-        label = grammar.lexer[1]
+        label = np.array(grammar.lexer[1])
         rows = [(q, a) for q, a, tail in configurations if not tail]
         tailed = {(q, a) for q, a, tail in configurations if tail}
         if rows != byte_closure(grammar.lexer) or not tailed <= set(rows) \
@@ -295,7 +292,24 @@ class MaskEngine:
         self.tables = tables
         self.vocab = vocab
         self.mode = mode
-        self._symbol_cost = [int(c) for c in start_costs] + [int(c) for c in tables.d]
+        # The table's configurations, numbered; per configuration the row
+        # it is priced by, its own or that of its lexer state and accept
+        # (``_row``), and its ways to finish.
+        self._configurations = configurations
+        self._index = {key: s for s, key in enumerate(configurations)}
+        self._alias = np.array([self._index[q, a, b""] for q, a, _ in configurations], dtype=np.int32)
+        self._c, self._bridge = self._completions()
+        if not np.array_equal(compute_nonterminal_costs(grammar, self._c[0]), tables.d):
+            raise CacheCorruptError("D in the cost tables does not match the grammar and C")
+        # Per configuration and terminal, whether the lexer can still reach
+        # a state labelled with it: a fixpoint over the lexer's adjacency.
+        adjacent = np.zeros((len(label),) * 2, dtype=np.float32)
+        adjacent[np.arange(len(label))[:, None], np.array(grammar.lexer[0])] = 1
+        alive = label[:, None] == np.arange(grammar.n_terminals)
+        while not np.array_equal(grown := alive | (adjacent @ alive > 0), alive):
+            alive = grown
+        self._alive = alive[steps.states]
+        self._symbol_cost = np.concatenate([self._c[0], tables.d]).tolist()
         symbols, terminals = range(len(self._symbol_cost)), range(grammar.n_terminals)
         # (stack symbol, terminal) -> what the symbol leaves after consuming
         # the terminal, _DERIVES_EMPTY, or None; bounded by the grammar's size.
@@ -305,23 +319,10 @@ class MaskEngine:
             any(self._symbol_memo[sym, t] is _DERIVES_EMPTY for t in terminals) for sym in symbols
         ]
         self._need_memo: dict[tuple, np.ndarray] = {}
-        # The table's configurations, numbered; per configuration the row
-        # it is priced by, its own or that of its lexer state and accept
-        # (``_row``), and its ways to finish.
-        self._configurations = configurations
-        self._index = {key: s for s, key in enumerate(configurations)}
-        self._alias = np.array([self._index[q, a, b""] for q, a, _ in configurations], dtype=np.int32)
         # The rows past their accept, whose tail the table does not know.
-        tails = np.array([len(tail) for tail in steps.tails])
-        self._unknown = (steps.accepts >= 0) & (np.array(label)[steps.states] < 0) & (tails == 0)
-        # C of each terminal's automaton at each lexer state, and whether
-        # the automaton is alive there.
-        at = grammar.automaton_states
-        c = [tables.c[(b,)][at[b]] for b in range(grammar.n_terminals)]
-        self._c = np.array(c, dtype=np.int64).reshape(at.shape).T
-        self._alive = (at != DEAD).T
+        untailed = np.array([not tail for tail in steps.tails], dtype=bool)
+        self._unknown = (steps.accepts >= 0) & (label[steps.states] < 0) & untailed
         self._finishes: dict[tuple[int, int, bytes], list] = {}
-        self._bridge = self._bridges()
         self._adjacent = adjacent_terminal_pairs(grammar, grammar.ll1)
         self._start_stack = self._push(EMPTY_STACK, (grammar.nt_symbol(grammar.start),))
         self._rows = {config: self._row(config) for config, tail in enumerate(steps.tails) if not tail}
@@ -495,20 +496,21 @@ class MaskEngine:
 
     def _finish(self, q: int, accept: int, tail: bytes) -> list[tuple[tuple[int, ...], int]]:
         """The ways to finish the lexeme pending in a configuration, as
-        (terminals fed to the stack, C): as any terminal whose automaton is
-        alive at the lexer state; as a pair of terminals that one token
-        crosses, in the row of the lexer state and accept (see
-        ``_bridges``); by committing the pending accept and lexing the tail
-        afresh; or, with nothing pending, by feeding nothing.  Memoized: the
-        table's configurations and their tails bound the keys."""
+        (terminals fed to the stack, C), read off the row of its lexer state
+        and accept: as any terminal the lexer can still reach; as a pair of
+        terminals that one token crosses (see ``_completions``); by
+        committing the pending accept and lexing the tail afresh; or, with
+        nothing pending, by feeding nothing.  Memoized: the table's
+        configurations and their tails bound the keys."""
         key = (q, accept, tail)
         ways = self._finishes.get(key)
         if ways is None:
-            if q == _LEX_INITIAL and accept < 0:
+            s = self._index[q, accept, b""]
+            if s == 0:
                 ways = [((), 0)]
             else:
-                ways = [((b,), int(self._c[q, b])) for b in np.flatnonzero(self._alive[q]).tolist()]
-                ways += self._bridge[self._index[q, accept, b""]]
+                ways = [((b,), int(self._c[s, b])) for b in np.flatnonzero(self._alive[s]).tolist()]
+                ways += self._bridge[s]
             if tail:
                 committed, rest, q, last, error = self._scan(_LEX_INITIAL, None, b"", tail)
                 if error is None:
@@ -517,37 +519,47 @@ class MaskEngine:
             self._finishes[key] = ways
         return ways
 
-    def _bridges(self) -> list[list[tuple[tuple[int, int], int]]]:
-        """Per configuration of the table, the pairs (a, b) that finish for
-        fewer tokens than a and then b apart, with that count: the fewest
-        tokens that commit a and then finish b, where one token may cross
-        from a into b.  A shortest path over the rows' distinct edges, each
-        successor read as the row that prices it."""
+    def _completions(self) -> tuple[np.ndarray, list[list[tuple[tuple[int, int], int]]]]:
+        """Per configuration of the table, C and the bridges: shortest paths
+        over the rows' distinct edges, each successor read as the row that
+        prices it.  C of b, the fewest tokens that finish the pending lexeme
+        as b, is 0 where the lexer state is labelled b, 1 over an edge that
+        commits exactly (b) and leaves nothing pending, else 1 more than at
+        the successor of an edge that commits nothing; a configuration with
+        a tail reads its row's.  The bridges are the pairs (a, b) that one
+        token may cross for fewer tokens than a and then b apart."""
         steps, n_t = self.tables.steps, self.grammar.n_terminals
         n, m = len(steps.tails), len(steps.commits)
-        pending = self._c[steps.states]
         starts = np.repeat(np.arange(n, dtype=np.int64), np.diff(steps.indptr))
         edges = np.unique((starts * m + steps.moves) * n + self._alias[steps.succs])
         source, move, target = edges // (m * n), edges // n % m, edges % n
+        commits = [steps.commits[k][0] for k in move.tolist()]
+        free = move == 0
+        def relax(cost: np.ndarray) -> np.ndarray:  # edges that commit nothing, one more at a time
+            while True:
+                relaxed = cost.copy()
+                np.minimum.at(relaxed, source[free], 1 + cost[target[free]])
+                if np.array_equal(relaxed, cost):
+                    return cost
+                cost = relaxed
+        label = np.array(self.grammar.lexer[1])[steps.states]
+        c = np.where(label[:, None] == np.arange(n_t), 0, INF)
+        for s, terms, t in zip(source.tolist(), commits, target.tolist()):
+            if len(terms) == 1 and t == 0:  # the lexeme finished, nothing pending
+                c[s, terms[0]] = min(c[s, terms[0]], 1)
+        c = relax(c)[self._alias]
         cost = np.full((n, n_t, n_t), INF, dtype=np.int64)
-        for s, terms, t in zip(source.tolist(), move.tolist(), target.tolist()):
-            terms = steps.commits[terms][0]
+        for s, terms, t in zip(source.tolist(), commits, target.tolist()):
             if len(terms) == 1:  # a committed, b still to finish
-                cost[s, terms[0]] = np.minimum(cost[s, terms[0]], 1 + pending[t])
+                cost[s, terms[0]] = np.minimum(cost[s, terms[0]], 1 + c[t])
             elif len(terms) == 2 and t == 0:  # both finished by this token
                 cost[s][terms] = 1
-        free = move == 0
-        while True:  # tokens that commit nothing, one more at a time
-            relaxed = cost.copy()
-            np.minimum.at(relaxed, source[free], 1 + cost[target[free]])
-            if np.array_equal(relaxed, cost):
-                break
-            cost = relaxed
-        apart = pending[:, :, None] + pending[0][None, None, :]
+        cost = relax(cost)
+        apart = c[:, :, None] + c[0][None, None, :]
         bridge = [[] for _ in range(n)]
         for s, a, b in zip(*np.nonzero(cost < np.minimum(apart, INF))):
             bridge[s].append(((int(a), int(b)), int(cost[s, a, b])))
-        return bridge
+        return c, bridge
 
     def _row(self, config: int) -> _Row:
         """The step table's row ``config``, spread over the vocabulary, its
@@ -684,16 +696,18 @@ class MaskEngine:
         limit, which under the full mask keeps one slot for end-of-sequence,
         and end-of-sequence when the output is complete.  Returns the mask,
         or ``token``'s bit; the completion bit; and whether the rule admits
-        nothing: no need under the limit and the output not complete.  An
-        admitted ``token`` returns at once, both of those read as False."""
+        nothing: no need under the limit and the output not complete.  Only
+        eos, or a denied token when no need is under the limit, asks whether
+        the output is complete; any other ``token`` returns at once, both of
+        those read as False."""
         if state.finished:
             raise EngineError("session already emitted end-of-sequence")
         if state.consumed >= state.budget:
             raise BudgetExhaustedError(f"consumed {state.consumed} of {state.budget} tokens")
         limit = min(state.budget - state.consumed - 1, INF) if self.mode == MODE_FULL else INF
         need, least, _ = self._need(state)
-        if token is not None and need.item(token) < limit:
-            return True, False, False
+        if token is not None and (need.item(token) < limit or token != self.vocab.eos and least < limit):
+            return need.item(token) < limit, False, False
         complete = self.is_complete(state)
         if token is not None:
             bits = complete and token == self.vocab.eos
@@ -715,7 +729,7 @@ class MaskEngine:
 
         Raises what ``compute_mask`` raises, and MaskedTokenError for an id
         outside the vocabulary, in the order ``advance`` checks them.  Only
-        a token whose need is not under the limit, eos always, asks whether
+        eos, or a denied token when no need is under the limit, asks whether
         the output is complete.
         """
         self._check_token(state, token)

@@ -26,8 +26,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from boundedgen.dfa import INITIAL, Dfa, Lexer, RegexError, compile_lexer
 
 END = -1
@@ -91,8 +89,6 @@ class Grammar:
     start: int  # nonterminal id
     source_hash: str
     lexer: Lexer = field(repr=False, compare=False)  # see dfa.compile_lexer
-    # [terminal, lexer state] -> the state of the terminal's automaton there.
-    automaton_states: np.ndarray = field(repr=False, compare=False)
     # Built on first use.  A field, not cached_property: writing __dict__ slows every read.
     _ll1: Ll1Table | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -248,7 +244,7 @@ def parse_grammar(text: str) -> Grammar:
         raise GrammarError("grammar declares no rules")
 
     try:
-        lexer, dfas, automaton_states = compile_lexer([pattern for _, pattern, _ in term_decls])
+        lexer, dfas = compile_lexer([pattern for _, pattern, _ in term_decls])
     except RegexError as exc:
         raise GrammarError(f"terminal {term_decls[exc.pattern_index][0]!r}: {exc}") from exc
     if (empty := lexer[1][INITIAL]) >= 0:  # the label of the initial state
@@ -293,7 +289,6 @@ def parse_grammar(text: str) -> Grammar:
         start=0,
         source_hash=digest,
         lexer=lexer,
-        automaton_states=automaton_states,
     )
 
 

@@ -508,14 +508,21 @@ def reference_report(engine, state):
 
 
 UNFINISHABLE_GRAMMAR = r"S: LP T ; T: X | Y Z ; LP: /\(/ ; X: /x/ ; Y: /y/ ; Z: /z/ ;"
+OPEN_GRAMMAR = r'S: STR | NUM ; STR: /"[a-z]*"/ ; NUM: /[0-9]+/ ;'
+SMALL_REPORT_SETUPS = {
+    "unfinishable": (UNFINISHABLE_GRAMMAR, [b"(", b"x", b"y"]),
+    "open": (OPEN_GRAMMAR, [b'"a', b"a", b"1"]),
+}
 
 
 def report_engine(request, name, mode):
-    """An engine on the paren or JSON fixtures, or on a grammar where "y"
-    keeps an accept sequence alive that nothing can finish."""
-    if name == "unfinishable":
-        grammar = parse_grammar(UNFINISHABLE_GRAMMAR)
-        vocab = Vocabulary([b"(", b"x", b"y"], eos=3)
+    """An engine on the paren or JSON fixtures, on a grammar where "y"
+    keeps an accept sequence alive that nothing can finish, or on one where
+    no token closes the string that '"a' opens."""
+    if name in SMALL_REPORT_SETUPS:
+        text, tokens = SMALL_REPORT_SETUPS[name]
+        grammar = parse_grammar(text)
+        vocab = Vocabulary(tokens, eos=3)
         return MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab, mode)
     return MaskEngine(*engine_parts(request, name), mode)
 
@@ -591,7 +598,7 @@ class TestComputeMask:
         assert any(row["sequence"] is not None for row in report)
 
     @pytest.mark.parametrize("mode", ["full", "grammar-only"])
-    @pytest.mark.parametrize("name", ["paren", "json", "unfinishable"])
+    @pytest.mark.parametrize("name", ["paren", "json", "unfinishable", "open"])
     def test_report_equals_reference_on_seeded_walks(self, request, name, mode):
         engine = report_engine(request, name, mode)
         eos = engine.vocab.eos
@@ -613,7 +620,7 @@ class TestComputeMask:
                     break
                 state = engine.advance(state, rng.choice(choices))
         # Grammar-only paren masks deny only tokens no sequence survives.
-        closest_miss = mode == "full" or name == "unfinishable"
+        closest_miss = mode == "full" or name in SMALL_REPORT_SETUPS
         assert shapes == {"admitted"} | ({"denied, closest miss"} if closest_miss else set())
 
     @pytest.mark.parametrize("name", ["paren", "json", "unfinishable"])
@@ -728,7 +735,7 @@ class TestNeedMemo:
             need[0] = 0
 
     @pytest.mark.parametrize("mode", ["full", "grammar-only"])
-    @pytest.mark.parametrize("name", ["paren", "json", "unfinishable"])
+    @pytest.mark.parametrize("name", ["paren", "json", "unfinishable", "open"])
     def test_masks_agree_with_unmemoized_fold(self, request, name, mode):
         engine = report_engine(request, name, mode)
         eos = engine.vocab.eos
