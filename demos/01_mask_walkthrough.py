@@ -41,9 +41,12 @@ def show(label, state):
 
 print("The cost tables behind the mask:")
 print("  min tokens to derive E fully:", int(tables.d[grammar.nonterminal_names.index('E')]))
-for seq in engine.accept_sequences(engine.new_session(9).stack):
-    names = "+".join(grammar.terminals[t].name for t in seq.terminals)
-    print(f"  accept sequence {names:<6} leaves a stack costing {seq.d_cost} more tokens")
+print("  each token's cheapest way to finish, from a fresh session:")
+for row in engine.mask_report(engine.new_session(9)):
+    if row["sequence"] is not None:
+        token, names = vocab.tokens[row["token"]].decode(), "+".join(row["sequence"])
+        print(f"    {token!r:<5} via {names:<5} automaton cost {row['automaton_cost']},"
+              f" dangling cost {row['dangling_cost']}")
 print()
 
 # Budget 3: "(" cannot be completed in time ("(x)" needs 3 content tokens

@@ -26,9 +26,6 @@ from boundedgen.costs import (
     CostTables,
     build_cost_tables,
     compute_nonterminal_costs,
-    compute_pair_costs,
-    compute_terminal_costs,
-    compute_token_map,
     load_cache,
     save_cache,
 )
@@ -40,15 +37,8 @@ from boundedgen.decoding import (
     softmax_prior,
     unconstrained_greedy,
 )
-from boundedgen.dfa import DEAD, INF, Dfa, RegexError, compile_regex, dfa_concat
-from boundedgen.engine import (
-    AcceptSequence,
-    BudgetError,
-    DeadSessionError,
-    EngineError,
-    EngineState,
-    MaskEngine,
-)
+from boundedgen.dfa import DEAD, INF, Dfa, RegexError, compile_regex
+from boundedgen.engine import BudgetError, DeadSessionError, EngineError, EngineState, MaskEngine
 from boundedgen.evalharness import (
     BudgetPolicy,
     EvalRecord,
@@ -93,7 +83,6 @@ def bundled_json_grammar_path() -> str:
 
 
 __all__ = [
-    "AcceptSequence",
     "BudgetError",
     "BudgetPolicy",
     "CacheError",
@@ -131,10 +120,6 @@ __all__ = [
     "cfg_membership",
     "compile_regex",
     "compute_nonterminal_costs",
-    "compute_pair_costs",
-    "compute_terminal_costs",
-    "compute_token_map",
-    "dfa_concat",
     "evaluate",
     "greedy_decode",
     "json_equal",

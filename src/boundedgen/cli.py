@@ -161,7 +161,7 @@ def cmd_mask(args) -> int:
             admitted += 1
         verdict = "ADMIT" if row["admitted"] else "deny "
         if row["automaton_cost"] is None:
-            reason = "the output is not complete" if tid == vocab.eos else "no accept sequence stays alive"
+            reason = "the output is not complete" if tid == vocab.eos else "no way to finish parses, or the token fails to lex"
             print(f"{verdict} {token_repr:<16} {reason}")
             continue
         seq = "+".join(row["sequence"]) if row["sequence"] else "(completion)"

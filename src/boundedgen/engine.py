@@ -11,7 +11,10 @@ lexer state, pending-accept terminal, the bytes after that accept -- and
 token, the terminals the token commits and the configuration it leaves.  A
 state's configuration is the row of its lexer state and pending accept.  A
 step is one lookup in that row; the committed terminals are then fed to the
-state's own stack, so a step is exact whatever lies below.  Past a pending
+state's own stack, so a step is exact whatever lies below.  The entry also
+places the successor's pending accept -- at the end of its remainder, a
+tail's length before it, or where the state's own was -- so the step sets
+it and no state lexes its bytes again to find it.  Past a pending
 accept the row holds only the tokens whose scan does not depend on the bytes
 after it, the tail.  The state left by committing the accept and lexing the
 tail afresh is found once per state: it steps the tokens the row leaves
@@ -123,6 +126,7 @@ class AcceptSequence:
 
 _DERIVES_EMPTY = object()  # the symbol derives the empty string under this lookahead
 _MISSING = object()
+_KEPT = object()  # a step that leaves the pending accept where it was
 
 
 class Stack:
@@ -193,9 +197,11 @@ class EngineState:
     """Snapshot of one generation session; treated as immutable.
 
     ``config`` is the step-table row of the lexer state and pending accept
-    the remainder leaves; ``lex_state`` and ``lex_accept`` read it back.
-    Past a pending accept, the accept and the state ``MaskEngine._relexed``
-    leaves are each found once and kept.
+    the remainder leaves; ``lex_state`` reads it back.  ``lex_accept``, the
+    (end offset in the remainder, terminal) of the pending accept or None,
+    is set by the step that makes the state, from the table's entry.  Past
+    a pending accept, the state ``MaskEngine._relexed`` leaves is found once
+    and kept.
     """
 
     engine: "MaskEngine" = field(compare=False, repr=False)
@@ -205,26 +211,13 @@ class EngineState:
     consumed: int
     budget: int
     finished: bool = False
-    _accept: tuple[int, int] | None = field(default=None, compare=False, repr=False)
+    lex_accept: tuple[int, int] | None = field(default=None, compare=False, repr=False)
     _relex: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def lex_state(self) -> int:
         """The lexer state after the remainder."""
         return self.engine._configurations[self.config][0]
-
-    @property
-    def lex_accept(self) -> tuple[int, int] | None:
-        """(end offset in the remainder, terminal) of the last accept, or
-        None; past the accept, found once by lexing the remainder again."""
-        terminal = self.engine._configurations[self.config][1]
-        if terminal < 0:
-            return None
-        if self.engine._rows[self.config].relex is None:
-            return len(self.remainder), terminal
-        if self._accept is None:
-            self._accept = scan(self.engine.grammar.lexer, _LEX_INITIAL, None, self.remainder, 0)[3]
-        return self._accept
 
 
 class _Row:
@@ -233,9 +226,10 @@ class _Row:
     Entries with the same move and successor form a group.  ``index`` names
     each token's group over the vocabulary, -1 where the row leaves the
     token out, and ``steps`` holds per group the terminals it commits, how
-    many trailing bytes stay uncommitted and the successor state's
-    ``config``.  Each group finishes in the ways its candidates list: per
-    candidate its ``group``, the ``terms`` fed to the stack and C of the
+    many trailing bytes stay uncommitted, the successor state's ``config``
+    and its pending accept: (bytes after it, terminal), None, or _KEPT for
+    the state's own.  Each group finishes in the ways its candidates list:
+    per candidate its ``group``, the ``terms`` fed to the stack and C of the
     pending lexeme, ``cost``.  ``depth`` is the most terminals a candidate
     feeds.  ``relex`` is None unless the lexer state is past its accept;
     then it marks the tokens the row leaves out or that keep the pending
@@ -573,7 +567,9 @@ class MaskEngine:
         row.index[ids] = of
         row.steps, row.group, row.terms, row.cost = [], [], [], []
         for g, (move, succ) in enumerate(divmod(key, n) for key in groups.tolist()):
-            row.steps.append((*steps.commits[move], int(self._alias[succ])))
+            _, accept, tail = self._configurations[succ]
+            accept = _KEPT if self._unknown[succ] else (len(tail), accept) if accept >= 0 else None
+            row.steps.append((*steps.commits[move], int(self._alias[succ]), accept))
             for terms, cost in self._finish(*self._configurations[succ]):
                 terms = steps.commits[move][0] + terms
                 if self._adjacent.issuperset(zip(terms, terms[1:])):  # else it never parses
@@ -604,7 +600,7 @@ class MaskEngine:
             relexed = None
             if stack is not None:
                 config = self._index[_key(q, last, b"")]
-                relexed = EngineState(self, stack, remainder, config, state.consumed, state.budget, _accept=last)
+                relexed = EngineState(self, stack, remainder, config, state.consumed, state.budget, lex_accept=last)
             state._relex = (relexed, prefix)
         return state._relex
 
@@ -837,13 +833,14 @@ class MaskEngine:
         """Successor state after ``token``; the only place a token's bytes
         change a session.  One lookup in the row gives the token's group:
         the committed terminals, fed to the state's own stack, and the
-        successor configuration.  A token the row leaves out past a pending
-        accept commits that accept, so the state ``_relexed`` leaves steps
-        it instead.  Any other token the row leaves out fails, and lexing
-        the state's own bytes raises the error that names them."""
+        successor configuration, whose pending accept the entry places.  A
+        token the row leaves out past a pending accept commits that accept,
+        so the state ``_relexed`` leaves steps it instead.  Any other token
+        the row leaves out fails, and lexing the state's own bytes raises
+        the error that names them."""
         if token == self.vocab.eos:
             return EngineState(self, state.stack, state.remainder, state.config, state.consumed + 1,
-                               state.budget, True)
+                               state.budget, True, state.lex_accept)
         data = self.vocab.tokens[token]
         row = self._rows[state.config]
         group = row.index.item(token)
@@ -852,10 +849,12 @@ class MaskEngine:
             if relexed is None:  # raises: the token fails to lex or parse
                 self._lex(state.stack, state.lex_state, state.lex_accept, state.remainder, data)
             return self._step(relexed, token)
-        terminals, keep, config = row.steps[group]
+        terminals, keep, config, accept = row.steps[group]
         if terminals:
             stack = self._commit(state.stack, terminals)
             remainder = (state.remainder[-keep:] + data)[-keep:] if keep else b""
         else:
             stack, remainder = state.stack, state.remainder + data
-        return EngineState(self, stack, remainder, config, state.consumed + 1, state.budget)
+        if accept is not None:
+            accept = state.lex_accept if accept is _KEPT else (len(remainder) - accept[0], accept[1])
+        return EngineState(self, stack, remainder, config, state.consumed + 1, state.budget, False, accept)

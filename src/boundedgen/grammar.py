@@ -24,6 +24,7 @@ pseudo-terminal END (``-1``) marks end of input in FIRST/FOLLOW sets.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 
 from boundedgen.dfa import INITIAL, Dfa, Lexer, RegexError, compile_lexer
@@ -149,62 +150,38 @@ class Ll1Table:
 # --- grammar file parsing ----------------------------------------------------
 
 
+# One piece of a grammar file: a comment with its newline, a closed
+# /regex/, a lone '/' that opens one never closed, ';', or anything else.
+_PIECE = re.compile(r"(?P<comment>#[^\n]*\n?)|/(?:\\.|[^\\/])*/|(?P<open>/)|;|[^#/;]+", re.DOTALL)
+
+
 def _split_declarations(text: str) -> list[tuple[str, int, int]]:
     """Split on ';' outside comments and /regex/ bodies.
 
     Returns (declaration text, line, column) for each declaration start.
     """
-    decls = []
-    buf: list[str] = []
-    line, col = 1, 1
-    start_line, start_col = 1, 1
-    in_regex = False
-    in_comment = False
-    escaped = False
-    pending = False  # buffer holds non-whitespace content
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if in_comment:
-            if ch == "\n":
-                in_comment = False
-        elif in_regex:
-            buf.append(ch)
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == "/":
-                in_regex = False
-        elif ch == "#":
-            in_comment = True
-        elif ch == "/":
-            in_regex = True
-            if not pending:
-                start_line, start_col = line, col
-                pending = True
-            buf.append(ch)
-        elif ch == ";":
-            decls.append(("".join(buf), start_line, start_col))
-            buf = []
-            pending = False
-        else:
-            if not pending and not ch.isspace():
-                start_line, start_col = line, col
-                pending = True
-            buf.append(ch)
-        if ch == "\n":
-            line += 1
-            col = 1
-        else:
-            col += 1
-        i += 1
-    if in_regex:
-        raise GrammarSyntaxError("unterminated /regex/", start_line, start_col)
-    tail = "".join(buf).strip()
-    if tail:
-        raise GrammarSyntaxError(f"missing ';' after {tail.splitlines()[0]!r}", start_line, start_col)
-    return [(d, ln, c) for d, ln, c in decls if d.strip()]
+    decls, buf, start = [], [], None
+    line, counted = 1, 0  # the line of offset ``counted``
+    for m in _PIECE.finditer(text):
+        piece = m.group()
+        if m.lastgroup == "comment":
+            continue
+        if piece == ";":
+            if start is not None:
+                decls.append(("".join(buf), *start))
+            buf, start = [], None
+            continue
+        if start is None and piece.strip():
+            at = m.start() + len(piece) - len(piece.lstrip())
+            line, counted = line + text.count("\n", counted, at), at
+            start = (line, at - text.rfind("\n", 0, at))
+        if m.lastgroup == "open":
+            raise GrammarSyntaxError("unterminated /regex/", *start)
+        buf.append(piece)
+    if start is not None:
+        tail = "".join(buf).strip()
+        raise GrammarSyntaxError(f"missing ';' after {tail.splitlines()[0]!r}", *start)
+    return decls
 
 
 def _is_identifier(name: str) -> bool:

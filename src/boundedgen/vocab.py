@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from typing import Iterable, Sequence
 
 logger = logging.getLogger(__name__)
 
-_HEX = "0123456789abcdefABCDEF"
+# A backslash escape in a token string: ``\\``, ``\xNN``, a bad ``\x`` or
+# any other character after the backslash (none at the end of the string).
+_ESCAPE = re.compile(r"\\(?:(\\)|x([0-9a-fA-F]{2})|(x)|(.?))", re.DOTALL)
 
 
 class VocabularyError(ValueError):
@@ -28,30 +31,17 @@ class VocabularyError(ValueError):
 
 
 def _decode_token_text(text: str) -> bytes:
-    out = bytearray()
-    i = 0
-    encoded = text
-    while i < len(encoded):
-        ch = encoded[i]
-        if ch == "\\":
-            nxt = encoded[i + 1 : i + 2]
-            if nxt == "\\":
-                out.append(0x5C)
-                i += 2
-            elif nxt == "x":
-                pair = encoded[i + 2 : i + 4]
-                if len(pair) != 2 or any(h not in _HEX for h in pair):
-                    raise VocabularyError(f"bad \\x escape in token {text!r}")
-                out.append(int(pair, 16))
-                i += 4
-            else:
-                raise VocabularyError(
-                    f"unknown escape '\\{nxt}' in token {text!r}; use \\xNN or \\\\"
-                )
-        else:
-            out.extend(ch.encode("utf-8"))
-            i += 1
-    return bytes(out)
+    out, at = bytearray(), 0
+    for m in _ESCAPE.finditer(text):
+        out += text[at : m.start()].encode("utf-8")
+        at = m.end()
+        backslash, pair, bad, other = m.groups()
+        if bad:
+            raise VocabularyError(f"bad \\x escape in token {text!r}")
+        if other is not None:
+            raise VocabularyError(f"unknown escape '\\{other}' in token {text!r}; use \\xNN or \\\\")
+        out.append(0x5C if backslash else int(pair, 16))
+    return bytes(out + text[at:].encode("utf-8"))
 
 
 class Vocabulary:

@@ -566,6 +566,22 @@ class TestMask:
         assert captured.out == ""
         assert "budget 2 leaves no token after the prefix (consumed 2 of 2 tokens)" in captured.err
 
+    def test_token_with_no_way_to_finish(self, workspace, capsys):
+        # "]" first closes nothing: no way to finish parses, so the report
+        # has no sequence for it.
+        code = main(
+            [
+                "mask",
+                "--grammar", workspace["grammar"],
+                "--vocab", workspace["vocab"],
+                "--cache", workspace["cache"],
+                "--budget", "5",
+            ]
+        )
+        assert code == EXIT_OK
+        row = f"deny  {repr(b']'):<16} no way to finish parses, or the token fails to lex"
+        assert row in capsys.readouterr().out.splitlines()
+
     def test_infinite_dangling_cost_prints_inf(self, yz_workspace, capsys):
         code = main(["mask", *yz_workspace, "--prefix", "(", "--budget", "5"])
         assert code == EXIT_OK

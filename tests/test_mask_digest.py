@@ -27,6 +27,8 @@ from boundedgen.engine import (
     MODE_FULL, MODE_GRAMMAR_ONLY, BudgetError, BudgetExhaustedError, DeadSessionError, EngineError,
     MaskEngine, MaskedTokenError,
 )
+from boundedgen.grammar import parse_grammar
+from tests.conftest import make_vocab
 from tests.test_engine import seeded_walk_states
 from tests.tools import mask_digest
 
@@ -89,6 +91,35 @@ def test_stack_cost_is_0_exactly_when_nullable(setups):
                 assert (cell.cost == 0) == nullable.issuperset(cell), (name, cell)
                 cell = cell.below
     assert zero == {True, False}
+
+
+# After "abc" the A accept is pending with tail "bc", which lexes afresh
+# into a B lexeme that is pending too: the digest setups' relexed states all
+# have nothing pending.
+RELEXED_PENDING = ("S: A B ; A: /a|abcd/ ; B: /bc*/ ;", [b"a", b"b", b"c", b"d", b"bc"])
+
+
+@pytest.mark.parametrize("name", ["abc-bytes", "a-bc-d", "number", "json-number-tails", "relexed-pending"])
+def test_pending_accept_equals_a_fresh_scan(setups, name):
+    # The step that makes a state places its pending accept from the table
+    # entry; the reference, a fresh scan of the remainder, finds the
+    # same one.  The states that relexing a tail leaves are checked too.
+    if name == "relexed-pending":
+        grammar, vocab, walks = parse_grammar(RELEXED_PENDING[0]), make_vocab(RELEXED_PENDING[1]), 300
+    else:
+        grammar, vocab, walks = setups[name]
+    engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
+    past_accept = 0
+    for state in admitted_walk_states(engine, walks):
+        states = [state]
+        if engine._rows[state.config].relex is not None:
+            past_accept += 1
+            states.append(engine._relexed(state)[0])
+        for s in filter(None, states):
+            committed, start, _, accept, _ = scan(grammar.lexer, INITIAL, None, s.remainder, 0)
+            assert (committed, start) == ([], 0)
+            assert s.lex_accept == accept, (name, s.remainder)
+    assert past_accept, name
 
 
 def admitted_walk_states(engine, walks: int, seed: int = 0):
