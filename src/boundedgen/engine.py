@@ -49,10 +49,18 @@ everything down to the bottom, so forks share cells and the cost of the
 rest of the stack, 0 exactly when it may end there, is read off one cell.
 ``k`` feeds touch only the cells down to the ``k``-th symbol that no
 terminal pops, a window the top cell keeps once found; ``need`` is memoized
-on the configuration, those symbols and the cost below them, beside its
-least entry, so a mask step costs time in that window and the table row,
-not in the nesting depth or the length of an uncommitted lexeme.  Whether the mask is empty is read off
-that least need and the completion bit, without a pass over the mask.
+on the configuration, those symbols and the cost below them, so a mask step
+costs time in that window and the table row, not in the nesting depth or
+the length of an uncommitted lexeme.  A miss builds no cell: each row
+compiles its candidates' terminals into a feed plan, a prefix tree, and one
+walk (``_walk``) over a real cell and the symbols pushed on it prices every
+prefix once, the cell's cost plus the pushed symbols' costs.  ``feed`` and
+``_commit`` walk the same way and build the cells at the end.  A memo entry
+holds per group the least total and its way to finish, and the least of
+them; it keeps the per-token vector only from its second read on, so a
+state seen once holds nothing that grows with the vocabulary.  Whether the
+mask is empty is read off that least need and the completion bit, without
+a pass over the mask.
 """
 
 from __future__ import annotations
@@ -106,7 +114,7 @@ def _dead() -> DeadSessionError:
 
 
 _EXPANSION_LIMIT = 100_000
-_NEED_MEMO_SIZE = 256  # need vectors per engine, 8 bytes per token each
+_NEED_MEMO_SIZE = 256  # need entries per engine; one read twice keeps a vector of 8 bytes per token
 
 MODE_FULL = "full"
 MODE_GRAMMAR_ONLY = "grammar-only"
@@ -231,7 +239,10 @@ class _Row:
     the state's own.  Each group finishes in the ways its candidates list:
     per candidate its ``group``, the ``terms`` fed to the stack and C of the
     pending lexeme, ``cost``.  ``depth`` is the most terminals a candidate
-    feeds.  ``relex`` is None unless the lexer state is past its accept;
+    feeds.  The feed plan is the candidates' terms as a prefix tree: node 0
+    is the empty prefix, node ``i + 1`` extends node ``plan[i][0]`` by the
+    terminal ``plan[i][1]``, parents first, and ``node`` names each
+    candidate's.  ``relex`` is None unless the lexer state is past its accept;
     then it marks the tokens the row leaves out or that keep the pending
     accept, which the state left by committing it and lexing the tail
     afresh also prices (see ``MaskEngine._relexed``).  Otherwise ``final``
@@ -239,7 +250,7 @@ class _Row:
     lexer state, nothing at the initial row, and None, a failure, elsewhere.
     """
 
-    __slots__ = ("index", "steps", "group", "terms", "cost", "depth", "final", "relex")
+    __slots__ = ("index", "steps", "group", "terms", "cost", "depth", "plan", "node", "final", "relex")
 
 
 def _key(q: int, accept: tuple[int, int] | None, remainder: bytes) -> tuple[int, int, bytes]:
@@ -312,7 +323,7 @@ class MaskEngine:
         self._symbol_popped = [
             any(self._symbol_memo[sym, t] is _DERIVES_EMPTY for t in terminals) for sym in symbols
         ]
-        self._need_memo: dict[tuple, np.ndarray] = {}
+        self._need_memo: dict[tuple, tuple] = {}
         # The rows past their accept, whose tail the table does not know.
         untailed = np.array([not tail for tail in steps.tails], dtype=bool)
         self._unknown = (steps.accepts >= 0) & (label[steps.states] < 0) & untailed
@@ -351,19 +362,29 @@ class MaskEngine:
         return below
 
     def feed(self, stack: Stack, terminal: int) -> Stack | None:
-        """Stack after consuming ``terminal``, or None if the parse fails.
+        """Stack after consuming ``terminal``, or None if the parse fails."""
+        walked = self._walk(stack, (), terminal)
+        return None if walked is None else self._push(*walked)
 
-        Symbols that derive the empty string under ``terminal`` are popped;
-        the first one that does not either consumes it or fails the parse.
-        """
+    def _walk(
+        self, cell: Stack, pushed: tuple[int, ...], terminal: int
+    ) -> tuple[Stack, tuple[int, ...]] | None:
+        """The stack ``pushed`` on ``cell`` (last on top) after consuming
+        ``terminal``, in the same form, or None if the parse fails; builds
+        no cell.  Symbols that derive the empty string under ``terminal``
+        are popped; the first one that does not either consumes it or fails
+        the parse."""
         memo = self._symbol_memo
-        cell = stack
-        while cell.depth:
-            left = memo[cell.symbol, terminal]
+        while True:
+            if pushed:
+                symbol, pushed = pushed[-1], pushed[:-1]
+            elif cell.depth:
+                symbol, cell = cell.symbol, cell.below
+            else:
+                return None
+            left = memo[symbol, terminal]
             if left is not _DERIVES_EMPTY:
-                return None if left is None else self._push(cell.below, left)
-            cell = cell.below
-        return None
+                return None if left is None else (cell, pushed + left)
 
     def _expand(self, symbol: int, terminal: int):
         """What ``symbol`` alone leaves after consuming ``terminal`` (stack
@@ -455,15 +476,18 @@ class MaskEngine:
         return tuple(committed), data[start:], q, accept, error
 
     def _commit(self, stack: Stack, terminals: tuple[int, ...]) -> Stack:
-        """``stack`` after feeding ``terminals`` in order; ParseError when one fails."""
+        """``stack`` after feeding ``terminals`` in order; ParseError when one
+        fails.  The cells are built once, after the last terminal."""
+        cell, pushed = stack, ()
         for tid in terminals:
-            fed = self.feed(stack, tid)
-            if fed is None:
-                top = self.grammar.symbol_name(stack.symbol) if stack else "<empty>"
+            walked = self._walk(cell, pushed, tid)
+            if walked is None:
+                top = pushed[-1] if pushed else cell.symbol if cell else None
+                top = "<empty>" if top is None else self.grammar.symbol_name(top)
                 name = self.grammar.terminals[tid].name
                 raise ParseError(f"parser rejected terminal {name!r} with stack top {top}")
-            stack = fed
-        return stack
+            cell, pushed = walked
+        return self._push(cell, pushed)
 
     def _lex(
         self,
@@ -577,6 +601,14 @@ class MaskEngine:
                     row.terms.append(terms)
                     row.cost.append(cost)
         row.depth = max(map(len, row.terms), default=1)
+        nodes: dict[tuple[int, ...], int] = {(): 0}
+        row.plan, row.node = [], []
+        for terms in row.terms:
+            for k in range(1, len(terms) + 1):
+                if terms[:k] not in nodes:
+                    nodes[terms[:k]] = len(nodes)
+                    row.plan.append((nodes[terms[: k - 1]], terms[k - 1]))
+            row.node.append(nodes[terms])
         label = self.grammar.lexer[1][self._configurations[config][0]]
         row.final = (label,) if label >= 0 else () if config == 0 else None
         row.relex = None
@@ -644,15 +676,23 @@ class MaskEngine:
         Per group of the state's row, the least total over the group's
         candidates -- C of the pending lexeme plus the cost of the stack
         after the candidate's terminals -- with those terminals and that C,
-        or None when no candidate parses.
+        or None when no candidate parses.  The row's feed plan is walked
+        once, each prefix from its parent's, and builds no cell.
         """
         row = self._rows[state.config]
+        walk, symbol_cost = self._walk, self._symbol_cost.__getitem__
+        # Per node of the feed plan, the stack fed, and its cost as
+        # ``Stack.cost`` sums it; None where the parse fails.
+        walked, fed = [(state.stack, ())], [state.stack.cost]
+        for parent, terminal in row.plan:
+            at = walked[parent]
+            at = None if at is None else walk(*at, terminal)
+            walked.append(at)
+            fed.append(None if at is None else min(INF, at[0].cost + sum(map(symbol_cost, at[1]))))
         best: list = [None] * len(row.steps)
-        prefixes: dict = {}
-        for g, terms, cost in zip(row.group, row.terms, row.cost):
-            fed = self._fed(state.stack, terms, prefixes)
-            if fed is not None:
-                total = cost + fed.cost
+        for g, node, terms, cost in zip(row.group, row.node, row.terms, row.cost):
+            if fed[node] is not None:
+                total = cost + fed[node]
                 if best[g] is None or total < best[g][0]:
                     best[g] = (total, terms, cost)
         return best
@@ -660,29 +700,34 @@ class MaskEngine:
     def _need(self, state: EngineState) -> tuple[np.ndarray, int, list]:
         """Per token, the least total of ``_totals``; 3 * INF, above any
         total, where no candidate parses or the row leaves the token out
-        (eos included); the least of those; and ``_totals`` itself.  Read-only,
-        and memoized on what ``_totals`` reads: the configuration, the
-        window its candidates feed and the cost below.  Past a pending
+        (eos included); the least of those; and ``_totals`` itself.  Memoized
+        on what ``_totals`` reads: the configuration, the window its
+        candidates feed and the cost below.  The entry is what is returned,
+        its vector None until the entry is read a second time: a miss
+        gathers the vector from the per-group totals for its caller alone,
+        and the second read gathers it again and keeps it.  Past a pending
         accept, the tokens ``relex`` marks take the lesser of that and their
         need in the state ``_relexed`` leaves."""
         row = self._rows[state.config]
         window, below = self._window(state.stack, row.depth)
         key = (state.config, window, below.cost)
-        memo = self._need_memo.get(key)
-        if memo is None:
-            best = self._totals(state)
-            totals = np.array([3 * INF if b is None else b[0] for b in best] + [3 * INF], dtype=np.int64)
-            need = totals[row.index]  # a token left out, at index -1, reads the last
+        got = self._need_memo.get(key)
+        if got is None or got[0] is None:  # a miss, or an entry read once
+            best = self._totals(state) if got is None else got[2]
+            totals = [3 * INF if b is None else b[0] for b in best] + [3 * INF]
+            need = np.array(totals, dtype=np.int64)[row.index]  # a token left out, at -1, reads the last
             need.setflags(write=False)
-            if len(self._need_memo) >= _NEED_MEMO_SIZE:
+            least = min(totals)
+            if got is None and len(self._need_memo) >= _NEED_MEMO_SIZE:
                 self._need_memo.clear()
-            memo = self._need_memo[key] = (need, int(totals.min()), best)
+            self._need_memo[key] = (None if got is None else need, least, best)
+            got = (need, least, best)
         if row.relex is not None:
             relexed, _ = self._relexed(state)
             if relexed is not None:
-                need = np.minimum(memo[0], np.where(row.relex, self._need(relexed)[0], 3 * INF))
-                return need, int(need.min()), memo[2]
-        return memo
+                need = np.minimum(got[0], np.where(row.relex, self._need(relexed)[0], 3 * INF))
+                return need, int(need.min()), got[2]
+        return got
 
     def _admit(
         self, state: EngineState, token: int | None = None

@@ -9,7 +9,8 @@ is JSON::
 Each token string may carry ``\\xNN`` byte escapes (written ``\\\\xNN`` inside
 JSON) for values that are not valid UTF-8 text; a literal backslash is
 ``\\\\``.  The ``eos`` index either equals ``len(tokens)`` (an empty eos token
-is appended) or points at an existing empty-string entry.
+is appended) or points at an existing empty-string entry.  A token string
+holding a lone surrogate, which UTF-8 cannot encode, is refused.
 """
 
 from __future__ import annotations
@@ -30,10 +31,18 @@ class VocabularyError(ValueError):
     """Vocabulary file or lookup problem."""
 
 
+def _encode(text: str, token: str) -> bytes:
+    """``text``, a piece of ``token``, as UTF-8, which has no lone surrogate."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise VocabularyError(f"lone surrogate in token {token!r}; use \\xNN escapes for raw bytes") from None
+
+
 def _decode_token_text(text: str) -> bytes:
     out, at = bytearray(), 0
     for m in _ESCAPE.finditer(text):
-        out += text[at : m.start()].encode("utf-8")
+        out += _encode(text[at : m.start()], text)
         at = m.end()
         backslash, pair, bad, other = m.groups()
         if bad:
@@ -41,7 +50,7 @@ def _decode_token_text(text: str) -> bytes:
         if other is not None:
             raise VocabularyError(f"unknown escape '\\{other}' in token {text!r}; use \\xNN or \\\\")
         out.append(0x5C if backslash else int(pair, 16))
-    return bytes(out + text[at:].encode("utf-8"))
+    return bytes(out + _encode(text[at:], text))
 
 
 class Vocabulary:

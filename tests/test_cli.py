@@ -116,6 +116,14 @@ class TestPrecompute:
         assert main(["precompute", *args, "--cache", str(tmp_path / "c")]) == EXIT_GRAMMAR
         assert "'eos' must be an integer index" in capsys.readouterr().err
 
+    def test_lone_surrogate_token_exit_2(self, tmp_path, capsys):
+        # Valid JSON, but the second token is no Unicode text UTF-8 can encode.
+        vocab = tmp_path / "v.json"
+        vocab.write_text('{"tokens": ["a", "\\ud800"], "eos": 2}')
+        args = ["--grammar", bundled_json_grammar_path(), "--vocab", str(vocab)]
+        assert main(["precompute", *args, "--cache", str(tmp_path / "c")]) == EXIT_GRAMMAR
+        assert "error: lone surrogate in token '\\ud800'" in capsys.readouterr().err
+
     def test_unwritable_output_exit_3(self, workspace):
         code = main(
             [

@@ -94,20 +94,20 @@ def reference_decode_token_text(text: str) -> bytes:
                     f"unknown escape '\\{nxt}' in token {text!r}; use \\xNN or \\\\"
                 )
         else:
-            out.extend(ch.encode("utf-8"))
+            try:
+                out.extend(ch.encode("utf-8"))
+            except UnicodeEncodeError:
+                raise VocabularyError(
+                    f"lone surrogate in token {text!r}; use \\xNN escapes for raw bytes"
+                ) from None
             i += 1
     return bytes(out)
 
 
 def outcome(function, text: str):
-    """The result, or the error's class, message, line and column.  UTF-8
-    fails on a lone surrogate with a message that spans the run of them in
-    the slice being encoded, one character in the reference, so that error
-    is compared by its reason and first character instead."""
+    """The result, or the error's class, message, line and column."""
     try:
         return function(text)
-    except UnicodeEncodeError as exc:
-        return type(exc), exc.reason, exc.object[exc.start]
     except Exception as exc:  # noqa: BLE001 -- the class is what is compared
         return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
 
@@ -117,7 +117,8 @@ def outcome(function, text: str):
 # names.
 GRAMMAR_CHARS = ":;|/#\\\nε \t\u00a0\rSab_1"
 # Token text: escapes, good and bad, hex digits and not, a character that
-# needs two UTF-8 bytes, and a lone surrogate that UTF-8 cannot encode.
+# needs two UTF-8 bytes, and a lone surrogate that UTF-8 cannot encode, which
+# both name as a VocabularyError.
 TOKEN_PIECES = ["\\", "\\\\", "\\x", "x", "0", "7", "a", "F", "g", "Z", "é", "\n", " ", "\ud800"]
 
 

@@ -4,7 +4,11 @@ Each walk starts a session at a seeded budget and, at every step, hashes
 ``compute_mask``, ``mask_report``, ``is_complete``, the accept sequences
 of the state's stack as (terminals, d_cost), ``text_is_complete`` of the
 bytes emitted so far and the state's ``remainder``, ``lex_state``,
-``lex_accept`` and stack, then advances on a seeded admitted token.  Only
+``lex_accept`` and stack, then advances on a seeded admitted token.  The
+``deep`` line hashes ``compute_mask`` and ``mask_report`` at every step of
+one walk on the bundled grammar and base vocabulary, into ``DEEP`` ``[``
+and back out at the tightest budget, so that entries of the engine's need
+memo are hashed both as first made and as read again.  Only
 public engine API is read, so the script runs unchanged on two checkouts;
 equal digests mean equal masks and reports:
 
@@ -96,9 +100,30 @@ def digest(grammar, vocab, walks: int, seed: int = 0) -> str:
     return f"{h.hexdigest()[:16]} ({steps} steps)"
 
 
+DEEP = 60
+
+
+def deep_digest(depth: int = DEEP) -> str:
+    """The hash of every step of the admitted walk into ``depth`` ``[`` and
+    back out, then end-of-sequence, under the tightest budget."""
+    import inputs
+
+    grammar, vocab = load_grammar(bundled_json_grammar_path()), inputs.base_vocab()
+    engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
+    path = [vocab.tokens.index(b"[")] * depth + [vocab.tokens.index(b"]")] * depth + [vocab.eos]
+    state, h = engine.new_session(len(path)), hashlib.sha256()
+    for token in path:
+        mask = engine.compute_mask(state)
+        h.update(mask.tobytes())
+        h.update(repr(engine.mask_report(state)).encode())
+        state = engine.advance(state, token, mask)
+    return f"{h.hexdigest()[:16]} ({len(path)} steps)"
+
+
 def main() -> None:
     for name, make in setups().items():
         print(f"{name}: {digest(*make())}", flush=True)
+    print(f"deep: {deep_digest()}", flush=True)
 
 
 if __name__ == "__main__":
