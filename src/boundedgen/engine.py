@@ -57,10 +57,12 @@ walk (``_walk``) over a real cell and the symbols pushed on it prices every
 prefix once, the cell's cost plus the pushed symbols' costs.  ``feed`` and
 ``_commit`` walk the same way and build the cells at the end.  A memo entry
 holds per group the least total and its way to finish, and the least of
-them; it keeps the per-token vector only from its second read on, so a
-state seen once holds nothing that grows with the vocabulary.  Whether the
-mask is empty is read off that least need and the completion bit, without
-a pass over the mask.
+them.  One token's need is read off its group's total; the per-token vector
+is gathered only for a whole mask, and kept when the entry was made by an
+earlier read, so a state seen once, or asked only about single tokens,
+holds nothing that grows with the vocabulary.  Whether the mask is empty is
+read off that least need and the completion bit, without a pass over the
+mask.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ def _dead() -> DeadSessionError:
 
 
 _EXPANSION_LIMIT = 100_000
-_NEED_MEMO_SIZE = 256  # need entries per engine; one read twice keeps a vector of 8 bytes per token
+_NEED_MEMO_SIZE = 256  # need entries per engine; one masked after an earlier read keeps 8 bytes per token
 
 MODE_FULL = "full"
 MODE_GRAMMAR_ONLY = "grammar-only"
@@ -133,7 +135,6 @@ class AcceptSequence:
 
 
 _DERIVES_EMPTY = object()  # the symbol derives the empty string under this lookahead
-_MISSING = object()
 _KEPT = object()  # a step that leaves the pending accept where it was
 
 
@@ -324,6 +325,7 @@ class MaskEngine:
             any(self._symbol_memo[sym, t] is _DERIVES_EMPTY for t in terminals) for sym in symbols
         ]
         self._need_memo: dict[tuple, tuple] = {}
+        self._need_kept: dict[tuple, tuple] = {}  # ``_need``'s answers for entries masked after an earlier read
         # The rows past their accept, whose tail the table does not know.
         untailed = np.array([not tail for tail in steps.tails], dtype=bool)
         self._unknown = (steps.accepts >= 0) & (label[steps.states] < 0) & untailed
@@ -337,7 +339,7 @@ class MaskEngine:
     def new_session(self, budget: int) -> EngineState:
         state = self._fresh_state(budget)
         if self.mode == MODE_FULL and not self.is_complete(state):
-            need = 1 + self._need(state)[1]
+            need = 1 + self._entry(state)[0]  # the start row is not past an accept
             if need + 1 > min(budget, INF + 1):  # the first mask's threshold
                 why = (
                     "no complete output exists under this vocabulary"
@@ -372,19 +374,20 @@ class MaskEngine:
         """The stack ``pushed`` on ``cell`` (last on top) after consuming
         ``terminal``, in the same form, or None if the parse fails; builds
         no cell.  Symbols that derive the empty string under ``terminal``
-        are popped; the first one that does not either consumes it or fails
-        the parse."""
+        are popped, the pushed ones first; the first one that does not
+        either consumes it or fails the parse."""
         memo = self._symbol_memo
-        while True:
-            if pushed:
-                symbol, pushed = pushed[-1], pushed[:-1]
-            elif cell.depth:
-                symbol, cell = cell.symbol, cell.below
-            else:
-                return None
-            left = memo[symbol, terminal]
+        while pushed:
+            left = memo[pushed[-1], terminal]
+            pushed = pushed[:-1]
             if left is not _DERIVES_EMPTY:
                 return None if left is None else (cell, pushed + left)
+        while cell.depth:
+            left = memo[cell.symbol, terminal]
+            if left is not _DERIVES_EMPTY:
+                return None if left is None else (cell.below, left)
+            cell = cell.below
+        return None
 
     def _expand(self, symbol: int, terminal: int):
         """What ``symbol`` alone leaves after consuming ``terminal`` (stack
@@ -428,27 +431,28 @@ class MaskEngine:
 
     def accept_sequences(self, stack: Stack) -> tuple[AcceptSequence, ...]:
         """Every (a) and (a, b) the parser accepts from ``stack``."""
-        terminals, prefixes = range(self.grammar.n_terminals), {}
-        return tuple(
-            AcceptSequence(terms, fed.cost)
-            for a in terminals
-            for terms in [(a,)] + [(a, b) for b in terminals]
-            if (fed := self._fed(stack, terms, prefixes)) is not None
-        )
+        terminals, walk, price = range(self.grammar.n_terminals), self._walk, self._price
+        found = []
+        for a in terminals:
+            at = walk(stack, (), a)
+            if at is None:
+                continue
+            found.append(AcceptSequence((a,), price(at)))
+            for b in terminals:
+                if (ab := walk(*at, b)) is not None:
+                    found.append(AcceptSequence((a, b), price(ab)))
+        return tuple(found)
 
-    def _fed(self, stack: Stack, terminals: tuple[int, ...], prefixes: dict) -> Stack | None:
-        """``stack`` after feeding ``terminals``, or None when the parse
-        fails; ``prefixes`` holds the stacks of the prefixes fed so far,
-        shared by the sequences fed to one stack."""
-        fed = prefixes.get(terminals, _MISSING)
-        if fed is _MISSING:
-            if terminals:
-                below = self._fed(stack, terminals[:-1], prefixes)
-                fed = None if below is None else self.feed(below, terminals[-1])
-            else:
-                fed = stack
-            prefixes[terminals] = fed
-        return fed
+    def _price(self, walked: tuple[Stack, tuple[int, ...]] | None) -> int | None:
+        """The cost of the stack ``_walk`` left, as ``Stack.cost`` sums it:
+        the cell's cost plus the pushed symbols', clamped at INF; None where
+        the walk failed."""
+        if walked is None:
+            return None
+        cell, pushed = walked
+        if not pushed:  # a cell's cost is clamped already
+            return cell.cost
+        return min(INF, cell.cost + sum(map(self._symbol_cost.__getitem__, pushed)))
 
     # -- lexing ----------------------------------------------------------------
 
@@ -654,8 +658,9 @@ class MaskEngine:
             row = self._rows[state.config]
         if row.final is None:
             return False
-        stack = self.feed(state.stack, row.final[0]) if row.final else state.stack
-        return stack is not None and stack.cost == 0
+        if not row.final:
+            return state.stack.cost == 0
+        return self._price(self._walk(state.stack, (), row.final[0])) == 0
 
     def text_is_complete(self, data: bytes) -> bool:
         """Would ``data`` as a whole be a grammatically complete output?"""
@@ -680,15 +685,15 @@ class MaskEngine:
         once, each prefix from its parent's, and builds no cell.
         """
         row = self._rows[state.config]
-        walk, symbol_cost = self._walk, self._symbol_cost.__getitem__
-        # Per node of the feed plan, the stack fed, and its cost as
-        # ``Stack.cost`` sums it; None where the parse fails.
+        walk, price = self._walk, self._price
+        # Per node of the feed plan, the stack fed and its cost; None where
+        # the parse fails.
         walked, fed = [(state.stack, ())], [state.stack.cost]
         for parent, terminal in row.plan:
             at = walked[parent]
             at = None if at is None else walk(*at, terminal)
             walked.append(at)
-            fed.append(None if at is None else min(INF, at[0].cost + sum(map(symbol_cost, at[1]))))
+            fed.append(price(at))
         best: list = [None] * len(row.steps)
         for g, node, terms, cost in zip(row.group, row.node, row.terms, row.cost):
             if fed[node] is not None:
@@ -697,37 +702,58 @@ class MaskEngine:
                     best[g] = (total, terms, cost)
         return best
 
-    def _need(self, state: EngineState) -> tuple[np.ndarray, int, list]:
-        """Per token, the least total of ``_totals``; 3 * INF, above any
-        total, where no candidate parses or the row leaves the token out
-        (eos included); the least of those; and ``_totals`` itself.  Memoized
-        on what ``_totals`` reads: the configuration, the window its
-        candidates feed and the cost below.  The entry is what is returned,
-        its vector None until the entry is read a second time: a miss
-        gathers the vector from the per-group totals for its caller alone,
-        and the second read gathers it again and keeps it.  Past a pending
-        accept, the tokens ``relex`` marks take the lesser of that and their
-        need in the state ``_relexed`` leaves."""
-        row = self._rows[state.config]
-        window, below = self._window(state.stack, row.depth)
-        key = (state.config, window, below.cost)
-        got = self._need_memo.get(key)
-        if got is None or got[0] is None:  # a miss, or an entry read once
-            best = self._totals(state) if got is None else got[2]
-            totals = [3 * INF if b is None else b[0] for b in best] + [3 * INF]
-            need = np.array(totals, dtype=np.int64)[row.index]  # a token left out, at -1, reads the last
-            need.setflags(write=False)
-            least = min(totals)
-            if got is None and len(self._need_memo) >= _NEED_MEMO_SIZE:
+    def _entry(self, state: EngineState, key: tuple | None = None) -> tuple:
+        """The need memo's entry for the state, made on a miss: the least
+        total; ``_totals``; and the totals per group, 3 * INF, above any
+        total, where no candidate parses, and 3 * INF last, for the tokens
+        the row leaves out (eos included).  Keyed on what ``_totals`` reads:
+        the configuration, the window its candidates feed and the cost
+        below; ``_need`` passes the key it has found."""
+        if key is None:
+            window, below = self._window(state.stack, self._rows[state.config].depth)
+            key = (state.config, window, below.cost)
+        entry = self._need_memo.get(key)
+        if entry is None:
+            best = self._totals(state)
+            totals = np.array([3 * INF if b is None else b[0] for b in best] + [3 * INF], dtype=np.int64)
+            if len(self._need_memo) >= _NEED_MEMO_SIZE:
                 self._need_memo.clear()
-            self._need_memo[key] = (None if got is None else need, least, best)
-            got = (need, least, best)
-        if row.relex is not None:
-            relexed, _ = self._relexed(state)
-            if relexed is not None:
-                need = np.minimum(got[0], np.where(row.relex, self._need(relexed)[0], 3 * INF))
-                return need, int(need.min()), got[2]
-        return got
+                self._need_kept.clear()
+            entry = self._need_memo[key] = (int(totals.min()), best, totals)
+        return entry
+
+    def _need(self, state: EngineState, token: int | None = None) -> tuple[np.ndarray | int, int, list]:
+        """Per token, the least total of ``_totals``, its group's total in
+        ``_entry``; or, for ``token`` alone, that need as an int; the least
+        of those; and ``_totals``.  Only a read of the whole vocabulary
+        gathers the per-token vector, and ``_need_kept`` keeps it when an
+        earlier read made the entry, so an entry made and read once, or
+        read only per token, holds nothing that grows with the vocabulary.
+        Past a pending accept, the tokens ``relex`` marks take the lesser
+        of that and their need in the state ``_relexed`` leaves, which
+        ``token`` reads off the whole vector."""
+        row = self._rows[state.config]
+        window, below = self._window(state.stack, row.depth)  # ``_entry``'s key
+        key = (state.config, window, below.cost)
+        kept = self._need_kept.get(key)
+        if kept is None:
+            entry = self._need_memo.get(key)
+            least, best, totals = entry or self._entry(state, key)
+            if token is not None and row.relex is None:
+                return totals.item(row.index.item(token)), least, best
+            need = totals[row.index]  # a token left out, at index -1, reads the last
+            need.setflags(write=False)
+            kept = (need, least, best)
+            if entry is not None:  # made by an earlier read
+                self._need_kept[key] = kept
+        if row.relex is None:
+            return kept if token is None else (kept[0].item(token), kept[1], kept[2])
+        need, least, best = kept
+        relexed, _ = self._relexed(state)
+        if relexed is not None:
+            need = np.minimum(need, np.where(row.relex, self._need(relexed)[0], 3 * INF))
+            least = int(need.min())
+        return need if token is None else need.item(token), least, best
 
     def _admit(
         self, state: EngineState, token: int | None = None
@@ -746,9 +772,9 @@ class MaskEngine:
         if state.consumed >= state.budget:
             raise BudgetExhaustedError(f"consumed {state.consumed} of {state.budget} tokens")
         limit = min(state.budget - state.consumed - 1, INF) if self.mode == MODE_FULL else INF
-        need, least, _ = self._need(state)
-        if token is not None and (need.item(token) < limit or token != self.vocab.eos and least < limit):
-            return need.item(token) < limit, False, False
+        need, least, _ = self._need(state, token)
+        if token is not None and (need < limit or token != self.vocab.eos and least < limit):
+            return need < limit, False, False
         complete = self.is_complete(state)
         if token is not None:
             bits = complete and token == self.vocab.eos
@@ -818,11 +844,11 @@ class MaskEngine:
 
     def _best(self, state: EngineState) -> list:
         """Per token, (total, terminals, C) of the first candidate whose total
-        attains ``need`` (see ``_need``), or None, read off ``_need``'s memo;
+        attains ``need`` (see ``_need``), or None, read off the state's ``_entry``;
         a way through the state ``_relexed`` leaves comes after the
         row's candidates."""
         row = self._rows[state.config]
-        best = self._need(state)[2]
+        best = self._entry(state)[1]
         best = [best[g] if g >= 0 else None for g in row.index.tolist()]
         relexed, prefix = self._relexed(state) if row.relex is not None else (None, ())
         if relexed is not None:

@@ -3,10 +3,13 @@ memo entry it leaves.
 
 ``MaskEngine._walk`` holds the LL(1) pop/consume rule over a real cell and
 the symbols pushed on it, and builds no cell; ``feed`` builds cells from its
-result.  ``_totals`` walks the row's feed plan, a prefix tree of its
-candidates' terminals, and sums the cost of each stack fed.  Both are
-checked here against the cells that ``feed`` builds, and the memo entry
-against the rule that it keeps a per-token vector only once read again.
+result and ``_price`` sums their cost.  ``_totals`` walks the row's feed
+plan, a prefix tree of its candidates' terminals, and ``accept_sequences``
+walks every one- and two-terminal sequence.  The feed loop that built a cell
+per terminal, and the fold that shared the stacks of common prefixes, are
+kept below verbatim as the reference; the memo entry is checked against the
+rule that it keeps a per-token vector only when masked after an earlier
+read.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from hypothesis import strategies as st
 
 from boundedgen import bundled_json_grammar_path
 from boundedgen.costs import build_cost_tables
-from boundedgen.dfa import INF
-from boundedgen.engine import BudgetError, MaskEngine, Stack
+from boundedgen.engine import _DERIVES_EMPTY, AcceptSequence, BudgetError, MaskEngine, Stack
 from boundedgen.grammar import load_grammar, parse_grammar
 from tests.conftest import KV_GRAMMAR, KV_TOKENS, PAREN_GRAMMAR, PAREN_TOKENS, eval_token_strings, make_vocab
 from tests.test_lexer_reference import KW_GRAMMAR
@@ -68,20 +70,55 @@ def walk_state(engine: MaskEngine, seed: int):
     return state
 
 
-def fed_totals(engine: MaskEngine, state) -> list:
-    """``_totals`` folded through ``_fed``: each candidate's terminals fed to
-    the state's stack by ``feed``, sharing the stacks of common prefixes,
-    and priced by the cost of the cell fed."""
+_MISSING = object()
+
+
+def reference_feed(engine: MaskEngine, stack: Stack, terminal: int) -> Stack | None:
+    memo = engine._symbol_memo
+    cell = stack
+    while cell.depth:
+        left = memo[cell.symbol, terminal]
+        if left is not _DERIVES_EMPTY:
+            return None if left is None else engine._push(cell.below, left)
+        cell = cell.below
+    return None
+
+
+def reference_fed(engine: MaskEngine, stack: Stack, terminals: tuple[int, ...], prefixes: dict) -> Stack | None:
+    fed = prefixes.get(terminals, _MISSING)
+    if fed is _MISSING:
+        if terminals:
+            below = reference_fed(engine, stack, terminals[:-1], prefixes)
+            fed = None if below is None else reference_feed(engine, below, terminals[-1])
+        else:
+            fed = stack
+        prefixes[terminals] = fed
+    return fed
+
+
+def reference_totals(engine: MaskEngine, state) -> list:
+    """``_totals`` folded through ``reference_fed`` and priced by the cost
+    of the cell fed."""
     row = engine._rows[state.config]
     best: list = [None] * len(row.steps)
     prefixes: dict = {}
     for g, terms, cost in zip(row.group, row.terms, row.cost):
-        fed = engine._fed(state.stack, terms, prefixes)
+        fed = reference_fed(engine, state.stack, terms, prefixes)
         if fed is not None:
             total = cost + fed.cost
             if best[g] is None or total < best[g][0]:
                 best[g] = (total, terms, cost)
     return best
+
+
+def reference_accept_sequences(engine: MaskEngine, stack: Stack) -> tuple[AcceptSequence, ...]:
+    terminals, prefixes = range(engine.grammar.n_terminals), {}
+    return tuple(
+        AcceptSequence(terms, fed.cost)
+        for a in terminals
+        for terms in [(a,)] + [(a, b) for b in terminals]
+        if (fed := reference_fed(engine, stack, terms, prefixes)) is not None
+    )
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
@@ -95,13 +132,14 @@ def test_walk_prices_what_feed_builds(engines, name, seed, data):
     terms = data.draw(st.lists(st.integers(0, engine.grammar.n_terminals - 1), max_size=depth))
     stack, at = state.stack, (state.stack, ())
     for terminal in terms:
-        stack = None if stack is None else engine.feed(stack, terminal)
+        fed = None if stack is None else engine.feed(stack, terminal)
+        stack = None if stack is None else reference_feed(engine, stack, terminal)
         at = None if at is None else engine._walk(*at, terminal)
-        assert (at is None) == (stack is None), (name, terms)
+        assert (at is None) == (stack is None) and fed == stack, (name, terms)
         if at is not None:
-            cost = min(INF, at[0].cost + sum(engine._symbol_cost[s] for s in at[1]))
-            assert cost == stack.cost and engine._push(*at) == stack, (name, terms)
-    assert engine._totals(state) == fed_totals(engine, state), name
+            assert engine._price(at) == stack.cost and engine._push(*at) == stack, (name, terms)
+    assert engine._totals(state) == reference_totals(engine, state), name
+    assert engine.accept_sequences(state.stack) == reference_accept_sequences(engine, state.stack), name
 
 
 def test_a_miss_builds_no_stack_cell(engines, monkeypatch):
@@ -115,33 +153,40 @@ def test_a_miss_builds_no_stack_cell(engines, monkeypatch):
             engine._totals(state)
         assert counted == [], name
         for state in states:
-            fed_totals(engine, state)
+            reference_totals(engine, state)
         assert counted, name  # the reference builds cells, so the count would see them
 
 
-def arrays(entry) -> list[np.ndarray]:
-    """The arrays a memo entry holds, also inside the tuples it holds."""
-    held = [y for x in entry for y in (x if isinstance(x, (tuple, list)) else (x,))]
+def arrays(engine: MaskEngine) -> list[np.ndarray]:
+    """The arrays the need memo holds: in its entries, in the tuples they
+    hold and in the answers it keeps."""
+    entries = [*engine._need_memo.values(), *engine._need_kept.values()]
+    held = [y for entry in entries for x in entry for y in (x if isinstance(x, (tuple, list)) else (x,))]
     return [x for x in held if isinstance(x, np.ndarray)]
 
 
-def vectors(entry, size: int) -> list[np.ndarray]:
-    return [x for x in arrays(entry) if x.shape == (size,)]
-
-
-def test_an_entry_keeps_a_vector_from_its_second_read():
+def test_an_entry_keeps_a_vector_when_masked_after_an_earlier_read():
     engine = engine_for("json")
     size = engine.vocab.size
     assert all(len(engine._rows[c].steps) + 1 < size for c in engine._rows)  # no totals of that length
-    state = engine.new_session(30)  # the start state's entry, read once
-    assert [vectors(e, size) for e in engine._need_memo.values()] == [[]]
-    mask = engine.compute_mask(state)  # read again
-    (kept,) = vectors(*engine._need_memo.values(), size)
-    assert not kept.flags.writeable and engine._need(state)[0] is kept
+
+    def vectors() -> list[np.ndarray]:
+        return [x for x in arrays(engine) if x.shape == (size,)]
+
+    state = engine.new_session(30)  # the start state's entry, made for its least need
+    assert len(engine._need_memo) == 1 and vectors() == []
+    mask = engine.compute_mask(state)  # masked after that read
+    (vector,) = vectors()
+    assert not vector.flags.writeable and engine._need(state)[0] is vector
     state = engine.advance(state, int(np.flatnonzero(mask)[0]), mask)
-    engine.compute_mask(state)  # a new entry, read once
-    assert len(engine._need_memo) == 2
-    assert sum(len(vectors(e, size)) for e in engine._need_memo.values()) == 1
+    mask = engine.compute_mask(state)  # a new entry, made by the mask
+    assert len(engine._need_memo) == 2 and len(vectors()) == 1
+    token = int(np.flatnonzero(mask & (np.arange(size) != engine.vocab.eos))[0])
+    state = engine.advance(state, token)
+    admitted = [engine.admits(state, t) for t in range(size)]  # a new entry, read per token
+    assert len(engine._need_memo) == 3 and len(vectors()) == 1
+    assert engine.compute_mask(state).tolist() == admitted
+    assert len(vectors()) == 2  # masked after the token reads
 
 
 def test_deep_walk_memo_bytes_do_not_grow_with_the_vocabulary(monkeypatch):
@@ -157,5 +202,5 @@ def test_deep_walk_memo_bytes_do_not_grow_with_the_vocabulary(monkeypatch):
     for token in path:
         state = engine.advance(state, token, engine.compute_mask(state))
     assert state.finished
-    held = sum(x.nbytes for entry in engine._need_memo.values() for x in arrays(entry))
+    held = sum(x.nbytes for x in arrays(engine))
     assert held < 2**20, f"{held / 2**20:.2f} MiB of memo arrays"
