@@ -63,6 +63,16 @@ earlier read, so a state seen once, or asked only about single tokens,
 holds nothing that grows with the vocabulary.  Whether the mask is empty is
 read off that least need and the completion bit, without a pass over the
 mask.
+
+A step that commits terminals looks up (stack, terminals) in the engine's
+commit memo first and calls ``_commit`` only on a miss, so equal states
+reached by different paths share one chain of cells: ``==`` on their stacks
+stops at the first cell, the window a cell keeps serves every state on it,
+and the need memo's key is read off shared cells.  The memo holds at most
+``_COMMIT_MEMO_SIZE`` commits, each keeping its successor's cells alive,
+and is emptied when full, as the need memo is; a commit that fails to parse
+stores nothing.  A successor never holds the cell its commit pops, so no
+entry keeps its own key alive through its value.
 """
 
 from __future__ import annotations
@@ -117,6 +127,7 @@ def _dead() -> DeadSessionError:
 
 _EXPANSION_LIMIT = 100_000
 _NEED_MEMO_SIZE = 256  # need entries per engine; one masked after an earlier read keeps 8 bytes per token
+_COMMIT_MEMO_SIZE = 256  # commits per engine, each kept as the successor's top cell
 
 MODE_FULL = "full"
 MODE_GRAMMAR_ONLY = "grammar-only"
@@ -163,7 +174,8 @@ class Stack:
             self.cost, self.depth, self.floor = 0, 0, self
             self._hash = hash(())
             return
-        self.cost = min(INF, below.cost + cost)
+        cost += below.cost
+        self.cost = cost if cost < INF else INF  # ``min`` would cost a call per cell a commit builds
         self.depth = below.depth + 1
         self.floor = below.floor if popped else self
         self._hash = hash((symbol, below._hash))
@@ -294,6 +306,10 @@ class MaskEngine:
         token_ids = [steps.ids] + [ids for rows in tables.token_map.values() for ids, _ in rows.values()]
         if np.concatenate(token_ids).max(initial=-1) >= vocab.size:
             raise CacheCorruptError("token map names a token id outside the vocabulary")
+        # End-of-sequence has no bytes, so no step moves on it; a row that
+        # names it would admit it on an incomplete output.
+        if (steps.ids == vocab.eos).any():
+            raise CacheCorruptError("step table names the end-of-sequence token")
         self.grammar = grammar
         self.tables = tables
         self.vocab = vocab
@@ -326,6 +342,7 @@ class MaskEngine:
         ]
         self._need_memo: dict[tuple, tuple] = {}
         self._need_kept: dict[tuple, tuple] = {}  # ``_need``'s answers for entries masked after an earlier read
+        self._commit_memo: dict[tuple[Stack, tuple[int, ...]], Stack] = {}  # (stack, terminals) -> ``_commit``
         # The rows past their accept, whose tail the table does not know.
         untailed = np.array([not tail for tail in steps.tails], dtype=bool)
         self._unknown = (steps.accepts >= 0) & (label[steps.states] < 0) & untailed
@@ -905,10 +922,12 @@ class MaskEngine:
         change a session.  One lookup in the row gives the token's group:
         the committed terminals, fed to the state's own stack, and the
         successor configuration, whose pending accept the entry places.  A
-        token the row leaves out past a pending accept commits that accept,
-        so the state ``_relexed`` leaves steps it instead.  Any other token
-        the row leaves out fails, and lexing the state's own bytes raises
-        the error that names them."""
+        commit taken before from an equal stack is read off the commit
+        memo, the same cells it left; a miss stores what ``_commit`` builds,
+        and a ParseError stores nothing.  A token the row leaves out past a
+        pending accept commits that accept, so the state ``_relexed`` leaves
+        steps it instead.  Any other token the row leaves out fails, and
+        lexing the state's own bytes raises the error that names them."""
         if token == self.vocab.eos:
             return EngineState(self, state.stack, state.remainder, state.config, state.consumed + 1,
                                state.budget, True, state.lex_accept)
@@ -922,7 +941,13 @@ class MaskEngine:
             return self._step(relexed, token)
         terminals, keep, config, accept = row.steps[group]
         if terminals:
-            stack = self._commit(state.stack, terminals)
+            memo, key = self._commit_memo, (state.stack, terminals)
+            stack = memo.get(key)
+            if stack is None:
+                stack = self._commit(state.stack, terminals)
+                if len(memo) >= _COMMIT_MEMO_SIZE:
+                    memo.clear()
+                memo[key] = stack
             remainder = (state.remainder[-keep:] + data)[-keep:] if keep else b""
         else:
             stack, remainder = state.stack, state.remainder + data

@@ -18,6 +18,7 @@ from boundedgen.evalharness import save_tasks
 from boundedgen.grammar import parse_grammar
 from boundedgen.vocab import Vocabulary, load_vocabulary, save_vocabulary
 from tests.conftest import (
+    EOS_4_VOCAB,
     LEXER_CAP_GRAMMAR,
     PAREN_GRAMMAR,
     PAREN_TOKENS,
@@ -25,6 +26,7 @@ from tests.conftest import (
     cache_offsets,
     drop_key,
     edit_cache,
+    eos_in_step_table,
     eval_token_strings,
     make_json_tasks,
     with_terminal_pattern,
@@ -491,6 +493,22 @@ class TestMask:
         )
         assert code == EXIT_IO
         assert "outside the vocabulary" in capsys.readouterr().err
+
+    def test_eos_in_a_step_row_exit_3(self, tmp_path, capsys):
+        save_vocabulary(Vocabulary(*EOS_4_VOCAB), tmp_path / "vocab.json")
+        _, _, tables = eos_in_step_table(load_vocabulary(tmp_path / "vocab.json"))
+        save_cache(tables, tmp_path / "eos.cache")
+        code = main(
+            [
+                "mask",
+                "--grammar", bundled_json_grammar_path(),
+                "--vocab", str(tmp_path / "vocab.json"),
+                "--cache", str(tmp_path / "eos.cache"),
+                "--budget", "10",
+            ]
+        )
+        assert code == EXIT_IO
+        assert "names the end-of-sequence token" in capsys.readouterr().err
 
     def test_version_1_cache_exit_3(self, workspace, tmp_path, capsys):
         cache = tmp_path / "v1.cache"

@@ -42,6 +42,7 @@ from tests.conftest import (
     cache_offsets,
     drop_key,
     edit_cache,
+    eos_in_step_table,
     make_vocab,
     step_offsets,
     with_terminal_pattern,
@@ -710,6 +711,16 @@ class TestCache:
         tables = load_cache(path)  # the file does not record the vocabulary size
         with pytest.raises(CacheCorruptError):
             MaskEngine(paren_grammar, tables, paren_vocab)
+
+    def test_eos_in_a_step_row_is_corrupt(self, tmp_path):
+        # The edited row still rises and the checksum holds, so the file
+        # loads; stepping on eos would admit it while the output is
+        # incomplete, so the engine refuses the tables.
+        grammar, vocab, tables = eos_in_step_table()
+        path = tmp_path / "e.cache"
+        save_cache(tables, path)
+        with pytest.raises(CacheCorruptError, match="names the end-of-sequence token"):
+            MaskEngine(grammar, load_cache(path), vocab)
 
     def test_wrong_d_is_corrupt(self, paren_grammar, paren_vocab, paren_tables, tmp_path):
         # In range and checksummed, so it loads; the engine recomputes D.

@@ -6,11 +6,12 @@ the script.  A change that moves them on purpose rewrites that file:
 
     python tests/tools/mask_digest.py > tests/tools/mask_digest.golden
 
-The other tests check, on the same setups, the two facts that completion is
-read from: each row's final lexing, fixed when the row is built, and a
-stack cell's cost, 0 exactly when the stack may end there; and that the
-one-token queries, ``admits`` and ``advance`` without a mask, answer what
-the mask answers.
+So must the same walks run a second time on one engine, whose memos the
+first pass filled.  The other tests check, on the same setups, the two
+facts that completion is read from: each row's final lexing, fixed when
+the row is built, and a stack cell's cost, 0 exactly when the stack may
+end there; and that the one-token queries, ``admits`` and ``advance``
+without a mask, answer what the mask answers.
 """
 
 from __future__ import annotations
@@ -45,6 +46,22 @@ def test_digests_equal_the_golden_file(setups):
     want = dict(line.split(": ", 1) for line in GOLDEN.read_text().splitlines())
     got = {name: mask_digest.digest(*setup) for name, setup in setups.items()}
     assert {**got, "deep": mask_digest.deep_digest()} == want
+
+
+def test_a_warm_engine_digests_the_golden_file(setups):
+    # The second pass over the same walks on one engine reads what the
+    # first left in its memos: commits that hand equal states the same
+    # cells, need entries masked again.  It must hash as a fresh engine does.
+    want = dict(line.split(": ", 1) for line in GOLDEN.read_text().splitlines())
+    got = {}
+    for name, (grammar, vocab, walks) in setups.items():
+        engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
+        mask_digest.digest(grammar, vocab, walks, engine=engine)
+        got[name] = mask_digest.digest(grammar, vocab, walks, engine=engine)
+    engine = mask_digest.deep_engine()
+    mask_digest.deep_digest(engine=engine)
+    got["deep"] = mask_digest.deep_digest(engine=engine)
+    assert got == want
 
 
 def open_lexemes(lexer) -> dict[tuple[int, int], bytes]:

@@ -73,9 +73,11 @@ def setups():
     return out
 
 
-def digest(grammar, vocab, walks: int, seed: int = 0) -> str:
-    """The hash of every step of ``walks`` seeded admitted walks at budgets 2-30."""
-    engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
+def digest(grammar, vocab, walks: int, seed: int = 0, engine: MaskEngine | None = None) -> str:
+    """The hash of every step of ``walks`` seeded admitted walks at budgets
+    2-30, on ``engine`` when given (its memos as earlier calls left them),
+    else on a fresh engine."""
+    engine = engine or MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
     rng, h, steps = random.Random(seed), hashlib.sha256(), 0
     for _ in range(walks):
         try:
@@ -103,13 +105,20 @@ def digest(grammar, vocab, walks: int, seed: int = 0) -> str:
 DEEP = 60
 
 
-def deep_digest(depth: int = DEEP) -> str:
-    """The hash of every step of the admitted walk into ``depth`` ``[`` and
-    back out, then end-of-sequence, under the tightest budget."""
+def deep_engine() -> MaskEngine:
+    """A fresh engine on the bundled grammar and base vocabulary."""
     import inputs
 
     grammar, vocab = load_grammar(bundled_json_grammar_path()), inputs.base_vocab()
-    engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
+    return MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
+
+
+def deep_digest(depth: int = DEEP, engine: MaskEngine | None = None) -> str:
+    """The hash of every step of the admitted walk into ``depth`` ``[`` and
+    back out, then end-of-sequence, under the tightest budget, on ``engine``
+    (a ``deep_engine``) when given, else on a fresh one."""
+    engine = engine or deep_engine()
+    vocab = engine.vocab
     path = [vocab.tokens.index(b"[")] * depth + [vocab.tokens.index(b"]")] * depth + [vocab.eos]
     state, h = engine.new_session(len(path)), hashlib.sha256()
     for token in path:
