@@ -116,23 +116,22 @@ def drop_key(tables, key):
     )
 
 
+# ``[``, ``]``, ``1``, space, eos (id 4) and ``,``: the tokens and eos id.
 EOS_4_VOCAB = ([b"[", b"]", b"1", b" ", b"", b","], 4)
 
 
-def eos_in_step_table(vocab: Vocabulary | None = None):
-    """The bundled grammar over ``vocab``, by default ``EOS_4_VOCAB``'s
-    ``[``, ``]``, ``1``, space, eos (id 4) and ``,``, and its tables with id 3
-    of row 0 of the step table renamed to the eos id: the row still rises,
-    so only the engine can refuse it."""
+def eos_in_step_table(vocab: Vocabulary):
+    """The bundled grammar's tables over ``vocab``, an ``EOS_4_VOCAB``, with
+    id 3 of row 0 of the step table renamed to the eos id: the row still
+    rises, so only the engine can refuse it."""
     grammar = load_grammar(bundled_json_grammar_path())
-    vocab = vocab or Vocabulary(*EOS_4_VOCAB)
     tables = build_cost_tables(grammar, vocab)
     steps = tables.steps
     ids = steps.ids.copy()
     row = ids[steps.indptr[0] : steps.indptr[1]]
     assert row.tolist() == [0, 1, 2, 3, 5]
     row[3] = vocab.eos
-    return grammar, vocab, dataclasses.replace(tables, steps=dataclasses.replace(steps, ids=ids))
+    return grammar, dataclasses.replace(tables, steps=dataclasses.replace(steps, ids=ids))
 
 
 def with_terminal_pattern(grammar, name: str, pattern: str):

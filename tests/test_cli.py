@@ -496,7 +496,7 @@ class TestMask:
 
     def test_eos_in_a_step_row_exit_3(self, tmp_path, capsys):
         save_vocabulary(Vocabulary(*EOS_4_VOCAB), tmp_path / "vocab.json")
-        _, _, tables = eos_in_step_table(load_vocabulary(tmp_path / "vocab.json"))
+        _, tables = eos_in_step_table(load_vocabulary(tmp_path / "vocab.json"))
         save_cache(tables, tmp_path / "eos.cache")
         code = main(
             [

@@ -34,6 +34,7 @@ from boundedgen.grammar import load_grammar, parse_grammar
 from boundedgen.oracle import brute_force_mask, brute_force_min_tokens
 from boundedgen.vocab import Vocabulary, save_vocabulary
 from tests.conftest import (
+    EOS_4_VOCAB,
     MINI_JSON_GRAMMAR,
     MINI_TOKENS,
     PAREN_GRAMMAR,
@@ -716,7 +717,8 @@ class TestCache:
         # The edited row still rises and the checksum holds, so the file
         # loads; stepping on eos would admit it while the output is
         # incomplete, so the engine refuses the tables.
-        grammar, vocab, tables = eos_in_step_table()
+        vocab = Vocabulary(*EOS_4_VOCAB)
+        grammar, tables = eos_in_step_table(vocab)
         path = tmp_path / "e.cache"
         save_cache(tables, path)
         with pytest.raises(CacheCorruptError, match="names the end-of-sequence token"):
