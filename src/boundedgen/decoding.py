@@ -23,6 +23,7 @@ identical outputs:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -47,6 +48,8 @@ class MctsConfig:
             raise ValueError(f"c_puct must be non-negative and finite, got {self.c_puct!r}")
         if not 0 < self.temperature < math.inf:
             raise ValueError(f"temperature must be positive and finite, got {self.temperature!r}")
+        if isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral):
+            raise ValueError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
 
@@ -87,24 +90,22 @@ def _greedy_steps(
     model: LanguageModel,
     state: EngineState,
     context: tuple[int, ...],
-    first: tuple[np.ndarray, np.ndarray] | None = None,
+    probs: np.ndarray | None = None,
 ) -> Iterator[tuple[np.ndarray, int]]:
     """Yield each greedy step's distribution and token until eos or the end
     of the budget; ``context`` is everything the model has seen so far, and
-    ``first``, when given, the mask and distribution at ``state``.  A step
-    advances on the model's argmax, which checks that one token, and builds
-    the mask only when the engine denies it."""
+    ``probs``, when given, the distribution at ``state``.  A step advances
+    on the model's argmax, which checks that one token, and builds the mask
+    only when the engine denies it."""
     engine = state.engine
-    mask, probs = first or (None, None)
     while state.consumed < state.budget:
         if probs is None:
             probs = model.next_distribution(context)
         token = int(probs.argmax())  # the lowest id on ties, admitted or not
         try:
-            following = engine.advance(state, token, mask)
+            following = engine.advance(state, token)
         except MaskedTokenError:
-            if mask is None:
-                mask = engine.compute_mask(state)
+            mask = engine.compute_mask(state)
             token = int(np.where(mask, probs, -np.inf).argmax())
             following = engine.advance(state, token, mask)
         yield probs, token
@@ -112,7 +113,7 @@ def _greedy_steps(
             return
         context += (token,)
         state = following
-        mask = probs = None
+        probs = None
 
 
 def greedy_decode(
@@ -224,34 +225,44 @@ def _best(scores: np.ndarray, owners: np.ndarray, tokens: np.ndarray, beams: int
 
 
 class _SearchNode:
-    """A tree-search node: one engine state and the edge statistics of its
-    admitted tokens.  ``ids`` are those tokens, ascending, and ``priors``,
-    ``visits`` and ``values`` hold one entry per id, ``total`` the sum of
-    ``visits``; ``mask`` is kept to check a token when the state advances
-    on it.  ``children`` maps a tried token to its node, or to None at a
+    """A tree-search node: one engine state, its distribution ``probs``, and
+    the edge statistics of its admitted tokens, built when the node opens,
+    on its first ``select``: ``mask`` is the state's mask, kept to check a
+    token when the state advances on it; ``ids`` are the tokens it admits,
+    ascending, and ``priors``, ``visits`` and ``values`` hold one entry per
+    id, ``total`` the sum of ``visits``.  Until then ``mask`` and ``ids``
+    are None.  ``children`` maps a tried token to its node, or to None at a
     leaf.  ``rollout`` is the greedy rollout through the node, shared by the
     nodes on it: per step the distribution and the token, and per step the
     log-probability; ``at`` is the node's step."""
 
-    __slots__ = ("state", "probs", "mask", "ids", "priors", "visits", "values", "total", "children",
-                 "rollout", "at")
+    __slots__ = ("state", "probs", "temperature", "mask", "ids", "priors", "visits", "values", "total",
+                 "children", "rollout", "at")
 
-    def __init__(self, state: EngineState, probs: np.ndarray, mask: np.ndarray, temperature: float,
+    def __init__(self, state: EngineState, probs: np.ndarray, temperature: float,
                  rollout: tuple[list, list[float]] = ([], []), at: int = 0):
         self.state, self.rollout, self.at = state, rollout, at
         self.probs = probs
-        self.mask = mask
-        self.ids = np.flatnonzero(mask)
-        self.priors = _admitted_prior(probs, self.ids, temperature)
-        self.visits = np.zeros(self.ids.size, dtype=np.int64)
-        self.values = np.zeros(self.ids.size)  # max rollout value seen per edge
+        self.temperature = temperature
+        self.mask = self.ids = None
         self.total = 0
         self.children: dict[int, _SearchNode | None] = {}
 
+    def _open(self) -> None:
+        """Build the mask and the edge statistics over the ids it admits."""
+        self.mask = self.state.engine.compute_mask(self.state)
+        self.ids = np.flatnonzero(self.mask)
+        self.priors = _admitted_prior(self.probs, self.ids, self.temperature)
+        self.visits = np.zeros(self.ids.size, dtype=np.int64)
+        self.values = np.zeros(self.ids.size)  # max rollout value seen per edge
+
     def select(self, c_puct: float) -> int:
-        """The position in ``ids`` to descend into: highest prior at zero
-        visits, otherwise highest ``Q + c_puct * prior * sqrt(sum(N)) / (1 + N)``;
-        the lowest id on ties."""
+        """The position in ``ids`` to descend into, opening the node on the
+        first call: highest prior at zero visits, otherwise highest
+        ``Q + c_puct * prior * sqrt(sum(N)) / (1 + N)``; the lowest id on
+        ties."""
+        if self.ids is None:
+            self._open()
         if self.total == 0:
             return int(self.priors.argmax())
         return int((self.values + c_puct * self.priors * (math.sqrt(self.total) / (1.0 + self.visits))).argmax())
@@ -267,25 +278,26 @@ def mcts_decode(
 
     Per emitted token: run ``config.trials`` simulations, each descending by
     :meth:`_SearchNode.select` until it tries a new edge or reaches a leaf,
-    expanding that edge, rolling out greedily from the new node's mask and
+    expanding that edge, rolling out greedily from the new node's
     distribution, and backing the rollout value up every edge of the path as
-    a maximum; a node on its parent's rollout takes the rest of it and
-    builds only its own mask, so each prefix is scored by the model once,
-    and a rollout step builds a mask only when the engine denies the
-    model's argmax (see ``_greedy_steps``).  The value is the
-    geometric mean of unmodified model probabilities over the whole sequence
-    generated so far, rollout included.  The visited root edge with the
-    highest value is committed and its subtree reused; the search stops when
-    it commits a leaf.  The first simulation is exactly the greedy rollout.
+    a maximum; a node on its parent's rollout takes the rest of it, so each
+    prefix is scored by the model once.  A node builds its mask only when a
+    simulation first selects it, and a rollout step, the first included,
+    only when the engine denies the model's argmax (see ``_greedy_steps``).
+    The value is the geometric mean of unmodified model probabilities over
+    the whole sequence generated so far, rollout included.  The visited root
+    edge with the highest value is committed and its subtree reused; the
+    search stops when it commits a leaf.  The first simulation is exactly
+    the greedy rollout.
     """
     engine = session.engine
     eos = engine.vocab.eos
     prompt = tuple(prompt)
 
     def expand(state: EngineState, generated: tuple[int, ...]) -> _SearchNode:
-        mask, probs = engine.compute_mask(state), model.next_distribution(prompt + generated)
-        steps = list(_greedy_steps(model, state, prompt + generated, (mask, probs)))
-        return _SearchNode(state, probs, mask, config.temperature, (steps, [_log(float(p[t])) for p, t in steps]))
+        probs = model.next_distribution(prompt + generated)
+        steps = list(_greedy_steps(model, state, prompt + generated, probs))
+        return _SearchNode(state, probs, config.temperature, (steps, [_log(float(p[t])) for p, t in steps]))
 
     def simulate(node: _SearchNode, generated: tuple[int, ...], logs: list[float]) -> None:
         path = []
@@ -299,8 +311,7 @@ def mcts_decode(
                 state = None if token == eos else engine.advance(node.state, token, node.mask)
                 steps, at = node.rollout[0], node.at + 1
                 if token == steps[node.at][1] and at < len(steps):  # the rest of the node's rollout
-                    mask = engine.compute_mask(state)  # the rollout already read its need memo entry
-                    child = _SearchNode(state, steps[at][0], mask, config.temperature, node.rollout, at)
+                    child = _SearchNode(state, steps[at][0], config.temperature, node.rollout, at)
                 elif state is not None and state.consumed < state.budget:
                     child = expand(state, generated)
                 else:

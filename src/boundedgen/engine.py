@@ -41,7 +41,9 @@ complete within ``budget`` tokens.  The mask report reads the same memo
 entry, which also holds each group's cheapest way to finish, and
 ``admits`` reads one token of it: a decoder that only asks whether its
 choice is admitted never builds the mask, and ``advance`` without a mask
-checks its one token the same way.
+checks its one token the same way.  Such a read pays only for what it
+reads: on a state no read has made an entry for, it walks the feed-plan
+nodes its token's group needs and prices that group alone.
 
 The parser stack is persistent: each immutable :class:`Stack` cell holds its
 symbol, the cell below, and the summed completion cost and depth of
@@ -55,14 +57,17 @@ the length of an uncommitted lexeme.  A miss builds no cell: each row
 compiles its candidates' terminals into a feed plan, a prefix tree, and one
 walk (``_walk``) over a real cell and the symbols pushed on it prices every
 prefix once, the cell's cost plus the pushed symbols' costs.  ``feed`` and
-``_commit`` walk the same way and build the cells at the end.  A memo entry
-holds per group the least total and its way to finish, and the least of
-them.  One token's need is read off its group's total; the per-token vector
-is gathered only for a whole mask, and kept when the entry was made by an
-earlier read, so a state seen once, or asked only about single tokens,
-holds nothing that grows with the vocabulary.  Whether the mask is empty is
-read off that least need and the completion bit, without a pass over the
-mask.
+``_commit`` walk the same way and build the cells at the end.  A whole memo
+entry holds per group the least total and its way to finish, and the least
+of them; a single-token read on a new key stores only its group's total, in
+the same slot, and the other groups, the least and the ways are filled when
+something reads them: a whole mask, the report, a new session, or a denied
+token (eos only when the output is not complete).  One token's need is read
+off its group's total; the per-token vector is gathered only for a whole
+mask, and kept when the entry was made by an earlier read, so a state seen
+once, or asked only about single tokens, holds nothing that grows with the
+vocabulary.  Whether the mask is empty is read off that least need and the
+completion bit, without a pass over the mask.
 
 A step that commits terminals looks up (stack, terminals) in the engine's
 commit memo first and calls ``_commit`` only on a miss, so equal states
@@ -251,19 +256,28 @@ class _Row:
     and its pending accept: (bytes after it, terminal), None, or _KEPT for
     the state's own.  Each group finishes in the ways its candidates list:
     per candidate its ``group``, the ``terms`` fed to the stack and C of the
-    pending lexeme, ``cost``.  ``depth`` is the most terminals a candidate
-    feeds.  The feed plan is the candidates' terms as a prefix tree: node 0
-    is the empty prefix, node ``i + 1`` extends node ``plan[i][0]`` by the
-    terminal ``plan[i][1]``, parents first, and ``node`` names each
-    candidate's.  ``relex`` is None unless the lexer state is past its accept;
-    then it marks the tokens the row leaves out or that keep the pending
-    accept, which the state left by committing it and lexing the tail
-    afresh also prices (see ``MaskEngine._relexed``).  Otherwise ``final``
-    is what lexing to the end of input commits: the terminal of a labelled
-    lexer state, nothing at the initial row, and None, a failure, elsewhere.
+    pending lexeme, ``cost``; group ``g``'s candidates run from
+    ``span[g]`` to ``span[g + 1]`` in those lists.  ``depth`` is the most
+    terminals a candidate feeds.  The feed plan is the candidates' terms as
+    a prefix tree: node 0 is the empty prefix, and each ``plan`` entry
+    (node, parent, terminal) extends the parent node by the terminal,
+    parents first; ``node`` names each candidate's.  ``reach`` lists, group
+    after group, the plan entries each group's candidates need, parents
+    first, group ``g``'s from ``reach_at[g]`` to ``reach_at[g + 1]``: flat
+    lists, not one per group, so an engine holds few containers for the
+    garbage collector to count and walk.  ``relex`` is None unless the
+    lexer state is past its accept; then it marks the tokens the row leaves
+    out or that keep the pending accept, which the state left by committing
+    it and lexing the tail afresh also prices (see ``MaskEngine._relexed``).
+    Otherwise ``final`` is what lexing to the end of input commits: the
+    terminal of a labelled lexer state, nothing at the initial row, and
+    None, a failure, elsewhere.
     """
 
-    __slots__ = ("index", "steps", "group", "terms", "cost", "depth", "plan", "node", "final", "relex")
+    __slots__ = (
+        "index", "steps", "group", "terms", "cost", "span", "depth", "plan", "node", "reach", "reach_at", "final",
+        "relex",
+    )
 
 
 def _key(q: int, accept: tuple[int, int] | None, remainder: bytes) -> tuple[int, int, bytes]:
@@ -340,7 +354,7 @@ class MaskEngine:
         self._symbol_popped = [
             any(self._symbol_memo[sym, t] is _DERIVES_EMPTY for t in terminals) for sym in symbols
         ]
-        self._need_memo: dict[tuple, tuple] = {}
+        self._need_memo: dict[tuple, tuple | dict] = {}  # whole entries, or groups priced so far
         self._need_kept: dict[tuple, tuple] = {}  # ``_need``'s answers for entries masked after an earlier read
         self._commit_memo: dict[tuple[Stack, tuple[int, ...]], Stack] = {}  # (stack, terminals) -> ``_commit``
         # The rows past their accept, whose tail the table does not know.
@@ -610,7 +624,7 @@ class MaskEngine:
         groups, of = np.unique(moves.astype(np.int64) * n + succs, return_inverse=True)
         row.index = np.full(self.vocab.size, -1, dtype=np.int32)
         row.index[ids] = of
-        row.steps, row.group, row.terms, row.cost = [], [], [], []
+        row.steps, row.group, row.terms, row.cost, row.span = [], [], [], [], [0]
         for g, (move, succ) in enumerate(divmod(key, n) for key in groups.tolist()):
             _, accept, tail = self._configurations[succ]
             accept = _KEPT if self._unknown[succ] else (len(tail), accept) if accept >= 0 else None
@@ -621,15 +635,25 @@ class MaskEngine:
                     row.group.append(g)
                     row.terms.append(terms)
                     row.cost.append(cost)
+            row.span.append(len(row.group))
         row.depth = max(map(len, row.terms), default=1)
         nodes: dict[tuple[int, ...], int] = {(): 0}
-        row.plan, row.node = [], []
-        for terms in row.terms:
-            for k in range(1, len(terms) + 1):
-                if terms[:k] not in nodes:
-                    nodes[terms[:k]] = len(nodes)
-                    row.plan.append((nodes[terms[: k - 1]], terms[k - 1]))
-            row.node.append(nodes[terms])
+        row.plan, row.node, row.reach, row.reach_at = [], [], [], [0]
+        for first, last in zip(row.span, row.span[1:]):
+            needed = set()
+            for terms in row.terms[first:last]:
+                node = 0
+                for k in range(1, len(terms) + 1):
+                    parent, prefix = node, terms[:k]
+                    node = nodes.get(prefix)
+                    if node is None:
+                        node = nodes[prefix] = len(nodes)
+                        row.plan.append((node, parent, terms[k - 1]))
+                    if node not in needed:
+                        needed.add(node)
+                        row.reach.append(row.plan[node - 1])
+                row.node.append(node)
+            row.reach_at.append(len(row.reach))
         label = self.grammar.lexer[1][self._configurations[config][0]]
         row.final = (label,) if label >= 0 else () if config == 0 else None
         row.relex = None
@@ -692,27 +716,36 @@ class MaskEngine:
             return False
         return stack.cost == 0
 
-    def _totals(self, state: EngineState) -> list:
+    def _totals(self, state: EngineState, group: int | None = None) -> list:
         """The admission rule's accounting; the only place it is written.
 
         Per group of the state's row, the least total over the group's
         candidates -- C of the pending lexeme plus the cost of the stack
         after the candidate's terminals -- with those terminals and that C,
         or None when no candidate parses.  The row's feed plan is walked
-        once, each prefix from its parent's, and builds no cell.
+        once, each prefix from its parent's, and builds no cell.  With
+        ``group``, only that group is priced, and only the plan nodes its
+        candidates need are walked; the other groups read None.
         """
         row = self._rows[state.config]
         walk, price = self._walk, self._price
+        if group is None:
+            plan, ways = row.plan, zip(row.group, row.node, row.terms, row.cost)
+        else:
+            plan = row.reach[row.reach_at[group] : row.reach_at[group + 1]]
+            a, b = row.span[group], row.span[group + 1]
+            ways = zip(row.group[a:b], row.node[a:b], row.terms[a:b], row.cost[a:b])
         # Per node of the feed plan, the stack fed and its cost; None where
-        # the parse fails.
-        walked, fed = [(state.stack, ())], [state.stack.cost]
-        for parent, terminal in row.plan:
+        # the parse fails or the node is not walked.
+        walked, fed = [None] * (len(row.plan) + 1), [None] * (len(row.plan) + 1)
+        walked[0], fed[0] = (state.stack, ()), state.stack.cost
+        for node, parent, terminal in plan:
             at = walked[parent]
-            at = None if at is None else walk(*at, terminal)
-            walked.append(at)
-            fed.append(price(at))
+            if at is not None:
+                walked[node] = at = walk(*at, terminal)
+                fed[node] = price(at)
         best: list = [None] * len(row.steps)
-        for g, node, terms, cost in zip(row.group, row.node, row.terms, row.cost):
+        for g, node, terms, cost in ways:
             if fed[node] is not None:
                 total = cost + fed[node]
                 if best[g] is None or total < best[g][0]:
@@ -720,57 +753,90 @@ class MaskEngine:
         return best
 
     def _entry(self, state: EngineState, key: tuple | None = None) -> tuple:
-        """The need memo's entry for the state, made on a miss: the least
-        total; ``_totals``; and the totals per group, 3 * INF, above any
-        total, where no candidate parses, and 3 * INF last, for the tokens
-        the row leaves out (eos included).  Keyed on what ``_totals`` reads:
-        the configuration, the window its candidates feed and the cost
-        below; ``_need`` passes the key it has found."""
+        """The need memo's whole entry for the state, made on a miss or
+        from an entry that prices only some groups: the least total;
+        ``_totals``; and the totals per group, 3 * INF, above any total,
+        where no candidate parses, and 3 * INF last, for the tokens the row
+        leaves out (eos included).  Keyed on what ``_totals`` reads: the
+        configuration, the window its candidates feed and the cost below;
+        ``_need`` passes the key it has found."""
         if key is None:
             window, below = self._window(state.stack, self._rows[state.config].depth)
             key = (state.config, window, below.cost)
         entry = self._need_memo.get(key)
-        if entry is None:
+        if type(entry) is not tuple:
             best = self._totals(state)
             totals = np.array([3 * INF if b is None else b[0] for b in best] + [3 * INF], dtype=np.int64)
-            if len(self._need_memo) >= _NEED_MEMO_SIZE:
-                self._need_memo.clear()
-                self._need_kept.clear()
-            entry = self._need_memo[key] = (int(totals.min()), best, totals)
+            entry = self._store(key, (int(totals.min()), best, totals))
         return entry
 
-    def _need(self, state: EngineState, token: int | None = None) -> tuple[np.ndarray | int, int, list]:
-        """Per token, the least total of ``_totals``, its group's total in
-        ``_entry``; or, for ``token`` alone, that need as an int; the least
-        of those; and ``_totals``.  Only a read of the whole vocabulary
-        gathers the per-token vector, and ``_need_kept`` keeps it when an
-        earlier read made the entry, so an entry made and read once, or
-        read only per token, holds nothing that grows with the vocabulary.
-        Past a pending accept, the tokens ``relex`` marks take the lesser
-        of that and their need in the state ``_relexed`` leaves, which
-        ``token`` reads off the whole vector."""
+    def _store(self, key: tuple, entry):
+        """``entry`` put in the need memo under ``key``; a new key first
+        empties a full memo, and the answers ``_need`` keeps with it."""
+        memo = self._need_memo
+        if key not in memo and len(memo) >= _NEED_MEMO_SIZE:
+            memo.clear()
+            self._need_kept.clear()
+        memo[key] = entry
+        return entry
+
+    def _need(self, state: EngineState, token: int | None = None) -> tuple[np.ndarray, int, list] | int:
+        """Per token, the least total of ``_totals`` (its group's total in
+        ``_entry``), with the least of those and ``_totals``; or, for
+        ``token`` alone, that need as an int.
+
+        A token read off a whole entry reads its group's total.  On a key
+        no read has made a whole entry for, it prices the token's group
+        alone (``_totals`` with ``group``) and keeps the total in the same
+        memo slot, a dict of the groups priced so far, which a whole read
+        replaces.  Only a read of the whole vocabulary gathers the
+        per-token vector, and ``_need_kept`` keeps it when an earlier read
+        made the entry, so an entry made and read once, or read only per
+        token, holds nothing that grows with the vocabulary.  Past a
+        pending accept, the tokens ``relex`` marks take the lesser of that
+        and their need in the state ``_relexed`` leaves, which ``token``
+        reads off the whole vector."""
         row = self._rows[state.config]
         window, below = self._window(state.stack, row.depth)  # ``_entry``'s key
         key = (state.config, window, below.cost)
+        if token is not None and row.relex is None:
+            group = row.index.item(token)
+            entry = self._need_memo.get(key)
+            if type(entry) is tuple:
+                return entry[2].item(group)
+            if group < 0:  # a token the row leaves out, eos included
+                return 3 * INF
+            if entry is None:
+                entry = self._store(key, {})
+            total = entry.get(group)
+            if total is None:
+                way = self._totals(state, group)[group]
+                total = entry[group] = 3 * INF if way is None else way[0]
+            return total
         kept = self._need_kept.get(key)
         if kept is None:
             entry = self._need_memo.get(key)
-            least, best, totals = entry or self._entry(state, key)
-            if token is not None and row.relex is None:
-                return totals.item(row.index.item(token)), least, best
+            least, best, totals = entry if type(entry) is tuple else self._entry(state, key)
             need = totals[row.index]  # a token left out, at index -1, reads the last
             need.setflags(write=False)
             kept = (need, least, best)
             if entry is not None:  # made by an earlier read
                 self._need_kept[key] = kept
-        if row.relex is None:
-            return kept if token is None else (kept[0].item(token), kept[1], kept[2])
-        need, least, best = kept
-        relexed, _ = self._relexed(state)
-        if relexed is not None:
-            need = np.minimum(need, np.where(row.relex, self._need(relexed)[0], 3 * INF))
-            least = int(need.min())
-        return need if token is None else need.item(token), least, best
+        if row.relex is not None:
+            need, least, best = kept
+            relexed, _ = self._relexed(state)
+            if relexed is not None:
+                need = np.minimum(need, np.where(row.relex, self._need(relexed)[0], 3 * INF))
+                least = int(need.min())
+            kept = (need, least, best)
+        return kept if token is None else kept[0].item(token)
+
+    def _least(self, state: EngineState) -> int:
+        """The least need over the vocabulary, from the whole entry; a row
+        not past its accept reads it without gathering the vector."""
+        if self._rows[state.config].relex is None:
+            return self._entry(state)[0]
+        return self._need(state)[1]
 
     def _admit(
         self, state: EngineState, token: int | None = None
@@ -780,26 +846,32 @@ class MaskEngine:
         limit, which under the full mask keeps one slot for end-of-sequence,
         and end-of-sequence when the output is complete.  Returns the mask,
         or ``token``'s bit; the completion bit; and whether the rule admits
-        nothing: no need under the limit and the output not complete.  Only
-        eos, or a denied token when no need is under the limit, asks whether
-        the output is complete; any other ``token`` returns at once, both of
-        those read as False."""
+        nothing: no need under the limit and the output not complete.
+
+        A ``token`` under the limit returns at once, on its group's total
+        alone, both other values read as False.  A denied token that is not
+        eos reads the least need, and asks whether the output is complete
+        only when no need is under the limit; eos asks it at once, and
+        reads the least need only when the output is not complete."""
         if state.finished:
             raise EngineError("session already emitted end-of-sequence")
         if state.consumed >= state.budget:
             raise BudgetExhaustedError(f"consumed {state.consumed} of {state.budget} tokens")
         limit = min(state.budget - state.consumed - 1, INF) if self.mode == MODE_FULL else INF
-        need, least, _ = self._need(state, token)
-        if token is not None and (need < limit or token != self.vocab.eos and least < limit):
-            return need < limit, False, False
-        complete = self.is_complete(state)
-        if token is not None:
-            bits = complete and token == self.vocab.eos
-        else:
+        if token is None:
+            need, least, _ = self._need(state)
+            complete = self.is_complete(state)
             bits = need < limit
             if complete:
                 bits[self.vocab.eos] = True
-        return bits, complete, least >= limit and not complete
+            return bits, complete, least >= limit and not complete
+        if self._need(state, token) < limit:
+            return True, False, False
+        eos = token == self.vocab.eos
+        if not eos and self._least(state) < limit:
+            return False, False, False
+        complete = self.is_complete(state)
+        return eos and complete, complete, not complete and self._least(state) >= limit
 
     def compute_mask(self, state: EngineState) -> np.ndarray:
         """Boolean vector over the vocabulary for the next step."""

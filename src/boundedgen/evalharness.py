@@ -84,9 +84,14 @@ class BudgetPolicy:
             raise ValueError("expansion ratio must be at least 1.0")
 
     def budget_for(self, l_gt: int) -> int:
+        """The budget for a task whose ground truth is ``l_gt`` tokens long;
+        ValueError when ``l_gt * ratio`` overflows a float."""
         if self.kind == "fixed":
             return int(self.value)
-        return max(int(l_gt * self.value), 1)
+        try:
+            return max(int(l_gt * self.value), 1)
+        except OverflowError:
+            raise ValueError(f"the budget l_gt * ratio overflows a float (ratio {self.value:g})") from None
 
     def label(self) -> str:
         if self.kind == "fixed":

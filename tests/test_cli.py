@@ -326,12 +326,13 @@ class TestGenerate:
         [
             (["--ratio", "inf", "--ref-len", "5"], "budget policy value must be finite"),
             (["--ratio", "nan", "--ref-len", "5"], "budget policy value must be finite"),
+            (["--ratio", "1e308", "--ref-len", "5"], "overflows a float"),
             (["--model", "verbose-bias:nan", "--budget", "4"], "factor must be positive and finite"),
             (["--model", "verbose-bias:inf", "--budget", "4"], "factor must be positive and finite"),
             (["--strategy", "mcts:5,nan", "--budget", "4"], "c_puct must be non-negative and finite"),
             (["--strategy", "mcts:5,1,inf", "--budget", "4"], "temperature must be positive and finite"),
         ],
-        ids=["ratio-inf", "ratio-nan", "bias-nan", "bias-inf", "c-puct-nan", "tau-inf"],
+        ids=["ratio-inf", "ratio-nan", "ratio-overflow", "bias-nan", "bias-inf", "c-puct-nan", "tau-inf"],
     )
     def test_non_finite_numbers_exit_2(self, yz_workspace, capsys, extra, message):
         assert main(["generate", *yz_workspace, *extra]) == EXIT_GRAMMAR
@@ -682,6 +683,29 @@ class TestEval:
         assert code == EXIT_OK
         first = json.loads(captured.out.splitlines()[0])
         assert first["complete"] is True
+
+    @pytest.mark.parametrize(
+        "ratio, l_gt", [("1e308", None), ("1.1", 10**400)], ids=["ratio-overflow", "l_gt-overflow"]
+    )
+    def test_overflowing_budget_exit_2(self, workspace, tmp_path, capsys, ratio, l_gt):
+        tasks = workspace["tasks"]
+        if l_gt is not None:
+            tasks = tmp_path / "huge.jsonl"
+            task = json.loads(Path(workspace["tasks"]).read_text().splitlines()[0])
+            tasks.write_text(json.dumps({**task, "l_gt": l_gt}) + "\n")
+        code = main(
+            [
+                "eval",
+                "--grammar", workspace["grammar"],
+                "--vocab", workspace["vocab"],
+                "--cache", workspace["cache"],
+                "--model", "uniform",
+                "--tasks", str(tasks),
+                "--ratio", ratio,
+            ]
+        )
+        assert code == EXIT_GRAMMAR
+        assert "error: the budget l_gt * ratio overflows a float" in capsys.readouterr().err
 
     def test_malformed_tasks_exit_2(self, workspace, tmp_path):
         bad = tmp_path / "bad.jsonl"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from boundedgen.decoding import (
     softmax_prior,
     unconstrained_greedy,
 )
-from boundedgen.engine import EngineState
+from boundedgen.engine import EngineState, MaskEngine
 from boundedgen.models import (
     NgramModel,
     ScriptedModel,
@@ -341,17 +342,22 @@ class TestMcts:
             MctsConfig(temperature=0)
         with pytest.raises(ValueError):
             MctsConfig(trials=0)
+        for trials in (2.5, 20.0, True, "20"):
+            with pytest.raises(ValueError, match="trials must be an integer"):
+                MctsConfig(trials=trials)
+        assert MctsConfig(trials=np.int64(3)).trials == 3
 
     def test_select_on_hand_set_node(self):
         # Tokens 0-2 admitted, token 3 denied: the node keeps statistics for
         # ids 0-2 only, so a position in ids is a token here.
         mask = np.array([True, True, True, False])
-        node = _SearchNode(None, np.array([0.2, 0.5, 0.3, 0.0]), mask, 1.0)
-        assert node.ids.tolist() == [0, 1, 2]
-        assert 3 not in node.ids  # the denied token can never be picked
-        assert node.priors.size == node.visits.size == node.values.size == 3
+        node = hand_set_node(np.array([0.2, 0.5, 0.3, 0.0]), mask, 1.0)
+        assert node.mask is None and node.ids is None  # it opens on its first select
         # Zero visits: the top prior wins, whatever c_puct is.
         assert node.select(0.0) == node.select(5.0) == 1
+        assert node.mask is mask and node.ids.tolist() == [0, 1, 2]
+        assert 3 not in node.ids  # the denied token can never be picked
+        assert node.priors.size == node.visits.size == node.values.size == 3
         # Visited: Q + c_puct * prior * sqrt(sum N) / (1 + N) with sum N = 4 and
         # c_puct = 1 scores 0.4 + 0.4*2/3, 0.1 + 0.5*2/2, 0.5 + 0.1*2/2 =
         # 0.667, 0.6, 0.6: token 0, though token 2 has the top Q and token 1
@@ -363,10 +369,12 @@ class TestMcts:
         assert node.select(1.0) == 0
         assert node.select(0.0) == 2
 
-    def test_nodes_hold_admitted_ids_only(self, json_engine, monkeypatch):
-        # Every node of a seeded search keeps its statistics over exactly
-        # the ids its mask admits, and its priors are softmax_prior's at
-        # those ids, bit for bit.
+    def test_nodes_hold_admitted_ids_only(
+        self, json_engine, json_grammar, json_tables, json_vocab, monkeypatch
+    ):
+        # Every node a seeded search opens keeps its statistics over exactly
+        # the ids its state's mask admits, and its priors are softmax_prior's
+        # at those ids, bit for bit.
         from boundedgen import decoding
 
         nodes = []
@@ -382,8 +390,11 @@ class TestMcts:
         config = MctsConfig(trials=20)
         ids = mcts_decode(SeededRandomModel(json_engine.vocab.size, 5), json_engine.new_session(10), config=config)
         assert ids[-1] == json_engine.vocab.eos
-        assert len(nodes) > len(ids)
-        for node in nodes:
+        opened = [node for node in nodes if node.ids is not None]
+        assert len(opened) > len(ids)
+        fresh = MaskEngine(json_grammar, json_tables, json_vocab)
+        for node in opened:
+            assert np.array_equal(node.mask, fresh.compute_mask(node.state))
             assert np.array_equal(node.ids, np.flatnonzero(node.mask))
             assert node.priors.size == node.visits.size == node.values.size == node.ids.size
             want = softmax_prior(node.probs, node.mask, config.temperature)[node.ids]
@@ -401,12 +412,14 @@ class TestMcts:
             probs == 0.0,  # every admitted id at zero mass: uniform
         ):
             for temperature in (0.5, 1.0, 2.0, 7.3):
-                node = _SearchNode(None, probs, mask, temperature)
+                node = hand_set_node(probs, mask, temperature)
+                node.select(1.0)
                 want = softmax_prior(probs, mask, temperature)[node.ids]
                 assert np.array_equal(node.priors, want)
                 assert node.priors.dtype == want.dtype
-        uniform = _SearchNode(None, np.zeros(size), np.arange(size) % 3 == 0, 2.0).priors
-        assert np.array_equal(uniform, np.full(22, 1 / 22))
+        uniform = hand_set_node(np.zeros(size), np.arange(size) % 3 == 0, 2.0)
+        uniform.select(1.0)
+        assert np.array_equal(uniform.priors, np.full(22, 1 / 22))
 
     def test_outputs_complete_and_deterministic(self, json_engine):
         model = SeededRandomModel(json_engine.vocab.size, 3)
@@ -434,13 +447,14 @@ class TestMcts:
         )
         assert sequence_value(mcts_ids) >= sequence_value(greedy_ids) - 1e-12
 
-    def test_rollout_reuses_new_node_mask_and_distribution(self, json_engine, monkeypatch):
+    def test_rollout_reuses_new_node_distribution(self, json_engine, monkeypatch):
         # A node on its parent's greedy rollout takes the rest of that
         # rollout's distributions, so over one search the model sees each
-        # generated prefix exactly once.  A rollout step asks the engine
-        # about its argmax alone, so the full mask is built only for node
-        # states and for rollout steps whose argmax the engine denied; the
-        # output is the reference search's.
+        # generated prefix exactly once.  A rollout step, the first one
+        # included, asks the engine about its argmax alone, so the full
+        # mask is built only for nodes when they open and for rollout steps
+        # whose argmax the engine denied; the output is the reference
+        # search's.
         from tests.test_decoding_reference import mcts_decode as reference_mcts_decode
 
         events, nodes = [], []
@@ -458,6 +472,10 @@ class TestMcts:
                 super().__init__(*args, **kwargs)
                 nodes.append(self)
 
+            def _open(self):
+                events.append(("open", self, None))
+                super()._open()
+
         compute_mask = json_engine.compute_mask
 
         def counting_mask(state):
@@ -472,20 +490,59 @@ class TestMcts:
         ids = mcts_decode(model, json_engine.new_session(10), config=config)
         prefixes = [prefix for kind, prefix, _ in events if kind == "model"]
         assert len(set(prefixes)) == len(prefixes) > 2 * len(ids)
-        node_states = {id(node.state) for node in nodes}
+        opened = [node for kind, node, _ in events if kind == "open"]
         at_nodes = at_denials = 0
         for before, (kind, state, mask) in zip([None] + events, events):
             if kind != "mask":
                 continue
-            if id(state) in node_states:
+            if before[0] == "open":  # the node opening, on its own state
+                assert state is before[1].state and mask is before[1].mask
                 at_nodes += 1
             else:  # a rollout step, right after the model scored its prefix
                 assert before[0] == "model" and len(before[1]) == state.consumed
                 assert not mask[before[2].argmax()]
                 at_denials += 1
-        assert at_nodes == len(nodes) and at_denials > 0
+        assert at_nodes == len(opened) == len(set(map(id, opened))) and at_denials > 0
+        assert len(opened) < len(nodes)
         assert at_nodes + at_denials < len(prefixes)
         assert ids == reference_mcts_decode(model, json_engine.new_session(10), config=config)
+
+
+    def test_unselected_nodes_build_no_mask(self, json_engine, monkeypatch):
+        # A node opens on its first select, so a seeded search builds no
+        # mask for the nodes it never selects.  The only mask on such a
+        # node's state is the one its own rollout's first step builds when
+        # the engine denies the model's argmax there; a node taken from its
+        # parent's rollout holds a state of its own, which nothing masks.
+        nodes, masked = [], []
+
+        class Recording(decoding._SearchNode):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                nodes.append(self)
+
+        compute_mask = json_engine.compute_mask
+        monkeypatch.setattr(
+            json_engine, "compute_mask", lambda state: masked.append(state) or compute_mask(state)
+        )
+        monkeypatch.setattr(decoding, "_SearchNode", Recording)
+        ids = mcts_decode(SeededRandomModel(json_engine.vocab.size, 6), json_engine.new_session(10),
+                          config=MctsConfig(trials=20))
+        assert ids[-1] == json_engine.vocab.eos
+        unopened = [node for node in nodes if node.ids is None]
+        assert unopened and {node.at > 0 for node in unopened} == {True, False}
+        for node in unopened:
+            assert node.mask is None
+            first_denied = node.at == 0 and not json_engine.admits(node.state, int(node.probs.argmax()))
+            assert sum(state is node.state for state in masked) == first_denied
+
+
+def hand_set_node(probs: np.ndarray, mask: np.ndarray, temperature: float) -> _SearchNode:
+    """A search node whose state's engine answers ``mask``; it opens on its first select."""
+    engine = SimpleNamespace(compute_mask=lambda state: mask)
+    return _SearchNode(SimpleNamespace(engine=engine), probs, temperature)
 
 
 class TestPromptConditioning:

@@ -701,15 +701,23 @@ def seeded_walk_states(engine, seed, sessions, max_budget=16):
 class TestNeedMemo:
     def test_memo_bounded_over_1000_sessions(self, request, monkeypatch):
         # These walks read 151 distinct keys, under the engine's bound of 256;
-        # a bound of 64 is reached, not just respected.
+        # a bound of 64 is reached, not just respected.  A single-token read
+        # on each state, and one on a successor the walk may not take, leave
+        # entries that price only some groups; they count against the same
+        # bound.
         monkeypatch.setattr(engine_module, "_NEED_MEMO_SIZE", 64)
         engine = MaskEngine(*engine_parts(request, "json"))
-        keys = set()
+        rng, size, eos = random.Random(5), engine.vocab.size, engine.vocab.eos
+        keys, partial = set(), 0
         for state in seeded_walk_states(engine, 71, 1000, max_budget=40):
             window, below = engine._window(state.stack, engine._row(state.config).depth)
             keys.add((state.config, window, below.cost))
+            token = rng.randrange(size)
+            if engine.admits(state, token) and token != eos:
+                engine.admits(engine.advance(state, token), rng.randrange(size))
+            partial = max(partial, sum(type(entry) is dict for entry in engine._need_memo.values()))
             assert len(engine._need_memo) <= 64
-        assert len(keys) > 64
+        assert len(keys) > 64 and partial > 1
 
     def test_repeated_configuration_skips_totals(self, request, monkeypatch):
         engine = MaskEngine(*engine_parts(request, "json"))

@@ -83,6 +83,11 @@ class TestBudgetPolicy:
         with pytest.raises(ValueError):
             BudgetPolicy.fixed(0)
 
+    @pytest.mark.parametrize("ratio, l_gt", [(1e308, 5), (1.0, 10**400), (1.1, 10**400)])
+    def test_overflowing_budget_is_a_value_error(self, ratio, l_gt):
+        with pytest.raises(ValueError, match="overflows a float"):
+            BudgetPolicy.ratio(ratio).budget_for(l_gt)
+
 
 class TestTaskFiles:
     def test_round_trip(self, tmp_path, json_vocab):

@@ -9,7 +9,8 @@ walks every one- and two-terminal sequence.  The feed loop that built a cell
 per terminal, and the fold that shared the stacks of common prefixes, are
 kept below verbatim as the reference; the memo entry is checked against the
 rule that it keeps a per-token vector only when masked after an earlier
-read.
+read, and a cold read of one token's need against the plan nodes its group
+needs.
 """
 
 from __future__ import annotations
@@ -204,3 +205,47 @@ def test_deep_walk_memo_bytes_do_not_grow_with_the_vocabulary(monkeypatch):
     assert state.finished
     held = sum(x.nbytes for x in arrays(engine))
     assert held < 2**20, f"{held / 2**20:.2f} MiB of memo arrays"
+
+
+def plan_prefixes(row) -> list[tuple[int, ...]]:
+    """Per node of the row's feed plan, the terminals it feeds."""
+    prefixes = [()]
+    for node, parent, terminal in row.plan:
+        assert node == len(prefixes)
+        prefixes.append(prefixes[parent] + (terminal,))
+    return prefixes
+
+
+def test_a_cold_token_read_walks_only_its_groups_plan_nodes(engines, monkeypatch):
+    # On a key no read has made an entry for, one token's need walks each
+    # plan node its group's candidates need once, where the parent prefix
+    # parses, and no other; a whole mask walks every node whose parent
+    # parses once, plus the row's final terminal for the completion bit.
+    for name, engine in engines.items():
+        walks = []
+        walk = engine._walk
+        monkeypatch.setattr(engine, "_walk", lambda *args: walks.append(args) or walk(*args))
+        states = [s for s in (walk_state(engine, seed) for seed in range(40)) if s is not None]
+        states = [s for s in states if engine._rows[s.config].relex is None]
+        assert states, name
+        narrower = 0
+        for state in states:
+            row = engine._rows[state.config]
+            prefixes = plan_prefixes(row)
+            parses = {p for p in prefixes if reference_fed(engine, state.stack, p, {}) is not None}
+            live = {p for p in prefixes[1:] if p[:-1] in parses}
+            for g in range(len(row.steps)):
+                token = int(np.flatnonzero(row.index == g)[0])
+                needed = {t[:k] for t, h in zip(row.terms, row.group) if h == g for k in range(1, len(t) + 1)}
+                engine._need_memo.clear()
+                engine._need_kept.clear()
+                del walks[:]
+                engine._need(state, token)
+                assert len(walks) == len(needed & live), (name, g)
+                narrower += len(walks) < len(live)
+            engine._need_memo.clear()
+            engine._need_kept.clear()
+            del walks[:]
+            engine.compute_mask(state)
+            assert len(walks) == len(live) + bool(row.final), name
+        assert narrower, name

@@ -11,7 +11,8 @@ first pass filled.  The other tests check, on the same setups, the two
 facts that completion is read from: each row's final lexing, fixed when
 the row is built, and a stack cell's cost, 0 exactly when the stack may
 end there; and that the one-token queries, ``admits`` and ``advance``
-without a mask, answer what the mask answers.
+without a mask, answer what the mask answers, on a warm engine and on one
+whose need memo holds no entry for the state.
 """
 
 from __future__ import annotations
@@ -216,3 +217,51 @@ def test_admits_refuses_what_the_mask_refuses(setups):
     for token in (-1, vocab.size):
         assert error_class(lambda: engine.admits(state, token)) is MaskedTokenError
         assert error_class(lambda: engine.advance(state, token)) is MaskedTokenError
+
+
+def cold_answer(engine, query, state, token):
+    """``query(state, token)`` on ``engine`` with its need memo emptied
+    first: the answer, or the class of the EngineError raised."""
+    engine._need_memo.clear()
+    engine._need_kept.clear()
+    try:
+        return query(state, token)
+    except EngineError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("mode", [MODE_FULL, MODE_GRAMMAR_ONLY])
+def test_cold_single_token_reads_agree_with_the_mask(setups, mode):
+    # ``admits`` and ``advance`` without a mask, each asked on an engine
+    # whose need memo holds no entry for the state, price the token's group
+    # alone; the answers, the errors and the successor states are those of
+    # the mask from a second engine.  Past a pending accept the whole
+    # vector is read.  The budget-1 state is all-false under the full mask.
+    refused = set()
+    for name, (grammar, vocab, walks) in setups.items():
+        tables = build_cost_tables(grammar, vocab)
+        masking, cold = MaskEngine(grammar, tables, vocab, mode), MaskEngine(grammar, tables, vocab, mode)
+        past_accept = partial = masked = 0
+        states = [*admitted_walk_states(masking, walks // 10, seed=1), masking.replay([], budget=1)]
+        for state in states:
+            want = error_class(lambda: masking.compute_mask(state))
+            mask = None if want is not None else masking.compute_mask(state)
+            refused.add(want)
+            masked += mask is not None
+            past_accept += masking._rows[state.config].relex is not None
+            for token in range(vocab.size):
+                admitted = cold_answer(cold, cold.admits, state, token)
+                partial += any(type(entry) is dict for entry in cold._need_memo.values())
+                stepped = cold_answer(cold, cold.advance, state, token)
+                if want is not None:
+                    assert admitted is stepped is want, (name, token)
+                elif mask[token]:
+                    assert admitted is True, (name, token)
+                    assert stepped == masking.advance(state, token, mask), (name, token)
+                else:
+                    assert admitted is False and stepped is MaskedTokenError, (name, token)
+        assert partial or not masked, name  # shadow has no complete output at all
+        if name.startswith("abc"):
+            assert past_accept, name
+    ends = {EngineError, DeadSessionError} | ({BudgetExhaustedError} if mode == MODE_GRAMMAR_ONLY else set())
+    assert refused == {None} | ends
