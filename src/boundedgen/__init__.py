@@ -18,7 +18,11 @@ Typical use::
     ids = greedy_decode(UniformModel(vocab.size), engine.new_session(budget=40))
 
 Session operations (``new_session``, ``replay``, ``compute_mask``,
-``mask_report``, ``advance``, ``is_complete``) are :class:`MaskEngine` methods.
+``mask_report``, ``admits``, ``advance``, ``advance_greedy``,
+``is_complete``) are :class:`MaskEngine` methods.  ``advance_greedy`` is a
+whole greedy step in one call: the most probable admitted token and the
+state it steps to, with the mask read only when the model's argmax is
+denied.
 """
 
 from boundedgen.costs import (

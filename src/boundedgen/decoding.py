@@ -10,7 +10,9 @@ finished.  All strategies are deterministic, so a fixed model reproduces
 identical outputs:
 
 - greedy takes the most probable admitted token, the lowest id on ties,
-  and builds the mask only when the model's own argmax is denied;
+  in one engine call per step (``MaskEngine.advance_greedy``), which
+  checks the model's own argmax alone and reads the whole mask only when
+  the engine denies it; no step raises and retries;
 - beam search ranks continuations by length-normalized log-probability and
   breaks ties by the token ids, compared as tuples;
 - tree search selects by prior alone at a node with no visits, otherwise by
@@ -29,7 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from boundedgen.engine import EngineState, MaskedTokenError
+from boundedgen.engine import EngineState
 from boundedgen.models import LanguageModel
 
 _PROB_FLOOR = 1e-12  # keeps the log of a zero-mass token finite
@@ -91,24 +93,19 @@ def _greedy_steps(
     state: EngineState,
     context: tuple[int, ...],
     probs: np.ndarray | None = None,
-) -> Iterator[tuple[np.ndarray, int]]:
-    """Yield each greedy step's distribution and token until eos or the end
-    of the budget; ``context`` is everything the model has seen so far, and
-    ``probs``, when given, the distribution at ``state``.  A step advances
-    on the model's argmax, which checks that one token, and builds the mask
-    only when the engine denies it."""
+) -> Iterator[tuple[np.ndarray, int, EngineState]]:
+    """Yield each greedy step's distribution, token and successor state
+    until eos or the end of the budget; ``context`` is everything the model
+    has seen so far, and ``probs``, when given, the distribution at
+    ``state``.  A step is one ``MaskEngine.advance_greedy`` call, which
+    checks the model's argmax alone and reads the mask only when the engine
+    denies it."""
     engine = state.engine
     while state.consumed < state.budget:
         if probs is None:
             probs = model.next_distribution(context)
-        token = int(probs.argmax())  # the lowest id on ties, admitted or not
-        try:
-            following = engine.advance(state, token)
-        except MaskedTokenError:
-            mask = engine.compute_mask(state)
-            token = int(np.where(mask, probs, -np.inf).argmax())
-            following = engine.advance(state, token, mask)
-        yield probs, token
+        token, following = engine.advance_greedy(state, probs)
+        yield probs, token, following
         if token == engine.vocab.eos:
             return
         context += (token,)
@@ -126,7 +123,7 @@ def greedy_decode(
     mask the loop can instead run out of budget and return a truncated
     sequence without eos.
     """
-    return [token for _, token in _greedy_steps(model, session, tuple(prompt))]
+    return [token for _, token, _ in _greedy_steps(model, session, tuple(prompt))]
 
 
 def unconstrained_greedy(
@@ -157,7 +154,12 @@ def beam_search(
     ``beams`` continuations survive each step; those ending in eos retire
     to a pool and the best finished hypothesis wins.  With ``beams=1`` the
     selection rule coincides with greedy decoding, including tie-breaking.
+    A width that is not an integer, or a bool, raises ValueError, and so
+    does a step that keeps no hypothesis when none has finished, as happens
+    when the model's weights are NaN.
     """
+    if isinstance(beams, bool) or not isinstance(beams, numbers.Integral):
+        raise ValueError(f"beams must be an integer, got {beams!r}")
     if beams < 1:
         raise ValueError("beams must be at least 1")
     engine = session.engine
@@ -188,6 +190,8 @@ def beam_search(
         live, log_sums = survivors, np.array(log_sums)
     if finished:
         return list(min(finished, key=lambda f: (-f[1] / len(f[0]), f[0]))[0])
+    if not live:  # ``_best`` ranks no NaN score
+        raise ValueError("beam search kept no hypothesis: the candidates' scores are NaN")
     # Only reachable without budget-aware masking: every beam truncated.
     return list(live[int(np.argmax(log_sums / max(len(live[0][0]), 1)))][0])
 
@@ -230,20 +234,22 @@ class _SearchNode:
     on its first ``select``: ``mask`` is the state's mask, kept to check a
     token when the state advances on it; ``ids`` are the tokens it admits,
     ascending, and ``priors``, ``visits`` and ``values`` hold one entry per
-    id, ``total`` the sum of ``visits``.  Until then ``mask`` and ``ids``
+    id, ``total`` the sum of ``visits``.  ``weights`` is ``c_puct * priors``
+    and ``divisors`` is ``1.0 + visits`` as floats, both kept so that a
+    selection does not recompute them.  Until then ``mask`` and ``ids``
     are None.  ``children`` maps a tried token to its node, or to None at a
     leaf.  ``rollout`` is the greedy rollout through the node, shared by the
-    nodes on it: per step the distribution and the token, and per step the
-    log-probability; ``at`` is the node's step."""
+    nodes on it: per step the distribution, the token and the successor
+    state, and per step the log-probability; ``at`` is the node's step."""
 
-    __slots__ = ("state", "probs", "temperature", "mask", "ids", "priors", "visits", "values", "total",
-                 "children", "rollout", "at")
+    __slots__ = ("state", "probs", "config", "mask", "ids", "priors", "weights", "visits", "divisors",
+                 "values", "total", "children", "rollout", "at")
 
-    def __init__(self, state: EngineState, probs: np.ndarray, temperature: float,
+    def __init__(self, state: EngineState, probs: np.ndarray, config: MctsConfig,
                  rollout: tuple[list, list[float]] = ([], []), at: int = 0):
         self.state, self.rollout, self.at = state, rollout, at
         self.probs = probs
-        self.temperature = temperature
+        self.config = config
         self.mask = self.ids = None
         self.total = 0
         self.children: dict[int, _SearchNode | None] = {}
@@ -252,11 +258,13 @@ class _SearchNode:
         """Build the mask and the edge statistics over the ids it admits."""
         self.mask = self.state.engine.compute_mask(self.state)
         self.ids = np.flatnonzero(self.mask)
-        self.priors = _admitted_prior(self.probs, self.ids, self.temperature)
+        self.priors = _admitted_prior(self.probs, self.ids, self.config.temperature)
+        self.weights = self.config.c_puct * self.priors
         self.visits = np.zeros(self.ids.size, dtype=np.int64)
+        self.divisors = np.ones(self.ids.size)
         self.values = np.zeros(self.ids.size)  # max rollout value seen per edge
 
-    def select(self, c_puct: float) -> int:
+    def select(self) -> int:
         """The position in ``ids`` to descend into, opening the node on the
         first call: highest prior at zero visits, otherwise highest
         ``Q + c_puct * prior * sqrt(sum(N)) / (1 + N)``; the lowest id on
@@ -265,7 +273,7 @@ class _SearchNode:
             self._open()
         if self.total == 0:
             return int(self.priors.argmax())
-        return int((self.values + c_puct * self.priors * (math.sqrt(self.total) / (1.0 + self.visits))).argmax())
+        return int((self.values + self.weights * (math.sqrt(self.total) / self.divisors)).argmax())
 
 
 def mcts_decode(
@@ -280,15 +288,16 @@ def mcts_decode(
     :meth:`_SearchNode.select` until it tries a new edge or reaches a leaf,
     expanding that edge, rolling out greedily from the new node's
     distribution, and backing the rollout value up every edge of the path as
-    a maximum; a node on its parent's rollout takes the rest of it, so each
-    prefix is scored by the model once.  A node builds its mask only when a
-    simulation first selects it, and a rollout step, the first included,
-    only when the engine denies the model's argmax (see ``_greedy_steps``).
-    The value is the geometric mean of unmodified model probabilities over
-    the whole sequence generated so far, rollout included.  The visited root
-    edge with the highest value is committed and its subtree reused; the
-    search stops when it commits a leaf.  The first simulation is exactly
-    the greedy rollout.
+    a maximum; a node on its parent's rollout takes the rest of it, the
+    distributions and the state its step reached, so each prefix is scored
+    by the model once and stepped once.  A node builds its mask only when a
+    simulation first selects it; a rollout step, the first included, is one
+    ``MaskEngine.advance_greedy`` call (see ``_greedy_steps``).  The value
+    is the geometric mean of unmodified model probabilities over the whole
+    sequence generated so far, rollout included.  The visited root edge
+    with the highest value is committed and its subtree reused; the search
+    stops when it commits a leaf.  The first simulation is exactly the
+    greedy rollout.
     """
     engine = session.engine
     eos = engine.vocab.eos
@@ -297,25 +306,26 @@ def mcts_decode(
     def expand(state: EngineState, generated: tuple[int, ...]) -> _SearchNode:
         probs = model.next_distribution(prompt + generated)
         steps = list(_greedy_steps(model, state, prompt + generated, probs))
-        return _SearchNode(state, probs, config.temperature, (steps, [_log(float(p[t])) for p, t in steps]))
+        return _SearchNode(state, probs, config, (steps, [_log(float(p[t])) for p, t, _ in steps]))
 
     def simulate(node: _SearchNode, generated: tuple[int, ...], logs: list[float]) -> None:
         path = []
         while node is not None:
-            pos = node.select(config.c_puct)
+            pos = node.select()
             token = int(node.ids[pos])
             path.append((node, pos))
             logs.append(_log(float(node.probs[token])))
             generated += (token,)
             if token not in node.children:
-                state = None if token == eos else engine.advance(node.state, token, node.mask)
                 steps, at = node.rollout[0], node.at + 1
-                if token == steps[node.at][1] and at < len(steps):  # the rest of the node's rollout
-                    child = _SearchNode(state, steps[at][0], config.temperature, node.rollout, at)
-                elif state is not None and state.consumed < state.budget:
-                    child = expand(state, generated)
-                else:
-                    child = None
+                child = None
+                if token == steps[node.at][1]:  # the node's rollout step: the rest of it, or its end
+                    if at < len(steps):
+                        child = _SearchNode(steps[node.at][2], steps[at][0], config, node.rollout, at)
+                elif token != eos:
+                    state = engine.advance(node.state, token, node.mask)
+                    if state.consumed < state.budget:
+                        child = expand(state, generated)
                 node.children[token] = child
                 if child is not None:
                     logs += child.rollout[1][child.at :]
@@ -324,6 +334,7 @@ def mcts_decode(
         value = math.exp(sum(logs) / len(logs))
         for parent, pos in path:
             parent.visits[pos] += 1
+            parent.divisors[pos] += 1.0
             parent.total += 1
             parent.values[pos] = max(parent.values[pos], value)
 

@@ -41,9 +41,13 @@ complete within ``budget`` tokens.  The mask report reads the same memo
 entry, which also holds each group's cheapest way to finish, and
 ``admits`` reads one token of it: a decoder that only asks whether its
 choice is admitted never builds the mask, and ``advance`` without a mask
-checks its one token the same way.  Such a read pays only for what it
-reads: on a state no read has made an entry for, it walks the feed-plan
-nodes its token's group needs and prices that group alone.
+checks its one token the same way.  ``advance_greedy`` is a greedy step in
+one call: it checks the distribution's argmax that way, steps on it when
+admitted, and otherwise reads the whole mask once, for the masked argmax
+and the dead-session check, then steps; nothing is raised and retried.
+Such a read pays only for what it reads: on a state no read has made an
+entry for, it walks the feed-plan nodes its token's group needs and prices
+that group alone.
 
 The parser stack is persistent: each immutable :class:`Stack` cell holds its
 symbol, the cell below, and the summed completion cost and depth of
@@ -838,45 +842,45 @@ class MaskEngine:
             return self._entry(state)[0]
         return self._need(state)[1]
 
-    def _admit(
-        self, state: EngineState, token: int | None = None
-    ) -> tuple[np.ndarray | bool, bool, bool]:
-        """The mask rule after the state checks, over the vocabulary or for
-        ``token`` alone: a token is admitted when its need is under the
-        limit, which under the full mask keeps one slot for end-of-sequence,
-        and end-of-sequence when the output is complete.  Returns the mask,
-        or ``token``'s bit; the completion bit; and whether the rule admits
-        nothing: no need under the limit and the output not complete.
-
-        A ``token`` under the limit returns at once, on its group's total
-        alone, both other values read as False.  A denied token that is not
-        eos reads the least need, and asks whether the output is complete
-        only when no need is under the limit; eos asks it at once, and
-        reads the least need only when the output is not complete."""
+    def _limit(self, state: EngineState) -> int:
+        """The state checks, then the bound a token's need must stay under:
+        under the full mask it keeps one slot for end-of-sequence."""
         if state.finished:
             raise EngineError("session already emitted end-of-sequence")
         if state.consumed >= state.budget:
             raise BudgetExhaustedError(f"consumed {state.consumed} of {state.budget} tokens")
-        limit = min(state.budget - state.consumed - 1, INF) if self.mode == MODE_FULL else INF
-        if token is None:
-            need, least, _ = self._need(state)
-            complete = self.is_complete(state)
-            bits = need < limit
-            if complete:
-                bits[self.vocab.eos] = True
-            return bits, complete, least >= limit and not complete
+        return min(state.budget - state.consumed - 1, INF) if self.mode == MODE_FULL else INF
+
+    def _admit(self, state: EngineState, token: int) -> tuple[bool, bool]:
+        """``compute_mask(state)[token]`` after the state checks, and whether
+        the mask admits nothing.  A token under the limit returns at once,
+        on its group's total alone.  A denied token that is not eos reads
+        the least need, and asks whether the output is complete only when no
+        need is under the limit; eos asks it at once, and reads the least
+        need only when the output is not complete."""
+        limit = self._limit(state)
         if self._need(state, token) < limit:
-            return True, False, False
+            return True, False
         eos = token == self.vocab.eos
         if not eos and self._least(state) < limit:
-            return False, False, False
+            return False, False
         complete = self.is_complete(state)
-        return eos and complete, complete, not complete and self._least(state) >= limit
+        return eos and complete, not complete and self._least(state) >= limit
 
     def compute_mask(self, state: EngineState) -> np.ndarray:
-        """Boolean vector over the vocabulary for the next step."""
-        bits, _, empty = self._admit(state)
-        if empty:
+        """Boolean vector over the vocabulary for the next step.
+
+        The mask rule over the whole vocabulary: a token is admitted when
+        its need is under ``_limit``, and end-of-sequence when the output is
+        complete.  Whether it admits nothing is read off the least need and
+        the completion bit, without a pass over the mask."""
+        limit = self._limit(state)
+        need, least, _ = self._need(state)
+        complete = self.is_complete(state)
+        bits = need < limit
+        if complete:
+            bits[self.vocab.eos] = True
+        if least >= limit and not complete:
             raise _dead()
         return bits
 
@@ -889,7 +893,7 @@ class MaskEngine:
         the output is complete.
         """
         self._check_token(state, token)
-        admitted, _, empty = self._admit(state, token)
+        admitted, empty = self._admit(state, token)
         if empty:
             raise _dead()
         return admitted
@@ -908,7 +912,11 @@ class MaskEngine:
         End-of-sequence has no sequence and costs of 0 when the output is
         complete, None when it is not.
         """
-        bits, complete, _ = self._admit(state)
+        try:
+            bits = self.compute_mask(state)
+        except DeadSessionError:  # explained: no token admitted, the output not complete
+            bits = np.zeros(self.vocab.size, dtype=bool)
+        complete = bits[self.vocab.eos]  # eos is admitted exactly when the output is complete
         names = [t.name for t in self.grammar.terminals]
         rows: list[dict] = []
         for tid, way in enumerate(self._best(state)):
@@ -966,6 +974,32 @@ class MaskEngine:
                 f"token {self.vocab.tokens[token]!r} is masked false at this step"
             )
         return self._step(state, token)
+
+    def advance_greedy(self, state: EngineState, probs: np.ndarray) -> tuple[int, EngineState]:
+        """The most probable admitted token under ``probs``, the lowest id on
+        ties, and the successor state it steps to.
+
+        The argmax of ``probs`` is checked alone, as ``admits`` checks it:
+        on its group's total, or for end-of-sequence on the completion bit.
+        Only when it is denied is the whole mask read, once: the masked
+        argmax is picked from it, and ``compute_mask`` raises
+        DeadSessionError when it admits nothing.  Nothing is raised and
+        caught on the way.  Raises what ``advance`` raises on the argmax, in
+        its order: EngineError for a finished session, MaskedTokenError when
+        the argmax is not a vocabulary id, BudgetExhaustedError, and
+        DeadSessionError.
+        """
+        token = int(probs.argmax())
+        self._check_token(state, token)
+        limit = self._limit(state)
+        if token != self.vocab.eos:
+            if self._need(state, token) < limit:
+                return token, self._step(state, token)
+        elif self.is_complete(state):
+            return token, self._step(state, token)
+        mask = self.compute_mask(state)
+        token = int(np.where(mask, probs, -np.inf).argmax())
+        return token, self._step(state, token)
 
     def replay(self, token_ids, budget: int) -> EngineState:
         """Rebuild a session from raw tokens without mask or budget checks.

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boundedgen import decoding
+from boundedgen.costs import build_cost_tables
 from boundedgen.decoding import (
     MctsConfig,
     _SearchNode,
@@ -30,6 +31,7 @@ from boundedgen.models import (
     model_from_spec,
 )
 from boundedgen.vocab import Vocabulary
+from tests.conftest import make_vocab
 
 
 class SeededRandomModel:
@@ -192,6 +194,39 @@ class TestGreedy:
 
 
 class TestBeam:
+    @pytest.mark.parametrize("beams", [True, False, 2.5, 3.0, "3", None])
+    def test_width_must_be_an_integer(self, paren_engine, beams):
+        model = SeededRandomModel(paren_engine.vocab.size, 0)
+        with pytest.raises(ValueError, match="beams must be an integer"):
+            beam_search(model, paren_engine.new_session(6), beams=beams)
+        assert beam_search(model, paren_engine.new_session(6), beams=np.int64(2)) == beam_search(
+            model, paren_engine.new_session(6), beams=2
+        )
+
+    def test_nan_weights_are_a_value_error(self, json_grammar):
+        # NaN weights make every score NaN, so a step keeps no hypothesis:
+        # with none finished that is a ValueError, not an IndexError; after
+        # one finished, the best finished hypothesis is returned.
+        vocab = make_vocab([t.encode() for t in ["{", "}", '"', ":", ",", "a", "1", " ", "["]])
+        engine = MaskEngine(json_grammar, build_cost_tables(json_grammar, vocab), vocab)
+        one = vocab.tokens.index(b"1")
+
+        class NanAfter:
+            def __init__(self, steps: int):
+                self.steps = steps
+
+            def next_distribution(self, prefix):
+                if len(prefix) >= self.steps:
+                    return np.full(vocab.size, np.nan)
+                probs = np.full(vocab.size, 0.01)
+                probs[[one, vocab.eos]] = 1.0
+                return probs / probs.sum()
+
+        for beams in (1, 3, 10):
+            with pytest.raises(ValueError, match="kept no hypothesis"):
+                beam_search(NanAfter(0), engine.new_session(12), beams=beams)
+        assert beam_search(NanAfter(2), engine.new_session(12), beams=2) == [one, vocab.eos]
+
     def test_beam_one_equals_greedy(self, paren_engine, json_engine):
         for engine, budget in ((paren_engine, 5), (json_engine, 9)):
             for seed in range(6):
@@ -351,23 +386,31 @@ class TestMcts:
         # Tokens 0-2 admitted, token 3 denied: the node keeps statistics for
         # ids 0-2 only, so a position in ids is a token here.
         mask = np.array([True, True, True, False])
-        node = hand_set_node(np.array([0.2, 0.5, 0.3, 0.0]), mask, 1.0)
-        assert node.mask is None and node.ids is None  # it opens on its first select
+        probs = np.array([0.2, 0.5, 0.3, 0.0])
         # Zero visits: the top prior wins, whatever c_puct is.
-        assert node.select(0.0) == node.select(5.0) == 1
+        for c_puct in (0.0, 5.0):
+            node = hand_set_node(probs, mask, 1.0, c_puct)
+            assert node.mask is None and node.ids is None  # it opens on its first select
+            assert node.select() == 1
         assert node.mask is mask and node.ids.tolist() == [0, 1, 2]
         assert 3 not in node.ids  # the denied token can never be picked
         assert node.priors.size == node.visits.size == node.values.size == 3
+        # The node keeps c_puct * prior and 1 + N, as floats, beside them.
+        assert np.array_equal(node.weights, 5.0 * node.priors)
+        assert node.divisors.dtype == float and node.divisors.tolist() == [1.0] * 3
         # Visited: Q + c_puct * prior * sqrt(sum N) / (1 + N) with sum N = 4 and
         # c_puct = 1 scores 0.4 + 0.4*2/3, 0.1 + 0.5*2/2, 0.5 + 0.1*2/2 =
         # 0.667, 0.6, 0.6: token 0, though token 2 has the top Q and token 1
         # the top prior.
         node.priors = np.array([0.4, 0.5, 0.1])
         node.visits = np.array([2, 1, 1])
+        node.divisors = 1.0 + node.visits
         node.total = 4  # the node keeps sum(N) beside the visits
         node.values = np.array([0.4, 0.1, 0.5])
-        assert node.select(1.0) == 0
-        assert node.select(0.0) == 2
+        node.weights = 1.0 * node.priors
+        assert node.select() == 0
+        node.weights = 0.0 * node.priors
+        assert node.select() == 2
 
     def test_nodes_hold_admitted_ids_only(
         self, json_engine, json_grammar, json_tables, json_vocab, monkeypatch
@@ -413,12 +456,12 @@ class TestMcts:
         ):
             for temperature in (0.5, 1.0, 2.0, 7.3):
                 node = hand_set_node(probs, mask, temperature)
-                node.select(1.0)
+                node.select()
                 want = softmax_prior(probs, mask, temperature)[node.ids]
                 assert np.array_equal(node.priors, want)
                 assert node.priors.dtype == want.dtype
         uniform = hand_set_node(np.zeros(size), np.arange(size) % 3 == 0, 2.0)
-        uniform.select(1.0)
+        uniform.select()
         assert np.array_equal(uniform.priors, np.full(22, 1 / 22))
 
     def test_outputs_complete_and_deterministic(self, json_engine):
@@ -449,12 +492,13 @@ class TestMcts:
 
     def test_rollout_reuses_new_node_distribution(self, json_engine, monkeypatch):
         # A node on its parent's greedy rollout takes the rest of that
-        # rollout's distributions, so over one search the model sees each
-        # generated prefix exactly once.  A rollout step, the first one
-        # included, asks the engine about its argmax alone, so the full
-        # mask is built only for nodes when they open and for rollout steps
-        # whose argmax the engine denied; the output is the reference
-        # search's.
+        # rollout's distributions, and the state its step reached, so over
+        # one search the model sees each generated prefix exactly once.  A
+        # rollout step, the first one included, is one ``advance_greedy``
+        # call right after the model scored its prefix, which builds the
+        # mask once inside the call when the engine denies the argmax; the
+        # only other masks are those of nodes when they open.  The output
+        # is the reference search's.
         from tests.test_decoding_reference import mcts_decode as reference_mcts_decode
 
         events, nodes = [], []
@@ -476,14 +520,20 @@ class TestMcts:
                 events.append(("open", self, None))
                 super()._open()
 
-        compute_mask = json_engine.compute_mask
+        compute_mask, advance_greedy = json_engine.compute_mask, json_engine.advance_greedy
 
         def counting_mask(state):
             mask = compute_mask(state)
             events.append(("mask", state, mask))
             return mask
 
+        def counting_greedy(state, probs):
+            token, following = advance_greedy(state, probs)
+            events.append(("greedy", state, (probs, token, following)))
+            return token, following
+
         monkeypatch.setattr(json_engine, "compute_mask", counting_mask)
+        monkeypatch.setattr(json_engine, "advance_greedy", counting_greedy)
         monkeypatch.setattr(decoding, "_SearchNode", Recording)
         config = MctsConfig(trials=20)
         model = CountingModel(json_engine.vocab.size, 4)
@@ -492,29 +542,40 @@ class TestMcts:
         assert len(set(prefixes)) == len(prefixes) > 2 * len(ids)
         opened = [node for kind, node, _ in events if kind == "open"]
         at_nodes = at_denials = 0
-        for before, (kind, state, mask) in zip([None] + events, events):
-            if kind != "mask":
-                continue
-            if before[0] == "open":  # the node opening, on its own state
-                assert state is before[1].state and mask is before[1].mask
+        successors = []
+        for i, (kind, state, seen) in enumerate(events):
+            before, after = events[i - 1] if i else None, events[i + 1] if i + 1 < len(events) else None
+            if kind == "mask" and before[0] == "open":  # the node opening, on its own state
+                assert state is before[1].state and seen is before[1].mask
                 at_nodes += 1
-            else:  # a rollout step, right after the model scored its prefix
-                assert before[0] == "model" and len(before[1]) == state.consumed
-                assert not mask[before[2].argmax()]
+            elif kind == "mask":  # inside a rollout step whose argmax the engine denied
+                assert after[0] == "greedy" and after[1] is state
+                probs, token, _ = after[2]
+                assert not seen[probs.argmax()] and token == np.where(seen, probs, -np.inf).argmax()
                 at_denials += 1
+            elif kind == "greedy":  # a rollout step, right after the model scored its prefix
+                probs, token, following = seen
+                if token != probs.argmax():  # denied: the one mask built inside the call came first
+                    assert before[0] == "mask" and before[1] is state
+                    before = events[i - 2]
+                assert before[0] == "model" and len(before[1]) == state.consumed and probs is before[2]
+                successors.append(following)
         assert at_nodes == len(opened) == len(set(map(id, opened))) and at_denials > 0
         assert len(opened) < len(nodes)
         assert at_nodes + at_denials < len(prefixes)
+        # A node taken from a rollout holds the state that rollout's step reached.
+        taken = [node for node in nodes if node.at > 0]
+        assert taken and all(any(node.state is s for s in successors) for node in taken)
         assert ids == reference_mcts_decode(model, json_engine.new_session(10), config=config)
-
 
     def test_unselected_nodes_build_no_mask(self, json_engine, monkeypatch):
         # A node opens on its first select, so a seeded search builds no
-        # mask for the nodes it never selects.  The only mask on such a
-        # node's state is the one its own rollout's first step builds when
-        # the engine denies the model's argmax there; a node taken from its
-        # parent's rollout holds a state of its own, which nothing masks.
-        nodes, masked = [], []
+        # mask for the nodes it never selects.  Each such state is read by
+        # exactly one rollout step: the first of the node's own rollout, or,
+        # for a node taken from its parent's rollout, the step after the one
+        # whose successor it holds.  That ``advance_greedy`` builds the only
+        # mask on the state, when the engine denies the model's argmax there.
+        nodes, masked, denied = [], [], []
 
         class Recording(decoding._SearchNode):
             __slots__ = ()
@@ -523,26 +584,36 @@ class TestMcts:
                 super().__init__(*args, **kwargs)
                 nodes.append(self)
 
-        compute_mask = json_engine.compute_mask
+        compute_mask, advance_greedy = json_engine.compute_mask, json_engine.advance_greedy
+
+        def counting_greedy(state, probs):
+            token, following = advance_greedy(state, probs)
+            if token != probs.argmax():
+                denied.append(state)
+            return token, following
+
         monkeypatch.setattr(
             json_engine, "compute_mask", lambda state: masked.append(state) or compute_mask(state)
         )
+        monkeypatch.setattr(json_engine, "advance_greedy", counting_greedy)
         monkeypatch.setattr(decoding, "_SearchNode", Recording)
         ids = mcts_decode(SeededRandomModel(json_engine.vocab.size, 6), json_engine.new_session(10),
                           config=MctsConfig(trials=20))
         assert ids[-1] == json_engine.vocab.eos
         unopened = [node for node in nodes if node.ids is None]
         assert unopened and {node.at > 0 for node in unopened} == {True, False}
+        assert {node.at > 0 for node in unopened if any(state is node.state for state in denied)} == {True, False}
         for node in unopened:
             assert node.mask is None
-            first_denied = node.at == 0 and not json_engine.admits(node.state, int(node.probs.argmax()))
-            assert sum(state is node.state for state in masked) == first_denied
+            step_denied = not json_engine.admits(node.state, int(node.probs.argmax()))
+            assert sum(state is node.state for state in denied) == step_denied
+            assert sum(state is node.state for state in masked) == step_denied
 
 
-def hand_set_node(probs: np.ndarray, mask: np.ndarray, temperature: float) -> _SearchNode:
+def hand_set_node(probs: np.ndarray, mask: np.ndarray, temperature: float, c_puct: float = 1.0) -> _SearchNode:
     """A search node whose state's engine answers ``mask``; it opens on its first select."""
     engine = SimpleNamespace(compute_mask=lambda state: mask)
-    return _SearchNode(SimpleNamespace(engine=engine), probs, temperature)
+    return _SearchNode(SimpleNamespace(engine=engine), probs, MctsConfig(c_puct, temperature))
 
 
 class TestPromptConditioning:

@@ -265,3 +265,87 @@ def test_cold_single_token_reads_agree_with_the_mask(setups, mode):
             assert past_accept, name
     ends = {EngineError, DeadSessionError} | ({BudgetExhaustedError} if mode == MODE_GRAMMAR_ONLY else set())
     assert refused == {None} | ends
+
+
+def greedy_by_retry(engine, state, probs):
+    """The greedy step as decoders took it before ``advance_greedy``:
+    advance on the argmax, and when the engine denies it, build the mask and
+    advance on the masked argmax.  An argmax outside the vocabulary raises
+    ``advance``'s MaskedTokenError."""
+    token = int(probs.argmax())
+    try:
+        return token, engine.advance(state, token)
+    except MaskedTokenError:
+        if token >= engine.vocab.size:
+            raise
+        mask = engine.compute_mask(state)
+        token = int(np.where(mask, probs, -np.inf).argmax())
+        return token, engine.advance(state, token, mask)
+
+
+def greedy_distributions(rng, size: int, eos: int, mask) -> list[np.ndarray]:
+    """Seeded distributions over ``size`` ids: random, ties at the maximum,
+    eos on top, zero mass on every admitted token (where ``mask`` is
+    known), and longer than the vocabulary with the argmax past its end."""
+    plain = rng.dirichlet(np.full(size, 0.5))
+    tied = plain.copy()
+    tied[rng.choice(size, min(3, size), replace=False)] = plain.max() * 2
+    eos_top = plain.copy()
+    eos_top[eos] = plain.max() * 2
+    out = [plain, tied, np.full(size, 1.0 / size), eos_top]
+    if mask is not None:
+        out.append(np.where(mask, 0.0, plain + 0.1))
+    longer = np.concatenate([plain, [0.0, 2.0, 0.5]])
+    return out + [longer]
+
+
+def greedy_answer(step, engine, state, probs):
+    """``step(engine, state, probs)`` as (token, successor, its pending
+    accept), or the class of the EngineError raised."""
+    try:
+        token, following = step(engine, state, probs)
+    except EngineError as exc:
+        return type(exc)
+    return token, following, following.lex_accept
+
+
+@pytest.mark.parametrize("mode", [MODE_FULL, MODE_GRAMMAR_ONLY])
+def test_advance_greedy_equals_the_retry_rule(setups, mode):
+    # ``advance_greedy`` picks the token the retry rule picks and steps to
+    # the equal state, on an engine whose need memo holds no entry for the
+    # state (emptied before each call), on one whose earlier calls on the
+    # state left partial and whole entries, and on the walk's own engine,
+    # warm from its masks.  States the mask refuses, finished, out of
+    # budget or with nothing admitted, raise what ``advance`` raises on the
+    # argmax, in its order, also when the argmax lies past the vocabulary.
+    refused, past_accept, denied, eos = set(), 0, 0, set()
+    rng = np.random.default_rng(7)
+    for name, (grammar, vocab, walks) in setups.items():
+        tables = build_cost_tables(grammar, vocab)
+        warm, reference, cold, lukewarm = (MaskEngine(grammar, tables, vocab, mode) for _ in range(4))
+        states = [*admitted_walk_states(warm, max(walks // 10, 6), seed=2), warm.replay([], budget=1)]
+        for state in states:
+            want = error_class(lambda: warm.compute_mask(state))
+            mask = warm.compute_mask(state) if want is None else None
+            refused.add(want)
+            past_accept += warm._rows[state.config].relex is not None
+            lukewarm._need_memo.clear()
+            lukewarm._need_kept.clear()
+            for probs in greedy_distributions(rng, vocab.size, vocab.eos, mask):
+                old = greedy_answer(greedy_by_retry, reference, state, probs)
+                argmax = int(probs.argmax())
+                if want is not None or argmax >= vocab.size:
+                    assert old is error_class(lambda: reference.advance(state, argmax)), (name, argmax)
+                else:
+                    denied += not mask[argmax]
+                    if argmax == vocab.eos:
+                        eos.add(bool(mask[argmax]))
+                for engine in (warm, lukewarm, cold):
+                    if engine is cold:
+                        cold._need_memo.clear()
+                        cold._need_kept.clear()
+                    new = greedy_answer(MaskEngine.advance_greedy, engine, state, probs)
+                    assert new == old, (name, state, argmax)
+    assert past_accept and denied and eos == {True, False}
+    ends = {EngineError, DeadSessionError} | ({BudgetExhaustedError} if mode == MODE_GRAMMAR_ONLY else set())
+    assert refused == {None} | ends
