@@ -88,6 +88,15 @@ def _log(prob: float) -> float:
     return math.log(max(prob, _PROB_FLOOR))
 
 
+def _distribution(model: LanguageModel, context: tuple[int, ...], size: int) -> np.ndarray:
+    """``model.next_distribution(context)``; ValueError unless it holds
+    one entry per vocabulary id."""
+    probs = model.next_distribution(context)
+    if len(probs) != size:
+        raise ValueError(f"the model's distribution has {len(probs)} entries, the vocabulary {size} ids")
+    return probs
+
+
 def _greedy_steps(
     model: LanguageModel,
     state: EngineState,
@@ -101,12 +110,13 @@ def _greedy_steps(
     checks the model's argmax alone and reads the mask only when the engine
     denies it."""
     engine = state.engine
+    eos, size = engine.vocab.eos, engine.vocab.size
     while state.consumed < state.budget:
         if probs is None:
-            probs = model.next_distribution(context)
+            probs = _distribution(model, context, size)
         token, following = engine.advance_greedy(state, probs)
         yield probs, token, following
-        if token == engine.vocab.eos:
+        if token == eos:
             return
         context += (token,)
         state = following
@@ -163,7 +173,7 @@ def beam_search(
     if beams < 1:
         raise ValueError("beams must be at least 1")
     engine = session.engine
-    eos = engine.vocab.eos
+    eos, size = engine.vocab.eos, engine.vocab.size
     prompt = tuple(prompt)
     # Live hypotheses, best first, all of one length: (ids, state), log-sums.
     live: list[tuple[tuple[int, ...], EngineState]] = [((), session)]
@@ -172,7 +182,7 @@ def beam_search(
     while live and live[0][1].consumed < session.budget:
         length = len(live[0][0]) + 1
         masks = np.array([engine.compute_mask(state) for _, state in live])
-        probs = np.array([model.next_distribution(prompt + ids) for ids, _ in live])
+        probs = np.array([_distribution(model, prompt + ids, size) for ids, _ in live])
         owners, tokens, scores = _candidates(masks, probs, log_sums, length)
         if not tokens.size:
             break
@@ -300,11 +310,11 @@ def mcts_decode(
     greedy rollout.
     """
     engine = session.engine
-    eos = engine.vocab.eos
+    eos, size = engine.vocab.eos, engine.vocab.size
     prompt = tuple(prompt)
 
     def expand(state: EngineState, generated: tuple[int, ...]) -> _SearchNode:
-        probs = model.next_distribution(prompt + generated)
+        probs = _distribution(model, prompt + generated, size)
         steps = list(_greedy_steps(model, state, prompt + generated, probs))
         return _SearchNode(state, probs, config, (steps, [_log(float(p[t])) for p, t, _ in steps]))
 

@@ -42,7 +42,7 @@ entry, which also holds each group's cheapest way to finish, and
 ``admits`` reads one token of it: a decoder that only asks whether its
 choice is admitted never builds the mask, and ``advance`` without a mask
 checks its one token the same way.  ``advance_greedy`` is a greedy step in
-one call: it checks the distribution's argmax that way, steps on it when
+one call: it checks the distribution's argmax by that rule, steps on it when
 admitted, and otherwise reads the whole mask once, for the masked argmax
 and the dead-session check, then steps; nothing is raised and retried.
 Such a read pays only for what it reads: on a state no read has made an
@@ -61,17 +61,17 @@ the length of an uncommitted lexeme.  A miss builds no cell: each row
 compiles its candidates' terminals into a feed plan, a prefix tree, and one
 walk (``_walk``) over a real cell and the symbols pushed on it prices every
 prefix once, the cell's cost plus the pushed symbols' costs.  ``feed`` and
-``_commit`` walk the same way and build the cells at the end.  A whole memo
-entry holds per group the least total and its way to finish, and the least
-of them; a single-token read on a new key stores only its group's total, in
-the same slot, and the other groups, the least and the ways are filled when
+``_commit`` walk the same way and build the cells at the end.  A memo entry
+holds per group the least total, or a mark where no read has priced it
+yet: a single-token read on a new key prices only its group, and
+the other groups, the least and the ways to finish are filled when
 something reads them: a whole mask, the report, a new session, or a denied
 token (eos only when the output is not complete).  One token's need is read
 off its group's total; the per-token vector is gathered only for a whole
-mask, and kept when the entry was made by an earlier read, so a state seen
-once, or asked only about single tokens, holds nothing that grows with the
-vocabulary.  Whether the mask is empty is read off that least need and the
-completion bit, without a pass over the mask.
+mask, and the entry keeps it when an earlier read made the entry, so a
+state seen once, or asked only about single tokens, holds nothing that
+grows with the vocabulary.  Whether the mask is empty is read off that
+least need and the completion bit, without a pass over the mask.
 
 A step that commits terminals looks up (stack, terminals) in the engine's
 commit memo first and calls ``_commit`` only on a miss, so equal states
@@ -135,7 +135,8 @@ def _dead() -> DeadSessionError:
 
 
 _EXPANSION_LIMIT = 100_000
-_NEED_MEMO_SIZE = 256  # need entries per engine; one masked after an earlier read keeps 8 bytes per token
+_NEED_MEMO_SIZE = 256  # entries (``MaskEngine._entry``); one masked after an earlier read keeps 8 bytes per token
+_UNPRICED = -1  # a group total that no read has priced yet
 _COMMIT_MEMO_SIZE = 256  # commits per engine, each kept as the successor's top cell
 
 MODE_FULL = "full"
@@ -275,12 +276,13 @@ class _Row:
     it and lexing the tail afresh also prices (see ``MaskEngine._relexed``).
     Otherwise ``final`` is what lexing to the end of input commits: the
     terminal of a labelled lexer state, nothing at the initial row, and
-    None, a failure, elsewhere.
+    None, a failure, elsewhere.  ``unpriced`` is the totals a need-memo
+    entry made by a token read starts from (see ``MaskEngine._entry``).
     """
 
     __slots__ = (
         "index", "steps", "group", "terms", "cost", "span", "depth", "plan", "node", "reach", "reach_at", "final",
-        "relex",
+        "relex", "unpriced",
     )
 
 
@@ -358,8 +360,7 @@ class MaskEngine:
         self._symbol_popped = [
             any(self._symbol_memo[sym, t] is _DERIVES_EMPTY for t in terminals) for sym in symbols
         ]
-        self._need_memo: dict[tuple, tuple | dict] = {}  # whole entries, or groups priced so far
-        self._need_kept: dict[tuple, tuple] = {}  # ``_need``'s answers for entries masked after an earlier read
+        self._need_memo: dict[tuple, tuple] = {}  # see ``_entry``
         self._commit_memo: dict[tuple[Stack, tuple[int, ...]], Stack] = {}  # (stack, terminals) -> ``_commit``
         # The rows past their accept, whose tail the table does not know.
         untailed = np.array([not tail for tail in steps.tails], dtype=bool)
@@ -374,7 +375,7 @@ class MaskEngine:
     def new_session(self, budget: int) -> EngineState:
         state = self._fresh_state(budget)
         if self.mode == MODE_FULL and not self.is_complete(state):
-            need = 1 + self._entry(state)[0]  # the start row is not past an accept
+            need = 1 + self._entry(state)[1]  # the start row is not past an accept
             if need + 1 > min(budget, INF + 1):  # the first mask's threshold
                 why = (
                     "no complete output exists under this vocabulary"
@@ -640,6 +641,7 @@ class MaskEngine:
                     row.terms.append(terms)
                     row.cost.append(cost)
             row.span.append(len(row.group))
+        row.unpriced = np.array([_UNPRICED] * len(row.steps) + [3 * INF], dtype=np.int64)
         row.depth = max(map(len, row.terms), default=1)
         nodes: dict[tuple[int, ...], int] = {(): 0}
         row.plan, row.node, row.reach, row.reach_at = [], [], [], [0]
@@ -756,90 +758,82 @@ class MaskEngine:
                     best[g] = (total, terms, cost)
         return best
 
-    def _entry(self, state: EngineState, key: tuple | None = None) -> tuple:
-        """The need memo's whole entry for the state, made on a miss or
-        from an entry that prices only some groups: the least total;
-        ``_totals``; and the totals per group, 3 * INF, above any total,
-        where no candidate parses, and 3 * INF last, for the tokens the row
-        leaves out (eos included).  Keyed on what ``_totals`` reads: the
-        configuration, the window its candidates feed and the cost below;
-        ``_need`` passes the key it has found."""
+    def _entry(self, state: EngineState, key: tuple | None = None, whole: bool = True) -> tuple:
+        """The need memo's entry for the state, made on a miss, and with
+        ``whole`` every group priced: (totals, least, best, kept).
+        ``totals`` holds per group the least total of ``_totals``, 3 * INF,
+        above any total, where no candidate parses, or _UNPRICED where no
+        read has priced it yet, then 3 * INF for the tokens the row leaves
+        out (eos included).  ``least`` and ``best``, ``_totals`` itself,
+        are None until a whole read; ``kept`` is ``_need``'s answer, kept
+        when an earlier read made the entry.  A token read writes its
+        group's total into ``totals``; a whole read, or keeping the vector,
+        stores a new tuple, which gives the garbage collector less to count
+        than a list.  Keyed on what ``_totals`` reads: the configuration, the
+        window its candidates feed and the cost below; ``_need`` passes the
+        key it has found.  A new key first empties a full memo."""
+        row = self._rows[state.config]
         if key is None:
-            window, below = self._window(state.stack, self._rows[state.config].depth)
+            window, below = self._window(state.stack, row.depth)
             key = (state.config, window, below.cost)
-        entry = self._need_memo.get(key)
-        if type(entry) is not tuple:
-            best = self._totals(state)
-            totals = np.array([3 * INF if b is None else b[0] for b in best] + [3 * INF], dtype=np.int64)
-            entry = self._store(key, (int(totals.min()), best, totals))
-        return entry
-
-    def _store(self, key: tuple, entry):
-        """``entry`` put in the need memo under ``key``; a new key first
-        empties a full memo, and the answers ``_need`` keeps with it."""
         memo = self._need_memo
-        if key not in memo and len(memo) >= _NEED_MEMO_SIZE:
-            memo.clear()
-            self._need_kept.clear()
-        memo[key] = entry
+        entry = memo.get(key)
+        if entry is None or whole and entry[2] is None:
+            if entry is None and len(memo) >= _NEED_MEMO_SIZE:
+                memo.clear()
+            if whole:
+                best = self._totals(state)
+                totals = np.array([3 * INF if b is None else b[0] for b in best] + [3 * INF], dtype=np.int64)
+                entry = memo[key] = (totals, int(totals.min()), best, None)
+            else:
+                entry = memo[key] = (row.unpriced.copy(), None, None, None)
         return entry
 
     def _need(self, state: EngineState, token: int | None = None) -> tuple[np.ndarray, int, list] | int:
         """Per token, the least total of ``_totals`` (its group's total in
-        ``_entry``), with the least of those and ``_totals``; or, for
+        the entry), with the least of those and ``_totals``; or, for
         ``token`` alone, that need as an int.
 
-        A token read off a whole entry reads its group's total.  On a key
-        no read has made a whole entry for, it prices the token's group
-        alone (``_totals`` with ``group``) and keeps the total in the same
-        memo slot, a dict of the groups priced so far, which a whole read
-        replaces.  Only a read of the whole vocabulary gathers the
-        per-token vector, and ``_need_kept`` keeps it when an earlier read
-        made the entry, so an entry made and read once, or read only per
-        token, holds nothing that grows with the vocabulary.  Past a
-        pending accept, the tokens ``relex`` marks take the lesser of that
-        and their need in the state ``_relexed`` leaves, which ``token``
-        reads off the whole vector."""
+        A token reads its group's total, and prices that group alone
+        (``_totals`` with ``group``) where no read has priced it yet.  Only
+        a read of the whole vocabulary gathers the per-token vector, which
+        the entry keeps as ``_entry`` says.  Past a pending accept, the
+        tokens ``relex`` marks take the lesser of that and their need in
+        the state ``_relexed`` leaves, which ``token`` reads off the whole
+        vector."""
         row = self._rows[state.config]
         window, below = self._window(state.stack, row.depth)  # ``_entry``'s key
         key = (state.config, window, below.cost)
+        entry = self._need_memo.get(key)
         if token is not None and row.relex is None:
-            group = row.index.item(token)
-            entry = self._need_memo.get(key)
-            if type(entry) is tuple:
-                return entry[2].item(group)
-            if group < 0:  # a token the row leaves out, eos included
-                return 3 * INF
             if entry is None:
-                entry = self._store(key, {})
-            total = entry.get(group)
-            if total is None:
+                entry = self._entry(state, key, whole=False)
+            group = row.index.item(token)
+            total = entry[0].item(group)
+            if total == _UNPRICED:
                 way = self._totals(state, group)[group]
-                total = entry[group] = 3 * INF if way is None else way[0]
+                total = entry[0][group] = 3 * INF if way is None else way[0]
             return total
-        kept = self._need_kept.get(key)
+        kept = None if entry is None else entry[3]
         if kept is None:
-            entry = self._need_memo.get(key)
-            least, best, totals = entry if type(entry) is tuple else self._entry(state, key)
+            totals, least, best, _ = self._entry(state, key)
             need = totals[row.index]  # a token left out, at index -1, reads the last
             need.setflags(write=False)
             kept = (need, least, best)
             if entry is not None:  # made by an earlier read
-                self._need_kept[key] = kept
+                self._need_memo[key] = (totals, least, best, kept)
         if row.relex is not None:
-            need, least, best = kept
             relexed, _ = self._relexed(state)
             if relexed is not None:
-                need = np.minimum(need, np.where(row.relex, self._need(relexed)[0], 3 * INF))
-                least = int(need.min())
-            kept = (need, least, best)
+                need = np.minimum(kept[0], np.where(row.relex, self._need(relexed)[0], 3 * INF))
+                kept = (need, int(need.min()), kept[2])
         return kept if token is None else kept[0].item(token)
 
     def _least(self, state: EngineState) -> int:
         """The least need over the vocabulary, from the whole entry; a row
         not past its accept reads it without gathering the vector."""
         if self._rows[state.config].relex is None:
-            return self._entry(state)[0]
+            return self._entry(state)[1]
         return self._need(state)[1]
 
     def _limit(self, state: EngineState) -> int:
@@ -851,21 +845,13 @@ class MaskEngine:
             raise BudgetExhaustedError(f"consumed {state.consumed} of {state.budget} tokens")
         return min(state.budget - state.consumed - 1, INF) if self.mode == MODE_FULL else INF
 
-    def _admit(self, state: EngineState, token: int) -> tuple[bool, bool]:
-        """``compute_mask(state)[token]`` after the state checks, and whether
-        the mask admits nothing.  A token under the limit returns at once,
-        on its group's total alone.  A denied token that is not eos reads
-        the least need, and asks whether the output is complete only when no
-        need is under the limit; eos asks it at once, and reads the least
-        need only when the output is not complete."""
-        limit = self._limit(state)
-        if self._need(state, token) < limit:
-            return True, False
-        eos = token == self.vocab.eos
-        if not eos and self._least(state) < limit:
-            return False, False
-        complete = self.is_complete(state)
-        return eos and complete, not complete and self._least(state) >= limit
+    def _admitted(self, state: EngineState, token: int, limit: int) -> bool:
+        """The mask rule for one token under ``limit``: end-of-sequence
+        when the output is complete, any other token when its need is
+        under the limit, read off its group's total."""
+        if token == self.vocab.eos:
+            return self.is_complete(state)
+        return self._need(state, token) < limit
 
     def compute_mask(self, state: EngineState) -> np.ndarray:
         """Boolean vector over the vocabulary for the next step.
@@ -893,10 +879,12 @@ class MaskEngine:
         the output is complete.
         """
         self._check_token(state, token)
-        admitted, empty = self._admit(state, token)
-        if empty:
+        limit = self._limit(state)
+        if self._admitted(state, token, limit):
+            return True
+        if self._least(state) >= limit and not self.is_complete(state):
             raise _dead()
-        return admitted
+        return False
 
     def mask_report(self, state: EngineState) -> list[dict]:
         """Per-token mask explanation: the dominating terminals and cost terms.
@@ -945,7 +933,7 @@ class MaskEngine:
         a way through the state ``_relexed`` leaves comes after the
         row's candidates."""
         row = self._rows[state.config]
-        best = self._entry(state)[1]
+        best = self._entry(state)[2]
         best = [best[g] if g >= 0 else None for g in row.index.tolist()]
         relexed, prefix = self._relexed(state) if row.relex is not None else (None, ())
         if relexed is not None:
@@ -979,26 +967,17 @@ class MaskEngine:
         """The most probable admitted token under ``probs``, the lowest id on
         ties, and the successor state it steps to.
 
-        The argmax of ``probs`` is checked alone, as ``admits`` checks it:
-        on its group's total, or for end-of-sequence on the completion bit.
-        Only when it is denied is the whole mask read, once: the masked
-        argmax is picked from it, and ``compute_mask`` raises
-        DeadSessionError when it admits nothing.  Nothing is raised and
-        caught on the way.  Raises what ``advance`` raises on the argmax, in
-        its order: EngineError for a finished session, MaskedTokenError when
-        the argmax is not a vocabulary id, BudgetExhaustedError, and
-        DeadSessionError.
+        The argmax of ``probs`` is checked alone, by ``admits``'s rule,
+        ``_admitted``.  Only when it is denied is the whole mask read, once,
+        for the masked argmax and the dead-session check.  Raises what
+        ``advance`` raises on the argmax, in its order: EngineError for a
+        finished session, MaskedTokenError when the argmax is not a
+        vocabulary id, BudgetExhaustedError, and DeadSessionError.
         """
         token = int(probs.argmax())
         self._check_token(state, token)
-        limit = self._limit(state)
-        if token != self.vocab.eos:
-            if self._need(state, token) < limit:
-                return token, self._step(state, token)
-        elif self.is_complete(state):
-            return token, self._step(state, token)
-        mask = self.compute_mask(state)
-        token = int(np.where(mask, probs, -np.inf).argmax())
+        if not self._admitted(state, token, self._limit(state)):
+            token = int(np.where(self.compute_mask(state), probs, -np.inf).argmax())
         return token, self._step(state, token)
 
     def replay(self, token_ids, budget: int) -> EngineState:

@@ -227,12 +227,16 @@ class EvalReport:
         header = next(reader, None)
         if header is None:
             raise ValueError("empty CSV report")
+        names = [f.name for f in fields(EvalRecord)]
+        if header != names:
+            raise ValueError(f"CSV report header is {header}, expected {names}")
         # Keyed by the field types as written: annotations here are strings.
         parse = {"str": str, "int": int, "bool": lambda cell: bool(int(cell))}
-        records = [
-            EvalRecord(*(parse[f.type](cell) for f, cell in zip(fields(EvalRecord), row)))
-            for row in reader
-        ]
+        records = []
+        for number, row in enumerate(reader, start=1):
+            if len(row) != len(names):
+                raise ValueError(f"CSV report record {number} has {len(row)} cells, expected {len(names)}")
+            records.append(EvalRecord(*(parse[f.type](cell) for f, cell in zip(fields(EvalRecord), row))))
         return cls(records=records)
 
     def to_json_lines(self) -> str:

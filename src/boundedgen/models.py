@@ -129,17 +129,26 @@ class ScriptedModel(LanguageModel):
             payload = json.load(fh)
         if not isinstance(payload, dict):
             raise ValueError(f"{path}: a scripted model is a JSON object with 'steps'")
+        script = payload.get("steps", [])
+        if not isinstance(script, list):
+            raise ValueError(f"{path}: 'steps' is a list of distributions, got {script!r}")
         steps = []
-        for step in payload.get("steps", []):
+        for step in script:
             arr = np.zeros(vocab_size)
             if isinstance(step, dict):
                 for key, weight in step.items():
                     tid = int(key)
                     if not 0 <= tid < vocab_size:
                         raise ValueError(f"{path}: token id {tid} outside [0, {vocab_size})")
-                    arr[tid] = float(weight)
+                    try:
+                        arr[tid] = float(weight)
+                    except TypeError as exc:
+                        raise ValueError(f"{path}: weight {weight!r} of token id {tid} is not a number") from exc
             else:
-                arr = np.asarray(step, dtype=float)
+                try:
+                    arr = np.asarray(step, dtype=float)
+                except TypeError as exc:
+                    raise ValueError(f"{path}: step {step!r} is not a list of numbers") from exc
             steps.append(arr)
         return cls(steps, vocab_size, after=payload.get("after", "uniform"))
 

@@ -363,6 +363,23 @@ class TestGenerate:
         assert "non-negative with a finite sum" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"steps": 5}', "'steps' is a list of distributions"),
+            ('{"steps": [{"0": null}]}', "not a number"),
+            ('{"steps": [[{}]]}', "not a list of numbers"),
+        ],
+        ids=["steps-not-a-list", "null-weight", "object-in-a-list-step"],
+    )
+    def test_malformed_scripted_steps_exit_2(self, yz_workspace, tmp_path, capsys, text, message):
+        script = tmp_path / "script.json"
+        script.write_text(text)
+        code = main(["generate", *yz_workspace, "--model", f"scripted:{script}", "--budget", "4"])
+        assert code == EXIT_GRAMMAR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
+    @pytest.mark.parametrize(
         "text", ["S: S ;", "S: Z ; Z: /z/ ;"], ids=["no-derivation", "unspellable-terminal"]
     )
     def test_no_complete_output_exit_2(self, tmp_path, capsys, text):

@@ -677,3 +677,38 @@ class TestDecoderInvariants:
                 assert len(ids) <= budget
                 assert ids[-1] == json_engine.vocab.eos
                 assert json_engine.text_is_complete(json_engine.vocab.decode(ids))
+
+
+class FixedModel:
+    """The same distribution after every prefix."""
+
+    def __init__(self, probs: np.ndarray):
+        self.probs = probs
+
+    def next_distribution(self, prefix):
+        return self.probs
+
+
+@pytest.mark.parametrize("peak", [b"[", b"]"], ids=["admitted", "denied"])
+@pytest.mark.parametrize("extra", [-2, 2], ids=["short", "long"])
+@pytest.mark.parametrize(
+    "decode",
+    [
+        greedy_decode,
+        lambda m, s: beam_search(m, s, beams=3),
+        lambda m, s: mcts_decode(m, s, config=MctsConfig(trials=4)),
+    ],
+    ids=["greedy", "beam", "mcts"],
+)
+def test_decoders_refuse_a_distribution_of_the_wrong_length(json_engine, decode, extra, peak):
+    # Both peaks: on a denied id the engine meets the wrong length in its
+    # masked argmax, on an admitted id nothing past the model's read would.
+    vocab = json_engine.vocab
+    session = json_engine.new_session(12)
+    token = vocab.tokens.index(peak)
+    assert json_engine.admits(session, token) == (peak == b"[")
+    probs = np.full(vocab.size + extra, 0.01)
+    probs[token] = 1.0
+    message = f"has {vocab.size + extra} entries, the vocabulary {vocab.size} ids"
+    with pytest.raises(ValueError, match=message):
+        decode(FixedModel(probs), session)

@@ -715,7 +715,7 @@ class TestNeedMemo:
             token = rng.randrange(size)
             if engine.admits(state, token) and token != eos:
                 engine.admits(engine.advance(state, token), rng.randrange(size))
-            partial = max(partial, sum(type(entry) is dict for entry in engine._need_memo.values()))
+            partial = max(partial, sum(entry[2] is None for entry in engine._need_memo.values()))
             assert len(engine._need_memo) <= 64
         assert len(keys) > 64 and partial > 1
 

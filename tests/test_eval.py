@@ -342,6 +342,23 @@ class TestReportFormats:
         assert report.to_json_lines() == json_text
         assert EvalReport.from_csv(csv_text).records == report.records
 
+    @pytest.mark.parametrize(
+        "header",
+        ["task,strategy,policy,budget,tokens,complete,exact,output", "task_id,strategy,policy,budget,tokens"],
+        ids=["wrong-name", "missing-names"],
+    )
+    def test_csv_refuses_a_header_other_than_the_fields(self, report, header):
+        rows = report.to_csv().split("\n", 1)[1]
+        with pytest.raises(ValueError, match="header"):
+            EvalReport.from_csv(f"{header}\n{rows}")
+
+    @pytest.mark.parametrize("cells", ["t0,greedy,ratio:1.1,12,7,1,0,out,extra", "t0,greedy,ratio:1.1,12,7"],
+                             ids=["extra-cell", "short-row"])
+    def test_csv_refuses_a_row_of_the_wrong_length(self, cells):
+        header = "task_id,strategy,policy,budget,tokens,complete,exact,output"
+        with pytest.raises(ValueError, match="record 1 has"):
+            EvalReport.from_csv(f"{header}\n{cells}\n")
+
     def test_text_table_mentions_aggregates(self, report):
         text = report.to_text()
         assert "syntax%" in text

@@ -159,11 +159,10 @@ def test_a_miss_builds_no_stack_cell(engines, monkeypatch):
 
 
 def arrays(engine: MaskEngine) -> list[np.ndarray]:
-    """The arrays the need memo holds: in its entries, in the tuples they
-    hold and in the answers it keeps."""
-    entries = [*engine._need_memo.values(), *engine._need_kept.values()]
-    held = [y for entry in entries for x in entry for y in (x if isinstance(x, (tuple, list)) else (x,))]
-    return [x for x in held if isinstance(x, np.ndarray)]
+    """The arrays the need memo holds: each entry's per-group totals, and
+    the per-token vector it keeps."""
+    entries = engine._need_memo.values()
+    return [totals for totals, _, _, _ in entries] + [kept[0] for _, _, _, kept in entries if kept is not None]
 
 
 def test_an_entry_keeps_a_vector_when_masked_after_an_earlier_read():
@@ -238,13 +237,11 @@ def test_a_cold_token_read_walks_only_its_groups_plan_nodes(engines, monkeypatch
                 token = int(np.flatnonzero(row.index == g)[0])
                 needed = {t[:k] for t, h in zip(row.terms, row.group) if h == g for k in range(1, len(t) + 1)}
                 engine._need_memo.clear()
-                engine._need_kept.clear()
                 del walks[:]
                 engine._need(state, token)
                 assert len(walks) == len(needed & live), (name, g)
                 narrower += len(walks) < len(live)
             engine._need_memo.clear()
-            engine._need_kept.clear()
             del walks[:]
             engine.compute_mask(state)
             assert len(walks) == len(live) + bool(row.final), name

@@ -10,9 +10,10 @@ So must the same walks run a second time on one engine, whose memos the
 first pass filled.  The other tests check, on the same setups, the two
 facts that completion is read from: each row's final lexing, fixed when
 the row is built, and a stack cell's cost, 0 exactly when the stack may
-end there; and that the one-token queries, ``admits`` and ``advance``
+end there; that the one-token queries, ``admits`` and ``advance``
 without a mask, answer what the mask answers, on a warm engine and on one
-whose need memo holds no entry for the state.
+whose need memo holds no entry for the state; and that the completion bit
+equals a fresh scan of the whole output.
 """
 
 from __future__ import annotations
@@ -223,7 +224,6 @@ def cold_answer(engine, query, state, token):
     """``query(state, token)`` on ``engine`` with its need memo emptied
     first: the answer, or the class of the EngineError raised."""
     engine._need_memo.clear()
-    engine._need_kept.clear()
     try:
         return query(state, token)
     except EngineError as exc:
@@ -251,7 +251,7 @@ def test_cold_single_token_reads_agree_with_the_mask(setups, mode):
             past_accept += masking._rows[state.config].relex is not None
             for token in range(vocab.size):
                 admitted = cold_answer(cold, cold.admits, state, token)
-                partial += any(type(entry) is dict for entry in cold._need_memo.values())
+                partial += any(entry[2] is None for entry in cold._need_memo.values())
                 stepped = cold_answer(cold, cold.advance, state, token)
                 if want is not None:
                     assert admitted is stepped is want, (name, token)
@@ -330,7 +330,6 @@ def test_advance_greedy_equals_the_retry_rule(setups, mode):
             refused.add(want)
             past_accept += warm._rows[state.config].relex is not None
             lukewarm._need_memo.clear()
-            lukewarm._need_kept.clear()
             for probs in greedy_distributions(rng, vocab.size, vocab.eos, mask):
                 old = greedy_answer(greedy_by_retry, reference, state, probs)
                 argmax = int(probs.argmax())
@@ -343,9 +342,44 @@ def test_advance_greedy_equals_the_retry_rule(setups, mode):
                 for engine in (warm, lukewarm, cold):
                     if engine is cold:
                         cold._need_memo.clear()
-                        cold._need_kept.clear()
                     new = greedy_answer(MaskEngine.advance_greedy, engine, state, probs)
                     assert new == old, (name, state, argmax)
     assert past_accept and denied and eos == {True, False}
     ends = {EngineError, DeadSessionError} | ({BudgetExhaustedError} if mode == MODE_GRAMMAR_ONLY else set())
     assert refused == {None} | ends
+
+
+@pytest.mark.parametrize("mode", [MODE_FULL, MODE_GRAMMAR_ONLY])
+def test_the_two_completion_checks_agree_along_walks(setups, mode):
+    # Two independent completion checks: ``is_complete`` reads the step
+    # table's row, or relexes the tail past a pending accept, and feeds the
+    # state's own stack; ``text_is_complete`` lexes the whole output afresh
+    # with ``dfa.scan`` at the end of input.  Along seeded walks over
+    # admitted tokens other than eos they agree state by state, on both
+    # sides of a pending accept.
+    seen, past_accept = set(), set()
+    for name, (grammar, vocab, walks) in setups.items():
+        engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab, mode)
+        rng = random.Random(3)
+        for _ in range(walks // 2):
+            try:
+                state = engine.new_session(rng.randint(2, 30))
+            except BudgetError:
+                continue
+            ids = []
+            while True:
+                complete = engine.is_complete(state)
+                assert complete == engine.text_is_complete(vocab.decode(ids)), (name, ids)
+                seen.add(complete)
+                if engine._rows[state.config].relex is not None:
+                    past_accept.add(complete)
+                try:
+                    mask = engine.compute_mask(state)
+                except EngineError:
+                    break
+                mask[vocab.eos] = False
+                if not mask.any():
+                    break
+                ids.append(rng.choice(np.flatnonzero(mask).tolist()))
+                state = engine.advance(state, ids[-1])
+    assert seen == {True, False} and past_accept == {True, False}
