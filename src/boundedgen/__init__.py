@@ -71,7 +71,6 @@ from boundedgen.models import (
     model_from_spec,
 )
 from boundedgen.oracle import (
-    OracleBudget,
     brute_force_mask,
     brute_force_min_tokens,
     cfg_membership,
@@ -107,7 +106,6 @@ __all__ = [
     "MaskEngine",
     "MctsConfig",
     "NgramModel",
-    "OracleBudget",
     "RegexError",
     "ScriptedModel",
     "Task",

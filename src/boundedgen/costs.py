@@ -121,11 +121,6 @@ class CostTables:
     version: int = CACHE_VERSION
     build_seconds: float = field(default=0.0, compare=False)
 
-    def terminal_start_costs(self, n_terminals: int) -> np.ndarray:
-        """C at the initial state of each single-terminal automaton."""
-        starts = [self.c[(t,)][self.automata[(t,)].initial] for t in range(n_terminals)]
-        return np.array(starts, dtype=np.int64)
-
     def structurally_equal(self, other: "CostTables") -> bool:
         fields = ("version", "grammar_hash", "vocab_hash", "keys", "steps")
         if any(getattr(self, f) != getattr(other, f) for f in fields):
@@ -503,18 +498,19 @@ def build_cost_tables(g: Grammar, vocab: Vocabulary) -> CostTables:
     g.ll1  # LlConflictError unless the grammar is LL(1)
     automata: dict[Key, Dfa] = {(t,): g.terminals[t].dfa for t in range(g.n_terminals)}
     token_map = compute_token_map(automata, vocab)
+    c = _costs(automata, token_map)
+    d = compute_nonterminal_costs(g, np.array([c[key][INITIAL] for key in automata], dtype=np.int64))
     tables = CostTables(
         grammar_hash=g.source_hash,
         vocab_hash=vocab.source_hash,
         keys=tuple(automata),
         automata=automata,
-        c=_costs(automata, token_map),
-        d=np.empty(0, dtype=np.int64),
+        c=c,
+        d=d,
         token_map=token_map,
         steps=build_step_table(g.lexer, vocab),
     )
-    tables.d = compute_nonterminal_costs(g, tables.terminal_start_costs(g.n_terminals))
-    dead_nts = [name for name, cost in zip(g.nonterminal_names, tables.d) if cost >= INF]
+    dead_nts = [name for name, cost in zip(g.nonterminal_names, d) if cost >= INF]
     if dead_nts:
         logger.warning("nonterminals with no realizable derivation under this vocabulary: %s",
                        ", ".join(dead_nts))

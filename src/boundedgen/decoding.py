@@ -31,10 +31,11 @@ from typing import Iterator
 
 import numpy as np
 
-from boundedgen.engine import EngineState
+from boundedgen.engine import EngineState, wrong_length
 from boundedgen.models import LanguageModel
 
 _PROB_FLOOR = 1e-12  # keeps the log of a zero-mass token finite
+DEFAULT_BEAMS = 10  # ``beam_search``'s width unless one is given
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ def _distribution(model: LanguageModel, context: tuple[int, ...], size: int) -> 
     one entry per vocabulary id."""
     probs = model.next_distribution(context)
     if len(probs) != size:
-        raise ValueError(f"the model's distribution has {len(probs)} entries, the vocabulary {size} ids")
+        raise wrong_length(len(probs), size)
     return probs
 
 
@@ -110,10 +111,10 @@ def _greedy_steps(
     checks the model's argmax alone and reads the mask only when the engine
     denies it."""
     engine = state.engine
-    eos, size = engine.vocab.eos, engine.vocab.size
+    eos = engine.vocab.eos
     while state.consumed < state.budget:
         if probs is None:
-            probs = _distribution(model, context, size)
+            probs = model.next_distribution(context)
         token, following = engine.advance_greedy(state, probs)
         yield probs, token, following
         if token == eos:
@@ -154,7 +155,7 @@ def beam_search(
     model: LanguageModel,
     session: EngineState,
     prompt: tuple[int, ...] = (),
-    beams: int = 10,
+    beams: int = DEFAULT_BEAMS,
 ) -> list[int]:
     """Length-normalized beam search over masked, renormalized probabilities.
 

@@ -134,6 +134,11 @@ def _dead() -> DeadSessionError:
     )
 
 
+def wrong_length(entries: int, size: int) -> ValueError:
+    """The error for a model distribution of ``entries`` entries over ``size`` vocabulary ids."""
+    return ValueError(f"the model's distribution has {entries} entries, the vocabulary {size} ids")
+
+
 _EXPANSION_LIMIT = 100_000
 _NEED_MEMO_SIZE = 256  # entries (``MaskEngine._entry``); one masked after an earlier read keeps 8 bytes per token
 _UNPRICED = -1  # a group total that no read has priced yet
@@ -969,11 +974,15 @@ class MaskEngine:
 
         The argmax of ``probs`` is checked alone, by ``admits``'s rule,
         ``_admitted``.  Only when it is denied is the whole mask read, once,
-        for the masked argmax and the dead-session check.  Raises what
-        ``advance`` raises on the argmax, in its order: EngineError for a
-        finished session, MaskedTokenError when the argmax is not a
-        vocabulary id, BudgetExhaustedError, and DeadSessionError.
+        for the masked argmax and the dead-session check.  Raises
+        ValueError, before any check of the state, unless ``probs`` holds one
+        entry per vocabulary id; then what ``advance`` raises on the argmax,
+        in its order: EngineError for a finished session, MaskedTokenError
+        when the argmax is not a vocabulary id, BudgetExhaustedError, and
+        DeadSessionError.
         """
+        if len(probs) != self.vocab.size:
+            raise wrong_length(len(probs), self.vocab.size)
         token = int(probs.argmax())
         self._check_token(state, token)
         if not self._admitted(state, token, self._limit(state)):

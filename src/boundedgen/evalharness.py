@@ -23,6 +23,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 
 from boundedgen.costs import CostTables
 from boundedgen.decoding import (
+    DEFAULT_BEAMS,
     MctsConfig,
     beam_search,
     greedy_decode,
@@ -163,7 +164,7 @@ def parse_strategy(spec: str):
     if name == "greedy" and not arg:
         return "greedy", greedy_decode
     if name == "beam":
-        width = int(arg) if arg else 10
+        width = int(arg) if arg else DEFAULT_BEAMS
         if width < 1:
             raise ValueError(f"beam width must be at least 1, got {width}")
         return f"beam:{width}", lambda m, s, p=(): beam_search(m, s, p, beams=width)
@@ -171,12 +172,9 @@ def parse_strategy(spec: str):
         parts = arg.split(",")
         if len(parts) > 3:
             raise ValueError(f"mcts takes at most three fields, got {spec!r}")
-        parts += [""] * (3 - len(parts))  # an empty or missing field takes its default
-        trials = int(parts[0]) if parts[0] else 20
-        c_puct = float(parts[1]) if parts[1] else 5.0
-        tau = float(parts[2]) if parts[2] else 2.0
-        config = MctsConfig(c_puct=c_puct, temperature=tau, trials=trials)
-        label = f"mcts:{trials},{c_puct:g},{tau:g}"
+        kinds = {"trials": int, "c_puct": float, "temperature": float}  # the fields in spec order
+        config = MctsConfig(**{key: kinds[key](text) for key, text in zip(kinds, parts) if text})
+        label = f"mcts:{config.trials},{config.c_puct:g},{config.temperature:g}"
         return label, lambda m, s, p=(): mcts_decode(m, s, p, config=config)
     raise ValueError(f"unknown strategy {spec!r}")
 

@@ -277,30 +277,14 @@ def load_grammar(path) -> Grammar:
 # --- FIRST / FOLLOW / prediction table --------------------------------------
 
 
-def _compute_nullable(g: Grammar) -> frozenset[int]:
-    nullable: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for prod in g.productions:
-            if prod.lhs in nullable:
-                continue
-            if all(
-                not g.is_terminal(s) and g.nt_id(s) in nullable for s in prod.rhs
-            ):
-                nullable.add(prod.lhs)
-                changed = True
-    return frozenset(nullable)
-
-
-def _compute_ends(
-    g: Grammar, nullable: frozenset[int], last: bool = False
-) -> dict[int, set[int]]:
+def _compute_ends(g: Grammar, last: bool = False) -> tuple[dict[int, set[int]], frozenset[int]]:
     """Terminals each symbol can start with (FIRST), or end with (LAST) when
-    ``last`` walks every right-hand side backwards."""
+    ``last`` walks every right-hand side backwards, and the nullable
+    nonterminals, from one fixpoint over the productions."""
     ends: dict[int, set[int]] = {t: {t} for t in range(g.n_terminals)}
     for nt in range(g.n_nonterminals):
         ends[g.nt_symbol(nt)] = set()
+    nullable: set[int] = set()
     changed = True
     while changed:
         changed = False
@@ -311,9 +295,11 @@ def _compute_ends(
                 target.update(ends[sym])
                 if g.is_terminal(sym) or g.nt_id(sym) not in nullable:
                     break
-            if len(target) != before:
-                changed = True
-    return ends
+            else:  # every symbol derives the empty string
+                changed |= prod.lhs not in nullable
+                nullable.add(prod.lhs)
+            changed |= len(target) != before
+    return ends, frozenset(nullable)
 
 
 def first_of_sequence(
@@ -336,8 +322,7 @@ def build_ll1_table(g: Grammar) -> Ll1Table:
     (nonterminal, lookahead) would hold two productions; left recursion in a
     productive grammar always surfaces this way.
     """
-    nullable = _compute_nullable(g)
-    first = _compute_ends(g, nullable)
+    first, nullable = _compute_ends(g)
 
     follow: dict[int, set[int]] = {nt: set() for nt in range(g.n_nonterminals)}
     follow[g.start].add(END)
@@ -395,9 +380,8 @@ def adjacent_terminal_pairs(g: Grammar, table: Ll1Table) -> frozenset[tuple[int,
     the right symbol can start with.  This over-approximates, never misses,
     the two-terminal continuations a top-down parse can request.
     """
-    nullable = table.nullable
     first = table.first
-    last = _compute_ends(g, nullable, last=True)
+    last, nullable = _compute_ends(g, last=True)
     pairs: set[tuple[int, int]] = set()
     for prod in g.productions:
         rhs = prod.rhs

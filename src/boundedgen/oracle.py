@@ -9,8 +9,6 @@ precomputed cost tables).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from boundedgen.dfa import DEAD, INF, Dfa
@@ -26,22 +24,12 @@ class InstanceTooLargeError(ValueError):
     """Instance exceeds the caps that keep exhaustive search tractable."""
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    """Caps keeping the exhaustive searches tractable.
-
-    ``max_total_tokens`` bounds token budgets handed to the mask oracle;
-    ``max_depth`` bounds derivation expansion depth for membership.  Search
-    cost grows roughly as ``vocab_size ** max_total_tokens`` before pruning.
-    """
-
-    max_total_tokens: int = 8
-    max_depth: int = 80
-    max_vocab: int = 20
-
-    def __post_init__(self):
-        if self.max_total_tokens < 1 or self.max_depth < 1 or self.max_vocab < 1:
-            raise ValueError("oracle caps must be at least 1")
+# Caps keeping the exhaustive searches tractable: search cost grows roughly
+# as ``vocab_size ** _MAX_TOTAL_TOKENS`` before pruning.
+_MAX_TOTAL_TOKENS = 8  # token budgets handed to the mask oracle
+_MAX_DEPTH = 80  # derivation expansion depth for membership
+_MAX_VOCAB = 20
+_MAX_STATES = 64  # automaton states for the min-tokens oracle
 
 
 class _DerivationOracle:
@@ -164,7 +152,7 @@ class _DerivationOracle:
         return self.viable_seq((start,), 0, self.max_depth)
 
 
-def cfg_membership(g: Grammar, s: bytes, max_depth: int = 80) -> bool:
+def cfg_membership(g: Grammar, s: bytes, max_depth: int = _MAX_DEPTH) -> bool:
     """Is ``s`` derivable from the start symbol within the depth cap?
 
     A True answer always has a witnessed derivation.  A False answer is
@@ -181,15 +169,9 @@ def cfg_membership(g: Grammar, s: bytes, max_depth: int = 80) -> bool:
     return False
 
 
-def _check_mask_caps(vocab: Vocabulary, n_max: int, caps: OracleBudget) -> None:
-    if vocab.size > caps.max_vocab:
-        raise InstanceTooLargeError(
-            f"vocabulary of {vocab.size} exceeds oracle cap {caps.max_vocab}"
-        )
-    if n_max > caps.max_total_tokens:
-        raise InstanceTooLargeError(
-            f"budget {n_max} exceeds oracle cap {caps.max_total_tokens}"
-        )
+def _check_vocab_cap(vocab: Vocabulary) -> None:
+    if vocab.size > _MAX_VOCAB:
+        raise InstanceTooLargeError(f"vocabulary of {vocab.size} exceeds oracle cap {_MAX_VOCAB}")
 
 
 class _CompletionSearch:
@@ -239,23 +221,19 @@ class _CompletionSearch:
         return result
 
 
-def brute_force_mask(
-    g: Grammar,
-    vocab: Vocabulary,
-    prefix_ids: list[int],
-    n_max: int,
-    caps: OracleBudget = OracleBudget(),
-) -> np.ndarray:
+def brute_force_mask(g: Grammar, vocab: Vocabulary, prefix_ids: list[int], n_max: int) -> np.ndarray:
     """The mask defined directly by its semantics, via exhaustive search.
 
     Token ``t`` is admitted iff some completion keeps the whole output within
     ``n_max`` tokens counting one end-of-sequence slot; eos is admitted iff
     the prefix is already a member and the slot fits.
     """
-    _check_mask_caps(vocab, n_max, caps)
+    _check_vocab_cap(vocab)
+    if n_max > _MAX_TOTAL_TOKENS:
+        raise InstanceTooLargeError(f"budget {n_max} exceeds oracle cap {_MAX_TOTAL_TOKENS}")
     if any(i == vocab.eos for i in prefix_ids):
         raise ValueError("prefix must not contain eos")
-    search = _CompletionSearch(g, vocab, caps.max_depth)
+    search = _CompletionSearch(g, vocab, _MAX_DEPTH)
     s0 = vocab.decode(prefix_ids)
     consumed = len(prefix_ids)
     bits = np.zeros(vocab.size, dtype=bool)
@@ -267,23 +245,15 @@ def brute_force_mask(
     return bits
 
 
-def brute_force_min_tokens(
-    dfa: Dfa,
-    vocab: Vocabulary,
-    from_state: int,
-    caps: OracleBudget = OracleBudget(),
-) -> int:
+def brute_force_min_tokens(dfa: Dfa, vocab: Vocabulary, from_state: int) -> int:
     """Exact minimum number of tokens to reach acceptance, INF if impossible.
 
     Breadth-first search over token sequences, deduplicated by the automaton
     state they land in (sequences reaching a seen state cannot improve).
     """
-    if vocab.size > caps.max_vocab:
-        raise InstanceTooLargeError(
-            f"vocabulary of {vocab.size} exceeds oracle cap {caps.max_vocab}"
-        )
-    if dfa.n_states > 64:
-        raise InstanceTooLargeError(f"{dfa.n_states} automaton states exceed oracle cap 64")
+    _check_vocab_cap(vocab)
+    if dfa.n_states > _MAX_STATES:
+        raise InstanceTooLargeError(f"{dfa.n_states} automaton states exceed oracle cap {_MAX_STATES}")
     if not 0 <= from_state < dfa.n_states:
         raise ValueError(f"state {from_state} out of range")
     if dfa.accepting[from_state]:

@@ -28,7 +28,7 @@ from boundedgen.costs import (
     save_cache,
 )
 from boundedgen.cli import EXIT_GRAMMAR, main
-from boundedgen.dfa import DEAD, INF, StateLimitError, compile_regex, scan
+from boundedgen.dfa import DEAD, INF, INITIAL, StateLimitError, compile_regex, scan
 from boundedgen.engine import MaskEngine
 from boundedgen.grammar import load_grammar, parse_grammar
 from boundedgen.oracle import brute_force_mask, brute_force_min_tokens
@@ -174,7 +174,7 @@ class TestNonterminalCosts:
 
     def test_triangle_property(self, json_grammar, json_tables):
         g = json_grammar
-        term_costs = json_tables.terminal_start_costs(g.n_terminals)
+        term_costs = [json_tables.c[(t,)][INITIAL] for t in range(g.n_terminals)]
         for prod in g.productions:
             total = 0
             for sym in prod.rhs:

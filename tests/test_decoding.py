@@ -697,12 +697,14 @@ class FixedModel:
         greedy_decode,
         lambda m, s: beam_search(m, s, beams=3),
         lambda m, s: mcts_decode(m, s, config=MctsConfig(trials=4)),
+        lambda m, s: s.engine.advance_greedy(s, m.next_distribution(())),
     ],
-    ids=["greedy", "beam", "mcts"],
+    ids=["greedy", "beam", "mcts", "advance_greedy"],
 )
 def test_decoders_refuse_a_distribution_of_the_wrong_length(json_engine, decode, extra, peak):
-    # Both peaks: on a denied id the engine meets the wrong length in its
-    # masked argmax, on an admitted id nothing past the model's read would.
+    # Both peaks: on a denied id the masked argmax would meet the wrong
+    # length, on an admitted id nothing past the length check would.  The
+    # engine's own greedy step, called directly, checks it too.
     vocab = json_engine.vocab
     session = json_engine.new_session(12)
     token = vocab.tokens.index(peak)

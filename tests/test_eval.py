@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import pytest
 
+from boundedgen.decoding import MctsConfig, beam_search
 from boundedgen.evalharness import (
     BudgetPolicy,
     EvalRecord,
@@ -144,6 +146,13 @@ class TestStrategyParsing:
     )
     def test_empty_mcts_field_takes_its_default_in_place(self, spec, label):
         assert parse_strategy(spec)[0] == label
+
+    def test_bare_specs_take_the_decoders_defaults(self):
+        defaults = MctsConfig()
+        label = f"mcts:{defaults.trials},{defaults.c_puct:g},{defaults.temperature:g}"
+        assert parse_strategy("mcts")[0] == label
+        beams = inspect.signature(beam_search).parameters["beams"].default
+        assert parse_strategy("beam")[0] == f"beam:{beams}"
 
     def test_mcts_fields_counted_empty_ones_included(self):
         with pytest.raises(ValueError, match="at most three fields"):

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 
+import numpy as np
 import pytest
 
-from boundedgen.costs import build_cost_tables
+from boundedgen.costs import build_cost_tables, compute_nonterminal_costs
 from boundedgen.dfa import EmptyLanguageError, RegexError, StateLimitError, compile_regex
 from boundedgen.engine import _LEX_INITIAL, MaskEngine
 from boundedgen.grammar import (
@@ -16,6 +18,7 @@ from boundedgen.grammar import (
     GrammarSyntaxError,
     LlConflictError,
     UndeclaredSymbolError,
+    _compute_ends,
     adjacent_terminal_pairs,
     build_ll1_table,
     parse_grammar,
@@ -251,6 +254,38 @@ class TestLl1Table:
             for combo in itertools.product(alphabet, repeat=n):
                 s = b"".join(combo)
                 assert parser_accepts(s) == cfg_membership(g, s), s
+
+    def test_nullable_is_what_derives_no_terminal_on_random_grammars(self):
+        # On seeded random grammars, LL(1) or not, the nullable set that the
+        # FIRST fixpoint and the LAST fixpoint each reach is the set of
+        # nonterminals that derive the empty string: those that cost 0 when
+        # every terminal costs 1.
+        ll1, mixed = set(), 0
+        rng = random.Random(5)
+        for _ in range(300):
+            g = parse_grammar(random_grammar_text(rng))
+            costs = compute_nonterminal_costs(g, np.ones(g.n_terminals, dtype=np.int64))
+            empty = frozenset(np.flatnonzero(costs == 0).tolist())
+            assert _compute_ends(g)[1] == _compute_ends(g, last=True)[1] == empty, g.productions
+            mixed += 0 < len(empty) < g.n_nonterminals
+            try:
+                ll1.add(build_ll1_table(g).nullable == empty)
+            except LlConflictError:
+                ll1.add(None)
+        assert ll1 == {True, None} and mixed >= 30
+
+
+def random_grammar_text(rng: random.Random) -> str:
+    """One to five nonterminals over the terminals A, B and C, each with one
+    to three alternatives of up to three symbols; an empty one is ``ε``."""
+    names = [f"N{i}" for i in range(rng.randint(1, 5))]
+    symbols = names + ["A", "B", "C"]
+    rules = [
+        f"{name}: " + " | ".join(" ".join(rng.choices(symbols, k=rng.randint(0, 3))) or "ε"
+                                 for _ in range(rng.randint(1, 3))) + " ;"
+        for name in names
+    ]
+    return "\n".join(rules + ["A: /a/ ;", "B: /b/ ;", "C: /c/ ;"])
 
 
 def parse_grammar_and_table(text: str):

@@ -270,14 +270,11 @@ def test_cold_single_token_reads_agree_with_the_mask(setups, mode):
 def greedy_by_retry(engine, state, probs):
     """The greedy step as decoders took it before ``advance_greedy``:
     advance on the argmax, and when the engine denies it, build the mask and
-    advance on the masked argmax.  An argmax outside the vocabulary raises
-    ``advance``'s MaskedTokenError."""
+    advance on the masked argmax."""
     token = int(probs.argmax())
     try:
         return token, engine.advance(state, token)
     except MaskedTokenError:
-        if token >= engine.vocab.size:
-            raise
         mask = engine.compute_mask(state)
         token = int(np.where(mask, probs, -np.inf).argmax())
         return token, engine.advance(state, token, mask)
@@ -317,7 +314,8 @@ def test_advance_greedy_equals_the_retry_rule(setups, mode):
     # state left partial and whole entries, and on the walk's own engine,
     # warm from its masks.  States the mask refuses, finished, out of
     # budget or with nothing admitted, raise what ``advance`` raises on the
-    # argmax, in its order, also when the argmax lies past the vocabulary.
+    # argmax, in its order.  A distribution longer than the vocabulary raises
+    # ValueError before any of them.
     refused, past_accept, denied, eos = set(), 0, 0, set()
     rng = np.random.default_rng(7)
     for name, (grammar, vocab, walks) in setups.items():
@@ -331,9 +329,14 @@ def test_advance_greedy_equals_the_retry_rule(setups, mode):
             past_accept += warm._rows[state.config].relex is not None
             lukewarm._need_memo.clear()
             for probs in greedy_distributions(rng, vocab.size, vocab.eos, mask):
+                if len(probs) != vocab.size:
+                    for engine in (warm, lukewarm, cold):
+                        with pytest.raises(ValueError, match="the model's distribution has"):
+                            engine.advance_greedy(state, probs)
+                    continue
                 old = greedy_answer(greedy_by_retry, reference, state, probs)
                 argmax = int(probs.argmax())
-                if want is not None or argmax >= vocab.size:
+                if want is not None:
                     assert old is error_class(lambda: reference.advance(state, argmax)), (name, argmax)
                 else:
                     denied += not mask[argmax]

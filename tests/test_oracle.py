@@ -10,7 +10,6 @@ from boundedgen.grammar import parse_grammar
 from boundedgen.oracle import (
     CapExceededError,
     InstanceTooLargeError,
-    OracleBudget,
     brute_force_mask,
     brute_force_min_tokens,
     cfg_membership,
@@ -126,10 +125,3 @@ class TestBruteForceMinTokens:
         with pytest.raises(InstanceTooLargeError):
             brute_force_min_tokens(d, big, d.initial)
 
-
-class TestOracleBudget:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OracleBudget(max_total_tokens=0)
-        with pytest.raises(ValueError):
-            OracleBudget(max_depth=0)
