@@ -30,7 +30,7 @@ from boundedgen.evalharness import (
     TaskFileError,
     evaluate,
     load_tasks,
-    parse_strategy,
+    strategies_for_mode,
 )
 from boundedgen.grammar import Grammar, GrammarError, load_grammar
 from boundedgen.models import model_from_spec
@@ -112,7 +112,7 @@ def cmd_generate(args) -> int:
     if args.prompt_file:
         with open(args.prompt_file, "rb") as fh:
             prompt = tuple(vocab.tokenize(fh.read()))
-    label, decode = parse_strategy(args.strategy)
+    [(label, decode)] = strategies_for_mode([args.strategy], mode)
     started = time.perf_counter()
     if mode == MODE_NONE:
         ids = unconstrained_greedy(model, vocab.eos, budget, prompt)

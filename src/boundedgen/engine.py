@@ -86,6 +86,7 @@ entry keeps its own key alive through its value.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -391,6 +392,8 @@ class MaskEngine:
         return state
 
     def _fresh_state(self, budget: int) -> EngineState:
+        if isinstance(budget, bool) or not isinstance(budget, numbers.Integral):
+            raise BudgetError(f"budget must be an integer, got {budget!r}")
         if budget < 1:
             raise BudgetError(f"budget must be at least 1, got {budget}")
         return EngineState(self, self._start_stack, b"", 0, 0, budget)

@@ -77,6 +77,8 @@ class BudgetPolicy:
     def __post_init__(self):
         if self.kind not in ("fixed", "ratio"):
             raise ValueError(f"unknown budget policy {self.kind!r}")
+        if isinstance(self.value, bool):
+            raise ValueError(f"budget policy value must be a number, got {self.value!r}")
         if not math.isfinite(self.value):
             raise ValueError(f"budget policy value must be finite, got {self.value!r}")
         if self.kind == "fixed" and (self.value < 1 or self.value != int(self.value)):
@@ -179,6 +181,15 @@ def parse_strategy(spec: str):
     raise ValueError(f"unknown strategy {spec!r}")
 
 
+def strategies_for_mode(specs: list[str], mode: str) -> list:
+    """Every spec parsed, before any runs; ValueError for a malformed one and
+    for one ``mode`` cannot run: unconstrained decoding is greedy only."""
+    parsed = [parse_strategy(spec) for spec in specs]
+    if mode == MODE_NONE and any(label != "greedy" for label, _ in parsed):
+        raise ValueError("unconstrained mode supports only the greedy strategy")
+    return parsed
+
+
 @dataclass(frozen=True)
 class EvalRecord:
     task_id: str
@@ -272,12 +283,10 @@ def evaluate(
     """
     # Completeness does not depend on the mode, so one engine also judges it.
     engine = MaskEngine(grammar, tables, vocab, MODE_FULL if mode == MODE_NONE else mode)
-    if mode == MODE_NONE and strategies != ["greedy"]:
-        raise ValueError("unconstrained mode supports only the greedy strategy")
     records: list[EvalRecord] = []
     total_tokens = 0
     total_seconds = 0.0
-    for label, decode in [parse_strategy(spec) for spec in strategies]:  # all before any cell
+    for label, decode in strategies_for_mode(strategies, mode):
         for policy in policies:
             for task in tasks:
                 budget = policy.budget_for(task.l_gt)

@@ -5,6 +5,16 @@ derivation, masks by exhaustive token search, completion costs by plain BFS.
 These functions certify the optimized engine in tests and deliberately avoid
 its machinery (no prediction table, no concatenation automata, no
 precomputed cost tables).
+
+Membership and viable prefixes come from one memoized derivation search.
+Deriving a symbol from a position ends at the positions it can reach, or at
+an open end: it uses up the rest of the subject and can still go on (a
+terminal whose minimal automaton is live after the last byte, followed only
+by productive symbols).  A string is a member when the start symbol can end
+at its length, and a viable prefix when it is a member or the start symbol
+has an open end.  The search nests at most ``_MAX_DEPTH`` symbols deep; a
+False answer that rests on a branch the cap cut off raises
+CapExceededError instead of being returned.
 """
 
 from __future__ import annotations
@@ -27,40 +37,40 @@ class InstanceTooLargeError(ValueError):
 # Caps keeping the exhaustive searches tractable: search cost grows roughly
 # as ``vocab_size ** _MAX_TOTAL_TOKENS`` before pruning.
 _MAX_TOTAL_TOKENS = 8  # token budgets handed to the mask oracle
-_MAX_DEPTH = 80  # derivation expansion depth for membership
+_MAX_DEPTH = 80  # derivation nesting depth
 _MAX_VOCAB = 20
 _MAX_STATES = 64  # automaton states for the min-tokens oracle
+
+_OPEN = -1  # the open end: a derivation that runs past the subject's last byte
+
+
+def _productive_symbols(g: Grammar) -> frozenset[int]:
+    """Terminals, and the nonterminals that derive some terminal string."""
+    good: set[int] = set(range(g.n_terminals))
+    changed = True
+    while changed:
+        changed = False
+        for prod in g.productions:
+            sym = g.nt_symbol(prod.lhs)
+            if sym not in good and all(x in good for x in prod.rhs):
+                good.add(sym)
+                changed = True
+    return frozenset(good)
 
 
 class _DerivationOracle:
     """Memoized exhaustive derivation over one subject string."""
 
-    def __init__(self, g: Grammar, s: bytes, max_depth: int):
+    def __init__(self, g: Grammar, s: bytes, productive: frozenset[int]):
         self.g = g
         self.s = s
-        self.max_depth = max_depth
+        self.productive = productive
         self.match_memo: dict[tuple[int, int], frozenset[int]] = {}
-        self.viable_memo: dict[tuple[tuple[int, ...], int], bool] = {}
         self.cap_hit = False
         self._in_progress: set[tuple[int, int]] = set()
-        self._viable_in_progress: set[tuple[tuple[int, ...], int]] = set()
         self._prods_by_nt: list[list] = [[] for _ in range(g.n_nonterminals)]
         for prod in g.productions:
             self._prods_by_nt[prod.lhs].append(prod)
-        self.productive = self._productive_symbols()
-
-    def _productive_symbols(self) -> frozenset[int]:
-        g = self.g
-        good: set[int] = set(range(g.n_terminals))
-        changed = True
-        while changed:
-            changed = False
-            for prod in g.productions:
-                sym = g.nt_symbol(prod.lhs)
-                if sym not in good and all(x in good for x in prod.rhs):
-                    good.add(sym)
-                    changed = True
-        return frozenset(good)
 
     def _terminal_ends(self, tid: int, pos: int) -> frozenset[int]:
         dfa = self.g.terminals[tid].dfa
@@ -72,13 +82,14 @@ class _DerivationOracle:
         for e in range(pos, len(self.s)):
             q = trans[q, self.s[e]]
             if q == DEAD:
-                break
+                return frozenset(ends)
             if dfa.accepting[q]:
                 ends.append(e + 1)
-        return frozenset(ends)
+        return frozenset(ends + [_OPEN])
 
     def match(self, sym: int, pos: int, depth: int) -> frozenset[int]:
-        """End positions reachable by deriving ``sym`` over s[pos:]."""
+        """End positions reachable by deriving ``sym`` over s[pos:], and
+        ``_OPEN`` if the derivation can use up s[pos:] and go on."""
         g = self.g
         if g.is_terminal(sym):
             return self._terminal_ends(sym, pos)
@@ -93,10 +104,14 @@ class _DerivationOracle:
         ends: set[int] = set()
         for prod in self._prods_by_nt[g.nt_id(sym)]:
             positions = {pos}
-            for child in prod.rhs:
+            for i, child in enumerate(prod.rhs):
                 step: set[int] = set()
                 for p in sorted(positions):
                     step |= self.match(child, p, depth - 1)
+                if _OPEN in step:
+                    step.discard(_OPEN)
+                    if self.productive.issuperset(prod.rhs[i + 1:]):
+                        ends.add(_OPEN)
                 positions = step
                 if not positions:
                     break
@@ -105,68 +120,28 @@ class _DerivationOracle:
         self.match_memo[key] = frozenset(ends)
         return self.match_memo[key]
 
-    def member(self) -> bool:
-        start = self.g.nt_symbol(self.g.start)
-        return len(self.s) in self.match(start, 0, self.max_depth)
 
-    def _terminal_live_to_end(self, tid: int, pos: int) -> bool:
-        dfa = self.g.terminals[tid].dfa
-        return dfa.run(dfa.initial, self.s[pos:]) != DEAD
-
-    def viable_seq(self, seq: tuple[int, ...], pos: int, depth: int) -> bool:
-        """Can deriving ``seq`` consume all of s[pos:] as a prefix?"""
-        if pos == len(self.s):
-            return all(x in self.productive for x in seq)
-        if not seq:
-            return False
-        key = (seq, pos)
-        cached = self.viable_memo.get(key)
-        if cached is not None:
-            return cached
-        if depth <= 0 or key in self._viable_in_progress:
-            self.cap_hit = True
-            return False
-        self._viable_in_progress.add(key)
-        g = self.g
-        head, tail = seq[0], seq[1:]
-        result = False
-        if g.is_terminal(head):
-            if self._terminal_live_to_end(head, pos):
-                result = all(x in self.productive for x in tail)
-            if not result:
-                for end in sorted(self.match(head, pos, depth - 1)):
-                    if self.viable_seq(tail, end, depth - 1):
-                        result = True
-                        break
-        else:
-            for prod in self._prods_by_nt[g.nt_id(head)]:
-                if self.viable_seq(prod.rhs + tail, pos, depth - 1):
-                    result = True
-                    break
-        self._viable_in_progress.discard(key)
-        self.viable_memo[key] = result
-        return result
-
-    def viable_prefix(self) -> bool:
-        start = self.g.nt_symbol(self.g.start)
-        return self.viable_seq((start,), 0, self.max_depth)
+def _derive(g: Grammar, s: bytes, max_depth: int, productive: frozenset[int]) -> tuple[bool, bool, bool]:
+    """(member, viable prefix, cut) for ``s``: ``cut`` when the depth cap or
+    a left-recursive loop cut some branch, so that a False may be wrong."""
+    oracle = _DerivationOracle(g, s, productive)
+    ends = oracle.match(g.nt_symbol(g.start), 0, max_depth)
+    member = len(s) in ends
+    return member, member or _OPEN in ends, oracle.cap_hit
 
 
 def cfg_membership(g: Grammar, s: bytes, max_depth: int = _MAX_DEPTH) -> bool:
-    """Is ``s`` derivable from the start symbol within the depth cap?
+    """Is ``s`` derivable from the start symbol?
 
-    A True answer always has a witnessed derivation.  A False answer is
-    definitive only when no branch was cut off; otherwise CapExceededError
-    distinguishes "gave up" from "not a member".
+    True when the start symbol can end at ``len(s)`` in the derivation
+    search (module docstring), nesting at most ``max_depth`` deep; that
+    always witnesses a derivation.  When none is found and the cap or a
+    left-recursive loop cut a branch, CapExceededError is raised instead.
     """
-    oracle = _DerivationOracle(g, s, max_depth)
-    if oracle.member():
-        return True
-    if oracle.cap_hit:
-        raise CapExceededError(
-            f"membership of {s!r} undecided within derivation depth {max_depth}"
-        )
-    return False
+    member, _, cut = _derive(g, s, max_depth, _productive_symbols(g))
+    if cut and not member:
+        raise CapExceededError(f"membership of {s!r} undecided within derivation depth {max_depth}")
+    return member
 
 
 def _check_vocab_cap(vocab: Vocabulary) -> None:
@@ -177,46 +152,33 @@ def _check_vocab_cap(vocab: Vocabulary) -> None:
 class _CompletionSearch:
     """Exhaustive search for in-budget completions, memoized by byte string."""
 
-    def __init__(self, g: Grammar, vocab: Vocabulary, max_depth: int):
+    def __init__(self, g: Grammar, vocab: Vocabulary):
         self.g = g
-        self.vocab = vocab
-        self.max_depth = max_depth
-        self.member_memo: dict[bytes, bool] = {}
-        self.viable_memo: dict[bytes, bool] = {}
-        self.search_memo: dict[tuple[bytes, int], bool] = {}
+        self.productive = _productive_symbols(g)
+        self.derived: dict[bytes, tuple[bool, bool, bool]] = {}
+        self.search_memo: dict[tuple[bytes, int], bool | None] = {}
         self.content_tokens = [
             (t, vocab.tokens[t]) for t in range(vocab.size) if t != vocab.eos
         ]
 
-    def member(self, s: bytes) -> bool:
-        got = self.member_memo.get(s)
-        if got is None:
-            got = cfg_membership(self.g, s, self.max_depth)
-            self.member_memo[s] = got
-        return got
-
-    def viable(self, s: bytes) -> bool:
-        got = self.viable_memo.get(s)
-        if got is None:
-            got = _DerivationOracle(self.g, s, self.max_depth).viable_prefix()
-            self.viable_memo[s] = got
-        return got
-
-    def completable(self, s: bytes, budget: int) -> bool:
-        """Does some extension by at most ``budget`` tokens land in the language?"""
+    def completable(self, s: bytes, budget: int) -> bool | None:
+        """Does some extension by at most ``budget`` tokens land in the
+        language?  None when none was found but the depth cap cut a search."""
         key = (s, budget)
-        got = self.search_memo.get(key)
-        if got is not None:
-            return got
-        if self.member(s):
-            result = True
-        elif budget == 0 or not self.viable(s):
-            result = False
-        else:
-            result = any(
-                self.completable(s + tok, budget - 1)
-                for _, tok in self.content_tokens
-            )
+        if key in self.search_memo:
+            return self.search_memo[key]
+        if s not in self.derived:
+            self.derived[s] = _derive(self.g, s, _MAX_DEPTH, self.productive)
+        member, viable, cut = self.derived[s]
+        result = True if member else (None if cut else False)
+        if not member and viable and budget > 0:
+            for _, tok in self.content_tokens:
+                got = self.completable(s + tok, budget - 1)
+                if got:
+                    result = True
+                    break
+                if got is None:
+                    result = None
         self.search_memo[key] = result
         return result
 
@@ -226,22 +188,30 @@ def brute_force_mask(g: Grammar, vocab: Vocabulary, prefix_ids: list[int], n_max
 
     Token ``t`` is admitted iff some completion keeps the whole output within
     ``n_max`` tokens counting one end-of-sequence slot; eos is admitted iff
-    the prefix is already a member and the slot fits.
+    the prefix is already a member and the slot fits.  The search extends a
+    string only while it is a viable prefix: a member, or the start symbol
+    has an open end (module docstring).  A denial that rests on a string
+    whose derivation search the depth cap cut raises CapExceededError.
     """
     _check_vocab_cap(vocab)
     if n_max > _MAX_TOTAL_TOKENS:
         raise InstanceTooLargeError(f"budget {n_max} exceeds oracle cap {_MAX_TOTAL_TOKENS}")
     if any(i == vocab.eos for i in prefix_ids):
         raise ValueError("prefix must not contain eos")
-    search = _CompletionSearch(g, vocab, _MAX_DEPTH)
+    search = _CompletionSearch(g, vocab)
     s0 = vocab.decode(prefix_ids)
     consumed = len(prefix_ids)
-    bits = np.zeros(vocab.size, dtype=bool)
+    answers: dict[int, bool | None] = {}
     budget_after_candidate = n_max - 1 - (consumed + 1)
     if budget_after_candidate >= 0:
         for tid, tok in search.content_tokens:
-            bits[tid] = search.completable(s0 + tok, budget_after_candidate)
-    bits[vocab.eos] = consumed + 1 <= n_max and search.member(s0)
+            answers[tid] = search.completable(s0 + tok, budget_after_candidate)
+    if consumed + 1 <= n_max:
+        answers[vocab.eos] = search.completable(s0, 0)
+    if None in answers.values():
+        raise CapExceededError(f"mask after {s0!r} undecided within derivation depth {_MAX_DEPTH}")
+    bits = np.zeros(vocab.size, dtype=bool)
+    bits[list(answers)] = list(answers.values())
     return bits
 
 

@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 
 from boundedgen import bundled_json_grammar_path
-from boundedgen.cli import EXIT_GRAMMAR, EXIT_IO, EXIT_OK, main
+from boundedgen.cli import EXIT_GRAMMAR, EXIT_INCOMPLETE, EXIT_IO, EXIT_OK, main
 from boundedgen.costs import CACHE_MAGIC, build_cost_tables, load_cache, save_cache
-from boundedgen.evalharness import save_tasks
-from boundedgen.grammar import parse_grammar
+from boundedgen.evalharness import MODE_NONE, BudgetPolicy, evaluate, load_tasks, save_tasks
+from boundedgen.grammar import load_grammar, parse_grammar
+from boundedgen.models import model_from_spec
 from boundedgen.vocab import Vocabulary, load_vocabulary, save_vocabulary
 from tests.conftest import (
     EOS_4_VOCAB,
@@ -263,7 +264,7 @@ class TestGenerate:
 
     def test_stale_cache_rejected(self, workspace, tmp_path, capsys):
         edited = tmp_path / "edited.grammar"
-        original = open(workspace["grammar"], encoding="utf-8").read()
+        original = Path(workspace["grammar"]).read_text(encoding="utf-8")
         edited.write_text(original + "\n# edited\n")
         code = main(
             [
@@ -412,6 +413,27 @@ class TestGenerate:
         assert code == 1
         assert "complete=False" in captured.err
 
+    @pytest.mark.parametrize("text, want", [("true", EXIT_OK), ("[", EXIT_INCOMPLETE)])
+    def test_no_constraint_emits_the_raw_argmax(self, workspace, tmp_path, capsys, text, want):
+        # Without a mask the model's eos ends the output, complete or not.
+        vocab = load_vocabulary(workspace["vocab"])
+        script = tmp_path / "script.json"
+        steps = [{str(t): 0.9} for t in vocab.tokenize(text.encode())] + [{str(vocab.eos): 0.9}]
+        script.write_text(json.dumps({"steps": steps, "after": "uniform"}))
+        args = ["--grammar", workspace["grammar"], "--vocab", workspace["vocab"], "--cache", workspace["cache"]]
+        code = main(["generate", *args, "--model", f"scripted:{script}", "--no-constraint", "--budget", "6"])
+        captured = capsys.readouterr()
+        assert code == want
+        assert captured.out == text + "\n"
+        assert f"strategy=greedy tokens={len(steps)} budget=6 complete={want == EXIT_OK}" in captured.err
+
+    def test_no_constraint_refuses_a_search_strategy_exit_2(self, workspace, capsys):
+        args = ["--grammar", workspace["grammar"], "--vocab", workspace["vocab"], "--cache", workspace["cache"]]
+        code = main(["generate", *args, "--no-constraint", "--strategy", "beam:3", "--budget", "6"])
+        captured = capsys.readouterr()
+        assert code == EXIT_GRAMMAR and captured.out == ""
+        assert "error: unconstrained mode supports only the greedy strategy" in captured.err
+
 
 class TestMask:
     def test_fresh_mini_budget_denies_everything(self, workspace, capsys):
@@ -443,6 +465,16 @@ class TestMask:
         assert code == EXIT_OK
         assert "remainder: b'\"key'" in captured.out
         assert "ADMIT" in captured.out
+
+    def test_prefix_file_prints_what_prefix_prints(self, workspace, tmp_path, capsys):
+        prefix_file = tmp_path / "prefix.txt"
+        prefix_file.write_bytes(b'{"key": [1')
+        args = ["--grammar", workspace["grammar"], "--vocab", workspace["vocab"], "--cache", workspace["cache"]]
+        assert main(["mask", *args, "--prefix", '{"key": [1', "--budget", "12"]) == EXIT_OK
+        from_text = capsys.readouterr().out
+        assert main(["mask", *args, "--prefix-file", str(prefix_file), "--budget", "12"]) == EXIT_OK
+        assert capsys.readouterr().out == from_text
+        assert "ADMIT" in from_text
 
     def test_completed_prefix_admits_eos(self, workspace, capsys):
         code = main(
@@ -700,6 +732,29 @@ class TestEval:
         assert code == EXIT_OK
         first = json.loads(captured.out.splitlines()[0])
         assert first["complete"] is True
+
+    @pytest.mark.parametrize("strategies", [[], ["greedy", "greedy"]], ids=["default", "greedy-twice"])
+    def test_no_constraint_csv_is_evaluate_without_a_mask(self, workspace, capsys, strategies):
+        args = ["--grammar", workspace["grammar"], "--vocab", workspace["vocab"], "--cache", workspace["cache"]]
+        flags = [flag for spec in strategies for flag in ("--strategy", spec)]
+        code = main(["eval", *args, "--tasks", workspace["tasks"], "--no-constraint", *flags, "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        grammar, vocab = load_grammar(workspace["grammar"]), load_vocabulary(workspace["vocab"])
+        report = evaluate(
+            grammar, load_cache(workspace["cache"]), vocab, model_from_spec("uniform", vocab),
+            load_tasks(workspace["tasks"]), strategies or ["greedy"], [BudgetPolicy.ratio(1.1)], mode=MODE_NONE,
+        )
+        assert captured.out == report.to_csv()
+
+    def test_fixed_budget_labels_its_records(self, workspace, capsys):
+        args = ["--grammar", workspace["grammar"], "--vocab", workspace["vocab"], "--cache", workspace["cache"]]
+        code = main(["eval", *args, "--tasks", workspace["tasks"], "--budget", "9", "--format", "json-lines"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        records = [json.loads(line) for line in captured.out.splitlines()]
+        assert len(records) == len(load_tasks(workspace["tasks"]))
+        assert {(r["policy"], r["budget"]) for r in records} == {("budget=9", 9)}
 
     @pytest.mark.parametrize(
         "ratio, l_gt", [("1e308", None), ("1.1", 10**400)], ids=["ratio-overflow", "l_gt-overflow"]

@@ -63,6 +63,18 @@ class TestNewSession:
         with pytest.raises(BudgetError):
             MaskEngine(json_grammar, json_tables, json_vocab).new_session(0)
 
+    @pytest.mark.parametrize("budget", [12.5, 4.0, True, "8"])
+    def test_budget_that_is_not_an_integer_rejected(self, paren_engine, budget):
+        # A fractional budget would let admitted walks run to its ceiling.
+        with pytest.raises(BudgetError, match="budget must be an integer"):
+            paren_engine.new_session(budget)
+        with pytest.raises(BudgetError, match="budget must be an integer"):
+            paren_engine.replay([], budget)
+
+    def test_numpy_integer_budget_accepted(self, paren_engine):
+        assert paren_engine.new_session(np.int64(4)).budget == 4
+        assert paren_engine.replay([0], np.int32(3)).consumed == 1
+
     def test_infeasible_budget_rejected_at_creation(self, paren_engine):
         # Minimum output is one content token plus eos, so budget 1 cannot work.
         with pytest.raises(BudgetError):

@@ -85,6 +85,11 @@ class TestBudgetPolicy:
         with pytest.raises(ValueError):
             BudgetPolicy.fixed(0)
 
+    @pytest.mark.parametrize("make", [BudgetPolicy.fixed, BudgetPolicy.ratio])
+    def test_bool_refused(self, make):
+        with pytest.raises(ValueError, match="must be a number, got True"):
+            make(True)
+
     @pytest.mark.parametrize("ratio, l_gt", [(1e308, 5), (1.0, 10**400), (1.1, 10**400)])
     def test_overflowing_budget_is_a_value_error(self, ratio, l_gt):
         with pytest.raises(ValueError, match="overflows a float"):

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from boundedgen.costs import build_cost_tables
 from boundedgen.dfa import INF, compile_regex, dfa_concat
+from boundedgen.engine import MaskEngine
 from boundedgen.grammar import parse_grammar
 from boundedgen.oracle import (
     CapExceededError,
@@ -94,6 +96,36 @@ class TestBruteForceMask:
     def test_eos_in_prefix_rejected(self, paren_grammar, paren_vocab):
         with pytest.raises(ValueError):
             brute_force_mask(paren_grammar, paren_vocab, [paren_vocab.eos], 4)
+
+    def test_open_end_needs_a_productive_rest(self):
+        # U derives no terminal string, so no text that starts with x is a
+        # viable prefix: x is denied at once, not searched out to the cap.
+        grammar = parse_grammar("S: X U | Y ; U: X U ; X: /x/ ; Y: /y/ ;")
+        vocab = Vocabulary([b"x" * 20, b"y"], eos=2)
+        assert brute_force_mask(grammar, vocab, [], 8).tolist() == [False, True, False]
+
+    @pytest.mark.parametrize("width", [1, 10, 20, 30])
+    def test_long_repetitions_equal_the_engine_or_raise(self, width):
+        # Every byte of x nests S one level deeper, so the derivation search
+        # reaches its 80-deep cap only on strings of 80 or more x: at every
+        # admitted prefix the oracle equals the engine's mask, or raises
+        # where the cap leaves a denial undecided; it never denies silently.
+        grammar = parse_grammar("S: X S | Y ; X: /x/ ; Y: /y/ ;")
+        vocab = Vocabulary([b"x" * width, b"y"], eos=2)
+        engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
+        outcomes = []
+        for budget in range(2, 9):
+            prefixes: list[list[int]] = [[]]
+            while prefixes:
+                prefix = prefixes.pop()
+                mask = engine.compute_mask(engine.replay(prefix, budget))
+                try:
+                    outcomes.append(brute_force_mask(grammar, vocab, prefix, budget).tolist() == mask.tolist())
+                except CapExceededError:
+                    outcomes.append(None)
+                prefixes += [prefix + [t] for t in np.flatnonzero(mask[: vocab.eos]).tolist()]
+        assert False not in outcomes
+        assert (None in outcomes) == (width >= 20)
 
 
 class TestBruteForceMinTokens:
