@@ -54,7 +54,8 @@ symbol, the cell below, and the summed completion cost and depth of
 everything down to the bottom, so forks share cells and the cost of the
 rest of the stack, 0 exactly when it may end there, is read off one cell.
 ``k`` feeds touch only the cells down to the ``k``-th symbol that no
-terminal pops, a window the top cell keeps once found; ``need`` is memoized
+terminal pops, a window the top cell keeps once found for every ``k`` asked,
+as it keeps the completion bit (``Stack``); ``need`` is memoized
 on the configuration, those symbols and the cost below them, so a mask step
 costs time in that window and the table row, not in the nesting depth or
 the length of an uncommitted lexeme.  A miss builds no cell: each row
@@ -73,15 +74,16 @@ state seen once, or asked only about single tokens, holds nothing that
 grows with the vocabulary.  Whether the mask is empty is read off that
 least need and the completion bit, without a pass over the mask.
 
-A step that commits terminals looks up (stack, terminals) in the engine's
-commit memo first and calls ``_commit`` only on a miss, so equal states
-reached by different paths share one chain of cells: ``==`` on their stacks
-stops at the first cell, the window a cell keeps serves every state on it,
+A step that commits terminals looks up the stack's stored hash and the
+terminals in the engine's commit memo first, and takes the successor kept
+there only when the stack kept with it is the same cell or an equal one, so
+a hash collision is a miss; only a miss calls ``_commit``.  Equal states
+reached by different paths so share one chain of cells: ``==`` on their
+stacks stops at the first cell, what a cell keeps serves every state on it,
 and the need memo's key is read off shared cells.  The memo holds at most
-``_COMMIT_MEMO_SIZE`` commits, each keeping its successor's cells alive,
-and is emptied when full, as the need memo is; a commit that fails to parse
-stores nothing.  A successor never holds the cell its commit pops, so no
-entry keeps its own key alive through its value.
+``_COMMIT_MEMO_SIZE`` commits, each keeping its stack's and its successor's
+cells alive, and is emptied when full, as the need memo is; a commit that
+fails to parse stores nothing.
 """
 
 from __future__ import annotations
@@ -174,18 +176,20 @@ class Stack:
     nullable nonterminal, since a terminal costs at least 1 and D is 0
     exactly for those; ``depth``, the number of symbols, which ``len``
     returns; and ``floor``, the nearest cell at or below whose symbol no
-    terminal pops, where every feed stops (the empty stack if none).
+    terminal pops, where every feed stops (the empty stack if none).  It
+    keeps what ``MaskEngine`` found about it: ``window`` and ``complete``.
     ``==`` compares symbols and ``hash`` is structural; neither recurses.
     Iterating yields the symbols bottom first.  A :class:`MaskEngine` builds the cells, since
     it knows the costs; :data:`EMPTY_STACK` is the bottom of every chain.
     """
 
-    __slots__ = ("symbol", "below", "cost", "depth", "floor", "_hash", "window")
+    __slots__ = ("symbol", "below", "cost", "depth", "floor", "_hash", "window", "complete")
 
     def __init__(self, symbol: int, below: "Stack | None", cost: int, popped: bool):
         self.symbol = symbol
         self.below = below
-        self.window = None  # the last (floors, symbols, below) ``MaskEngine._window`` found
+        self.window = None  # per floor count from 1, the (symbols, below) ``MaskEngine._window`` found
+        self.complete = -1  # the last final terminal ``MaskEngine.is_complete`` walked, << 1 | its answer
         if below is None:  # the empty stack
             self.cost, self.depth, self.floor = 0, 0, self
             self._hash = hash(())
@@ -367,7 +371,7 @@ class MaskEngine:
             any(self._symbol_memo[sym, t] is _DERIVES_EMPTY for t in terminals) for sym in symbols
         ]
         self._need_memo: dict[tuple, tuple] = {}  # see ``_entry``
-        self._commit_memo: dict[tuple[Stack, tuple[int, ...]], Stack] = {}  # (stack, terminals) -> ``_commit``
+        self._commit_memo: dict[tuple[int, tuple], tuple[Stack, Stack]] = {}  # (hash, terminals) -> (stack, commit)
         # The rows past their accept, whose tail the table does not know.
         untailed = np.array([not tail for tail in steps.tails], dtype=bool)
         self._unknown = (steps.accepts >= 0) & (label[steps.states] < 0) & untailed
@@ -457,21 +461,21 @@ class MaskEngine:
         A feed pops only symbols that derive the empty string under its
         terminal, so it stops at the first symbol that no terminal pops; each
         further feed, at the next such symbol below.  The window runs down to
-        the ``floors``-th such symbol; the cell keeps the last one found.
+        the ``floors``-th such symbol.  The cell keeps the window of every
+        floor count up to the most asked, for rows of any depth.
         """
-        if stack.window is not None and stack.window[0] == floors:
-            return stack.window[1]
-        below = stack
-        for _ in range(floors):
-            floor = below.floor
-            below = floor.below if floor.depth else floor
-        symbols = []
-        cell = stack
-        while cell is not below:
-            symbols.append(cell.symbol)
-            cell = cell.below
-        stack.window = (floors, (tuple(symbols), below))
-        return stack.window[1]
+        windows = stack.window
+        if windows is None or len(windows) < floors:
+            windows, symbols, cell = [], [], stack
+            for _ in range(floors):
+                floor = cell.floor
+                below = floor.below if floor.depth else floor
+                while cell is not below:
+                    symbols.append(cell.symbol)
+                    cell = cell.below
+                windows.append((tuple(symbols), below))
+            stack.window = windows = tuple(windows)
+        return windows[floors - 1] if floors else ((), stack)
 
     def accept_sequences(self, stack: Stack) -> tuple[AcceptSequence, ...]:
         """Every (a) and (a, b) the parser accepts from ``stack``."""
@@ -585,20 +589,30 @@ class MaskEngine:
             self._finishes[key] = ways
         return ways
 
+    def _codes(self, config: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row ``config``'s entries coded as move * configurations + successor, and
+        which codes occur: a group per code, numbered in code order without a sort."""
+        steps, n = self.tables.steps, len(self._configurations)
+        a, b = steps.indptr[config], steps.indptr[config + 1]
+        code = steps.moves[a:b].astype(np.int64) * n + steps.succs[a:b]
+        occurs = np.zeros(len(steps.commits) * n, dtype=bool)
+        occurs[code] = True
+        return code, occurs
+
     def _completions(self) -> tuple[np.ndarray, list[list[tuple[tuple[int, int], int]]]]:
         """Per configuration of the table, C and the bridges: shortest paths
-        over the rows' distinct edges, each successor read as the row that
+        over the edges of the rows' groups, each successor read as the row that
         prices it.  C of b, the fewest tokens that finish the pending lexeme
         as b, is 0 where the lexer state is labelled b, 1 over an edge that
         commits exactly (b) and leaves nothing pending, else 1 more than at
         the successor of an edge that commits nothing; a configuration with
         a tail reads its row's.  The bridges are the pairs (a, b) that one
         token may cross for fewer tokens than a and then b apart."""
-        steps, n_t = self.tables.steps, self.grammar.n_terminals
-        n, m = len(steps.tails), len(steps.commits)
-        starts = np.repeat(np.arange(n, dtype=np.int64), np.diff(steps.indptr))
-        edges = np.unique((starts * m + steps.moves) * n + self._alias[steps.succs])
-        source, move, target = edges // (m * n), edges // n % m, edges % n
+        steps, n_t, n = self.tables.steps, self.grammar.n_terminals, len(self._configurations)
+        rows = [(s, np.flatnonzero(self._codes(s)[1])) for s, tail in enumerate(steps.tails) if not tail]
+        source = np.concatenate([np.full(len(keys), s) for s, keys in rows])
+        keys = np.concatenate([keys for _, keys in rows])
+        move, target = keys // n, self._alias[keys % n]
         commits = [steps.commits[k][0] for k in move.tolist()]
         free = move == 0
         def relax(cost: np.ndarray) -> np.ndarray:  # edges that commit nothing, one more at a time
@@ -632,13 +646,13 @@ class MaskEngine:
         successors read as the rows that price them; built with the engine."""
         steps, n = self.tables.steps, len(self._configurations)
         a, b = steps.indptr[config], steps.indptr[config + 1]
-        ids, succs, moves = steps.ids[a:b], steps.succs[a:b], steps.moves[a:b]
+        ids, succs = steps.ids[a:b], steps.succs[a:b]
         row = _Row()
-        groups, of = np.unique(moves.astype(np.int64) * n + succs, return_inverse=True)
+        code, occurs = self._codes(config)
         row.index = np.full(self.vocab.size, -1, dtype=np.int32)
-        row.index[ids] = of
+        row.index[ids] = (np.cumsum(occurs) - 1)[code]
         row.steps, row.group, row.terms, row.cost, row.span = [], [], [], [], [0]
-        for g, (move, succ) in enumerate(divmod(key, n) for key in groups.tolist()):
+        for g, (move, succ) in enumerate(divmod(key, n) for key in np.flatnonzero(occurs).tolist()):
             _, accept, tail = self._configurations[succ]
             accept = _KEPT if self._unknown[succ] else (len(tail), accept) if accept >= 0 else None
             row.steps.append((*steps.commits[move], int(self._alias[succ]), accept))
@@ -702,8 +716,8 @@ class MaskEngine:
 
         A row not past its accept fixes what lexing to the end of input
         commits (``_Row.final``); fed to the state's own stack, the output
-        is complete when what is left costs nothing.  Past an accept, the
-        state ``_relexed`` leaves is complete or not in its place.
+        is complete when what is left costs nothing, which the top cell
+        keeps.  Past an accept, the state ``_relexed`` leaves decides.
         """
         row = self._rows[state.config]
         while row.relex is not None:
@@ -715,7 +729,10 @@ class MaskEngine:
             return False
         if not row.final:
             return state.stack.cost == 0
-        return self._price(self._walk(state.stack, (), row.final[0])) == 0
+        stack, final = state.stack, row.final[0]
+        if stack.complete >> 1 != final:
+            stack.complete = final << 1 | (self._price(self._walk(stack, (), final)) == 0)
+        return stack.complete & 1 == 1
 
     def text_is_complete(self, data: bytes) -> bool:
         """Would ``data`` as a whole be a grammatically complete output?"""
@@ -868,7 +885,10 @@ class MaskEngine:
         its need is under ``_limit``, and end-of-sequence when the output is
         complete.  Whether it admits nothing is read off the least need and
         the completion bit, without a pass over the mask."""
-        limit = self._limit(state)
+        return self._mask(state, self._limit(state))
+
+    def _mask(self, state: EngineState, limit: int) -> np.ndarray:
+        """``compute_mask`` under ``limit``: one read of the whole entry."""
         need, least, _ = self._need(state)
         complete = self.is_complete(state)
         bits = need < limit
@@ -988,8 +1008,9 @@ class MaskEngine:
             raise wrong_length(len(probs), self.vocab.size)
         token = int(probs.argmax())
         self._check_token(state, token)
-        if not self._admitted(state, token, self._limit(state)):
-            token = int(np.where(self.compute_mask(state), probs, -np.inf).argmax())
+        limit = self._limit(state)
+        if not self._admitted(state, token, limit):
+            token = int(np.where(self._mask(state, limit), probs, -np.inf).argmax())
         return token, self._step(state, token)
 
     def replay(self, token_ids, budget: int) -> EngineState:
@@ -1038,13 +1059,16 @@ class MaskEngine:
             return self._step(relexed, token)
         terminals, keep, config, accept = row.steps[group]
         if terminals:
-            memo, key = self._commit_memo, (state.stack, terminals)
-            stack = memo.get(key)
-            if stack is None:
-                stack = self._commit(state.stack, terminals)
+            memo, stack, key = self._commit_memo, state.stack, (state.stack._hash, terminals)
+            kept = memo.get(key)
+            if kept is not None and (kept[0] is stack or kept[0] == stack):  # else a miss, or a collision
+                stack = kept[1]
+            else:
+                after = self._commit(stack, terminals)
                 if len(memo) >= _COMMIT_MEMO_SIZE:
                     memo.clear()
-                memo[key] = stack
+                memo[key] = (stack, after)
+                stack = after
             remainder = (state.remainder[-keep:] + data)[-keep:] if keep else b""
         else:
             stack, remainder = state.stack, state.remainder + data

@@ -12,7 +12,8 @@ an open end: it uses up the rest of the subject and can still go on (a
 terminal whose minimal automaton is live after the last byte, followed only
 by productive symbols).  A string is a member when the start symbol can end
 at its length, and a viable prefix when it is a member or the start symbol
-has an open end.  The search nests at most ``_MAX_DEPTH`` symbols deep; a
+has an open end.  Left-recursive and unit loops grow the end sets to a
+least fixpoint.  The search nests at most ``_MAX_DEPTH`` symbols deep; a
 False answer that rests on a branch the cap cut off raises
 CapExceededError instead of being returned.
 """
@@ -59,15 +60,17 @@ def _productive_symbols(g: Grammar) -> frozenset[int]:
 
 
 class _DerivationOracle:
-    """Memoized exhaustive derivation over one subject string."""
+    """Memoized exhaustive derivation over one subject string: ``ends``
+    holds per (symbol, position) the ends found so far, grown by passes of
+    ``match`` to the least fixpoint (see ``solve``)."""
 
     def __init__(self, g: Grammar, s: bytes, productive: frozenset[int]):
         self.g = g
         self.s = s
         self.productive = productive
-        self.match_memo: dict[tuple[int, int], frozenset[int]] = {}
-        self.cap_hit = False
-        self._in_progress: set[tuple[int, int]] = set()
+        self.ends: dict[tuple[int, int], frozenset[int]] = {}
+        self.cap_hit = self.changed = self.looped = False
+        self._pass: dict[tuple[int, int], bool] = {}  # derived this pass: True while in progress
         self._prods_by_nt: list[list] = [[] for _ in range(g.n_nonterminals)]
         for prod in g.productions:
             self._prods_by_nt[prod.lhs].append(prod)
@@ -94,13 +97,12 @@ class _DerivationOracle:
         if g.is_terminal(sym):
             return self._terminal_ends(sym, pos)
         key = (sym, pos)
-        cached = self.match_memo.get(key)
-        if cached is not None:
-            return cached
-        if depth <= 0 or key in self._in_progress:
-            self.cap_hit = True
-            return frozenset()
-        self._in_progress.add(key)
+        found = self.ends.get(key, frozenset())
+        if key in self._pass or depth <= 0:
+            self.looped |= self._pass.get(key, False)  # a left-recursive or unit loop
+            self.cap_hit |= key not in self._pass
+            return found
+        self._pass[key] = True
         ends: set[int] = set()
         for prod in self._prods_by_nt[g.nt_id(sym)]:
             positions = {pos}
@@ -116,16 +118,28 @@ class _DerivationOracle:
                 if not positions:
                     break
             ends |= positions
-        self._in_progress.discard(key)
-        self.match_memo[key] = frozenset(ends)
-        return self.match_memo[key]
+        self._pass[key] = False
+        if not ends <= found:
+            self.changed = True
+            self.ends[key] = found = found | ends
+        return found
+
+    def solve(self, sym: int, depth: int) -> frozenset[int]:
+        """``match`` from position 0, pass after pass until one grows no end
+        set or re-enters no loop; ``cap_hit`` is the last pass's."""
+        while True:
+            self._pass.clear()
+            self.cap_hit = self.changed = self.looped = False
+            ends = self.match(sym, 0, depth)
+            if not (self.looped and self.changed):
+                return ends
 
 
 def _derive(g: Grammar, s: bytes, max_depth: int, productive: frozenset[int]) -> tuple[bool, bool, bool]:
-    """(member, viable prefix, cut) for ``s``: ``cut`` when the depth cap or
-    a left-recursive loop cut some branch, so that a False may be wrong."""
+    """(member, viable prefix, cut) for ``s``: ``cut`` when the depth cap
+    cut some branch, so that a False may be wrong."""
     oracle = _DerivationOracle(g, s, productive)
-    ends = oracle.match(g.nt_symbol(g.start), 0, max_depth)
+    ends = oracle.solve(g.nt_symbol(g.start), max_depth)
     member = len(s) in ends
     return member, member or _OPEN in ends, oracle.cap_hit
 
@@ -135,8 +149,8 @@ def cfg_membership(g: Grammar, s: bytes, max_depth: int = _MAX_DEPTH) -> bool:
 
     True when the start symbol can end at ``len(s)`` in the derivation
     search (module docstring), nesting at most ``max_depth`` deep; that
-    always witnesses a derivation.  When none is found and the cap or a
-    left-recursive loop cut a branch, CapExceededError is raised instead.
+    always witnesses a derivation.  When none is found and the cap cut a
+    branch, CapExceededError is raised instead.
     """
     member, _, cut = _derive(g, s, max_depth, _productive_symbols(g))
     if cut and not member:

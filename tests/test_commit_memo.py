@@ -1,11 +1,14 @@
 """The commit memo: a step taken before is one lookup.
 
-``MaskEngine._step`` looks up (stack, terminals) before it feeds a group's
-committed terminals, and stores what ``_commit`` builds on a miss, so equal
-states reached by different paths share one chain of cells.  The memo is
-bounded by ``_COMMIT_MEMO_SIZE`` and emptied when full, and a commit that
-fails to parse stores nothing.  Each memoized successor must equal a cold
-``_commit``, which consults no memo and builds fresh cells.
+``MaskEngine._step`` looks up the stack's stored hash and the terminals
+before it feeds a group's committed terminals, takes the kept successor
+only when the stack kept with it is the same or an equal one, and stores the
+stack and what ``_commit`` builds on a miss, so equal states reached by
+different paths share one chain of cells.  The memo is bounded by
+``_COMMIT_MEMO_SIZE`` and emptied when full, and a commit that fails to
+parse stores nothing.  Each memoized successor must equal a cold
+``_commit``, which consults no memo and builds fresh cells, and a stack
+whose hash collides with a kept one never receives that one's successor.
 """
 
 from __future__ import annotations
@@ -30,15 +33,21 @@ def engines():
 
 
 def commit_key(engine: MaskEngine, state, token: int):
-    """The memo key of ``token``'s step from ``state``, or None when the
-    step commits nothing; a token the row leaves out past a pending accept
-    steps from the state ``_relexed`` leaves."""
+    """The (stack, terminals) ``token``'s step from ``state`` commits, or
+    None when the step commits nothing; a token the row leaves out past a
+    pending accept steps from the state ``_relexed`` leaves."""
     row = engine._rows[state.config]
     group = row.index.item(token)
     if group < 0:
         return commit_key(engine, engine._relexed(state)[0], token)
     terminals = row.steps[group][0]
     return (state.stack, terminals) if terminals else None
+
+
+def memo_key(commit) -> tuple:
+    """The commit memo's key of a (stack, terminals) commit."""
+    stack, terminals = commit
+    return stack._hash, terminals
 
 
 def admitted_walk(engine: MaskEngine, rng: random.Random, steps: int = 40):
@@ -74,10 +83,11 @@ def same_stack(got, want) -> bool:
 def test_memoized_successor_equals_a_cold_commit(engines, name, seed):
     engine = engines[name]
     for state, token, after in admitted_walk(engine, random.Random(seed)):
-        key = commit_key(engine, state, token)
-        if key is not None:
-            assert engine._commit_memo[key] is after.stack, (name, seed)
-            assert same_stack(after.stack, engine._commit(*key)), (name, seed)
+        commit = commit_key(engine, state, token)
+        if commit is not None:
+            stack, successor = engine._commit_memo[memo_key(commit)]
+            assert stack == commit[0] and successor is after.stack, (name, seed)
+            assert same_stack(after.stack, engine._commit(*commit)), (name, seed)
 
 
 @pytest.mark.parametrize("name", sorted(SETUPS))
@@ -129,8 +139,37 @@ def test_a_failed_commit_raises_the_same_error_and_stores_nothing():
         engine.replay(tokens, 10)
     kept = dict(memo)
     failing = commit_key(engine, engine.replay(tokens[:-1], 10), tokens[-1])
-    assert kept and failing is not None and failing not in memo
+    assert kept and failing is not None and memo_key(failing) not in memo
     with pytest.raises(ParseError) as warm:
         engine.replay(tokens, 10)
     assert str(warm.value) == str(cold.value)
     assert memo.keys() == kept.keys() and all(memo[key] is cell for key, cell in kept.items())
+
+
+@pytest.mark.parametrize("name", ["json", "paren"])  # kv and kw commit each terminal from one stack
+def test_a_colliding_hash_never_receives_the_kept_successor(name):
+    # Two steps that commit the same terminals from different stacks: the
+    # second stack, forced to the first one's hash, finds the first one's
+    # entry under its key, and must step as a cold commit does, to cells of
+    # its own; the entry is then the second stack's.
+    engine = engine_for(name)
+    seen, pair = {}, None
+    for seed in range(40):
+        for state, token, after in admitted_walk(engine, random.Random(seed)):
+            commit = commit_key(engine, state, token)
+            if commit is not None and engine._rows[state.config].index[token] >= 0:
+                first = seen.setdefault(commit[1], (state, token, after))
+                if first[0].stack != state.stack:
+                    pair = first, (state, token)
+        if pair:
+            break
+    assert pair, name
+    (first, first_token, first_after), (state, token) = pair
+    commit = commit_key(engine, state, token)
+    cold = engine._commit(*commit)
+    engine._step(first, first_token)  # the first stack's entry, whatever the walks left
+    state.stack._hash = first.stack._hash
+    assert engine._commit_memo[memo_key(commit)][0] is first.stack
+    got = engine._step(state, token).stack
+    assert got is not first_after.stack and same_stack(got, cold), name
+    assert engine._commit_memo[memo_key(commit)][0] is state.stack

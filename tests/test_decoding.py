@@ -495,10 +495,11 @@ class TestMcts:
         # rollout's distributions, and the state its step reached, so over
         # one search the model sees each generated prefix exactly once.  A
         # rollout step, the first one included, is one ``advance_greedy``
-        # call right after the model scored its prefix, which builds the
-        # mask once inside the call when the engine denies the argmax; the
-        # only other masks are those of nodes when they open.  The output
-        # is the reference search's.
+        # call right after the model scored its prefix, which reads the
+        # whole mask once inside the call when the engine denies the argmax;
+        # the only other whole reads are the masks of nodes when they open.
+        # Every whole read, ``compute_mask``'s included, is one ``_mask``
+        # call.  The output is the reference search's.
         from tests.test_decoding_reference import mcts_decode as reference_mcts_decode
 
         events, nodes = [], []
@@ -520,10 +521,10 @@ class TestMcts:
                 events.append(("open", self, None))
                 super()._open()
 
-        compute_mask, advance_greedy = json_engine.compute_mask, json_engine.advance_greedy
+        whole_mask, advance_greedy = json_engine._mask, json_engine.advance_greedy
 
-        def counting_mask(state):
-            mask = compute_mask(state)
+        def counting_mask(state, limit):
+            mask = whole_mask(state, limit)
             events.append(("mask", state, mask))
             return mask
 
@@ -532,7 +533,7 @@ class TestMcts:
             events.append(("greedy", state, (probs, token, following)))
             return token, following
 
-        monkeypatch.setattr(json_engine, "compute_mask", counting_mask)
+        monkeypatch.setattr(json_engine, "_mask", counting_mask)
         monkeypatch.setattr(json_engine, "advance_greedy", counting_greedy)
         monkeypatch.setattr(decoding, "_SearchNode", Recording)
         config = MctsConfig(trials=20)
@@ -573,8 +574,9 @@ class TestMcts:
         # mask for the nodes it never selects.  Each such state is read by
         # exactly one rollout step: the first of the node's own rollout, or,
         # for a node taken from its parent's rollout, the step after the one
-        # whose successor it holds.  That ``advance_greedy`` builds the only
-        # mask on the state, when the engine denies the model's argmax there.
+        # whose successor it holds.  That ``advance_greedy`` reads the only
+        # whole mask on the state (a ``_mask`` call, as every whole read
+        # is), when the engine denies the model's argmax there.
         nodes, masked, denied = [], [], []
 
         class Recording(decoding._SearchNode):
@@ -584,7 +586,7 @@ class TestMcts:
                 super().__init__(*args, **kwargs)
                 nodes.append(self)
 
-        compute_mask, advance_greedy = json_engine.compute_mask, json_engine.advance_greedy
+        whole_mask, advance_greedy = json_engine._mask, json_engine.advance_greedy
 
         def counting_greedy(state, probs):
             token, following = advance_greedy(state, probs)
@@ -593,7 +595,7 @@ class TestMcts:
             return token, following
 
         monkeypatch.setattr(
-            json_engine, "compute_mask", lambda state: masked.append(state) or compute_mask(state)
+            json_engine, "_mask", lambda state, limit: masked.append(state) or whole_mask(state, limit)
         )
         monkeypatch.setattr(json_engine, "advance_greedy", counting_greedy)
         monkeypatch.setattr(decoding, "_SearchNode", Recording)

@@ -219,7 +219,8 @@ def test_a_cold_token_read_walks_only_its_groups_plan_nodes(engines, monkeypatch
     # On a key no read has made an entry for, one token's need walks each
     # plan node its group's candidates need once, where the parent prefix
     # parses, and no other; a whole mask walks every node whose parent
-    # parses once, plus the row's final terminal for the completion bit.
+    # parses once, plus the row's final terminal for the completion bit
+    # where the stack's top cell does not keep it yet.
     for name, engine in engines.items():
         walks = []
         walk = engine._walk
@@ -241,8 +242,11 @@ def test_a_cold_token_read_walks_only_its_groups_plan_nodes(engines, monkeypatch
                 engine._need(state, token)
                 assert len(walks) == len(needed & live), (name, g)
                 narrower += len(walks) < len(live)
-            engine._need_memo.clear()
-            del walks[:]
-            engine.compute_mask(state)
-            assert len(walks) == len(live) + bool(row.final), name
+            for kept in (False, True):
+                engine._need_memo.clear()
+                if not kept:
+                    state.stack.complete = -1
+                del walks[:]
+                engine.compute_mask(state)
+                assert len(walks) == len(live) + (bool(row.final) and not kept), name
         assert narrower, name

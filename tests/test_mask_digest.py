@@ -13,7 +13,8 @@ the row is built, and a stack cell's cost, 0 exactly when the stack may
 end there; that the one-token queries, ``admits`` and ``advance``
 without a mask, answer what the mask answers, on a warm engine and on one
 whose need memo holds no entry for the state; and that the completion bit
-equals a fresh scan of the whole output.
+equals a fresh scan of the whole output, and a cold walk whatever a stack
+cell keeps.
 """
 
 from __future__ import annotations
@@ -312,8 +313,10 @@ def test_advance_greedy_equals_the_retry_rule(setups, mode):
     # the equal state, on an engine whose need memo holds no entry for the
     # state (emptied before each call), on one whose earlier calls on the
     # state left partial and whole entries, and on the walk's own engine,
-    # warm from its masks.  States the mask refuses, finished, out of
-    # budget or with nothing admitted, raise what ``advance`` raises on the
+    # warm from its masks.  Where the argmax is denied, that is the argmax
+    # of ``probs`` under ``compute_mask``.  States the mask refuses,
+    # finished, out of budget or with nothing admitted, raise what
+    # ``compute_mask`` raises, which is what ``advance`` raises on the
     # argmax, in its order.  A distribution longer than the vocabulary raises
     # ValueError before any of them.
     refused, past_accept, denied, eos = set(), 0, 0, set()
@@ -337,7 +340,7 @@ def test_advance_greedy_equals_the_retry_rule(setups, mode):
                 old = greedy_answer(greedy_by_retry, reference, state, probs)
                 argmax = int(probs.argmax())
                 if want is not None:
-                    assert old is error_class(lambda: reference.advance(state, argmax)), (name, argmax)
+                    assert old is want is error_class(lambda: reference.advance(state, argmax)), (name, argmax)
                 else:
                     denied += not mask[argmax]
                     if argmax == vocab.eos:
@@ -386,3 +389,45 @@ def test_the_two_completion_checks_agree_along_walks(setups, mode):
                 ids.append(rng.choice(np.flatnonzero(mask).tolist()))
                 state = engine.advance(state, ids[-1])
     assert seen == {True, False} and past_accept == {True, False}
+
+
+def cold_complete(engine, state) -> bool:
+    """``is_complete`` without reading what a cell keeps: the row's final
+    lexing fed to the stack by ``_walk`` and priced, through the state that
+    relexing leaves past a pending accept."""
+    row = engine._rows[state.config]
+    while row.relex is not None:
+        state = engine._relexed(state)[0]
+        if state is None:
+            return False
+        row = engine._rows[state.config]
+    if row.final is None:
+        return False
+    if not row.final:
+        return state.stack.cost == 0
+    return engine._price(engine._walk(state.stack, (), row.final[0])) == 0
+
+
+def test_the_kept_completion_bit_equals_a_cold_walk(setups):
+    # ``is_complete`` keeps its answer for the row's final terminal on the
+    # stack cell it walked.  On every state of admitted walks it answers what
+    # a cold walk does: on a fresh engine, and on the same engine walking the
+    # same walks again, whose commits hand back the cells that keep answers.
+    # A cell asked in turn under two final terminals answers each.
+    switched = read = 0
+    for name, (grammar, vocab, walks) in setups.items():
+        engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
+        for warm in (False, True):
+            finals = {}
+            for state in admitted_walk_states(engine, walks // 5, seed=5):
+                row = engine._rows[state.config]
+                if row.relex is None and row.final:
+                    finals.setdefault(id(state.stack), {})[row.final[0]] = state
+                    read += warm and state.stack.complete >> 1 == row.final[0]
+                assert engine.is_complete(state) == cold_complete(engine, state), (name, warm)
+        for by_final in finals.values():
+            if len(by_final) > 1:
+                switched += 1
+                for state in [*by_final.values()] * 2:
+                    assert engine.is_complete(state) == cold_complete(engine, state), name
+    assert switched and read

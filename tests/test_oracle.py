@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,16 @@ from boundedgen.oracle import (
     cfg_membership,
 )
 from boundedgen.vocab import Vocabulary
+
+
+def balanced(s: bytes) -> bool:
+    """Whether the parentheses of ``s`` balance."""
+    depth = 0
+    for c in s:
+        depth += 1 if c == ord("(") else -1
+        if depth < 0:
+            return False
+    return depth == 0
 
 
 class TestMembership:
@@ -55,6 +68,36 @@ class TestMembership:
             except ValueError:
                 want = False
             assert cfg_membership(json_grammar, text) is want, text
+
+    @pytest.mark.parametrize(
+        "text,alphabet,member",
+        [
+            ("S: S X | X ; X: /x/ ;", b"xy", lambda s: re.fullmatch(rb"x+", s)),
+            ("S: T | X ; T: S ; X: /x/ ;", b"xy", lambda s: s == b"x"),
+            ("S: A X | X ; A: S Y ; X: /x/ ; Y: /y/ ;", b"xy", lambda s: re.fullmatch(rb"x(yx)*", s)),
+            ("S: S P | ε ; P: L S R ; L: /\\(/ ; R: /\\)/ ;", b"()", balanced),
+            ("S: T | ε ; T: T S X | S ; X: /x/ ;", b"xy", lambda s: re.fullmatch(rb"x*", s)),
+        ],
+    )
+    def test_loops_decide_languages_known_by_hand(self, text, alphabet, member):
+        # Left-recursive, indirectly left-recursive and unit loops: a
+        # (symbol, position) re-entered while in progress grows to the least
+        # fixpoint, so every string up to 7 bytes is decided, never raised,
+        # and is a member exactly when the language, known by hand, holds it.
+        grammar = parse_grammar(text)
+        for n in range(8):
+            for s in map(bytes, itertools.product(alphabet, repeat=n)):
+                assert cfg_membership(grammar, s) is bool(member(s)), (text, s)
+
+    def test_a_left_recursive_mask_is_decided(self):
+        # S: S X | X is x+: after no token only x is admitted, after x both
+        # x and eos while another x and eos fit, then eos alone; y is never
+        # a viable prefix.
+        grammar = parse_grammar("S: S X | X ; X: /x/ ;")
+        vocab = Vocabulary([b"x", b"y"], eos=2)
+        assert brute_force_mask(grammar, vocab, [], 3).tolist() == [True, False, False]
+        assert brute_force_mask(grammar, vocab, [0], 3).tolist() == [True, False, True]
+        assert brute_force_mask(grammar, vocab, [0, 0], 3).tolist() == [False, False, True]
 
     def test_cap_exceeded_is_distinct(self):
         g = parse_grammar("S: A ; A: LP A RP | X ; X:/x/; LP:/\\(/; RP:/\\)/;")
