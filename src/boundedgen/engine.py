@@ -71,8 +71,11 @@ token (eos only when the output is not complete).  One token's need is read
 off its group's total; the per-token vector is gathered only for a whole
 mask, and the entry keeps it when an earlier read made the entry, so a
 state seen once, or asked only about single tokens, holds nothing that
-grows with the vocabulary.  Whether the mask is empty is read off that
-least need and the completion bit, without a pass over the mask.
+grows with the vocabulary.  With the vector it keeps a boolean mask per
+limit class: every need is under the cap, 1 more than the largest finite
+one, or at least INF, so all limits from the cap on give ``need < cap``.
+Whether the mask is empty is read off that least need and the completion
+bit, without a pass over the mask.
 
 A step that commits terminals looks up the stack's stored hash and the
 terminals in the engine's commit memo first, and takes the successor kept
@@ -143,7 +146,8 @@ def wrong_length(entries: int, size: int) -> ValueError:
 
 
 _EXPANSION_LIMIT = 100_000
-_NEED_MEMO_SIZE = 256  # entries (``MaskEngine._entry``); one masked after an earlier read keeps 8 bytes per token
+_NEED_MEMO_SIZE = 256  # entries (``MaskEngine._entry``); one masked after an earlier read keeps 8 + 8 bytes per token
+_MASKS_PER_ENTRY = 8  # boolean masks an entry keeps, one per limit class: no more bytes than its vector
 _UNPRICED = -1  # a group total that no read has priced yet
 _COMMIT_MEMO_SIZE = 256  # commits per engine, each kept as the successor's top cell
 
@@ -462,12 +466,13 @@ class MaskEngine:
         terminal, so it stops at the first symbol that no terminal pops; each
         further feed, at the next such symbol below.  The window runs down to
         the ``floors``-th such symbol.  The cell keeps the window of every
-        floor count up to the most asked, for rows of any depth.
+        floor count up to the most asked, for rows of any depth; a count
+        past those walks on from the deepest one kept.
         """
         windows = stack.window
         if windows is None or len(windows) < floors:
-            windows, symbols, cell = [], [], stack
-            for _ in range(floors):
+            windows, symbols, cell = (list(windows), list(windows[-1][0]), windows[-1][1]) if windows else ([], [], stack)
+            while len(windows) < floors:
                 floor = cell.floor
                 below = floor.below if floor.depth else floor
                 while cell is not below:
@@ -785,18 +790,22 @@ class MaskEngine:
 
     def _entry(self, state: EngineState, key: tuple | None = None, whole: bool = True) -> tuple:
         """The need memo's entry for the state, made on a miss, and with
-        ``whole`` every group priced: (totals, least, best, kept).
+        ``whole`` every group priced: (totals, least, best, kept, masks).
         ``totals`` holds per group the least total of ``_totals``, 3 * INF,
         above any total, where no candidate parses, or _UNPRICED where no
         read has priced it yet, then 3 * INF for the tokens the row leaves
         out (eos included).  ``least`` and ``best``, ``_totals`` itself,
         are None until a whole read; ``kept`` is ``_need``'s answer, kept
-        when an earlier read made the entry.  A token read writes its
-        group's total into ``totals``; a whole read, or keeping the vector,
-        stores a new tuple, which gives the garbage collector less to count
-        than a list.  Keyed on what ``_totals`` reads: the configuration, the
-        window its candidates feed and the cost below; ``_need`` passes the
-        key it has found.  A new key first empties a full memo."""
+        when an earlier read made the entry, with ``masks`` unless the row
+        is past its accept: the cap, 1 more than the largest total below
+        INF, and per limit class ``min(limit, cap)`` the read-only mask
+        (``_need``), emptied when full as the memos are.  A token read
+        writes its group's total into ``totals``; a whole read, or keeping
+        the vector, stores a new tuple, which gives the garbage collector
+        less to count than a list.  Keyed on what ``_totals`` reads: the
+        configuration, the window its candidates feed and the cost below;
+        ``_need`` passes the key it has found.  A new key first empties a
+        full memo."""
         row = self._rows[state.config]
         if key is None:
             window, below = self._window(state.stack, row.depth)
@@ -809,15 +818,17 @@ class MaskEngine:
             if whole:
                 best = self._totals(state)
                 totals = np.array([3 * INF if b is None else b[0] for b in best] + [3 * INF], dtype=np.int64)
-                entry = memo[key] = (totals, int(totals.min()), best, None)
+                entry = memo[key] = (totals, int(totals.min()), best, None, None)
             else:
-                entry = memo[key] = (row.unpriced.copy(), None, None, None)
+                entry = memo[key] = (row.unpriced.copy(), None, None, None, None)
         return entry
 
-    def _need(self, state: EngineState, token: int | None = None) -> tuple[np.ndarray, int, list] | int:
+    def _need(self, state: EngineState, token: int | None = None, limit: int | None = None) -> tuple | int:
         """Per token, the least total of ``_totals`` (its group's total in
         the entry), with the least of those and ``_totals``; or, for
-        ``token`` alone, that need as an int.
+        ``token`` alone, that need as an int.  With ``limit``, a fresh
+        writable mask ``need < limit`` in the vector's place, copied from the
+        one an entry with masks keeps for the limit's class, kept on a miss.
 
         A token reads its group's total, and prices that group alone
         (``_totals`` with ``group``) where no read has priced it yet.  Only
@@ -841,18 +852,32 @@ class MaskEngine:
             return total
         kept = None if entry is None else entry[3]
         if kept is None:
-            totals, least, best, _ = self._entry(state, key)
+            totals, least, best = self._entry(state, key)[:3]
             need = totals[row.index]  # a token left out, at index -1, reads the last
             need.setflags(write=False)
             kept = (need, least, best)
             if entry is not None:  # made by an earlier read
-                self._need_memo[key] = (totals, least, best, kept)
+                cap = None if row.relex is not None else 1 + max((w[0] for w in best if w and w[0] < INF), default=-1)
+                masks = None if cap is None else (cap, {})
+                entry = self._need_memo[key] = (totals, least, best, kept, masks)
         if row.relex is not None:
             relexed, _ = self._relexed(state)
             if relexed is not None:
                 need = np.minimum(kept[0], np.where(row.relex, self._need(relexed)[0], 3 * INF))
                 kept = (need, int(need.min()), kept[2])
-        return kept if token is None else kept[0].item(token)
+        if limit is None:
+            return kept if token is None else kept[0].item(token)
+        if entry is None or entry[4] is None:
+            return kept[0] < limit, kept[1], kept[2]
+        cap, masks = entry[4]
+        limit = min(limit, cap)  # the class: every need is under the cap or at least INF
+        bits = masks.get(limit)
+        if bits is None:
+            if len(masks) >= _MASKS_PER_ENTRY:
+                masks.clear()
+            bits = masks[limit] = kept[0] < limit
+            bits.setflags(write=False)
+        return bits.copy(), kept[1], kept[2]
 
     def _least(self, state: EngineState) -> int:
         """The least need over the vocabulary, from the whole entry; a row
@@ -884,14 +909,14 @@ class MaskEngine:
         The mask rule over the whole vocabulary: a token is admitted when
         its need is under ``_limit``, and end-of-sequence when the output is
         complete.  Whether it admits nothing is read off the least need and
-        the completion bit, without a pass over the mask."""
+        the completion bit, without a pass over the mask.  The mask is a
+        fresh writable array, a copy where the memo keeps one (``_need``)."""
         return self._mask(state, self._limit(state))
 
     def _mask(self, state: EngineState, limit: int) -> np.ndarray:
         """``compute_mask`` under ``limit``: one read of the whole entry."""
-        need, least, _ = self._need(state)
+        bits, least, _ = self._need(state, limit=limit)
         complete = self.is_complete(state)
-        bits = need < limit
         if complete:
             bits[self.vocab.eos] = True
         if least >= limit and not complete:

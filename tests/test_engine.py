@@ -346,8 +346,9 @@ class TestPersistentStack:
 
     @pytest.mark.parametrize("name", ["paren", "json"])
     def test_cached_window_equals_a_fresh_walk(self, request, name):
-        # Each cell keeps the last window asked of it; asking again with the
-        # same floors reads it back, with other floors walks afresh.
+        # Each cell keeps the window of every floor count up to the most
+        # asked of it and reads those back; a larger count walks on from the
+        # deepest one kept, which it keeps as they were.
         g, tables, vocab = engine_parts(request, name)
         engine = MaskEngine(g, tables, vocab)
 
@@ -363,9 +364,11 @@ class TestPersistentStack:
             stack = engine._push(EMPTY_STACK, symbols)
             floors = list(range(len(symbols) + 2))
             for k in floors + floors[::-1] + [2, 2, 1, 2]:
+                kept = stack.window or ()
                 window, below = engine._window(stack, k)
                 want, want_below = fresh_walk(stack, k)
                 assert window == want and below is want_below, (symbols, k)
+                assert all(a is b for a, b in zip(kept, stack.window)), (symbols, k)
 
     def test_depth_5000_without_recursion_error(self, json_engine, json_vocab):
         lb, rb = json_vocab.tokens.index(b"["), json_vocab.tokens.index(b"]")
@@ -756,6 +759,48 @@ class TestNeedMemo:
         assert not need.flags.writeable
         with pytest.raises(ValueError):
             need[0] = 0
+
+    @pytest.mark.parametrize("mode", ["full", "grammar-only"])
+    @pytest.mark.parametrize("name", ["paren", "json", "unfinishable"])
+    def test_kept_masks_equal_need_under_every_limit_of_their_class(self, request, name, mode):
+        # A second whole read keeps the vector, the cap (1 more than the
+        # largest need below INF) and, per limit class min(limit, cap), a
+        # read-only mask.  Each equals ``need < limit`` for every limit
+        # from 0 to past the cap and at INF, and the mask handed out is a
+        # writable copy of it.
+        engine = report_engine(request, name, mode)
+        checked = 0
+        for state in seeded_walk_states(engine, 31, 30):
+            row = engine._rows[state.config]
+            if row.relex is not None:
+                continue
+            engine._need(state)
+            need = engine._need(state)[0]
+            window, below = engine._window(state.stack, row.depth)
+            cap, masks = engine._need_memo[state.config, window, below.cost][4]
+            assert cap == 1 + max((n for n in need.tolist() if n < INF), default=-1)
+            for limit in [*range(cap + 2), INF]:
+                bits = engine._need(state, limit=limit)[0]
+                kept = masks[min(limit, cap)]
+                assert bits.tolist() == kept.tolist() == (need < limit).tolist(), (limit, cap)
+                assert bits.flags.writeable and not kept.flags.writeable
+                with pytest.raises(ValueError):
+                    kept[0] = not kept[0]
+                checked += 1
+            assert len(masks) <= engine_module._MASKS_PER_ENTRY
+        assert checked
+
+    def test_writing_into_a_mask_leaves_the_next_one(self, request):
+        engine = report_engine(request, "json", "full")
+        hits = 0
+        for state in seeded_walk_states(engine, 37, 20):
+            want = engine.compute_mask(state).tolist()
+            for _ in range(3):  # the second read keeps a mask, the third reads it
+                mask = engine.compute_mask(state)
+                assert mask.tolist() == want
+                mask[:] = ~mask
+            hits += engine._rows[state.config].relex is None
+        assert hits
 
     @pytest.mark.parametrize("mode", ["full", "grammar-only"])
     @pytest.mark.parametrize("name", ["paren", "json", "unfinishable", "open"])

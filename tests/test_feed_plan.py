@@ -159,10 +159,14 @@ def test_a_miss_builds_no_stack_cell(engines, monkeypatch):
 
 
 def arrays(engine: MaskEngine) -> list[np.ndarray]:
-    """The arrays the need memo holds: each entry's per-group totals, and
-    the per-token vector it keeps."""
+    """The arrays the need memo holds: each entry's per-group totals, the
+    per-token vector it keeps and the boolean masks it keeps with it."""
     entries = engine._need_memo.values()
-    return [totals for totals, _, _, _ in entries] + [kept[0] for _, _, _, kept in entries if kept is not None]
+    return (
+        [totals for totals, _, _, _, _ in entries]
+        + [kept[0] for _, _, _, kept, _ in entries if kept is not None]
+        + [bits for *_, masks in entries if masks is not None for bits in masks[1].values()]
+    )
 
 
 def test_an_entry_keeps_a_vector_when_masked_after_an_earlier_read():
@@ -170,23 +174,25 @@ def test_an_entry_keeps_a_vector_when_masked_after_an_earlier_read():
     size = engine.vocab.size
     assert all(len(engine._rows[c].steps) + 1 < size for c in engine._rows)  # no totals of that length
 
-    def vectors() -> list[np.ndarray]:
-        return [x for x in arrays(engine) if x.shape == (size,)]
+    def vectors(dtype=np.int64) -> list[np.ndarray]:
+        return [x for x in arrays(engine) if x.shape == (size,) and x.dtype == dtype]
 
     state = engine.new_session(30)  # the start state's entry, made for its least need
-    assert len(engine._need_memo) == 1 and vectors() == []
+    assert len(engine._need_memo) == 1 and vectors() == [] and vectors(bool) == []
     mask = engine.compute_mask(state)  # masked after that read
-    (vector,) = vectors()
+    (vector,), (kept,) = vectors(), vectors(bool)
     assert not vector.flags.writeable and engine._need(state)[0] is vector
+    assert not kept.flags.writeable and kept.tolist() == (vector < 29).tolist()
     state = engine.advance(state, int(np.flatnonzero(mask)[0]), mask)
     mask = engine.compute_mask(state)  # a new entry, made by the mask
     assert len(engine._need_memo) == 2 and len(vectors()) == 1
+    assert len(vectors(bool)) == 1  # a state read once keeps no mask
     token = int(np.flatnonzero(mask & (np.arange(size) != engine.vocab.eos))[0])
     state = engine.advance(state, token)
     admitted = [engine.admits(state, t) for t in range(size)]  # a new entry, read per token
-    assert len(engine._need_memo) == 3 and len(vectors()) == 1
+    assert len(engine._need_memo) == 3 and len(vectors()) == 1 and len(vectors(bool)) == 1
     assert engine.compute_mask(state).tolist() == admitted
-    assert len(vectors()) == 2  # masked after the token reads
+    assert len(vectors()) == 2 and len(vectors(bool)) == 2  # masked after the token reads
 
 
 def test_deep_walk_memo_bytes_do_not_grow_with_the_vocabulary(monkeypatch):

@@ -6,8 +6,9 @@ the script.  A change that moves them on purpose rewrites that file:
 
     python tests/tools/mask_digest.py > tests/tools/mask_digest.golden
 
-So must the same walks run a second time on one engine, whose memos the
-first pass filled.  The other tests check, on the same setups, the two
+So must the same walks run a second and a third time on one engine, whose
+memos the first pass filled; the third takes its whole masks from those
+its need memo keeps.  The other tests check, on the same setups, the two
 facts that completion is read from: each row's final lexing, fixed when
 the row is built, and a stack cell's cost, 0 exactly when the stack may
 end there; that the one-token queries, ``admits`` and ``advance``
@@ -51,20 +52,46 @@ def test_digests_equal_the_golden_file(setups):
     assert {**got, "deep": mask_digest.deep_digest()} == want
 
 
-def test_a_warm_engine_digests_the_golden_file(setups):
+def kept_mask(engine: MaskEngine, state, limit: int):
+    """The mask the state's need-memo entry keeps for ``limit``'s class, or None."""
+    row = engine._rows[state.config]
+    window, below = engine._window(state.stack, row.depth)
+    entry = engine._need_memo.get((state.config, window, below.cost))
+    if entry is None or entry[4] is None:
+        return None
+    cap, masks = entry[4]
+    return masks.get(min(limit, cap))
+
+
+def test_a_warm_engine_digests_the_golden_file(setups, monkeypatch):
     # The second pass over the same walks on one engine reads what the
     # first left in its memos: commits that hand equal states the same
-    # cells, need entries masked again.  It must hash as a fresh engine does.
+    # cells, need entries masked again, which keep their masks.  The third,
+    # hot pass takes every whole mask of a row not past its accept from a
+    # kept one.  Both must hash as a fresh engine does.
     want = dict(line.split(": ", 1) for line in GOLDEN.read_text().splitlines())
-    got = {}
-    for name, (grammar, vocab, walks) in setups.items():
-        engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
-        mask_digest.digest(grammar, vocab, walks, engine=engine)
-        got[name] = mask_digest.digest(grammar, vocab, walks, engine=engine)
-    engine = mask_digest.deep_engine()
-    mask_digest.deep_digest(engine=engine)
-    got["deep"] = mask_digest.deep_digest(engine=engine)
-    assert got == want
+    warm, hot = {}, {}
+    for name in [*setups, "deep"]:
+        if name == "deep":
+            engine = mask_digest.deep_engine()
+            run = lambda: mask_digest.deep_digest(engine=engine)  # noqa: E731
+        else:
+            grammar, vocab, walks = setups[name]
+            engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
+            run = lambda: mask_digest.digest(grammar, vocab, walks, engine=engine)  # noqa: E731
+        run()
+        warm[name] = run()
+        kept, whole = [], engine._mask
+
+        def spy(state, limit):
+            row = engine._rows[state.config]
+            kept.append(row.relex is not None or kept_mask(engine, state, limit) is not None)
+            return whole(state, limit)
+
+        monkeypatch.setattr(engine, "_mask", spy)
+        hot[name] = run()
+        assert all(kept) and (kept or name == "shadow"), name  # shadow has no complete output at all
+    assert warm == hot == want
 
 
 def open_lexemes(lexer) -> dict[tuple[int, int], bytes]:
