@@ -78,15 +78,19 @@ Whether the mask is empty is read off that least need and the completion
 bit, without a pass over the mask.
 
 A step that commits terminals looks up the stack's stored hash and the
-terminals in the engine's commit memo first, and takes the successor kept
-there only when the stack kept with it is the same cell or an equal one, so
-a hash collision is a miss; only a miss calls ``_commit``.  Equal states
+terminals in the commit memo first, and takes the successor kept there
+only when the stack kept with it is the same cell or an equal one, so a
+hash collision is a miss; only a miss calls ``_commit``.  Equal states
 reached by different paths so share one chain of cells: ``==`` on their
 stacks stops at the first cell, what a cell keeps serves every state on it,
 and the need memo's key is read off shared cells.  The memo holds at most
 ``_COMMIT_MEMO_SIZE`` commits, each keeping its stack's and its successor's
 cells alive, and is emptied when full, as the need memo is; a commit that
-fails to parse stores nothing.
+fails to parse stores nothing.  Both memos are kept on the tables object
+the engine is built from: their keys and entries depend only on what the
+constructor's checks tie to it, and no mode reads them, so every engine
+on one tables object, full or grammar-only, reads and fills the same two,
+and a copy of the tables starts with empty ones.
 """
 
 from __future__ import annotations
@@ -146,10 +150,10 @@ def wrong_length(entries: int, size: int) -> ValueError:
 
 
 _EXPANSION_LIMIT = 100_000
-_NEED_MEMO_SIZE = 256  # entries (``MaskEngine._entry``); one masked after an earlier read keeps 8 + 8 bytes per token
+_NEED_MEMO_SIZE = 256  # entries per tables object (``MaskEngine._entry``), each at most 8 + 8 bytes per token
 _MASKS_PER_ENTRY = 8  # boolean masks an entry keeps, one per limit class: no more bytes than its vector
 _UNPRICED = -1  # a group total that no read has priced yet
-_COMMIT_MEMO_SIZE = 256  # commits per engine, each kept as the successor's top cell
+_COMMIT_MEMO_SIZE = 256  # commits per tables object, each kept as the successor's top cell
 
 MODE_FULL = "full"
 MODE_GRAMMAR_ONLY = "grammar-only"
@@ -374,8 +378,9 @@ class MaskEngine:
         self._symbol_popped = [
             any(self._symbol_memo[sym, t] is _DERIVES_EMPTY for t in terminals) for sym in symbols
         ]
-        self._need_memo: dict[tuple, tuple] = {}  # see ``_entry``
-        self._commit_memo: dict[tuple[int, tuple], tuple[Stack, Stack]] = {}  # (hash, terminals) -> (stack, commit)
+        # Shared by every engine on ``tables``: see ``_entry``, and (hash, terminals) -> (stack, commit).
+        # Not a field, so a copy of the tables (``dataclasses.replace``, ``load_cache``) starts empty.
+        self._need_memo, self._commit_memo = vars(tables).setdefault("_engine_memos", ({}, {}))
         # The rows past their accept, whose tail the table does not know.
         untailed = np.array([not tail for tail in steps.tails], dtype=bool)
         self._unknown = (steps.accepts >= 0) & (label[steps.states] < 0) & untailed

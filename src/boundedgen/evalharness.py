@@ -280,6 +280,8 @@ def evaluate(
     disabled, generation truncates at the budget), or none (raw decoding,
     greedy only).  Grammatical validity is judged on the emitted bytes, so
     truncated-but-accidentally-complete outputs still count for Syntax.
+    The engine's memos are the tables object's, so a call decodes warm over
+    the states that an earlier call on the same ``tables`` priced.
     """
     # Completeness does not depend on the mode, so one engine also judges it.
     engine = MaskEngine(grammar, tables, vocab, MODE_FULL if mode == MODE_NONE else mode)

@@ -120,12 +120,14 @@ def drop_key(tables, key):
 EOS_4_VOCAB = ([b"[", b"]", b"1", b" ", b"", b","], 4)
 
 
-def eos_in_step_table(vocab: Vocabulary):
+def eos_in_step_table(vocab: Vocabulary, tables=None):
     """The bundled grammar's tables over ``vocab``, an ``EOS_4_VOCAB``, with
     id 3 of row 0 of the step table renamed to the eos id: the row still
-    rises, so only the engine can refuse it."""
+    rises, so only the engine can refuse it.  A copy of ``tables`` when
+    given, else of tables built here."""
     grammar = load_grammar(bundled_json_grammar_path())
-    tables = build_cost_tables(grammar, vocab)
+    if tables is None:
+        tables = build_cost_tables(grammar, vocab)
     steps = tables.steps
     ids = steps.ids.copy()
     row = ids[steps.indptr[0] : steps.indptr[1]]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from pathlib import Path
@@ -175,6 +176,14 @@ def engine_parts(request, name):
     return tuple(
         request.getfixturevalue(f"{name}_{part}") for part in ("grammar", "tables", "vocab")
     )
+
+
+def own_engine(request, name):
+    """A full engine on its own tables over the ``name`` fixtures' grammar
+    and vocabulary: engines on one tables object share its memos, so this
+    one starts with empty memos whatever ran before."""
+    grammar, _, vocab = engine_parts(request, name)
+    return MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
 
 
 def expected_scan(engine, state):
@@ -378,9 +387,10 @@ class TestPersistentStack:
         mask = json_engine.compute_mask(deep)
         assert mask[rb] and not mask[lb]
         assert not json_engine.is_complete(deep)
-        # One engine's commit memo may hand the same steps the same cells,
-        # so the distinct chain comes from a second engine.
-        other = MaskEngine(json_engine.grammar, json_engine.tables, json_vocab)
+        # The commit memo may hand the same steps the same cells, and engines
+        # on one tables object share it, so the distinct chain comes from an
+        # engine on a copy of the tables.
+        other = MaskEngine(json_engine.grammar, dataclasses.replace(json_engine.tables), json_vocab)
         again = other.replay([lb] * depth, budget)
         assert again.stack is not deep.stack
         assert again == deep and hash(again.stack) == hash(deep.stack)
@@ -721,7 +731,7 @@ class TestNeedMemo:
         # entries that price only some groups; they count against the same
         # bound.
         monkeypatch.setattr(engine_module, "_NEED_MEMO_SIZE", 64)
-        engine = MaskEngine(*engine_parts(request, "json"))
+        engine = own_engine(request, "json")
         rng, size, eos = random.Random(5), engine.vocab.size, engine.vocab.eos
         keys, partial = set(), 0
         for state in seeded_walk_states(engine, 71, 1000, max_budget=40):
@@ -735,7 +745,7 @@ class TestNeedMemo:
         assert len(keys) > 64 and partial > 1
 
     def test_repeated_configuration_skips_totals(self, request, monkeypatch):
-        engine = MaskEngine(*engine_parts(request, "json"))
+        engine = own_engine(request, "json")
         tok = engine.vocab.tokenize
         state = engine.replay(tok(b'["ab'), budget=20)
         mask = engine.compute_mask(state)

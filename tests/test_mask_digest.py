@@ -20,6 +20,7 @@ cell keeps.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from pathlib import Path
 
@@ -268,7 +269,8 @@ def test_cold_single_token_reads_agree_with_the_mask(setups, mode):
     refused = set()
     for name, (grammar, vocab, walks) in setups.items():
         tables = build_cost_tables(grammar, vocab)
-        masking, cold = MaskEngine(grammar, tables, vocab, mode), MaskEngine(grammar, tables, vocab, mode)
+        # Engines on one tables object share its memos, so each has a copy.
+        masking, cold = (MaskEngine(grammar, dataclasses.replace(tables), vocab, mode) for _ in range(2))
         past_accept = partial = masked = 0
         states = [*admitted_walk_states(masking, walks // 10, seed=1), masking.replay([], budget=1)]
         for state in states:
@@ -350,7 +352,10 @@ def test_advance_greedy_equals_the_retry_rule(setups, mode):
     rng = np.random.default_rng(7)
     for name, (grammar, vocab, walks) in setups.items():
         tables = build_cost_tables(grammar, vocab)
-        warm, reference, cold, lukewarm = (MaskEngine(grammar, tables, vocab, mode) for _ in range(4))
+        # Engines on one tables object share its memos, so each has a copy.
+        warm, reference, cold, lukewarm = (
+            MaskEngine(grammar, dataclasses.replace(tables), vocab, mode) for _ in range(4)
+        )
         states = [*admitted_walk_states(warm, max(walks // 10, 6), seed=2), warm.replay([], budget=1)]
         for state in states:
             want = error_class(lambda: warm.compute_mask(state))

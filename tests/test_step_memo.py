@@ -10,6 +10,7 @@ steps never lex: the table holds every one of them.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
@@ -43,8 +44,11 @@ def setups(paren_grammar, paren_tables, paren_vocab, json_grammar, json_tables, 
 
 
 def engine_for(setup) -> MaskEngine:
+    """An engine on a copy of the setup's tables: engines on one tables
+    object share its memos, so this one starts with empty memos whatever
+    ran before."""
     grammar, tables, vocab = setup[:3]
-    return MaskEngine(grammar, tables, vocab)
+    return MaskEngine(grammar, dataclasses.replace(tables), vocab)
 
 
 def scanned_step(engine: MaskEngine, state: EngineState, token: int) -> tuple:
