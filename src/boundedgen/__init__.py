@@ -70,11 +70,6 @@ from boundedgen.models import (
     VerbosityBiasedModel,
     model_from_spec,
 )
-from boundedgen.oracle import (
-    brute_force_mask,
-    brute_force_min_tokens,
-    cfg_membership,
-)
 from boundedgen.vocab import Vocabulary, VocabularyError, load_vocabulary, save_vocabulary
 
 
@@ -114,12 +109,9 @@ __all__ = [
     "Vocabulary",
     "VocabularyError",
     "beam_search",
-    "brute_force_mask",
-    "brute_force_min_tokens",
     "build_cost_tables",
     "build_ll1_table",
     "bundled_json_grammar_path",
-    "cfg_membership",
     "compile_regex",
     "compute_nonterminal_costs",
     "evaluate",

@@ -21,8 +21,8 @@ from boundedgen.evalharness import BudgetPolicy, evaluate
 from boundedgen.grammar import parse_grammar
 from boundedgen.evalharness import json_equal
 from boundedgen.models import NgramModel, ScriptedModel, UniformModel, VerbosityBiasedModel
-from boundedgen.oracle import brute_force_mask, brute_force_min_tokens
 from boundedgen.vocab import Vocabulary
+from tests.tools.oracle import brute_force_mask, brute_force_min_tokens
 from tests.conftest import MINI_JSON_GRAMMAR, PAREN_GRAMMAR, make_json_tasks
 
 logging.disable(logging.WARNING)

@@ -31,8 +31,8 @@ from boundedgen.cli import EXIT_GRAMMAR, main
 from boundedgen.dfa import DEAD, INF, INITIAL, StateLimitError, compile_regex, scan
 from boundedgen.engine import MaskEngine
 from boundedgen.grammar import load_grammar, parse_grammar
-from boundedgen.oracle import brute_force_mask, brute_force_min_tokens
 from boundedgen.vocab import Vocabulary, save_vocabulary
+from tests.tools.oracle import brute_force_mask, brute_force_min_tokens
 from tests.conftest import (
     EOS_4_VOCAB,
     MINI_JSON_GRAMMAR,

@@ -29,8 +29,8 @@ from boundedgen.decoding import greedy_decode
 from boundedgen.dfa import DEAD, INF, Dfa
 from boundedgen.grammar import build_ll1_table, parse_grammar
 from boundedgen.models import ScriptedModel
-from boundedgen.oracle import brute_force_mask, cfg_membership
 from boundedgen.vocab import Vocabulary
+from tests.tools.oracle import brute_force_mask, cfg_membership
 from tests.conftest import (
     KV_GRAMMAR,
     KV_TOKENS,
@@ -1059,8 +1059,8 @@ class TestMaskProperties:
         # bundled JSON grammar itself at oracle scale.
         from boundedgen.costs import build_cost_tables
         from boundedgen.engine import BudgetError
-        from boundedgen.oracle import brute_force_mask
         from boundedgen.vocab import Vocabulary
+        from tests.tools.oracle import brute_force_mask
 
         tokens = [b"{", b"}", b'"', b"a", b":", b"1", b",", b" "]
         vocab = Vocabulary(tokens, eos=len(tokens))

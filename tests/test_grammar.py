@@ -23,8 +23,8 @@ from boundedgen.grammar import (
     build_ll1_table,
     parse_grammar,
 )
-from boundedgen.oracle import cfg_membership
 from boundedgen.vocab import Vocabulary
+from tests.tools.oracle import cfg_membership
 from tests.conftest import KV_GRAMMAR, LEXER_CAP_GRAMMAR, SHADOW_GRAMMAR, STATE_CAP_GRAMMAR
 from tests.test_lexer_reference import ABC_GRAMMAR, KW_GRAMMAR
 

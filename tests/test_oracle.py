@@ -2,24 +2,29 @@
 
 from __future__ import annotations
 
+import ast
+import importlib.util
 import itertools
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import boundedgen
 from boundedgen.costs import build_cost_tables
 from boundedgen.dfa import INF, compile_regex, dfa_concat
 from boundedgen.engine import MaskEngine
 from boundedgen.grammar import parse_grammar
-from boundedgen.oracle import (
+from boundedgen.vocab import Vocabulary
+from tests.tools import oracle
+from tests.tools.oracle import (
     CapExceededError,
     InstanceTooLargeError,
     brute_force_mask,
     brute_force_min_tokens,
     cfg_membership,
 )
-from boundedgen.vocab import Vocabulary
 
 
 def balanced(s: bytes) -> bool:
@@ -200,3 +205,24 @@ class TestBruteForceMinTokens:
         with pytest.raises(InstanceTooLargeError):
             brute_force_min_tokens(d, big, d.initial)
 
+
+class TestPlacement:
+    def test_oracle_imports_nothing_it_judges(self):
+        # An arbiter built from the engine's own machinery would agree with
+        # the engine's mistakes: only automata, grammar and vocabulary.
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        package = {m for m in imported if m.split(".")[0] == "boundedgen"}
+        assert package, imported
+        assert package <= {"boundedgen.dfa", "boundedgen.grammar", "boundedgen.vocab"}, package
+
+    def test_public_surface(self):
+        assert len(boundedgen.__all__) == len(set(boundedgen.__all__))
+        missing = [name for name in boundedgen.__all__ if not hasattr(boundedgen, name)]
+        assert missing == []
+        assert importlib.util.find_spec("boundedgen.oracle") is None
