@@ -14,7 +14,7 @@ identical outputs:
   checks the model's own argmax alone and reads the whole mask only when
   the engine denies it; no step raises and retries;
 - beam search ranks continuations by length-normalized log-probability and
-  breaks ties by the token ids, compared as tuples;
+  breaks ties by the token ids, in tuple order;
 - tree search selects by prior alone at a node with no visits, otherwise by
   ``Q + c_puct * prior * sqrt(sum(N)) / (1 + N)``, and commits the visited
   root edge with the highest Q.  Eos is a leaf of the tree, and so is a
@@ -35,6 +35,7 @@ from boundedgen.engine import EngineState, wrong_length
 from boundedgen.models import LanguageModel
 
 _PROB_FLOOR = 1e-12  # keeps the log of a zero-mass token finite
+_TINY = np.nextafter(0.0, 1.0)  # the least positive float: a cut that keeps every token with mass
 DEFAULT_BEAMS = 10  # ``beam_search``'s width unless one is given
 
 
@@ -47,9 +48,9 @@ class MctsConfig:
     trials: int = 20
 
     def __post_init__(self):
-        if not 0 <= self.c_puct < math.inf:
+        if isinstance(self.c_puct, bool) or not 0 <= self.c_puct < math.inf:
             raise ValueError(f"c_puct must be non-negative and finite, got {self.c_puct!r}")
-        if not 0 < self.temperature < math.inf:
+        if isinstance(self.temperature, bool) or not 0 < self.temperature < math.inf:
             raise ValueError(f"temperature must be positive and finite, got {self.temperature!r}")
         if isinstance(self.trials, bool) or not isinstance(self.trials, numbers.Integral):
             raise ValueError(f"trials must be an integer, got {self.trials!r}")
@@ -61,10 +62,14 @@ def softmax_prior(probs: np.ndarray, mask: np.ndarray, temperature: float) -> np
     """Temperature softmax of log-probabilities over admitted tokens.
 
     Denied tokens get zero.  If every admitted token has zero model mass the
-    prior is uniform over the admitted set.
+    prior is uniform over the admitted set.  A temperature that is not
+    positive and finite, or a mask of another length than ``probs``, raises
+    ValueError.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    if not 0 < temperature < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature!r}")
+    if len(mask) != len(probs):
+        raise ValueError(f"the mask has {len(mask)} entries, the distribution {len(probs)}")
     admitted = np.flatnonzero(mask)
     if not admitted.size:
         raise ValueError("mask admits no token")
@@ -160,10 +165,12 @@ def beam_search(
     """Length-normalized beam search over masked, renormalized probabilities.
 
     Each hypothesis carries its own forked engine state.  A step stacks the
-    live hypotheses' masks and distributions, one row each, and scores
-    every admitted continuation in one pass (``_candidates``).  The top
-    ``beams`` continuations survive each step; those ending in eos retire
-    to a pool and the best finished hypothesis wins.  With ``beams=1`` the
+    live hypotheses' masks and distributions, one row each, bounds the
+    scores that can survive by each row's best continuation, and scores
+    only the admitted continuations that reach the bound, in one pass
+    (``_candidates``); ``_best`` ranks those.  The top ``beams``
+    continuations survive each step; those ending in eos retire to a pool
+    and the best finished hypothesis wins.  With ``beams=1`` the
     selection rule coincides with greedy decoding, including tie-breaking.
     A width that is not an integer, or a bool, raises ValueError, and so
     does a step that keeps no hypothesis when none has finished, as happens
@@ -176,53 +183,73 @@ def beam_search(
     engine = session.engine
     eos, size = engine.vocab.eos, engine.vocab.size
     prompt = tuple(prompt)
-    # Live hypotheses, best first, all of one length: (ids, state), log-sums.
+    # Live hypotheses in the order of their ids, all of one length: (ids,
+    # state), and the scores and log-sums they survived the last step with.
     live: list[tuple[tuple[int, ...], EngineState]] = [((), session)]
-    log_sums = np.zeros(1)
+    last = log_sums = np.zeros(1)
     finished: list[tuple[tuple[int, ...], float]] = []
     while live and live[0][1].consumed < session.budget:
         length = len(live[0][0]) + 1
         masks = np.array([engine.compute_mask(state) for _, state in live])
         probs = np.array([_distribution(model, prompt + ids, size) for ids, _ in live])
-        owners, tokens, scores = _candidates(masks, probs, log_sums, length)
+        owners, tokens, scores = _candidates(masks, probs, log_sums, length, beams)
         if not tokens.size:
             break
-        # Equal lengths make the ids order the owner's ids order, then token.
-        rank = np.empty(len(live), dtype=np.int64)
-        rank[sorted(range(len(live)), key=lambda i: live[i][0])] = np.arange(len(live))
-        survivors, log_sums = [], []
-        for j in _best(scores, rank[owners], tokens, beams):
+        # Candidates come by owner, then token, and an owner's index is its
+        # place in the ids order: taken by index, survivors keep that order.
+        survivors, kept = [], []
+        for j in np.sort(_best(scores, owners, tokens, beams)):
             (ids, state), token = live[owners[j]], int(tokens[j])
             if token == eos:
                 finished.append((ids + (token,), scores[j] * length))
             else:
                 survivors.append((ids + (token,), engine.advance(state, token, masks[owners[j]])))
-                log_sums.append(scores[j] * length)
-        live, log_sums = survivors, np.array(log_sums)
+                kept.append(j)
+        live, last = survivors, scores[kept]
+        log_sums = last * length
     if finished:
         return list(min(finished, key=lambda f: (-f[1] / len(f[0]), f[0]))[0])
     if not live:  # ``_best`` ranks no NaN score
         raise ValueError("beam search kept no hypothesis: the candidates' scores are NaN")
     # Only reachable without budget-aware masking: every beam truncated.
-    return list(live[int(np.argmax(log_sums / max(len(live[0][0]), 1)))][0])
+    return list(live[int(np.argmax(last))][0])
 
 
 def _candidates(
-    masks: np.ndarray, probs: np.ndarray, log_sums: np.ndarray, length: int
+    masks: np.ndarray, probs: np.ndarray, log_sums: np.ndarray, length: int, beams: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One beam step's candidates from the live hypotheses' masks and
     distributions, one row each: the owner row and token of every admitted
     token, by owner and then token, and its score, the owner's log-sum plus
     the log of the token's share of the row's admitted mass, over
     ``length``.  A row whose admitted tokens carry no mass shares it
-    equally among them."""
+    equally among them.
+
+    Given ``beams``, only the candidates that can be among the ``beams``
+    best are scored: the ``beams``-th best of the rows' best scores is
+    reached by ``beams`` candidates, so a token whose share of its row's
+    mass falls short of that bound cannot survive; a margin far above the
+    rounding of log and exp keeps every candidate that could tie.  With
+    fewer rows than ``beams``, a negative or NaN entry, or a row whose best
+    score is not finite, every admitted token is scored."""
     masked = np.where(masks, probs, 0.0)
     totals = masked.sum(axis=1)
     zero = totals <= 0.0
     if zero.any():
         masked[zero] = masks[zero]
         totals[zero] = masked[zero].sum(axis=1)
-    at = np.flatnonzero(masks)
+    keep = masks
+    if 0 < beams <= len(masks) and masked.min() >= 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            best = (log_sums + np.log(masked.max(axis=1) / totals)) / length
+        if np.isfinite(best).all():
+            bound = np.partition(best, -beams)[-beams] * length
+            slack = 1e-9 * (1.0 + abs(bound) + np.abs(log_sums))
+            need = np.minimum(bound - log_sums - slack, 0.0)  # the log of the share a token needs
+            # Below exp(-700) exp could round up: keep every token with mass.
+            cut = np.where(need > -700.0, totals * np.exp(need), _TINY)
+            keep = masked >= cut[:, None]
+    at = np.flatnonzero(keep)
     owners = at // masks.shape[1]
     tokens = at - owners * masks.shape[1]
     with np.errstate(divide="ignore"):

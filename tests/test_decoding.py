@@ -158,6 +158,17 @@ class TestSoftmaxPrior:
         with pytest.raises(ValueError):
             softmax_prior(np.array([1.0]), np.array([False]), 2.0)
 
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf, 0.0, -1.0])
+    def test_temperature_must_be_positive_and_finite(self, temperature):
+        # A NaN temperature used to give NaN priors.
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            softmax_prior(np.array([0.5, 0.5]), np.array([True, True]), temperature)
+
+    @pytest.mark.parametrize("entries", [1, 3])
+    def test_mask_of_another_length_rejected(self, entries):
+        with pytest.raises(ValueError, match=f"the mask has {entries} entries, the distribution 2"):
+            softmax_prior(np.array([0.5, 0.5]), np.ones(entries, dtype=bool), 2.0)
+
 
 class TestGreedy:
     def test_prefers_unmasked_path(self, paren_engine):
@@ -337,6 +348,112 @@ class TestBeam:
         assert np.array_equal(scores, np.concatenate(want_scores))
         assert scores.dtype == np.float64
 
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 60), st.integers(1, 14),
+        st.sampled_from(["ties", "spread", "scaled"]),
+        st.booleans(), st.booleans(), st.booleans(), st.booleans(),
+    )
+    @example(0, 3, 4, 10, "spread", False, False, False, False)  # fewer rows than beams
+    @example(1, 4, 2, 5, "ties", False, False, False, False)  # beams above the candidate count
+    @example(2, 12, 30, 3, "ties", True, True, False, False)  # a zero-mass row, a -inf log-sum
+    @example(3, 12, 30, 3, "spread", False, False, True, False)  # a NaN row
+    @example(4, 12, 30, 3, "spread", False, False, False, True)  # a negative entry
+    def test_bounded_step_equals_full_step(
+        self, seed, rows, size, beams, values, zero_row, inf_log_sum, nan_row, negative
+    ):
+        # Scoring only what the bound keeps must pick the survivors, their
+        # order and their score bits that scoring every admitted token does.
+        # ``ties`` draws weights and log-sums from a few values, ``scaled``
+        # puts whole rows near the subnormals or far above 1; each fault hits
+        # one random row.
+        rng = np.random.default_rng(seed)
+        masks = rng.random((rows, size)) < rng.choice([0.1, 0.5, 1.0])
+        masks[np.arange(rows), rng.integers(0, size, rows)] = True
+        if values == "ties":
+            probs = rng.choice([0.0, 0.125, 0.25, 0.5], (rows, size))
+            log_sums = rng.choice([0.0, -0.5, -2.0], rows)
+        else:
+            probs = rng.dirichlet(np.full(size, 0.3), rows)
+            log_sums = np.log(rng.random(rows)) * rng.integers(0, 30)
+        if values == "scaled":
+            probs *= 10.0 ** rng.choice([-315.0, -290.0, 0.0, 200.0], (rows, 1))
+        if zero_row:
+            probs[rng.integers(0, rows)] = 0.0
+        if inf_log_sum:
+            log_sums[rng.integers(0, rows)] = -math.inf
+        if nan_row:
+            probs[rng.integers(0, rows)] = math.nan
+        if negative:
+            row = rng.integers(0, rows)
+            probs[row, rng.choice(np.flatnonzero(masks[row]))] = -0.25
+        length, rank = int(rng.integers(1, 30)), rng.permutation(rows)
+
+        def survivors(owners, tokens, scores):
+            picked = decoding._best(scores, rank[owners], tokens, beams)
+            return owners[picked].tolist(), tokens[picked].tolist(), scores[picked].tobytes()
+
+        with np.errstate(invalid="ignore"):  # the log of a negative entry
+            full = decoding._candidates(masks, probs, log_sums, length)
+            bounded = decoding._candidates(masks, probs, log_sums, length, beams)
+            assert survivors(*bounded) == survivors(*full)
+
+    @pytest.mark.parametrize("probs,log_sums", [
+        # Row 0's second token has a share of 85 subnormal steps, so its
+        # score ties row 1's and, row 0 ranking first, survives.  Its row
+        # needs a share below exp(-700), where exp rounds to a subnormal
+        # that, times the row's mass, would cut the token.
+        ([[1e200, 84.6e200 * 2.0**-1074], [1.0, 0.0]], [0.0, math.log(2.0**-1074 * 85)]),
+        # Row 1's log-sum is -inf, so the bound is too: the zero-mass token
+        # of row 0 ties row 1's token at -inf and, row 0 ranking first,
+        # survives.
+        ([[1.0, 0.0], [1.0, 0.0]], [0.0, -math.inf]),
+    ])
+    def test_bound_keeps_what_survives_at_its_edges(self, probs, log_sums):
+        masks = np.array([[True, True], [True, False]])
+        for beams in (0, 2):
+            owners, tokens, scores = decoding._candidates(masks, np.array(probs), np.array(log_sums), 1, beams)
+            picked = decoding._best(scores, owners, tokens, 2)
+            assert (owners[picked].tolist(), tokens[picked].tolist()) == ([0, 0], [0, 1]), beams
+
+    def test_bound_prunes_json_steps(self, json_engine, monkeypatch):
+        # Seeded beam:10 decodes over the bundled JSON grammar: steps with at
+        # least 10 hypotheses score fewer candidates than they admit, and the
+        # outputs are the reference implementation's.  A silent fall back to
+        # scoring every candidate fails here.
+        from tests.test_decoding_reference import beam_search as reference_beam_search
+
+        steps, full = [], decoding._candidates
+
+        def counting(masks, probs, log_sums, length, beams=0):
+            out = full(masks, probs, log_sums, length, beams)
+            steps.append((len(masks), out[1].size, int(masks.sum())))
+            return out
+
+        monkeypatch.setattr(decoding, "_candidates", counting)
+        for seed in range(4):
+            for budget in (8, 12, 16):
+                model = SeededRandomModel(json_engine.vocab.size, seed)
+                want = reference_beam_search(model, json_engine.new_session(budget), beams=10)
+                assert beam_search(model, json_engine.new_session(budget), beams=10) == want, (seed, budget)
+        narrow = [(scored, admitted) for rows, scored, admitted in steps if rows < 10]
+        wide = [(scored, admitted) for rows, scored, admitted in steps if rows >= 10]
+        assert all(scored == admitted for scored, admitted in narrow)
+        assert len(wide) >= 20
+        assert sum(scored < admitted for scored, admitted in wide) > 0.9 * len(wide)
+
+    def test_ties_break_by_ids_not_by_the_last_steps_order(self):
+        # Step 1 keeps (2,) before (0,) by score; at step 2 the three
+        # continuations (2, 0), (2, 1) and (0, 0) tie, and the ids order
+        # keeps (0, 0) and (2, 0).  Ranking owners by the order step 1 kept
+        # them in would keep (2, 0) and (2, 1), and return (2, 0, eos).
+        eos = 3
+        steps = {(): [0.25, 0.25, 0.5, 0.0], (2,): [0.5, 0.5, 0.0, 0.0], (0,): [1.0, 0.0, 0.0, 0.0]}
+        model = SimpleNamespace(next_distribution=lambda prefix: np.array(steps.get(tuple(prefix), np.eye(4)[eos])))
+        engine = SimpleNamespace(vocab=SimpleNamespace(eos=eos, size=4), compute_mask=lambda state: np.ones(4, bool))
+        engine.advance = lambda state, token, mask: SimpleNamespace(engine=engine, consumed=state.consumed + 1, budget=4)
+        assert beam_search(model, SimpleNamespace(engine=engine, consumed=0, budget=4), beams=2) == [0, 0, eos]
+
     def test_zero_mass_row_beside_a_massed_one(self, paren_engine, paren_vocab):
         # After "(" the model puts all its mass on ")", which the mask denies
         # there, so that hypothesis shares its step equally among its
@@ -381,6 +498,11 @@ class TestMcts:
             with pytest.raises(ValueError, match="trials must be an integer"):
                 MctsConfig(trials=trials)
         assert MctsConfig(trials=np.int64(3)).trials == 3
+
+    @pytest.mark.parametrize("field", ["c_puct", "temperature"])
+    def test_config_refuses_bools(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            MctsConfig(**{field: True})
 
     def test_select_on_hand_set_node(self):
         # Tokens 0-2 admitted, token 3 denied: the node keeps statistics for
