@@ -22,7 +22,7 @@ out, prices them and the ones that keep the accept, and is complete exactly
 when the state is.  Any other row fixes completion when it is built: what
 lexing to the end of input commits, fed to the state's own stack.
 
-Admission reads one vector that does not depend on the budget: ``need[t]``,
+Admission reads one number per token that does not depend on the budget: ``need[t]``,
 the fewest tokens needed after token ``t`` to finish everything.  Token
 ``t`` commits ``c`` and leaves configuration ``s``, whose pending lexeme
 finishes as any terminal ``b`` the parser takes after ``c`` (C of ``b`` at
@@ -68,14 +68,14 @@ yet: a single-token read on a new key prices only its group, and
 the other groups, the least and the ways to finish are filled when
 something reads them: a whole mask, the report, a new session, or a denied
 token (eos only when the output is not complete).  One token's need is read
-off its group's total; the per-token vector is gathered only for a whole
-mask, and the entry keeps it when an earlier read made the entry, so a
-state seen once, or asked only about single tokens, holds nothing that
-grows with the vocabulary.  With the vector it keeps a boolean mask per
-limit class: every need is under the cap, 1 more than the largest finite
-one, or at least INF, so all limits from the cap on give ``need < cap``.
-Whether the mask is empty is read off that least need and the completion
-bit, without a pass over the mask.
+off its group's total, and a whole mask is the totals under the limit,
+spread by the row's index.  The entry keeps that mask, read-only, when an
+earlier read made the entry, so a state seen once, or asked only about
+single tokens, holds nothing that grows with the vocabulary.  It keeps one
+per limit class: every need is under the cap, 1 more than the largest
+finite one, or at least INF, so all limits from the cap on give ``need <
+cap``.  Whether the mask is empty is read off that least need, the bits a
+relexed state adds, and the completion bit.
 
 A step that commits terminals looks up the stack's stored hash and the
 terminals in the commit memo first, and takes the successor kept there
@@ -150,8 +150,8 @@ def wrong_length(entries: int, size: int) -> ValueError:
 
 
 _EXPANSION_LIMIT = 100_000
-_NEED_MEMO_SIZE = 256  # entries per tables object (``MaskEngine._entry``), each at most 8 + 8 bytes per token
-_MASKS_PER_ENTRY = 8  # boolean masks an entry keeps, one per limit class: no more bytes than its vector
+_NEED_MEMO_SIZE = 256  # entries per tables object (``MaskEngine._entry``), each at most 8 bytes per token
+_MASKS_PER_ENTRY = 8  # boolean masks an entry keeps, one per limit class
 _UNPRICED = -1  # a group total that no read has priced yet
 _COMMIT_MEMO_SIZE = 256  # commits per tables object, each kept as the successor's top cell
 
@@ -659,7 +659,7 @@ class MaskEngine:
         ids, succs = steps.ids[a:b], steps.succs[a:b]
         row = _Row()
         code, occurs = self._codes(config)
-        row.index = np.full(self.vocab.size, -1, dtype=np.int32)
+        row.index = np.full(self.vocab.size, -1, dtype=np.intp)  # an intp index gathers without a cast
         row.index[ids] = (np.cumsum(occurs) - 1)[code]
         row.steps, row.group, row.terms, row.cost, row.span = [], [], [], [], [0]
         for g, (move, succ) in enumerate(divmod(key, n) for key in np.flatnonzero(occurs).tolist()):
@@ -795,22 +795,17 @@ class MaskEngine:
 
     def _entry(self, state: EngineState, key: tuple | None = None, whole: bool = True) -> tuple:
         """The need memo's entry for the state, made on a miss, and with
-        ``whole`` every group priced: (totals, least, best, kept, masks).
+        ``whole`` every group priced: (totals, least, best, masks).
         ``totals`` holds per group the least total of ``_totals``, 3 * INF,
         above any total, where no candidate parses, or _UNPRICED where no
         read has priced it yet, then 3 * INF for the tokens the row leaves
         out (eos included).  ``least`` and ``best``, ``_totals`` itself,
-        are None until a whole read; ``kept`` is ``_need``'s answer, kept
-        when an earlier read made the entry, with ``masks`` unless the row
-        is past its accept: the cap, 1 more than the largest total below
-        INF, and per limit class ``min(limit, cap)`` the read-only mask
-        (``_need``), emptied when full as the memos are.  A token read
-        writes its group's total into ``totals``; a whole read, or keeping
-        the vector, stores a new tuple, which gives the garbage collector
+        are None until a whole read, and ``masks`` until ``_bits`` keeps
+        them.  A token read writes its group's total into ``totals``; any
+        other change stores a new tuple, which gives the garbage collector
         less to count than a list.  Keyed on what ``_totals`` reads: the
-        configuration, the window its candidates feed and the cost below;
-        ``_need`` passes the key it has found.  A new key first empties a
-        full memo."""
+        configuration, the window its candidates feed and the cost below,
+        passed in when found.  A new key first empties a full memo."""
         row = self._rows[state.config]
         if key is None:
             window, below = self._window(state.stack, row.depth)
@@ -823,73 +818,75 @@ class MaskEngine:
             if whole:
                 best = self._totals(state)
                 totals = np.array([3 * INF if b is None else b[0] for b in best] + [3 * INF], dtype=np.int64)
-                entry = memo[key] = (totals, int(totals.min()), best, None, None)
+                entry = memo[key] = (totals, int(totals.min()), best, None)
             else:
-                entry = memo[key] = (row.unpriced.copy(), None, None, None, None)
+                entry = memo[key] = (row.unpriced.copy(), None, None, None)
         return entry
 
-    def _need(self, state: EngineState, token: int | None = None, limit: int | None = None) -> tuple | int:
-        """Per token, the least total of ``_totals`` (its group's total in
-        the entry), with the least of those and ``_totals``; or, for
-        ``token`` alone, that need as an int.  With ``limit``, a fresh
-        writable mask ``need < limit`` in the vector's place, copied from the
-        one an entry with masks keeps for the limit's class, kept on a miss.
-
-        A token reads its group's total, and prices that group alone
-        (``_totals`` with ``group``) where no read has priced it yet.  Only
-        a read of the whole vocabulary gathers the per-token vector, which
-        the entry keeps as ``_entry`` says.  Past a pending accept, the
-        tokens ``relex`` marks take the lesser of that and their need in
-        the state ``_relexed`` leaves, which ``token`` reads off the whole
-        vector."""
+    def _need(self, state: EngineState, token: int) -> int:
+        """``token``'s need: the least total of ``_totals`` over its group,
+        read off the entry, pricing that group alone (``_totals`` with
+        ``group``) where no read has priced it yet.  Past a pending accept,
+        a token ``relex`` marks takes the lesser of that and its need in
+        the state ``_relexed`` leaves."""
         row = self._rows[state.config]
         window, below = self._window(state.stack, row.depth)  # ``_entry``'s key
         key = (state.config, window, below.cost)
         entry = self._need_memo.get(key)
-        if token is not None and row.relex is None:
-            if entry is None:
-                entry = self._entry(state, key, whole=False)
-            group = row.index.item(token)
-            total = entry[0].item(group)
-            if total == _UNPRICED:
-                way = self._totals(state, group)[group]
-                total = entry[0][group] = 3 * INF if way is None else way[0]
-            return total
-        kept = None if entry is None else entry[3]
-        if kept is None:
-            totals, least, best = self._entry(state, key)[:3]
-            need = totals[row.index]  # a token left out, at index -1, reads the last
-            need.setflags(write=False)
-            kept = (need, least, best)
-            if entry is not None:  # made by an earlier read
-                cap = None if row.relex is not None else 1 + max((w[0] for w in best if w and w[0] < INF), default=-1)
-                masks = None if cap is None else (cap, {})
-                entry = self._need_memo[key] = (totals, least, best, kept, masks)
-        if row.relex is not None:
-            relexed, _ = self._relexed(state)
-            if relexed is not None:
-                need = np.minimum(kept[0], np.where(row.relex, self._need(relexed)[0], 3 * INF))
-                kept = (need, int(need.min()), kept[2])
-        if limit is None:
-            return kept if token is None else kept[0].item(token)
-        if entry is None or entry[4] is None:
-            return kept[0] < limit, kept[1], kept[2]
-        cap, masks = entry[4]
-        limit = min(limit, cap)  # the class: every need is under the cap or at least INF
-        bits = masks.get(limit)
-        if bits is None:
-            if len(masks) >= _MASKS_PER_ENTRY:
-                masks.clear()
-            bits = masks[limit] = kept[0] < limit
-            bits.setflags(write=False)
-        return bits.copy(), kept[1], kept[2]
+        if entry is None:
+            entry = self._entry(state, key, whole=False)
+        group = row.index.item(token)
+        total = entry[0].item(group)  # a token left out, at index -1, reads the last
+        if total == _UNPRICED:
+            way = self._totals(state, group)[group]
+            total = entry[0][group] = 3 * INF if way is None else way[0]
+        relexed = self._relexed(state)[0] if row.relex is not None and row.relex.item(token) else None
+        return total if relexed is None else min(total, self._need(relexed, token))
 
-    def _least(self, state: EngineState) -> int:
-        """The least need over the vocabulary, from the whole entry; a row
-        not past its accept reads it without gathering the vector."""
+    def _bits(self, state: EngineState, limit: int) -> tuple[np.ndarray, bool]:
+        """``need < limit`` over the vocabulary, eos denied, as a fresh
+        writable mask, and whether it admits any token.  On an entry an
+        earlier read made, the mask is kept, read-only, with the cap (1
+        more than the largest total below INF) per limit class ``min(limit,
+        cap)``, at most _MASKS_PER_ENTRY, and copied.  Past a pending
+        accept, it adds the tokens ``relex`` marks that the state
+        ``_relexed`` leaves admits under the same limit, and tests them."""
+        row = self._rows[state.config]
+        window, below = self._window(state.stack, row.depth)  # ``_entry``'s key
+        key = (state.config, window, below.cost)
+        entry = self._need_memo.get(key)
+        if entry is None or entry[3] is None:
+            made = entry is not None
+            totals, least, best, _ = entry = self._entry(state, key)
+            if made:  # by an earlier read: keep masks
+                cap = 1 + max((w[0] for w in best if w and w[0] < INF), default=-1)
+                entry = self._need_memo[key] = (totals, least, best, (cap, {}))
+        totals, least, _, masks = entry
+        if masks is None:
+            bits = (totals < limit)[row.index]
+        else:
+            cap, kept = masks
+            bits = kept.get(cls := min(limit, cap))  # every need is under the cap or at least INF
+            if bits is None:
+                if len(kept) >= _MASKS_PER_ENTRY:
+                    kept.clear()
+                bits = kept[cls] = (totals < cls)[row.index]
+                bits.setflags(write=False)
+            bits = bits.copy()
+        live = least < limit
+        relexed = self._relexed(state)[0] if row.relex is not None else None
+        if relexed is not None:
+            added = row.relex & self._bits(relexed, limit)[0]
+            bits |= added
+            live = live or bool(added.any())
+        return bits, live
+
+    def _live(self, state: EngineState, limit: int) -> bool:
+        """Whether a token other than eos has its need under ``limit``; a
+        row not past its accept reads the entry's least, with no mask."""
         if self._rows[state.config].relex is None:
-            return self._entry(state)[1]
-        return self._need(state)[1]
+            return self._entry(state)[1] < limit
+        return self._bits(state, limit)[1]
 
     def _limit(self, state: EngineState) -> int:
         """The state checks, then the bound a token's need must stay under:
@@ -915,16 +912,15 @@ class MaskEngine:
         its need is under ``_limit``, and end-of-sequence when the output is
         complete.  Whether it admits nothing is read off the least need and
         the completion bit, without a pass over the mask.  The mask is a
-        fresh writable array, a copy where the memo keeps one (``_need``)."""
+        fresh writable array, a copy where the memo keeps one (``_bits``)."""
         return self._mask(state, self._limit(state))
 
     def _mask(self, state: EngineState, limit: int) -> np.ndarray:
         """``compute_mask`` under ``limit``: one read of the whole entry."""
-        bits, least, _ = self._need(state, limit=limit)
-        complete = self.is_complete(state)
-        if complete:
+        bits, live = self._bits(state, limit)
+        if self.is_complete(state):
             bits[self.vocab.eos] = True
-        if least >= limit and not complete:
+        elif not live:
             raise _dead()
         return bits
 
@@ -940,7 +936,7 @@ class MaskEngine:
         limit = self._limit(state)
         if self._admitted(state, token, limit):
             return True
-        if self._least(state) >= limit and not self.is_complete(state):
+        if not self._live(state, limit) and not self.is_complete(state):
             raise _dead()
         return False
 
@@ -958,11 +954,8 @@ class MaskEngine:
         End-of-sequence has no sequence and costs of 0 when the output is
         complete, None when it is not.
         """
-        try:
-            bits = self.compute_mask(state)
-        except DeadSessionError:  # explained: no token admitted, the output not complete
-            bits = np.zeros(self.vocab.size, dtype=bool)
-        complete = bits[self.vocab.eos]  # eos is admitted exactly when the output is complete
+        bits = self._bits(state, self._limit(state))[0]  # an all-false mask is explained, not raised
+        complete = bits[self.vocab.eos] = self.is_complete(state)
         names = [t.name for t in self.grammar.terminals]
         rows: list[dict] = []
         for tid, way in enumerate(self._best(state)):
@@ -1008,11 +1001,14 @@ class MaskEngine:
         """Consume one admitted token and return the successor state.
 
         ``mask``, when given, is the state's mask; without it only ``token``
-        is checked, by ``admits``.
+        is checked, by ``admits``.  A mask of another length than the
+        vocabulary raises ValueError before any check of the state.
         """
         if mask is None:
             admitted = self.admits(state, token)
         else:
+            if len(mask) != self.vocab.size:
+                raise ValueError(f"the mask has {len(mask)} entries, the vocabulary {self.vocab.size} ids")
             self._check_token(state, token)
             admitted = mask[token]
         if not admitted:
@@ -1059,9 +1055,12 @@ class MaskEngine:
 
     def _check_token(self, state: EngineState, token: int) -> None:
         """EngineError once the session has emitted end-of-sequence, then
-        MaskedTokenError unless ``token`` is a vocabulary id."""
+        MaskedTokenError unless ``token`` is a vocabulary id: an integer,
+        not a bool, in range."""
         if state.finished:
             raise EngineError("session already emitted end-of-sequence")
+        if type(token) is not int and (isinstance(token, bool) or not isinstance(token, numbers.Integral)):
+            raise MaskedTokenError(f"token id must be an integer, got {token!r}")
         if not 0 <= token < self.vocab.size:
             raise MaskedTokenError(f"token id {token} out of range")
 

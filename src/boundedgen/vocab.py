@@ -56,7 +56,7 @@ def _decode_token_text(text: str) -> bytes:
 class Vocabulary:
     """Immutable token table; ids are dense in ``[0, size)``."""
 
-    __slots__ = ("tokens", "eos", "duplicate_count", "source_hash", "_by_first_byte")
+    __slots__ = ("tokens", "size", "eos", "duplicate_count", "source_hash", "_by_first_byte")
 
     def __init__(self, tokens: Sequence[bytes], eos: int, source_hash: str = ""):
         tokens = list(tokens)
@@ -83,6 +83,7 @@ class Vocabulary:
         if dups:
             logger.warning("vocabulary contains %d duplicate token strings", dups)
         self.tokens: tuple[bytes, ...] = tuple(tokens)
+        self.size = len(tokens)  # read on every step, so not a property
         self.eos = eos
         self.duplicate_count = dups
         if not source_hash:
@@ -101,10 +102,6 @@ class Vocabulary:
         for bucket in by_first.values():
             bucket.sort(key=lambda i: (-len(self.tokens[i]), i))
         self._by_first_byte = by_first
-
-    @property
-    def size(self) -> int:
-        return len(self.tokens)
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -761,44 +761,59 @@ class TestNeedMemo:
         engine.compute_mask(engine.advance(state, tok(b'"')[0]))
         assert len(calls) == 1
 
-    def test_stored_vector_is_read_only(self, request):
-        engine = MaskEngine(*engine_parts(request, "paren"))
-        state = engine.new_session(5)
-        need, least, _ = engine._need(state)
-        assert engine._need(state)[0] is need and least == need.min()
-        assert not need.flags.writeable
-        with pytest.raises(ValueError):
-            need[0] = 0
-
     @pytest.mark.parametrize("mode", ["full", "grammar-only"])
     @pytest.mark.parametrize("name", ["paren", "json", "unfinishable"])
     def test_kept_masks_equal_need_under_every_limit_of_their_class(self, request, name, mode):
-        # A second whole read keeps the vector, the cap (1 more than the
-        # largest need below INF) and, per limit class min(limit, cap), a
-        # read-only mask.  Each equals ``need < limit`` for every limit
-        # from 0 to past the cap and at INF, and the mask handed out is a
-        # writable copy of it.
+        # A whole read of an entry that token reads made keeps the cap (1
+        # more than the largest total below INF) and, per limit class
+        # min(limit, cap), a read-only mask of the totals under it.  The
+        # mask handed out, a writable copy, equals ``need < limit`` of the
+        # unmemoized fold for every limit from 0 to past the cap and at
+        # INF.  On a row not past its accept the kept mask equals it too;
+        # past one it holds the row's own bits, a subset.
         engine = report_engine(request, name, mode)
-        checked = 0
+        size, checked = engine.vocab.size, 0
         for state in seeded_walk_states(engine, 31, 30):
+            engine._need_memo.clear()  # so that no read below empties a full memo
             row = engine._rows[state.config]
-            if row.relex is not None:
-                continue
-            engine._need(state)
-            need = engine._need(state)[0]
+            need = folded_need(engine, state)
+            assert [engine._need(state, t) for t in range(size)] == need.tolist()
+            engine._bits(state, INF)
             window, below = engine._window(state.stack, row.depth)
-            cap, masks = engine._need_memo[state.config, window, below.cost][4]
-            assert cap == 1 + max((n for n in need.tolist() if n < INF), default=-1)
+            cap, masks = engine._need_memo[state.config, window, below.cost][3]
+            if row.relex is None:
+                assert cap == 1 + max((n for n in need.tolist() if n < INF), default=-1)
             for limit in [*range(cap + 2), INF]:
-                bits = engine._need(state, limit=limit)[0]
+                bits, live = engine._bits(state, limit)
                 kept = masks[min(limit, cap)]
-                assert bits.tolist() == kept.tolist() == (need < limit).tolist(), (limit, cap)
+                assert bits.tolist() == (need < limit).tolist() and live == (need < limit).any(), (limit, cap)
+                assert kept.tolist() == bits.tolist() if row.relex is None else not (kept & ~bits).any()
                 assert bits.flags.writeable and not kept.flags.writeable
                 with pytest.raises(ValueError):
                     kept[0] = not kept[0]
                 checked += 1
             assert len(masks) <= engine_module._MASKS_PER_ENTRY
         assert checked
+
+    def test_a_kept_mask_past_an_accept_adds_the_relexed_bits_under_the_limit(self):
+        # After "a", "b" the pending accept is A = "a" with the tail "b".
+        # The row's own tokens cost at most 1 ("c" makes "abc", then "d"),
+        # so its cap is 2; "e" is left out, and relexed as A B then E costs
+        # 3 more.  Each read admits "c" and "e", also those that read a kept
+        # mask of class 2: the relexed bits are read under the limit, 9.
+        grammar = parse_grammar(
+            "S: A R ; A: /a|abc/ ; B: /b/ ; C: /c/ ; D: /d/ ; E: /e/ ; R: B X | D ; X: E E E E | C ;"
+        )
+        vocab = Vocabulary([b"a", b"b", b"c", b"d", b"e"], eos=5)
+        engine = MaskEngine(grammar, build_cost_tables(grammar, vocab), vocab)
+        state = engine.replay(vocab.tokenize(b"ab"), budget=12)
+        row = engine._rows[state.config]
+        assert row.relex is not None
+        for _ in range(3):
+            assert np.flatnonzero(engine.compute_mask(state)).tolist() == [2, 4]
+        window, below = engine._window(state.stack, row.depth)
+        cap, masks = engine._need_memo[state.config, window, below.cost][3]
+        assert cap == 2 and np.flatnonzero(masks[2]).tolist() == [2]
 
     def test_writing_into_a_mask_leaves_the_next_one(self, request):
         engine = report_engine(request, "json", "full")
@@ -819,10 +834,10 @@ class TestNeedMemo:
         eos = engine.vocab.eos
         for state in seeded_walk_states(engine, 29, 60):
             need = folded_need(engine, state)
-            got, least, _ = engine._need(state)
-            assert got.tolist() == need.tolist() and least == need.min()
+            assert [engine._need(state, t) for t in range(engine.vocab.size)] == need.tolist()
             limit = state.budget - state.consumed - 1 if mode == "full" else INF
             want = need < min(limit, INF)
+            assert engine._live(state, min(limit, INF)) == want.any()
             want[eos] = engine.is_complete(state)
             assert engine.compute_mask(state).tolist() == want.tolist()
             for row in engine.mask_report(state):
@@ -901,6 +916,28 @@ class TestAdvance:
                 json_engine.replay([token], 10)
             with pytest.raises(MaskedTokenError, match="out of range"):
                 json_engine.replay(prefix + [token], 10)
+        # Ids that are not integers, or are bools, are refused the same way;
+        # numpy integers are ids.
+        for token in (1.0, True, np.float64(0.0), "0", None):
+            for query in (json_engine.admits, json_engine.advance):
+                with pytest.raises(MaskedTokenError, match="must be an integer"):
+                    query(state, token)
+            with pytest.raises(MaskedTokenError, match="must be an integer"):
+                json_engine.replay(prefix + [token], 10)
+        token = np.int64(prefix[0])
+        assert json_engine.admits(state, token)
+        assert json_engine.advance(state, token) == json_engine.replay([token], 10)
+
+    def test_a_mask_of_another_length_rejected(self, json_engine, json_vocab):
+        # A short mask would raise IndexError, or admit by a bit that is not
+        # the token's; a long one would be read as if it fit.
+        size = json_vocab.size
+        state = json_engine.new_session(10)
+        token = json_vocab.tokenize(b"[")[0]
+        for length in (3, size - 1, size + 1):
+            with pytest.raises(ValueError, match=f"the mask has {length} entries, the vocabulary {size} ids"):
+                json_engine.advance(state, token, np.ones(length, dtype=bool))
+        assert json_engine.advance(state, token, np.ones(size, dtype=bool)).consumed == 1
 
     def test_advance_is_immutable(self, paren_engine):
         state = paren_engine.new_session(4)

@@ -8,9 +8,9 @@ plan, a prefix tree of its candidates' terminals, and ``accept_sequences``
 walks every one- and two-terminal sequence.  The feed loop that built a cell
 per terminal, and the fold that shared the stacks of common prefixes, are
 kept below verbatim as the reference; the memo entry is checked against the
-rule that it keeps a per-token vector only when masked after an earlier
-read, and a cold read of one token's need against the plan nodes its group
-needs.
+rule that it keeps masks only when masked after an earlier read, and no
+per-token need vector at all, and a cold read of one token's need against
+the plan nodes its group needs.
 """
 
 from __future__ import annotations
@@ -159,17 +159,15 @@ def test_a_miss_builds_no_stack_cell(engines, monkeypatch):
 
 
 def arrays(engine: MaskEngine) -> list[np.ndarray]:
-    """The arrays the need memo holds: each entry's per-group totals, the
-    per-token vector it keeps and the boolean masks it keeps with it."""
+    """The arrays the need memo holds: each entry's per-group totals and
+    the boolean masks it keeps."""
     entries = engine._need_memo.values()
-    return (
-        [totals for totals, _, _, _, _ in entries]
-        + [kept[0] for _, _, _, kept, _ in entries if kept is not None]
-        + [bits for *_, masks in entries if masks is not None for bits in masks[1].values()]
-    )
+    return [totals for totals, *_ in entries] + [
+        bits for *_, masks in entries if masks is not None for bits in masks[1].values()
+    ]
 
 
-def test_an_entry_keeps_a_vector_when_masked_after_an_earlier_read():
+def test_an_entry_keeps_masks_when_masked_after_an_earlier_read():
     engine = engine_for("json")
     size = engine.vocab.size
     assert all(len(engine._rows[c].steps) + 1 < size for c in engine._rows)  # no totals of that length
@@ -178,21 +176,20 @@ def test_an_entry_keeps_a_vector_when_masked_after_an_earlier_read():
         return [x for x in arrays(engine) if x.shape == (size,) and x.dtype == dtype]
 
     state = engine.new_session(30)  # the start state's entry, made for its least need
-    assert len(engine._need_memo) == 1 and vectors() == [] and vectors(bool) == []
+    assert len(engine._need_memo) == 1 and vectors(bool) == []
     mask = engine.compute_mask(state)  # masked after that read
-    (vector,), (kept,) = vectors(), vectors(bool)
-    assert not vector.flags.writeable and engine._need(state)[0] is vector
-    assert not kept.flags.writeable and kept.tolist() == (vector < 29).tolist()
+    (kept,) = vectors(bool)
+    assert not kept.flags.writeable and kept.tolist() == [engine._need(state, t) < 29 for t in range(size)]
     state = engine.advance(state, int(np.flatnonzero(mask)[0]), mask)
     mask = engine.compute_mask(state)  # a new entry, made by the mask
-    assert len(engine._need_memo) == 2 and len(vectors()) == 1
-    assert len(vectors(bool)) == 1  # a state read once keeps no mask
+    assert len(engine._need_memo) == 2 and len(vectors(bool)) == 1  # a state read once keeps no mask
     token = int(np.flatnonzero(mask & (np.arange(size) != engine.vocab.eos))[0])
     state = engine.advance(state, token)
     admitted = [engine.admits(state, t) for t in range(size)]  # a new entry, read per token
-    assert len(engine._need_memo) == 3 and len(vectors()) == 1 and len(vectors(bool)) == 1
+    assert len(engine._need_memo) == 3 and len(vectors(bool)) == 1
     assert engine.compute_mask(state).tolist() == admitted
-    assert len(vectors()) == 2 and len(vectors(bool)) == 2  # masked after the token reads
+    assert len(vectors(bool)) == 2  # masked after the token reads
+    assert vectors() == []  # no entry holds a per-token need vector
 
 
 def test_deep_walk_memo_bytes_do_not_grow_with_the_vocabulary(monkeypatch):

@@ -58,9 +58,9 @@ def kept_mask(engine: MaskEngine, state, limit: int):
     row = engine._rows[state.config]
     window, below = engine._window(state.stack, row.depth)
     entry = engine._need_memo.get((state.config, window, below.cost))
-    if entry is None or entry[4] is None:
+    if entry is None or entry[3] is None:
         return None
-    cap, masks = entry[4]
+    cap, masks = entry[3]
     return masks.get(min(limit, cap))
 
 
@@ -68,8 +68,8 @@ def test_a_warm_engine_digests_the_golden_file(setups, monkeypatch):
     # The second pass over the same walks on one engine reads what the
     # first left in its memos: commits that hand equal states the same
     # cells, need entries masked again, which keep their masks.  The third,
-    # hot pass takes every whole mask of a row not past its accept from a
-    # kept one.  Both must hash as a fresh engine does.
+    # hot pass takes every whole mask from a kept one, on rows past a
+    # pending accept too.  Both must hash as a fresh engine does.
     want = dict(line.split(": ", 1) for line in GOLDEN.read_text().splitlines())
     warm, hot = {}, {}
     for name in [*setups, "deep"]:
@@ -85,8 +85,7 @@ def test_a_warm_engine_digests_the_golden_file(setups, monkeypatch):
         kept, whole = [], engine._mask
 
         def spy(state, limit):
-            row = engine._rows[state.config]
-            kept.append(row.relex is not None or kept_mask(engine, state, limit) is not None)
+            kept.append(kept_mask(engine, state, limit) is not None)
             return whole(state, limit)
 
         monkeypatch.setattr(engine, "_mask", spy)
@@ -264,8 +263,9 @@ def test_cold_single_token_reads_agree_with_the_mask(setups, mode):
     # ``admits`` and ``advance`` without a mask, each asked on an engine
     # whose need memo holds no entry for the state, price the token's group
     # alone; the answers, the errors and the successor states are those of
-    # the mask from a second engine.  Past a pending accept the whole
-    # vector is read.  The budget-1 state is all-false under the full mask.
+    # the mask from a second engine.  Past a pending accept a token the
+    # row marks reads the relexed state's entry too.  The budget-1 state is
+    # all-false under the full mask.
     refused = set()
     for name, (grammar, vocab, walks) in setups.items():
         tables = build_cost_tables(grammar, vocab)
